@@ -28,11 +28,10 @@ from .errors import (
     MissingReturnsError,
     RiskBelowMvpError,
 )
-from .model import AssetUniverse, Portfolio, diversification_return
+from .model import AssetUniverse, Portfolio
 from .portfolios import (
     proportional_to_ones,
     self_financing_direction,
-    solver_for,
     tangent_portfolio,
     ZERO_BAND_RTOL,
 )
@@ -112,7 +111,7 @@ class DrPoint:
 
 def frontier_params(universe: AssetUniverse) -> FrontierParams:
     """Compute the frontier scalars of a universe."""
-    s = solver_for(universe)
+    s = universe.solver
     sigma2_mvp = s.sigma2_mvp
     q_mvp = 0.5 * (s.ones_inv_eta - 1.0) * sigma2_mvp
     rho = s.rho
@@ -160,6 +159,18 @@ def _excess_variance(sigma2_mvp: float, sigma: float) -> float:
     return max(s2 - sigma2_mvp, 0.0)
 
 
+def _excess_risk(sigma2_mvp: float, sigmas: np.ndarray):
+    """u = sqrt(sigma^2 - sigma_mvp^2) on a grid, snapped up as above, and the
+    mask of grid points below sigma_mvp."""
+    s2 = sigmas * sigmas
+    return np.sqrt(np.maximum(s2 - sigma2_mvp, 0.0)), s2 < sigma2_mvp - RISK_SNAP_ATOL
+
+
+def _q_along(params: FrontierParams, m, u):
+    """DR of w_mvp + u * d for a unit-variance, zero-budget d with eta' d = m."""
+    return -0.5 * (u - 0.5 * m) ** 2 + m * m / 8.0 + params.q_mvp
+
+
 def max_linear_over_ellipsoid(
     universe: AssetUniverse, objective, sigma: float
 ) -> KktSolution:
@@ -168,9 +179,9 @@ def max_linear_over_ellipsoid(
     The optimizer is invariant to positive rescaling of c.  For c not
     proportional to ones the solution sits on the risk boundary:
 
-        w = (V^-1 c + lam V^-1 1) / beta,
+        w = (V^-1 c + lam V^-1 1) / beta = w_mvp + u * d_c,
         beta = sqrt((c' V^-1 c - (1' V^-1 c)^2 / a) / (sigma^2 - sigma_mvp^2)),
-        lam = (beta - 1' V^-1 c) / a.
+        lam = (beta - 1' V^-1 c) / a,  d_c = CovarianceSolver.direction of c.
 
     c proportional to ones makes every feasible portfolio tie; the
     minimum-variance portfolio is returned with degenerate=True.
@@ -180,22 +191,18 @@ def max_linear_over_ellipsoid(
         raise DimensionMismatchError(
             f"objective shape {c.shape} vs universe of {universe.n} assets"
         )
-    s = solver_for(universe)
+    s = universe.solver
     u2 = _excess_variance(s.sigma2_mvp, sigma)
     if proportional_to_ones(c):
         return KktSolution(weights=s.w_mvp, degenerate=True)
     if u2 == 0.0:
         return KktSolution(weights=s.w_mvp)
-    inv_c = s.solve(c)
-    g = float(np.ones(universe.n) @ inv_c)
-    k_sq = float(c @ inv_c) - g * g / s.a
-    if k_sq <= 0.0:
+    d, k = s.direction(c, s.solve(c))
+    if d is None:
         # c is indistinguishable from a multiple of ones in the V^-1 metric
         return KktSolution(weights=s.w_mvp, degenerate=True)
-    beta = float(np.sqrt(k_sq / u2))
-    lam = (beta - g) / s.a
-    w = (inv_c + lam * s.inv_ones) / beta
-    return KktSolution(weights=w, beta=beta)
+    u = float(np.sqrt(u2))
+    return KktSolution(weights=s.w_mvp + u * d, beta=k / u)
 
 
 def q_dr_at(params: FrontierParams, sigma: float) -> float:
@@ -207,8 +214,7 @@ def q_dr_at(params: FrontierParams, sigma: float) -> float:
     u2 = _excess_variance(params.sigma2_mvp, sigma)
     if params.rho == 0.0:
         return params.q_mvp
-    u = float(np.sqrt(u2))
-    return -0.5 * (u - 0.5 * params.rho) ** 2 + params.rho**2 / 8.0 + params.q_mvp
+    return _q_along(params, params.rho, float(np.sqrt(u2)))
 
 
 def efficient_dr_portfolio(
@@ -222,11 +228,9 @@ def efficient_dr_portfolio(
     """
     if params.rho == 0.0:
         raise DegenerateRhoError("flat frontier: DR-efficient mix undefined")
-    u2 = _excess_variance(params.sigma2_mvp, sigma)
-    alpha = 2.0 * float(np.sqrt(u2)) / params.rho
-    s = solver_for(universe)
-    w_mdrp = (1.0 - 0.5 * s.ones_inv_eta) * s.w_mvp + 0.5 * s.inv_eta
-    w = alpha * w_mdrp + (1.0 - alpha) * s.w_mvp
+    u = float(np.sqrt(_excess_variance(params.sigma2_mvp, sigma)))
+    alpha = 2.0 * u / params.rho
+    w = universe.solver.w_mvp + u * universe.solver.d_eta
     return DrPoint(weights=w, alpha=alpha, beyond_mdrp=alpha > 1.0)
 
 
@@ -239,14 +243,9 @@ def q_ef_at(universe: AssetUniverse, params: FrontierParams, sigma: float):
         raise MissingReturnsError(
             "mean-variance DR curve needs expected returns not proportional to ones"
         )
-    u2 = _excess_variance(params.sigma2_mvp, sigma)
-    u = float(np.sqrt(u2))
-    m = params.eta_wo
-    s = solver_for(universe)
-    w_o = self_financing_direction(universe)
-    w = s.w_mvp + u * w_o
-    q = -0.5 * (u - 0.5 * m) ** 2 + m * m / 8.0 + params.q_mvp
-    return q, w
+    u = float(np.sqrt(_excess_variance(params.sigma2_mvp, sigma)))
+    w = universe.solver.w_mvp + u * self_financing_direction(universe)
+    return _q_along(params, params.eta_wo, u), w
 
 
 def dr_gap_at(params: FrontierParams, sigma: float) -> float:
@@ -332,7 +331,7 @@ class RiskFreeDrCurve:
 
 
 def riskfree_dr_curve(universe: AssetUniverse) -> RiskFreeDrCurve:
-    s = solver_for(universe)
+    s = universe.solver
     gain = float(np.sqrt(max(s.eta_inv_eta, 0.0)))
     if gain <= 0.0:
         raise DegenerateRhoError("all asset variances vanish; curve undefined")
@@ -404,12 +403,6 @@ def default_sigma_grid(
     return np.sqrt(params.sigma2_mvp + u2)
 
 
-def _row_centrality(embedding, w) -> Optional[float]:
-    if embedding is None or w is None:
-        return None
-    return float(np.sqrt(max(w @ embedding.gram @ w, 0.0)))
-
-
 def sweep(
     universe: AssetUniverse,
     kind: FrontierKind,
@@ -423,84 +416,84 @@ def sweep(
     impossibilities (missing returns, infeasible tangency) raise before any
     row is produced.  Rows are emitted in grid order, so equal inputs give
     identical output.
+
+    Every kind without cash is w = w_mvp + u * d with eta' d = m, evaluated as
+    arrays; d None collapses it onto w_mvp.  Centrality (when an embedding is
+    passed) is c^2 = q_max - q = |u d - (rho / 2) d_eta|_V^2 / 2, i.e.
+    (u - rho / 2)^2 / 2 + (rho u / 4) |d - d_eta|_V^2: no cancellation near
+    the maximum-DR portfolio, even when d is nearly d_eta.
     """
     kind = FrontierKind(kind)
     params = frontier_params(universe)
     if sigma_grid is None:
         sigma_grid = default_sigma_grid(params)
+    sigmas = np.asarray(sigma_grid, dtype=float)
     rbar = universe.expected_returns
-
-    # curve-level preparation; raises early on impossible requests
-    if kind in (FrontierKind.MV_EFFICIENT_DR, FrontierKind.MV_MEAN_RETURN):
-        if params.eta_wo is None:
-            raise MissingReturnsError(
-                "mean-variance sweeps need non-degenerate expected returns"
-            )
-    if kind is FrontierKind.CML:
-        cml = cml_curve(universe)
-    if kind is FrontierKind.EFFICIENT_DR_RISKFREE:
-        rf = riskfree_dr_curve(universe)
-    if kind is FrontierKind.MDP_AT_SIGMA:
-        root_eta = np.sqrt(np.clip(universe.variances, 0.0, None))
-
     curve = FrontierCurve(kind=kind)
-    for sigma in np.asarray(sigma_grid, dtype=float):
-        row = FrontierRow(sigma=float(sigma))
-        try:
-            if kind is FrontierKind.EFFICIENT_DR:
-                row.q = q_dr_at(params, sigma)
-                if params.rho == 0.0:
-                    w = solver_for(universe).w_mvp
+    if kind in (FrontierKind.CML, FrontierKind.EFFICIENT_DR_RISKFREE):
+        cml = cml_curve(universe) if kind is FrontierKind.CML else None
+        rf = riskfree_dr_curve(universe) if cml is None else None
+        for sigma in sigmas:
+            row = FrontierRow(sigma=float(sigma))
+            try:
+                if cml is not None:
+                    row.q = cml.value(sigma)
+                    mix = cml.mix(sigma)
+                    row.alpha = mix
+                    if rbar is not None and universe.risk_free_rate is not None:
+                        row.ret = universe.risk_free_rate + mix * (
+                            float(rbar @ cml.tangent.weights) - universe.risk_free_rate
+                        )
+                    if include_weights:
+                        row.weights = mix * cml.tangent.weights
+                        row.cash = 1.0 - mix
                 else:
-                    point = efficient_dr_portfolio(universe, params, sigma)
-                    w = point.weights
-                    row.alpha = point.alpha
-                row.ret = None if rbar is None else float(rbar @ w)
-                row.centrality = _row_centrality(embedding, w)
-                if include_weights:
-                    row.weights = w
-            elif kind in (FrontierKind.MV_EFFICIENT_DR, FrontierKind.MV_MEAN_RETURN):
-                q, w = q_ef_at(universe, params, sigma)
-                row.q = q
-                row.alpha = float(
-                    np.sqrt(_excess_variance(params.sigma2_mvp, sigma))
-                )
-                row.ret = None if rbar is None else float(rbar @ w)
-                row.centrality = _row_centrality(embedding, w)
-                if include_weights:
-                    row.weights = w
-            elif kind is FrontierKind.MDP_AT_SIGMA:
-                sol = max_linear_over_ellipsoid(universe, root_eta, sigma)
-                w = sol.weights
-                row.q = diversification_return(universe, w)
-                row.ret = None if rbar is None else float(rbar @ w)
-                row.centrality = _row_centrality(embedding, w)
-                if sol.degenerate:
-                    row.status = "degenerate"
-                if include_weights:
-                    row.weights = w
-            elif kind is FrontierKind.CML:
-                row.q = cml.value(sigma)
-                mix = cml.mix(sigma)
-                row.alpha = mix
-                if rbar is not None and universe.risk_free_rate is not None:
-                    row.ret = universe.risk_free_rate + mix * (
-                        float(rbar @ cml.tangent.weights) - universe.risk_free_rate
-                    )
-                if include_weights:
-                    row.weights = mix * cml.tangent.weights
-                    row.cash = 1.0 - mix
-            elif kind is FrontierKind.EFFICIENT_DR_RISKFREE:
-                row.q = rf.value(sigma)
-                w, cash = rf.risky_weights(sigma)
-                if rbar is not None and universe.risk_free_rate is not None:
-                    row.ret = float(rbar @ w) + cash * universe.risk_free_rate
-                if include_weights:
-                    row.weights = w
-                    row.cash = cash
-        except RiskBelowMvpError:
-            row.status = "risk_below_mvp"
-        curve.rows.append(row)
+                    row.q = rf.value(sigma)
+                    w, cash = rf.risky_weights(sigma)
+                    if rbar is not None and universe.risk_free_rate is not None:
+                        row.ret = float(rbar @ w) + cash * universe.risk_free_rate
+                    if include_weights:
+                        row.weights = w
+                        row.cash = cash
+            except RiskBelowMvpError:
+                row.status = "risk_below_mvp"
+            curve.rows.append(row)
+        return curve
+
+    s = universe.solver
+    u, below = _excess_risk(params.sigma2_mvp, sigmas)
+    alpha = None
+    if kind is FrontierKind.EFFICIENT_DR:
+        d, m = s.d_eta, params.rho
+        alpha = None if d is None else 2.0 * u / params.rho
+    elif kind is FrontierKind.MDP_AT_SIGMA:
+        d = s.d_root
+        m = 0.0 if d is None else float(universe.variances @ d)
+    elif params.eta_wo is None:
+        raise MissingReturnsError(
+            "mean-variance sweeps need non-degenerate expected returns"
+        )
+    else:
+        d, m, alpha = s.w_o, params.eta_wo, u
+    status = "degenerate" if kind is FrontierKind.MDP_AT_SIGMA and d is None else "ok"
+    if d is None:
+        u, d = np.zeros_like(u), np.zeros(universe.n)
+    none = [None] * len(sigmas)
+    q = _q_along(params, m, u).tolist()
+    alpha = none if alpha is None else alpha.tolist()
+    ret = none if rbar is None else (rbar @ s.w_mvp + u * (rbar @ d)).tolist()
+    centrality = none
+    if embedding is not None:
+        e = d - (0.0 if s.d_eta is None else s.d_eta)
+        bend = 0.25 * params.rho * float(e @ universe.cov @ e)
+        c_sq = 0.5 * (u - 0.5 * params.rho) ** 2 + bend * u
+        centrality = np.sqrt(np.maximum(c_sq, 0.0)).tolist()
+    weights = list(s.w_mvp + u[:, None] * d) if include_weights else none
+    for i, sigma in enumerate(sigmas.tolist()):
+        cells = (q[i], ret[i], centrality[i], alpha[i], status, weights[i])
+        if below[i]:
+            cells = (None,) * 4 + ("risk_below_mvp", None)
+        curve.rows.append(FrontierRow(sigma, *cells))
     return curve
 
 
@@ -542,7 +535,7 @@ def inflection_report(universe: AssetUniverse, points: int = 800, span: float = 
     sigma_lo = params.sigma_mvp * (1.0 + 1e-9)
     sigma_hi = span * max(params.sigma_mdrp, params.sigma_mvp * 2.0)
     sigmas = np.linspace(sigma_lo, sigma_hi, int(points))
-    values = np.array([q_ef_at(universe, params, s)[0] for s in sigmas])
+    values = _q_along(params, params.eta_wo, _excess_risk(params.sigma2_mvp, sigmas)[0])
     found = locate_inflection(sigmas, values)
     gap = None
     if found is not None and params.tau_o is not None:

@@ -33,7 +33,6 @@ from .errors import (
 )
 from .frontiers import KktSolution, max_linear_over_ellipsoid
 from .model import AssetUniverse, Portfolio, portfolio_stats
-from .portfolios import solver_for
 
 # replicator ascent stops when the largest weight update is below this
 STEP_TOL = 1e-12
@@ -47,8 +46,8 @@ class DmaxBounds:
     """Bracket for the simplex maximum of 0.5 * w' A w.
 
     lower comes from the best replicator run (a feasible point, so it is a
-    genuine lower bound); upper is 0.5 * max entry of A, exact for two-point
-    supports.  converged is False when some run hit the iteration cap.
+    genuine lower bound); upper = 0.5 * max A is valid but not tight (two-point
+    supports reach 0.25 * max A).  converged is False when a run hit the cap.
     """
 
     lower: float
@@ -118,13 +117,15 @@ def mdp_global(universe: AssetUniverse) -> Portfolio:
     Verified against a sigma sweep of :func:`mdp_at_sigma`: the closed form
     must match the best swept ratio to RATIO_SWEEP_RTOL, otherwise the
     universe violates the normalization assumption and an error is raised.
+    The swept maximizers are w_mvp + u * d_root, so their ratios are one
+    array expression in u over the cached kernel.
     """
     eta = universe.variances
     if float(eta.min()) <= 0.0:
         raise ZeroVarianceError("every asset needs positive variance")
-    s = solver_for(universe)
+    s = universe.solver
     root = np.sqrt(eta)
-    x = s.solve(root)
+    x = s.inv_root_eta
     total = float(np.ones(universe.n) @ x)
     if abs(total) < 1e-300:
         raise SingularCovarianceError("V^-1 sqrt(eta) sums to zero; cannot normalize")
@@ -134,10 +135,11 @@ def mdp_global(universe: AssetUniverse) -> Portfolio:
     # audit: sweep the risk-constrained solutions and compare ratios
     sigma_lo = float(np.sqrt(s.sigma2_mvp))
     sigma_hi = 16.0 * max(sigma_lo, float(np.sqrt(w @ universe.cov @ w)))
-    swept = 0.0
-    for sigma in np.geomspace(sigma_lo * (1.0 + 1e-9), sigma_hi, 64):
-        cand = max_linear_over_ellipsoid(universe, root, sigma).weights
-        swept = max(swept, diversification_ratio(universe, cand))
+    sigmas = np.geomspace(sigma_lo * (1.0 + 1e-9), sigma_hi, 64)
+    slope, u = 0.0, np.zeros(len(sigmas))  # equal volatilities: all are w_mvp
+    if s.d_root is not None:
+        slope, u = float(root @ s.d_root), np.sqrt(sigmas * sigmas - s.sigma2_mvp)
+    swept = float(np.max((root @ s.w_mvp + u * slope) / np.sqrt(s.sigma2_mvp + u * u)))
     if swept > best * (1.0 + RATIO_SWEEP_RTOL):
         raise NotSPDError(
             f"closed-form ratio {best:.12g} beaten by sweep {swept:.12g}; "

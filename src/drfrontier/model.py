@@ -17,11 +17,13 @@ changes q.  That is intended behaviour and is regression-tested.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .errors import (
     AsymmetricError,
@@ -30,6 +32,7 @@ from .errors import (
     EmbeddingMismatchError,
     NonSquareError,
     NotPSDError,
+    SingularCovarianceError,
 )
 
 # Relative tolerance for accepting (and then exactly symmetrizing) V.
@@ -40,12 +43,21 @@ PSD_RTOL = 1e-10
 BUDGET_ATOL = 1e-10
 # Absolute tolerance for the centrality/DR decomposition identity.
 PYTHAGORAS_ATOL = 1e-8
+# Relative residual below which a vector counts as proportional to ones.
+PROPORTIONALITY_RTOL = 1e-12
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=float)
     out.setflags(write=False)
     return out
+
+
+def proportional_to_ones(vec: np.ndarray, rtol: float = PROPORTIONALITY_RTOL) -> bool:
+    """True when vec is (numerically) a multiple of the ones vector."""
+    v = np.asarray(vec, dtype=float)
+    resid = v - v.mean()
+    return float(np.abs(resid).max()) <= rtol * max(float(np.abs(v).max()), 1e-300)
 
 
 @dataclass(frozen=True)
@@ -60,8 +72,7 @@ class AssetUniverse:
         expected_returns: optional annualized mean returns.
         risk_free_rate: optional annualized risk-free rate.
         nonsingular: True when cov is numerically strictly positive definite.
-        fingerprint: hash of (cov, names); embeddings and cached
-            factorizations are keyed on it.
+        fingerprint: hash of (cov, names); embeddings are keyed on it.
     """
 
     names: tuple
@@ -75,6 +86,64 @@ class AssetUniverse:
     @property
     def n(self) -> int:
         return len(self.names)
+
+    @functools.cached_property
+    def solver(self) -> "CovarianceSolver":
+        """The covariance kernel, built on first access and kept with the universe."""
+        return CovarianceSolver(self)
+
+
+class CovarianceSolver:
+    """One Cholesky factorization and one batched solve V^-1 [1, eta, sqrt(eta), rbar].
+
+    Every closed form afterwards is dot products with these images.  d_eta,
+    d_root and w_o are the unit directions (see :meth:`direction`) along which
+    the DR-efficient, ratio-maximizing and mean-variance portfolios leave
+    w_mvp.  Cached arrays are read-only because every caller shares them.
+    """
+
+    def __init__(self, universe: AssetUniverse):
+        if not universe.nonsingular:
+            raise SingularCovarianceError(
+                "universe covariance is singular; closed forms need strict PD"
+            )
+        try:
+            self._factor = cho_factor(np.array(universe.cov), lower=True)
+        except LinAlgError as exc:
+            raise SingularCovarianceError(f"Cholesky failed: {exc}") from exc
+        ones = np.ones(universe.n)
+        eta = universe.variances
+        root_eta = np.sqrt(eta)
+        rbar = universe.expected_returns
+        rhs = [ones, eta, root_eta] + ([] if rbar is None else [rbar])
+        # the solution is Fortran-ordered, so its transpose has contiguous rows
+        images = self.solve(np.column_stack(rhs)).T
+        images.setflags(write=False)
+        self.inv_ones, self.inv_eta, self.inv_root_eta = images[:3]
+        self.a = float(ones @ self.inv_ones)
+        self.sigma2_mvp = 1.0 / self.a
+        self.w_mvp = _frozen(self.inv_ones * self.sigma2_mvp)
+        self.ones_inv_eta = float(ones @ self.inv_eta)  # 1' V^-1 eta
+        self.eta_inv_eta = float(eta @ self.inv_eta)
+        self.d_eta, self.rho = self.direction(eta, self.inv_eta)
+        self.d_root = self.direction(root_eta, self.inv_root_eta)[0]
+        self.inv_r = None if rbar is None else images[3]
+        self.b = None if rbar is None else float(ones @ self.inv_r)
+        self.w_o = None if rbar is None else self.direction(rbar, self.inv_r)[0]
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        return cho_solve(self._factor, np.asarray(rhs, dtype=float))
+
+    def direction(self, c: np.ndarray, inv_c: np.ndarray):
+        """(d, k) with d = (V^-1 c - (1' V^-1 c / a) V^-1 1) / k and
+        k^2 = c' V^-1 c - (1' V^-1 c)^2 / a, so 1' d = 0 and d' V d = 1;
+        (None, 0.0) when c is proportional to ones or k^2 <= 0."""
+        g = float(np.ones(len(c)) @ inv_c)
+        k_sq = float(c @ inv_c) - g * g / self.a
+        if proportional_to_ones(c) or k_sq <= 0.0:
+            return None, 0.0
+        k = float(np.sqrt(k_sq))
+        return _frozen((inv_c - (g / self.a) * self.inv_ones) / k), k
 
 
 @dataclass(frozen=True)

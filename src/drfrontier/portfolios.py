@@ -1,8 +1,10 @@
 """Closed-form special portfolios of a nonsingular universe.
 
-All V^-1 applications go through a cached Cholesky factorization; no inverse
-is ever formed explicitly.  Throughout, for a universe with covariance V,
-variance vector eta and expected returns rbar:
+Every V^-1 image comes from the universe's own covariance kernel
+(:attr:`~drfrontier.model.AssetUniverse.solver`): one Cholesky factorization
+and one batched solve per universe, after which each portfolio here is a few
+dot products.  No inverse is ever formed explicitly.  Throughout, for a
+universe with covariance V, variance vector eta and expected returns rbar:
 
     a = 1' V^-1 1          (inverse of the minimum-variance variance)
     b = 1' V^-1 rbar
@@ -19,87 +21,37 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from . import embedding as _embedding
 from .errors import (
     DegenerateReturnsError,
-    DimensionMismatchError,
     DrFrontierError,
+    EmbeddingMismatchError,
     MissingReturnsError,
-    SingularCovarianceError,
     TangencyInfeasibleError,
 )
-from .model import AssetUniverse, Portfolio, portfolio_stats
+from .model import (
+    AssetUniverse,
+    CovarianceSolver,
+    Portfolio,
+    portfolio_stats,
+    proportional_to_ones,
+)
 
-# Relative residual below which a vector counts as proportional to ones.
-PROPORTIONALITY_RTOL = 1e-12
 # |eta' w_o| <= ZERO_BAND_RTOL * rho is reported as the knife-edge zero case.
 ZERO_BAND_RTOL = 1e-12
 # Agreement required between the two independent max-DR formulas.
 MDRP_AGREEMENT_ATOL = 1e-8
 
 
-def proportional_to_ones(vec: np.ndarray, rtol: float = PROPORTIONALITY_RTOL) -> bool:
-    """True when vec is (numerically) a multiple of the ones vector."""
-    v = np.asarray(vec, dtype=float)
-    resid = v - v.mean()
-    return float(np.abs(resid).max()) <= rtol * max(float(np.abs(v).max()), 1e-300)
-
-
-class CovarianceSolver:
-    """Cached Cholesky factorization of a universe covariance.
-
-    Precomputes the handful of V^-1 images and scalars every closed form
-    needs.  Build once per universe through :func:`solver_for`.
-    """
-
-    def __init__(self, universe: AssetUniverse):
-        if not universe.nonsingular:
-            raise SingularCovarianceError(
-                "universe covariance is singular; closed forms need strict PD"
-            )
-        try:
-            self._factor = cho_factor(np.array(universe.cov), lower=True)
-        except LinAlgError as exc:
-            raise SingularCovarianceError(f"Cholesky failed: {exc}") from exc
-        self.universe = universe
-        n = universe.n
-        ones = np.ones(n)
-        self.inv_ones = self.solve(ones)            # V^-1 1
-        self.a = float(ones @ self.inv_ones)
-        self.sigma2_mvp = 1.0 / self.a
-        self.w_mvp = self.inv_ones * self.sigma2_mvp
-        self.inv_eta = self.solve(universe.variances)   # V^-1 eta
-        self.ones_inv_eta = float(ones @ self.inv_eta)  # 1' V^-1 eta
-        self.eta_inv_eta = float(universe.variances @ self.inv_eta)
-        if proportional_to_ones(universe.variances):
-            self.rho = 0.0
-        else:
-            self.rho = float(
-                np.sqrt(max(self.eta_inv_eta - self.ones_inv_eta**2 / self.a, 0.0))
-            )
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return cho_solve(self._factor, np.asarray(rhs, dtype=float))
-
-
-_SOLVERS: dict = {}
-
-
 def solver_for(universe: AssetUniverse) -> CovarianceSolver:
-    """Per-universe solver cache, keyed by the covariance fingerprint."""
-    key = universe.fingerprint
-    solver = _SOLVERS.get(key)
-    if solver is None:
-        solver = CovarianceSolver(universe)
-        _SOLVERS[key] = solver
-    return solver
+    """The universe's covariance kernel (built once, owned by the universe)."""
+    return universe.solver
 
 
 def min_variance_portfolio(universe: AssetUniverse) -> Portfolio:
     """Minimum-variance budget portfolio w = V^-1 1 / (1' V^-1 1)."""
-    s = solver_for(universe)
+    s = universe.solver
     dr = 0.5 * (s.ones_inv_eta - 1.0) * s.sigma2_mvp
     expected_return = None
     if universe.expected_returns is not None:
@@ -112,20 +64,23 @@ def min_variance_portfolio(universe: AssetUniverse) -> Portfolio:
     )
 
 
-def max_dr_portfolio(universe: AssetUniverse) -> Portfolio:
+def max_dr_portfolio(universe: AssetUniverse, embedding=None) -> Portfolio:
     """Maximum-DR budget portfolio, cross-checked through two routes.
 
     The covariance route is
 
         w = (1 - 1' V^-1 eta / 2) * w_mvp + 0.5 * V^-1 eta
 
-    and the distance-matrix route normalizes D^-1 1.  Both must agree to
+    and the distance-matrix route normalizes D^-1 1, read from `embedding`
+    (built here when none is passed).  Both must agree to
     MDRP_AGREEMENT_ATOL; the DR of the result is q_max = 1 / (2 * 1' D^-1 1).
     """
-    s = solver_for(universe)
+    s = universe.solver
     w_v = (1.0 - 0.5 * s.ones_inv_eta) * s.w_mvp + 0.5 * s.inv_eta
 
-    emb = _embedding.embed(universe)
+    emb = _embedding.embed(universe) if embedding is None else embedding
+    if emb.universe_fingerprint != universe.fingerprint:
+        raise EmbeddingMismatchError("embedding was built from a different universe")
     w_d = emb.mdrp_weights
     gap = float(np.abs(w_v - w_d).max())
     if gap > MDRP_AGREEMENT_ATOL * max(1.0, float(np.abs(w_v).max())):
@@ -162,16 +117,12 @@ def self_financing_direction(universe: AssetUniverse) -> np.ndarray:
         raise DegenerateReturnsError(
             "expected returns are proportional to ones; frontier direction undefined"
         )
-    s = solver_for(universe)
-    inv_r = s.solve(rbar)
-    b = float(np.ones(universe.n) @ inv_r)
-    x = inv_r - (b / s.a) * s.inv_ones
-    norm_sq = float(rbar @ inv_r) - b * b / s.a
-    if norm_sq <= 0.0:
+    w_o = universe.solver.w_o
+    if w_o is None:
         raise DegenerateReturnsError(
             "projected return direction has nonpositive V^-1 norm"
         )
-    return x / np.sqrt(norm_sq)
+    return w_o
 
 
 def eta_wo(universe: AssetUniverse) -> float:
@@ -186,8 +137,7 @@ def eta_wo_sign(universe: AssetUniverse) -> str:
     case is reported explicitly rather than resolved by rounding noise.
     """
     m = eta_wo(universe)
-    rho = solver_for(universe).rho
-    if abs(m) <= ZERO_BAND_RTOL * rho:
+    if abs(m) <= ZERO_BAND_RTOL * universe.solver.rho:
         return "zero"
     return "positive" if m > 0.0 else "negative"
 
@@ -201,7 +151,7 @@ def q_portfolio(universe: AssetUniverse, embedding=None) -> Portfolio:
     efficient choice is the minimum-variance portfolio itself (the zero band
     collapses w_Q onto it).
     """
-    s = solver_for(universe)
+    s = universe.solver
     w_o = self_financing_direction(universe)
     m = float(universe.variances @ w_o)
     if abs(m) <= ZERO_BAND_RTOL * s.rho:
@@ -220,16 +170,14 @@ def tangent_portfolio(universe: AssetUniverse) -> Portfolio:
     if universe.risk_free_rate is None:
         raise MissingReturnsError("universe has no risk-free rate")
     r0 = universe.risk_free_rate
-    s = solver_for(universe)
-    inv_r = s.solve(rbar)
-    b = float(np.ones(universe.n) @ inv_r)
-    denom = b - r0 * s.a
-    if denom <= 1e-12 * abs(b):
+    s = universe.solver
+    denom = s.b - r0 * s.a
+    if denom <= 1e-12 * abs(s.b):
         raise TangencyInfeasibleError(
             f"b - r0 a = {denom:.3e}; risk-free rate must sit below the "
             "minimum-variance portfolio return"
         )
-    w_t = (inv_r - r0 * s.inv_ones) / denom
+    w_t = (s.inv_r - r0 * s.inv_ones) / denom
     return portfolio_stats(universe, w_t)
 
 
@@ -257,38 +205,25 @@ class SpecialPortfolios:
 
 def special_portfolios(universe: AssetUniverse, embedding=None) -> SpecialPortfolios:
     """Assemble every closed-form portfolio the inputs support."""
-    s = solver_for(universe)
+    s = universe.solver
     mvp = min_variance_portfolio(universe)
-    mdrp = max_dr_portfolio(universe)
+    mdrp = max_dr_portfolio(universe, embedding=embedding)
     if embedding is not None:
         mvp = portfolio_stats(universe, mvp.weights, embedding=embedding)
         mdrp = portfolio_stats(universe, mdrp.weights, embedding=embedding)
 
-    b = None
-    w_o = None
-    m = None
-    sign = None
-    q_pf = None
-    tangent = None
-    if universe.expected_returns is not None:
-        b = float(np.ones(universe.n) @ s.solve(universe.expected_returns))
-        try:
-            w_o = self_financing_direction(universe)
-        except DegenerateReturnsError:
-            w_o = None
-        if w_o is not None:
-            m = float(universe.variances @ w_o)
-            sign = eta_wo_sign(universe)
-            q_pf = q_portfolio(universe, embedding=embedding)
-            if universe.risk_free_rate is not None:
-                try:
-                    tangent = tangent_portfolio(universe)
-                except TangencyInfeasibleError:
-                    tangent = None
-                if tangent is not None and embedding is not None:
-                    tangent = portfolio_stats(
-                        universe, tangent.weights, embedding=embedding
-                    )
+    m = sign = q_pf = tangent = None
+    if s.w_o is not None:
+        m = float(universe.variances @ s.w_o)
+        sign = eta_wo_sign(universe)
+        q_pf = q_portfolio(universe, embedding=embedding)
+        if universe.risk_free_rate is not None:
+            try:
+                tangent = tangent_portfolio(universe)
+            except TangencyInfeasibleError:
+                tangent = None
+            if tangent is not None and embedding is not None:
+                tangent = portfolio_stats(universe, tangent.weights, embedding=embedding)
 
     return SpecialPortfolios(
         mvp=mvp,
@@ -296,8 +231,8 @@ def special_portfolios(universe: AssetUniverse, embedding=None) -> SpecialPortfo
         d=mdrp.weights - mvp.weights,
         a=s.a,
         rho=s.rho,
-        b=b,
-        w_o=w_o,
+        b=s.b,
+        w_o=s.w_o,
         eta_wo=m,
         eta_wo_sign=sign,
         q_pf=q_pf,

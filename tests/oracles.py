@@ -12,6 +12,13 @@ import itertools
 import numpy as np
 
 import drfrontier as drf
+from drfrontier.errors import MissingReturnsError, RiskBelowMvpError
+from drfrontier.frontiers import (
+    FrontierCurve,
+    FrontierKind,
+    FrontierRow,
+    _excess_variance,
+)
 
 
 def hyperplane_basis(n: int) -> np.ndarray:
@@ -230,3 +237,95 @@ def dirichlet_shell(V, sigma, count, rng, band=0.01, max_batches=500, batch=200_
     if not out:
         return np.empty((0, n))
     return np.vstack(out)[:count]
+
+
+def sweep_rowwise(
+    universe, kind, sigma_grid=None, embedding=None, include_weights=False
+):
+    """Row-by-row reference for :func:`drfrontier.sweep`.
+
+    Every row calls the scalar per-point functions (q_dr_at,
+    efficient_dr_portfolio, q_ef_at, max_linear_over_ellipsoid) and, with an
+    embedding, reads centrality from the Gram form w' B w of the row's
+    weights; no array expression in u is shared with the library sweep.
+    """
+    def row_centrality(w):
+        if embedding is None or w is None:
+            return None
+        return float(np.sqrt(max(w @ embedding.gram @ w, 0.0)))
+
+    kind = FrontierKind(kind)
+    params = drf.frontier_params(universe)
+    if sigma_grid is None:
+        sigma_grid = drf.default_sigma_grid(params)
+    rbar = universe.expected_returns
+    if kind in (FrontierKind.MV_EFFICIENT_DR, FrontierKind.MV_MEAN_RETURN):
+        if params.eta_wo is None:
+            raise MissingReturnsError("mean-variance sweeps need returns")
+    if kind is FrontierKind.CML:
+        cml = drf.cml_curve(universe)
+    if kind is FrontierKind.EFFICIENT_DR_RISKFREE:
+        rf = drf.riskfree_dr_curve(universe)
+    if kind is FrontierKind.MDP_AT_SIGMA:
+        root_eta = np.sqrt(np.clip(universe.variances, 0.0, None))
+
+    curve = FrontierCurve(kind=kind)
+    for sigma in np.asarray(sigma_grid, dtype=float):
+        row = FrontierRow(sigma=float(sigma))
+        try:
+            if kind is FrontierKind.EFFICIENT_DR:
+                row.q = drf.q_dr_at(params, sigma)
+                if params.rho == 0.0:
+                    w = drf.min_variance_portfolio(universe).weights
+                else:
+                    point = drf.efficient_dr_portfolio(universe, params, sigma)
+                    w = point.weights
+                    row.alpha = point.alpha
+                row.ret = None if rbar is None else float(rbar @ w)
+                row.centrality = row_centrality(w)
+                if include_weights:
+                    row.weights = w
+            elif kind in (FrontierKind.MV_EFFICIENT_DR, FrontierKind.MV_MEAN_RETURN):
+                q, w = drf.q_ef_at(universe, params, sigma)
+                row.q = q
+                row.alpha = float(np.sqrt(_excess_variance(params.sigma2_mvp, sigma)))
+                row.ret = None if rbar is None else float(rbar @ w)
+                row.centrality = row_centrality(w)
+                if include_weights:
+                    row.weights = w
+            elif kind is FrontierKind.MDP_AT_SIGMA:
+                sol = drf.max_linear_over_ellipsoid(universe, root_eta, sigma)
+                w = sol.weights
+                # the DR functional of the row's weights, without the budget
+                # check of diversification_return: on near-singular universes
+                # sum(w) drifts from 1 by about u * |d| * eps
+                row.q = 0.5 * float(universe.variances @ w - w @ universe.cov @ w)
+                row.ret = None if rbar is None else float(rbar @ w)
+                row.centrality = row_centrality(w)
+                if sol.degenerate:
+                    row.status = "degenerate"
+                if include_weights:
+                    row.weights = w
+            elif kind is FrontierKind.CML:
+                row.q = cml.value(sigma)
+                mix = cml.mix(sigma)
+                row.alpha = mix
+                if rbar is not None and universe.risk_free_rate is not None:
+                    row.ret = universe.risk_free_rate + mix * (
+                        float(rbar @ cml.tangent.weights) - universe.risk_free_rate
+                    )
+                if include_weights:
+                    row.weights = mix * cml.tangent.weights
+                    row.cash = 1.0 - mix
+            elif kind is FrontierKind.EFFICIENT_DR_RISKFREE:
+                row.q = rf.value(sigma)
+                w, cash = rf.risky_weights(sigma)
+                if rbar is not None and universe.risk_free_rate is not None:
+                    row.ret = float(rbar @ w) + cash * universe.risk_free_rate
+                if include_weights:
+                    row.weights = w
+                    row.cash = cash
+        except RiskBelowMvpError:
+            row.status = "risk_below_mvp"
+        curve.rows.append(row)
+    return curve
