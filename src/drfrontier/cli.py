@@ -339,9 +339,9 @@ def cmd_frontier(config: RunConfig, kinds=None) -> int:
     return 0
 
 
-def cmd_mdp(config: RunConfig, sigmas=None, samples: int = 20_000, starts: int = 32) -> int:
+def cmd_mdp(config: RunConfig, sigmas=None, samples: int = 20_000) -> int:
     universe, provenance = _load_universe(config)
-    analysis = mdp.analyze_mdp(universe, starts=starts, seed=config.seed)
+    analysis = mdp.analyze_mdp(universe)
     params = frontiers.frontier_params(universe)
     if not sigmas:
         sigmas = [params.sigma_mvp * f for f in (1.05, 1.15, 1.3)]
@@ -478,7 +478,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="risk level for the sandwich check (repeatable)",
     )
     p.add_argument("--samples", type=int, default=20_000)
-    p.add_argument("--starts", type=int, default=32)
 
     p = sub.add_parser("embed", help="asset coordinates and embedding summary")
     _add_common(p)
@@ -515,9 +514,7 @@ def main(argv=None) -> int:
         if args.command == "frontier":
             return cmd_frontier(config, kinds=args.kind)
         if args.command == "mdp":
-            return cmd_mdp(
-                config, sigmas=args.sigma, samples=args.samples, starts=args.starts
-            )
+            return cmd_mdp(config, sigmas=args.sigma, samples=args.samples)
         if args.command == "embed":
             return cmd_embed(config)
         if args.command == "ingest-check":

@@ -127,9 +127,10 @@ def assert_edm(dist, atol_scale: float = 1e-10) -> EdmCertificate:
     if float(D.min()) < -atol_scale * scale:
         return EdmCertificate(False, float("nan"), "negative entries")
 
-    n = D.shape[0]
-    J = np.eye(n) - np.full((n, n), 1.0 / n)
-    G = -0.5 * (J @ D @ J)
+    # J D J with J = I - 11'/n, from the row means r of the symmetric D in
+    # O(n^2): D - r 1' - 1 r' + mean(r)
+    r = D.mean(axis=1)
+    G = -0.5 * (D - r[:, None] - r[None, :] + r.mean())
     G = 0.5 * (G + G.T)
     evals = np.linalg.eigvalsh(G)
     lam_min = float(evals[0])

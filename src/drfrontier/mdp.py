@@ -12,8 +12,12 @@ two objectives differ, on long-only portfolios, by at most twice
 
     d_max = max over the simplex of 0.5 * w' D_eta w
 
-which this module brackets: an exact upper bound from the largest entry of
-D_eta and a lower bound from multi-start replicator ascent.  That bracket is
+which this module brackets.  For a Euclidean distance matrix the objective
+is concave on the simplex (its maximum is the squared radius of the minimum
+enclosing ball of the embedded points), so one pairwise Frank-Wolfe ascent
+reaches the global maximum and its duality gap certifies the bracket; for
+D_eta the start, the midpoint of the extreme volatilities, is already
+optimal and d_max = (sqrt(eta_max) - sqrt(eta_min))^2 / 8.  That bracket is
 what makes the ratio-maximizing portfolio track the DR-efficient frontier.
 """
 
@@ -24,9 +28,11 @@ from typing import Optional
 
 import numpy as np
 
+from .embedding import assert_edm
 from .errors import (
-    DimensionMismatchError,
+    AsymmetricError,
     NegativeVarianceError,
+    NonZeroDiagonalError,
     NotSPDError,
     SingularCovarianceError,
     ZeroVarianceError,
@@ -37,6 +43,8 @@ from .model import AssetUniverse, Portfolio, portfolio_stats
 # replicator ascent stops when the largest weight update is below this
 STEP_TOL = 1e-12
 MAX_ITER = 10_000
+# Frank-Wolfe ascent stops when its duality gap is below this times max D
+GAP_RTOL = 1e-12
 # closed-form ratio must beat a sigma sweep to this relative slack
 RATIO_SWEEP_RTOL = 1e-6
 
@@ -45,9 +53,14 @@ RATIO_SWEEP_RTOL = 1e-6
 class DmaxBounds:
     """Bracket for the simplex maximum of 0.5 * w' A w.
 
-    lower comes from the best replicator run (a feasible point, so it is a
-    genuine lower bound); upper = 0.5 * max A is valid but not tight (two-point
-    supports reach 0.25 * max A).  converged is False when a run hit the cap.
+    For a Euclidean distance matrix A the bracket is a duality certificate
+    from one Frank-Wolfe ascent: lower = f(w) at the final point
+    argmax_weights and upper = max_j (A w)_j - f(w), which concavity makes an
+    upper bound; converged means the gap closed below GAP_RTOL * max A, and
+    starts_used is 1.  For any other matrix lower is the best replicator run
+    from starts_used start points and upper = 0.5 * max A, which holds for
+    every nonnegative A but can be up to twice the maximum; converged is
+    False when a run hit its cap.  steps counts the ascent steps of all runs.
     """
 
     lower: float
@@ -55,6 +68,7 @@ class DmaxBounds:
     argmax_weights: np.ndarray
     starts_used: int
     converged: bool
+    steps: int
 
 
 @dataclass(frozen=True)
@@ -75,8 +89,11 @@ class SandwichReport:
     """Monte Carlo check of the objective sandwich at one risk level.
 
     gap = max eta' w - max (sqrt(eta)' w)^2 over the sampled long-only
-    portfolios near the risk shell; holds when 0 <= gap <= 2 * d_max_upper
-    (up to rounding).  empty flags a level where no sample hit the shell.
+    portfolios near the risk shell.  eta' w - (sqrt(eta)' w)^2 is the
+    w-weighted variance of the volatilities, which equals w' D_eta w and so
+    is at most 2 * d_max; the check holds when 0 <= gap <= 2 * d_max_upper
+    (up to rounding), where d_max_upper is the exact d_max of the universe's
+    D_eta.  empty flags a level where no sample hit the shell.
     """
 
     sigma: float
@@ -159,20 +176,70 @@ def _replicator(A: np.ndarray, w0: np.ndarray, max_iter: int, tol: float):
 
     For nonnegative symmetric A the update w <- w * (A w) / (w' A w) never
     decreases the objective.  A zero denominator means the current support
-    carries no interaction mass; the point is stationary.
+    carries no interaction mass; the point is stationary.  Returns the final
+    point, whether it converged, and the number of updates made.
     """
     w = w0
-    for _ in range(max_iter):
+    for k in range(max_iter):
         Aw = A @ w
         denom = float(w @ Aw)
         if denom <= 0.0:
-            return w, True
+            return w, True, k
         w_new = w * Aw / denom
         w_new /= w_new.sum()
         if float(np.abs(w_new - w).max()) <= tol:
-            return w_new, True
+            return w_new, True, k + 1
         w = w_new
-    return w, False
+    return w, False, max_iter
+
+
+def _pairwise_frank_wolfe(D: np.ndarray, max_iter: int, tol: float):
+    """Pairwise Frank-Wolfe ascent of f(w) = 0.5 * w' D w on the simplex.
+
+    D is a Euclidean distance matrix, so f is concave there and the
+    Frank-Wolfe gap max_j g_j - w' g (g = D w, the gradient) bounds
+    f* - f(w).  The ascent starts at the midpoint of the farthest pair and
+    moves weight to the vertex s with the largest gradient entry from a
+    support vertex v, with exact line search: along e_s - e_v the slope is
+    g_s - g_v and the second derivative -2 D[s, v].  v is the support vertex
+    whose line search gains most.  The classic choice, the smallest g_v, is among
+    the candidates, so the linear convergence of pairwise Frank-Wolfe holds;
+    the gain rule also hands a vertex's weight to a near-duplicate of it in
+    one step, where the classic rule zig-zags through a third vertex.  Each
+    step updates g with one row of D, so it costs O(n).  Returns the final
+    point, its gradient recomputed in full, and the number of steps.
+    """
+    n = D.shape[0]
+    i, j = divmod(int(np.argmax(D)), n)
+    w = np.zeros(n)
+    w[i] += 0.5
+    w[j] += 0.5
+    g = 0.5 * (D[i] + D[j])
+    steps = 0
+    while steps < max_iter:
+        s = int(np.argmax(g))
+        if float(g[s]) - float(w @ g) <= tol:
+            break
+        # only support vertices below g_s give an ascent direction; the gap
+        # test guarantees one (min g_v <= w' g < g_s)
+        support = np.flatnonzero(w)
+        support = support[g[support] < g[s]]
+        slope = g[s] - g[support]
+        curvature = 2.0 * D[s, support]
+        room = w[support]
+        # the step is capped by the weight at v; coincident points
+        # (D[s, v] = 0) make f linear along the pair and take the cap
+        step = room.copy()
+        inside = curvature * room > slope
+        step[inside] = slope[inside] / curvature[inside]
+        k = int(np.argmax(step * (slope - 0.5 * step * curvature)))
+        v = int(support[k])
+        w[s] += step[k]
+        w[v] = 0.0 if step[k] == room[k] else room[k] - step[k]
+        g += step[k] * (D[s] - D[v])
+        steps += 1
+    # drop the rounding drift of the O(n) updates before certifying
+    return w, D @ w, steps
 
 
 def d_max_bounds(
@@ -184,16 +251,39 @@ def d_max_bounds(
 ) -> DmaxBounds:
     """Bracket max over the simplex of 0.5 * w' A w for a nonnegative matrix A.
 
-    Start points: every vertex, every pair midpoint, and `starts` Dirichlet
-    draws from a seeded generator (drawn sequentially, so enlarging `starts`
-    keeps the earlier runs and the lower bound is monotone in `starts`).
+    A Euclidean distance matrix (certified by :func:`assert_edm`) gets one
+    pairwise Frank-Wolfe ascent of at most `max_iter` O(n) steps; its bracket
+    [f(w), max_j (A w)_j - f(w)] is closed to GAP_RTOL * max A unless the
+    step cap is hit, and `starts`, `seed` and `step_tol` are unused.  Any other
+    nonnegative matrix falls back to replicator ascent from every vertex,
+    every pair midpoint, and `starts` Dirichlet draws from a seeded generator
+    (drawn sequentially, so enlarging `starts` keeps the earlier runs and the
+    lower bound is monotone in `starts`), each run capped at `max_iter`
+    updates and stopped when no weight moves by more than `step_tol`.
     """
     A = np.asarray(d_eta, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise DimensionMismatchError(f"matrix must be square, got {A.shape}")
+    try:
+        edm = assert_edm(A).is_edm
+    except (NonZeroDiagonalError, AsymmetricError):
+        edm = False
+
+    if edm:
+        tol = GAP_RTOL * float(A.max())
+        w, g, steps = _pairwise_frank_wolfe(A, max_iter, tol)
+        lower = 0.5 * float(w @ g)
+        # max(g) >= w'g in exact arithmetic; keep rounding from inverting it
+        upper = max(float(g.max()) - lower, lower)
+        return DmaxBounds(
+            lower=lower,
+            upper=upper,
+            argmax_weights=w,
+            starts_used=1,
+            converged=upper - lower <= tol,
+            steps=steps,
+        )
+
     n = A.shape[0]
     rng = np.random.default_rng(seed)
-
     start_points = []
     for i in range(n):
         e = np.zeros(n)
@@ -210,28 +300,30 @@ def d_max_bounds(
     best_val = -np.inf
     best_w = start_points[0]
     all_converged = True
+    steps = 0
     for w0 in start_points:
-        w, ok = _replicator(A, w0, max_iter, step_tol)
+        w, ok, k = _replicator(A, w0, max_iter, step_tol)
         all_converged = all_converged and ok
+        steps += k
         val = 0.5 * float(w @ A @ w)
         if val > best_val:
             best_val = val
             best_w = w
-    upper = 0.5 * float(A.max())
     return DmaxBounds(
         lower=best_val,
-        upper=upper,
+        upper=0.5 * float(A.max()),
         argmax_weights=best_w,
         starts_used=len(start_points),
         converged=all_converged,
+        steps=steps,
     )
 
 
-def analyze_mdp(universe: AssetUniverse, starts: int = 32, seed: int = 0) -> MdpAnalysis:
+def analyze_mdp(universe: AssetUniverse) -> MdpAnalysis:
     """Bundle the ratio-optimal portfolio with the d_max bracket of its universe."""
     portfolio = mdp_global(universe)
     d_eta = build_d_eta(universe)
-    bounds = d_max_bounds(d_eta, starts=starts, seed=seed)
+    bounds = d_max_bounds(d_eta)
     return MdpAnalysis(
         portfolio=portfolio,
         ratio=diversification_ratio(universe, portfolio.weights),
@@ -260,7 +352,7 @@ def sandwich_check(
     """
     eta = np.clip(universe.variances, 0.0, None)
     root = np.sqrt(eta)
-    d_upper = 0.5 * float(build_d_eta(universe).max())
+    d_upper = d_max_bounds(build_d_eta(universe)).upper
     rng = np.random.default_rng(seed)
 
     n = universe.n
@@ -270,7 +362,7 @@ def sandwich_check(
     accepted = 0
     for _ in range(max_batches):
         W = rng.dirichlet(np.ones(n), size=batch)
-        risk = np.sqrt(np.einsum("ij,jk,ik->i", W, universe.cov, W))
+        risk = np.sqrt(np.einsum("ij,ij->i", W @ universe.cov, W))
         mask = np.abs(risk - sigma) <= band * sigma
         hits = int(mask.sum())
         if hits:

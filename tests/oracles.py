@@ -172,6 +172,64 @@ def grid_max_half_quad(A, W, chunk=200_000):
     return best
 
 
+def exact_d_max(D):
+    """max over the simplex of 0.5 * w' D w for a distance matrix, n <= 8.
+
+    On the support S of a maximizer the KKT conditions read D_S w_S = lambda 1,
+    and some maximizer has an affinely independent support, whose D_S is
+    nonsingular.  So the maximum is among the vertices and the points
+    w_S proportional to D_S^-1 1 that are nonnegative; every support is
+    enumerated.  Returns (value, weights).
+    """
+    D = np.asarray(D, float)
+    n = D.shape[0]
+    assert n <= 8
+    best_w = np.zeros(n)
+    best_w[0] = 1.0
+    best = 0.0
+    for k in range(2, n + 1):
+        for S in itertools.combinations(range(n), k):
+            idx = list(S)
+            try:
+                y = np.linalg.solve(D[np.ix_(idx, idx)], np.ones(k))
+            except np.linalg.LinAlgError:
+                continue
+            if not np.all(np.isfinite(y)) or float(y.min()) < 0.0:
+                continue
+            total = float(y.sum())
+            w = np.zeros(n)
+            w[idx] = y / total
+            val = 0.5 * float(w @ D @ w)
+            if val > best:
+                best, best_w = val, w
+    return best, best_w
+
+
+def sandwich_einsum(universe, sigma, samples, seed=0, band=0.01, max_batches=500):
+    """The sandwich check's sampling loop with the three-operand einsum risk.
+
+    Same Dirichlet draws, band mask and stopping rule as
+    :func:`drfrontier.sandwich_check`; returns (accepted, max eta' w,
+    max (sqrt(eta)' w)^2) over the accepted samples.
+    """
+    eta = np.clip(universe.variances, 0.0, None)
+    root = np.sqrt(eta)
+    rng = np.random.default_rng(seed)
+    batch = max(int(samples), 100_000)
+    max_var, max_vol_sq, accepted = -np.inf, -np.inf, 0
+    for _ in range(max_batches):
+        W = rng.dirichlet(np.ones(universe.n), size=batch)
+        risk = np.sqrt(np.einsum("ij,jk,ik->i", W, universe.cov, W))
+        Wa = W[np.abs(risk - sigma) <= band * sigma]
+        if len(Wa):
+            max_var = max(max_var, float((Wa @ eta).max()))
+            max_vol_sq = max(max_vol_sq, float(((Wa @ root) ** 2).max()))
+            accepted += len(Wa)
+        if accepted >= samples:
+            break
+    return accepted, max_var, max_vol_sq
+
+
 def random_universe(
     rng,
     n,

@@ -303,7 +303,7 @@ def test_mdp_command(fixture_dir, tmp_path):
     )
     assert rc == 0
     data = _read_json(tmp_path / "mdp.json")
-    assert data["d_max_upper"] == pytest.approx((17.0 - np.sqrt(253.0)) / 18.0, rel=1e-9)
+    assert data["d_max_upper"] == pytest.approx((17.0 - np.sqrt(253.0)) / 36.0, rel=1e-9)
     assert data["d_max_lower"] == pytest.approx((17.0 - np.sqrt(253.0)) / 36.0, rel=1e-9)
     assert data["converged"] is True
     assert data["seed"] == 0

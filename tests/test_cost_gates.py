@@ -3,7 +3,8 @@
 Counts are deterministic, so these gates pin the complexity shape that wall
 times can only suggest: after the universe's kernel is built, every sweep,
 the inflection report and the ratio audit are dot products, whatever the
-number of grid points.
+number of grid points; and d_max of a distance matrix is one ascent, not a
+replicator multistart.
 """
 
 from collections import Counter
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import drfrontier as drf
-from drfrontier import embedding, model
+from drfrontier import embedding, mdp, model
 from drfrontier.frontiers import FrontierKind
 
 from .conftest import R0_3, RBAR3, V3
@@ -35,6 +36,7 @@ def calls(monkeypatch):
     counting(model, "cho_factor")
     counting(model, "cho_solve")
     counting(embedding, "embed")
+    counting(mdp, "_replicator")
     return counts
 
 
@@ -94,3 +96,39 @@ def test_special_portfolios_reuses_the_passed_embedding(calls):
     embeds = calls["embed"]
     drf.special_portfolios(u)
     assert calls["embed"] == embeds + 1
+
+
+def test_d_max_of_an_edm_is_one_ascent(calls, ex3, universe30):
+    edms = {
+        "d_eta ex3": drf.build_d_eta(ex3),
+        "d_eta panel-30": drf.build_d_eta(universe30),
+        "distance panel-30": drf.build_distance_matrix(universe30),
+    }
+    for name, D in edms.items():
+        b = drf.d_max_bounds(D)
+        assert calls["_replicator"] == 0, name
+        assert b.starts_used == 1 and b.converged, name
+        assert b.steps < 10 * D.shape[0], name
+    for u in (ex3, universe30):
+        drf.analyze_mdp(u)
+        sigma = 2.0 * float(np.sqrt(u.cov.max()))
+        drf.sandwich_check(u, sigma, samples=10, max_batches=1)
+    assert calls["_replicator"] == 0
+
+
+def test_d_max_of_d_eta_is_its_start(ex3, universe30):
+    # the farthest-pair midpoint is optimal for D_eta: no ascent step
+    for u in (ex3, universe30):
+        b = drf.d_max_bounds(drf.build_d_eta(u))
+        assert b.steps == 0 and b.converged
+
+
+def test_multistart_only_off_the_edm_path(calls):
+    # a nonnegative matrix that is not an EDM: vertices, pair midpoints and
+    # the Dirichlet starts each run the replicator once
+    n, starts = 5, 7
+    A = np.ones((n, n)) - np.eye(n)
+    A[0, 1] = A[1, 0] = 100.0  # sqrt(A) breaks the triangle inequality
+    assert not drf.assert_edm(A).is_edm
+    b = drf.d_max_bounds(A, starts=starts)
+    assert calls["_replicator"] == n + n * (n - 1) // 2 + starts == b.starts_used

@@ -8,8 +8,10 @@ from drfrontier.errors import DimensionMismatchError, ZeroVarianceError
 
 from .oracles import (
     circle_scan,
+    exact_d_max,
     grid_max_half_quad,
     random_universe,
+    sandwich_einsum,
     simplex_grid,
 )
 
@@ -159,7 +161,7 @@ def test_d_max_bounds_equilateral():
 
 def test_d_max_bounds_volatility_distance_closed_form():
     # for D_eta the optimum is the half-half mix of the extreme volatilities:
-    # d_max = (r_max - r_min)^2 / 8 and the upper bound is exactly twice it
+    # d_max = (r_max - r_min)^2 / 8, and the certified bracket is closed there
     rng = np.random.default_rng(127)
     for n in (2, 3, 5, 8):
         eta = rng.uniform(0.01, 2.0, n)
@@ -169,7 +171,7 @@ def test_d_max_bounds_volatility_distance_closed_form():
         root = np.sqrt(eta)
         span = float(root.max() - root.min())
         assert b.lower == pytest.approx(span**2 / 8.0, rel=1e-9)
-        assert b.upper == pytest.approx(2.0 * b.lower, rel=1e-9)
+        assert b.upper == pytest.approx(b.lower, rel=1e-9)
         assert b.converged
 
 
@@ -200,13 +202,71 @@ def test_d_max_bounds_planar_point_cloud():
 
 
 def test_d_max_bounds_monotone_in_starts():
+    # a nonnegative matrix that is not an EDM takes the multistart fallback
     rng = np.random.default_rng(139)
-    eta = rng.uniform(0.01, 2.0, 6)
-    D = drf.build_d_eta(drf.validate_universe(np.diag(eta)))
+    D = rng.uniform(0.0, 2.0, (6, 6))
+    D = D + D.T
+    np.fill_diagonal(D, 0.0)
+    assert not drf.assert_edm(D).is_edm
     few = drf.d_max_bounds(D, starts=2, seed=5)
     many = drf.d_max_bounds(D, starts=12, seed=5)
     assert many.lower >= few.lower - 1e-15
     assert many.starts_used > few.starts_used
+
+
+def test_d_max_bounds_closed_form_to_rounding():
+    # the farthest-pair start is optimal for D_eta: the bracket is closed at
+    # (r_max - r_min)^2 / 8 without a search, at every size
+    rng = np.random.default_rng(151)
+    for n in (2, 3, 10, 60, 300):
+        eta = rng.uniform(0.01, 2.0, n)
+        b = drf.d_max_bounds(drf.build_d_eta(drf.validate_universe(np.diag(eta))))
+        root = np.sqrt(eta)
+        closed = float(root.max() - root.min()) ** 2 / 8.0
+        assert b.upper == pytest.approx(closed, rel=1e-12)
+        assert b.lower == pytest.approx(closed, rel=1e-12)
+        assert b.converged and b.starts_used == 1
+
+
+def _edm(points):
+    diff = points[:, None, :] - points[None, :, :]
+    return np.einsum("ijk,ijk->ij", diff, diff)
+
+
+@st.composite
+def point_clouds(draw):
+    """Up to 8 points in R^1..R^4, some duplicated or nearly coincident."""
+    n = draw(st.integers(1, 8))
+    dim = draw(st.integers(1, 4))
+    # dyadic coordinates in [-1, 1]: no subnormal squared distances
+    coord = st.integers(-(2**20), 2**20).map(lambda k: k / 2**20)
+    row = st.lists(coord, min_size=dim, max_size=dim)
+    pts = np.array(draw(st.lists(row, min_size=n, max_size=n)))
+    for i in range(1, n):
+        kind = draw(st.sampled_from(("free", "free", "duplicate", "near")))
+        if kind != "free":
+            j = draw(st.integers(0, i - 1))
+            jitter = draw(st.floats(-1e-7, 1e-7)) if kind == "near" else 0.0
+            pts[i] = pts[j] + jitter
+    scale = 10.0 ** draw(st.floats(-6.0, 3.0))
+    return pts * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(point_clouds())
+def test_d_max_bounds_certified_on_point_clouds(points):
+    D = _edm(points)
+    ref, _ = exact_d_max(D)
+    b = drf.d_max_bounds(D)
+    span = max(float(D.max()), np.finfo(float).tiny)
+    assert b.starts_used == 1 and b.converged
+    assert b.lower <= ref + 1e-9 * span
+    assert ref <= b.upper + 1e-9 * span
+    assert b.upper - b.lower <= 1e-10 * span
+    w = b.argmax_weights
+    assert float(w.min()) >= 0.0
+    assert float(w.sum()) == pytest.approx(1.0, abs=1e-12)
+    assert 0.5 * float(w @ D @ w) == pytest.approx(b.lower, rel=1e-12, abs=1e-300)
 
 
 def test_d_max_bounds_rejects_non_square():
@@ -215,7 +275,7 @@ def test_d_max_bounds_rejects_non_square():
 
 
 def test_analyze_mdp_bundle(ex3):
-    a = drf.analyze_mdp(ex3, starts=8, seed=1)
+    a = drf.analyze_mdp(ex3)
     assert a.ratio == pytest.approx(
         drf.diversification_ratio(ex3, a.portfolio.weights), rel=1e-12
     )
@@ -223,6 +283,23 @@ def test_analyze_mdp_bundle(ex3):
     assert a.d_max_lower == pytest.approx((17.0 - np.sqrt(253.0)) / 36.0, rel=1e-9)
     assert a.converged
     np.testing.assert_allclose(a.d_eta, drf.build_d_eta(ex3), atol=0.0)
+
+
+@pytest.mark.parametrize(
+    "name, seed, factor",
+    [("ex3", 3, 1.2), ("ex3", 3, 1.4), ("ex3", 11, 1.3), ("panel", 7, 1.05)],
+)
+def test_sandwich_risk_matches_einsum_route(ex3, universe30, name, seed, factor):
+    # one matrix product per batch instead of the three-operand einsum must
+    # accept the same draws; sigma is a multiple of the equal-weight risk
+    u = ex3 if name == "ex3" else universe30
+    w = np.full(u.n, 1.0 / u.n)
+    sigma = factor * float(np.sqrt(w @ u.cov @ w))
+    rep = drf.sandwich_check(u, sigma, samples=20_000, seed=seed)
+    accepted, max_var, max_vol_sq = sandwich_einsum(u, sigma, 20_000, seed=seed)
+    assert rep.accepted == accepted > 0
+    assert rep.max_avg_variance == max_var
+    assert rep.max_avg_volatility_sq == max_vol_sq
 
 
 def test_sandwich_holds_three_asset(ex3):
