@@ -101,6 +101,21 @@ def _portfolio_dict(p) -> dict:
     return d
 
 
+def _provenance(path: str, panel) -> dict:
+    """Record of the input file and the panel parsed from it."""
+    with open(path, "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
+    return {
+        "input": os.path.basename(path),
+        "input_sha256": digest,
+        "calendar_days": panel.calendar_days,
+        "periods": panel.periods,
+        "delta": ingest.annualization_step(panel),
+        "assets": len(panel.assets),
+        "dropped_rows": panel.dropped_rows,
+    }
+
+
 def _load_universe(config: RunConfig):
     """Build the universe plus (for panel input) a provenance record."""
     path = config.input_path
@@ -126,17 +141,7 @@ def _load_universe(config: RunConfig):
     else:
         panel = ingest.load_panel(path, format=fmt, log_returns=config.log_returns)
         universe = ingest.annualize(panel)
-        with open(path, "rb") as fh:
-            digest = hashlib.sha256(fh.read()).hexdigest()
-        provenance = {
-            "input": os.path.basename(path),
-            "input_sha256": digest,
-            "calendar_days": panel.calendar_days,
-            "periods": panel.periods,
-            "delta": ingest.annualization_step(panel),
-            "assets": len(panel.assets),
-            "dropped_rows": panel.dropped_rows,
-        }
+        provenance = _provenance(path, panel)
 
     if config.riskfree is not None:
         universe = validate_universe(
@@ -400,17 +405,7 @@ def cmd_ingest_check(config: RunConfig) -> int:
     panel = ingest.load_panel(
         config.input_path, format=fmt, log_returns=config.log_returns
     )
-    with open(config.input_path, "rb") as fh:
-        digest = hashlib.sha256(fh.read()).hexdigest()
-    provenance = {
-        "input": os.path.basename(config.input_path),
-        "input_sha256": digest,
-        "calendar_days": panel.calendar_days,
-        "periods": panel.periods,
-        "delta": ingest.annualization_step(panel),
-        "assets": len(panel.assets),
-        "dropped_rows": panel.dropped_rows,
-    }
+    provenance = _provenance(config.input_path, panel)
     os.makedirs(config.out_dir, exist_ok=True)
     _write_json(os.path.join(config.out_dir, "provenance.json"), provenance)
     sys.stdout.write(json.dumps(_jsonable(provenance), sort_keys=True) + "\n")

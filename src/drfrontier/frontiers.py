@@ -38,6 +38,8 @@ from .portfolios import (
 
 # sigma^2 this far below sigma_mvp^2 is an error; closer misses are snapped up.
 RISK_SNAP_ATOL = 1e-12
+# sigma^2 - sigma_mvp^2 up to this times sigma_mvp^2 is rounding: snapped to 0
+_SNAP_RTOL = 4.0 * np.finfo(float).eps
 
 
 class FrontierKind(str, Enum):
@@ -63,9 +65,9 @@ class FrontierParams:
 
     eta_wo (and with it tau_o and a non-degenerate shape class) is only
     present when the universe carries usable expected returns.  tau_o is the
-    reported inflection-scale of a strictly decreasing q_ef curve; the
-    second-difference locator over an actual sweep is authoritative when the
-    two disagree.
+    paper's reported inflection scale of a strictly decreasing q_ef curve; it
+    is not the curvature root, which :func:`inflection_report` gives in
+    closed form next to it.
     """
 
     sigma2_mvp: float
@@ -149,21 +151,29 @@ def frontier_params(universe: AssetUniverse) -> FrontierParams:
     )
 
 
-def _excess_variance(sigma2_mvp: float, sigma: float) -> float:
-    """sigma^2 - sigma_mvp^2 with the snap-up guard at the lower endpoint."""
-    s2 = float(sigma) * float(sigma)
-    if s2 < sigma2_mvp - RISK_SNAP_ATOL:
+def _excess_risk(sigma2_mvp: float, sigmas: np.ndarray):
+    """u = sqrt(sigma^2 - sigma_mvp^2) on a grid, and the mask of grid points
+    below sigma_mvp.
+
+    Points within RISK_SNAP_ATOL below sigma_mvp^2, or a few ulps above it,
+    snap to u = 0: sigma_mvp itself squares back to sigma_mvp^2 only up to
+    rounding, and the square root would turn one ulp into u ~ 1e-8 sigma_mvp.
+    """
+    s2 = sigmas * sigmas
+    u2 = s2 - sigma2_mvp
+    u2[u2 <= _SNAP_RTOL * sigma2_mvp] = 0.0
+    return np.sqrt(u2), s2 < sigma2_mvp - RISK_SNAP_ATOL
+
+
+def _excess_risk_at(sigma2_mvp: float, sigma: float) -> float:
+    """Scalar u of :func:`_excess_risk`; a sigma below sigma_mvp raises."""
+    u, below = _excess_risk(sigma2_mvp, np.array([float(sigma)]))
+    if below[0]:
+        s2 = float(sigma) * float(sigma)
         raise RiskBelowMvpError(
             f"sigma^2 = {s2:.12g} below minimum-variance level {sigma2_mvp:.12g}"
         )
-    return max(s2 - sigma2_mvp, 0.0)
-
-
-def _excess_risk(sigma2_mvp: float, sigmas: np.ndarray):
-    """u = sqrt(sigma^2 - sigma_mvp^2) on a grid, snapped up as above, and the
-    mask of grid points below sigma_mvp."""
-    s2 = sigmas * sigmas
-    return np.sqrt(np.maximum(s2 - sigma2_mvp, 0.0)), s2 < sigma2_mvp - RISK_SNAP_ATOL
+    return float(u[0])
 
 
 def _q_along(params: FrontierParams, m, u):
@@ -192,16 +202,15 @@ def max_linear_over_ellipsoid(
             f"objective shape {c.shape} vs universe of {universe.n} assets"
         )
     s = universe.solver
-    u2 = _excess_variance(s.sigma2_mvp, sigma)
+    u = _excess_risk_at(s.sigma2_mvp, sigma)
     if proportional_to_ones(c):
         return KktSolution(weights=s.w_mvp, degenerate=True)
-    if u2 == 0.0:
+    if u == 0.0:
         return KktSolution(weights=s.w_mvp)
     d, k = s.direction(c, s.solve(c))
     if d is None:
         # c is indistinguishable from a multiple of ones in the V^-1 metric
         return KktSolution(weights=s.w_mvp, degenerate=True)
-    u = float(np.sqrt(u2))
     return KktSolution(weights=s.w_mvp + u * d, beta=k / u)
 
 
@@ -211,10 +220,10 @@ def q_dr_at(params: FrontierParams, sigma: float) -> float:
     With rho = 0 the frontier is flat at q_mvp (every budget portfolio has
     the same weighted-average variance, so extra risk buys nothing).
     """
-    u2 = _excess_variance(params.sigma2_mvp, sigma)
+    u = _excess_risk_at(params.sigma2_mvp, sigma)
     if params.rho == 0.0:
         return params.q_mvp
-    return _q_along(params, params.rho, float(np.sqrt(u2)))
+    return _q_along(params, params.rho, u)
 
 
 def efficient_dr_portfolio(
@@ -228,7 +237,7 @@ def efficient_dr_portfolio(
     """
     if params.rho == 0.0:
         raise DegenerateRhoError("flat frontier: DR-efficient mix undefined")
-    u = float(np.sqrt(_excess_variance(params.sigma2_mvp, sigma)))
+    u = _excess_risk_at(params.sigma2_mvp, sigma)
     alpha = 2.0 * u / params.rho
     w = universe.solver.w_mvp + u * universe.solver.d_eta
     return DrPoint(weights=w, alpha=alpha, beyond_mdrp=alpha > 1.0)
@@ -243,7 +252,7 @@ def q_ef_at(universe: AssetUniverse, params: FrontierParams, sigma: float):
         raise MissingReturnsError(
             "mean-variance DR curve needs expected returns not proportional to ones"
         )
-    u = float(np.sqrt(_excess_variance(params.sigma2_mvp, sigma)))
+    u = _excess_risk_at(params.sigma2_mvp, sigma)
     w = universe.solver.w_mvp + u * self_financing_direction(universe)
     return _q_along(params, params.eta_wo, u), w
 
@@ -257,8 +266,8 @@ def dr_gap_at(params: FrontierParams, sigma: float) -> float:
     """
     if params.eta_wo is None:
         raise MissingReturnsError("gap needs the mean-variance DR curve")
-    u2 = _excess_variance(params.sigma2_mvp, sigma)
-    return 0.5 * (params.rho - params.eta_wo) * float(np.sqrt(u2))
+    u = _excess_risk_at(params.sigma2_mvp, sigma)
+    return 0.5 * (params.rho - params.eta_wo) * u
 
 
 @dataclass(frozen=True)
@@ -501,48 +510,28 @@ def sweep(
 # curvature diagnostics
 
 
-def _second_divided(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Second divided differences 2 f[x_{i-1}, x_i, x_{i+1}] (curvature sign)."""
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    d1 = np.diff(ys) / np.diff(xs)
-    return 2.0 * np.diff(d1) / (xs[2:] - xs[:-2])
+def inflection_report(universe: AssetUniverse):
+    """Curvature root of the mean-variance DR curve next to the reported tau_o.
 
-
-def locate_inflection(xs, ys) -> Optional[float]:
-    """First x where the discrete curvature changes sign, by linear interpolation."""
-    xs = np.asarray(xs, dtype=float)
-    d2 = _second_divided(xs, ys)
-    mid = xs[1:-1]
-    sign = np.sign(d2)
-    for i in range(len(d2) - 1):
-        if sign[i] != 0 and sign[i + 1] != 0 and sign[i] != sign[i + 1]:
-            t = d2[i] / (d2[i] - d2[i + 1])
-            return float(mid[i] + t * (mid[i + 1] - mid[i]))
-    return None
-
-
-def inflection_report(universe: AssetUniverse, points: int = 800, span: float = 3.0):
-    """Empirical inflection of the mean-variance DR curve vs the reported tau_o.
-
-    Returns a dict with the formula value (None unless the curve is strictly
-    decreasing), the sweep-located inflection, and their gap.  The empirical
-    locator is authoritative.
+    With u = sqrt(sigma^2 - sigma_mvp^2) and m = eta' w_o the curve has
+    d^2 q / d sigma^2 = -1 - (m / 2) sigma_mvp^2 / u^3, so it bends from
+    convex to concave exactly at u*^3 = |m| sigma_mvp^2 / 2 when m < 0, and
+    is concave everywhere otherwise.  Returns a dict with the paper's tau_o
+    (None unless the curve is strictly decreasing), the root
+    sqrt(sigma_mvp^2 + u*^2) under "inflection_empirical" (None when m >= 0),
+    their gap, and the shape class.
     """
     params = frontier_params(universe)
     if params.eta_wo is None:
         raise MissingReturnsError("inflection needs the mean-variance DR curve")
-    sigma_lo = params.sigma_mvp * (1.0 + 1e-9)
-    sigma_hi = span * max(params.sigma_mdrp, params.sigma_mvp * 2.0)
-    sigmas = np.linspace(sigma_lo, sigma_hi, int(points))
-    values = _q_along(params, params.eta_wo, _excess_risk(params.sigma2_mvp, sigmas)[0])
-    found = locate_inflection(sigmas, values)
-    gap = None
-    if found is not None and params.tau_o is not None:
-        gap = abs(found - params.tau_o)
+    root = gap = None
+    if params.eta_wo < 0.0:
+        u_star = float(np.cbrt(-0.5 * params.eta_wo * params.sigma2_mvp))
+        root = float(np.sqrt(params.sigma2_mvp + u_star * u_star))
+        gap = abs(root - params.tau_o)
     return {
         "tau_o_formula": params.tau_o,
-        "inflection_empirical": found,
+        "inflection_empirical": root,
         "abs_gap": gap,
         "shape": params.ef_shape.value,
     }

@@ -12,13 +12,14 @@ two objectives differ, on long-only portfolios, by at most twice
 
     d_max = max over the simplex of 0.5 * w' D_eta w
 
-which this module brackets.  For a Euclidean distance matrix the objective
-is concave on the simplex (its maximum is the squared radius of the minimum
-enclosing ball of the embedded points), so one pairwise Frank-Wolfe ascent
-reaches the global maximum and its duality gap certifies the bracket; for
-D_eta the start, the midpoint of the extreme volatilities, is already
-optimal and d_max = (sqrt(eta_max) - sqrt(eta_min))^2 / 8.  That bracket is
-what makes the ratio-maximizing portfolio track the DR-efficient frontier.
+For D_eta this is the closed form (sqrt(eta_max) - sqrt(eta_min))^2 / 8,
+half the weight on each extreme volatility, which :func:`analyze_mdp` and
+:func:`sandwich_check` report.  For a general Euclidean distance matrix the
+objective is concave on the simplex (its maximum is the squared radius of
+the minimum enclosing ball of the embedded points), so :func:`d_max_bounds`
+reaches the global maximum with one pairwise Frank-Wolfe ascent whose
+duality gap certifies the bracket.  That bound is what makes the
+ratio-maximizing portfolio track the DR-efficient frontier.
 """
 
 from __future__ import annotations
@@ -45,8 +46,6 @@ STEP_TOL = 1e-12
 MAX_ITER = 10_000
 # Frank-Wolfe ascent stops when its duality gap is below this times max D
 GAP_RTOL = 1e-12
-# closed-form ratio must beat a sigma sweep to this relative slack
-RATIO_SWEEP_RTOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -73,7 +72,11 @@ class DmaxBounds:
 
 @dataclass(frozen=True)
 class MdpAnalysis:
-    """Ratio-optimal portfolio plus the objective-gap bracket of its universe."""
+    """Ratio-optimal portfolio plus the exact d_max of its universe's D_eta.
+
+    d_max_lower and d_max_upper both hold the closed form; starts_used is 1
+    and converged is True.
+    """
 
     portfolio: Portfolio
     ratio: float
@@ -131,38 +134,26 @@ def diversification_ratio(universe: AssetUniverse, weights) -> float:
 def mdp_global(universe: AssetUniverse) -> Portfolio:
     """Ratio-maximizing budget portfolio w proportional to V^-1 sqrt(eta).
 
-    Verified against a sigma sweep of :func:`mdp_at_sigma`: the closed form
-    must match the best swept ratio to RATIO_SWEEP_RTOL, otherwise the
-    universe violates the normalization assumption and an error is raised.
-    The swept maximizers are w_mvp + u * d_root, so their ratios are one
-    array expression in u over the cached kernel.
+    The ratio sqrt(eta)' x / sqrt(x' V x) of any x is extremal along
+    V^-1 sqrt(eta), with value +-sqrt(sqrt(eta)' V^-1 sqrt(eta)) by
+    Cauchy-Schwarz in the V metric, and the sign of the budget scaling
+    t = 1' V^-1 sqrt(eta) decides which extreme w = V^-1 sqrt(eta) / t is.
+    For t < 0 it is the minimum, and no budget portfolio attains the
+    supremum, so NotSPDError is raised.
     """
     eta = universe.variances
     if float(eta.min()) <= 0.0:
         raise ZeroVarianceError("every asset needs positive variance")
-    s = universe.solver
-    root = np.sqrt(eta)
-    x = s.inv_root_eta
+    x = universe.solver.inv_root_eta
     total = float(np.ones(universe.n) @ x)
     if abs(total) < 1e-300:
         raise SingularCovarianceError("V^-1 sqrt(eta) sums to zero; cannot normalize")
-    w = x / total
-    best = diversification_ratio(universe, w)
-
-    # audit: sweep the risk-constrained solutions and compare ratios
-    sigma_lo = float(np.sqrt(s.sigma2_mvp))
-    sigma_hi = 16.0 * max(sigma_lo, float(np.sqrt(w @ universe.cov @ w)))
-    sigmas = np.geomspace(sigma_lo * (1.0 + 1e-9), sigma_hi, 64)
-    slope, u = 0.0, np.zeros(len(sigmas))  # equal volatilities: all are w_mvp
-    if s.d_root is not None:
-        slope, u = float(root @ s.d_root), np.sqrt(sigmas * sigmas - s.sigma2_mvp)
-    swept = float(np.max((root @ s.w_mvp + u * slope) / np.sqrt(s.sigma2_mvp + u * u)))
-    if swept > best * (1.0 + RATIO_SWEEP_RTOL):
+    if total < 0.0:
         raise NotSPDError(
-            f"closed-form ratio {best:.12g} beaten by sweep {swept:.12g}; "
-            "normalization of V^-1 sqrt(eta) failed"
+            f"1' V^-1 sqrt(eta) = {total:.12g} < 0: the normalized V^-1 sqrt(eta) "
+            "minimizes the ratio and no budget portfolio maximizes it"
         )
-    return portfolio_stats(universe, w)
+    return portfolio_stats(universe, x / total)
 
 
 def mdp_at_sigma(universe: AssetUniverse, sigma: float) -> KktSolution:
@@ -319,19 +310,29 @@ def d_max_bounds(
     )
 
 
+def _d_max_of_d_eta(universe: AssetUniverse) -> float:
+    """Exact d_max of D_eta: half the weight on each extreme volatility.
+
+    Points on a line have the segment between the extremes as their minimum
+    enclosing ball, so d_max = (sqrt(eta_max) - sqrt(eta_min))^2 / 8.
+    """
+    root = np.sqrt(np.clip(universe.variances, 0.0, None))
+    spread = float(root.max() - root.min())
+    return spread * spread / 8.0
+
+
 def analyze_mdp(universe: AssetUniverse) -> MdpAnalysis:
-    """Bundle the ratio-optimal portfolio with the d_max bracket of its universe."""
+    """Bundle the ratio-optimal portfolio with the exact d_max of its universe."""
     portfolio = mdp_global(universe)
-    d_eta = build_d_eta(universe)
-    bounds = d_max_bounds(d_eta)
+    d_max = _d_max_of_d_eta(universe)
     return MdpAnalysis(
         portfolio=portfolio,
         ratio=diversification_ratio(universe, portfolio.weights),
-        d_eta=d_eta,
-        d_max_lower=bounds.lower,
-        d_max_upper=bounds.upper,
-        starts_used=bounds.starts_used,
-        converged=bounds.converged,
+        d_eta=build_d_eta(universe),
+        d_max_lower=d_max,
+        d_max_upper=d_max,
+        starts_used=1,
+        converged=True,
     )
 
 
@@ -352,7 +353,7 @@ def sandwich_check(
     """
     eta = np.clip(universe.variances, 0.0, None)
     root = np.sqrt(eta)
-    d_upper = d_max_bounds(build_d_eta(universe)).upper
+    d_upper = _d_max_of_d_eta(universe)
     rng = np.random.default_rng(seed)
 
     n = universe.n

@@ -219,7 +219,7 @@ def validate_universe(
         )
     V = 0.5 * (V + V.T)
 
-    evals, evecs = np.linalg.eigh(V)
+    evals = np.linalg.eigvalsh(V)
     lam_max = max(float(evals[-1]), 0.0)
     lam_min = float(evals[0])
     if lam_min < -PSD_RTOL * lam_max:
@@ -228,6 +228,7 @@ def validate_universe(
         )
     if lam_min < 0.0:
         # within tolerance: clamp the offending eigenvalues to zero
+        evals, evecs = np.linalg.eigh(V)
         V = (evecs * np.clip(evals, 0.0, None)) @ evecs.T
         V = 0.5 * (V + V.T)
     nonsingular = lam_min > PSD_RTOL * lam_max

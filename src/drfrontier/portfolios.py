@@ -32,7 +32,6 @@ from .errors import (
 )
 from .model import (
     AssetUniverse,
-    CovarianceSolver,
     Portfolio,
     portfolio_stats,
     proportional_to_ones,
@@ -42,11 +41,6 @@ from .model import (
 ZERO_BAND_RTOL = 1e-12
 # Agreement required between the two independent max-DR formulas.
 MDRP_AGREEMENT_ATOL = 1e-8
-
-
-def solver_for(universe: AssetUniverse) -> CovarianceSolver:
-    """The universe's covariance kernel (built once, owned by the universe)."""
-    return universe.solver
 
 
 def min_variance_portfolio(universe: AssetUniverse) -> Portfolio:

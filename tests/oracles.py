@@ -12,12 +12,12 @@ import itertools
 import numpy as np
 
 import drfrontier as drf
-from drfrontier.errors import MissingReturnsError, RiskBelowMvpError
+from drfrontier.errors import MissingReturnsError, NotSPDError, RiskBelowMvpError
 from drfrontier.frontiers import (
     FrontierCurve,
     FrontierKind,
     FrontierRow,
-    _excess_variance,
+    _excess_risk_at,
 )
 
 
@@ -259,6 +259,24 @@ def random_universe(
     return drf.validate_universe(V, expected_returns=rbar, risk_free_rate=r0)
 
 
+def conditioned_universe(n, seed, log_cond, with_riskfree=False, vol_lo=0.1, vol_hi=0.5):
+    """Universe whose correlation has eigenvalues spread over 10^log_cond and
+    whose volatilities are uniform in [vol_lo, vol_hi]: V runs towards
+    singular while the variances stay apart."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    C = (q * np.geomspace(1.0, 10.0 ** (-log_cond), n)) @ q.T
+    root = np.sqrt(np.diag(C))
+    vols = rng.uniform(vol_lo, vol_hi, n)
+    V = C / np.outer(root, root) * np.outer(vols, vols)
+    rbar = rng.uniform(0.01, 0.2, n)
+    r0 = None
+    if with_riskfree:
+        x = np.linalg.solve(V, np.ones(n))
+        r0 = float(rbar @ x) / float(x.sum()) - rng.uniform(0.01, 0.05)
+    return drf.validate_universe(V, expected_returns=rbar, risk_free_rate=r0)
+
+
 def block_riskfree_dr(V, eta, risky_weights, cash):
     """DR of an (n+1)-asset portfolio whose extra asset is riskless.
 
@@ -346,7 +364,7 @@ def sweep_rowwise(
             elif kind in (FrontierKind.MV_EFFICIENT_DR, FrontierKind.MV_MEAN_RETURN):
                 q, w = drf.q_ef_at(universe, params, sigma)
                 row.q = q
-                row.alpha = float(np.sqrt(_excess_variance(params.sigma2_mvp, sigma)))
+                row.alpha = _excess_risk_at(params.sigma2_mvp, sigma)
                 row.ret = None if rbar is None else float(rbar @ w)
                 row.centrality = row_centrality(w)
                 if include_weights:
@@ -387,3 +405,65 @@ def sweep_rowwise(
             row.status = "risk_below_mvp"
         curve.rows.append(row)
     return curve
+
+
+def second_divided(xs, ys) -> np.ndarray:
+    """Second divided differences 2 f[x_{i-1}, x_i, x_{i+1}] (curvature sign)."""
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    d1 = np.diff(ys) / np.diff(xs)
+    return 2.0 * np.diff(d1) / (xs[2:] - xs[:-2])
+
+
+def locate_inflection(xs, ys):
+    """First x where the discrete curvature changes sign, by linear interpolation."""
+    xs = np.asarray(xs, dtype=float)
+    d2 = second_divided(xs, ys)
+    mid = xs[1:-1]
+    sign = np.sign(d2)
+    for i in range(len(d2) - 1):
+        if sign[i] != 0 and sign[i + 1] != 0 and sign[i] != sign[i + 1]:
+            t = d2[i] / (d2[i] - d2[i + 1])
+            return float(mid[i] + t * (mid[i + 1] - mid[i]))
+    return None
+
+
+def swept_inflection(universe, points=800, span=3.0):
+    """Inflection of the mean-variance DR curve located on a sigma grid of
+    q_ef_at values, from just above sigma_mvp to span * max(sigma_mdrp,
+    2 sigma_mvp); None when the discrete curvature never changes sign."""
+    params = drf.frontier_params(universe)
+    sigma_lo = params.sigma_mvp * (1.0 + 1e-9)
+    sigma_hi = span * max(params.sigma_mdrp, params.sigma_mvp * 2.0)
+    sigmas = np.linspace(sigma_lo, sigma_hi, int(points))
+    values = [drf.q_ef_at(universe, params, s)[0] for s in sigmas]
+    return locate_inflection(sigmas, values)
+
+
+# closed-form ratio must beat the sigma sweep to this relative slack
+RATIO_SWEEP_RTOL = 1e-6
+
+
+def ratio_sweep_audit(universe):
+    """Compare the ratio of the normalized V^-1 sqrt(eta) with the best ratio
+    of 64 risk-constrained maximizers w_mvp + u * d_root, sigma from just
+    above sigma_mvp to 16 times the larger of sigma_mvp and the normalized
+    point's risk; raises NotSPDError when the sweep wins by more than
+    RATIO_SWEEP_RTOL, and returns (closed-form ratio, best swept ratio)."""
+    s = universe.solver
+    root = np.sqrt(universe.variances)
+    x = s.inv_root_eta
+    w = x / float(np.ones(universe.n) @ x)
+    best = float(root @ w) / float(np.sqrt(w @ universe.cov @ w))
+    sigma_lo = float(np.sqrt(s.sigma2_mvp))
+    sigma_hi = 16.0 * max(sigma_lo, float(np.sqrt(w @ universe.cov @ w)))
+    sigmas = np.geomspace(sigma_lo * (1.0 + 1e-9), sigma_hi, 64)
+    slope, u = 0.0, np.zeros(len(sigmas))  # equal volatilities: all are w_mvp
+    if s.d_root is not None:
+        slope, u = float(root @ s.d_root), np.sqrt(sigmas * sigmas - s.sigma2_mvp)
+    swept = float(np.max((root @ s.w_mvp + u * slope) / np.sqrt(s.sigma2_mvp + u * u)))
+    if swept > best * (1.0 + RATIO_SWEEP_RTOL):
+        raise NotSPDError(
+            f"closed-form ratio {best:.12g} beaten by sweep {swept:.12g}"
+        )
+    return best, swept

@@ -2,9 +2,9 @@
 
 Counts are deterministic, so these gates pin the complexity shape that wall
 times can only suggest: after the universe's kernel is built, every sweep,
-the inflection report and the ratio audit are dot products, whatever the
-number of grid points; and d_max of a distance matrix is one ascent, not a
-replicator multistart.
+the inflection report and the ratio-maximizing portfolio are dot products,
+whatever the number of grid points; d_max of a distance matrix is one
+ascent, not a replicator multistart; and d_max of D_eta is a closed form.
 """
 
 from collections import Counter
@@ -37,6 +37,8 @@ def calls(monkeypatch):
     counting(model, "cho_solve")
     counting(embedding, "embed")
     counting(mdp, "_replicator")
+    counting(mdp, "assert_edm")
+    counting(mdp, "d_max_bounds")
     return counts
 
 
@@ -52,7 +54,7 @@ def _fresh_universes():
 def test_one_factorization_and_one_solve_per_universe(calls):
     for u in _fresh_universes():
         before = dict(calls)
-        assert u.solver is drf.portfolios.solver_for(u)
+        assert u.solver is u.solver
         assert calls["cho_factor"] - before.get("cho_factor", 0) == 1
         assert calls["cho_solve"] - before.get("cho_solve", 0) == 1
 
@@ -78,7 +80,7 @@ def test_inflection_audit_and_portfolios_make_no_solve(calls):
         emb = drf.embed(u)
         u.solver
         before = _solves(calls)
-        drf.inflection_report(u, points=1600)
+        drf.inflection_report(u)
         drf.mdp_global(u)
         drf.special_portfolios(u, embedding=emb)
         assert _solves(calls) == before
@@ -121,6 +123,18 @@ def test_d_max_of_d_eta_is_its_start(ex3, universe30):
     for u in (ex3, universe30):
         b = drf.d_max_bounds(drf.build_d_eta(u))
         assert b.steps == 0 and b.converged
+
+
+def test_mdp_analysis_reads_d_max_in_closed_form(calls, ex3, universe30):
+    # d_max of D_eta needs neither the EDM certificate nor an ascent
+    for u in (ex3, universe30):
+        drf.analyze_mdp(u)
+        sigma = 2.0 * float(np.sqrt(u.cov.max()))
+        drf.sandwich_check(u, sigma, samples=10, max_batches=1)
+    assert calls["assert_edm"] == calls["d_max_bounds"] == 0
+    # the counters see the general bracket, which certifies its input
+    mdp.d_max_bounds(drf.build_d_eta(ex3))
+    assert calls["assert_edm"] == calls["d_max_bounds"] == 1
 
 
 def test_multistart_only_off_the_edm_path(calls):

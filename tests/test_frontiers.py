@@ -9,10 +9,17 @@ from drfrontier.errors import (
     RiskBelowMvpError,
     TangencyInfeasibleError,
 )
-from drfrontier.frontiers import EfShape, FrontierKind
+from drfrontier.frontiers import EfShape, FrontierKind, _q_along
 
 from .conftest import RBAR3, V3
-from .oracles import block_riskfree_dr, circle_scan, random_universe
+from .oracles import (
+    block_riskfree_dr,
+    circle_scan,
+    locate_inflection,
+    random_universe,
+    second_divided,
+    swept_inflection,
+)
 
 RHO3 = np.sqrt(32.0) / 3.0
 M3 = np.sqrt(24.0 / 7.0)
@@ -238,10 +245,8 @@ def test_concavity_of_closed_forms(ex3_returns):
     sigmas = np.linspace(p.sigma_mvp * 1.001, 3.0 * p.sigma_mdrp, 400)
     q_dr = np.array([drf.q_dr_at(p, s) for s in sigmas])
     q_ef = np.array([drf.q_ef_at(ex3_returns, p, s)[0] for s in sigmas])
-    from drfrontier.frontiers import _second_divided
-
-    assert np.all(_second_divided(sigmas, q_dr) < 0.0)
-    assert np.all(_second_divided(sigmas, q_ef) < 0.0)
+    assert np.all(second_divided(sigmas, q_dr) < 0.0)
+    assert np.all(second_divided(sigmas, q_ef) < 0.0)
 
 
 def _negative_slope_universe():
@@ -262,19 +267,73 @@ def test_strictly_decreasing_shape():
 
 
 def test_inflection_empirical_location():
-    # the sweep locator should find the true curvature change of
+    # the report gives the true curvature change of
     # q(sigma) = -(u - m/2)^2 / 2 + ..., which sits at u^3 = |m| sigma_mvp^2 / 2
     u = _negative_slope_universe()
     p = drf.frontier_params(u)
-    report = drf.inflection_report(u, points=1600)
+    report = drf.inflection_report(u)
     star = np.sqrt(1.0 + (RHO3 / 2.0) ** (2.0 / 3.0))
     assert report["shape"] == "strictly_decreasing"
-    assert report["inflection_empirical"] == pytest.approx(star, abs=5e-3)
+    assert report["inflection_empirical"] == pytest.approx(star, abs=1e-12)
     assert report["tau_o_formula"] == pytest.approx(p.tau_o, abs=1e-15)
     assert report["abs_gap"] is not None
     # the reported closed-form scale is not the curvature root here; the
-    # empirical locator is the authority and the report keeps both visible
+    # report keeps both visible
     assert report["abs_gap"] > 0.1
+
+
+def test_swept_inflection_finds_the_exact_root():
+    # a second-difference locator on a 1600-point sweep lands on the root
+    u = _negative_slope_universe()
+    root = drf.inflection_report(u)["inflection_empirical"]
+    assert swept_inflection(u, points=1600) == pytest.approx(root, abs=5e-3)
+
+
+def test_inflection_root_is_the_curvature_sign_change():
+    # on random universes with m < 0 the closed-form root separates convex
+    # from concave second differences of q_ef
+    rng = np.random.default_rng(61)
+    found = 0
+    for _ in range(40):
+        u = random_universe(rng, int(rng.integers(2, 8)), with_returns=True)
+        p = drf.frontier_params(u)
+        report = drf.inflection_report(u)
+        if p.eta_wo >= 0.0:
+            assert report["inflection_empirical"] is None
+            continue
+        found += 1
+        root = report["inflection_empirical"]
+        for side, sign in ((0.99, 1.0), (1.01, -1.0)):
+            sigmas = root * side * np.array([0.9999, 1.0, 1.0001])
+            if sigmas[0] <= p.sigma_mvp:
+                continue
+            q = [drf.q_ef_at(u, p, s)[0] for s in sigmas]
+            assert sign * second_divided(sigmas, q)[0] > 0.0
+    assert found > 0
+
+
+def test_curves_at_sigma_mvp_are_their_u0_values():
+    # sigma_mvp squared can round a few ulps above sigma_mvp^2; the snap
+    # keeps that from turning into u ~ 1e-8 sigma_mvp
+    rng = np.random.default_rng(0)
+    for _ in range(2000):
+        n = int(rng.integers(2, 8))
+        A = rng.normal(size=(n, n))
+        u = drf.validate_universe(
+            A @ A.T + 0.1 * np.eye(n), expected_returns=rng.uniform(0.01, 0.2, n)
+        )
+        p = drf.frontier_params(u)
+        assert drf.q_dr_at(p, p.sigma_mvp) == _q_along(p, p.rho, 0.0)
+        q_ef, w = drf.q_ef_at(u, p, p.sigma_mvp)
+        assert q_ef == _q_along(p, p.eta_wo, 0.0)
+        np.testing.assert_array_equal(w, u.solver.w_mvp)
+        for kind, m in (
+            (FrontierKind.EFFICIENT_DR, p.rho),
+            (FrontierKind.MV_EFFICIENT_DR, p.eta_wo),
+        ):
+            (row,) = drf.sweep(u, kind, [p.sigma_mvp]).rows
+            assert row.status == "ok" and row.alpha == 0.0
+            assert row.q == _q_along(p, m, np.zeros(1))[0]
 
 
 def test_inflection_absent_when_concave(ex3_returns):
@@ -287,9 +346,9 @@ def test_inflection_absent_when_concave(ex3_returns):
 def test_locate_inflection_on_synthetic_cubic():
     xs = np.linspace(0.0, 2.0, 400)
     ys = (xs - 1.3) ** 3
-    found = drf.locate_inflection(xs, ys)
+    found = locate_inflection(xs, ys)
     assert found == pytest.approx(1.3, abs=1e-6)
-    assert drf.locate_inflection(xs, xs**2) is None
+    assert locate_inflection(xs, xs**2) is None
 
 
 def test_cml_curve_three_asset(ex3_returns):

@@ -4,13 +4,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import drfrontier as drf
-from drfrontier.errors import DimensionMismatchError, ZeroVarianceError
+from drfrontier.errors import (
+    DimensionMismatchError,
+    DrFrontierError,
+    NotSPDError,
+    ZeroVarianceError,
+)
+from drfrontier.mdp import _d_max_of_d_eta
 
 from .oracles import (
     circle_scan,
+    conditioned_universe,
     exact_d_max,
     grid_max_half_quad,
     random_universe,
+    ratio_sweep_audit,
     sandwich_einsum,
     simplex_grid,
 )
@@ -110,6 +118,46 @@ def test_mdp_global_beats_sampling(ex3):
 def test_mdp_global_requires_positive_variances(degenerate3):
     with pytest.raises(ZeroVarianceError):
         drf.mdp_global(degenerate3)
+
+
+def _ratio_minimizing_universe():
+    # one calm asset highly correlated with two volatile ones: V^-1 sqrt(eta)
+    # sums to -1.67, so normalizing it to a budget flips it to the ratio's
+    # minimum
+    corr = np.array([[1.0, 0.9, 0.9], [0.9, 1.0, 0.7], [0.9, 0.7, 1.0]])
+    vols = np.array([0.3, 1.0, 1.0])
+    return drf.validate_universe(corr * np.outer(vols, vols))
+
+
+def test_mdp_global_refuses_a_ratio_minimizer():
+    u = _ratio_minimizing_universe()
+    total = float(np.ones(3) @ np.linalg.solve(u.cov, np.sqrt(u.variances)))
+    assert total == pytest.approx(-1.67, abs=5e-3)
+    with pytest.raises(NotSPDError):
+        drf.mdp_global(u)
+    with pytest.raises(NotSPDError):
+        ratio_sweep_audit(u)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 8), st.integers(0, 10**6), st.floats(0.0, 9.0))
+def test_ratio_sweep_audit_is_the_sign_of_the_budget_scaling(n, seed, log_cond):
+    # the sigma sweep the closed form used to be audited with fails exactly
+    # when 1' V^-1 sqrt(eta) < 0, the condition mdp_global tests
+    try:
+        u = conditioned_universe(n, seed, log_cond, vol_lo=0.05, vol_hi=1.0)
+        total = float(np.ones(n) @ u.solver.inv_root_eta)
+    except DrFrontierError:
+        return
+    if total < 0.0:
+        with pytest.raises(NotSPDError):
+            ratio_sweep_audit(u)
+        with pytest.raises(NotSPDError):
+            drf.mdp_global(u)
+    else:
+        best, swept = ratio_sweep_audit(u)
+        p = drf.mdp_global(u)
+        assert float(np.sqrt(u.variances) @ p.weights) / p.sigma == best
 
 
 def test_mdp_at_sigma_snaps_to_mvp(ex3):
@@ -226,6 +274,21 @@ def test_d_max_bounds_closed_form_to_rounding():
         assert b.upper == pytest.approx(closed, rel=1e-12)
         assert b.lower == pytest.approx(closed, rel=1e-12)
         assert b.converged and b.starts_used == 1
+
+
+def test_d_max_of_d_eta_closed_form_matches_the_ascent(ex3, universe30):
+    rng = np.random.default_rng(157)
+    universes = [ex3, universe30] + [
+        random_universe(rng, n) for n in (2, 3, 10, 60, 300)
+    ]
+    for u in universes:
+        d_max = _d_max_of_d_eta(u)
+        b = drf.d_max_bounds(drf.build_d_eta(u))
+        assert d_max == pytest.approx(b.lower, rel=1e-12)
+        assert d_max == pytest.approx(b.upper, rel=1e-12)
+        a = drf.analyze_mdp(u)
+        assert a.d_max_lower == a.d_max_upper == d_max
+        assert a.starts_used == 1 and a.converged
 
 
 def _edm(points):

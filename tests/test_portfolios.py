@@ -8,7 +8,7 @@ from drfrontier.errors import (
     SingularCovarianceError,
     TangencyInfeasibleError,
 )
-from drfrontier.portfolios import proportional_to_ones, solver_for
+from drfrontier.portfolios import proportional_to_ones
 
 from .conftest import RBAR3, V3
 from .oracles import (
@@ -106,7 +106,7 @@ def test_special_portfolio_identities():
 
 
 def test_rho_exactly_zero_for_equal_variances(identity3):
-    assert solver_for(identity3).rho == 0.0
+    assert identity3.solver.rho == 0.0
 
 
 def test_solver_rejects_singular(degenerate3):
@@ -115,7 +115,7 @@ def test_solver_rejects_singular(degenerate3):
 
 
 def test_solver_cache_reuse(ex3):
-    assert solver_for(ex3) is solver_for(ex3)
+    assert ex3.solver is ex3.solver
 
 
 def test_self_financing_direction_two_asset():
@@ -133,7 +133,7 @@ def test_self_financing_direction_invariants():
         assert abs(w_o.sum()) < 1e-8
         assert w_o @ u.cov @ w_o == pytest.approx(1.0, abs=1e-8 * scale)
         # Cauchy-Schwarz caps the variance slope at rho
-        assert abs(u.variances @ w_o) <= solver_for(u).rho + 1e-8
+        assert abs(u.variances @ w_o) <= u.solver.rho + 1e-8
 
 
 def test_self_financing_direction_affine_invariance():

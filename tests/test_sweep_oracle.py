@@ -11,7 +11,7 @@ import drfrontier as drf
 from drfrontier.errors import DrFrontierError
 from drfrontier.frontiers import FrontierKind
 
-from .oracles import sweep_rowwise
+from .oracles import conditioned_universe, sweep_rowwise
 
 # q, ret and alpha agree to REL_TOL times the row's scale; centrality to
 # CENTRALITY_ATOL, because the reference's sqrt(w' B w) is noisy near c = 0;
@@ -131,23 +131,6 @@ def _grid_or_none(universe):
         return None
 
 
-def _conditioned_universe(n, seed, log_cond, with_riskfree):
-    # correlation with eigenvalues spread over 10^log_cond, volatilities in
-    # [0.1, 0.5]: V runs towards singular while the variances stay apart
-    rng = np.random.default_rng(seed)
-    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
-    C = (q * np.geomspace(1.0, 10.0 ** (-log_cond), n)) @ q.T
-    root = np.sqrt(np.diag(C))
-    vols = rng.uniform(0.1, 0.5, n)
-    V = C / np.outer(root, root) * np.outer(vols, vols)
-    rbar = rng.uniform(0.01, 0.2, n)
-    r0 = None
-    if with_riskfree:
-        x = np.linalg.solve(V, np.ones(n))
-        r0 = float(rbar @ x) / float(x.sum()) - rng.uniform(0.01, 0.05)
-    return drf.validate_universe(V, expected_returns=rbar, risk_free_rate=r0)
-
-
 @settings(max_examples=40, deadline=None)
 @given(
     st.integers(2, 8),
@@ -156,7 +139,7 @@ def _conditioned_universe(n, seed, log_cond, with_riskfree):
     st.booleans(),
 )
 def test_sweep_matches_reference_across_conditioning(n, seed, log_cond, with_riskfree):
-    u = _conditioned_universe(n, seed, log_cond, with_riskfree)
+    u = conditioned_universe(n, seed, log_cond, with_riskfree)
     grid = _grid_or_none(u)
     if grid is None:
         # a typed refusal (returns numerically proportional to ones) must be
