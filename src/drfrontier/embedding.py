@@ -9,7 +9,9 @@ diversification return becomes the quadratic form q(w) = 0.5 * w' D w on the
 budget hyperplane.  Centering D at the weight vector s proportional to
 D^-1 1 (the maximum-DR portfolio) yields a PSD Gram matrix
 
-    B = -0.5 * Js' D Js,      Js = I - s 1'
+    B = -0.5 * Js' D Js = 0.5 * Js' V Js,      Js = I - s 1'
+
+(Js annihilates the eta 1' terms of D because 1' s = 1)
 
 whose factorization B = X' X places every asset on a sphere of radius
 sqrt(q_max) around the origin; the origin itself is the image of s.  The
@@ -27,7 +29,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     AsymmetricError,
@@ -42,6 +43,9 @@ from .model import AssetUniverse, check_budget
 
 # Eigenvalues of B below EIG_RTOL * lambda_1 are treated as zero.
 EIG_RTOL = 1e-10
+# Eigenvalues within BASIS_RTOL * lambda_1 share a canonical cluster, and a
+# coordinate below BASIS_RTOL times its axis's largest cannot orient the axis.
+BASIS_RTOL = 1e-8
 # Off-diagonal D entries in [-DIST_CLAMP_TOL, 0) are rounding debris: clamp.
 DIST_CLAMP_TOL = 1e-12
 # max-norm residual allowed for D @ (D^+ 1) = 1 on the generalized-inverse path
@@ -146,8 +150,8 @@ def _solve_ones(D: np.ndarray, nonsingular_hint: bool) -> np.ndarray:
     y = None
     if nonsingular_hint:
         try:
-            y = scipy.linalg.solve(D, ones, assume_a="sym")
-        except (scipy.linalg.LinAlgError, ValueError):
+            y = np.linalg.solve(D, ones)
+        except np.linalg.LinAlgError:
             y = None
         if y is not None and not np.all(np.isfinite(y)):
             y = None
@@ -162,13 +166,41 @@ def _solve_ones(D: np.ndarray, nonsingular_hint: bool) -> np.ndarray:
     return y
 
 
+def _canonical_axes(lam: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Coordinates X (k x n) rotated to the canonical basis of :func:`embed`."""
+    X = np.array(X)
+    k = X.shape[0]
+    if k == 0:
+        return X
+    edges = np.flatnonzero(lam[:-1] - lam[1:] > BASIS_RTOL * lam[0]) + 1
+    for lo, hi in zip([0, *edges], [*edges, k]):
+        if hi - lo > 1:
+            # R = Q' X_c is upper trapezoidal: asset 1 on the first axis,
+            # asset 2 in the first two, ...; numpy returns exact zeros below
+            X[lo:hi] = np.linalg.qr(X[lo:hi], mode="r")
+    mag = np.abs(X)
+    lead = np.argmax(mag > BASIS_RTOL * mag.max(axis=1, keepdims=True), axis=1)
+    X[X[np.arange(k), lead] < 0.0] *= -1.0
+    return X + 0.0  # a flipped structural zero reads 0, not -0
+
+
 def embed(universe: AssetUniverse) -> EdmEmbedding:
     """Build the spherical embedding of a universe.
 
     Solves D y = 1 (directly when the covariance is nonsingular, through a
     rank-revealing pseudoinverse otherwise), normalizes s = y / (1' y),
-    and factorizes the recentred Gram matrix.  Eigenvalues below
-    EIG_RTOL times the leading one are dropped.
+    and factorizes the recentred Gram matrix, formed from V as the rank-2
+    update B = 0.5 (V - v 1' - 1 v' + (s' v) 1 1') with v = V s (equal to
+    -0.5 Js' D Js, without its cancellation of the eta 1' terms).
+    Eigenvalues below EIG_RTOL times the leading one are dropped.
+
+    The coordinates are canonical, fixed by the math and not by rounding:
+    kept eigenvalues within BASIS_RTOL * lambda_1 of their neighbour form one
+    cluster, whose axes are rotated so that asset 1 lies on the cluster's
+    first axis, asset 2 in its first two, and so on (a QR of the cluster's
+    coordinate rows, whose structural zeros are exactly 0).  Each axis is
+    then oriented so that the first asset whose coordinate exceeds BASIS_RTOL
+    times the axis's largest in magnitude has a positive coordinate.
     """
     D = build_distance_matrix(universe)
     n = universe.n
@@ -185,16 +217,16 @@ def embed(universe: AssetUniverse) -> EdmEmbedding:
         )
     s = y / total
 
-    Js = np.eye(n) - np.outer(s, ones)
-    B = -0.5 * (Js.T @ D @ Js)
-    B = 0.5 * (B + B.T)
+    v = universe.cov @ s
+    # v_i + v_j is commutative, so B comes out exactly symmetric
+    B = 0.5 * (universe.cov - (v[:, None] + v[None, :]) + float(s @ v))
 
     evals, evecs = np.linalg.eigh(B)
     lam_top = max(float(evals[-1]), 0.0)
     keep = evals > EIG_RTOL * lam_top
     lam = evals[keep][::-1]
     P = evecs[:, keep][:, ::-1]
-    X = np.sqrt(lam)[:, None] * P.T
+    X = _canonical_axes(lam, np.sqrt(lam)[:, None] * P.T)
 
     return EdmEmbedding(
         dist=D,

@@ -177,8 +177,13 @@ def _excess_risk_at(sigma2_mvp: float, sigma: float) -> float:
 
 
 def _q_along(params: FrontierParams, m, u):
-    """DR of w_mvp + u * d for a unit-variance, zero-budget d with eta' d = m."""
-    return -0.5 * (u - 0.5 * m) ** 2 + m * m / 8.0 + params.q_mvp
+    """DR of w_mvp + u * d for a unit-variance, zero-budget d with eta' d = m.
+
+    Squares by multiplication (``**`` is C ``pow`` on a float), so at u = 0
+    -0.5 (m/2)^2 + m^2/8 is exactly 0 on the scalar and the array route.
+    """
+    t = u - 0.5 * m
+    return -0.5 * (t * t) + m * m / 8.0 + params.q_mvp
 
 
 def max_linear_over_ellipsoid(
@@ -495,7 +500,8 @@ def sweep(
     if embedding is not None:
         e = d - (0.0 if s.d_eta is None else s.d_eta)
         bend = 0.25 * params.rho * float(e @ universe.cov @ e)
-        c_sq = 0.5 * (u - 0.5 * params.rho) ** 2 + bend * u
+        t = u - 0.5 * params.rho
+        c_sq = 0.5 * (t * t) + bend * u
         centrality = np.sqrt(np.maximum(c_sq, 0.0)).tolist()
     weights = list(s.w_mvp + u[:, None] * d) if include_weights else none
     for i, sigma in enumerate(sigmas.tolist()):

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from numpy.linalg import LinAlgError
+from numpy.linalg import solve as lu_solve
 
 from .errors import (
     AsymmetricError,
@@ -94,12 +95,14 @@ class AssetUniverse:
 
 
 class CovarianceSolver:
-    """One Cholesky factorization and one batched solve V^-1 [1, eta, sqrt(eta), rbar].
+    """One batched LU solve V^-1 [1, eta, sqrt(eta), rbar] per universe.
 
     Every closed form afterwards is dot products with these images.  d_eta,
     d_root and w_o are the unit directions (see :meth:`direction`) along which
     the DR-efficient, ratio-maximizing and mean-variance portfolios leave
     w_mvp.  Cached arrays are read-only because every caller shares them.
+    V is certified strictly positive definite by :func:`validate_universe`
+    (``nonsingular``), so no second factorization checks it again.
     """
 
     def __init__(self, universe: AssetUniverse):
@@ -107,18 +110,15 @@ class CovarianceSolver:
             raise SingularCovarianceError(
                 "universe covariance is singular; closed forms need strict PD"
             )
-        try:
-            self._factor = cho_factor(np.array(universe.cov), lower=True)
-        except LinAlgError as exc:
-            raise SingularCovarianceError(f"Cholesky failed: {exc}") from exc
+        self._cov = universe.cov
         ones = np.ones(universe.n)
         eta = universe.variances
         root_eta = np.sqrt(eta)
         rbar = universe.expected_returns
-        rhs = [ones, eta, root_eta] + ([] if rbar is None else [rbar])
-        # the solution is Fortran-ordered, so its transpose has contiguous rows
-        images = self.solve(np.column_stack(rhs)).T
+        self._rhs = [ones, eta, root_eta] + ([] if rbar is None else [rbar])
+        images = np.ascontiguousarray(self._lu_solve(np.column_stack(self._rhs)).T)
         images.setflags(write=False)
+        self._images = images
         self.inv_ones, self.inv_eta, self.inv_root_eta = images[:3]
         self.a = float(ones @ self.inv_ones)
         self.sigma2_mvp = 1.0 / self.a
@@ -131,8 +131,21 @@ class CovarianceSolver:
         self.b = None if rbar is None else float(ones @ self.inv_r)
         self.w_o = None if rbar is None else self.direction(rbar, self.inv_r)[0]
 
+    def _lu_solve(self, rhs: np.ndarray) -> np.ndarray:
+        try:
+            return lu_solve(self._cov, rhs)
+        except LinAlgError as exc:
+            raise SingularCovarianceError(f"covariance solve failed: {exc}") from exc
+
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return cho_solve(self._factor, np.asarray(rhs, dtype=float))
+        """V^-1 rhs.  A right-hand side of the kernel's batch returns its
+        cached image, so every route to V^-1 sqrt(eta) (say) reads the same
+        bits: a lone solve differs from a batched column in the last bits."""
+        c = np.asarray(rhs, dtype=float)
+        for known, image in zip(self._rhs, self._images):
+            if np.array_equal(c, known):
+                return image
+        return self._lu_solve(c)
 
     def direction(self, c: np.ndarray, inv_c: np.ndarray):
         """(d, k) with d = (V^-1 c - (1' V^-1 c / a) V^-1 1) / k and

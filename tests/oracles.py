@@ -277,6 +277,18 @@ def conditioned_universe(n, seed, log_cond, with_riskfree=False, vol_lo=0.1, vol
     return drf.validate_universe(V, expected_returns=rbar, risk_free_rate=r0)
 
 
+def rotated_spectrum_cov(seed=1, log_cond=5.0):
+    """Three-asset covariance q diag(geomspace(1, 10^-log_cond, 3) * scale) q'
+    with a random rotation q, plus expected returns.  At seed 1 and
+    log_cond 5 (eigenvalues 6e-7..6e-2) the Gram matrix formed as
+    -0.5 Js' D Js missed the Pythagoras check by 2.1e-7."""
+    rng = np.random.default_rng(seed)
+    q = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+    scale = rng.uniform(0.05, 0.5)
+    V = (q * (np.geomspace(1.0, 10.0 ** (-log_cond), 3) * scale)) @ q.T
+    return V, rng.uniform(0.01, 0.2, 3)
+
+
 def block_riskfree_dr(V, eta, risky_weights, cash):
     """DR of an (n+1)-asset portfolio whose extra asset is riskless.
 

@@ -9,6 +9,7 @@ import drfrontier as drf
 from drfrontier.cli import main
 
 from .conftest import RBAR3, V3
+from .oracles import rotated_spectrum_cov
 
 
 def _read_json(path):
@@ -75,6 +76,15 @@ def test_portfolios_with_returns(fixture_dir, tmp_path):
     )
     assert data["q_portfolio"]["variance"] == pytest.approx(13.0 / 7.0, rel=1e-9)
     assert data["q_portfolio"]["q"] == pytest.approx(62.0 / 63.0, rel=1e-9)
+
+
+def test_portfolios_on_ill_conditioned_universe(tmp_path):
+    # cond(V) = 1e5: the embedding's Pythagoras check used to refuse it
+    V, rbar = rotated_spectrum_cov()
+    src = _write_universe_json(tmp_path / "u.json", V, rbar=rbar)
+    assert main(["portfolios", "--input", str(src), "--out", str(tmp_path)]) == 0
+    data = _read_json(tmp_path / "portfolios.json")
+    assert data["q_portfolio"]["centrality"] is not None
 
 
 def test_riskfree_override(tmp_path):

@@ -5,9 +5,14 @@ times can only suggest: after the universe's kernel is built, every sweep,
 the inflection report and the ratio-maximizing portfolio are dot products,
 whatever the number of grid points; d_max of a distance matrix is one
 ascent, not a replicator multistart; and d_max of D_eta is a closed form.
+numpy is the only runtime dependency: a CLI run loads no scipy.
 """
 
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +21,7 @@ import drfrontier as drf
 from drfrontier import embedding, mdp, model
 from drfrontier.frontiers import FrontierKind
 
-from .conftest import R0_3, RBAR3, V3
+from .conftest import FIXTURES, R0_3, RBAR3, V3
 from .oracles import random_universe
 
 
@@ -33,8 +38,7 @@ def calls(monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    counting(model, "cho_factor")
-    counting(model, "cho_solve")
+    counting(model, "lu_solve")
     counting(embedding, "embed")
     counting(mdp, "_replicator")
     counting(mdp, "assert_edm")
@@ -53,14 +57,14 @@ def _fresh_universes():
 
 def test_one_factorization_and_one_solve_per_universe(calls):
     for u in _fresh_universes():
-        before = dict(calls)
+        before = calls["lu_solve"]
         assert u.solver is u.solver
-        assert calls["cho_factor"] - before.get("cho_factor", 0) == 1
-        assert calls["cho_solve"] - before.get("cho_solve", 0) == 1
+        # one LU factorization, shared by the batched right-hand sides
+        assert calls["lu_solve"] - before == 1
 
 
 def _solves(counts):
-    return counts["cho_factor"], counts["cho_solve"]
+    return counts["lu_solve"]
 
 
 @pytest.mark.parametrize("points", [200, 2000])
@@ -146,3 +150,29 @@ def test_multistart_only_off_the_edm_path(calls):
     assert not drf.assert_edm(A).is_edm
     b = drf.d_max_bounds(A, starts=starts)
     assert calls["_replicator"] == n + n * (n - 1) // 2 + starts == b.starts_used
+
+
+def test_cli_run_loads_no_scipy(tmp_path):
+    ex3_json = FIXTURES / "example3_universe.json"
+    code = "\n".join(
+        [
+            "import sys",
+            "from drfrontier.cli import main",
+            f"args = ['portfolios', '--input', {str(ex3_json)!r},",
+            f"        '--out', {str(tmp_path)!r}]",
+            "assert main(args) == 0",
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        ]
+    )
+    src = str(Path(drf.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+    assert (tmp_path / "portfolios.json").exists()

@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import drfrontier as drf
+from drfrontier import embedding
+from drfrontier.embedding import _canonical_axes
 from drfrontier.errors import (
     AsymmetricError,
     DimensionMismatchError,
@@ -91,6 +93,52 @@ def test_embed_three_asset(ex3):
     np.testing.assert_allclose(radii, np.ones(3), atol=1e-10)
     # the centre is the image of the centering weights
     np.testing.assert_allclose(emb.coords @ emb.mdrp_weights, 0.0, atol=1e-10)
+
+
+def _csv_cells(emb):
+    return [[f"{v:.12g}" for v in col] for col in emb.coords.T]
+
+
+def test_embed_three_asset_canonical_basis(ex3, monkeypatch):
+    # B has the repeated eigenvalue 1.5: the cluster's axes put asset 1 on the
+    # first axis and asset 2 in the upper half plane
+    emb = drf.embed(ex3)
+    half_root3 = np.sqrt(3.0) / 2.0
+    np.testing.assert_allclose(
+        emb.coords, [[1.0, 0.5, 0.5], [0.0, half_root3, -half_root3]], atol=1e-15
+    )
+    assert emb.coords[1, 0] == 0.0 and not np.signbit(emb.coords[1, 0])
+    assert _csv_cells(emb) == [
+        ["1", "0"],
+        ["0.5", "0.866025403784"],
+        ["0.5", "-0.866025403784"],
+    ]
+    # the same cells whichever solver built s
+    solve_ones = embedding._solve_ones
+    monkeypatch.setattr(embedding, "_solve_ones", lambda D, hint: solve_ones(D, False))
+    pinv_emb = drf.embed(ex3)
+    assert not np.array_equal(pinv_emb.mdrp_weights, emb.mdrp_weights)
+    assert _csv_cells(pinv_emb) == _csv_cells(emb)
+
+
+def test_canonical_axes_ignore_the_eigensolver_basis(ex3):
+    rng = np.random.default_rng(11)
+    # any rotation inside a cluster of equal eigenvalues: ex3's pair, and the
+    # four-fold 1/2 of the five-asset identity
+    for u in (ex3, drf.validate_universe(np.eye(5))):
+        emb = drf.embed(u)
+        k = len(emb.eigvals)
+        for _ in range(20):
+            Q = np.linalg.qr(rng.normal(size=(k, k)))[0]
+            rotated = _canonical_axes(emb.eigvals, Q @ emb.coords)
+            np.testing.assert_allclose(rotated, emb.coords, atol=1e-14)
+    # any sign of a lone axis
+    for n in (2, 5, 12):
+        emb = drf.embed(random_universe(rng, n))
+        X, lam = emb.coords, emb.eigvals
+        assert np.array_equal(_canonical_axes(lam, X), X)
+        flip = rng.choice([-1.0, 1.0], size=(len(lam), 1))
+        assert np.array_equal(_canonical_axes(lam, flip * X), X)
 
 
 def test_embed_identity_cov(identity3):

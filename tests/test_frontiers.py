@@ -9,7 +9,7 @@ from drfrontier.errors import (
     RiskBelowMvpError,
     TangencyInfeasibleError,
 )
-from drfrontier.frontiers import EfShape, FrontierKind, _q_along
+from drfrontier.frontiers import EfShape, FrontierKind
 
 from .conftest import RBAR3, V3
 from .oracles import (
@@ -314,7 +314,8 @@ def test_inflection_root_is_the_curvature_sign_change():
 
 def test_curves_at_sigma_mvp_are_their_u0_values():
     # sigma_mvp squared can round a few ulps above sigma_mvp^2; the snap
-    # keeps that from turning into u ~ 1e-8 sigma_mvp
+    # keeps that from turning into u ~ 1e-8 sigma_mvp, and squaring by
+    # multiplication makes the u = 0 value q_mvp exactly on both routes
     rng = np.random.default_rng(0)
     for _ in range(2000):
         n = int(rng.integers(2, 8))
@@ -323,17 +324,20 @@ def test_curves_at_sigma_mvp_are_their_u0_values():
             A @ A.T + 0.1 * np.eye(n), expected_returns=rng.uniform(0.01, 0.2, n)
         )
         p = drf.frontier_params(u)
-        assert drf.q_dr_at(p, p.sigma_mvp) == _q_along(p, p.rho, 0.0)
+        assert drf.q_dr_at(p, p.sigma_mvp) == p.q_mvp
         q_ef, w = drf.q_ef_at(u, p, p.sigma_mvp)
-        assert q_ef == _q_along(p, p.eta_wo, 0.0)
+        assert q_ef == p.q_mvp
         np.testing.assert_array_equal(w, u.solver.w_mvp)
-        for kind, m in (
-            (FrontierKind.EFFICIENT_DR, p.rho),
-            (FrontierKind.MV_EFFICIENT_DR, p.eta_wo),
+        sigma = 1.5 * p.sigma_mvp
+        for kind, scalar in (
+            (FrontierKind.EFFICIENT_DR, drf.q_dr_at(p, sigma)),
+            (FrontierKind.MV_EFFICIENT_DR, drf.q_ef_at(u, p, sigma)[0]),
         ):
-            (row,) = drf.sweep(u, kind, [p.sigma_mvp]).rows
-            assert row.status == "ok" and row.alpha == 0.0
-            assert row.q == _q_along(p, m, np.zeros(1))[0]
+            at_mvp, row = drf.sweep(u, kind, [p.sigma_mvp, sigma]).rows
+            assert at_mvp.status == "ok" and at_mvp.alpha == 0.0
+            assert at_mvp.q == p.q_mvp
+            # the scalar and the sweep route agree bit for bit
+            assert row.q == scalar
 
 
 def test_inflection_absent_when_concave(ex3_returns):

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import drfrontier as drf
 from drfrontier.errors import (
@@ -11,9 +13,14 @@ from drfrontier.errors import (
     EmbeddingMismatchError,
     NonSquareError,
     NotPSDError,
+    SingularCovarianceError,
 )
 
-from .oracles import random_universe
+from .oracles import conditioned_universe, random_universe
+
+# Residual of a kernel image within this multiple of n eps |V| |x| (inf norms);
+# about 0.6 is the worst seen on conditioned universes up to cond 1e9.
+KERNEL_RESIDUAL_C = 4.0
 
 
 def test_dr_two_asset_split():
@@ -169,3 +176,39 @@ def test_universe_and_portfolio_are_frozen(ex3):
 def test_arrays_are_write_protected(ex3):
     with pytest.raises(ValueError):
         ex3.cov[0, 0] = 99.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 12),
+    st.integers(0, 10**6),
+    st.floats(0.0, 9.0),
+    st.booleans(),
+)
+def test_kernel_images_are_backward_stable(n, seed, log_cond, with_returns):
+    u = conditioned_universe(n, seed, log_cond)
+    if not with_returns:
+        u = drf.validate_universe(u.cov)
+    if not u.nonsingular:
+        with pytest.raises(SingularCovarianceError):
+            u.solver
+        return
+    s = u.solver
+    V = u.cov
+    root_eta = np.sqrt(u.variances)
+    pairs = [
+        (np.ones(n), s.inv_ones),
+        (u.variances, s.inv_eta),
+        (root_eta, s.inv_root_eta),
+        (np.linspace(-1.0, 2.0, n), None),  # not in the batch: a fresh solve
+    ]
+    if with_returns:
+        pairs.append((u.expected_returns, s.inv_r))
+    for c, image in pairs:
+        x = s.solve(c)
+        if image is not None:
+            # a right-hand side of the batch reads its cached image
+            assert np.array_equal(x, image)
+        bound = KERNEL_RESIDUAL_C * n * np.finfo(float).eps
+        bound *= float(np.abs(V).sum(axis=1).max()) * float(np.abs(x).max())
+        assert float(np.abs(V @ x - c).max()) <= bound

@@ -15,6 +15,7 @@ from .oracles import (
     projected_gradient_max_dr,
     projected_gradient_min_variance,
     random_universe,
+    rotated_spectrum_cov,
 )
 
 
@@ -307,3 +308,15 @@ def test_special_portfolios_infeasible_tangent():
     sp = drf.special_portfolios(u)
     assert sp.w_o is not None
     assert sp.tangent is None
+
+
+def test_special_portfolios_pass_pythagoras_at_cond_1e5():
+    # B formed from V keeps c^2 + q = q_max within PYTHAGORAS_ATOL where the
+    # D-form Gram missed it by 2.1e-7 on the Q portfolio
+    V, rbar = rotated_spectrum_cov()
+    u = drf.validate_universe(V, expected_returns=rbar)
+    assert np.linalg.cond(u.cov) == pytest.approx(1e5, rel=1e-6)
+    emb = drf.embed(u)
+    sp = drf.special_portfolios(u, embedding=emb)
+    for pf in (sp.mvp, sp.mdrp, sp.q_pf):
+        assert pf.centrality_sq + pf.dr == pytest.approx(emb.q_max, rel=1e-10)
