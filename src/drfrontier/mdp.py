@@ -20,6 +20,14 @@ the minimum enclosing ball of the embedded points), so :func:`d_max_bounds`
 reaches the global maximum with one pairwise Frank-Wolfe ascent whose
 duality gap certifies the bracket.  That bound is what makes the
 ratio-maximizing portfolio track the DR-efficient frontier.
+
+:func:`sandwich_check` tests the sandwich 0 <= max eta' w - max
+(sqrt(eta)' w)^2 <= 2 d_max on long-only portfolios of a given risk.  It
+moves Dirichlet draws onto that risk shell along segments to two long-only
+anchors, the long-only minimum-variance portfolio
+(:func:`long_only_min_variance`, kept by its universe) and the most volatile
+asset, each with one quadratic root, so every draw lands; a level outside
+the long-only risk range is reported empty without drawing.
 """
 
 from __future__ import annotations
@@ -32,6 +40,7 @@ import numpy as np
 from .embedding import assert_edm
 from .errors import (
     AsymmetricError,
+    DimensionMismatchError,
     NegativeVarianceError,
     NonZeroDiagonalError,
     NotSPDError,
@@ -44,7 +53,8 @@ from .model import AssetUniverse, Portfolio, portfolio_stats
 # replicator ascent stops when the largest weight update is below this
 STEP_TOL = 1e-12
 MAX_ITER = 10_000
-# Frank-Wolfe ascent stops when its duality gap is below this times max D
+# Frank-Wolfe ascent stops when its duality gap is below this times max D;
+# the long-only minimum variance when its gap is below this times w' V w
 GAP_RTOL = 1e-12
 
 
@@ -88,18 +98,53 @@ class MdpAnalysis:
 
 
 @dataclass(frozen=True)
+class LongOnlyMvp:
+    """Long-only minimum-variance portfolio w_lo with its certificate.
+
+    variance is w' V w at weights.  variance_lower = 2 min_j (V w)_j - w' V w,
+    that is variance - 2 * gap with the Frank-Wolfe gap
+    w' V w - min_j (V w)_j, bounds the long-only minimum from below by
+    convexity.  solves counts the support solves of
+    :func:`long_only_min_variance`.
+    """
+
+    weights: np.ndarray
+    variance: float
+    variance_lower: float
+    solves: int
+
+
+@dataclass(frozen=True)
 class SandwichReport:
     """Monte Carlo check of the objective sandwich at one risk level.
 
-    gap = max eta' w - max (sqrt(eta)' w)^2 over the sampled long-only
-    portfolios near the risk shell.  eta' w - (sqrt(eta)' w)^2 is the
+    gap = max eta' w - max (sqrt(eta)' w)^2 over sampled long-only
+    portfolios on the risk shell.  eta' w - (sqrt(eta)' w)^2 is the
     w-weighted variance of the volatilities, which equals w' D_eta w and so
     is at most 2 * d_max; the check holds when 0 <= gap <= 2 * d_max_upper
     (up to rounding), where d_max_upper is the exact d_max of the universe's
-    D_eta.  empty flags a level where no sample hit the shell.
+    D_eta.
+
+    Long-only risk spans [sigma_lo, sigma_hi]: sigma_lo is the risk of the
+    long-only minimum-variance portfolio w_lo and sigma_hi = max sqrt(eta_i)
+    the risk of the most volatile asset, the largest long-only risk because
+    risk is convex.  Each of the `requested` Dirichlet draws x is moved along
+    a segment to the target risk tau = clip(sigma, sigma_lo, sigma_hi):
+    along w_lo -> x when x's risk is at least tau, else along x -> the most
+    volatile vertex.  risk^2 is a convex quadratic along either segment whose
+    ends lie on opposite sides of tau^2, so one root lands the draw on the
+    shell, long-only and on budget.  accepted counts the landed portfolios
+    whose risk, evaluated again at the root, lies within the relative band
+    of sigma; every draw lands when the band meets [sigma_lo, sigma_hi].
+    empty flags a level with none.  When the band misses
+    [sigma_lo, sigma_hi] nothing is drawn and empty is certified: the test
+    uses the certified lower bound on w_lo's variance
+    (:class:`LongOnlyMvp`), so it does not depend on the seed.
     """
 
     sigma: float
+    sigma_lo: float
+    sigma_hi: float
     requested: int
     accepted: int
     max_avg_variance: float
@@ -336,67 +381,174 @@ def analyze_mdp(universe: AssetUniverse) -> MdpAnalysis:
     )
 
 
+def _support_minimum(V: np.ndarray, support: np.ndarray):
+    """Weights on `support` minimizing w' V w subject to 1' w = 1:
+    V_S^-1 1 normalized; None when the solve fails."""
+    try:
+        y = np.linalg.solve(V[np.ix_(support, support)], np.ones(len(support)))
+    except np.linalg.LinAlgError:
+        return None
+    z = y / y.sum()
+    return z if np.all(np.isfinite(z)) else None
+
+
+def long_only_min_variance(universe: AssetUniverse) -> LongOnlyMvp:
+    """Long-only minimum-variance portfolio by a primal active-set method.
+
+    Start: the support minimum (:func:`_support_minimum`) on all assets,
+    solved again without its negative weights until none is negative (the
+    least volatile asset if a solve fails).  Step (fully corrective
+    Frank-Wolfe): add the asset j of the smallest (V w)_j and move towards
+    the support minimum, dropping each asset whose weight reaches 0 first,
+    until that minimum is nonnegative; keep the step only if it lowers w' V w.
+    Convexity gives v' V v >= 2 min_j (V w)_j - w' V w for every long-only
+    v, so the Frank-Wolfe gap w' V w - min_j (V w)_j certifies w.  Stops
+    when the gap is at most GAP_RTOL * w' V w or j is already held (the gap
+    is rounding).  :attr:`~drfrontier.model.AssetUniverse.long_only_mvp`
+    keeps the result with its universe.
+    """
+    V = universe.cov
+    n = universe.n
+    w = np.zeros(n)
+    support = np.arange(n)
+    solves = 0
+    while True:
+        z = _support_minimum(V, support)
+        solves += 1
+        if z is None:
+            w[int(np.argmin(universe.variances))] = 1.0
+            break
+        if z.min() >= 0.0:
+            w[support] = z
+            break
+        support = support[z > 0.0]
+
+    g = V @ w
+    variance = float(w @ g)
+    while solves < MAX_ITER:
+        j = int(np.argmin(g))
+        if w[j] > 0.0 or g[j] >= (1.0 - GAP_RTOL) * variance:
+            break
+        step = w.copy()
+        support = np.append(np.flatnonzero(step), j)
+        while True:
+            z = _support_minimum(V, support)
+            solves += 1
+            if z is None or z.min() >= 0.0:
+                break
+            d = z - step[support]
+            shrink = np.flatnonzero(d < 0.0)
+            ratio = step[support[shrink]] / -d[shrink]
+            k = int(np.argmin(ratio))
+            step[support] += ratio[k] * d
+            step[support[shrink[k]]] = 0.0
+            np.clip(step, 0.0, None, out=step)
+            support = np.flatnonzero(step)
+        if z is None:
+            break
+        step[support] = z
+        g_step = V @ step
+        if not float(step @ g_step) < variance:
+            break
+        w, g, variance = step, g_step, float(step @ g_step)
+    return LongOnlyMvp(
+        weights=w,
+        variance=variance,
+        variance_lower=max(2.0 * float(g.min()) - variance, 0.0),
+        solves=solves,
+    )
+
+
 def sandwich_check(
     universe: AssetUniverse,
     sigma: float,
     samples: int = 100_000,
     seed: int = 0,
     band: float = 0.01,
-    max_batches: int = 500,
 ) -> SandwichReport:
-    """Sample long-only portfolios near the risk shell and test the sandwich.
+    """Land `samples` long-only portfolios on the risk shell and test the sandwich.
 
-    Rejection-samples Dirichlet portfolios whose risk lies within a relative
-    `band` of sigma, then compares the best weighted-average variance with
-    the best squared weighted-average volatility.  An empty accepted set is
-    reported, not fatal.
+    See :class:`SandwichReport` for the anchors, the landing root and when
+    the report is certified empty.  The draws X come from one Dirichlet(1)
+    call of a generator seeded with `seed`.  One product X V gives every
+    coefficient of the quadratics: x' V x, x' V w_lo = x . (V w_lo) and
+    x' V e_hi, column hi of X V, with w_lo' V w_lo and eta_hi known.  The
+    landing check evaluates each quadratic again at its root, and
+    eta' w and sqrt(eta)' w of a landed w are linear along its segment, so
+    no landed portfolio is formed: after the draws and X V the cost is
+    O(samples * n).  samples below 1 raise DimensionMismatchError.
     """
+    if int(samples) < 1:
+        raise DimensionMismatchError(f"samples must be at least 1, got {samples}")
     eta = np.clip(universe.variances, 0.0, None)
     root = np.sqrt(eta)
     d_upper = _d_max_of_d_eta(universe)
-    rng = np.random.default_rng(seed)
-
-    n = universe.n
-    batch = max(int(samples), 100_000)
-    max_avg_var = -np.inf
-    max_avg_vol_sq = -np.inf
-    accepted = 0
-    for _ in range(max_batches):
-        W = rng.dirichlet(np.ones(n), size=batch)
-        risk = np.sqrt(np.einsum("ij,ij->i", W @ universe.cov, W))
-        mask = np.abs(risk - sigma) <= band * sigma
-        hits = int(mask.sum())
-        if hits:
-            Wa = W[mask]
-            max_avg_var = max(max_avg_var, float((Wa @ eta).max()))
-            max_avg_vol_sq = max(max_avg_vol_sq, float(((Wa @ root) ** 2).max()))
-            accepted += hits
-        if accepted >= samples:
-            break
-
-    if accepted == 0:
-        return SandwichReport(
-            sigma=float(sigma),
-            requested=int(samples),
-            accepted=0,
-            max_avg_variance=float("nan"),
-            max_avg_volatility_sq=float("nan"),
-            gap=float("nan"),
-            d_max_upper=d_upper,
-            holds=None,
-            empty=True,
-        )
-
-    gap = max_avg_var - max_avg_vol_sq
-    holds = -1e-12 <= gap <= 2.0 * d_upper + 1e-12
-    return SandwichReport(
+    lo = universe.long_only_mvp
+    hi = int(np.argmax(eta))
+    sigma_lo = float(np.sqrt(lo.variance))
+    sigma_hi = float(root[hi])
+    report = dict(
         sigma=float(sigma),
+        sigma_lo=sigma_lo,
+        sigma_hi=sigma_hi,
         requested=int(samples),
-        accepted=accepted,
+        d_max_upper=d_upper,
+    )
+    empty = SandwichReport(
+        **report,
+        accepted=0,
+        max_avg_variance=float("nan"),
+        max_avg_volatility_sq=float("nan"),
+        gap=float("nan"),
+        holds=None,
+        empty=True,
+    )
+    below = np.sqrt(lo.variance_lower) > (1.0 + band) * sigma
+    if below or sigma_hi < (1.0 - band) * sigma:
+        return empty
+
+    tau_sq = min(max(sigma, sigma_lo), sigma_hi) ** 2
+    X = np.random.default_rng(seed).dirichlet(np.ones(universe.n), size=int(samples))
+    XV = X @ universe.cov
+    r_x = np.einsum("ij,ij->i", X, XV)
+    v_lo = universe.cov @ lo.weights
+    # x' V w_lo, eta' x and sqrt(eta)' x in one pass over X
+    x_lo, x_eta, x_root = (X @ np.column_stack([v_lo, eta, root])).T
+    # up: w_lo -> x, else x -> e_hi; P and Q are the segment's ends
+    up = r_x >= tau_sq
+    r_p = np.where(up, lo.variance, r_x)
+    r_q = np.where(up, r_x, eta[hi])
+    pq = np.where(up, x_lo, XV[:, hi])
+    # risk^2 along P -> Q is r_p + 2 b t + a t^2, with r_p <= tau^2 <= r_q
+    b = pq - r_p
+    a = r_q - pq - b
+    rise = np.maximum(tau_sq - r_p, 0.0)
+    disc = np.sqrt(np.maximum(b * b + a * rise, 0.0))
+    # the root form without cancellation for either sign of b
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where(b >= 0.0, rise / (b + disc), (disc - b) / a)
+    t = np.clip(np.nan_to_num(t), 0.0, 1.0)
+    risk = np.sqrt(np.maximum(r_p + t * (2.0 * b + a * t), 0.0))
+    landed = np.abs(risk - sigma) <= band * sigma
+    if not landed.any():
+        return empty
+
+    # eta' w and sqrt(eta)' w are linear along the segment
+    p_eta = np.where(up, float(eta @ lo.weights), x_eta)
+    q_eta = np.where(up, x_eta, eta[hi])
+    p_root = np.where(up, float(root @ lo.weights), x_root)
+    q_root = np.where(up, x_root, root[hi])
+    w_eta = (p_eta + t * (q_eta - p_eta))[landed]
+    w_root = (p_root + t * (q_root - p_root))[landed]
+    max_avg_var = float(w_eta.max())
+    max_avg_vol_sq = float(np.square(w_root).max())
+    gap = max_avg_var - max_avg_vol_sq
+    return SandwichReport(
+        **report,
+        accepted=int(landed.sum()),
         max_avg_variance=max_avg_var,
         max_avg_volatility_sq=max_avg_vol_sq,
         gap=gap,
-        d_max_upper=d_upper,
-        holds=holds,
+        holds=-1e-12 <= gap <= 2.0 * d_upper + 1e-12,
         empty=False,
     )

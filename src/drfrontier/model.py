@@ -93,12 +93,22 @@ class AssetUniverse:
         """The covariance kernel, built on first access and kept with the universe."""
         return CovarianceSolver(self)
 
+    @functools.cached_property
+    def long_only_mvp(self):
+        """The long-only minimum-variance portfolio with its certificate
+        (:class:`~drfrontier.mdp.LongOnlyMvp`), found on first access and
+        kept with the universe."""
+        from .mdp import long_only_min_variance
+
+        return long_only_min_variance(self)
+
 
 class CovarianceSolver:
     """One batched LU solve V^-1 [1, eta, sqrt(eta), rbar] per universe.
 
-    Every closed form afterwards is dot products with these images.  d_eta,
-    d_root and w_o are the unit directions (see :meth:`direction`) along which
+    Every closed form afterwards is dot products with these images.  w_mdrp
+    is the maximum-DR portfolio (1 - 1' V^-1 eta / 2) w_mvp + V^-1 eta / 2.
+    d_eta, d_root and w_o are the unit directions (see :meth:`direction`) along which
     the DR-efficient, ratio-maximizing and mean-variance portfolios leave
     w_mvp.  Cached arrays are read-only because every caller shares them.
     V is certified strictly positive definite by :func:`validate_universe`
@@ -125,6 +135,9 @@ class CovarianceSolver:
         self.w_mvp = _frozen(self.inv_ones * self.sigma2_mvp)
         self.ones_inv_eta = float(ones @ self.inv_eta)  # 1' V^-1 eta
         self.eta_inv_eta = float(eta @ self.inv_eta)
+        self.w_mdrp = _frozen(
+            (1.0 - 0.5 * self.ones_inv_eta) * self.w_mvp + 0.5 * self.inv_eta
+        )
         self.d_eta, self.rho = self.direction(eta, self.inv_eta)
         self.d_root = self.direction(root_eta, self.inv_root_eta)[0]
         self.inv_r = None if rbar is None else images[3]
@@ -298,9 +311,13 @@ def portfolio_stats(universe: AssetUniverse, weights, embedding=None) -> Portfol
     """Bundle variance, DR and optional centrality/return into a Portfolio.
 
     When an embedding is passed it must have been built from the same
-    covariance universe; its Gram matrix provides the squared centrality and
-    the identity centrality_sq + dr = q_max is verified as a consistency
-    check.
+    covariance universe.  The squared centrality is then
+    0.5 (w - s)' V (w - s), equal to w' B w on budget portfolios but free of
+    its cancellation near the centre s: s is the kernel's w_mdrp when V is
+    nonsingular (the weights of :func:`~drfrontier.portfolios.max_dr_portfolio`,
+    whose centrality is therefore exactly 0) and the embedding's
+    mdrp_weights otherwise.  The identity centrality_sq + dr = q_max is
+    verified as a consistency check.
     """
     w = check_budget(weights)
     if w.shape != (universe.n,):
@@ -316,7 +333,9 @@ def portfolio_stats(universe: AssetUniverse, weights, embedding=None) -> Portfol
             raise EmbeddingMismatchError(
                 "embedding was built from a different universe"
             )
-        centrality_sq = float(max(w @ embedding.gram @ w, 0.0))
+        s = universe.solver.w_mdrp if universe.nonsingular else embedding.mdrp_weights
+        offset = w - s
+        centrality_sq = max(0.5 * float(offset @ universe.cov @ offset), 0.0)
         gap = abs(centrality_sq + dr - embedding.q_max)
         if gap > PYTHAGORAS_ATOL * max(1.0, abs(embedding.q_max)):
             raise EmbeddingMismatchError(

@@ -69,8 +69,7 @@ def max_dr_portfolio(universe: AssetUniverse, embedding=None) -> Portfolio:
     (built here when none is passed).  Both must agree to
     MDRP_AGREEMENT_ATOL; the DR of the result is q_max = 1 / (2 * 1' D^-1 1).
     """
-    s = universe.solver
-    w_v = (1.0 - 0.5 * s.ones_inv_eta) * s.w_mvp + 0.5 * s.inv_eta
+    w_v = universe.solver.w_mdrp
 
     emb = _embedding.embed(universe) if embedding is None else embedding
     if emb.universe_fingerprint != universe.fingerprint:

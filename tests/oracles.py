@@ -1,7 +1,8 @@
 """Brute-force reference computations for the test suite.
 
 Everything here is deliberately independent of the library's closed forms:
-dense scans, projected-gradient ascent, rejection sampling, simplex grids.
+dense scans, projected-gradient ascent, rejection sampling, simplex grids,
+support enumeration, bisection.
 Slow and dumb on purpose.
 """
 
@@ -205,29 +206,41 @@ def exact_d_max(D):
     return best, best_w
 
 
-def sandwich_einsum(universe, sigma, samples, seed=0, band=0.01, max_batches=500):
-    """The sandwich check's sampling loop with the three-operand einsum risk.
+def sandwich_bisection(universe, sigma, samples, seed=0, band=0.01):
+    """The sandwich check's landings, found by bisection on each segment.
 
-    Same Dirichlet draws, band mask and stopping rule as
-    :func:`drfrontier.sandwich_check`; returns (accepted, max eta' w,
-    max (sqrt(eta)' w)^2) over the accepted samples.
+    Same Dirichlet draws and anchors as :func:`drfrontier.sandwich_check`
+    (w_lo from the universe, the most volatile vertex e_hi, the target
+    tau = clip(sigma, sigma_lo, sigma_hi)); each draw x moves along
+    w_lo -> x when its risk is at least tau, else along x -> e_hi, to the
+    point where the three-operand einsum risk crosses tau, by 60 halvings.
+    Returns the landed portfolios whose einsum risk is within `band` of
+    sigma, and their max eta' w and max (sqrt(eta)' w)^2.
     """
-    eta = np.clip(universe.variances, 0.0, None)
-    root = np.sqrt(eta)
-    rng = np.random.default_rng(seed)
-    batch = max(int(samples), 100_000)
-    max_var, max_vol_sq, accepted = -np.inf, -np.inf, 0
-    for _ in range(max_batches):
-        W = rng.dirichlet(np.ones(universe.n), size=batch)
-        risk = np.sqrt(np.einsum("ij,jk,ik->i", W, universe.cov, W))
-        Wa = W[np.abs(risk - sigma) <= band * sigma]
-        if len(Wa):
-            max_var = max(max_var, float((Wa @ eta).max()))
-            max_vol_sq = max(max_vol_sq, float(((Wa @ root) ** 2).max()))
-            accepted += len(Wa)
-        if accepted >= samples:
-            break
-    return accepted, max_var, max_vol_sq
+    V = universe.cov
+    eta = universe.variances
+    n = universe.n
+
+    def risk(W):
+        return np.sqrt(np.einsum("ij,jk,ik->i", W, V, W))
+
+    w_lo = universe.long_only_mvp.weights
+    hi = int(np.argmax(eta))
+    tau = min(max(sigma, float(np.sqrt(w_lo @ V @ w_lo))), float(np.sqrt(eta[hi])))
+    X = np.random.default_rng(seed).dirichlet(np.ones(n), size=samples)
+    up = (risk(X) >= tau)[:, None]
+    P = np.where(up, w_lo, X)
+    Q = np.where(up, X, np.eye(n)[hi])
+    # risk(P) <= tau <= risk(Q) and the set below tau is an interval at P
+    lo, hi_t = np.zeros(samples), np.ones(samples)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi_t)
+        below = risk(P + mid[:, None] * (Q - P)) < tau
+        lo = np.where(below, mid, lo)
+        hi_t = np.where(below, hi_t, mid)
+    W = P + (0.5 * (lo + hi_t))[:, None] * (Q - P)
+    W = W[np.abs(risk(W) - sigma) <= band * sigma]
+    return W, float((W @ eta).max()), float(((W @ np.sqrt(eta)) ** 2).max())
 
 
 def random_universe(
@@ -479,3 +492,29 @@ def ratio_sweep_audit(universe):
             f"closed-form ratio {best:.12g} beaten by sweep {swept:.12g}"
         )
     return best, swept
+
+
+def long_only_min_variance_enum(V):
+    """min w' V w over the simplex for a positive definite V, n <= 8.
+
+    On the support S of the minimizer the KKT conditions read
+    V_S w_S = lambda 1, so the minimizer is among the points
+    w_S proportional to V_S^-1 1 that are nonnegative; every support is
+    enumerated.  Returns (variance, weights).
+    """
+    V = np.asarray(V, float)
+    n = V.shape[0]
+    assert n <= 8
+    best, best_w = np.inf, None
+    for k in range(1, n + 1):
+        for S in itertools.combinations(range(n), k):
+            idx = list(S)
+            y = np.linalg.solve(V[np.ix_(idx, idx)], np.ones(k))
+            if float(y.min()) < 0.0:
+                continue
+            w = np.zeros(n)
+            w[idx] = y / float(y.sum())
+            val = float(w @ V @ w)
+            if val < best:
+                best, best_w = val, w
+    return best, best_w

@@ -347,6 +347,24 @@ def test_mdp_deterministic(fixture_dir, tmp_path):
     assert (out_a / "mdp.json").read_bytes() == (out_b / "mdp.json").read_bytes()
 
 
+def test_mdp_on_panel_lands_every_default_level(fixture_dir, tmp_path):
+    # the default levels 1.05, 1.15 and 1.3 sigma_mvp all lie above the
+    # panel's long-only minimum risk (1.028 sigma_mvp)
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        args = ["mdp", "--input", str(fixture_dir / "synthetic_panel_30.csv")]
+        assert main(args + ["--out", str(out)]) == 0
+    assert (outs[0] / "mdp.json").read_bytes() == (outs[1] / "mdp.json").read_bytes()
+    data = _read_json(outs[0] / "mdp.json")
+    assert len(data["sandwich"]) == 3
+    for rep in data["sandwich"]:
+        assert rep["empty"] is False
+        assert rep["holds"] is True
+        assert rep["accepted"] == rep["requested"] == 20_000
+        assert rep["sigma_lo"] == pytest.approx(0.145493457267, rel=1e-11)
+        assert rep["sigma_lo"] < rep["sigma"] < rep["sigma_hi"]
+
+
 def test_embed_command(fixture_dir, tmp_path):
     rc = main(
         [

@@ -4,8 +4,10 @@ Counts are deterministic, so these gates pin the complexity shape that wall
 times can only suggest: after the universe's kernel is built, every sweep,
 the inflection report and the ratio-maximizing portfolio are dot products,
 whatever the number of grid points; d_max of a distance matrix is one
-ascent, not a replicator multistart; and d_max of D_eta is a closed form.
-numpy is the only runtime dependency: a CLI run loads no scipy.
+ascent, not a replicator multistart; d_max of D_eta is a closed form; the
+sandwich check draws once per level, nothing on a level it proves empty, and
+finds its long-only anchor once per universe.  numpy is the only runtime
+dependency: a CLI run loads no scipy.
 """
 
 import os
@@ -41,6 +43,7 @@ def calls(monkeypatch):
     counting(model, "lu_solve")
     counting(embedding, "embed")
     counting(mdp, "_replicator")
+    counting(mdp, "long_only_min_variance")
     counting(mdp, "assert_edm")
     counting(mdp, "d_max_bounds")
     return counts
@@ -118,7 +121,7 @@ def test_d_max_of_an_edm_is_one_ascent(calls, ex3, universe30):
     for u in (ex3, universe30):
         drf.analyze_mdp(u)
         sigma = 2.0 * float(np.sqrt(u.cov.max()))
-        drf.sandwich_check(u, sigma, samples=10, max_batches=1)
+        drf.sandwich_check(u, sigma, samples=10)
     assert calls["_replicator"] == 0
 
 
@@ -134,11 +137,57 @@ def test_mdp_analysis_reads_d_max_in_closed_form(calls, ex3, universe30):
     for u in (ex3, universe30):
         drf.analyze_mdp(u)
         sigma = 2.0 * float(np.sqrt(u.cov.max()))
-        drf.sandwich_check(u, sigma, samples=10, max_batches=1)
+        drf.sandwich_check(u, sigma, samples=10)
     assert calls["assert_edm"] == calls["d_max_bounds"] == 0
     # the counters see the general bracket, which certifies its input
     mdp.d_max_bounds(drf.build_d_eta(ex3))
     assert calls["assert_edm"] == calls["d_max_bounds"] == 1
+
+
+@pytest.fixture
+def draws(monkeypatch):
+    """Row counts of the Dirichlet calls of every np.random.default_rng."""
+    rows = []
+    make = np.random.default_rng
+
+    class Counting:
+        def __init__(self, seed=None):
+            self._rng = make(seed)
+
+        def dirichlet(self, alpha, size=None):
+            out = self._rng.dirichlet(alpha, size=size)
+            rows.append(len(out))
+            return out
+
+        def __getattr__(self, name):
+            return getattr(self._rng, name)
+
+    monkeypatch.setattr(np.random, "default_rng", Counting)
+    return rows
+
+
+def test_sandwich_draws_once_per_level_and_finds_w_lo_once_per_universe(
+    calls, draws, ex3, universe30
+):
+    for u in _fresh_universes() + [ex3, universe30]:
+        u = drf.validate_universe(u.cov)  # no anchor cached yet
+        found = calls["long_only_min_variance"]
+        w = np.full(u.n, 1.0 / u.n)
+        sigma_eq = float(np.sqrt(w @ u.cov @ w))
+        for factor in (1.0, 1.1, 1.2):
+            before = len(draws)
+            rep = drf.sandwich_check(u, factor * sigma_eq, samples=500, seed=3)
+            assert not rep.empty
+            assert draws[before:] == [500]
+        # the three levels share the universe's long-only anchor
+        assert calls["long_only_min_variance"] - found == 1
+        # levels outside the long-only risk range draw nothing
+        before = len(draws)
+        for sigma in (0.5 * rep.sigma_lo, 2.0 * rep.sigma_hi):
+            rep = drf.sandwich_check(u, sigma, samples=500, seed=3)
+            assert rep.empty and rep.accepted == 0
+        assert len(draws) == before
+        assert calls["long_only_min_variance"] - found == 1
 
 
 def test_multistart_only_off_the_edm_path(calls):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import drfrontier as drf
@@ -10,18 +10,21 @@ from drfrontier.errors import (
     NotSPDError,
     ZeroVarianceError,
 )
-from drfrontier.mdp import _d_max_of_d_eta
+from drfrontier.mdp import GAP_RTOL, _d_max_of_d_eta
 
 from .oracles import (
     circle_scan,
     conditioned_universe,
     exact_d_max,
     grid_max_half_quad,
+    long_only_min_variance_enum,
     random_universe,
     ratio_sweep_audit,
-    sandwich_einsum,
+    sandwich_bisection,
     simplex_grid,
 )
+
+EPS = np.finfo(float).eps
 
 
 def _d_eta_elementwise(eta):
@@ -348,21 +351,83 @@ def test_analyze_mdp_bundle(ex3):
     np.testing.assert_allclose(a.d_eta, drf.build_d_eta(ex3), atol=0.0)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 8), st.integers(0, 10**6), st.floats(0.0, 9.0))
+def test_long_only_min_variance_matches_support_enumeration(n, seed, log_cond):
+    u = conditioned_universe(n, seed, log_cond)
+    lo = u.long_only_mvp
+    variance, w = long_only_min_variance_enum(u.cov)
+    # 1e-12 relative, plus the rounding of w' V w: its terms reach w'|V|w
+    # and the two routes sum them in different orders
+    floor = 4 * n * EPS * float(w @ np.abs(u.cov) @ w)
+    assert abs(lo.variance - variance) <= 1e-12 * variance + floor
+    assert lo.weights.min() >= 0.0
+    assert abs(float(lo.weights.sum()) - 1.0) <= 4 * n * EPS
+    # the Frank-Wolfe gap closes to GAP_RTOL, or to the rounding of V w
+    rounding = 4 * n * EPS * float((np.abs(u.cov) @ lo.weights).max())
+    assert lo.variance_lower <= variance + 2 * floor
+    assert lo.variance - lo.variance_lower <= 2 * (GAP_RTOL * lo.variance + rounding)
+
+
+def test_long_only_min_variance_on_fixtures(ex3, universe30):
+    # ex3's minimum-variance portfolio is equal weight and long-only
+    assert np.sqrt(ex3.long_only_mvp.variance) == pytest.approx(1.0, rel=1e-15)
+    np.testing.assert_allclose(ex3.long_only_mvp.weights, 1.0 / 3.0, rtol=1e-15)
+    lo = universe30.long_only_mvp
+    assert np.sqrt(lo.variance) == pytest.approx(0.14549345726716, rel=1e-12)
+    assert np.count_nonzero(lo.weights) == 16
+    assert lo.variance - lo.variance_lower <= GAP_RTOL * lo.variance
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(2, 8),
+    st.integers(0, 10**6),
+    st.floats(0.0, 9.0),
+    st.floats(0.0, 1.0),
+)
+def test_sandwich_lands_every_draw_on_the_shell(n, seed, log_cond, where):
+    u = conditioned_universe(n, seed, log_cond)
+    band = 0.01
+    sigma_lo = np.sqrt(long_only_min_variance_enum(u.cov)[0])
+    sigma_hi = float(np.sqrt(u.variances.max()))
+    # a level from well below sigma_lo to well above sigma_hi
+    edge_lo, edge_hi = sigma_lo / (1.0 + band), sigma_hi / (1.0 - band)
+    sigma = (edge_lo / 1.2) * (1.44 * edge_hi / edge_lo) ** where
+    near_edge = min(abs(sigma / edge_lo - 1.0), abs(sigma / edge_hi - 1.0))
+    assume(near_edge > 1e-9)
+    meets = edge_lo <= sigma <= edge_hi
+    rep = drf.sandwich_check(u, sigma, samples=300, seed=seed, band=band)
+    assert rep.sigma_hi == sigma_hi
+    assert rep.sigma_lo == pytest.approx(sigma_lo, rel=1e-8)
+    assert rep.empty == (not meets)
+    if not meets:
+        assert rep.accepted == 0 and rep.holds is None
+        return
+    assert rep.accepted == rep.requested == 300
+    assert rep.holds is True
+    W, max_var, max_vol_sq = sandwich_bisection(u, sigma, 300, seed=seed, band=band)
+    assert len(W) == 300
+    assert W.min() >= 0.0
+    np.testing.assert_allclose(W.sum(axis=1), 1.0, rtol=0.0, atol=8 * n * EPS)
+
+
 @pytest.mark.parametrize(
     "name, seed, factor",
     [("ex3", 3, 1.2), ("ex3", 3, 1.4), ("ex3", 11, 1.3), ("panel", 7, 1.05)],
 )
-def test_sandwich_risk_matches_einsum_route(ex3, universe30, name, seed, factor):
-    # one matrix product per batch instead of the three-operand einsum must
-    # accept the same draws; sigma is a multiple of the equal-weight risk
+def test_sandwich_maxima_match_bisection_route(ex3, universe30, name, seed, factor):
+    # the quadratic roots must land the draws where bisection on the
+    # three-operand einsum risk does; sigma is a multiple of the
+    # equal-weight risk
     u = ex3 if name == "ex3" else universe30
     w = np.full(u.n, 1.0 / u.n)
     sigma = factor * float(np.sqrt(w @ u.cov @ w))
-    rep = drf.sandwich_check(u, sigma, samples=20_000, seed=seed)
-    accepted, max_var, max_vol_sq = sandwich_einsum(u, sigma, 20_000, seed=seed)
-    assert rep.accepted == accepted > 0
-    assert rep.max_avg_variance == max_var
-    assert rep.max_avg_volatility_sq == max_vol_sq
+    rep = drf.sandwich_check(u, sigma, samples=5_000, seed=seed)
+    W, max_var, max_vol_sq = sandwich_bisection(u, sigma, 5_000, seed=seed)
+    assert rep.accepted == len(W) == 5_000
+    assert rep.max_avg_variance == pytest.approx(max_var, rel=1e-12)
+    assert rep.max_avg_volatility_sq == pytest.approx(max_vol_sq, rel=1e-12)
 
 
 def test_sandwich_holds_three_asset(ex3):
@@ -384,10 +449,16 @@ def test_sandwich_gap_zero_for_equal_variances(identity3):
 
 def test_sandwich_empty_when_shell_unreachable(ex3):
     # long-only risk on this universe never drops below the uniform port
-    rep = drf.sandwich_check(ex3, sigma=0.5, samples=1_000, seed=5, max_batches=3)
+    rep = drf.sandwich_check(ex3, sigma=0.5, samples=1_000, seed=5)
     assert rep.empty
     assert rep.accepted == 0
     assert rep.holds is None
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+def test_sandwich_rejects_samples_below_one(ex3, samples):
+    with pytest.raises(DimensionMismatchError):
+        drf.sandwich_check(ex3, sigma=1.2, samples=samples)
 
 
 def test_sandwich_deterministic(ex3):

@@ -10,7 +10,7 @@ from drfrontier.errors import (
 )
 from drfrontier.portfolios import proportional_to_ones
 
-from .conftest import RBAR3, V3
+from .conftest import FIXTURES, RBAR3, V3
 from .oracles import (
     projected_gradient_max_dr,
     projected_gradient_min_variance,
@@ -284,6 +284,15 @@ def test_special_portfolios_full_bundle(ex3_returns):
     assert sp.mdrp.centrality_sq == pytest.approx(0.0, abs=1e-8)
     assert sp.q_pf.centrality_sq is not None
     assert sp.tangent.centrality_sq is not None
+
+
+def test_mdrp_centrality_is_exactly_zero(ex3_returns, universe30):
+    # c^2 = 0.5 (w - s)' V (w - s) about the kernel's w_mdrp: no rounding
+    # residual at the centre, where w' B w left about sqrt(eps)
+    mini = drf.annualize(drf.load_panel(FIXTURES / "mini_prices.csv", format="prices"))
+    for u in (ex3_returns, mini, universe30):
+        sp = drf.special_portfolios(u, embedding=drf.embed(u))
+        assert sp.mdrp.centrality_sq == 0.0
 
 
 def test_special_portfolios_without_returns(ex3):
