@@ -194,8 +194,7 @@ def _maybe_write_provenance(out_dir: str, provenance) -> None:
 
 def cmd_portfolios(config: RunConfig) -> int:
     universe, provenance = _load_universe(config)
-    embedding = emb_mod.embed(universe)
-    sp = portfolios.special_portfolios(universe, embedding=embedding)
+    sp = portfolios.special_portfolios(universe)
     params = frontiers.frontier_params(universe)
     payload = {
         "names": list(universe.names),
@@ -206,7 +205,7 @@ def cmd_portfolios(config: RunConfig) -> int:
             "sigma_mvp": params.sigma_mvp,
             "sigma_mdrp": params.sigma_mdrp,
             "q_mvp": params.q_mvp,
-            "q_max": embedding.q_max,
+            "q_max": params.q_mdrp,
             "eta_wo": sp.eta_wo,
             "eta_wo_sign": sp.eta_wo_sign,
             "ef_shape": params.ef_shape.value,
@@ -237,7 +236,7 @@ def _applicable_kinds(universe, params) -> list:
     return kinds
 
 
-def _svg_charts(out_dir, universe, params, embedding, curves) -> None:
+def _svg_charts(out_dir, params, curves) -> None:
     from . import svg
 
     def ok_rows(curve):
@@ -301,7 +300,7 @@ def _svg_charts(out_dir, universe, params, embedding, curves) -> None:
                     xlabel="sigma",
                     ylabel="c",
                     series=c_series,
-                    hlines=[("sqrt(q_max)", float(np.sqrt(embedding.q_max)))],
+                    hlines=[("sqrt(q_max)", float(np.sqrt(params.q_mdrp)))],
                 )
             ),
         )
@@ -322,7 +321,6 @@ def _svg_charts(out_dir, universe, params, embedding, curves) -> None:
 def cmd_frontier(config: RunConfig, kinds=None) -> int:
     universe, provenance = _load_universe(config)
     params = frontiers.frontier_params(universe)
-    embedding = emb_mod.embed(universe)
     grid = _sigma_grid(config, params)
     if kinds:
         kinds = [frontiers.FrontierKind(k) for k in kinds]
@@ -332,14 +330,14 @@ def cmd_frontier(config: RunConfig, kinds=None) -> int:
     os.makedirs(config.out_dir, exist_ok=True)
     curves = []
     for kind in kinds:
-        curve = frontiers.sweep(universe, kind, grid, embedding=embedding)
+        curve = frontiers.sweep(universe, kind, grid)
         curves.append(curve)
         _write_text(
             os.path.join(config.out_dir, f"frontier_{kind.value}.csv"),
             curve.to_csv_text(),
         )
     if config.emit_svg:
-        _svg_charts(config.out_dir, universe, params, embedding, curves)
+        _svg_charts(config.out_dir, params, curves)
     _maybe_write_provenance(config.out_dir, provenance)
     return 0
 

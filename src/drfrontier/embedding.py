@@ -21,6 +21,13 @@ distance of a portfolio's image from the origin, c(w) = ||X w||, satisfies
 
 for every budget portfolio, so DR maximization is a nearest-point problem in
 this geometry.
+
+On a nonsingular universe the library reads centrality and q_max from the
+covariance kernel instead (:func:`~drfrontier.model.portfolio_stats`), with
+no eigendecomposition.  The embedding serves the asset coordinates (the
+``embed`` command and :func:`coords_table`), singular universes, where its
+pseudoinverse route gives s and :func:`centrality` the distance, and
+:func:`norm_dr_bound`.
 """
 
 from __future__ import annotations

@@ -30,6 +30,7 @@ from .errors import (
 )
 from .model import AssetUniverse, Portfolio
 from .portfolios import (
+    _check_embedding,
     proportional_to_ones,
     self_financing_direction,
     tangent_portfolio,
@@ -429,86 +430,87 @@ def sweep(
     Per-point domain violations become row status flags; curve-level
     impossibilities (missing returns, infeasible tangency) raise before any
     row is produced.  Rows are emitted in grid order, so equal inputs give
-    identical output.
+    identical output.  Every kind is evaluated as arrays over the grid.
 
-    Every kind without cash is w = w_mvp + u * d with eta' d = m, evaluated as
-    arrays; d None collapses it onto w_mvp.  Centrality (when an embedding is
-    passed) is c^2 = q_max - q = |u d - (rho / 2) d_eta|_V^2 / 2, i.e.
-    (u - rho / 2)^2 / 2 + (rho u / 4) |d - d_eta|_V^2: no cancellation near
-    the maximum-DR portfolio, even when d is nearly d_eta.
+    Every kind without cash is w = w_mvp + u * d with eta' d = m; d None
+    collapses it onto w_mvp.  Its centrality is c^2 = q_max - q =
+    |u d - (rho / 2) d_eta|_V^2 / 2, i.e.
+    (u - rho / 2)^2 / 2 + (rho u / 4) |d - d_eta|_V^2: one O(n^2) product per
+    sweep and no cancellation near the maximum-DR portfolio, even when d is
+    nearly d_eta.  The two cash kinds hold sigma / sigma_T of the tangency
+    portfolio (cml) or the sleeve sigma * V^-1 eta / sqrt(eta' V^-1 eta)
+    (efficient_dr_riskfree), with cash taking the rest; their rows carry no
+    centrality, and a negative sigma is flagged risk_below_mvp.
+
+    `embedding` changes no output.  It is only checked against the universe
+    (EmbeddingMismatchError), and is kept because existing callers pass it.
     """
     kind = FrontierKind(kind)
     params = frontier_params(universe)
+    _check_embedding(universe, embedding)
     if sigma_grid is None:
         sigma_grid = default_sigma_grid(params)
     sigmas = np.asarray(sigma_grid, dtype=float)
-    rbar = universe.expected_returns
-    curve = FrontierCurve(kind=kind)
+    rbar, r0 = universe.expected_returns, universe.risk_free_rate
+    status, ret, centrality, alpha, cash = "ok", None, None, None, None
     if kind in (FrontierKind.CML, FrontierKind.EFFICIENT_DR_RISKFREE):
-        cml = cml_curve(universe) if kind is FrontierKind.CML else None
-        rf = riskfree_dr_curve(universe) if cml is None else None
-        for sigma in sigmas:
-            row = FrontierRow(sigma=float(sigma))
-            try:
-                if cml is not None:
-                    row.q = cml.value(sigma)
-                    mix = cml.mix(sigma)
-                    row.alpha = mix
-                    if rbar is not None and universe.risk_free_rate is not None:
-                        row.ret = universe.risk_free_rate + mix * (
-                            float(rbar @ cml.tangent.weights) - universe.risk_free_rate
-                        )
-                    if include_weights:
-                        row.weights = mix * cml.tangent.weights
-                        row.cash = 1.0 - mix
-                else:
-                    row.q = rf.value(sigma)
-                    w, cash = rf.risky_weights(sigma)
-                    if rbar is not None and universe.risk_free_rate is not None:
-                        row.ret = float(rbar @ w) + cash * universe.risk_free_rate
-                    if include_weights:
-                        row.weights = w
-                        row.cash = cash
-            except RiskBelowMvpError:
-                row.status = "risk_below_mvp"
-            curve.rows.append(row)
-        return curve
-
-    s = universe.solver
-    u, below = _excess_risk(params.sigma2_mvp, sigmas)
-    alpha = None
-    if kind is FrontierKind.EFFICIENT_DR:
-        d, m = s.d_eta, params.rho
-        alpha = None if d is None else 2.0 * u / params.rho
-    elif kind is FrontierKind.MDP_AT_SIGMA:
-        d = s.d_root
-        m = 0.0 if d is None else float(universe.variances @ d)
-    elif params.eta_wo is None:
-        raise MissingReturnsError(
-            "mean-variance sweeps need non-degenerate expected returns"
-        )
+        if kind is FrontierKind.CML:
+            cml = cml_curve(universe)
+            gain, alpha = cml.slope, sigmas / cml.tangent.sigma
+            weights = alpha[:, None] * cml.tangent.weights
+            cash = 1.0 - alpha
+            ret = r0 + alpha * (float(rbar @ cml.tangent.weights) - r0)
+        else:
+            rf = riskfree_dr_curve(universe)
+            gain = rf.gain
+            weights = sigmas[:, None] * rf.direction
+            cash = 1.0 - weights.sum(axis=1)
+            if rbar is not None and r0 is not None:
+                ret = weights @ rbar + cash * r0
+        q = -0.5 * sigmas * sigmas + 0.5 * gain * sigmas
+        below = sigmas < 0.0
     else:
-        d, m, alpha = s.w_o, params.eta_wo, u
-    status = "degenerate" if kind is FrontierKind.MDP_AT_SIGMA and d is None else "ok"
-    if d is None:
-        u, d = np.zeros_like(u), np.zeros(universe.n)
-    none = [None] * len(sigmas)
-    q = _q_along(params, m, u).tolist()
-    alpha = none if alpha is None else alpha.tolist()
-    ret = none if rbar is None else (rbar @ s.w_mvp + u * (rbar @ d)).tolist()
-    centrality = none
-    if embedding is not None:
+        s = universe.solver
+        u, below = _excess_risk(params.sigma2_mvp, sigmas)
+        if kind is FrontierKind.EFFICIENT_DR:
+            d, m = s.d_eta, params.rho
+            alpha = None if d is None else 2.0 * u / params.rho
+        elif kind is FrontierKind.MDP_AT_SIGMA:
+            d = s.d_root
+            m = 0.0 if d is None else float(universe.variances @ d)
+            if d is None:
+                status = "degenerate"
+        elif params.eta_wo is None:
+            raise MissingReturnsError(
+                "mean-variance sweeps need non-degenerate expected returns"
+            )
+        else:
+            d, m, alpha = s.w_o, params.eta_wo, u
+        if d is None:
+            u, d = np.zeros_like(u), np.zeros(universe.n)
+        q = _q_along(params, m, u)
+        if rbar is not None:
+            ret = rbar @ s.w_mvp + u * (rbar @ d)
         e = d - (0.0 if s.d_eta is None else s.d_eta)
         bend = 0.25 * params.rho * float(e @ universe.cov @ e)
         t = u - 0.5 * params.rho
-        c_sq = 0.5 * (t * t) + bend * u
-        centrality = np.sqrt(np.maximum(c_sq, 0.0)).tolist()
-    weights = list(s.w_mvp + u[:, None] * d) if include_weights else none
+        centrality = np.sqrt(np.maximum(0.5 * (t * t) + bend * u, 0.0))
+        weights = s.w_mvp + u[:, None] * d if include_weights else None
+
+    none = [None] * len(sigmas)
+    q, ret, centrality, alpha, cash = (
+        none if x is None else x.tolist() for x in (q, ret, centrality, alpha, cash)
+    )
+    if not include_weights:
+        weights, cash = none, none
+    curve = FrontierCurve(kind=kind)
     for i, sigma in enumerate(sigmas.tolist()):
-        cells = (q[i], ret[i], centrality[i], alpha[i], status, weights[i])
-        if below[i]:
-            cells = (None,) * 4 + ("risk_below_mvp", None)
-        curve.rows.append(FrontierRow(sigma, *cells))
+        row = FrontierRow(sigma, status="risk_below_mvp")
+        if not below[i]:
+            row = FrontierRow(
+                sigma, q[i], ret[i], centrality[i], alpha[i], status, weights[i], cash[i]
+            )
+        curve.rows.append(row)
     return curve
 
 

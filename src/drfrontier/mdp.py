@@ -18,7 +18,8 @@ half the weight on each extreme volatility, which :func:`analyze_mdp` and
 objective is concave on the simplex (its maximum is the squared radius of
 the minimum enclosing ball of the embedded points), so :func:`d_max_bounds`
 reaches the global maximum with one pairwise Frank-Wolfe ascent whose
-duality gap certifies the bracket.  That bound is what makes the
+duality gap certifies the bracket; it refuses a matrix that is not a
+distance matrix.  That bound is what makes the
 ratio-maximizing portfolio track the DR-efficient frontier.
 
 :func:`sandwich_check` tests the sandwich 0 <= max eta' w - max
@@ -39,10 +40,9 @@ import numpy as np
 
 from .embedding import assert_edm
 from .errors import (
-    AsymmetricError,
     DimensionMismatchError,
     NegativeVarianceError,
-    NonZeroDiagonalError,
+    NotPSDError,
     NotSPDError,
     SingularCovarianceError,
     ZeroVarianceError,
@@ -50,8 +50,6 @@ from .errors import (
 from .frontiers import KktSolution, max_linear_over_ellipsoid
 from .model import AssetUniverse, Portfolio, portfolio_stats
 
-# replicator ascent stops when the largest weight update is below this
-STEP_TOL = 1e-12
 MAX_ITER = 10_000
 # Frank-Wolfe ascent stops when its duality gap is below this times max D;
 # the long-only minimum variance when its gap is below this times w' V w
@@ -60,16 +58,13 @@ GAP_RTOL = 1e-12
 
 @dataclass(frozen=True)
 class DmaxBounds:
-    """Bracket for the simplex maximum of 0.5 * w' A w.
+    """Bracket for the simplex maximum of 0.5 * w' D w, D a Euclidean distance matrix.
 
-    For a Euclidean distance matrix A the bracket is a duality certificate
-    from one Frank-Wolfe ascent: lower = f(w) at the final point
-    argmax_weights and upper = max_j (A w)_j - f(w), which concavity makes an
-    upper bound; converged means the gap closed below GAP_RTOL * max A, and
-    starts_used is 1.  For any other matrix lower is the best replicator run
-    from starts_used start points and upper = 0.5 * max A, which holds for
-    every nonnegative A but can be up to twice the maximum; converged is
-    False when a run hit its cap.  steps counts the ascent steps of all runs.
+    The bracket is a duality certificate from one Frank-Wolfe ascent:
+    lower = f(w) at the final point argmax_weights and
+    upper = max_j (D w)_j - f(w), which concavity makes an upper bound.
+    converged means the gap closed below GAP_RTOL * max D; steps counts the
+    ascent steps.  starts_used is always 1, kept for readers of the field.
     """
 
     lower: float
@@ -121,9 +116,13 @@ class SandwichReport:
     gap = max eta' w - max (sqrt(eta)' w)^2 over sampled long-only
     portfolios on the risk shell.  eta' w - (sqrt(eta)' w)^2 is the
     w-weighted variance of the volatilities, which equals w' D_eta w and so
-    is at most 2 * d_max; the check holds when 0 <= gap <= 2 * d_max_upper
-    (up to rounding), where d_max_upper is the exact d_max of the universe's
-    D_eta.
+    is at most 2 * d_max.  holds is 0 <= gap <= 2 * d_max_upper (up to
+    rounding), where d_max_upper is the exact d_max of the universe's D_eta.
+    It is true for every non-empty sample: by Jensen
+    eta' w >= (sqrt(eta)' w)^2 for every w, so gap >= 0, and at the sampled
+    argmax w* of eta' w, gap <= eta' w* - (sqrt(eta)' w*)^2 = w*' D_eta w*
+    <= 2 * d_max.  So holds checks the sampler's arithmetic, not the theory;
+    only the exact maxima over the shell would test the sandwich itself.
 
     Long-only risk spans [sigma_lo, sigma_hi]: sigma_lo is the risk of the
     long-only minimum-variance portfolio w_lo and sigma_hi = max sqrt(eta_i)
@@ -207,28 +206,6 @@ def mdp_at_sigma(universe: AssetUniverse, sigma: float) -> KktSolution:
     return max_linear_over_ellipsoid(universe, root, sigma)
 
 
-def _replicator(A: np.ndarray, w0: np.ndarray, max_iter: int, tol: float):
-    """Multiplicative-update ascent of w' A w on the simplex.
-
-    For nonnegative symmetric A the update w <- w * (A w) / (w' A w) never
-    decreases the objective.  A zero denominator means the current support
-    carries no interaction mass; the point is stationary.  Returns the final
-    point, whether it converged, and the number of updates made.
-    """
-    w = w0
-    for k in range(max_iter):
-        Aw = A @ w
-        denom = float(w @ Aw)
-        if denom <= 0.0:
-            return w, True, k
-        w_new = w * Aw / denom
-        w_new /= w_new.sum()
-        if float(np.abs(w_new - w).max()) <= tol:
-            return w_new, True, k + 1
-        w = w_new
-    return w, False, max_iter
-
-
 def _pairwise_frank_wolfe(D: np.ndarray, max_iter: int, tol: float):
     """Pairwise Frank-Wolfe ascent of f(w) = 0.5 * w' D w on the simplex.
 
@@ -278,79 +255,32 @@ def _pairwise_frank_wolfe(D: np.ndarray, max_iter: int, tol: float):
     return w, D @ w, steps
 
 
-def d_max_bounds(
-    d_eta,
-    starts: int = 32,
-    seed: int = 0,
-    max_iter: int = MAX_ITER,
-    step_tol: float = STEP_TOL,
-) -> DmaxBounds:
-    """Bracket max over the simplex of 0.5 * w' A w for a nonnegative matrix A.
+def d_max_bounds(d_eta, *, seed: int = 0, max_iter: int = MAX_ITER) -> DmaxBounds:
+    """Bracket max over the simplex of 0.5 * w' D w for a Euclidean distance matrix D.
 
-    A Euclidean distance matrix (certified by :func:`assert_edm`) gets one
-    pairwise Frank-Wolfe ascent of at most `max_iter` O(n) steps; its bracket
-    [f(w), max_j (A w)_j - f(w)] is closed to GAP_RTOL * max A unless the
-    step cap is hit, and `starts`, `seed` and `step_tol` are unused.  Any other
-    nonnegative matrix falls back to replicator ascent from every vertex,
-    every pair midpoint, and `starts` Dirichlet draws from a seeded generator
-    (drawn sequentially, so enlarging `starts` keeps the earlier runs and the
-    lower bound is monotone in `starts`), each run capped at `max_iter`
-    updates and stopped when no weight moves by more than `step_tol`.
+    D_eta and the distance matrix of every covariance are distance matrices
+    by theorem.  :func:`assert_edm` certifies D: its NonZeroDiagonalError and
+    AsymmetricError propagate, and a failing certificate raises NotPSDError.
+    One pairwise Frank-Wolfe ascent of at most `max_iter` O(n) steps then
+    closes the bracket [f(w), max_j (D w)_j - f(w)] to GAP_RTOL * max D
+    unless the step cap is hit.  `seed` is unused; it is kept because
+    existing callers pass it.
     """
     A = np.asarray(d_eta, dtype=float)
-    try:
-        edm = assert_edm(A).is_edm
-    except (NonZeroDiagonalError, AsymmetricError):
-        edm = False
-
-    if edm:
-        tol = GAP_RTOL * float(A.max())
-        w, g, steps = _pairwise_frank_wolfe(A, max_iter, tol)
-        lower = 0.5 * float(w @ g)
-        # max(g) >= w'g in exact arithmetic; keep rounding from inverting it
-        upper = max(float(g.max()) - lower, lower)
-        return DmaxBounds(
-            lower=lower,
-            upper=upper,
-            argmax_weights=w,
-            starts_used=1,
-            converged=upper - lower <= tol,
-            steps=steps,
-        )
-
-    n = A.shape[0]
-    rng = np.random.default_rng(seed)
-    start_points = []
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = 1.0
-        start_points.append(e)
-    for i in range(n):
-        for j in range(i + 1, n):
-            e = np.zeros(n)
-            e[i] = e[j] = 0.5
-            start_points.append(e)
-    for _ in range(int(starts)):
-        start_points.append(rng.dirichlet(np.ones(n)))
-
-    best_val = -np.inf
-    best_w = start_points[0]
-    all_converged = True
-    steps = 0
-    for w0 in start_points:
-        w, ok, k = _replicator(A, w0, max_iter, step_tol)
-        all_converged = all_converged and ok
-        steps += k
-        val = 0.5 * float(w @ A @ w)
-        if val > best_val:
-            best_val = val
-            best_w = w
+    cert = assert_edm(A)
+    if not cert.is_edm:
+        raise NotPSDError(f"not a Euclidean distance matrix: {cert.reason}")
+    tol = GAP_RTOL * float(A.max())
+    w, g, steps = _pairwise_frank_wolfe(A, max_iter, tol)
+    lower = 0.5 * float(w @ g)
+    # max(g) >= w'g in exact arithmetic; keep rounding from inverting it
+    upper = max(float(g.max()) - lower, lower)
     return DmaxBounds(
-        lower=best_val,
-        upper=0.5 * float(A.max()),
-        argmax_weights=best_w,
-        starts_used=len(start_points),
-        converged=all_converged,
+        lower=lower,
+        upper=upper,
+        argmax_weights=w,
+        starts_used=1,
+        converged=upper - lower <= tol,
         steps=steps,
     )
 

@@ -8,7 +8,11 @@ diagonal eta:
 
 i.e. half the spread between the weighted average of asset variances and the
 portfolio variance.  Everything downstream (embeddings, frontiers, bounds)
-is built on this functional, so validation lives here.
+is built on this functional, so validation lives here, together with the
+covariance kernel that every closed form reads.  The centrality of a
+portfolio, c(w)^2 = q_max - q(w), is its V-distance from the maximum-DR
+portfolio s, 0.5 (w - s)' V (w - s), so it too is a kernel product: no
+embedding is needed for it.
 
 Note that q depends on the asset decomposition, not just on the final return
 stream: merging several assets into one composite asset and re-weighting
@@ -30,7 +34,6 @@ from .errors import (
     AsymmetricError,
     BudgetViolationError,
     DimensionMismatchError,
-    EmbeddingMismatchError,
     NonSquareError,
     NotPSDError,
     SingularCovarianceError,
@@ -42,7 +45,8 @@ SYMMETRY_RTOL = 1e-12
 PSD_RTOL = 1e-10
 # Absolute tolerance on |sum(w) - 1|.
 BUDGET_ATOL = 1e-10
-# Absolute tolerance for the centrality/DR decomposition identity.
+# Absolute tolerance of the identity centrality^2 + q = q_max, checked against
+# the embedding's Gram matrix by tests/oracles.py::pythagoras_gaps.
 PYTHAGORAS_ATOL = 1e-8
 # Relative residual below which a vector counts as proportional to ones.
 PROPORTIONALITY_RTOL = 1e-12
@@ -176,9 +180,10 @@ class CovarianceSolver:
 class Portfolio:
     """A fully invested portfolio with its basic statistics.
 
-    centrality_sq is the squared distance (in the embedded geometry) between
-    the portfolio point and the most diversified portfolio; it is only set
-    when the caller supplied an embedding.
+    centrality_sq is c^2 = q_max - dr, the squared distance (in the embedded
+    geometry) between the portfolio point and the maximum-DR portfolio.
+    :func:`portfolio_stats` sets it from the covariance kernel on every
+    nonsingular universe and leaves it None on a singular one.
     """
 
     weights: np.ndarray
@@ -307,17 +312,16 @@ def diversification_return(universe: AssetUniverse, weights) -> float:
     return 0.5 * float(universe.variances @ w - w @ universe.cov @ w)
 
 
-def portfolio_stats(universe: AssetUniverse, weights, embedding=None) -> Portfolio:
-    """Bundle variance, DR and optional centrality/return into a Portfolio.
+def portfolio_stats(universe: AssetUniverse, weights) -> Portfolio:
+    """Bundle variance, DR, centrality and expected return into a Portfolio.
 
-    When an embedding is passed it must have been built from the same
-    covariance universe.  The squared centrality is then
-    0.5 (w - s)' V (w - s), equal to w' B w on budget portfolios but free of
-    its cancellation near the centre s: s is the kernel's w_mdrp when V is
-    nonsingular (the weights of :func:`~drfrontier.portfolios.max_dr_portfolio`,
-    whose centrality is therefore exactly 0) and the embedding's
-    mdrp_weights otherwise.  The identity centrality_sq + dr = q_max is
-    verified as a consistency check.
+    On a nonsingular universe the squared centrality is
+    0.5 (w - s)' V (w - s) about the kernel's w_mdrp s, the weights of
+    :func:`~drfrontier.portfolios.max_dr_portfolio`, whose centrality is
+    therefore exactly 0.  It equals q_max - q(w) and the embedding's
+    w' B w on budget portfolios, without their cancellation near s.  On a
+    singular universe it is None; :func:`~drfrontier.embedding.centrality`
+    reads it from an embedding there.
     """
     w = check_budget(weights)
     if w.shape != (universe.n,):
@@ -328,19 +332,9 @@ def portfolio_stats(universe: AssetUniverse, weights, embedding=None) -> Portfol
     dr = 0.5 * float(universe.variances @ w) - 0.5 * variance
 
     centrality_sq = None
-    if embedding is not None:
-        if embedding.universe_fingerprint != universe.fingerprint:
-            raise EmbeddingMismatchError(
-                "embedding was built from a different universe"
-            )
-        s = universe.solver.w_mdrp if universe.nonsingular else embedding.mdrp_weights
-        offset = w - s
+    if universe.nonsingular:
+        offset = w - universe.solver.w_mdrp
         centrality_sq = max(0.5 * float(offset @ universe.cov @ offset), 0.0)
-        gap = abs(centrality_sq + dr - embedding.q_max)
-        if gap > PYTHAGORAS_ATOL * max(1.0, abs(embedding.q_max)):
-            raise EmbeddingMismatchError(
-                f"centrality/DR decomposition violated by {gap:.3e}"
-            )
 
     expected_return = None
     if universe.expected_returns is not None:

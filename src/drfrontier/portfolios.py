@@ -12,7 +12,9 @@ variance vector eta and expected returns rbar:
 
 rho measures how far eta is from being proportional to the ones vector in
 the V^-1 metric; it controls the spread between the minimum-variance and
-maximum-DR portfolios and the height of the DR frontier.
+maximum-DR portfolios and the height of the DR frontier.  Every portfolio is
+formed once through :func:`~drfrontier.model.portfolio_stats`, which reads
+its centrality from the same kernel, so no embedding is built here.
 """
 
 from __future__ import annotations
@@ -22,10 +24,8 @@ from typing import Optional
 
 import numpy as np
 
-from . import embedding as _embedding
 from .errors import (
     DegenerateReturnsError,
-    DrFrontierError,
     EmbeddingMismatchError,
     MissingReturnsError,
     TangencyInfeasibleError,
@@ -39,57 +39,27 @@ from .model import (
 
 # |eta' w_o| <= ZERO_BAND_RTOL * rho is reported as the knife-edge zero case.
 ZERO_BAND_RTOL = 1e-12
-# Agreement required between the two independent max-DR formulas.
-MDRP_AGREEMENT_ATOL = 1e-8
 
 
 def min_variance_portfolio(universe: AssetUniverse) -> Portfolio:
     """Minimum-variance budget portfolio w = V^-1 1 / (1' V^-1 1)."""
-    s = universe.solver
-    dr = 0.5 * (s.ones_inv_eta - 1.0) * s.sigma2_mvp
-    expected_return = None
-    if universe.expected_returns is not None:
-        expected_return = float(universe.expected_returns @ s.w_mvp)
-    return Portfolio(
-        weights=s.w_mvp,
-        variance=s.sigma2_mvp,
-        dr=dr,
-        expected_return=expected_return,
-    )
+    return portfolio_stats(universe, universe.solver.w_mvp)
 
 
-def max_dr_portfolio(universe: AssetUniverse, embedding=None) -> Portfolio:
-    """Maximum-DR budget portfolio, cross-checked through two routes.
-
-    The covariance route is
+def max_dr_portfolio(universe: AssetUniverse) -> Portfolio:
+    """Maximum-DR budget portfolio, the kernel's
 
         w = (1 - 1' V^-1 eta / 2) * w_mvp + 0.5 * V^-1 eta
 
-    and the distance-matrix route normalizes D^-1 1, read from `embedding`
-    (built here when none is passed).  Both must agree to
-    MDRP_AGREEMENT_ATOL; the DR of the result is q_max = 1 / (2 * 1' D^-1 1).
+    Its DR is q_max and its centrality exactly 0.
     """
-    w_v = universe.solver.w_mdrp
+    return portfolio_stats(universe, universe.solver.w_mdrp)
 
-    emb = _embedding.embed(universe) if embedding is None else embedding
-    if emb.universe_fingerprint != universe.fingerprint:
+
+def _check_embedding(universe: AssetUniverse, embedding) -> None:
+    """Refuse an embedding built from a different universe."""
+    if embedding is not None and embedding.universe_fingerprint != universe.fingerprint:
         raise EmbeddingMismatchError("embedding was built from a different universe")
-    w_d = emb.mdrp_weights
-    gap = float(np.abs(w_v - w_d).max())
-    if gap > MDRP_AGREEMENT_ATOL * max(1.0, float(np.abs(w_v).max())):
-        raise DrFrontierError(
-            f"max-DR routes disagree by {gap:.3e}; universe is numerically unstable"
-        )
-
-    expected_return = None
-    if universe.expected_returns is not None:
-        expected_return = float(universe.expected_returns @ w_v)
-    return Portfolio(
-        weights=w_v,
-        variance=float(w_v @ universe.cov @ w_v),
-        dr=emb.q_max,
-        expected_return=expected_return,
-    )
 
 
 def _require_returns(universe: AssetUniverse) -> np.ndarray:
@@ -135,7 +105,7 @@ def eta_wo_sign(universe: AssetUniverse) -> str:
     return "positive" if m > 0.0 else "negative"
 
 
-def q_portfolio(universe: AssetUniverse, embedding=None) -> Portfolio:
+def q_portfolio(universe: AssetUniverse) -> Portfolio:
     """The mean-variance efficient portfolio with the highest DR.
 
     w_Q = w_mvp + (eta' w_o / 2) * w_o.  When eta' w_o >= 0 this sits on the
@@ -150,7 +120,7 @@ def q_portfolio(universe: AssetUniverse, embedding=None) -> Portfolio:
     if abs(m) <= ZERO_BAND_RTOL * s.rho:
         m = 0.0
     w_q = s.w_mvp + 0.5 * m * w_o
-    return portfolio_stats(universe, w_q, embedding=embedding)
+    return portfolio_stats(universe, w_q)
 
 
 def tangent_portfolio(universe: AssetUniverse) -> Portfolio:
@@ -197,26 +167,27 @@ class SpecialPortfolios:
 
 
 def special_portfolios(universe: AssetUniverse, embedding=None) -> SpecialPortfolios:
-    """Assemble every closed-form portfolio the inputs support."""
+    """Assemble every closed-form portfolio the inputs support.
+
+    `embedding` changes no output: every centrality comes from the kernel.
+    It is only checked against the universe (EmbeddingMismatchError), and is
+    kept because existing callers pass it.
+    """
+    _check_embedding(universe, embedding)
     s = universe.solver
     mvp = min_variance_portfolio(universe)
-    mdrp = max_dr_portfolio(universe, embedding=embedding)
-    if embedding is not None:
-        mvp = portfolio_stats(universe, mvp.weights, embedding=embedding)
-        mdrp = portfolio_stats(universe, mdrp.weights, embedding=embedding)
+    mdrp = max_dr_portfolio(universe)
 
     m = sign = q_pf = tangent = None
     if s.w_o is not None:
         m = float(universe.variances @ s.w_o)
         sign = eta_wo_sign(universe)
-        q_pf = q_portfolio(universe, embedding=embedding)
+        q_pf = q_portfolio(universe)
         if universe.risk_free_rate is not None:
             try:
                 tangent = tangent_portfolio(universe)
             except TangencyInfeasibleError:
-                tangent = None
-            if tangent is not None and embedding is not None:
-                tangent = portfolio_stats(universe, tangent.weights, embedding=embedding)
+                pass
 
     return SpecialPortfolios(
         mvp=mvp,

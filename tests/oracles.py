@@ -1,8 +1,9 @@
 """Brute-force reference computations for the test suite.
 
 Everything here is deliberately independent of the library's closed forms:
-dense scans, projected-gradient ascent, rejection sampling, simplex grids,
-support enumeration, bisection.
+dense scans, projected-gradient ascent, simplex grids, support enumeration,
+bisection, and the embedding's second routes to centrality and the maximum-DR
+portfolio.
 Slow and dumb on purpose.
 """
 
@@ -320,40 +321,22 @@ def block_riskfree_dr(V, eta, risky_weights, cash):
     return 0.5 * float(wt @ Dt @ wt)
 
 
-def dirichlet_shell(V, sigma, count, rng, band=0.01, max_batches=500, batch=200_000):
-    """Long-only portfolios whose risk is within a relative band of sigma."""
-    V = np.asarray(V, float)
-    n = V.shape[0]
-    out = []
-    total = 0
-    for _ in range(max_batches):
-        W = rng.dirichlet(np.ones(n), size=batch)
-        risk = np.sqrt(np.einsum("ij,jk,ik->i", W, V, W))
-        hits = W[np.abs(risk - sigma) <= band * sigma]
-        if len(hits):
-            out.append(hits)
-            total += len(hits)
-        if total >= count:
-            break
-    if not out:
-        return np.empty((0, n))
-    return np.vstack(out)[:count]
-
-
 def sweep_rowwise(
     universe, kind, sigma_grid=None, embedding=None, include_weights=False
 ):
     """Row-by-row reference for :func:`drfrontier.sweep`.
 
     Every row calls the scalar per-point functions (q_dr_at,
-    efficient_dr_portfolio, q_ef_at, max_linear_over_ellipsoid) and, with an
-    embedding, reads centrality from the Gram form w' B w of the row's
-    weights; no array expression in u is shared with the library sweep.
+    efficient_dr_portfolio, q_ef_at, max_linear_over_ellipsoid) and reads
+    centrality from the row's weights: from the Gram form w' B w of an
+    embedding, or without one from 0.5 (w - s)' V (w - s) about the kernel's
+    w_mdrp s; no array expression in u is shared with the library sweep.
     """
     def row_centrality(w):
-        if embedding is None or w is None:
-            return None
-        return float(np.sqrt(max(w @ embedding.gram @ w, 0.0)))
+        if embedding is not None:
+            return float(np.sqrt(max(w @ embedding.gram @ w, 0.0)))
+        offset = w - universe.solver.w_mdrp
+        return float(np.sqrt(max(0.5 * float(offset @ universe.cov @ offset), 0.0)))
 
     kind = FrontierKind(kind)
     params = drf.frontier_params(universe)
@@ -430,6 +413,56 @@ def sweep_rowwise(
             row.status = "risk_below_mvp"
         curve.rows.append(row)
     return curve
+
+
+def forward_error(universe):
+    """Relative forward-error bound of the kernel's unit directions.
+
+    A solve with V is good to n * eps * cond(V) relative; forming
+    d = (V^-1 c - g w_mvp) / k then loses the ratio |V^-1 c| / (k |d|) to
+    cancellation.  Every quantity read from the kernel's images inherits this
+    error, and a reference route carries it in its own rounded weights.
+    """
+    s = universe.solver
+    loss = 1.0
+    for c, inv_c in (
+        (universe.variances, s.inv_eta),
+        (np.sqrt(universe.variances), s.inv_root_eta),
+        (universe.expected_returns, s.inv_r),
+    ):
+        d, k = (None, 0.0) if c is None else s.direction(c, inv_c)
+        if d is not None:
+            cancel = float(np.abs(inv_c).max()) / (k * float(np.abs(d).max()))
+            loss = max(loss, cancel)
+    cond = float(np.linalg.cond(universe.cov))
+    return universe.n * np.finfo(float).eps * cond * loss
+
+
+# Agreement required between the two routes to the maximum-DR portfolio.
+MDRP_AGREEMENT_ATOL = 1e-8
+
+
+def pythagoras_gaps(embedding, portfolio):
+    """(|w' B w + q - q_max|, |c^2 + q - q_max|) for a library portfolio.
+
+    w' B w comes from the embedding's Gram matrix and q_max from its D^-1 1
+    route, both independent of the covariance kernel; c^2 is the portfolio's
+    own centrality_sq.  Both are zero in exact arithmetic on every budget
+    portfolio.
+    """
+    w = portfolio.weights
+    gram = float(w @ embedding.gram @ w) + portfolio.dr - embedding.q_max
+    kernel = portfolio.centrality_sq + portfolio.dr - embedding.q_max
+    return abs(gram), abs(kernel)
+
+
+def mdrp_route_gap(universe, embedding):
+    """max |w_mdrp - s| / max(1, max |w_mdrp|) between the maximum-DR
+    portfolio of the covariance route (:func:`drfrontier.max_dr_portfolio`)
+    and the normalized D^-1 1 of the embedding."""
+    w = drf.max_dr_portfolio(universe).weights
+    gap = float(np.abs(w - embedding.mdrp_weights).max())
+    return gap / max(1.0, float(np.abs(w).max()))
 
 
 def second_divided(xs, ys) -> np.ndarray:

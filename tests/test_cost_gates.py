@@ -3,8 +3,10 @@
 Counts are deterministic, so these gates pin the complexity shape that wall
 times can only suggest: after the universe's kernel is built, every sweep,
 the inflection report and the ratio-maximizing portfolio are dot products,
-whatever the number of grid points; d_max of a distance matrix is one
-ascent, not a replicator multistart; d_max of D_eta is a closed form; the
+whatever the number of grid points; the special portfolios and the
+`portfolios` and `frontier` commands read centrality from the kernel and
+build no embedding; d_max of a distance matrix is one ascent, and a matrix
+that is not one is refused before any; d_max of D_eta is a closed form; the
 sandwich check draws once per level, nothing on a level it proves empty, and
 finds its long-only anchor once per universe.  numpy is the only runtime
 dependency: a CLI run loads no scipy.
@@ -21,6 +23,8 @@ import pytest
 
 import drfrontier as drf
 from drfrontier import embedding, mdp, model
+from drfrontier.cli import main
+from drfrontier.errors import NotPSDError
 from drfrontier.frontiers import FrontierKind
 
 from .conftest import FIXTURES, R0_3, RBAR3, V3
@@ -42,7 +46,7 @@ def calls(monkeypatch):
 
     counting(model, "lu_solve")
     counting(embedding, "embed")
-    counting(mdp, "_replicator")
+    counting(mdp, "_pairwise_frank_wolfe")
     counting(mdp, "long_only_min_variance")
     counting(mdp, "assert_edm")
     counting(mdp, "d_max_bounds")
@@ -100,11 +104,11 @@ def test_special_portfolios_reuses_the_passed_embedding(calls):
         sp = drf.special_portfolios(u, embedding=emb)
         assert calls["embed"] == embeds
         assert sp.mdrp.dr == pytest.approx(emb.q_max, abs=1e-10)
-    # without an embedding the two-route check still builds its own
+    # without one, none is built: centrality comes from the kernel
     u = _fresh_universes()[0]
     embeds = calls["embed"]
     drf.special_portfolios(u)
-    assert calls["embed"] == embeds + 1
+    assert calls["embed"] == embeds
 
 
 def test_d_max_of_an_edm_is_one_ascent(calls, ex3, universe30):
@@ -113,16 +117,16 @@ def test_d_max_of_an_edm_is_one_ascent(calls, ex3, universe30):
         "d_eta panel-30": drf.build_d_eta(universe30),
         "distance panel-30": drf.build_distance_matrix(universe30),
     }
-    for name, D in edms.items():
+    for k, (name, D) in enumerate(edms.items(), start=1):
         b = drf.d_max_bounds(D)
-        assert calls["_replicator"] == 0, name
+        assert calls["_pairwise_frank_wolfe"] == k, name
         assert b.starts_used == 1 and b.converged, name
         assert b.steps < 10 * D.shape[0], name
     for u in (ex3, universe30):
         drf.analyze_mdp(u)
         sigma = 2.0 * float(np.sqrt(u.cov.max()))
         drf.sandwich_check(u, sigma, samples=10)
-    assert calls["_replicator"] == 0
+    assert calls["_pairwise_frank_wolfe"] == len(edms)
 
 
 def test_d_max_of_d_eta_is_its_start(ex3, universe30):
@@ -190,15 +194,46 @@ def test_sandwich_draws_once_per_level_and_finds_w_lo_once_per_universe(
         assert calls["long_only_min_variance"] - found == 1
 
 
-def test_multistart_only_off_the_edm_path(calls):
-    # a nonnegative matrix that is not an EDM: vertices, pair midpoints and
-    # the Dirichlet starts each run the replicator once
-    n, starts = 5, 7
+def test_non_edm_is_refused_before_any_ascent(calls):
+    # a nonnegative matrix that is not an EDM raises after its certificate
+    n = 5
     A = np.ones((n, n)) - np.eye(n)
     A[0, 1] = A[1, 0] = 100.0  # sqrt(A) breaks the triangle inequality
     assert not drf.assert_edm(A).is_edm
-    b = drf.d_max_bounds(A, starts=starts)
-    assert calls["_replicator"] == n + n * (n - 1) // 2 + starts == b.starts_used
+    with pytest.raises(NotPSDError):
+        drf.d_max_bounds(A)
+    assert calls["assert_edm"] == 1
+    assert calls["_pairwise_frank_wolfe"] == 0
+
+
+@pytest.fixture
+def eighs(monkeypatch):
+    """Number of np.linalg.eigh calls."""
+    count = Counter()
+    inner = np.linalg.eigh
+
+    def wrapper(*args, **kwargs):
+        count["eigh"] += 1
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", wrapper)
+    return count
+
+
+@pytest.mark.parametrize("fixture", ["synthetic_panel_30.csv", "example3_with_returns.json"])
+def test_portfolios_and_frontier_make_no_eigendecomposition(calls, eighs, fixture, tmp_path):
+    # centrality and q_max come from the covariance kernel: no embedding
+    src = str(FIXTURES / fixture)
+    runs = [
+        ["portfolios"],
+        ["frontier", "--svg", "--riskfree", "0.01"],
+    ]
+    for k, args in enumerate(runs):
+        out = str(tmp_path / str(k))
+        assert main(args + ["--input", src, "--out", out]) == 0
+    assert (tmp_path / "1" / "sigma_c.svg").exists()
+    assert calls["embed"] == 0
+    assert eighs["eigh"] == 0
 
 
 def test_cli_run_loads_no_scipy(tmp_path):

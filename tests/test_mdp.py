@@ -5,8 +5,11 @@ from hypothesis import strategies as st
 
 import drfrontier as drf
 from drfrontier.errors import (
+    AsymmetricError,
     DimensionMismatchError,
     DrFrontierError,
+    NonZeroDiagonalError,
+    NotPSDError,
     NotSPDError,
     ZeroVarianceError,
 )
@@ -190,7 +193,7 @@ def test_mdp_at_global_risk_recovers_global(ex3):
 
 
 def test_d_max_bounds_zero_matrix():
-    b = drf.d_max_bounds(np.zeros((3, 3)), starts=4)
+    b = drf.d_max_bounds(np.zeros((3, 3)))
     assert b.lower == 0.0
     assert b.upper == 0.0
     assert b.argmax_weights.sum() == pytest.approx(1.0, abs=1e-12)
@@ -202,7 +205,7 @@ def test_d_max_bounds_equilateral():
     # weights, strictly above every pair midpoint
     d = 2.0
     A = d * (np.ones((3, 3)) - np.eye(3))
-    b = drf.d_max_bounds(A, starts=8)
+    b = drf.d_max_bounds(A)
     assert b.lower == pytest.approx(d / 3.0, rel=1e-9)
     assert b.lower > d / 4.0
     np.testing.assert_allclose(b.argmax_weights, np.full(3, 1.0 / 3.0), atol=1e-6)
@@ -218,7 +221,7 @@ def test_d_max_bounds_volatility_distance_closed_form():
         eta = rng.uniform(0.01, 2.0, n)
         u = drf.validate_universe(np.diag(eta))
         D = drf.build_d_eta(u)
-        b = drf.d_max_bounds(D, starts=16)
+        b = drf.d_max_bounds(D)
         root = np.sqrt(eta)
         span = float(root.max() - root.min())
         assert b.lower == pytest.approx(span**2 / 8.0, rel=1e-9)
@@ -231,7 +234,7 @@ def test_d_max_bounds_match_simplex_grid():
     for n, m in ((2, 400), (3, 200), (4, 60), (5, 36), (6, 24)):
         eta = rng.uniform(0.01, 3.0, n)
         D = drf.build_d_eta(drf.validate_universe(np.diag(eta)))
-        b = drf.d_max_bounds(D, starts=16)
+        b = drf.d_max_bounds(D)
         ref = grid_max_half_quad(D, simplex_grid(n, m))
         # even m puts the optimal pair midpoint on the grid
         assert b.lower == pytest.approx(ref, rel=1e-9)
@@ -243,7 +246,7 @@ def test_d_max_bounds_planar_point_cloud():
     pts = rng.normal(0.0, 1.0, (4, 2))
     diff = pts[:, None, :] - pts[None, :, :]
     D = np.einsum("ijk,ijk->ij", diff, diff)
-    b = drf.d_max_bounds(D, starts=16)
+    b = drf.d_max_bounds(D)
     ref = grid_max_half_quad(D, simplex_grid(4, 80))
     assert b.lower >= ref - 1e-9
     assert b.lower <= b.upper + 1e-12
@@ -252,17 +255,28 @@ def test_d_max_bounds_planar_point_cloud():
     ) == pytest.approx(b.lower, abs=1e-12)
 
 
-def test_d_max_bounds_monotone_in_starts():
-    # a nonnegative matrix that is not an EDM takes the multistart fallback
+def test_d_max_bounds_rejects_a_non_edm():
+    # D_eta and every covariance D are distance matrices by theorem, so
+    # anything else is refused with a typed error, and the certificate's
+    # own precondition errors propagate
     rng = np.random.default_rng(139)
     D = rng.uniform(0.0, 2.0, (6, 6))
     D = D + D.T
     np.fill_diagonal(D, 0.0)
     assert not drf.assert_edm(D).is_edm
-    few = drf.d_max_bounds(D, starts=2, seed=5)
-    many = drf.d_max_bounds(D, starts=12, seed=5)
-    assert many.lower >= few.lower - 1e-15
-    assert many.starts_used > few.starts_used
+    with pytest.raises(NotPSDError, match="centered form not PSD"):
+        drf.d_max_bounds(D, seed=5)
+    negative = D.copy()
+    negative[0, 1] = negative[1, 0] = -1.0
+    with pytest.raises(NotPSDError, match="negative entries"):
+        drf.d_max_bounds(negative)
+    diagonal = D + np.eye(6)
+    with pytest.raises(NonZeroDiagonalError):
+        drf.d_max_bounds(diagonal)
+    asymmetric = D.copy()
+    asymmetric[0, 1] += 0.5
+    with pytest.raises(AsymmetricError):
+        drf.d_max_bounds(asymmetric)
 
 
 def test_d_max_bounds_closed_form_to_rounding():

@@ -10,7 +10,6 @@ from drfrontier.errors import (
     AsymmetricError,
     BudgetViolationError,
     DimensionMismatchError,
-    EmbeddingMismatchError,
     NonSquareError,
     NotPSDError,
     SingularCovarianceError,
@@ -140,7 +139,7 @@ def test_portfolio_stats_and_budget(ex3):
     assert p.variance == pytest.approx(1.0, abs=1e-12)
     assert p.sigma == pytest.approx(1.0, abs=1e-12)
     assert p.dr == pytest.approx(5.0 / 9.0, abs=1e-12)
-    assert p.centrality_sq is None
+    assert p.centrality_sq == pytest.approx(4.0 / 9.0, abs=1e-12)
     assert p.expected_return is None
     with pytest.raises(BudgetViolationError):
         drf.portfolio_stats(ex3, np.array([0.6, 0.6, 0.6]))
@@ -152,17 +151,21 @@ def test_portfolio_stats_expected_return(ex3_returns):
     assert p.expected_return == pytest.approx(0.2 * 0.06 + 0.3 * 0.10 + 0.5 * 0.08)
 
 
-def test_portfolio_stats_with_embedding(ex3):
+def test_portfolio_stats_with_embedding(ex3, degenerate3):
+    # the kernel's centrality meets the embedding's Gram form and q_max
+    w = np.full(3, 1.0 / 3.0)
     emb = drf.embed(ex3)
-    p = drf.portfolio_stats(ex3, np.full(3, 1.0 / 3.0), embedding=emb)
+    p = drf.portfolio_stats(ex3, w)
     assert p.centrality_sq == pytest.approx(4.0 / 9.0, abs=1e-10)
+    assert p.centrality_sq == pytest.approx(drf.centrality(emb, w) ** 2, abs=1e-12)
     assert p.centrality_sq + p.dr == pytest.approx(emb.q_max, abs=1e-8)
-
-
-def test_portfolio_stats_rejects_foreign_embedding(ex3, identity3):
-    emb = drf.embed(identity3)
-    with pytest.raises(EmbeddingMismatchError):
-        drf.portfolio_stats(ex3, np.full(3, 1.0 / 3.0), embedding=emb)
+    # a singular universe has no kernel: the embedding gives centrality there
+    p = drf.portfolio_stats(degenerate3, w)
+    assert p.centrality_sq is None
+    emb = drf.embed(degenerate3)
+    c = drf.centrality(emb, w)
+    assert c * c == pytest.approx(1.0 / 36.0, abs=1e-12)
+    assert c * c + p.dr == pytest.approx(emb.q_max, abs=1e-12)
 
 
 def test_universe_and_portfolio_are_frozen(ex3):

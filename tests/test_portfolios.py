@@ -1,19 +1,30 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import drfrontier as drf
 from drfrontier.errors import (
+    BudgetViolationError,
     DegenerateReturnsError,
+    EmbeddingMismatchError,
     MissingReturnsError,
     SingularCovarianceError,
     TangencyInfeasibleError,
 )
+from drfrontier.frontiers import FrontierKind
+from drfrontier.model import BUDGET_ATOL, PYTHAGORAS_ATOL
 from drfrontier.portfolios import proportional_to_ones
 
-from .conftest import FIXTURES, RBAR3, V3
+from .conftest import FIXTURES, R0_3, RBAR3, V3
 from .oracles import (
+    MDRP_AGREEMENT_ATOL,
+    conditioned_universe,
+    forward_error,
+    mdrp_route_gap,
     projected_gradient_max_dr,
     projected_gradient_min_variance,
+    pythagoras_gaps,
     random_universe,
     rotated_spectrum_cov,
 )
@@ -272,14 +283,13 @@ def test_tangent_missing_inputs(ex3):
 
 
 def test_special_portfolios_full_bundle(ex3_returns):
-    emb = drf.embed(ex3_returns)
-    sp = drf.special_portfolios(ex3_returns, embedding=emb)
+    sp = drf.special_portfolios(ex3_returns)
     assert sp.a == pytest.approx(1.0, abs=1e-12)
     assert sp.rho**2 == pytest.approx(32.0 / 9.0, rel=1e-12)
     assert sp.b == pytest.approx(0.08, abs=1e-12)
     assert sp.eta_wo_sign == "positive"
     np.testing.assert_allclose(sp.d, [-4.0 / 3.0, 2.0 / 3.0, 2.0 / 3.0], atol=1e-8)
-    # centralities come along once an embedding is supplied
+    # centralities come from the kernel, without an embedding
     assert sp.mvp.centrality_sq == pytest.approx(4.0 / 9.0, abs=1e-8)
     assert sp.mdrp.centrality_sq == pytest.approx(0.0, abs=1e-8)
     assert sp.q_pf.centrality_sq is not None
@@ -291,7 +301,7 @@ def test_mdrp_centrality_is_exactly_zero(ex3_returns, universe30):
     # residual at the centre, where w' B w left about sqrt(eps)
     mini = drf.annualize(drf.load_panel(FIXTURES / "mini_prices.csv", format="prices"))
     for u in (ex3_returns, mini, universe30):
-        sp = drf.special_portfolios(u, embedding=drf.embed(u))
+        sp = drf.special_portfolios(u)
         assert sp.mdrp.centrality_sq == 0.0
 
 
@@ -329,3 +339,84 @@ def test_special_portfolios_pass_pythagoras_at_cond_1e5():
     sp = drf.special_portfolios(u, embedding=emb)
     for pf in (sp.mvp, sp.mdrp, sp.q_pf):
         assert pf.centrality_sq + pf.dr == pytest.approx(emb.q_max, rel=1e-10)
+
+
+def _formed(sp):
+    return [p for p in (sp.mvp, sp.mdrp, sp.q_pf, sp.tangent) if p is not None]
+
+
+def test_embedding_keyword_only_checks_the_universe(ex3_returns, identity3):
+    # special_portfolios and sweep still take an embedding, which changes no
+    # output; one built from another universe is refused
+    sp = drf.special_portfolios(ex3_returns)
+    with_emb = drf.special_portfolios(ex3_returns, embedding=drf.embed(ex3_returns))
+    for a, b in zip(_formed(sp), _formed(with_emb)):
+        assert np.array_equal(a.weights, b.weights)
+        assert (a.variance, a.dr, a.centrality_sq) == (b.variance, b.dr, b.centrality_sq)
+    kind = FrontierKind.EFFICIENT_DR
+    plain = drf.sweep(ex3_returns, kind).to_csv_text()
+    assert drf.sweep(ex3_returns, kind, embedding=drf.embed(ex3_returns)).to_csv_text() == plain
+    foreign = drf.embed(identity3)
+    with pytest.raises(EmbeddingMismatchError):
+        drf.special_portfolios(ex3_returns, embedding=foreign)
+    with pytest.raises(EmbeddingMismatchError):
+        drf.sweep(ex3_returns, kind, embedding=foreign)
+
+
+def _route_universes():
+    mini = drf.annualize(drf.load_panel(FIXTURES / "mini_prices.csv", format="prices"))
+    panel = drf.annualize(
+        drf.load_panel(FIXTURES / "synthetic_panel_30.csv", format="prices")
+    )
+    V, rbar = rotated_spectrum_cov()
+    rng = np.random.default_rng(71)
+    return [
+        drf.validate_universe(V3),
+        drf.validate_universe(V3, expected_returns=RBAR3, risk_free_rate=R0_3),
+        drf.validate_universe(mini.cov, mini.expected_returns, risk_free_rate=0.01),
+        drf.validate_universe(panel.cov, panel.expected_returns, risk_free_rate=0.01),
+        drf.validate_universe(V, expected_returns=rbar),
+    ] + [random_universe(rng, n, with_riskfree=True) for n in (2, 5, 12, 30)]
+
+
+def test_special_portfolios_meet_the_embedding_routes():
+    # Pythagoras c^2 + q = q_max with w' B w from the embedding's Gram matrix
+    # and with the kernel's centrality, and the max-DR portfolio against the
+    # normalized D^-1 1, each to the tolerance the production checks had
+    for u in _route_universes():
+        emb = drf.embed(u)
+        atol = PYTHAGORAS_ATOL * max(1.0, abs(emb.q_max))
+        for p in _formed(drf.special_portfolios(u)):
+            gram, kernel = pythagoras_gaps(emb, p)
+            assert gram <= atol and kernel <= atol, (gram, kernel)
+        assert mdrp_route_gap(u, emb) <= MDRP_AGREEMENT_ATOL
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 8),
+    st.integers(0, 10**6),
+    st.floats(0.0, 9.0),
+    st.booleans(),
+)
+def test_embedding_routes_across_conditioning(n, seed, log_cond, with_riskfree):
+    # the conditioning allowance of the sweep oracle: the kernel's forward
+    # error bound, on the scale of the weights and of |B| ~ q_max
+    u = conditioned_universe(n, seed, log_cond, with_riskfree)
+    rel_tol = forward_error(u)
+    try:
+        sp = drf.special_portfolios(u)
+    except BudgetViolationError:
+        # weights of size ~1e7 sum off 1 past the absolute BUDGET_ATOL only
+        # where rounding of that size is allowed
+        assert rel_tol > BUDGET_ATOL
+        return
+    emb = drf.embed(u)
+    scale = max(1.0, float(np.abs(u.cov).max()))
+    for p in _formed(sp):
+        w_size = max(1.0, float(np.abs(p.weights).max()))
+        size = max(scale, p.centrality_sq, abs(emb.q_max)) * w_size**2
+        gram, kernel = pythagoras_gaps(emb, p)
+        tol = max(PYTHAGORAS_ATOL, rel_tol) * size
+        assert gram <= tol and kernel <= tol, (gram, kernel, tol)
+    assert mdrp_route_gap(u, emb) <= max(MDRP_AGREEMENT_ATOL, rel_tol)

@@ -11,7 +11,7 @@ import drfrontier as drf
 from drfrontier.errors import DrFrontierError
 from drfrontier.frontiers import FrontierKind
 
-from .oracles import conditioned_universe, sweep_rowwise
+from .oracles import conditioned_universe, forward_error, sweep_rowwise
 
 # q, ret and alpha agree to REL_TOL times the row's scale; centrality to
 # CENTRALITY_ATOL, because the reference's sqrt(w' B w) is noisy near c = 0;
@@ -38,45 +38,24 @@ def _grid(universe, points=60):
     )
 
 
-def _forward_error(universe):
-    """Relative forward-error bound of the kernel's unit directions.
-
-    A solve with V is good to n * eps * cond(V) relative; forming
-    d = (V^-1 c - g w_mvp) / k then loses the ratio |V^-1 c| / (k |d|) to
-    cancellation.  Both the sweep and the reference inherit this error, the
-    reference in its rounded weights and the quantities read from them.
-    """
-    s = universe.solver
-    loss = 1.0
-    for c, inv_c in (
-        (universe.variances, s.inv_eta),
-        (np.sqrt(universe.variances), s.inv_root_eta),
-        (universe.expected_returns, s.inv_r),
-    ):
-        d, k = (None, 0.0) if c is None else s.direction(c, inv_c)
-        if d is not None:
-            cancel = float(np.abs(inv_c).max()) / (k * float(np.abs(d).max()))
-            loss = max(loss, cancel)
-    cond = float(np.linalg.cond(universe.cov))
-    return universe.n * np.finfo(float).eps * cond * loss
-
-
 def _assert_matches_reference(universe, embedding, grid, ill_conditioned=False):
     """Compare every kind on `grid`, with and without weights.
 
     ill_conditioned widens REL_TOL to the forward-error bound of the
-    directions (see _forward_error).  A centrality outside CENTRALITY_ATOL
+    directions (see oracles.forward_error).  A centrality outside CENTRALITY_ATOL
     then still passes when c^2 agrees to that tolerance times
     max(scale, c^2, q_max) * |w|^2: the embedding's Gram matrix B, and with
     it the reference's w' B w, carries rounding that grows with |B| ~ q_max
-    and with the size of the weights.  At cond(V) = 1.1e7 on two assets the
+    and with the size of the weights (as does the reference's
+    0.5 (w - s)' V (w - s) when no embedding is passed).  At cond(V) = 1.1e7 on two assets the
     reference is 1.7e-7 off in c where the closed form is within 1e-11 of
     the 60-digit value.
     """
     scale = max(1.0, float(np.abs(universe.cov).max()))
+    q_max = drf.frontier_params(universe).q_mdrp if embedding is None else embedding.q_max
     rel_tol = REL_TOL
     if ill_conditioned:
-        rel_tol = max(REL_TOL, _forward_error(universe))
+        rel_tol = max(REL_TOL, forward_error(universe))
     for kind in _kinds(universe):
         sized = sweep_rowwise(universe, kind, grid, embedding, include_weights=True)
         for include_weights in (False, True):
@@ -97,7 +76,7 @@ def _assert_matches_reference(universe, embedding, grid, ill_conditioned=False):
                     close = abs(a.centrality - b.centrality) <= CENTRALITY_ATOL
                     if ill_conditioned and not close:
                         c_sq = b.centrality**2
-                        size = max(scale, c_sq, embedding.q_max) * max(1.0, w_size) ** 2
+                        size = max(scale, c_sq, q_max) * max(1.0, w_size) ** 2
                         close = abs(a.centrality**2 - c_sq) <= rel_tol * size
                     assert close, (kind, a.sigma, a.centrality, b.centrality)
                 if include_weights and b.weights is not None:
