@@ -1,0 +1,100 @@
+"""Run the shipped CLI commands on the shipped fixtures and keep what each leaves.
+
+    python3 scripts/cli_artifacts.py OUT_DIR
+
+Every run starts `python -m drfrontier.cli` from this checkout's src/ in a
+fresh interpreter, with the repo root as working directory, and writes under
+OUT_DIR/<run>/ the files the command wrote (in out/), its stdout, its stderr
+and its exit code.  The runs cover, on each of the four fixtures,
+`portfolios`, `portfolios --riskfree 0.01`, `frontier --svg`,
+`frontier --svg --riskfree 0.01` and `embed`; `ingest-check` on the two
+price panels; and `mdp` on ex3 (default and two seeded sigmas), ex3 with
+returns, mini and panel-30 (one seeded sigma, and the default sigmas).
+
+Whether two checkouts produce byte-identical artifacts is then one command:
+
+    diff -r OUT_A OUT_B
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+FIXTURES = {
+    "ex3": "fixtures/example3_universe.json",
+    "ex3r": "fixtures/example3_with_returns.json",
+    "mini": "fixtures/mini_prices.csv",
+    "panel": "fixtures/synthetic_panel_30.csv",
+}
+
+PER_FIXTURE = {
+    "portfolios": ["portfolios"],
+    "portfolios-rf": ["portfolios", "--riskfree", "0.01"],
+    "frontier-svg": ["frontier", "--svg"],
+    "frontier-svg-rf": ["frontier", "--svg", "--riskfree", "0.01"],
+    "embed": ["embed"],
+}
+
+EXTRA = {
+    "mini-ingest-check": ("mini", ["ingest-check"]),
+    "panel-ingest-check": ("panel", ["ingest-check"]),
+    "ex3-mdp": ("ex3", ["mdp"]),
+    "ex3-mdp-sigmas": (
+        "ex3",
+        ["mdp", "--sigma", "1.2", "--sigma", "1.4", "--samples", "20000", "--seed", "3"],
+    ),
+    "ex3r-mdp": ("ex3r", ["mdp"]),
+    "mini-mdp": ("mini", ["mdp"]),
+    "panel-mdp-sigma": (
+        "panel",
+        ["mdp", "--sigma", "0.177032476371", "--samples", "20000", "--seed", "5"],
+    ),
+    "panel-mdp": ("panel", ["mdp"]),
+}
+
+
+def runs() -> dict:
+    """Run name -> CLI arguments, --input included and --out left out."""
+    table = {}
+    for fx, path in FIXTURES.items():
+        for label, args in PER_FIXTURE.items():
+            table[f"{fx}-{label}"] = args + ["--input", path]
+    for name, (fx, args) in EXTRA.items():
+        table[name] = args + ["--input", FIXTURES[fx]]
+    return table
+
+
+def main(argv) -> int:
+    if len(argv) != 1:
+        sys.stderr.write(__doc__)
+        return 2
+    out_root = Path(argv[0]).resolve()
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    table = runs()
+    for name, args in table.items():
+        run_dir = out_root / name
+        run_dir.mkdir(parents=True, exist_ok=True)
+        proc = subprocess.run(
+            [sys.executable, "-m", "drfrontier.cli", *args, "--out", str(run_dir / "out")],
+            cwd=ROOT,
+            env=env,
+            capture_output=True,
+        )
+        (run_dir / "stdout").write_bytes(proc.stdout)
+        (run_dir / "stderr").write_bytes(proc.stderr)
+        (run_dir / "exit_code").write_text(f"{proc.returncode}\n")
+        print(f"{name}: exit {proc.returncode}")
+    print(f"{len(table)} runs under {out_root}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

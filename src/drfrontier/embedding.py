@@ -27,11 +27,18 @@ covariance kernel instead (:func:`~drfrontier.model.portfolio_stats`), with
 no eigendecomposition.  The embedding serves the asset coordinates (the
 ``embed`` command and :func:`coords_table`), singular universes, where its
 pseudoinverse route gives s and :func:`centrality` the distance, and
-:func:`norm_dr_bound`.
+:func:`norm_dr_bound`.  Only the coordinates need B's eigendecomposition,
+so it runs on their first read, not in :func:`embed`.
+
+:func:`assert_edm` decides Schoenberg's criterion (1935), that D is a
+Euclidean distance matrix exactly when -0.5 J D J is PSD, by one Cholesky
+factorization of the Gram matrix anchored at asset 0, and by eigenvalues
+only where that factorization fails.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -64,7 +71,12 @@ class EdmCertificate:
     """Outcome of the Euclidean-distance-matrix test.
 
     min_eigenvalue is the smallest eigenvalue of the doubly centered Gram
-    form -0.5 * J D J; nonnegative (within tolerance) certifies an EDM.
+    form -0.5 * J D J; nonnegative (within tolerance) certifies an EDM.  It
+    is exactly 0.0 when the Cholesky certificate of :func:`assert_edm`
+    holds: J 1 = 0 makes 0 the smallest eigenvalue of every PSD centered
+    form, and the factorization proves the true value lies between
+    -EIG_RTOL * max|D| and 0.  A certificate from the eigenvalue route
+    carries the computed value.
     """
 
     is_edm: bool
@@ -84,19 +96,38 @@ class EdmEmbedding:
         coords: k x n array X; column i is the image of asset i.
         q_max: top of the DR frontier, 1 / (2 * 1' D^-1 1).
         universe_fingerprint: hash of the source universe.
+
+    eigvals and coords (and dim) come from one eigendecomposition of B,
+    computed on the first read of either and kept with the embedding; an
+    embedding that is only asked for D, s, B or q_max never runs it.
     """
 
     dist: np.ndarray
     mdrp_weights: np.ndarray
     gram: np.ndarray
-    eigvals: np.ndarray
-    coords: np.ndarray
     q_max: float
     universe_fingerprint: str
 
     @property
     def n(self) -> int:
         return self.dist.shape[0]
+
+    @functools.cached_property
+    def _axes(self):
+        evals, evecs = np.linalg.eigh(self.gram)
+        lam_top = max(float(evals[-1]), 0.0)
+        keep = evals > EIG_RTOL * lam_top
+        lam = evals[keep][::-1]
+        P = evecs[:, keep][:, ::-1]
+        return lam, _canonical_axes(lam, np.sqrt(lam)[:, None] * P.T)
+
+    @property
+    def eigvals(self) -> np.ndarray:
+        return self._axes[0]
+
+    @property
+    def coords(self) -> np.ndarray:
+        return self._axes[1]
 
     @property
     def dim(self) -> int:
@@ -119,12 +150,61 @@ def build_distance_matrix(universe: AssetUniverse) -> np.ndarray:
     return D
 
 
+def _certified_edm(D: np.ndarray, scale: float) -> bool:
+    """True when one Cholesky factorization proves that the symmetric D
+    passes the eigenvalue test of :func:`assert_edm`.
+
+    Anchoring at asset 0 gives Schoenberg's (1935) Gram matrix
+    G_a[i, j] = 0.5 (D[i, 0] + D[0, j] - D[i, j] - D[0, 0]) for i, j >= 1, in
+    O(n^2).  With K = I - 1 e_0' the full anchored form -0.5 K D K' has a zero
+    row and column 0 and G_a as the rest, and J K = J (J 1 = 0), so
+    -0.5 J D J = J P' G_a P J, where P drops index 0.  As ||P J|| <= 1,
+    lambda_min(-0.5 J D J) >= min(lambda_min(G_a), 0).
+
+    The factorization is of G_a + delta I with
+
+        delta = EIG_RTOL * scale - 4 n (n + 1) eps * scale,
+
+    negative beyond n ~ 330.  Every |D[i, j]| <= scale, so rounding while
+    forming G_a + delta I moves it by under 2.25 n eps * scale in the
+    2-norm, and a Cholesky factorization that completes is exact for a
+    matrix within gamma_n / (1 - gamma_n) tr(G_a + delta I) <=
+    n^2 eps * scale / 2 (Demmel 1989, as in
+    :func:`~drfrontier.model._certified_nonsingular`): together under
+    4 n (n + 1) eps * scale.  Success therefore proves lambda_min(G_a) >
+    -EIG_RTOL * scale, hence lambda_min(-0.5 J D J) >= -EIG_RTOL *
+    max(lambda_top, scale), the eigenvalue test.  False only means the
+    factorization failed.  The factor is discarded.
+    """
+    n = D.shape[0]
+    d0 = D[1:, 0]
+    # d0_i + d0_j is commutative, so G_a comes out exactly symmetric
+    G = d0[:, None] + d0[None, :]
+    G -= D[1:, 1:]
+    G -= D[0, 0]
+    G *= 0.5
+    eps = float(np.finfo(float).eps)
+    G.flat[::n] += (EIG_RTOL - 4 * n * (n + 1) * eps) * scale
+    try:
+        np.linalg.cholesky(G)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def assert_edm(dist, atol_scale: float = 1e-10) -> EdmCertificate:
     """Certify that a matrix is a Euclidean squared-distance matrix.
 
     Preconditions (zero diagonal, symmetry) raise; a negative entry or a
     negative eigenvalue of the centered Gram form yields a failing
     certificate instead.
+
+    The test is lambda_min(-0.5 J D J) >= -EIG_RTOL * max(lambda_top,
+    max|D|), J = I - 1 1' / n.  One Cholesky factorization of the anchored
+    Gram matrix decides it when it succeeds (see :func:`_certified_edm`),
+    and the certificate reports min_eigenvalue 0.0.  When it fails, the
+    eigenvalues of the centered form decide, and a failing certificate
+    carries its smallest one.
     """
     D = np.asarray(dist, dtype=float)
     if D.ndim != 2 or D.shape[0] != D.shape[1]:
@@ -132,11 +212,15 @@ def assert_edm(dist, atol_scale: float = 1e-10) -> EdmCertificate:
     scale = max(float(np.abs(D).max()), np.finfo(float).tiny)
     if float(np.abs(np.diag(D)).max()) > atol_scale * scale:
         raise NonZeroDiagonalError("distance matrix has a nonzero diagonal")
-    if float(np.abs(D - D.T).max()) > atol_scale * scale:
+    asym = float(np.abs(D - D.T).max())
+    if asym > atol_scale * scale:
         raise AsymmetricError("distance matrix is asymmetric")
 
     if float(D.min()) < -atol_scale * scale:
         return EdmCertificate(False, float("nan"), "negative entries")
+
+    if _certified_edm(D if asym == 0.0 else 0.5 * (D + D.T), scale):
+        return EdmCertificate(True, 0.0, None)
 
     # J D J with J = I - 11'/n, from the row means r of the symmetric D in
     # O(n^2): D - r 1' - 1 r' + mean(r)
@@ -196,10 +280,11 @@ def embed(universe: AssetUniverse) -> EdmEmbedding:
 
     Solves D y = 1 (directly when the covariance is nonsingular, through a
     rank-revealing pseudoinverse otherwise), normalizes s = y / (1' y),
-    and factorizes the recentred Gram matrix, formed from V as the rank-2
-    update B = 0.5 (V - v 1' - 1 v' + (s' v) 1 1') with v = V s (equal to
-    -0.5 Js' D Js, without its cancellation of the eta 1' terms).
-    Eigenvalues below EIG_RTOL times the leading one are dropped.
+    and forms the recentred Gram matrix from V as the rank-2 update
+    B = 0.5 (V - v 1' - 1 v' + (s' v) 1 1') with v = V s (equal to
+    -0.5 Js' D Js, without its cancellation of the eta 1' terms).  B's
+    eigendecomposition runs on the first read of ``eigvals`` or ``coords``;
+    eigenvalues below EIG_RTOL times the leading one are dropped.
 
     The coordinates are canonical, fixed by the math and not by rounding:
     kept eigenvalues within BASIS_RTOL * lambda_1 of their neighbour form one
@@ -228,19 +313,10 @@ def embed(universe: AssetUniverse) -> EdmEmbedding:
     # v_i + v_j is commutative, so B comes out exactly symmetric
     B = 0.5 * (universe.cov - (v[:, None] + v[None, :]) + float(s @ v))
 
-    evals, evecs = np.linalg.eigh(B)
-    lam_top = max(float(evals[-1]), 0.0)
-    keep = evals > EIG_RTOL * lam_top
-    lam = evals[keep][::-1]
-    P = evecs[:, keep][:, ::-1]
-    X = _canonical_axes(lam, np.sqrt(lam)[:, None] * P.T)
-
     return EdmEmbedding(
         dist=D,
         mdrp_weights=s,
         gram=B,
-        eigvals=lam,
-        coords=X,
         q_max=q_max,
         universe_fingerprint=universe.fingerprint,
     )

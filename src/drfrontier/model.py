@@ -217,6 +217,38 @@ def check_budget(weights: np.ndarray, atol: float = BUDGET_ATOL) -> np.ndarray:
     return w
 
 
+def _certified_nonsingular(V: np.ndarray) -> bool:
+    """True when one Cholesky factorization proves that the symmetric V has
+    lambda_min > PSD_RTOL * lambda_max.
+
+    It factorizes A = V - delta I with
+
+        delta = PSD_RTOL * ||V||_inf + 4 (n + 1) eps tr(V).
+
+    A Cholesky factorization that completes is the exact factorization of
+    A + E with ||E||_2 <= gamma_{n+1} / (1 - gamma_{n+1}) tr(A), gamma_k =
+    k u / (1 - k u) and u = eps / 2 (Demmel 1989, "On floating point errors
+    in Cholesky").  With the rounding of the shifted diagonal that stays
+    under 4 (n + 1) eps tr(V), so lambda_min(V) > PSD_RTOL * ||V||_inf >=
+    PSD_RTOL * lambda_max(V): the eigenvalue test's own threshold, so V
+    needs no clamp and is nonsingular.  (A negative diagonal entry fails the
+    factorization, so tr(V) > 0 on success.)  False only means the
+    factorization failed; the eigenvalues decide then.  The factor is
+    discarded.
+    """
+    n = V.shape[0]
+    eps = float(np.finfo(float).eps)
+    norm_inf = float(np.linalg.norm(V, np.inf))
+    delta = PSD_RTOL * norm_inf + 4 * (n + 1) * eps * max(float(np.trace(V)), 0.0)
+    shifted = V.copy()
+    shifted.flat[:: n + 1] -= delta
+    try:
+        np.linalg.cholesky(shifted)
+    except LinAlgError:
+        return False
+    return True
+
+
 def validate_universe(
     cov,
     expected_returns=None,
@@ -229,6 +261,15 @@ def validate_universe(
     tolerance (then exact symmetrization), positive semidefiniteness with a
     small negative eigenvalue allowance (offenders are clamped to zero), and
     dimension agreement of optional expected returns.
+
+    Definiteness is decided by one shifted Cholesky factorization when it
+    succeeds (see :func:`_certified_nonsingular`): V is then strictly
+    positive definite beyond PSD_RTOL * lambda_max and is stored as given.
+    Otherwise the eigenvalues decide: below -PSD_RTOL * lambda_max raises
+    NotPSDError, a negative one within that allowance clamps V through its
+    eigendecomposition, and one at or below PSD_RTOL * lambda_max leaves
+    ``nonsingular`` False.  The certificate answers only where the
+    eigenvalue test gives the same answer.
 
     Returns a frozen universe whose variances vector is exactly the diagonal
     of the stored covariance.
@@ -250,19 +291,22 @@ def validate_universe(
         )
     V = 0.5 * (V + V.T)
 
-    evals = np.linalg.eigvalsh(V)
-    lam_max = max(float(evals[-1]), 0.0)
-    lam_min = float(evals[0])
-    if lam_min < -PSD_RTOL * lam_max:
-        raise NotPSDError(
-            f"smallest eigenvalue {lam_min:.3e} below -{PSD_RTOL:.0e} * {lam_max:.3e}"
-        )
-    if lam_min < 0.0:
-        # within tolerance: clamp the offending eigenvalues to zero
-        evals, evecs = np.linalg.eigh(V)
-        V = (evecs * np.clip(evals, 0.0, None)) @ evecs.T
-        V = 0.5 * (V + V.T)
-    nonsingular = lam_min > PSD_RTOL * lam_max
+    if _certified_nonsingular(V):
+        nonsingular = True
+    else:
+        evals = np.linalg.eigvalsh(V)
+        lam_max = max(float(evals[-1]), 0.0)
+        lam_min = float(evals[0])
+        if lam_min < -PSD_RTOL * lam_max:
+            raise NotPSDError(
+                f"smallest eigenvalue {lam_min:.3e} below -{PSD_RTOL:.0e} * {lam_max:.3e}"
+            )
+        if lam_min < 0.0:
+            # within tolerance: clamp the offending eigenvalues to zero
+            evals, evecs = np.linalg.eigh(V)
+            V = (evecs * np.clip(evals, 0.0, None)) @ evecs.T
+            V = 0.5 * (V + V.T)
+        nonsingular = lam_min > PSD_RTOL * lam_max
 
     if names is None:
         names = tuple(f"A{i + 1}" for i in range(n))

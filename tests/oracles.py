@@ -2,8 +2,9 @@
 
 Everything here is deliberately independent of the library's closed forms:
 dense scans, projected-gradient ascent, simplex grids, support enumeration,
-bisection, and the embedding's second routes to centrality and the maximum-DR
-portfolio.
+bisection, the embedding's second routes to centrality and the maximum-DR
+portfolio, and the eigenvalue decisions that the Cholesky certificates of
+`validate_universe` and `assert_edm` stand in for.
 Slow and dumb on purpose.
 """
 
@@ -14,6 +15,7 @@ import itertools
 import numpy as np
 
 import drfrontier as drf
+from drfrontier.embedding import EIG_RTOL
 from drfrontier.errors import MissingReturnsError, NotSPDError, RiskBelowMvpError
 from drfrontier.frontiers import (
     FrontierCurve,
@@ -21,6 +23,7 @@ from drfrontier.frontiers import (
     FrontierRow,
     _excess_risk_at,
 )
+from drfrontier.model import PSD_RTOL
 
 
 def hyperplane_basis(n: int) -> np.ndarray:
@@ -273,16 +276,23 @@ def random_universe(
     return drf.validate_universe(V, expected_returns=rbar, risk_free_rate=r0)
 
 
-def conditioned_universe(n, seed, log_cond, with_riskfree=False, vol_lo=0.1, vol_hi=0.5):
-    """Universe whose correlation has eigenvalues spread over 10^log_cond and
-    whose volatilities are uniform in [vol_lo, vol_hi]: V runs towards
-    singular while the variances stay apart."""
-    rng = np.random.default_rng(seed)
+def conditioned_cov(rng, n, log_cond, vol_lo=0.1, vol_hi=0.5):
+    """Covariance, not yet validated, whose correlation has eigenvalues
+    spread over 10^log_cond and whose volatilities are uniform in
+    [vol_lo, vol_hi]: V runs towards singular while the variances stay
+    apart."""
     q, _ = np.linalg.qr(rng.normal(size=(n, n)))
     C = (q * np.geomspace(1.0, 10.0 ** (-log_cond), n)) @ q.T
     root = np.sqrt(np.diag(C))
     vols = rng.uniform(vol_lo, vol_hi, n)
-    V = C / np.outer(root, root) * np.outer(vols, vols)
+    return C / np.outer(root, root) * np.outer(vols, vols)
+
+
+def conditioned_universe(n, seed, log_cond, with_riskfree=False, vol_lo=0.1, vol_hi=0.5):
+    """Universe of :func:`conditioned_cov` with expected returns, and a
+    risk-free rate below the minimum-variance return when asked."""
+    rng = np.random.default_rng(seed)
+    V = conditioned_cov(rng, n, log_cond, vol_lo, vol_hi)
     rbar = rng.uniform(0.01, 0.2, n)
     r0 = None
     if with_riskfree:
@@ -301,6 +311,14 @@ def rotated_spectrum_cov(seed=1, log_cond=5.0):
     scale = rng.uniform(0.05, 0.5)
     V = (q * (np.geomspace(1.0, 10.0 ** (-log_cond), 3) * scale)) @ q.T
     return V, rng.uniform(0.01, 0.2, 3)
+
+
+def with_spectrum(evals, seed=4):
+    """Symmetric q diag(evals) q' with a random rotation q: a covariance
+    whose eigenvalues, negative ones included, are known."""
+    q = np.linalg.qr(np.random.default_rng(seed).normal(size=(len(evals),) * 2))[0]
+    V = (q * np.asarray(evals, dtype=float)) @ q.T
+    return 0.5 * (V + V.T)
 
 
 def block_riskfree_dr(V, eta, risky_weights, cash):
@@ -436,6 +454,34 @@ def forward_error(universe):
             loss = max(loss, cancel)
     cond = float(np.linalg.cond(universe.cov))
     return universe.n * np.finfo(float).eps * cond * loss
+
+
+def eigen_covariance_decision(cov):
+    """The eigenvalue decision of :func:`drfrontier.validate_universe` on a
+    symmetric covariance: None where it raises NotPSDError, else whether the
+    universe is nonsingular."""
+    V = np.asarray(cov, dtype=float)
+    V = 0.5 * (V + V.T)
+    evals = np.linalg.eigvalsh(V)
+    lam_max = max(float(evals[-1]), 0.0)
+    lam_min = float(evals[0])
+    if lam_min < -PSD_RTOL * lam_max:
+        return None
+    return lam_min > PSD_RTOL * lam_max
+
+
+def eigen_is_edm(dist):
+    """The eigenvalue decision of :func:`drfrontier.assert_edm` on a matrix
+    that meets its preconditions: no entry below -1e-10 max|D| and
+    lambda_min(-0.5 J D J) >= -EIG_RTOL * max(lambda_top, max|D|)."""
+    D = np.asarray(dist, dtype=float)
+    scale = max(float(np.abs(D).max()), np.finfo(float).tiny)
+    if float(D.min()) < -1e-10 * scale:
+        return False
+    r = D.mean(axis=1)
+    G = -0.5 * (D - r[:, None] - r[None, :] + r.mean())
+    evals = np.linalg.eigvalsh(0.5 * (G + G.T))
+    return float(evals[0]) >= -EIG_RTOL * max(float(evals[-1]), scale)
 
 
 # Agreement required between the two routes to the maximum-DR portfolio.

@@ -5,11 +5,14 @@ times can only suggest: after the universe's kernel is built, every sweep,
 the inflection report and the ratio-maximizing portfolio are dot products,
 whatever the number of grid points; the special portfolios and the
 `portfolios` and `frontier` commands read centrality from the kernel and
-build no embedding; d_max of a distance matrix is one ascent, and a matrix
-that is not one is refused before any; d_max of D_eta is a closed form; the
-sandwich check draws once per level, nothing on a level it proves empty, and
-finds its long-only anchor once per universe.  numpy is the only runtime
-dependency: a CLI run loads no scipy.
+build no embedding; validating a universe and certifying a distance matrix
+take one Cholesky factorization and no eigendecomposition unless the
+factorization fails, and an embedding decomposes its Gram matrix only when
+its coordinates are read; d_max of a distance matrix is one ascent, and a
+matrix that is not one is refused before any; d_max of D_eta is a closed
+form; the sandwich check draws once per level, nothing on a level it proves
+empty, and finds its long-only anchor once per universe.  numpy is the only
+runtime dependency: a CLI run loads no scipy.
 """
 
 import os
@@ -28,7 +31,7 @@ from drfrontier.errors import NotPSDError
 from drfrontier.frontiers import FrontierKind
 
 from .conftest import FIXTURES, R0_3, RBAR3, V3
-from .oracles import random_universe
+from .oracles import random_universe, with_spectrum
 
 
 @pytest.fixture
@@ -207,21 +210,26 @@ def test_non_edm_is_refused_before_any_ascent(calls):
 
 
 @pytest.fixture
-def eighs(monkeypatch):
-    """Number of np.linalg.eigh calls."""
+def eigen(monkeypatch):
+    """Number of np.linalg.eigh and np.linalg.eigvalsh calls."""
     count = Counter()
-    inner = np.linalg.eigh
 
-    def wrapper(*args, **kwargs):
-        count["eigh"] += 1
-        return inner(*args, **kwargs)
+    def counting(name):
+        inner = getattr(np.linalg, name)
 
-    monkeypatch.setattr(np.linalg, "eigh", wrapper)
+        def wrapper(*args, **kwargs):
+            count[name] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, wrapper)
+
+    counting("eigh")
+    counting("eigvalsh")
     return count
 
 
 @pytest.mark.parametrize("fixture", ["synthetic_panel_30.csv", "example3_with_returns.json"])
-def test_portfolios_and_frontier_make_no_eigendecomposition(calls, eighs, fixture, tmp_path):
+def test_portfolios_and_frontier_make_no_eigendecomposition(calls, eigen, fixture, tmp_path):
     # centrality and q_max come from the covariance kernel: no embedding
     src = str(FIXTURES / fixture)
     runs = [
@@ -233,7 +241,47 @@ def test_portfolios_and_frontier_make_no_eigendecomposition(calls, eighs, fixtur
         assert main(args + ["--input", src, "--out", out]) == 0
     assert (tmp_path / "1" / "sigma_c.svg").exists()
     assert calls["embed"] == 0
-    assert eighs["eigh"] == 0
+    assert eigen["eigh"] == eigen["eigvalsh"] == 0
+
+
+def test_certificates_and_embed_make_no_eigendecomposition(eigen):
+    # validate_universe and assert_edm certify by Cholesky; embed defers eigh
+    u = random_universe(np.random.default_rng(5), 30, with_riskfree=True)
+    emb = drf.embed(u)
+    for D in (emb.dist, drf.build_d_eta(u)):
+        cert = drf.assert_edm(D)
+        assert cert.is_edm and cert.min_eigenvalue == 0.0
+    assert emb.q_max > 0.0 and emb.gram.shape == (30, 30)
+    assert eigen["eigh"] == eigen["eigvalsh"] == 0
+
+
+@pytest.mark.parametrize("first", ["coords", "eigvals", "dim"])
+def test_embedding_decomposes_once_on_first_read(eigen, first):
+    u = random_universe(np.random.default_rng(6), 30)
+    emb = drf.embed(u)
+    assert eigen["eigh"] == 0
+    getattr(emb, first)
+    assert eigen["eigh"] == 1
+    X, lam = emb.coords, emb.eigvals
+    assert X.shape == (emb.dim, 30) and lam.shape == (emb.dim,)
+    assert emb.coords is X and emb.eigvals is lam
+    assert eigen["eigh"] == 1 and eigen["eigvalsh"] == 0
+
+
+def test_eigenvalues_only_where_cholesky_cannot_certify(eigen):
+    # an indefinite V: one eigenvalue test, then the refusal
+    with pytest.raises(NotPSDError):
+        drf.validate_universe(with_spectrum([1.0, 0.5, -0.5]))
+    assert (eigen["eigvalsh"], eigen["eigh"]) == (1, 0)
+    # an eigenvalue of -1e-12 lambda_max: the test, then the clamp's eigh
+    u = drf.validate_universe(with_spectrum([1.0, 0.5, -1e-12]))
+    assert not u.nonsingular
+    assert (eigen["eigvalsh"], eigen["eigh"]) == (2, 1)
+    # a nonnegative matrix that is not an EDM: one eigenvalue test
+    A = np.ones((5, 5)) - np.eye(5)
+    A[0, 1] = A[1, 0] = 100.0
+    assert not drf.assert_edm(A).is_edm
+    assert (eigen["eigvalsh"], eigen["eigh"]) == (3, 1)
 
 
 def test_cli_run_loads_no_scipy(tmp_path):
