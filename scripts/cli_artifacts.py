@@ -8,8 +8,13 @@ OUT_DIR/<run>/ the files the command wrote (in out/), its stdout, its stderr
 and its exit code.  The runs cover, on each of the four fixtures,
 `portfolios`, `portfolios --riskfree 0.01`, `frontier --svg`,
 `frontier --svg --riskfree 0.01` and `embed`; `ingest-check` on the two
-price panels; and `mdp` on ex3 (default and two seeded sigmas), ex3 with
-returns, mini and panel-30 (one seeded sigma, and the default sigmas).
+price panels; `mdp` on ex3 (default and two seeded sigmas), ex3 with
+returns, mini and panel-30 (one seeded sigma, and the default sigmas); the
+README's `frontier --grid 1.0:2.0:50 --kind efficient_dr`; `--log-returns`
+on mini; `--require-returns` on ex3; `--help` of the program and of every
+subcommand; and the refused inputs: non-finite `--riskfree` values, and
+covariance JSON with a NaN or non-numeric field, which the script writes
+into the run's directory as input.json.
 
 Whether two checkouts produce byte-identical artifacts is then one command:
 
@@ -55,17 +60,45 @@ EXTRA = {
         ["mdp", "--sigma", "0.177032476371", "--samples", "20000", "--seed", "5"],
     ),
     "panel-mdp": ("panel", ["mdp"]),
+    "ex3-frontier-grid-kind": (
+        "ex3",
+        ["frontier", "--grid", "1.0:2.0:50", "--kind", "efficient_dr"],
+    ),
+    "mini-portfolios-log-returns": ("mini", ["portfolios", "--log-returns"]),
+    "mini-ingest-check-log-returns": ("mini", ["ingest-check", "--log-returns"]),
+    "ex3-require-returns": ("ex3", ["portfolios", "--require-returns"]),
+    "ex3r-portfolios-rf-nan": ("ex3r", ["portfolios", "--riskfree", "nan"]),
+    "ex3r-frontier-rf-neginf": ("ex3r", ["frontier", "--riskfree=-inf"]),
+    "panel-portfolios-rf-nan": ("panel", ["portfolios", "--riskfree", "nan"]),
+    "panel-frontier-rf-inf": ("panel", ["frontier", "--riskfree", "inf"]),
+}
+
+HELP = ["portfolios", "frontier", "mdp", "embed", "ingest-check"]
+
+# `portfolios` on a covariance JSON written as OUT_DIR/<run>/input.json
+WRITTEN = {
+    "json-r0-nan": '{"V": [[1, 0], [0, 2]], "rbar": [0.1, 0.2], "r0": NaN}\n',
+    "json-r0-text": '{"V": [[1, 0], [0, 2]], "rbar": [0.1, 0.2], "r0": "abc"}\n',
+    "json-rbar-text": '{"V": [[1, 0], [0, 2]], "rbar": ["x", 0.2]}\n',
+    "json-V-text": '{"V": [["a", 0], [0, 2]]}\n',
 }
 
 
 def runs() -> dict:
-    """Run name -> CLI arguments, --input included and --out left out."""
-    table = {}
+    """Run name -> (CLI arguments, --out left out; text of input.json or None).
+
+    An argument "input.json" names the file written into the run's directory.
+    """
+    table = {"help": (["--help"], None)}
+    for cmd in HELP:
+        table[f"{cmd}-help"] = ([cmd, "--help"], None)
     for fx, path in FIXTURES.items():
         for label, args in PER_FIXTURE.items():
-            table[f"{fx}-{label}"] = args + ["--input", path]
+            table[f"{fx}-{label}"] = (args + ["--input", path], None)
     for name, (fx, args) in EXTRA.items():
-        table[name] = args + ["--input", FIXTURES[fx]]
+        table[name] = (args + ["--input", FIXTURES[fx]], None)
+    for name, text in WRITTEN.items():
+        table[name] = (["portfolios", "--input", "input.json"], text)
     return table
 
 
@@ -79,9 +112,12 @@ def main(argv) -> int:
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
     )
     table = runs()
-    for name, args in table.items():
+    for name, (args, text) in table.items():
         run_dir = out_root / name
         run_dir.mkdir(parents=True, exist_ok=True)
+        if text is not None:
+            (run_dir / "input.json").write_text(text)
+            args = [str(run_dir / a) if a == "input.json" else a for a in args]
         proc = subprocess.run(
             [sys.executable, "-m", "drfrontier.cli", *args, "--out", str(run_dir / "out")],
             cwd=ROOT,

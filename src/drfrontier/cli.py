@@ -9,8 +9,10 @@ Subcommands:
 
 Inputs are either a CSV panel of prices/returns (see ingest) or a direct
 covariance JSON {"names": [...], "V": [[...]], "rbar": [...], "r0": x} with
-the last two optional.  Validation failures exit with status 2 and a single
-machine-readable JSON object on stderr.  For equal inputs, flags and seed,
+the last two optional; --riskfree overrides r0.  Validation failures,
+non-numeric JSON fields and a non-finite risk-free rate among them, exit
+with status 2 and a single machine-readable JSON object on stderr.  Each
+run validates its universe once.  For equal inputs, flags and seed,
 every output file is byte identical; floats are serialized with 12
 significant digits.
 """
@@ -24,7 +26,6 @@ import json
 import logging
 import os
 import sys
-from typing import Optional
 
 import numpy as np
 
@@ -33,23 +34,7 @@ from . import frontiers, ingest, mdp, portfolios
 from .errors import DrFrontierError, MissingReturnsError, ParseError
 from .model import validate_universe
 
-log = logging.getLogger(__name__)
-
 SIGNIFICANT_DIGITS = 12
-
-
-@dataclasses.dataclass
-class RunConfig:
-    command: str
-    input_path: str
-    input_format: Optional[str]
-    log_returns: bool
-    grid: Optional[str]
-    riskfree: Optional[float]
-    out_dir: str
-    seed: int
-    emit_svg: bool
-    require_returns: bool
 
 
 def _round12(x: float) -> float:
@@ -116,10 +101,15 @@ def _provenance(path: str, panel) -> dict:
     }
 
 
-def _load_universe(config: RunConfig):
-    """Build the universe plus (for panel input) a provenance record."""
-    path = config.input_path
-    fmt = config.input_format
+def _load_universe(args):
+    """Build the universe plus (for panel input) a provenance record.
+
+    --riskfree is applied where the universe is validated: JSON input passes
+    it (or else r0) to its one validate_universe call, and a panel's
+    annualized universe takes it without validating V again.
+    """
+    path = args.input
+    fmt = args.format
     if fmt is None:
         fmt = "json" if path.lower().endswith(".json") else "prices"
 
@@ -130,27 +120,22 @@ def _load_universe(config: RunConfig):
                 data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: {exc}") from None
-        if "V" not in data:
+        if not isinstance(data, dict) or "V" not in data:
             raise ParseError(f"{path}: missing key 'V'")
         universe = validate_universe(
             data["V"],
             expected_returns=data.get("rbar"),
-            risk_free_rate=data.get("r0"),
+            risk_free_rate=data.get("r0") if args.riskfree is None else args.riskfree,
             names=data.get("names"),
         )
     else:
-        panel = ingest.load_panel(path, format=fmt, log_returns=config.log_returns)
+        panel = ingest.load_panel(path, format=fmt, log_returns=args.log_returns)
         universe = ingest.annualize(panel)
         provenance = _provenance(path, panel)
+        if args.riskfree is not None:
+            universe = dataclasses.replace(universe, risk_free_rate=args.riskfree)
 
-    if config.riskfree is not None:
-        universe = validate_universe(
-            universe.cov,
-            expected_returns=universe.expected_returns,
-            risk_free_rate=config.riskfree,
-            names=universe.names,
-        )
-    if config.require_returns and universe.expected_returns is None:
+    if args.require_returns and universe.expected_returns is None:
         raise MissingReturnsError(
             "input carries no expected returns (--require-returns)"
         )
@@ -177,12 +162,6 @@ def _parse_grid_spec(spec: str):
     return np.linspace(lo, hi, points)
 
 
-def _sigma_grid(config: RunConfig, params) -> np.ndarray:
-    if config.grid:
-        return _parse_grid_spec(config.grid)
-    return frontiers.default_sigma_grid(params)
-
-
 def _maybe_write_provenance(out_dir: str, provenance) -> None:
     if provenance is not None:
         _write_json(os.path.join(out_dir, "provenance.json"), provenance)
@@ -192,8 +171,8 @@ def _maybe_write_provenance(out_dir: str, provenance) -> None:
 # subcommands
 
 
-def cmd_portfolios(config: RunConfig) -> int:
-    universe, provenance = _load_universe(config)
+def cmd_portfolios(args) -> int:
+    universe, provenance = _load_universe(args)
     sp = portfolios.special_portfolios(universe)
     params = frontiers.frontier_params(universe)
     payload = {
@@ -215,9 +194,9 @@ def cmd_portfolios(config: RunConfig) -> int:
         "q_portfolio": _portfolio_dict(sp.q_pf),
         "tangent": _portfolio_dict(sp.tangent),
     }
-    os.makedirs(config.out_dir, exist_ok=True)
-    _write_json(os.path.join(config.out_dir, "portfolios.json"), payload)
-    _maybe_write_provenance(config.out_dir, provenance)
+    os.makedirs(args.out, exist_ok=True)
+    _write_json(os.path.join(args.out, "portfolios.json"), payload)
+    _maybe_write_provenance(args.out, provenance)
     return 0
 
 
@@ -236,35 +215,17 @@ def _applicable_kinds(universe, params) -> list:
     return kinds
 
 
+# (file, title, y label, FrontierRow field) of each chart; sigma_q.svg is
+# always written, the others when some curve has their field
+CHARTS = (
+    ("sigma_q.svg", "diversification return vs risk", "q", "q"),
+    ("sigma_c.svg", "centrality vs risk", "c", "centrality"),
+    ("sigma_R.svg", "expected return vs risk", "R", "ret"),
+)
+
+
 def _svg_charts(out_dir, params, curves) -> None:
     from . import svg
-
-    def ok_rows(curve):
-        return [r for r in curve.rows if r.status == "ok"]
-
-    q_series = []
-    c_series = []
-    r_series = []
-    for curve in curves:
-        rows = ok_rows(curve)
-        if not rows:
-            continue
-        label = curve.kind.value
-        q_series.append(
-            svg.Series(label, [r.sigma for r in rows], [r.q for r in rows])
-        )
-        if any(r.centrality is not None for r in rows):
-            with_c = [r for r in rows if r.centrality is not None]
-            c_series.append(
-                svg.Series(
-                    label, [r.sigma for r in with_c], [r.centrality for r in with_c]
-                )
-            )
-        if any(r.ret is not None for r in rows):
-            with_r = [r for r in rows if r.ret is not None]
-            r_series.append(
-                svg.Series(label, [r.sigma for r in with_r], [r.ret for r in with_r])
-            )
 
     markers = [
         svg.Marker("MVP", params.sigma_mvp, params.q_mvp),
@@ -279,77 +240,65 @@ def _svg_charts(out_dir, params, curves) -> None:
                 params.q_mvp + m * m / 8.0,
             )
         )
-    _write_text(
-        os.path.join(out_dir, "sigma_q.svg"),
-        svg.render(
-            svg.Chart(
-                title="diversification return vs risk",
-                xlabel="sigma",
-                ylabel="q",
-                series=q_series,
-                markers=markers,
-            )
-        ),
-    )
-    if c_series:
-        _write_text(
-            os.path.join(out_dir, "sigma_c.svg"),
-            svg.render(
-                svg.Chart(
-                    title="centrality vs risk",
-                    xlabel="sigma",
-                    ylabel="c",
-                    series=c_series,
-                    hlines=[("sqrt(q_max)", float(np.sqrt(params.q_mdrp)))],
+    for filename, title, ylabel, field in CHARTS:
+        series = []
+        for curve in curves:
+            rows = [
+                r for r in curve.rows
+                if r.status == "ok" and getattr(r, field) is not None
+            ]
+            if rows:
+                series.append(
+                    svg.Series(
+                        curve.kind.value,
+                        [r.sigma for r in rows],
+                        [getattr(r, field) for r in rows],
+                    )
                 )
-            ),
-        )
-    if r_series:
-        _write_text(
-            os.path.join(out_dir, "sigma_R.svg"),
-            svg.render(
-                svg.Chart(
-                    title="expected return vs risk",
-                    xlabel="sigma",
-                    ylabel="R",
-                    series=r_series,
-                )
-            ),
-        )
+        if field != "q" and not series:
+            continue
+        chart = svg.Chart(title=title, xlabel="sigma", ylabel=ylabel, series=series)
+        if field == "q":
+            chart.markers = markers
+        if field == "centrality":
+            chart.hlines = [("sqrt(q_max)", float(np.sqrt(params.q_mdrp)))]
+        _write_text(os.path.join(out_dir, filename), svg.render(chart))
 
 
-def cmd_frontier(config: RunConfig, kinds=None) -> int:
-    universe, provenance = _load_universe(config)
+def cmd_frontier(args) -> int:
+    universe, provenance = _load_universe(args)
     params = frontiers.frontier_params(universe)
-    grid = _sigma_grid(config, params)
-    if kinds:
-        kinds = [frontiers.FrontierKind(k) for k in kinds]
+    if args.grid:
+        grid = _parse_grid_spec(args.grid)
+    else:
+        grid = frontiers.default_sigma_grid(params)
+    if args.kind:
+        kinds = [frontiers.FrontierKind(k) for k in args.kind]
     else:
         kinds = _applicable_kinds(universe, params)
 
-    os.makedirs(config.out_dir, exist_ok=True)
+    os.makedirs(args.out, exist_ok=True)
     curves = []
     for kind in kinds:
         curve = frontiers.sweep(universe, kind, grid)
         curves.append(curve)
         _write_text(
-            os.path.join(config.out_dir, f"frontier_{kind.value}.csv"),
+            os.path.join(args.out, f"frontier_{kind.value}.csv"),
             curve.to_csv_text(),
         )
-    if config.emit_svg:
-        _svg_charts(config.out_dir, params, curves)
-    _maybe_write_provenance(config.out_dir, provenance)
+    if args.svg:
+        _svg_charts(args.out, params, curves)
+    _maybe_write_provenance(args.out, provenance)
     return 0
 
 
-def cmd_mdp(config: RunConfig, sigmas=None, samples: int = 20_000) -> int:
-    universe, provenance = _load_universe(config)
+def cmd_mdp(args) -> int:
+    universe, provenance = _load_universe(args)
     analysis = mdp.analyze_mdp(universe)
     params = frontiers.frontier_params(universe)
-    if not sigmas:
-        sigmas = [params.sigma_mvp * f for f in (1.05, 1.15, 1.3)]
+    sigmas = args.sigma or [params.sigma_mvp * f for f in (1.05, 1.15, 1.3)]
     reports = [
-        mdp.sandwich_check(universe, s, samples=samples, seed=config.seed)
+        mdp.sandwich_check(universe, s, samples=args.samples, seed=args.seed)
         for s in sigmas
     ]
     payload = {
@@ -361,17 +310,17 @@ def cmd_mdp(config: RunConfig, sigmas=None, samples: int = 20_000) -> int:
         "d_max_upper": analysis.d_max_upper,
         "starts_used": analysis.starts_used,
         "converged": analysis.converged,
-        "seed": config.seed,
+        "seed": args.seed,
         "sandwich": [dataclasses.asdict(r) for r in reports],
     }
-    os.makedirs(config.out_dir, exist_ok=True)
-    _write_json(os.path.join(config.out_dir, "mdp.json"), payload)
-    _maybe_write_provenance(config.out_dir, provenance)
+    os.makedirs(args.out, exist_ok=True)
+    _write_json(os.path.join(args.out, "mdp.json"), payload)
+    _maybe_write_provenance(args.out, provenance)
     return 0
 
 
-def cmd_embed(config: RunConfig) -> int:
-    universe, provenance = _load_universe(config)
+def cmd_embed(args) -> int:
+    universe, provenance = _load_universe(args)
     embedding = emb_mod.embed(universe)
     rows = emb_mod.coords_table(embedding, universe.names)
     header = ["asset"] + [f"dim{k + 1}" for k in range(embedding.dim)]
@@ -380,32 +329,30 @@ def cmd_embed(config: RunConfig) -> int:
         lines.append(
             ",".join([str(row[0])] + [f"{v:.12g}" for v in row[1:]])
         )
-    os.makedirs(config.out_dir, exist_ok=True)
+    os.makedirs(args.out, exist_ok=True)
     _write_text(
-        os.path.join(config.out_dir, "embedding.csv"), "\n".join(lines) + "\n"
+        os.path.join(args.out, "embedding.csv"), "\n".join(lines) + "\n"
     )
     _write_json(
-        os.path.join(config.out_dir, "embedding.json"),
+        os.path.join(args.out, "embedding.json"),
         {
             "q_max": embedding.q_max,
             "eigvals": embedding.eigvals,
             "mdrp_weights": embedding.mdrp_weights,
         },
     )
-    _maybe_write_provenance(config.out_dir, provenance)
+    _maybe_write_provenance(args.out, provenance)
     return 0
 
 
-def cmd_ingest_check(config: RunConfig) -> int:
-    fmt = config.input_format or "prices"
+def cmd_ingest_check(args) -> int:
+    fmt = args.format or "prices"
     if fmt == "json":
         raise ParseError("ingest-check works on CSV panels, not covariance JSON")
-    panel = ingest.load_panel(
-        config.input_path, format=fmt, log_returns=config.log_returns
-    )
-    provenance = _provenance(config.input_path, panel)
-    os.makedirs(config.out_dir, exist_ok=True)
-    _write_json(os.path.join(config.out_dir, "provenance.json"), provenance)
+    panel = ingest.load_panel(args.input, format=fmt, log_returns=args.log_returns)
+    provenance = _provenance(args.input, panel)
+    os.makedirs(args.out, exist_ok=True)
+    _write_json(os.path.join(args.out, "provenance.json"), provenance)
     sys.stdout.write(json.dumps(_jsonable(provenance), sort_keys=True) + "\n")
     return 0
 
@@ -438,6 +385,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The drfrontier parser; each subcommand's handler is its ``handler``."""
     parser = argparse.ArgumentParser(
         prog="drfrontier",
         description="Diversification-return portfolio analytics",
@@ -446,6 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("portfolios", help="closed-form special portfolios")
     _add_common(p)
+    p.set_defaults(handler=cmd_portfolios)
 
     p = sub.add_parser("frontier", help="frontier curves as CSV (and SVG)")
     _add_common(p)
@@ -461,6 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="curve kind (repeatable; default: all applicable)",
     )
     p.add_argument("--svg", action="store_true", help="also write SVG charts")
+    p.set_defaults(handler=cmd_frontier)
 
     p = sub.add_parser("mdp", help="diversification-ratio analysis")
     _add_common(p)
@@ -471,48 +421,25 @@ def build_parser() -> argparse.ArgumentParser:
         help="risk level for the sandwich check (repeatable)",
     )
     p.add_argument("--samples", type=int, default=20_000)
+    p.set_defaults(handler=cmd_mdp)
 
     p = sub.add_parser("embed", help="asset coordinates and embedding summary")
     _add_common(p)
+    p.set_defaults(handler=cmd_embed)
 
     p = sub.add_parser("ingest-check", help="parse a panel, emit provenance only")
     _add_common(p)
+    p.set_defaults(handler=cmd_ingest_check)
 
     return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        input_path=args.input,
-        input_format=args.format,
-        log_returns=getattr(args, "log_returns", False),
-        grid=getattr(args, "grid", None),
-        riskfree=args.riskfree,
-        out_dir=args.out,
-        seed=args.seed,
-        emit_svg=getattr(args, "svg", False),
-        require_returns=args.require_returns,
-    )
 
 
 def main(argv=None) -> int:
     level = os.environ.get("DRFRONTIER_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
     args = build_parser().parse_args(argv)
-    config = _config_from_args(args)
     try:
-        if args.command == "portfolios":
-            return cmd_portfolios(config)
-        if args.command == "frontier":
-            return cmd_frontier(config, kinds=args.kind)
-        if args.command == "mdp":
-            return cmd_mdp(config, sigmas=args.sigma, samples=args.samples)
-        if args.command == "embed":
-            return cmd_embed(config)
-        if args.command == "ingest-check":
-            return cmd_ingest_check(config)
-        raise AssertionError(f"unhandled command {args.command!r}")
+        return args.handler(args)
     except DrFrontierError as exc:
         sys.stderr.write(
             json.dumps(

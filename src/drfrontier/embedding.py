@@ -57,6 +57,9 @@ from .model import AssetUniverse, check_budget
 
 # Eigenvalues of B below EIG_RTOL * lambda_1 are treated as zero.
 EIG_RTOL = 1e-10
+# A distance matrix's diagonal, asymmetry and negative entries within
+# EDM_RTOL * max|D| are rounding (assert_edm).
+EDM_RTOL = 1e-10
 # Eigenvalues within BASIS_RTOL * lambda_1 share a canonical cluster, and a
 # coordinate below BASIS_RTOL times its axis's largest cannot orient the axis.
 BASIS_RTOL = 1e-8
@@ -192,7 +195,7 @@ def _certified_edm(D: np.ndarray, scale: float) -> bool:
     return True
 
 
-def assert_edm(dist, atol_scale: float = 1e-10) -> EdmCertificate:
+def assert_edm(dist) -> EdmCertificate:
     """Certify that a matrix is a Euclidean squared-distance matrix.
 
     Preconditions (zero diagonal, symmetry) raise; a negative entry or a
@@ -210,13 +213,13 @@ def assert_edm(dist, atol_scale: float = 1e-10) -> EdmCertificate:
     if D.ndim != 2 or D.shape[0] != D.shape[1]:
         raise DimensionMismatchError(f"distance matrix must be square, got {D.shape}")
     scale = max(float(np.abs(D).max()), np.finfo(float).tiny)
-    if float(np.abs(np.diag(D)).max()) > atol_scale * scale:
+    if float(np.abs(np.diag(D)).max()) > EDM_RTOL * scale:
         raise NonZeroDiagonalError("distance matrix has a nonzero diagonal")
     asym = float(np.abs(D - D.T).max())
-    if asym > atol_scale * scale:
+    if asym > EDM_RTOL * scale:
         raise AsymmetricError("distance matrix is asymmetric")
 
-    if float(D.min()) < -atol_scale * scale:
+    if float(D.min()) < -EDM_RTOL * scale:
         return EdmCertificate(False, float("nan"), "negative entries")
 
     if _certified_edm(D if asym == 0.0 else 0.5 * (D + D.T), scale):

@@ -82,7 +82,8 @@ class ZeroVarianceError(DrFrontierError):
 
 
 class ParseError(DrFrontierError):
-    """Input file could not be parsed; message carries row and column."""
+    """Input is not the finite numbers it must be; for a CSV panel the
+    message carries row and column."""
 
 
 class TooFewRowsError(DrFrontierError):

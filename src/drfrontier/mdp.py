@@ -206,7 +206,7 @@ def mdp_at_sigma(universe: AssetUniverse, sigma: float) -> KktSolution:
     return max_linear_over_ellipsoid(universe, root, sigma)
 
 
-def _pairwise_frank_wolfe(D: np.ndarray, max_iter: int, tol: float):
+def _pairwise_frank_wolfe(D: np.ndarray, tol: float):
     """Pairwise Frank-Wolfe ascent of f(w) = 0.5 * w' D w on the simplex.
 
     D is a Euclidean distance matrix, so f is concave there and the
@@ -229,7 +229,7 @@ def _pairwise_frank_wolfe(D: np.ndarray, max_iter: int, tol: float):
     w[j] += 0.5
     g = 0.5 * (D[i] + D[j])
     steps = 0
-    while steps < max_iter:
+    while steps < MAX_ITER:
         s = int(np.argmax(g))
         if float(g[s]) - float(w @ g) <= tol:
             break
@@ -255,13 +255,13 @@ def _pairwise_frank_wolfe(D: np.ndarray, max_iter: int, tol: float):
     return w, D @ w, steps
 
 
-def d_max_bounds(d_eta, *, seed: int = 0, max_iter: int = MAX_ITER) -> DmaxBounds:
+def d_max_bounds(d_eta, *, seed: int = 0) -> DmaxBounds:
     """Bracket max over the simplex of 0.5 * w' D w for a Euclidean distance matrix D.
 
     D_eta and the distance matrix of every covariance are distance matrices
     by theorem.  :func:`assert_edm` certifies D: its NonZeroDiagonalError and
     AsymmetricError propagate, and a failing certificate raises NotPSDError.
-    One pairwise Frank-Wolfe ascent of at most `max_iter` O(n) steps then
+    One pairwise Frank-Wolfe ascent of at most MAX_ITER O(n) steps then
     closes the bracket [f(w), max_j (D w)_j - f(w)] to GAP_RTOL * max D
     unless the step cap is hit.  `seed` is unused; it is kept because
     existing callers pass it.
@@ -271,7 +271,7 @@ def d_max_bounds(d_eta, *, seed: int = 0, max_iter: int = MAX_ITER) -> DmaxBound
     if not cert.is_edm:
         raise NotPSDError(f"not a Euclidean distance matrix: {cert.reason}")
     tol = GAP_RTOL * float(A.max())
-    w, g, steps = _pairwise_frank_wolfe(A, max_iter, tol)
+    w, g, steps = _pairwise_frank_wolfe(A, tol)
     lower = 0.5 * float(w @ g)
     # max(g) >= w'g in exact arithmetic; keep rounding from inverting it
     upper = max(float(g.max()) - lower, lower)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -36,6 +37,7 @@ from .errors import (
     DimensionMismatchError,
     NonSquareError,
     NotPSDError,
+    ParseError,
     SingularCovarianceError,
 )
 
@@ -58,11 +60,19 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def proportional_to_ones(vec: np.ndarray, rtol: float = PROPORTIONALITY_RTOL) -> bool:
+def _float_array(values, what: str) -> np.ndarray:
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        raise ParseError(f"{what} is not a numeric array") from None
+
+
+def proportional_to_ones(vec: np.ndarray) -> bool:
     """True when vec is (numerically) a multiple of the ones vector."""
     v = np.asarray(vec, dtype=float)
     resid = v - v.mean()
-    return float(np.abs(resid).max()) <= rtol * max(float(np.abs(v).max()), 1e-300)
+    scale = max(float(np.abs(v).max()), 1e-300)
+    return float(np.abs(resid).max()) <= PROPORTIONALITY_RTOL * scale
 
 
 @dataclass(frozen=True)
@@ -75,7 +85,9 @@ class AssetUniverse:
         variances: diagonal of cov, kept separately because the DR
             functional weights it directly.
         expected_returns: optional annualized mean returns.
-        risk_free_rate: optional annualized risk-free rate.
+        risk_free_rate: optional annualized risk-free rate, a finite float
+            (anything else raises ParseError, also through
+            ``dataclasses.replace``).
         nonsingular: True when cov is numerically strictly positive definite.
         fingerprint: hash of (cov, names); embeddings are keyed on it.
     """
@@ -87,6 +99,19 @@ class AssetUniverse:
     risk_free_rate: Optional[float]
     nonsingular: bool
     fingerprint: str
+
+    def __post_init__(self):
+        if self.risk_free_rate is None:
+            return
+        try:
+            r0 = float(self.risk_free_rate)
+        except (TypeError, ValueError):
+            r0 = math.nan
+        if not math.isfinite(r0):
+            raise ParseError(
+                f"risk-free rate {self.risk_free_rate!r} is not a finite number"
+            )
+        object.__setattr__(self, "risk_free_rate", r0)
 
     @property
     def n(self) -> int:
@@ -204,15 +229,17 @@ class Portfolio:
         return float(np.sqrt(max(self.variance, 0.0)))
 
 
-def check_budget(weights: np.ndarray, atol: float = BUDGET_ATOL) -> np.ndarray:
-    """Coerce weights to a float vector and enforce sum(w) == 1 within atol."""
+def check_budget(weights: np.ndarray) -> np.ndarray:
+    """Coerce weights to a float vector and enforce sum(w) == 1 within
+    BUDGET_ATOL; a non-finite sum fails."""
     w = np.asarray(weights, dtype=float)
     if w.ndim != 1:
         raise DimensionMismatchError(f"weights must be 1-D, got shape {w.shape}")
-    total = float(w.sum())
-    if abs(total - 1.0) > atol:
+    with np.errstate(invalid="ignore"):  # inf - inf: the test below fails it
+        total = float(w.sum())
+    if not abs(total - 1.0) <= BUDGET_ATOL:
         raise BudgetViolationError(
-            f"weights sum to {total!r}, outside 1 +/- {atol}"
+            f"weights sum to {total!r}, outside 1 +/- {BUDGET_ATOL}"
         )
     return w
 
@@ -260,7 +287,9 @@ def validate_universe(
     Checks, in order: squareness, n >= 2, symmetry within a relative
     tolerance (then exact symmetrization), positive semidefiniteness with a
     small negative eigenvalue allowance (offenders are clamped to zero), and
-    dimension agreement of optional expected returns.
+    dimension agreement of optional expected returns.  Non-numeric cov or
+    expected returns, and a risk-free rate that is not a finite number,
+    raise ParseError.
 
     Definiteness is decided by one shifted Cholesky factorization when it
     succeeds (see :func:`_certified_nonsingular`): V is then strictly
@@ -274,7 +303,7 @@ def validate_universe(
     Returns a frozen universe whose variances vector is exactly the diagonal
     of the stored covariance.
     """
-    V = np.asarray(cov, dtype=float)
+    V = _float_array(cov, "covariance")
     if V.ndim != 2 or V.shape[0] != V.shape[1]:
         raise NonSquareError(f"covariance must be square, got shape {V.shape}")
     if not np.all(np.isfinite(V)):
@@ -319,7 +348,7 @@ def validate_universe(
 
     rbar = None
     if expected_returns is not None:
-        rbar = np.asarray(expected_returns, dtype=float)
+        rbar = _float_array(expected_returns, "expected_returns")
         if rbar.shape != (n,):
             raise DimensionMismatchError(
                 f"expected_returns shape {rbar.shape}, need ({n},)"
@@ -327,8 +356,6 @@ def validate_universe(
         if not np.all(np.isfinite(rbar)):
             raise DimensionMismatchError("expected_returns contain non-finite entries")
         rbar = _frozen(rbar)
-
-    r0 = None if risk_free_rate is None else float(risk_free_rate)
 
     digest = hashlib.sha256()
     digest.update(V.tobytes())
@@ -340,7 +367,7 @@ def validate_universe(
         cov=_frozen(V),
         variances=_frozen(np.diag(V)),
         expected_returns=rbar,
-        risk_free_rate=r0,
+        risk_free_rate=risk_free_rate,
         nonsingular=nonsingular,
         fingerprint=fingerprint,
     )

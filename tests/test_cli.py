@@ -101,6 +101,82 @@ def test_riskfree_override(tmp_path):
     )
 
 
+def test_riskfree_override_on_panel_input(fixture_dir, tmp_path):
+    # the annualized universe takes the rate as a second validation would
+    src = fixture_dir / "synthetic_panel_30.csv"
+    out = tmp_path / "out"
+    rc = main(
+        ["portfolios", "--input", str(src), "--out", str(out), "--riskfree", "0.01"]
+    )
+    assert rc == 0
+    u = drf.annualize(drf.load_panel(src, format="prices"))
+    ref = drf.special_portfolios(
+        drf.validate_universe(
+            u.cov, expected_returns=u.expected_returns, risk_free_rate=0.01, names=u.names
+        )
+    )
+    data = _read_json(out / "portfolios.json")
+    np.testing.assert_allclose(
+        data["tangent"]["weights"], ref.tangent.weights, rtol=1e-10, atol=1e-12
+    )
+    assert data["tangent"]["sigma"] == pytest.approx(ref.tangent.sigma, rel=1e-10)
+    assert (out / "provenance.json").exists()
+    # the panel alone carries no risk-free rate
+    rc = main(["portfolios", "--input", str(src), "--out", str(tmp_path / "none")])
+    assert rc == 0
+    assert _read_json(tmp_path / "none" / "portfolios.json")["tangent"] is None
+
+
+@pytest.mark.parametrize(
+    "flag", [["--riskfree", "nan"], ["--riskfree=-inf"], ["--riskfree", "inf"]]
+)
+@pytest.mark.parametrize("fixture", ["example3_with_returns.json", "synthetic_panel_30.csv"])
+def test_non_finite_riskfree_exits_2(fixture_dir, tmp_path, capsys, fixture, flag):
+    out = tmp_path / "out"
+    src = str(fixture_dir / fixture)
+    for command in ("portfolios", "frontier"):
+        rc = main([command, "--input", src, "--out", str(out)] + flag)
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ParseError"
+        assert "risk-free rate" in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "fields, named",
+    [
+        ({"r0": float("nan")}, "risk-free rate"),
+        ({"r0": float("inf")}, "risk-free rate"),
+        ({"r0": "abc"}, "risk-free rate"),
+        ({"rbar": ["x", 0.1, 0.1]}, "expected_returns"),
+        ({"V": [["a", 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]}, "covariance"),
+    ],
+)
+def test_bad_json_fields_exit_2(tmp_path, capsys, fields, named):
+    data = {"V": V3.tolist(), "rbar": RBAR3.tolist(), **fields}
+    src = tmp_path / "u.json"
+    src.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    rc = main(["portfolios", "--input", str(src), "--out", str(out)])
+    assert rc == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "ParseError" and named in err["message"]
+    assert not out.exists()
+
+
+def test_riskfree_flag_replaces_a_bad_json_rate(tmp_path):
+    src = _write_universe_json(tmp_path / "u.json", V3, rbar=RBAR3, r0="abc")
+    out = tmp_path / "out"
+    rc = main(
+        ["portfolios", "--input", str(src), "--out", str(out), "--riskfree", "0.01"]
+    )
+    assert rc == 0
+    assert _read_json(out / "portfolios.json")["tangent"] is not None
+
+
 def test_require_returns_flag(fixture_dir, tmp_path, capsys):
     rc = main(
         [
@@ -134,6 +210,10 @@ def test_json_missing_covariance(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ParseError"
     assert "V" in err["message"]
+    src.write_text("5")
+    rc = main(["portfolios", "--input", str(src), "--out", str(tmp_path)])
+    assert rc == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ParseError"
 
 
 def test_invalid_covariance_exits_2(tmp_path, capsys):

@@ -11,8 +11,9 @@ factorization fails, and an embedding decomposes its Gram matrix only when
 its coordinates are read; d_max of a distance matrix is one ascent, and a
 matrix that is not one is refused before any; d_max of D_eta is a closed
 form; the sandwich check draws once per level, nothing on a level it proves
-empty, and finds its long-only anchor once per universe.  numpy is the only
-runtime dependency: a CLI run loads no scipy.
+empty, and finds its long-only anchor once per universe.  A CLI run
+validates its universe once, --riskfree or not.  numpy is the only runtime
+dependency: a CLI run loads no scipy.
 """
 
 import os
@@ -149,6 +150,40 @@ def test_mdp_analysis_reads_d_max_in_closed_form(calls, ex3, universe30):
     # the counters see the general bracket, which certifies its input
     mdp.d_max_bounds(drf.build_d_eta(ex3))
     assert calls["assert_edm"] == calls["d_max_bounds"] == 1
+
+
+@pytest.fixture
+def validations(monkeypatch):
+    """Number of validate_universe calls, under every name the package binds."""
+    count = Counter()
+    inner = model.validate_universe
+
+    def counting(*args, **kwargs):
+        count["validate_universe"] += 1
+        return inner(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "drfrontier":
+            if getattr(module, "validate_universe", None) is inner:
+                monkeypatch.setattr(module, "validate_universe", counting)
+    return count
+
+
+@pytest.mark.parametrize("riskfree", [[], ["--riskfree", "0.01"]])
+@pytest.mark.parametrize("fixture", ["example3_with_returns.json", "synthetic_panel_30.csv"])
+def test_a_cli_run_validates_its_universe_once(validations, fixture, riskfree, tmp_path):
+    # --riskfree is applied in that one validation, not by a second one
+    runs = [
+        ["portfolios"],
+        ["frontier", "--svg"],
+        ["mdp", "--samples", "100"],
+        ["embed"],
+    ]
+    for k, args in enumerate(runs, start=1):
+        out = str(tmp_path / str(k))
+        src = str(FIXTURES / fixture)
+        assert main(args + riskfree + ["--input", src, "--out", out]) == 0
+        assert validations["validate_universe"] == k, args
 
 
 @pytest.fixture

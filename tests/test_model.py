@@ -12,6 +12,7 @@ from drfrontier.errors import (
     DimensionMismatchError,
     NonSquareError,
     NotPSDError,
+    ParseError,
     SingularCovarianceError,
 )
 
@@ -131,6 +132,37 @@ def test_check_budget_tolerance():
     drf.check_budget(np.array([0.5, 0.5 + 9e-11]))
     with pytest.raises(BudgetViolationError):
         drf.check_budget(np.array([0.5, 0.5 + 1e-6]))
+
+
+@pytest.mark.parametrize("weights", [[np.nan, 1.0], [np.inf, -np.inf]])
+def test_check_budget_rejects_a_non_finite_sum(weights):
+    with pytest.raises(BudgetViolationError):
+        drf.check_budget(np.array(weights))
+
+
+@pytest.mark.parametrize("r0", [np.nan, np.inf, -np.inf, "abc", [0.01]])
+def test_validate_universe_rejects_a_bad_risk_free_rate(r0):
+    with pytest.raises(ParseError):
+        drf.validate_universe(np.eye(3), risk_free_rate=r0)
+
+
+@pytest.mark.parametrize("r0", [np.nan, -np.inf, "abc"])
+def test_replacing_the_risk_free_rate_checks_it(ex3_returns, r0):
+    # the panel route sets the rate on a validated universe this way
+    with pytest.raises(ParseError):
+        dataclasses.replace(ex3_returns, risk_free_rate=r0)
+    u = dataclasses.replace(ex3_returns, risk_free_rate=np.float32(0.02))
+    assert type(u.risk_free_rate) is float and u.risk_free_rate == pytest.approx(0.02)
+    assert u.cov is ex3_returns.cov
+
+
+def test_validate_universe_rejects_non_numeric_input():
+    with pytest.raises(ParseError, match="covariance"):
+        drf.validate_universe([["a", 0.0], [0.0, 1.0]])
+    with pytest.raises(ParseError, match="covariance"):
+        drf.validate_universe([[1.0, 0.0], [0.0]])
+    with pytest.raises(ParseError, match="expected_returns"):
+        drf.validate_universe(np.eye(2), expected_returns=["x", 0.1])
 
 
 def test_portfolio_stats_and_budget(ex3):
