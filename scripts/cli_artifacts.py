@@ -12,9 +12,14 @@ price panels; `mdp` on ex3 (default and two seeded sigmas), ex3 with
 returns, mini and panel-30 (one seeded sigma, and the default sigmas); the
 README's `frontier --grid 1.0:2.0:50 --kind efficient_dr`; `--log-returns`
 on mini; `--require-returns` on ex3; `--help` of the program and of every
-subcommand; and the refused inputs: non-finite `--riskfree` values, and
-covariance JSON with a NaN or non-numeric field, which the script writes
-into the run's directory as input.json.
+subcommand; and the refused inputs: non-finite `--riskfree`, `--sigma` and
+`--grid` values, and covariance JSON with a NaN or non-numeric field or
+with names that are not a list.  The script writes those covariance JSON
+inputs, and the CSV panels `ingest-check` reads to show each parse error
+(a non-numeric cell, a nonpositive price, a NaN cell before a negative
+price, dates out of order, a ragged row, fewer than two rows) and the
+warning for a row with a blank cell, into the run's directory, and runs
+the command there, so a message names the input by its file name only.
 
 Whether two checkouts produce byte-identical artifacts is then one command:
 
@@ -71,23 +76,46 @@ EXTRA = {
     "ex3r-frontier-rf-neginf": ("ex3r", ["frontier", "--riskfree=-inf"]),
     "panel-portfolios-rf-nan": ("panel", ["portfolios", "--riskfree", "nan"]),
     "panel-frontier-rf-inf": ("panel", ["frontier", "--riskfree", "inf"]),
+    "ex3-mdp-sigma-nan": ("ex3", ["mdp", "--sigma", "nan", "--samples", "100"]),
+    "ex3-frontier-grid-nan": ("ex3", ["frontier", "--grid", "nan:2:5"]),
+    "ex3-frontier-grid-inf": ("ex3", ["frontier", "--grid", "1:inf:5"]),
+    "ex3-frontier-grid-neginf": ("ex3", ["frontier", "--grid=-inf:1:5"]),
 }
 
 HELP = ["portfolios", "frontier", "mdp", "embed", "ingest-check"]
 
-# `portfolios` on a covariance JSON written as OUT_DIR/<run>/input.json
+JSON_RUN = ["portfolios", "--input", "input.json"]
+CSV_RUN = ["ingest-check", "--input", "input.csv"]
+
+# run -> (CLI arguments, text of the --input file written into OUT_DIR/<run>/)
 WRITTEN = {
-    "json-r0-nan": '{"V": [[1, 0], [0, 2]], "rbar": [0.1, 0.2], "r0": NaN}\n',
-    "json-r0-text": '{"V": [[1, 0], [0, 2]], "rbar": [0.1, 0.2], "r0": "abc"}\n',
-    "json-rbar-text": '{"V": [[1, 0], [0, 2]], "rbar": ["x", 0.2]}\n',
-    "json-V-text": '{"V": [["a", 0], [0, 2]]}\n',
+    "json-r0-nan": (JSON_RUN, '{"V": [[1, 0], [0, 2]], "rbar": [0.1, 0.2], "r0": NaN}\n'),
+    "json-r0-text": (JSON_RUN, '{"V": [[1, 0], [0, 2]], "rbar": [0.1, 0.2], "r0": "abc"}\n'),
+    "json-rbar-text": (JSON_RUN, '{"V": [[1, 0], [0, 2]], "rbar": ["x", 0.2]}\n'),
+    "json-V-text": (JSON_RUN, '{"V": [["a", 0], [0, 2]]}\n'),
+    "json-names-number": (JSON_RUN, '{"V": [[1, 0], [0, 2]], "names": 5}\n'),
+    "json-names-text": (JSON_RUN, '{"V": [[1, 0], [0, 2]], "names": "ab"}\n'),
+    "csv-text-cell": (CSV_RUN, "date,X,Y\n2020-01-01,1,2\n2020-01-02,oops,3\n2020-01-03,4,5\n"),
+    "csv-nonpositive-price": (CSV_RUN, "date,X,Y\n2020-01-01,5,2\n2020-01-02,4,0\n2020-01-03,4,5\n"),
+    "csv-nan-then-negative": (
+        CSV_RUN,
+        "date,X,Y\n2020-01-01,5,2\n2020-01-02,nan,3\n2020-01-03,4,-1\n2020-01-06,4,5\n",
+    ),
+    "csv-dates-out-of-order": (CSV_RUN, "date,X\n2020-01-03,1\n2020-01-02,2\n2020-01-04,3\n"),
+    "csv-ragged-row": (CSV_RUN, "date,X,Y\n2020-01-01,1,2\n2020-01-02,3\n2020-01-03,4,5\n"),
+    "csv-blank-cell": (
+        CSV_RUN,
+        "date,X,Y\n2020-01-01,1,2\n2020-01-02,,2\n2020-01-03,3,4\n2020-01-06,4,5\n",
+    ),
+    "csv-one-row": (CSV_RUN, "date,X\n2020-01-01,1\n"),
 }
 
 
 def runs() -> dict:
-    """Run name -> (CLI arguments, --out left out; text of input.json or None).
+    """Run name -> (CLI arguments, --out left out; text of the input file or None).
 
-    An argument "input.json" names the file written into the run's directory.
+    With a text, the --input argument names a file written into the run's
+    directory, where the command runs.
     """
     table = {"help": (["--help"], None)}
     for cmd in HELP:
@@ -97,8 +125,7 @@ def runs() -> dict:
             table[f"{fx}-{label}"] = (args + ["--input", path], None)
     for name, (fx, args) in EXTRA.items():
         table[name] = (args + ["--input", FIXTURES[fx]], None)
-    for name, text in WRITTEN.items():
-        table[name] = (["portfolios", "--input", "input.json"], text)
+    table.update(WRITTEN)
     return table
 
 
@@ -116,11 +143,10 @@ def main(argv) -> int:
         run_dir = out_root / name
         run_dir.mkdir(parents=True, exist_ok=True)
         if text is not None:
-            (run_dir / "input.json").write_text(text)
-            args = [str(run_dir / a) if a == "input.json" else a for a in args]
+            (run_dir / args[args.index("--input") + 1]).write_text(text)
         proc = subprocess.run(
             [sys.executable, "-m", "drfrontier.cli", *args, "--out", str(run_dir / "out")],
-            cwd=ROOT,
+            cwd=ROOT if text is None else run_dir,
             env=env,
             capture_output=True,
         )

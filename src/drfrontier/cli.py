@@ -15,24 +15,22 @@ with status 2 and a single machine-readable JSON object on stderr.  Each
 run validates its universe once.  For equal inputs, flags and seed,
 every output file is byte identical; floats are serialized with 12
 significant digits.
+
+Importing this module loads only the standard library and ``errors``; each
+handler imports the modules it runs, so ``ingest-check`` never loads numpy.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
 import json
 import logging
+import math
 import os
 import sys
 
-import numpy as np
-
-from . import embedding as emb_mod
-from . import frontiers, ingest, mdp, portfolios
 from .errors import DrFrontierError, MissingReturnsError, ParseError
-from .model import validate_universe
 
 SIGNIFICANT_DIGITS = 12
 
@@ -46,16 +44,18 @@ def _jsonable(obj):
         return obj
     if isinstance(obj, float):
         return _round12(obj)
+    if isinstance(obj, dict):
+        return {str(k): _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    import numpy as np
+
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, (np.floating,)):
         return _round12(float(obj))
     if isinstance(obj, (np.integer,)):
         return int(obj)
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
@@ -80,7 +80,7 @@ def _portfolio_dict(p) -> dict:
         "q": p.dr,
     }
     d["centrality"] = (
-        None if p.centrality_sq is None else float(np.sqrt(max(p.centrality_sq, 0.0)))
+        None if p.centrality_sq is None else math.sqrt(max(p.centrality_sq, 0.0))
     )
     d["expected_return"] = p.expected_return
     return d
@@ -88,6 +88,10 @@ def _portfolio_dict(p) -> dict:
 
 def _provenance(path: str, panel) -> dict:
     """Record of the input file and the panel parsed from it."""
+    import hashlib
+
+    from .ingest import annualization_step
+
     with open(path, "rb") as fh:
         digest = hashlib.sha256(fh.read()).hexdigest()
     return {
@@ -95,7 +99,7 @@ def _provenance(path: str, panel) -> dict:
         "input_sha256": digest,
         "calendar_days": panel.calendar_days,
         "periods": panel.periods,
-        "delta": ingest.annualization_step(panel),
+        "delta": annualization_step(panel),
         "assets": len(panel.assets),
         "dropped_rows": panel.dropped_rows,
     }
@@ -122,6 +126,8 @@ def _load_universe(args):
             raise ParseError(f"{path}: {exc}") from None
         if not isinstance(data, dict) or "V" not in data:
             raise ParseError(f"{path}: missing key 'V'")
+        from .model import validate_universe
+
         universe = validate_universe(
             data["V"],
             expected_returns=data.get("rbar"),
@@ -129,6 +135,8 @@ def _load_universe(args):
             names=data.get("names"),
         )
     else:
+        from . import ingest
+
         panel = ingest.load_panel(path, format=fmt, log_returns=args.log_returns)
         universe = ingest.annualize(panel)
         provenance = _provenance(path, panel)
@@ -151,8 +159,12 @@ def _parse_grid_spec(spec: str):
         points = int(parts[2])
     except ValueError:
         raise ParseError(f"grid spec {spec!r}: non-numeric field") from None
-    if points < 2 or hi <= lo or lo < 0.0:
-        raise ParseError(f"grid spec {spec!r}: need 0 <= min < max and points >= 2")
+    if points < 2 or not 0.0 <= lo < hi < math.inf:  # False for a NaN bound
+        raise ParseError(
+            f"grid spec {spec!r}: need finite 0 <= min < max and points >= 2"
+        )
+    import numpy as np
+
     if len(parts) == 4:
         if parts[3] != "log":
             raise ParseError(f"grid spec {spec!r}: trailing field must be 'log'")
@@ -172,6 +184,8 @@ def _maybe_write_provenance(out_dir: str, provenance) -> None:
 
 
 def cmd_portfolios(args) -> int:
+    from . import frontiers, portfolios
+
     universe, provenance = _load_universe(args)
     sp = portfolios.special_portfolios(universe)
     params = frontiers.frontier_params(universe)
@@ -201,6 +215,8 @@ def cmd_portfolios(args) -> int:
 
 
 def _applicable_kinds(universe, params) -> list:
+    from . import frontiers
+
     kinds = [frontiers.FrontierKind.EFFICIENT_DR, frontiers.FrontierKind.MDP_AT_SIGMA]
     if params.eta_wo is not None:
         kinds += [
@@ -225,6 +241,8 @@ CHARTS = (
 
 
 def _svg_charts(out_dir, params, curves) -> None:
+    import numpy as np
+
     from . import svg
 
     markers = [
@@ -266,6 +284,8 @@ def _svg_charts(out_dir, params, curves) -> None:
 
 
 def cmd_frontier(args) -> int:
+    from . import frontiers
+
     universe, provenance = _load_universe(args)
     params = frontiers.frontier_params(universe)
     if args.grid:
@@ -293,6 +313,8 @@ def cmd_frontier(args) -> int:
 
 
 def cmd_mdp(args) -> int:
+    from . import frontiers, mdp
+
     universe, provenance = _load_universe(args)
     analysis = mdp.analyze_mdp(universe)
     params = frontiers.frontier_params(universe)
@@ -320,6 +342,8 @@ def cmd_mdp(args) -> int:
 
 
 def cmd_embed(args) -> int:
+    from . import embedding as emb_mod
+
     universe, provenance = _load_universe(args)
     embedding = emb_mod.embed(universe)
     rows = emb_mod.coords_table(embedding, universe.names)
@@ -349,6 +373,8 @@ def cmd_ingest_check(args) -> int:
     fmt = args.format or "prices"
     if fmt == "json":
         raise ParseError("ingest-check works on CSV panels, not covariance JSON")
+    from . import ingest
+
     panel = ingest.load_panel(args.input, format=fmt, log_returns=args.log_returns)
     provenance = _provenance(args.input, panel)
     os.makedirs(args.out, exist_ok=True)
@@ -406,7 +432,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--kind",
         action="append",
-        choices=[k.value for k in frontiers.FrontierKind],
+        # the values of frontiers.FrontierKind, written out so that parsing
+        # the arguments loads no numpy
+        choices=[
+            "efficient_dr", "mv_efficient_dr", "cml",
+            "efficient_dr_riskfree", "mv_mean_return", "mdp_at_sigma",
+        ],
         help="curve kind (repeatable; default: all applicable)",
     )
     p.add_argument("--svg", action="store_true", help="also write SVG charts")

@@ -12,23 +12,30 @@ number of return observations: mu = mu_hat / delta, V = V_hat / delta.
 Annualization is a positive rescaling, so it preserves positive
 semidefiniteness, and adding a constant to every date leaves delta (and the
 universe) unchanged.
+
+Parsing and every check of :func:`load_panel` run on the standard library;
+numpy is imported when the returns array is first formed, so a panel can be
+read and described (``ingest-check``) without it.
 """
 
 from __future__ import annotations
 
 import csv
 import datetime
+import functools
 import logging
-from dataclasses import dataclass
-
-import numpy as np
+from array import array
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from .errors import (
     NonMonotoneDatesError,
     ParseError,
     TooFewRowsError,
 )
-from .model import AssetUniverse, validate_universe
+
+if TYPE_CHECKING:
+    from .model import AssetUniverse
 
 log = logging.getLogger(__name__)
 
@@ -41,14 +48,32 @@ class ReturnPanel:
     of the later price in each ratio.  calendar_days spans the raw file
     (first to last row), so for price input it includes the initial price
     date that seeds the first return.
+
+    values holds the numbers of the usable rows as parsed, row after row, in
+    one flat buffer: prices or returns, as `format` says.  The returns array
+    is formed from it on first access and kept with the panel.
     """
 
     assets: tuple
     dates: tuple
-    returns: np.ndarray
+    values: array = field(repr=False)
+    format: str
+    log_returns: bool
     calendar_days: int
     periods: int
     dropped_rows: int = 0
+
+    @functools.cached_property
+    def returns(self):
+        """Returns, one row per entry of dates and one column per asset
+        (simple or log returns of the prices for format 'prices')."""
+        import numpy as np
+
+        values = np.frombuffer(self.values).reshape(-1, len(self.assets))
+        if self.format == "returns":
+            return values
+        ratios = values[1:] / values[:-1]
+        return np.log(ratios) if self.log_returns else ratios - 1.0
 
 
 def _parse_rows(path: str):
@@ -66,7 +91,7 @@ def _parse_rows(path: str):
             raise ParseError(f"{path}: no asset columns")
 
         dates = []
-        values = []
+        values = array("d")
         dropped = 0
         for lineno, row in enumerate(reader, start=2):
             if not row or all(not c.strip() for c in row):
@@ -82,18 +107,16 @@ def _parse_rows(path: str):
                 day = datetime.date.fromisoformat(row[0].strip())
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: column 'date': {exc}") from None
-            vals = np.empty(len(assets))
             for j, cell in enumerate(row[1:], start=1):
                 try:
-                    vals[j - 1] = float(cell)
+                    values.append(float(cell))
                 except ValueError:
                     raise ParseError(
                         f"{path}:{lineno}: column '{header[j]}': "
                         f"not a number: {cell.strip()!r}"
                     ) from None
             dates.append(day)
-            values.append(vals)
-    return assets, dates, np.array(values, dtype=float), dropped
+    return assets, dates, values, dropped
 
 
 def load_panel(path: str, format: str = "prices", log_returns: bool = False) -> ReturnPanel:
@@ -120,28 +143,32 @@ def load_panel(path: str, format: str = "prices", log_returns: bool = False) -> 
     calendar_days = (dates[-1] - dates[0]).days
 
     if format == "prices":
-        if np.any(values <= 0.0):
-            i, j = np.argwhere(values <= 0.0)[0]
-            raise ParseError(
-                f"{path}: nonpositive price for {assets[j]} on {dates[i].isoformat()}"
-            )
-        ratios = values[1:] / values[:-1]
-        returns = np.log(ratios) if log_returns else ratios - 1.0
+        # min() > 0 proves every price positive: a NaN first makes it NaN,
+        # and it skips a NaN later.  Otherwise find the first cell <= 0 in
+        # file order; a NaN cell is not one, and does not hide one either.
+        if not min(values) > 0.0:
+            k = next((k for k, v in enumerate(values) if v <= 0.0), None)
+            if k is not None:
+                i, j = divmod(k, len(assets))
+                raise ParseError(
+                    f"{path}: nonpositive price for {assets[j]} on {dates[i].isoformat()}"
+                )
         ret_dates = dates[1:]
     else:
-        returns = values
         ret_dates = dates
 
-    if returns.shape[0] < 2:
+    if len(ret_dates) < 2:
         raise TooFewRowsError(
-            f"{path}: {returns.shape[0]} return rows, need at least 2"
+            f"{path}: {len(ret_dates)} return rows, need at least 2"
         )
     return ReturnPanel(
         assets=assets,
         dates=tuple(ret_dates),
-        returns=returns,
+        values=values,
+        format=format,
+        log_returns=log_returns,
         calendar_days=calendar_days,
-        periods=returns.shape[0],
+        periods=len(ret_dates),
         dropped_rows=dropped,
     )
 
@@ -160,6 +187,10 @@ def annualize(panel: ReturnPanel) -> AssetUniverse:
     comes back flagged singular (warned here) and the closed forms that
     need strict positive definiteness will refuse it downstream.
     """
+    import numpy as np
+
+    from .model import validate_universe
+
     delta = annualization_step(panel)
     mu = panel.returns.mean(axis=0) / delta
     if panel.returns.shape[1] == 1:

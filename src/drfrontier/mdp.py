@@ -44,6 +44,7 @@ from .errors import (
     NegativeVarianceError,
     NotPSDError,
     NotSPDError,
+    ParseError,
     SingularCovarianceError,
     ZeroVarianceError,
 )
@@ -406,8 +407,11 @@ def sandwich_check(
     landing check evaluates each quadratic again at its root, and
     eta' w and sqrt(eta)' w of a landed w are linear along its segment, so
     no landed portfolio is formed: after the draws and X V the cost is
-    O(samples * n).  samples below 1 raise DimensionMismatchError.
+    O(samples * n).  samples below 1 raise DimensionMismatchError, and a
+    sigma that is not a finite number raises ParseError.
     """
+    if not np.isfinite(sigma):
+        raise ParseError(f"sigma {sigma!r} is not a finite number")
     if int(samples) < 1:
         raise DimensionMismatchError(f"samples must be at least 1, got {samples}")
     eta = np.clip(universe.variances, 0.0, None)

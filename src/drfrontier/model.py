@@ -288,8 +288,8 @@ def validate_universe(
     tolerance (then exact symmetrization), positive semidefiniteness with a
     small negative eigenvalue allowance (offenders are clamped to zero), and
     dimension agreement of optional expected returns.  Non-numeric cov or
-    expected returns, and a risk-free rate that is not a finite number,
-    raise ParseError.
+    expected returns, a risk-free rate that is not a finite number, and
+    names given as a string or as anything but a sequence raise ParseError.
 
     Definiteness is decided by one shifted Cholesky factorization when it
     succeeds (see :func:`_certified_nonsingular`): V is then strictly
@@ -340,6 +340,8 @@ def validate_universe(
     if names is None:
         names = tuple(f"A{i + 1}" for i in range(n))
     else:
+        if isinstance(names, str) or not isinstance(names, (Sequence, np.ndarray)):
+            raise ParseError(f"names must be a sequence of asset names, got {names!r}")
         names = tuple(str(s) for s in names)
         if len(names) != n:
             raise DimensionMismatchError(

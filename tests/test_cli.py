@@ -167,6 +167,32 @@ def test_bad_json_fields_exit_2(tmp_path, capsys, fields, named):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("names", [5, "abc"])
+def test_json_names_that_are_not_a_list_exit_2(tmp_path, capsys, names):
+    src = tmp_path / "u.json"
+    src.write_text(json.dumps({"V": V3.tolist(), "names": names}))
+    out = tmp_path / "out"
+    assert main(["portfolios", "--input", str(src), "--out", str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "ParseError" and "names" in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sigma", ["nan", "inf", "-inf"])
+def test_mdp_non_finite_sigma_exits_2(fixture_dir, tmp_path, capsys, sigma):
+    out = tmp_path / "out"
+    src = str(fixture_dir / "example3_universe.json")
+    rc = main(["mdp", "--input", src, "--out", str(out), f"--sigma={sigma}"])
+    assert rc == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "ParseError" and "sigma" in err["message"]
+    assert not (out / "mdp.json").exists()
+
+
 def test_riskfree_flag_replaces_a_bad_json_rate(tmp_path):
     src = _write_universe_json(tmp_path / "u.json", V3, rbar=RBAR3, r0="abc")
     out = tmp_path / "out"
@@ -338,7 +364,8 @@ def test_frontier_grid_below_mvp_flags_rows(fixture_dir, tmp_path):
 
 
 def test_frontier_bad_grid_spec(fixture_dir, tmp_path, capsys):
-    for spec in ("1:2", "2.0:1.0:5", "1:2:one", "1:2:5:lin", "0:2:5:log"):
+    specs = ("1:2", "2.0:1.0:5", "1:2:one", "1:2:5:lin", "0:2:5:log")
+    for spec in specs + ("nan:2:5", "1:inf:5", "-inf:1:5", "1:nan:5:log"):
         rc = main(
             [
                 "frontier",
@@ -346,8 +373,7 @@ def test_frontier_bad_grid_spec(fixture_dir, tmp_path, capsys):
                 str(fixture_dir / "example3_universe.json"),
                 "--out",
                 str(tmp_path),
-                "--grid",
-                spec,
+                f"--grid={spec}",
             ]
         )
         assert rc == 2, spec

@@ -13,9 +13,11 @@ matrix that is not one is refused before any; d_max of D_eta is a closed
 form; the sandwich check draws once per level, nothing on a level it proves
 empty, and finds its long-only anchor once per universe.  A CLI run
 validates its universe once, --riskfree or not.  numpy is the only runtime
-dependency: a CLI run loads no scipy.
+dependency: a CLI run loads no scipy, and importing the CLI or running
+`ingest-check` loads no numpy either.
 """
 
+import argparse
 import os
 import subprocess
 import sys
@@ -319,27 +321,91 @@ def test_eigenvalues_only_where_cholesky_cannot_certify(eigen):
     assert (eigen["eigvalsh"], eigen["eigh"]) == (3, 1)
 
 
-def test_cli_run_loads_no_scipy(tmp_path):
-    ex3_json = FIXTURES / "example3_universe.json"
-    code = "\n".join(
-        [
-            "import sys",
-            "from drfrontier.cli import main",
-            f"args = ['portfolios', '--input', {str(ex3_json)!r},",
-            f"        '--out', {str(tmp_path)!r}]",
-            "assert main(args) == 0",
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
-        ]
-    )
+def _fresh_interpreter(*lines) -> list:
+    """Run the lines in a new interpreter that imports drfrontier from the
+    tested checkout; the lines it prints."""
     src = str(Path(drf.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-c", "\n".join(["import sys", *lines])],
         capture_output=True,
         text=True,
         timeout=120,
         env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.splitlines()
+
+
+def _loaded(package: str) -> str:
+    return f"print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))"
+
+
+def test_cli_run_loads_no_scipy(tmp_path):
+    args = ["portfolios", "--input", str(FIXTURES / "example3_universe.json")]
+    printed = _fresh_interpreter(
+        "from drfrontier.cli import main",
+        f"assert main({args + ['--out', str(tmp_path)]!r}) == 0",
+        _loaded("scipy"),
+    )
+    assert printed == ["[]"]
     assert (tmp_path / "portfolios.json").exists()
+
+
+@pytest.mark.parametrize("fixture", ["synthetic_panel_30.csv", "mini_prices.csv"])
+def test_ingest_check_loads_no_numpy(fixture, tmp_path):
+    args = ["ingest-check", "--input", str(FIXTURES / fixture), "--out", str(tmp_path)]
+    printed = _fresh_interpreter(
+        "from drfrontier.cli import main", f"assert main({args!r}) == 0", _loaded("numpy")
+    )
+    # the provenance record, then the numpy modules loaded
+    assert printed[-1] == "[]"
+    assert (tmp_path / "provenance.json").exists()
+
+
+def test_importing_the_cli_loads_no_numpy_and_registers_the_traced_modules(tmp_path):
+    # the benchmark's traced runs wrap tracing.TARGETS right after this import,
+    # looking each module up in sys.modules
+    bench = str(Path(__file__).resolve().parents[1] / "bench")
+    args = ["portfolios", "--input", str(FIXTURES / "example3_universe.json")]
+    numpy_loaded, spans = _fresh_interpreter(
+        "import drfrontier.cli",
+        _loaded("numpy"),
+        f"sys.path.insert(0, {bench!r})",
+        "import tracing",
+        "for m, f in tracing.TARGETS:",
+        "    assert callable(getattr(sys.modules['drfrontier.' + m], f)), (m, f)",
+        "tracer = tracing.Tracer()",
+        "tracing.instrument(tracer)",
+        f"assert drfrontier.cli.main({args + ['--out', str(tmp_path)]!r}) == 0",
+        "print(sorted({s['name'] for s in tracer.spans}))",
+    )
+    assert numpy_loaded == "[]"
+    assert spans == str(
+        ["frontiers.frontier_params", "model.validate_universe", "portfolios.special_portfolios"]
+    )
+
+
+def test_package_names_resolve_to_executed_modules():
+    # what a library user (and the benchmark's set-up) imports runs at once
+    printed = _fresh_interpreter(
+        "import types",
+        "from drfrontier import embedding, frontiers, mdp, model, portfolios",
+        "mods = (embedding, frontiers, mdp, model, portfolios)",
+        "print(all(type(m) is types.ModuleType for m in mods))",
+    )
+    assert printed == ["True"]
+    for name in drf.__all__:
+        assert getattr(drf, name) is not None, name
+    assert drf.mdp.sandwich_check is drf.sandwich_check
+
+
+def test_frontier_kind_choices_are_the_frontier_kinds():
+    # cli.py writes the list out so that building the parser loads no numpy
+    from drfrontier.cli import build_parser
+
+    (commands,) = [
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    (kind,) = [a for a in commands.choices["frontier"]._actions if a.dest == "kind"]
+    assert kind.choices == [k.value for k in FrontierKind]

@@ -177,6 +177,20 @@ def test_parse_error_nonpositive_price(tmp_path):
     assert "nonpositive" in str(err.value)
 
 
+@pytest.mark.parametrize("first", ["5", "nan"])
+def test_nonpositive_price_after_a_nan_cell_is_found(tmp_path, first):
+    # NaN is not <= 0, and must not hide the negative price after it,
+    # whether it is the first cell or not
+    p = _write(
+        tmp_path,
+        f"date,X,Y\n2020-01-01,{first},2\n2020-01-02,nan,3\n"
+        "2020-01-03,4,-1\n2020-01-06,4,5\n",
+    )
+    with pytest.raises(ParseError) as err:
+        drf.load_panel(p, format="prices")
+    assert "nonpositive price for Y on 2020-01-03" in str(err.value)
+
+
 def test_too_few_rows(tmp_path):
     p = _write(tmp_path, "date,X\n2020-01-01,1\n")
     with pytest.raises(TooFewRowsError):

@@ -11,6 +11,7 @@ from drfrontier.errors import (
     NonZeroDiagonalError,
     NotPSDError,
     NotSPDError,
+    ParseError,
     ZeroVarianceError,
 )
 from drfrontier.mdp import GAP_RTOL, _d_max_of_d_eta
@@ -473,6 +474,12 @@ def test_sandwich_empty_when_shell_unreachable(ex3):
 def test_sandwich_rejects_samples_below_one(ex3, samples):
     with pytest.raises(DimensionMismatchError):
         drf.sandwich_check(ex3, sigma=1.2, samples=samples)
+
+
+@pytest.mark.parametrize("sigma", [np.nan, np.inf, -np.inf])
+def test_sandwich_rejects_a_non_finite_sigma(ex3, sigma):
+    with pytest.raises(ParseError, match="sigma"):
+        drf.sandwich_check(ex3, sigma=sigma, samples=100)
 
 
 def test_sandwich_deterministic(ex3):

@@ -114,6 +114,14 @@ def test_validate_universe_mismatched_names():
         drf.validate_universe(np.eye(3), names=("a", "b"))
 
 
+@pytest.mark.parametrize("names", [5, "abc", {"a": 1, "b": 2, "c": 3}])
+def test_validate_universe_rejects_names_that_are_not_a_sequence(names):
+    # a string is not split into one name per character
+    with pytest.raises(ParseError, match="names"):
+        drf.validate_universe(np.eye(3), names=names)
+    assert drf.validate_universe(np.eye(3), names=["a", "b", "c"]).names == ("a", "b", "c")
+
+
 def test_validate_universe_mismatched_returns():
     with pytest.raises(DimensionMismatchError):
         drf.validate_universe(np.eye(3), expected_returns=np.array([0.1, 0.2]))
