@@ -14,8 +14,9 @@ README's `frontier --grid 1.0:2.0:50 --kind efficient_dr`; `--log-returns`
 on mini; `--require-returns` on ex3; `--help` of the program and of every
 subcommand; and the refused inputs: non-finite `--riskfree`, `--sigma` and
 `--grid` values, and covariance JSON with a NaN or non-numeric field or
-with names that are not a list.  The script writes those covariance JSON
-inputs, and the CSV panels `ingest-check` reads to show each parse error
+with names that are not a list; and `portfolios`, `frontier --svg` and
+`mdp` on ex3's covariance with returns 1e-11 apart.  The script writes
+those covariance JSON inputs, and the CSV panels `ingest-check` reads to show each parse error
 (a non-numeric cell, a nonpositive price, a NaN cell before a negative
 price, dates out of order, a ragged row, fewer than two rows) and the
 warning for a row with a blank cell, into the run's directory, and runs
@@ -87,6 +88,15 @@ HELP = ["portfolios", "frontier", "mdp", "embed", "ingest-check"]
 JSON_RUN = ["portfolios", "--input", "input.json"]
 CSV_RUN = ["ingest-check", "--input", "input.csv"]
 
+# ex3's V with returns 1e-11 apart: no mean-variance direction in the V^-1
+# metric, though not proportional to ones
+NEAR_CONSTANT_RETURNS = (
+    '{"V": [[1.2222222222222223, 0.8888888888888888, 0.8888888888888888], '
+    "[0.8888888888888888, 2.5555555555555554, -0.4444444444444444], "
+    "[0.8888888888888888, -0.4444444444444444, 2.5555555555555554]], "
+    '"rbar": [0.05, 0.05000000001, 0.05]}\n'
+)
+
 # run -> (CLI arguments, text of the --input file written into OUT_DIR/<run>/)
 WRITTEN = {
     "json-r0-nan": (JSON_RUN, '{"V": [[1, 0], [0, 2]], "rbar": [0.1, 0.2], "r0": NaN}\n'),
@@ -108,6 +118,12 @@ WRITTEN = {
         "date,X,Y\n2020-01-01,1,2\n2020-01-02,,2\n2020-01-03,3,4\n2020-01-06,4,5\n",
     ),
     "csv-one-row": (CSV_RUN, "date,X\n2020-01-01,1\n"),
+    "json-rbar-near-constant-portfolios": (JSON_RUN, NEAR_CONSTANT_RETURNS),
+    "json-rbar-near-constant-frontier": (
+        ["frontier", "--svg", "--input", "input.json"],
+        NEAR_CONSTANT_RETURNS,
+    ),
+    "json-rbar-near-constant-mdp": (["mdp", "--input", "input.json"], NEAR_CONSTANT_RETURNS),
 }
 
 

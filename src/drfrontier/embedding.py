@@ -22,13 +22,15 @@ distance of a portfolio's image from the origin, c(w) = ||X w||, satisfies
 for every budget portfolio, so DR maximization is a nearest-point problem in
 this geometry.
 
-On a nonsingular universe the library reads centrality and q_max from the
-covariance kernel instead (:func:`~drfrontier.model.portfolio_stats`), with
-no eigendecomposition.  The embedding serves the asset coordinates (the
-``embed`` command and :func:`coords_table`), singular universes, where its
-pseudoinverse route gives s and :func:`centrality` the distance, and
-:func:`norm_dr_bound`.  Only the coordinates need B's eigendecomposition,
-so it runs on their first read, not in :func:`embed`.
+On a nonsingular universe s is the covariance kernel's maximum-DR
+portfolio and q_max its DR, so :func:`embed` solves nothing, and the
+library reads centrality from the same kernel
+(:func:`~drfrontier.model.portfolio_stats`) without building an embedding.
+Only a singular universe solves D y = 1, by its pseudoinverse.  The
+embedding serves the asset coordinates (the ``embed`` command and
+:func:`coords_table`), singular universes, where :func:`centrality` gives
+the distance, and :func:`norm_dr_bound`.  Only the coordinates need B's
+eigendecomposition, so it runs on their first read, not in :func:`embed`.
 
 :func:`assert_edm` decides Schoenberg's criterion (1935), that D is a
 Euclidean distance matrix exactly when -0.5 J D J is PSD, by one Cholesky
@@ -93,11 +95,15 @@ class EdmEmbedding:
 
     Attributes:
         dist: the squared-distance matrix D.
-        mdrp_weights: the centering weights s (the maximum-DR portfolio).
+        mdrp_weights: the centering weights s (the maximum-DR portfolio):
+            the kernel's w_mdrp on a nonsingular universe, the normalized
+            pseudoinverse solution of D y = 1 on a singular one.
         gram: B = X' X, PSD of rank <= n - 1.
         eigvals: positive eigenvalues of B, descending.
         coords: k x n array X; column i is the image of asset i.
-        q_max: top of the DR frontier, 1 / (2 * 1' D^-1 1).
+        q_max: top of the DR frontier, 1 / (2 * 1' D^-1 1): the kernel's
+            q_mvp + rho^2 / 8 on a nonsingular universe, 1 / (2 * 1' y)
+            from the pseudoinverse solution y on a singular one.
         universe_fingerprint: hash of the source universe.
 
     eigvals and coords (and dim) come from one eigendecomposition of B,
@@ -237,29 +243,6 @@ def assert_edm(dist) -> EdmCertificate:
     return EdmCertificate(ok, lam_min, None if ok else "centered form not PSD")
 
 
-def _solve_ones(D: np.ndarray, nonsingular_hint: bool) -> np.ndarray:
-    """Solve D y = 1, falling back to the pseudoinverse for singular D."""
-    n = D.shape[0]
-    ones = np.ones(n)
-    y = None
-    if nonsingular_hint:
-        try:
-            y = np.linalg.solve(D, ones)
-        except np.linalg.LinAlgError:
-            y = None
-        if y is not None and not np.all(np.isfinite(y)):
-            y = None
-    if y is None:
-        # rank-revealing fallback; cutoff relative to the top singular value
-        y = np.linalg.pinv(D, rcond=1e-10) @ ones
-    resid = float(np.abs(D @ y - ones).max())
-    if not np.isfinite(resid) or resid > GINV_RESIDUAL_ATOL:
-        raise SingularDistanceError(
-            f"D y = 1 unsolved, residual {resid:.3e}"
-        )
-    return y
-
-
 def _canonical_axes(lam: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Coordinates X (k x n) rotated to the canonical basis of :func:`embed`."""
     X = np.array(X)
@@ -281,9 +264,14 @@ def _canonical_axes(lam: np.ndarray, X: np.ndarray) -> np.ndarray:
 def embed(universe: AssetUniverse) -> EdmEmbedding:
     """Build the spherical embedding of a universe.
 
-    Solves D y = 1 (directly when the covariance is nonsingular, through a
-    rank-revealing pseudoinverse otherwise), normalizes s = y / (1' y),
-    and forms the recentred Gram matrix from V as the rank-2 update
+    The centre s and q_max come from the covariance kernel on a nonsingular
+    universe (w_mdrp and q_max of
+    :attr:`~drfrontier.model.AssetUniverse.solver`), so the embedding and
+    every closed form share their bits.  On a singular universe they come
+    from the rank-revealing pseudoinverse solution y of D y = 1, as
+    s = y / (1' y) and q_max = 1 / (2 * 1' y); a residual of D y = 1 above
+    GINV_RESIDUAL_ATOL, or a zero 1' y, raises SingularDistanceError.
+    The recentred Gram matrix is formed from V as the rank-2 update
     B = 0.5 (V - v 1' - 1 v' + (s' v) 1 1') with v = V s (equal to
     -0.5 Js' D Js, without its cancellation of the eta 1' terms).  B's
     eigendecomposition runs on the first read of ``eigvals`` or ``coords``;
@@ -298,19 +286,23 @@ def embed(universe: AssetUniverse) -> EdmEmbedding:
     times the axis's largest in magnitude has a positive coordinate.
     """
     D = build_distance_matrix(universe)
-    n = universe.n
-    ones = np.ones(n)
-
-    y = _solve_ones(D, universe.nonsingular)
-    total = float(ones @ y)
-    if abs(total) < np.finfo(float).tiny:
-        raise SingularDistanceError("1' D^-1 1 is numerically zero")
-    q_max = 1.0 / (2.0 * total)
+    if universe.nonsingular:
+        s, q_max = universe.solver.w_mdrp, universe.solver.q_max
+    else:
+        ones = np.ones(universe.n)
+        # cutoff relative to the top singular value
+        y = np.linalg.pinv(D, rcond=1e-10) @ ones
+        resid = float(np.abs(D @ y - ones).max())
+        if not np.isfinite(resid) or resid > GINV_RESIDUAL_ATOL:
+            raise SingularDistanceError(f"D y = 1 unsolved, residual {resid:.3e}")
+        total = float(ones @ y)
+        if abs(total) < np.finfo(float).tiny:
+            raise SingularDistanceError("1' D^+ 1 is numerically zero")
+        s, q_max = y / total, 1.0 / (2.0 * total)
     if q_max <= 0.0:
         raise NonPositiveQmaxError(
             f"q_max = {q_max:.3e} <= 0; universe admits no positive DR peak"
         )
-    s = y / total
 
     v = universe.cov @ s
     # v_i + v_j is commutative, so B comes out exactly symmetric

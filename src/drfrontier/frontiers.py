@@ -28,14 +28,8 @@ from .errors import (
     MissingReturnsError,
     RiskBelowMvpError,
 )
-from .model import AssetUniverse, Portfolio
-from .portfolios import (
-    _check_embedding,
-    proportional_to_ones,
-    self_financing_direction,
-    tangent_portfolio,
-    ZERO_BAND_RTOL,
-)
+from .model import AssetUniverse, Portfolio, proportional_to_ones
+from .portfolios import _check_embedding, tangent_portfolio
 
 # sigma^2 this far below sigma_mvp^2 is an error; closer misses are snapped up.
 RISK_SNAP_ATOL = 1e-12
@@ -113,39 +107,31 @@ class DrPoint:
 
 
 def frontier_params(universe: AssetUniverse) -> FrontierParams:
-    """Compute the frontier scalars of a universe."""
-    s = universe.solver
-    sigma2_mvp = s.sigma2_mvp
-    q_mvp = 0.5 * (s.ones_inv_eta - 1.0) * sigma2_mvp
-    rho = s.rho
-    sigma2_mdrp = sigma2_mvp + 0.25 * rho * rho
-    q_mdrp = q_mvp + 0.125 * rho * rho
+    """Compute the frontier scalars of a universe, all read from its kernel.
 
-    m = None
+    eta_wo is None, and the shape degenerate, when the kernel has no
+    mean-variance direction w_o: without returns, or with returns
+    proportional to ones in the V^-1 metric.
+    """
+    s = universe.solver
+    sigma2_mvp, rho, m = s.sigma2_mvp, s.rho, s.eta_wo
     tau_o = None
     shape = EfShape.DEGENERATE
-    if universe.expected_returns is not None and not proportional_to_ones(
-        universe.expected_returns
-    ):
-        w_o = self_financing_direction(universe)
-        m = float(universe.variances @ w_o)
-        if abs(m) <= ZERO_BAND_RTOL * rho:
-            m = 0.0
-        if m >= 0.0:
-            shape = EfShape.STRONGLY_CONCAVE
-        else:
-            shape = EfShape.STRICTLY_DECREASING
-            sigma_mvp = float(np.sqrt(sigma2_mvp))
-            tau_o = sigma_mvp * float(
-                np.sqrt(1.0 + abs(m) ** (4.0 / 3.0) / sigma_mvp ** (2.0 / 3.0))
-            )
+    if m is not None and m >= 0.0:
+        shape = EfShape.STRONGLY_CONCAVE
+    elif m is not None:
+        shape = EfShape.STRICTLY_DECREASING
+        sigma_mvp = float(np.sqrt(sigma2_mvp))
+        tau_o = sigma_mvp * float(
+            np.sqrt(1.0 + abs(m) ** (4.0 / 3.0) / sigma_mvp ** (2.0 / 3.0))
+        )
 
     return FrontierParams(
         sigma2_mvp=sigma2_mvp,
-        q_mvp=q_mvp,
+        q_mvp=s.q_mvp,
         rho=rho,
-        sigma2_mdrp=sigma2_mdrp,
-        q_mdrp=q_mdrp,
+        sigma2_mdrp=sigma2_mvp + 0.25 * rho * rho,
+        q_mdrp=s.q_max,
         eta_wo=m,
         tau_o=tau_o,
         ef_shape=shape,
@@ -259,7 +245,7 @@ def q_ef_at(universe: AssetUniverse, params: FrontierParams, sigma: float):
             "mean-variance DR curve needs expected returns not proportional to ones"
         )
     u = _excess_risk_at(params.sigma2_mvp, sigma)
-    w = universe.solver.w_mvp + u * self_financing_direction(universe)
+    w = universe.solver.w_mvp + u * universe.solver.w_o
     return _q_along(params, params.eta_wo, u), w
 
 

@@ -48,10 +48,12 @@ PSD_RTOL = 1e-10
 # Absolute tolerance on |sum(w) - 1|.
 BUDGET_ATOL = 1e-10
 # Absolute tolerance of the identity centrality^2 + q = q_max, checked against
-# the embedding's Gram matrix by tests/oracles.py::pythagoras_gaps.
+# the distance matrix's route to s and q_max by tests/oracles.py::pythagoras_gaps.
 PYTHAGORAS_ATOL = 1e-8
 # Relative residual below which a vector counts as proportional to ones.
 PROPORTIONALITY_RTOL = 1e-12
+# |eta' w_o| <= ZERO_BAND_RTOL * rho is the knife-edge zero case, read as 0.
+ZERO_BAND_RTOL = 1e-12
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -89,7 +91,8 @@ class AssetUniverse:
             (anything else raises ParseError, also through
             ``dataclasses.replace``).
         nonsingular: True when cov is numerically strictly positive definite.
-        fingerprint: hash of (cov, names); embeddings are keyed on it.
+        fingerprint: hash of (cov, names); only the ``embedding=`` checks
+            of special_portfolios and sweep read it.
     """
 
     names: tuple
@@ -136,10 +139,15 @@ class CovarianceSolver:
     """One batched LU solve V^-1 [1, eta, sqrt(eta), rbar] per universe.
 
     Every closed form afterwards is dot products with these images.  w_mdrp
-    is the maximum-DR portfolio (1 - 1' V^-1 eta / 2) w_mvp + V^-1 eta / 2.
-    d_eta, d_root and w_o are the unit directions (see :meth:`direction`) along which
-    the DR-efficient, ratio-maximizing and mean-variance portfolios leave
-    w_mvp.  Cached arrays are read-only because every caller shares them.
+    is the maximum-DR portfolio (1 - 1' V^-1 eta / 2) w_mvp + V^-1 eta / 2,
+    the sphere centre s of the embedding, and q_max = q_mvp + rho^2 / 8 its
+    DR, with q_mvp = (1' V^-1 eta - 1) sigma_mvp^2 / 2.  d_eta, d_root and
+    w_o are the unit directions (see :meth:`direction`) along which the
+    DR-efficient, ratio-maximizing and mean-variance portfolios leave w_mvp.
+    eta_wo is eta' w_o, 0.0 within ZERO_BAND_RTOL * rho of zero, and None
+    exactly when w_o is: without returns, or with returns proportional to
+    ones in the V^-1 metric.  Cached arrays are read-only because every
+    caller shares them.
     V is certified strictly positive definite by :func:`validate_universe`
     (``nonsingular``), so no second factorization checks it again.
     """
@@ -168,10 +176,15 @@ class CovarianceSolver:
             (1.0 - 0.5 * self.ones_inv_eta) * self.w_mvp + 0.5 * self.inv_eta
         )
         self.d_eta, self.rho = self.direction(eta, self.inv_eta)
+        self.q_mvp = 0.5 * (self.ones_inv_eta - 1.0) * self.sigma2_mvp
+        self.q_max = self.q_mvp + 0.125 * self.rho * self.rho
         self.d_root = self.direction(root_eta, self.inv_root_eta)[0]
         self.inv_r = None if rbar is None else images[3]
         self.b = None if rbar is None else float(ones @ self.inv_r)
         self.w_o = None if rbar is None else self.direction(rbar, self.inv_r)[0]
+        self.eta_wo = None if self.w_o is None else float(eta @ self.w_o)
+        if self.eta_wo is not None and abs(self.eta_wo) <= ZERO_BAND_RTOL * self.rho:
+            self.eta_wo = 0.0
 
     def _lu_solve(self, rhs: np.ndarray) -> np.ndarray:
         try:

@@ -30,15 +30,7 @@ from .errors import (
     MissingReturnsError,
     TangencyInfeasibleError,
 )
-from .model import (
-    AssetUniverse,
-    Portfolio,
-    portfolio_stats,
-    proportional_to_ones,
-)
-
-# |eta' w_o| <= ZERO_BAND_RTOL * rho is reported as the knife-edge zero case.
-ZERO_BAND_RTOL = 1e-12
+from .model import AssetUniverse, Portfolio, portfolio_stats
 
 
 def min_variance_portfolio(universe: AssetUniverse) -> Portfolio:
@@ -73,24 +65,24 @@ def self_financing_direction(universe: AssetUniverse) -> np.ndarray:
 
     w_o = V^-1 (rbar - (b/a) 1), normalized so that w_o' V w_o = 1.  Satisfies
     1' w_o = 0; every mean-variance efficient portfolio is
-    w_mvp + sqrt(sigma^2 - sigma_mvp^2) * w_o.
+    w_mvp + sqrt(sigma^2 - sigma_mvp^2) * w_o.  Returns proportional to ones
+    in the V^-1 metric leave it undefined (DegenerateReturnsError).
     """
-    rbar = _require_returns(universe)
-    if proportional_to_ones(rbar):
-        raise DegenerateReturnsError(
-            "expected returns are proportional to ones; frontier direction undefined"
-        )
+    _require_returns(universe)
     w_o = universe.solver.w_o
     if w_o is None:
         raise DegenerateReturnsError(
-            "projected return direction has nonpositive V^-1 norm"
+            "expected returns are proportional to ones in the V^-1 metric; "
+            "frontier direction undefined"
         )
     return w_o
 
 
 def eta_wo(universe: AssetUniverse) -> float:
-    """The slope coefficient eta' w_o of weighted-average variance along the frontier."""
-    return float(universe.variances @ self_financing_direction(universe))
+    """The slope coefficient eta' w_o of weighted-average variance along the
+    frontier, the kernel's: 0.0 within ZERO_BAND_RTOL * rho of zero."""
+    self_financing_direction(universe)  # the typed errors of a missing w_o
+    return universe.solver.eta_wo
 
 
 def eta_wo_sign(universe: AssetUniverse) -> str:
@@ -100,7 +92,7 @@ def eta_wo_sign(universe: AssetUniverse) -> str:
     case is reported explicitly rather than resolved by rounding noise.
     """
     m = eta_wo(universe)
-    if abs(m) <= ZERO_BAND_RTOL * universe.solver.rho:
+    if m == 0.0:
         return "zero"
     return "positive" if m > 0.0 else "negative"
 
@@ -115,11 +107,7 @@ def q_portfolio(universe: AssetUniverse) -> Portfolio:
     collapses w_Q onto it).
     """
     s = universe.solver
-    w_o = self_financing_direction(universe)
-    m = float(universe.variances @ w_o)
-    if abs(m) <= ZERO_BAND_RTOL * s.rho:
-        m = 0.0
-    w_q = s.w_mvp + 0.5 * m * w_o
+    w_q = s.w_mvp + 0.5 * eta_wo(universe) * s.w_o
     return portfolio_stats(universe, w_q)
 
 
@@ -178,9 +166,8 @@ def special_portfolios(universe: AssetUniverse, embedding=None) -> SpecialPortfo
     mvp = min_variance_portfolio(universe)
     mdrp = max_dr_portfolio(universe)
 
-    m = sign = q_pf = tangent = None
+    sign = q_pf = tangent = None
     if s.w_o is not None:
-        m = float(universe.variances @ s.w_o)
         sign = eta_wo_sign(universe)
         q_pf = q_portfolio(universe)
         if universe.risk_free_rate is not None:
@@ -197,7 +184,7 @@ def special_portfolios(universe: AssetUniverse, embedding=None) -> SpecialPortfo
         rho=s.rho,
         b=s.b,
         w_o=s.w_o,
-        eta_wo=m,
+        eta_wo=s.eta_wo,
         eta_wo_sign=sign,
         q_pf=q_pf,
         tangent=tangent,

@@ -2,9 +2,9 @@
 
 Everything here is deliberately independent of the library's closed forms:
 dense scans, projected-gradient ascent, simplex grids, support enumeration,
-bisection, the embedding's second routes to centrality and the maximum-DR
-portfolio, and the eigenvalue decisions that the Cholesky certificates of
-`validate_universe` and `assert_edm` stand in for.
+bisection, the distance matrix's second route to the maximum-DR portfolio,
+q_max and centrality, and the eigenvalue decisions that the Cholesky
+certificates of `validate_universe` and `assert_edm` stand in for.
 Slow and dumb on purpose.
 """
 
@@ -488,26 +488,42 @@ def eigen_is_edm(dist):
 MDRP_AGREEMENT_ATOL = 1e-8
 
 
-def pythagoras_gaps(embedding, portfolio):
+def distance_route(universe):
+    """(s, q_max) from the distance matrix alone: the LU solution y of
+    D y = 1, s = y / (1' y) and q_max = 1 / (2 * 1' y).  The library reads
+    both from its covariance kernel on a nonsingular universe; this is the
+    geometric second route, the sphere centre s proportional to D^-1 1."""
+    D = drf.build_distance_matrix(universe)
+    ones = np.ones(universe.n)
+    y = np.linalg.solve(D, ones)
+    total = float(ones @ y)
+    return y / total, 1.0 / (2.0 * total)
+
+
+def pythagoras_gaps(universe, portfolio):
     """(|w' B w + q - q_max|, |c^2 + q - q_max|) for a library portfolio.
 
-    w' B w comes from the embedding's Gram matrix and q_max from its D^-1 1
-    route, both independent of the covariance kernel; c^2 is the portfolio's
-    own centrality_sq.  Both are zero in exact arithmetic on every budget
-    portfolio.
+    s and q_max come from :func:`distance_route`, and B is the Gram matrix
+    about that s, formed from V as :func:`drfrontier.embed` forms it; none of
+    the three reads the covariance kernel.  c^2 is the portfolio's own
+    centrality_sq, about the kernel's w_mdrp.  Both gaps are zero in exact
+    arithmetic on every budget portfolio.
     """
+    s, q_max = distance_route(universe)
+    v = universe.cov @ s
+    gram = 0.5 * (universe.cov - (v[:, None] + v[None, :]) + float(s @ v))
     w = portfolio.weights
-    gram = float(w @ embedding.gram @ w) + portfolio.dr - embedding.q_max
-    kernel = portfolio.centrality_sq + portfolio.dr - embedding.q_max
-    return abs(gram), abs(kernel)
+    through_gram = float(w @ gram @ w) + portfolio.dr - q_max
+    kernel = portfolio.centrality_sq + portfolio.dr - q_max
+    return abs(through_gram), abs(kernel)
 
 
-def mdrp_route_gap(universe, embedding):
+def mdrp_route_gap(universe):
     """max |w_mdrp - s| / max(1, max |w_mdrp|) between the maximum-DR
     portfolio of the covariance route (:func:`drfrontier.max_dr_portfolio`)
-    and the normalized D^-1 1 of the embedding."""
+    and the s of :func:`distance_route`."""
     w = drf.max_dr_portfolio(universe).weights
-    gap = float(np.abs(w - embedding.mdrp_weights).max())
+    gap = float(np.abs(w - distance_route(universe)[0]).max())
     return gap / max(1.0, float(np.abs(w).max()))
 
 

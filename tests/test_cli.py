@@ -193,6 +193,21 @@ def test_mdp_non_finite_sigma_exits_2(fixture_dir, tmp_path, capsys, sigma):
     assert not (out / "mdp.json").exists()
 
 
+def test_near_constant_returns_leave_the_return_curves_out(tmp_path):
+    # returns 1e-11 apart are not proportional to ones, yet have no
+    # mean-variance direction in the V^-1 metric: the commands run without it,
+    # as on exactly constant returns
+    src = _write_universe_json(tmp_path / "u.json", V3, rbar=[0.05, 0.05 + 1e-11, 0.05])
+    for cmd in (["portfolios"], ["frontier"], ["mdp", "--samples", "100"]):
+        out = tmp_path / cmd[0]
+        assert main(cmd + ["--input", str(src), "--out", str(out)]) == 0, cmd
+    scalars = _read_json(tmp_path / "portfolios" / "portfolios.json")["scalars"]
+    assert scalars["eta_wo"] is None and scalars["eta_wo_sign"] is None
+    assert scalars["ef_shape"] == "degenerate"
+    written = sorted(p.name for p in (tmp_path / "frontier").iterdir())
+    assert written == ["frontier_efficient_dr.csv", "frontier_mdp_at_sigma.csv"]
+
+
 def test_riskfree_flag_replaces_a_bad_json_rate(tmp_path):
     src = _write_universe_json(tmp_path / "u.json", V3, rbar=RBAR3, r0="abc")
     out = tmp_path / "out"

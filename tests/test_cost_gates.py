@@ -5,10 +5,11 @@ times can only suggest: after the universe's kernel is built, every sweep,
 the inflection report and the ratio-maximizing portfolio are dot products,
 whatever the number of grid points; the special portfolios and the
 `portfolios` and `frontier` commands read centrality from the kernel and
-build no embedding; validating a universe and certifying a distance matrix
-take one Cholesky factorization and no eigendecomposition unless the
-factorization fails, and an embedding decomposes its Gram matrix only when
-its coordinates are read; d_max of a distance matrix is one ascent, and a
+build no embedding, and an embedding of a nonsingular universe reads its
+centre and q_max from the kernel, solving nothing; validating a universe
+and certifying a distance matrix take one Cholesky factorization and no
+eigendecomposition unless the factorization fails, and an embedding
+decomposes its Gram matrix only when its coordinates are read; d_max of a distance matrix is one ascent, and a
 matrix that is not one is refused before any; d_max of D_eta is a closed
 form; the sandwich check draws once per level, nothing on a level it proves
 empty, and finds its long-only anchor once per universe.  A CLI run
@@ -101,6 +102,50 @@ def test_inflection_audit_and_portfolios_make_no_solve(calls):
         drf.mdp_global(u)
         drf.special_portfolios(u, embedding=emb)
         assert _solves(calls) == before
+
+
+def _count_linalg(monkeypatch, *names):
+    """Counter of the calls of each named np.linalg function."""
+    count = Counter()
+
+    def counting(name):
+        inner = getattr(np.linalg, name)
+
+        def wrapper(*args, **kwargs):
+            count[name] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, wrapper)
+
+    for name in names:
+        counting(name)
+    return count
+
+
+@pytest.fixture
+def d_solves(monkeypatch):
+    """Calls of np.linalg.solve and np.linalg.pinv.  The kernel's LU solve is
+    model.lu_solve, bound at import, so only other solves count here."""
+    return _count_linalg(monkeypatch, "solve", "pinv")
+
+
+def test_embed_reads_s_and_q_max_from_the_kernel(calls, d_solves, degenerate3):
+    # embed, the special portfolios and every sweep share the kernel's one
+    # LU solve; no solve or pseudoinverse of D runs on a nonsingular universe
+    universes = _fresh_universes()
+    d_solves.clear()  # random_universe solves for its risk-free rate
+    for u in universes:
+        before = calls["lu_solve"]
+        drf.embed(u)
+        drf.special_portfolios(u)
+        for kind in FrontierKind:
+            drf.sweep(u, kind)
+        assert calls["lu_solve"] - before == 1
+    assert sum(d_solves.values()) == 0
+    # singular V (a riskless asset), nonsingular D: the pseudoinverse route
+    emb = drf.embed(degenerate3)
+    assert d_solves == Counter(pinv=1) and calls["lu_solve"] == 2
+    assert emb.q_max == pytest.approx(0.25, abs=1e-12)
 
 
 def test_special_portfolios_reuses_the_passed_embedding(calls):
@@ -249,20 +294,7 @@ def test_non_edm_is_refused_before_any_ascent(calls):
 @pytest.fixture
 def eigen(monkeypatch):
     """Number of np.linalg.eigh and np.linalg.eigvalsh calls."""
-    count = Counter()
-
-    def counting(name):
-        inner = getattr(np.linalg, name)
-
-        def wrapper(*args, **kwargs):
-            count[name] += 1
-            return inner(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, wrapper)
-
-    counting("eigh")
-    counting("eigvalsh")
-    return count
+    return _count_linalg(monkeypatch, "eigh", "eigvalsh")
 
 
 @pytest.mark.parametrize("fixture", ["synthetic_panel_30.csv", "example3_with_returns.json"])

@@ -1,10 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import drfrontier as drf
-from drfrontier import embedding
 from drfrontier.embedding import _canonical_axes
 from drfrontier.errors import (
     AsymmetricError,
@@ -95,11 +96,21 @@ def test_embed_three_asset(ex3):
     np.testing.assert_allclose(emb.coords @ emb.mdrp_weights, 0.0, atol=1e-10)
 
 
+def test_embed_reads_s_and_q_max_from_the_kernel(ex3, ex3_returns, identity3, universe30):
+    # one route to the maximum-DR portfolio on a nonsingular universe
+    rng = np.random.default_rng(29)
+    draws = [random_universe(rng, n, with_returns=True) for n in (2, 5, 12, 30)]
+    for u in [ex3, ex3_returns, identity3, universe30, *draws]:
+        emb = drf.embed(u)
+        assert np.array_equal(emb.mdrp_weights, u.solver.w_mdrp)
+        assert emb.q_max == drf.frontier_params(u).q_mdrp
+
+
 def _csv_cells(emb):
     return [[f"{v:.12g}" for v in col] for col in emb.coords.T]
 
 
-def test_embed_three_asset_canonical_basis(ex3, monkeypatch):
+def test_embed_three_asset_canonical_basis(ex3):
     # B has the repeated eigenvalue 1.5: the cluster's axes put asset 1 on the
     # first axis and asset 2 in the upper half plane
     emb = drf.embed(ex3)
@@ -113,10 +124,10 @@ def test_embed_three_asset_canonical_basis(ex3, monkeypatch):
         ["0.5", "0.866025403784"],
         ["0.5", "-0.866025403784"],
     ]
-    # the same cells whichever solver built s
-    solve_ones = embedding._solve_ones
-    monkeypatch.setattr(embedding, "_solve_ones", lambda D, hint: solve_ones(D, False))
-    pinv_emb = drf.embed(ex3)
+    # the same cells whichever route built s: the kernel's, or the
+    # pseudoinverse of D that a universe flagged singular takes
+    assert np.array_equal(emb.mdrp_weights, ex3.solver.w_mdrp)
+    pinv_emb = drf.embed(dataclasses.replace(ex3, nonsingular=False))
     assert not np.array_equal(pinv_emb.mdrp_weights, emb.mdrp_weights)
     assert _csv_cells(pinv_emb) == _csv_cells(emb)
 

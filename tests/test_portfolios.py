@@ -13,13 +13,13 @@ from drfrontier.errors import (
     TangencyInfeasibleError,
 )
 from drfrontier.frontiers import FrontierKind
-from drfrontier.model import BUDGET_ATOL, PYTHAGORAS_ATOL
-from drfrontier.portfolios import proportional_to_ones
+from drfrontier.model import BUDGET_ATOL, PYTHAGORAS_ATOL, proportional_to_ones
 
 from .conftest import FIXTURES, R0_3, RBAR3, V3
 from .oracles import (
     MDRP_AGREEMENT_ATOL,
     conditioned_universe,
+    distance_route,
     forward_error,
     mdrp_route_gap,
     projected_gradient_max_dr,
@@ -337,8 +337,9 @@ def test_special_portfolios_pass_pythagoras_at_cond_1e5():
     assert np.linalg.cond(u.cov) == pytest.approx(1e5, rel=1e-6)
     emb = drf.embed(u)
     sp = drf.special_portfolios(u, embedding=emb)
+    q_max = distance_route(u)[1]
     for pf in (sp.mvp, sp.mdrp, sp.q_pf):
-        assert pf.centrality_sq + pf.dr == pytest.approx(emb.q_max, rel=1e-10)
+        assert pf.centrality_sq + pf.dr == pytest.approx(q_max, rel=1e-10)
 
 
 def _formed(sp):
@@ -380,16 +381,15 @@ def _route_universes():
 
 
 def test_special_portfolios_meet_the_embedding_routes():
-    # Pythagoras c^2 + q = q_max with w' B w from the embedding's Gram matrix
-    # and with the kernel's centrality, and the max-DR portfolio against the
+    # Pythagoras c^2 + q = q_max with w' B w about the distance route's s and
+    # with the kernel's centrality, and the max-DR portfolio against the
     # normalized D^-1 1, each to the tolerance the production checks had
     for u in _route_universes():
-        emb = drf.embed(u)
-        atol = PYTHAGORAS_ATOL * max(1.0, abs(emb.q_max))
+        atol = PYTHAGORAS_ATOL * max(1.0, abs(u.solver.q_max))
         for p in _formed(drf.special_portfolios(u)):
-            gram, kernel = pythagoras_gaps(emb, p)
+            gram, kernel = pythagoras_gaps(u, p)
             assert gram <= atol and kernel <= atol, (gram, kernel)
-        assert mdrp_route_gap(u, emb) <= MDRP_AGREEMENT_ATOL
+        assert mdrp_route_gap(u) <= MDRP_AGREEMENT_ATOL
 
 
 @settings(max_examples=60, deadline=None)
@@ -411,12 +411,46 @@ def test_embedding_routes_across_conditioning(n, seed, log_cond, with_riskfree):
         # where rounding of that size is allowed
         assert rel_tol > BUDGET_ATOL
         return
-    emb = drf.embed(u)
     scale = max(1.0, float(np.abs(u.cov).max()))
     for p in _formed(sp):
         w_size = max(1.0, float(np.abs(p.weights).max()))
-        size = max(scale, p.centrality_sq, abs(emb.q_max)) * w_size**2
-        gram, kernel = pythagoras_gaps(emb, p)
+        size = max(scale, p.centrality_sq, abs(u.solver.q_max)) * w_size**2
+        gram, kernel = pythagoras_gaps(u, p)
         tol = max(PYTHAGORAS_ATOL, rel_tol) * size
         assert gram <= tol and kernel <= tol, (gram, kernel, tol)
-    assert mdrp_route_gap(u, emb) <= max(MDRP_AGREEMENT_ATOL, rel_tol)
+    assert mdrp_route_gap(u) <= max(MDRP_AGREEMENT_ATOL, rel_tol)
+
+
+def _mdrp_at_50_digits(mpmath, u):
+    """(s, q_max) of the float V at 50 digits, by the geometric route:
+    y = D^-1 1 with D[i, j] = (eta_i + eta_j) / 2 - V[i, j], s = y / (1' y)
+    and q_max = 1 / (2 * 1' y)."""
+    n = u.n
+    with mpmath.workdps(50):
+        V = mpmath.matrix(u.cov.tolist())
+        D = mpmath.matrix(n, n)
+        for i in range(n):
+            for j in range(n):
+                if i != j:
+                    D[i, j] = (V[i, i] + V[j, j]) / 2 - V[i, j]
+        y = mpmath.lu_solve(D, mpmath.matrix([1] * n))
+        total = sum(y)
+        return np.array([float(v / total) for v in y]), float(1 / (2 * total))
+
+
+def test_kernel_mdrp_meets_a_50_digit_reference(ex3, ex3_returns, universe30):
+    # the kernel is the one production route to s and q_max; each lies within
+    # its forward-error bound of the 50-digit value, up to cond 1e6
+    mpmath = pytest.importorskip("mpmath")
+    mini = drf.annualize(drf.load_panel(FIXTURES / "mini_prices.csv", format="prices"))
+    rng = np.random.default_rng(83)
+    draws = [
+        conditioned_universe(int(rng.integers(2, 9)), seed, rng.uniform(0.0, 6.0))
+        for seed in range(30)
+    ]
+    for u in [ex3, ex3_returns, mini, universe30, *draws]:
+        s_ref, q_ref = _mdrp_at_50_digits(mpmath, u)
+        rel_tol = forward_error(u)
+        w = u.solver.w_mdrp
+        assert float(np.abs(w - s_ref).max()) <= rel_tol * float(np.abs(s_ref).max())
+        assert abs(u.solver.q_max - q_ref) <= rel_tol * abs(q_ref)
