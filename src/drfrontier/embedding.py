@@ -41,6 +41,7 @@ only where that factorization fails.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -55,7 +56,7 @@ from .errors import (
     NotSPDError,
     SingularDistanceError,
 )
-from .model import AssetUniverse, check_budget
+from .model import AssetUniverse, _shifted_cholesky, check_budget
 
 # Eigenvalues of B below EIG_RTOL * lambda_1 are treated as zero.
 EIG_RTOL = 1e-10
@@ -81,7 +82,8 @@ class EdmCertificate:
     holds: J 1 = 0 makes 0 the smallest eigenvalue of every PSD centered
     form, and the factorization proves the true value lies between
     -EIG_RTOL * max|D| and 0.  A certificate from the eigenvalue route
-    carries the computed value.
+    carries the computed value, one refused for negative or non-finite
+    entries NaN.
     """
 
     is_edm: bool
@@ -104,7 +106,6 @@ class EdmEmbedding:
         q_max: top of the DR frontier, 1 / (2 * 1' D^-1 1): the kernel's
             q_mvp + rho^2 / 8 on a nonsingular universe, 1 / (2 * 1' y)
             from the pseudoinverse solution y on a singular one.
-        universe_fingerprint: hash of the source universe.
 
     eigvals and coords (and dim) come from one eigendecomposition of B,
     computed on the first read of either and kept with the embedding; an
@@ -115,7 +116,6 @@ class EdmEmbedding:
     mdrp_weights: np.ndarray
     gram: np.ndarray
     q_max: float
-    universe_fingerprint: str
 
     @property
     def n(self) -> int:
@@ -148,8 +148,8 @@ def build_distance_matrix(universe: AssetUniverse) -> np.ndarray:
     eta = universe.variances
     D = 0.5 * (eta[:, None] + eta[None, :]) - universe.cov
     np.fill_diagonal(D, 0.0)
-    tol = DIST_CLAMP_TOL * max(1.0, float(np.abs(D).max()))
     low = float(D.min())
+    tol = DIST_CLAMP_TOL * max(1.0, float(D.max()), -low)
     if low < -tol:
         raise NotSPDError(
             f"distance entry {low:.3e} below clamp tolerance; covariance and "
@@ -183,7 +183,7 @@ def _certified_edm(D: np.ndarray, scale: float) -> bool:
     4 n (n + 1) eps * scale.  Success therefore proves lambda_min(G_a) >
     -EIG_RTOL * scale, hence lambda_min(-0.5 J D J) >= -EIG_RTOL *
     max(lambda_top, scale), the eigenvalue test.  False only means the
-    factorization failed.  The factor is discarded.
+    factorization failed.
     """
     n = D.shape[0]
     d0 = D[1:, 0]
@@ -193,20 +193,15 @@ def _certified_edm(D: np.ndarray, scale: float) -> bool:
     G -= D[0, 0]
     G *= 0.5
     eps = float(np.finfo(float).eps)
-    G.flat[::n] += (EIG_RTOL - 4 * n * (n + 1) * eps) * scale
-    try:
-        np.linalg.cholesky(G)
-    except np.linalg.LinAlgError:
-        return False
-    return True
+    return _shifted_cholesky(G, (EIG_RTOL - 4 * n * (n + 1) * eps) * scale)
 
 
 def assert_edm(dist) -> EdmCertificate:
     """Certify that a matrix is a Euclidean squared-distance matrix.
 
-    Preconditions (zero diagonal, symmetry) raise; a negative entry or a
-    negative eigenvalue of the centered Gram form yields a failing
-    certificate instead.
+    Preconditions (zero diagonal, symmetry) raise; a non-finite entry, a
+    negative entry or a negative eigenvalue of the centered Gram form yields
+    a failing certificate instead.
 
     The test is lambda_min(-0.5 J D J) >= -EIG_RTOL * max(lambda_top,
     max|D|), J = I - 1 1' / n.  One Cholesky factorization of the anchored
@@ -218,14 +213,19 @@ def assert_edm(dist) -> EdmCertificate:
     D = np.asarray(dist, dtype=float)
     if D.ndim != 2 or D.shape[0] != D.shape[1]:
         raise DimensionMismatchError(f"distance matrix must be square, got {D.shape}")
-    scale = max(float(np.abs(D).max()), np.finfo(float).tiny)
+    low = float(D.min())
+    # max|D| from max and min, NaN or inf when any entry is
+    scale = max(float(D.max()), -low, np.finfo(float).tiny)
+    if not math.isfinite(scale):
+        return EdmCertificate(False, float("nan"), "non-finite entries")
     if float(np.abs(np.diag(D)).max()) > EDM_RTOL * scale:
         raise NonZeroDiagonalError("distance matrix has a nonzero diagonal")
-    asym = float(np.abs(D - D.T).max())
+    # D - D' is antisymmetric: its largest entry is its largest magnitude
+    asym = float((D - D.T).max())
     if asym > EDM_RTOL * scale:
         raise AsymmetricError("distance matrix is asymmetric")
 
-    if float(D.min()) < -EDM_RTOL * scale:
+    if low < -EDM_RTOL * scale:
         return EdmCertificate(False, float("nan"), "negative entries")
 
     if _certified_edm(D if asym == 0.0 else 0.5 * (D + D.T), scale):
@@ -308,13 +308,7 @@ def embed(universe: AssetUniverse) -> EdmEmbedding:
     # v_i + v_j is commutative, so B comes out exactly symmetric
     B = 0.5 * (universe.cov - (v[:, None] + v[None, :]) + float(s @ v))
 
-    return EdmEmbedding(
-        dist=D,
-        mdrp_weights=s,
-        gram=B,
-        q_max=q_max,
-        universe_fingerprint=universe.fingerprint,
-    )
+    return EdmEmbedding(dist=D, mdrp_weights=s, gram=B, q_max=q_max)
 
 
 def centrality(embedding: EdmEmbedding, weights) -> float:
@@ -335,8 +329,8 @@ def norm_dr_bound(embedding: EdmEmbedding, norm_matrix, tau: float) -> float:
 
         q(w) >= q_max - (tau / beta)^2.
 
-    A must be symmetric positive definite.  The bound is valid but can be
-    weak when A is ill conditioned relative to B.
+    A must be finite, symmetric and positive definite, and tau >= 0.  The
+    bound is valid but can be weak when A is ill conditioned relative to B.
     """
     A = np.asarray(norm_matrix, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -345,8 +339,10 @@ def norm_dr_bound(embedding: EdmEmbedding, norm_matrix, tau: float) -> float:
         raise DimensionMismatchError(
             f"norm matrix of size {A.shape[0]} vs embedding of {embedding.n} assets"
         )
-    scale = max(float(np.abs(A).max()), np.finfo(float).tiny)
-    if float(np.abs(A - A.T).max()) > 1e-10 * scale:
+    scale = max(float(A.max()), -float(A.min()), np.finfo(float).tiny)
+    if not math.isfinite(scale):
+        raise NotSPDError("norm matrix contains non-finite entries")
+    if float((A - A.T).max()) > 1e-10 * scale:
         raise NotSPDError("norm matrix is asymmetric")
     evals = np.linalg.eigvalsh(A)
     lam_min = float(evals[0])
@@ -354,7 +350,7 @@ def norm_dr_bound(embedding: EdmEmbedding, norm_matrix, tau: float) -> float:
         raise NotSPDError(
             f"norm matrix smallest eigenvalue {lam_min:.3e} is not strictly positive"
         )
-    if tau < 0.0:
+    if not tau >= 0.0:  # fails closed on NaN
         raise BudgetViolationError("norm budget tau must be nonnegative")
     lam_b = float(embedding.eigvals[0]) if embedding.eigvals.size else 0.0
     if lam_b <= 0.0:

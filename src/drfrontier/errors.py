@@ -33,10 +33,6 @@ class BudgetViolationError(DrFrontierError):
     """Portfolio weights do not sum to one within tolerance."""
 
 
-class EmbeddingMismatchError(DrFrontierError):
-    """Embedding was built from a different covariance universe."""
-
-
 class SingularCovarianceError(DrFrontierError):
     """Operation needs a strictly positive definite covariance."""
 

@@ -29,7 +29,7 @@ from .errors import (
     RiskBelowMvpError,
 )
 from .model import AssetUniverse, Portfolio, proportional_to_ones
-from .portfolios import _check_embedding, tangent_portfolio
+from .portfolios import tangent_portfolio
 
 # sigma^2 this far below sigma_mvp^2 is an error; closer misses are snapped up.
 RISK_SNAP_ATOL = 1e-12
@@ -428,12 +428,10 @@ def sweep(
     (efficient_dr_riskfree), with cash taking the rest; their rows carry no
     centrality, and a negative sigma is flagged risk_below_mvp.
 
-    `embedding` changes no output.  It is only checked against the universe
-    (EmbeddingMismatchError), and is kept because existing callers pass it.
+    `embedding` is unused; it is kept because existing callers pass it.
     """
     kind = FrontierKind(kind)
     params = frontier_params(universe)
-    _check_embedding(universe, embedding)
     if sigma_grid is None:
         sigma_grid = default_sigma_grid(params)
     sigmas = np.asarray(sigma_grid, dtype=float)

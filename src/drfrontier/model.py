@@ -22,7 +22,6 @@ changes q.  That is intended behaviour and is regression-tested.
 from __future__ import annotations
 
 import functools
-import hashlib
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -91,8 +90,6 @@ class AssetUniverse:
             (anything else raises ParseError, also through
             ``dataclasses.replace``).
         nonsingular: True when cov is numerically strictly positive definite.
-        fingerprint: hash of (cov, names); only the ``embedding=`` checks
-            of special_portfolios and sweep read it.
     """
 
     names: tuple
@@ -101,7 +98,6 @@ class AssetUniverse:
     expected_returns: Optional[np.ndarray]
     risk_free_rate: Optional[float]
     nonsingular: bool
-    fingerprint: str
 
     def __post_init__(self):
         if self.risk_free_rate is None:
@@ -257,6 +253,17 @@ def check_budget(weights: np.ndarray) -> np.ndarray:
     return w
 
 
+def _shifted_cholesky(A: np.ndarray, shift: float) -> bool:
+    """True when a Cholesky factorization of A + shift I, formed in place in
+    A, completes.  The factor is discarded."""
+    A.flat[:: A.shape[0] + 1] += shift
+    try:
+        np.linalg.cholesky(A)
+    except LinAlgError:
+        return False
+    return True
+
+
 def _certified_nonsingular(V: np.ndarray) -> bool:
     """True when one Cholesky factorization proves that the symmetric V has
     lambda_min > PSD_RTOL * lambda_max.
@@ -273,20 +280,13 @@ def _certified_nonsingular(V: np.ndarray) -> bool:
     PSD_RTOL * lambda_max(V): the eigenvalue test's own threshold, so V
     needs no clamp and is nonsingular.  (A negative diagonal entry fails the
     factorization, so tr(V) > 0 on success.)  False only means the
-    factorization failed; the eigenvalues decide then.  The factor is
-    discarded.
+    factorization failed; the eigenvalues decide then.
     """
     n = V.shape[0]
     eps = float(np.finfo(float).eps)
     norm_inf = float(np.linalg.norm(V, np.inf))
     delta = PSD_RTOL * norm_inf + 4 * (n + 1) * eps * max(float(np.trace(V)), 0.0)
-    shifted = V.copy()
-    shifted.flat[:: n + 1] -= delta
-    try:
-        np.linalg.cholesky(shifted)
-    except LinAlgError:
-        return False
-    return True
+    return _shifted_cholesky(V.copy(), -delta)
 
 
 def validate_universe(
@@ -319,19 +319,22 @@ def validate_universe(
     V = _float_array(cov, "covariance")
     if V.ndim != 2 or V.shape[0] != V.shape[1]:
         raise NonSquareError(f"covariance must be square, got shape {V.shape}")
-    if not np.all(np.isfinite(V)):
-        raise NotPSDError("covariance contains non-finite entries")
     n = V.shape[0]
+    # max|V| from max and min, NaN or inf when any entry is
+    scale = max(float(V.max()), -float(V.min()), np.finfo(float).tiny) if n else 0.0
+    if not math.isfinite(scale):
+        raise NotPSDError("covariance contains non-finite entries")
     if n < 2:
         raise DimensionMismatchError("universe needs at least 2 assets")
 
-    scale = max(float(np.abs(V).max()), np.finfo(float).tiny)
-    asym = float(np.abs(V - V.T).max())
+    # V - V' is antisymmetric: its largest entry is its largest magnitude
+    asym = float((V - V.T).max())
     if asym > SYMMETRY_RTOL * scale:
         raise AsymmetricError(
             f"covariance asymmetry {asym:.3e} exceeds {SYMMETRY_RTOL:.0e} * {scale:.3e}"
         )
-    V = 0.5 * (V + V.T)
+    if asym:  # an exactly symmetric V is its own symmetrization
+        V = 0.5 * (V + V.T)
 
     if _certified_nonsingular(V):
         nonsingular = True
@@ -372,11 +375,6 @@ def validate_universe(
             raise DimensionMismatchError("expected_returns contain non-finite entries")
         rbar = _frozen(rbar)
 
-    digest = hashlib.sha256()
-    digest.update(V.tobytes())
-    digest.update("|".join(names).encode())
-    fingerprint = digest.hexdigest()
-
     return AssetUniverse(
         names=names,
         cov=_frozen(V),
@@ -384,7 +382,6 @@ def validate_universe(
         expected_returns=rbar,
         risk_free_rate=risk_free_rate,
         nonsingular=nonsingular,
-        fingerprint=fingerprint,
     )
 
 

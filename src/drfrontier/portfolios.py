@@ -26,7 +26,6 @@ import numpy as np
 
 from .errors import (
     DegenerateReturnsError,
-    EmbeddingMismatchError,
     MissingReturnsError,
     TangencyInfeasibleError,
 )
@@ -46,12 +45,6 @@ def max_dr_portfolio(universe: AssetUniverse) -> Portfolio:
     Its DR is q_max and its centrality exactly 0.
     """
     return portfolio_stats(universe, universe.solver.w_mdrp)
-
-
-def _check_embedding(universe: AssetUniverse, embedding) -> None:
-    """Refuse an embedding built from a different universe."""
-    if embedding is not None and embedding.universe_fingerprint != universe.fingerprint:
-        raise EmbeddingMismatchError("embedding was built from a different universe")
 
 
 def _require_returns(universe: AssetUniverse) -> np.ndarray:
@@ -157,11 +150,9 @@ class SpecialPortfolios:
 def special_portfolios(universe: AssetUniverse, embedding=None) -> SpecialPortfolios:
     """Assemble every closed-form portfolio the inputs support.
 
-    `embedding` changes no output: every centrality comes from the kernel.
-    It is only checked against the universe (EmbeddingMismatchError), and is
+    `embedding` is unused: every centrality comes from the kernel.  It is
     kept because existing callers pass it.
     """
-    _check_embedding(universe, embedding)
     s = universe.solver
     mvp = min_variance_portfolio(universe)
     mdrp = max_dr_portfolio(universe)

@@ -14,8 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import drfrontier as drf
-from drfrontier.errors import NotPSDError
-from drfrontier.model import PSD_RTOL
+from drfrontier.embedding import EDM_RTOL
+from drfrontier.errors import AsymmetricError, NotPSDError
+from drfrontier.model import PSD_RTOL, SYMMETRY_RTOL
 
 from .oracles import (
     conditioned_cov,
@@ -103,6 +104,64 @@ def test_certificates_agree_on_rank_deficient_and_cloned(n, rank, clones, seed, 
     u = _check_covariance(V)
     assert u is not None and not u.nonsingular
     _check_distances(u, 10.0**log_rel, seed)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(2, 12),
+    st.integers(0, 10**6),
+    st.floats(0.0, 6.0),
+    st.integers(-8, 8),
+    st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+)
+def test_one_pass_symmetry_checks_decide_and_store_as_two_passes(
+    n, seed, log_cond, log_scale, factor
+):
+    # the checks read max|M| from max(M) and min(M), and the asymmetry from
+    # the largest entry of the antisymmetric M - M'; the two passes over
+    # |M| and |M - M'| are the oracle
+    rng = np.random.default_rng(seed)
+    V = conditioned_cov(rng, n, log_cond) * 10.0**log_scale
+    V = 0.5 * (V + V.T)
+    D = drf.build_distance_matrix(drf.validate_universe(V))
+
+    def perturbed(M, rtol):
+        """M plus an antisymmetric P with max|P - P'| = factor * rtol * max|M|."""
+        P = rng.normal(size=M.shape)
+        P = P - P.T
+        P *= 0.5 * factor * rtol * np.abs(M).max() / np.abs(P).max()
+        W = M + P
+        return W, np.abs(W - W.T).max() > rtol * np.abs(W).max()
+
+    W, refused = perturbed(V, SYMMETRY_RTOL)
+    if refused:
+        with pytest.raises(AsymmetricError):
+            drf.validate_universe(W)
+    else:
+        u = drf.validate_universe(W)
+        assert u.nonsingular
+        assert np.array_equal(u.cov, 0.5 * (W + W.T))
+        if np.array_equal(W, W.T):
+            assert np.array_equal(u.cov, W)
+
+    W, refused = perturbed(D, EDM_RTOL)
+    if refused:
+        with pytest.raises(AsymmetricError):
+            drf.assert_edm(W)
+    else:
+        assert drf.assert_edm(W).is_edm == eigen_is_edm(W)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize("where", [(0, 2), (1, 1)])
+def test_non_finite_distance_matrix_is_not_certified(bad, where):
+    # numpy's Cholesky returns a NaN factor instead of failing, and every
+    # comparison with NaN is False: finiteness is tested first
+    D = np.array([[0.0, 1.0, 4.0], [1.0, 0.0, 1.0], [4.0, 1.0, 0.0]])
+    D[where] = D[where[::-1]] = bad
+    cert = drf.assert_edm(D)
+    assert not cert.is_edm and cert.reason == "non-finite entries"
+    assert np.isnan(cert.min_eigenvalue)
 
 
 def test_psd_clamp_accepts_a_small_negative_eigenvalue():

@@ -1,6 +1,12 @@
 import csv
+import functools
 import hashlib
 import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -571,14 +577,23 @@ def test_panel_pipeline_writes_provenance(tmp_path):
 
 
 def test_cli_entry_point_installed():
-    import shutil
-    import subprocess
-
-    exe = shutil.which("drfrontier")
-    if exe is None:
-        pytest.skip("console script not on PATH")
-    proc = subprocess.run(
-        [exe, "--help"], capture_output=True, text=True, timeout=60
+    # the entry point pyproject.toml declares, called in a fresh interpreter
+    # as its console script calls it; and the script itself when installed
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["drfrontier"]
+    module, func = target.split(":")
+    call = (
+        f"import sys; from {module} import {func}; "
+        f"sys.argv[1:] = ['--help']; sys.exit({func}())"
     )
-    assert proc.returncode == 0
-    assert "portfolios" in proc.stdout
+    src = str(Path(drf.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = functools.partial(subprocess.run, capture_output=True, text=True, timeout=60)
+    procs = [run([sys.executable, "-c", call], env={**os.environ, "PYTHONPATH": path})]
+    exe = shutil.which("drfrontier")
+    if exe is not None:
+        procs.append(run([exe, "--help"]))
+    for proc in procs:
+        assert proc.returncode == 0, proc.stderr
+        assert "portfolios" in proc.stdout

@@ -291,6 +291,17 @@ def test_norm_bound_input_errors(ex3):
         drf.norm_dr_bound(emb, np.eye(4), 0.5)
     with pytest.raises(drf.errors.BudgetViolationError):
         drf.norm_dr_bound(emb, np.eye(3), -0.1)
+    with pytest.raises(drf.errors.BudgetViolationError):
+        drf.norm_dr_bound(emb, np.eye(3), float("nan"))
+    for bad in (float("nan"), float("inf")):
+        A = np.eye(3)
+        A[0, 1] = A[1, 0] = bad
+        with pytest.raises(NotSPDError, match="non-finite"):
+            drf.norm_dr_bound(emb, A, 0.5)
+    nan_diagonal = np.eye(3)
+    nan_diagonal[1, 1] = float("nan")
+    with pytest.raises(NotSPDError, match="non-finite"):
+        drf.norm_dr_bound(emb, nan_diagonal, 0.5)
 
 
 def test_coords_table(ex3):

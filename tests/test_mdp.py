@@ -278,6 +278,13 @@ def test_d_max_bounds_rejects_a_non_edm():
     asymmetric[0, 1] += 0.5
     with pytest.raises(AsymmetricError):
         drf.d_max_bounds(asymmetric)
+    # three points on a line, with a non-finite distance or diagonal entry
+    for bad in (np.nan, np.inf):
+        for i, j in ((0, 2), (1, 1)):
+            line = np.array([[0.0, 1.0, 4.0], [1.0, 0.0, 1.0], [4.0, 1.0, 0.0]])
+            line[i, j] = line[j, i] = bad
+            with pytest.raises(NotPSDError, match="non-finite entries"):
+                drf.d_max_bounds(line)
 
 
 def test_d_max_bounds_closed_form_to_rounding():

@@ -75,7 +75,6 @@ def test_validate_universe_basic(ex3):
     assert ex3.nonsingular
     np.testing.assert_allclose(ex3.variances, [11.0 / 9.0, 23.0 / 9.0, 23.0 / 9.0])
     assert ex3.names == ("a", "b", "c")
-    assert len(ex3.fingerprint) == 64
 
 
 def test_validate_universe_rejects_non_square():
@@ -125,15 +124,6 @@ def test_validate_universe_rejects_names_that_are_not_a_sequence(names):
 def test_validate_universe_mismatched_returns():
     with pytest.raises(DimensionMismatchError):
         drf.validate_universe(np.eye(3), expected_returns=np.array([0.1, 0.2]))
-
-
-def test_fingerprint_tracks_cov_and_names_only():
-    V = np.eye(3)
-    u1 = drf.validate_universe(V, expected_returns=np.array([0.1, 0.2, 0.3]))
-    u2 = drf.validate_universe(V, expected_returns=np.array([0.3, 0.2, 0.1]))
-    u3 = drf.validate_universe(V, names=("x", "y", "z"))
-    assert u1.fingerprint == u2.fingerprint
-    assert u1.fingerprint != u3.fingerprint
 
 
 def test_check_budget_tolerance():
