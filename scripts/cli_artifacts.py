@@ -10,7 +10,9 @@ and its exit code.  The runs cover, on each of the four fixtures,
 `frontier --svg --riskfree 0.01` and `embed`; `ingest-check` on the two
 price panels; `mdp` on ex3 (default and two seeded sigmas), ex3 with
 returns, mini and panel-30 (one seeded sigma, and the default sigmas); the
-README's `frontier --grid 1.0:2.0:50 --kind efficient_dr`; `--log-returns`
+README's `frontier --grid 1.0:2.0:50 --kind efficient_dr`; the two cash
+curves, `--kind cml --kind efficient_dr_riskfree`, on ex3 with returns on
+the grid 0:3:7, which starts at sigma = 0 (all cash); `--log-returns`
 on mini; `--require-returns` on ex3; `--help` of the program and of every
 subcommand; and the refused inputs: non-finite `--riskfree`, `--sigma` and
 `--grid` values, and covariance JSON with a NaN or non-numeric field or
@@ -69,6 +71,10 @@ EXTRA = {
     "ex3-frontier-grid-kind": (
         "ex3",
         ["frontier", "--grid", "1.0:2.0:50", "--kind", "efficient_dr"],
+    ),
+    "ex3r-frontier-cash-grid": (
+        "ex3r",
+        ["frontier", "--grid", "0:3:7", "--kind", "cml", "--kind", "efficient_dr_riskfree"],
     ),
     "mini-portfolios-log-returns": ("mini", ["portfolios", "--log-returns"]),
     "mini-ingest-check-log-returns": ("mini", ["ingest-check", "--log-returns"]),

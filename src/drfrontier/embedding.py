@@ -56,7 +56,7 @@ from .errors import (
     NotSPDError,
     SingularDistanceError,
 )
-from .model import AssetUniverse, _shifted_cholesky, check_budget
+from .model import AssetUniverse, _float_array, _shifted_cholesky, check_budget
 
 # Eigenvalues of B below EIG_RTOL * lambda_1 are treated as zero.
 EIG_RTOL = 1e-10
@@ -199,9 +199,9 @@ def _certified_edm(D: np.ndarray, scale: float) -> bool:
 def assert_edm(dist) -> EdmCertificate:
     """Certify that a matrix is a Euclidean squared-distance matrix.
 
-    Preconditions (zero diagonal, symmetry) raise; a non-finite entry, a
-    negative entry or a negative eigenvalue of the centered Gram form yields
-    a failing certificate instead.
+    Preconditions (a numeric, nonempty square matrix, zero diagonal,
+    symmetry) raise; a non-finite entry, a negative entry or a negative
+    eigenvalue of the centered Gram form yields a failing certificate instead.
 
     The test is lambda_min(-0.5 J D J) >= -EIG_RTOL * max(lambda_top,
     max|D|), J = I - 1 1' / n.  One Cholesky factorization of the anchored
@@ -210,9 +210,11 @@ def assert_edm(dist) -> EdmCertificate:
     eigenvalues of the centered form decide, and a failing certificate
     carries its smallest one.
     """
-    D = np.asarray(dist, dtype=float)
-    if D.ndim != 2 or D.shape[0] != D.shape[1]:
-        raise DimensionMismatchError(f"distance matrix must be square, got {D.shape}")
+    D = _float_array(dist, "distance matrix")
+    if D.ndim != 2 or D.shape[0] != D.shape[1] or D.size == 0:
+        raise DimensionMismatchError(
+            f"distance matrix must be square and nonempty, got {D.shape}"
+        )
     low = float(D.min())
     # max|D| from max and min, NaN or inf when any entry is
     scale = max(float(D.max()), -low, np.finfo(float).tiny)
@@ -332,7 +334,7 @@ def norm_dr_bound(embedding: EdmEmbedding, norm_matrix, tau: float) -> float:
     A must be finite, symmetric and positive definite, and tau >= 0.  The
     bound is valid but can be weak when A is ill conditioned relative to B.
     """
-    A = np.asarray(norm_matrix, dtype=float)
+    A = _float_array(norm_matrix, "norm matrix")
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise NotSPDError(f"norm matrix must be square, got {A.shape}")
     if A.shape[0] != embedding.n:

@@ -3,15 +3,19 @@
 Every curve here is parameterized by the portfolio risk sigma.  With
 u = sqrt(sigma^2 - sigma_mvp^2) the three families are
 
-    efficient DR:           q_dr(sigma) = -0.5 (u - rho/2)^2 + rho^2/8 + q_mvp
-    mean-variance DR:       q_ef(sigma) = -0.5 (u - m/2)^2 + m^2/8 + q_mvp
-    capital-market line DR: q_cml(sigma) = -0.5 sigma^2 + (R_T / (2 sigma_T)) sigma
+    efficient DR:        q_dr(sigma) = -0.5 (u - rho/2)^2 + rho^2/8 + q_mvp
+    mean-variance DR:    q_ef(sigma) = -0.5 (u - m/2)^2 + m^2/8 + q_mvp
+    DR with cash:        q(sigma) = -0.5 sigma^2 + (eta' x / 2) sigma
 
-where m = eta' w_o, R_T = eta' w_T, and the risk-free efficient curve
-replaces R_T / sigma_T by sqrt(eta' V^-1 eta).  The DR-efficient portfolio
-at risk sigma is an affine mix of the minimum-variance and maximum-DR
-portfolios (two-fund separation), and the general engine behind all of the
-curves maximizes a linear objective over the budget-and-risk set.
+where m = eta' w_o.  A cash curve holds sigma * x in risky assets and the
+rest in cash, for a sleeve x with x' V x = 1.  The risk-free efficient curve
+takes x proportional to V^-1 eta, so eta' x = sqrt(eta' V^-1 eta); the
+capital-market line takes x = w_T / sigma_T, the tangency portfolio per unit
+of its risk.  The two coincide when excess returns are proportional to eta.
+The DR-efficient portfolio at risk sigma is an affine mix of the
+minimum-variance and maximum-DR portfolios (two-fund separation), and the
+general engine behind all of the curves maximizes a linear objective over
+the budget-and-risk set.
 """
 
 from __future__ import annotations
@@ -28,13 +32,15 @@ from .errors import (
     MissingReturnsError,
     RiskBelowMvpError,
 )
-from .model import AssetUniverse, Portfolio, proportional_to_ones
+from .model import AssetUniverse, Portfolio, _float_array, proportional_to_ones
 from .portfolios import tangent_portfolio
 
 # sigma^2 this far below sigma_mvp^2 is an error; closer misses are snapped up.
 RISK_SNAP_ATOL = 1e-12
 # sigma^2 - sigma_mvp^2 up to this times sigma_mvp^2 is rounding: snapped to 0
 _SNAP_RTOL = 4.0 * np.finfo(float).eps
+# the default sigma grid reaches this multiple of sigma_mdrp
+GRID_SPAN = 3.0
 
 
 class FrontierKind(str, Enum):
@@ -188,7 +194,7 @@ def max_linear_over_ellipsoid(
     c proportional to ones makes every feasible portfolio tie; the
     minimum-variance portfolio is returned with degenerate=True.
     """
-    c = np.asarray(objective, dtype=float)
+    c = _float_array(objective, "objective")
     if c.shape != (universe.n,):
         raise DimensionMismatchError(
             f"objective shape {c.shape} vs universe of {universe.n} assets"
@@ -263,84 +269,58 @@ def dr_gap_at(params: FrontierParams, sigma: float) -> float:
 
 
 @dataclass(frozen=True)
-class CmlDrCurve:
-    """DR along the capital-market line, q(sigma) = -sigma^2/2 + slope * sigma / 2.
+class CashDrCurve:
+    """DR of sigma * x in risky assets and 1 - sigma * 1' x in cash, x' V x = 1.
 
-    slope = eta' w_T / sigma_T.  When positive, the curve peaks at
-    sigma = slope / 2 where the risky fraction is peak_mix = eta' w_T / (2 sigma_T^2).
+    The sleeve x has unit risk, so q(sigma) = -sigma^2/2 + gain * sigma / 2
+    with gain = eta' x, and when gain > 0 the curve peaks at sigma = gain / 2.
+    The risk-free efficient curve takes x proportional to V^-1 eta, the
+    capital-market line x = w_T / sigma_T and keeps the tangency portfolio.
     """
 
-    tangent: Portfolio
-    slope: float
-    peak_sigma: Optional[float]
-    peak_mix: Optional[float]
+    gain: float
+    direction: np.ndarray
+    tangent: Optional[Portfolio] = None
 
-    def value(self, sigma: float) -> float:
+    @property
+    def peak_sigma(self) -> Optional[float]:
+        return 0.5 * self.gain if self.gain > 0.0 else None
+
+    def value(self, sigma):
+        """q at risk sigma, a float or an array; a negative sigma raises."""
+        if np.any(np.less(sigma, 0.0)):
+            raise RiskBelowMvpError("sigma must be nonnegative")
+        return -0.5 * sigma * sigma + 0.5 * self.gain * sigma
+
+    def mix(self, sigma):
+        """Fraction of wealth in risky assets at risk sigma, sigma * 1' x."""
+        return sigma * float(self.direction.sum())
+
+    def risky_weights(self, sigma: float):
+        """Risky sleeve and cash weight at risk sigma."""
         if sigma < 0.0:
             raise RiskBelowMvpError("sigma must be nonnegative")
-        return -0.5 * sigma * sigma + 0.5 * self.slope * sigma
-
-    def mix(self, sigma: float) -> float:
-        """Fraction of wealth in the tangency portfolio at risk sigma."""
-        return float(sigma) / self.tangent.sigma
+        return sigma * self.direction, 1.0 - self.mix(sigma)
 
 
-def cml_curve(universe: AssetUniverse) -> CmlDrCurve:
+def cml_curve(universe: AssetUniverse) -> CashDrCurve:
     """Build the capital-market-line DR curve (needs returns and a feasible r0)."""
     tangent = tangent_portfolio(universe)
-    r_t = float(universe.variances @ tangent.weights)
-    slope = r_t / tangent.sigma
-    peak_sigma = None
-    peak_mix = None
-    if r_t > 0.0:
-        peak_sigma = 0.5 * slope
-        peak_mix = 0.5 * r_t / tangent.variance
-    return CmlDrCurve(
-        tangent=tangent, slope=slope, peak_sigma=peak_sigma, peak_mix=peak_mix
-    )
+    x = tangent.weights / tangent.sigma
+    return CashDrCurve(gain=float(universe.variances @ x), direction=x, tangent=tangent)
 
 
 def q_cml_at(universe: AssetUniverse, sigma: float) -> float:
     return cml_curve(universe).value(sigma)
 
 
-@dataclass(frozen=True)
-class RiskFreeDrCurve:
-    """Efficient DR when the budget constraint is absorbed by a cash position.
-
-    q(sigma) = -sigma^2/2 + gain * sigma / 2 with gain = sqrt(eta' V^-1 eta).
-    The optimal risky sleeve at risk sigma is sigma * direction (cash takes
-    the rest); unit_exposure_risk = 1 / gain is the risk of the cheapest
-    sleeve with unit weighted-average variance.
-    """
-
-    gain: float
-    direction: np.ndarray
-    unit_exposure_risk: float
-
-    def value(self, sigma: float) -> float:
-        if sigma < 0.0:
-            raise RiskBelowMvpError("sigma must be nonnegative")
-        return -0.5 * sigma * sigma + 0.5 * self.gain * sigma
-
-    def risky_weights(self, sigma: float):
-        """Risky sleeve and cash weight at risk sigma."""
-        if sigma < 0.0:
-            raise RiskBelowMvpError("sigma must be nonnegative")
-        w = sigma * self.direction
-        return w, 1.0 - float(w.sum())
-
-
-def riskfree_dr_curve(universe: AssetUniverse) -> RiskFreeDrCurve:
+def riskfree_dr_curve(universe: AssetUniverse) -> CashDrCurve:
+    """Build the efficient DR curve with cash, gain = sqrt(eta' V^-1 eta)."""
     s = universe.solver
     gain = float(np.sqrt(max(s.eta_inv_eta, 0.0)))
     if gain <= 0.0:
         raise DegenerateRhoError("all asset variances vanish; curve undefined")
-    return RiskFreeDrCurve(
-        gain=gain,
-        direction=s.inv_eta / gain,
-        unit_exposure_risk=1.0 / gain,
-    )
+    return CashDrCurve(gain=gain, direction=s.inv_eta / gain)
 
 
 def q_dr_riskfree_at(universe: AssetUniverse, sigma: float) -> float:
@@ -394,12 +374,11 @@ class FrontierCurve:
         return "\n".join(lines) + "\n"
 
 
-def default_sigma_grid(
-    params: FrontierParams, points: int = 200, span: float = 3.0
-) -> np.ndarray:
-    """Geometric grid in excess variance, from near sigma_mvp out to span * sigma_mdrp."""
+def default_sigma_grid(params: FrontierParams, points: int = 200) -> np.ndarray:
+    """Geometric grid in excess variance, from near sigma_mvp out to
+    GRID_SPAN * sigma_mdrp."""
     lo = 1e-6 * params.sigma2_mvp
-    hi = (span * params.sigma_mdrp) ** 2
+    hi = (GRID_SPAN * params.sigma_mdrp) ** 2
     u2 = np.geomspace(lo, max(hi, lo * 10.0), int(points))
     return np.sqrt(params.sigma2_mvp + u2)
 
@@ -423,10 +402,13 @@ def sweep(
     |u d - (rho / 2) d_eta|_V^2 / 2, i.e.
     (u - rho / 2)^2 / 2 + (rho u / 4) |d - d_eta|_V^2: one O(n^2) product per
     sweep and no cancellation near the maximum-DR portfolio, even when d is
-    nearly d_eta.  The two cash kinds hold sigma / sigma_T of the tangency
-    portfolio (cml) or the sleeve sigma * V^-1 eta / sqrt(eta' V^-1 eta)
-    (efficient_dr_riskfree), with cash taking the rest; their rows carry no
-    centrality, and a negative sigma is flagged risk_below_mvp.
+    nearly d_eta.  The two cash kinds are one formula, sigma * x in risky
+    assets and the rest in cash for a unit-risk sleeve x (see
+    :class:`CashDrCurve`), with x = w_T / sigma_T (cml, alpha the risky
+    fraction) or x proportional to V^-1 eta (efficient_dr_riskfree).  Their
+    return is sigma * rbar' x + cash * r0, their rows carry no centrality,
+    and a negative sigma is flagged risk_below_mvp.  Weights, of every kind,
+    are formed only with include_weights.
 
     `embedding` is unused; it is kept because existing callers pass it.
     """
@@ -434,25 +416,24 @@ def sweep(
     params = frontier_params(universe)
     if sigma_grid is None:
         sigma_grid = default_sigma_grid(params)
-    sigmas = np.asarray(sigma_grid, dtype=float)
+    sigmas = _float_array(sigma_grid, "sigma_grid")
     rbar, r0 = universe.expected_returns, universe.risk_free_rate
     status, ret, centrality, alpha, cash = "ok", None, None, None, None
     if kind in (FrontierKind.CML, FrontierKind.EFFICIENT_DR_RISKFREE):
         if kind is FrontierKind.CML:
-            cml = cml_curve(universe)
-            gain, alpha = cml.slope, sigmas / cml.tangent.sigma
-            weights = alpha[:, None] * cml.tangent.weights
-            cash = 1.0 - alpha
-            ret = r0 + alpha * (float(rbar @ cml.tangent.weights) - r0)
+            cash_curve = cml_curve(universe)
         else:
-            rf = riskfree_dr_curve(universe)
-            gain = rf.gain
-            weights = sigmas[:, None] * rf.direction
-            cash = 1.0 - weights.sum(axis=1)
-            if rbar is not None and r0 is not None:
-                ret = weights @ rbar + cash * r0
-        q = -0.5 * sigmas * sigmas + 0.5 * gain * sigmas
+            cash_curve = riskfree_dr_curve(universe)
+        sleeve = cash_curve.direction
         below = sigmas < 0.0
+        # rows below zero are flagged, so their q is never read
+        q = cash_curve.value(np.maximum(sigmas, 0.0))
+        mix = cash_curve.mix(sigmas)
+        cash = 1.0 - mix
+        alpha = mix if kind is FrontierKind.CML else None
+        if rbar is not None and r0 is not None:
+            ret = sigmas * float(rbar @ sleeve) + cash * r0
+        weights = sigmas[:, None] * sleeve if include_weights else None
     else:
         s = universe.solver
         u, below = _excess_risk(params.sigma2_mvp, sigmas)

@@ -49,12 +49,14 @@ from .errors import (
     ZeroVarianceError,
 )
 from .frontiers import KktSolution, max_linear_over_ellipsoid
-from .model import AssetUniverse, Portfolio, portfolio_stats
+from .model import AssetUniverse, Portfolio, _float_array, portfolio_stats
 
 MAX_ITER = 10_000
 # Frank-Wolfe ascent stops when its duality gap is below this times max D;
 # the long-only minimum variance when its gap is below this times w' V w
 GAP_RTOL = 1e-12
+# a landed draw counts when its risk is within this fraction of sigma
+SHELL_BAND = 0.01
 
 
 @dataclass(frozen=True)
@@ -134,8 +136,8 @@ class SandwichReport:
     volatile vertex.  risk^2 is a convex quadratic along either segment whose
     ends lie on opposite sides of tau^2, so one root lands the draw on the
     shell, long-only and on budget.  accepted counts the landed portfolios
-    whose risk, evaluated again at the root, lies within the relative band
-    of sigma; every draw lands when the band meets [sigma_lo, sigma_hi].
+    whose risk, evaluated again at the root, lies within SHELL_BAND * sigma
+    of sigma; every draw lands when that band meets [sigma_lo, sigma_hi].
     empty flags a level with none.  When the band misses
     [sigma_lo, sigma_hi] nothing is drawn and empty is certified: the test
     uses the certified lower bound on w_lo's variance
@@ -260,14 +262,15 @@ def d_max_bounds(d_eta, *, seed: int = 0) -> DmaxBounds:
     """Bracket max over the simplex of 0.5 * w' D w for a Euclidean distance matrix D.
 
     D_eta and the distance matrix of every covariance are distance matrices
-    by theorem.  :func:`assert_edm` certifies D: its NonZeroDiagonalError and
-    AsymmetricError propagate, and a failing certificate raises NotPSDError.
+    by theorem.  :func:`assert_edm` certifies D: its ParseError,
+    DimensionMismatchError, NonZeroDiagonalError and AsymmetricError
+    propagate, and a failing certificate raises NotPSDError.
     One pairwise Frank-Wolfe ascent of at most MAX_ITER O(n) steps then
     closes the bracket [f(w), max_j (D w)_j - f(w)] to GAP_RTOL * max D
     unless the step cap is hit.  `seed` is unused; it is kept because
     existing callers pass it.
     """
-    A = np.asarray(d_eta, dtype=float)
+    A = _float_array(d_eta, "distance matrix")
     cert = assert_edm(A)
     if not cert.is_edm:
         raise NotPSDError(f"not a Euclidean distance matrix: {cert.reason}")
@@ -395,7 +398,6 @@ def sandwich_check(
     sigma: float,
     samples: int = 100_000,
     seed: int = 0,
-    band: float = 0.01,
 ) -> SandwichReport:
     """Land `samples` long-only portfolios on the risk shell and test the sandwich.
 
@@ -437,8 +439,8 @@ def sandwich_check(
         holds=None,
         empty=True,
     )
-    below = np.sqrt(lo.variance_lower) > (1.0 + band) * sigma
-    if below or sigma_hi < (1.0 - band) * sigma:
+    below = np.sqrt(lo.variance_lower) > (1.0 + SHELL_BAND) * sigma
+    if below or sigma_hi < (1.0 - SHELL_BAND) * sigma:
         return empty
 
     tau_sq = min(max(sigma, sigma_lo), sigma_hi) ** 2
@@ -463,7 +465,7 @@ def sandwich_check(
         t = np.where(b >= 0.0, rise / (b + disc), (disc - b) / a)
     t = np.clip(np.nan_to_num(t), 0.0, 1.0)
     risk = np.sqrt(np.maximum(r_p + t * (2.0 * b + a * t), 0.0))
-    landed = np.abs(risk - sigma) <= band * sigma
+    landed = np.abs(risk - sigma) <= SHELL_BAND * sigma
     if not landed.any():
         return empty
 

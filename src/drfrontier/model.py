@@ -241,7 +241,7 @@ class Portfolio:
 def check_budget(weights: np.ndarray) -> np.ndarray:
     """Coerce weights to a float vector and enforce sum(w) == 1 within
     BUDGET_ATOL; a non-finite sum fails."""
-    w = np.asarray(weights, dtype=float)
+    w = _float_array(weights, "weights")
     if w.ndim != 1:
         raise DimensionMismatchError(f"weights must be 1-D, got shape {w.shape}")
     with np.errstate(invalid="ignore"):  # inf - inf: the test below fails it

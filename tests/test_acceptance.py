@@ -166,16 +166,22 @@ def test_criterion_07_riskfree_suite():
             sigma_t = float(np.sqrt(tangent.variance))
             cml = drf.cml_curve(u)
             rf = drf.riskfree_dr_curve(u)
-            for frac in (0.4, 1.0, 1.6):
+            for frac in (0.0, 0.4, 1.0, 1.6):
                 sigma = frac * sigma_t
                 mix = cml.mix(sigma)
                 oracle = block_riskfree_dr(
                     u.cov, u.variances, mix * tangent.weights, 1.0 - mix
                 )
                 assert abs(cml.value(sigma) - oracle) <= 1e-10
-                risky, cash = rf.risky_weights(sigma)
-                oracle2 = block_riskfree_dr(u.cov, u.variances, risky, cash)
-                assert abs(rf.value(sigma) - oracle2) <= 1e-10
+                # one contract for both cash curves: a risky sleeve of
+                # variance sigma^2, its mix, and the DR of sleeve and cash
+                for curve in (cml, rf):
+                    risky, cash = curve.risky_weights(sigma)
+                    variance = float(risky @ u.cov @ risky)
+                    assert abs(variance - sigma * sigma) <= 1e-9 * sigma * sigma
+                    assert abs(curve.mix(sigma) - (1.0 - cash)) <= 1e-12
+                    oracle2 = block_riskfree_dr(u.cov, u.variances, risky, cash)
+                    assert abs(curve.value(sigma) - oracle2) <= 1e-10
             margin = rf.gain * sigma_t - float(u.variances @ tangent.weights)
             assert margin >= -1e-12
 

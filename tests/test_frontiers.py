@@ -359,13 +359,14 @@ def test_cml_curve_three_asset(ex3_returns):
     curve = drf.cml_curve(ex3_returns)
     eta_wt = 615.0 / 189.0
     sigma_t = np.sqrt(29.0 / 21.0)
-    assert curve.slope == pytest.approx(eta_wt / sigma_t, rel=1e-12)
+    assert curve.gain == pytest.approx(eta_wt / sigma_t, rel=1e-12)
     assert curve.peak_sigma == pytest.approx(0.5 * eta_wt / sigma_t, rel=1e-12)
-    assert curve.peak_mix == pytest.approx(eta_wt / (2.0 * 29.0 / 21.0), rel=1e-12)
+    peak_mix = curve.mix(curve.peak_sigma)
+    assert peak_mix == pytest.approx(eta_wt / (2.0 * 29.0 / 21.0), rel=1e-12)
     assert curve.value(0.0) == 0.0
     # peak value and location
     peak = curve.value(curve.peak_sigma)
-    assert peak == pytest.approx(curve.slope**2 / 8.0, rel=1e-12)
+    assert peak == pytest.approx(curve.gain**2 / 8.0, rel=1e-12)
     eps = 1e-4
     assert curve.value(curve.peak_sigma - eps) < peak
     assert curve.value(curve.peak_sigma + eps) < peak
@@ -393,7 +394,9 @@ def test_cml_matches_blockwise_oracle(ex3_returns):
 def test_riskfree_curve_three_asset(ex3):
     curve = drf.riskfree_dr_curve(ex3)
     assert curve.gain**2 == pytest.approx(649.0 / 81.0, rel=1e-12)
-    assert curve.unit_exposure_risk == pytest.approx(1.0 / curve.gain, rel=1e-12)
+    # the cheapest sleeve with unit weighted-average variance has risk 1 / gain
+    w, _ = curve.risky_weights(1.0 / curve.gain)
+    assert float(ex3.variances @ w) == pytest.approx(1.0, rel=1e-12)
     w, cash = curve.risky_weights(1.2)
     assert float(w @ ex3.cov @ w) == pytest.approx(1.44, rel=1e-10)
     assert cash == pytest.approx(1.0 - w.sum(), abs=1e-12)
@@ -405,7 +408,7 @@ def test_riskfree_beats_cml(ex3_returns):
     # dropping the full-investment constraint can only help
     rf = drf.riskfree_dr_curve(ex3_returns)
     cml = drf.cml_curve(ex3_returns)
-    assert rf.gain >= cml.slope - 1e-12
+    assert rf.gain >= cml.gain - 1e-12
     for sigma in (0.2, 0.8, 1.5, 3.0):
         assert rf.value(sigma) >= cml.value(sigma) - 1e-12
 
@@ -433,7 +436,7 @@ def test_cml_collapses_when_variances_track_excess_returns():
     u = drf.validate_universe(base.cov, expected_returns=rbar, risk_free_rate=r0)
     cml = drf.cml_curve(u)
     rf = drf.riskfree_dr_curve(u)
-    assert cml.slope == pytest.approx(rf.gain, rel=1e-10)
+    assert cml.gain == pytest.approx(rf.gain, rel=1e-10)
     for sigma in (0.1, 0.5, 1.0, 2.0):
         assert drf.q_cml_at(u, sigma) == pytest.approx(
             drf.q_dr_riskfree_at(u, sigma), abs=1e-10

@@ -14,7 +14,7 @@ from drfrontier.errors import (
     ParseError,
     ZeroVarianceError,
 )
-from drfrontier.mdp import GAP_RTOL, _d_max_of_d_eta
+from drfrontier.mdp import GAP_RTOL, SHELL_BAND, _d_max_of_d_eta
 
 from .oracles import (
     circle_scan,
@@ -410,7 +410,7 @@ def test_long_only_min_variance_on_fixtures(ex3, universe30):
 )
 def test_sandwich_lands_every_draw_on_the_shell(n, seed, log_cond, where):
     u = conditioned_universe(n, seed, log_cond)
-    band = 0.01
+    band = SHELL_BAND
     sigma_lo = np.sqrt(long_only_min_variance_enum(u.cov)[0])
     sigma_hi = float(np.sqrt(u.variances.max()))
     # a level from well below sigma_lo to well above sigma_hi
@@ -419,7 +419,7 @@ def test_sandwich_lands_every_draw_on_the_shell(n, seed, log_cond, where):
     near_edge = min(abs(sigma / edge_lo - 1.0), abs(sigma / edge_hi - 1.0))
     assume(near_edge > 1e-9)
     meets = edge_lo <= sigma <= edge_hi
-    rep = drf.sandwich_check(u, sigma, samples=300, seed=seed, band=band)
+    rep = drf.sandwich_check(u, sigma, samples=300, seed=seed)
     assert rep.sigma_hi == sigma_hi
     assert rep.sigma_lo == pytest.approx(sigma_lo, rel=1e-8)
     assert rep.empty == (not meets)

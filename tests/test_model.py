@@ -163,6 +163,36 @@ def test_validate_universe_rejects_non_numeric_input():
         drf.validate_universe(np.eye(2), expected_returns=["x", 0.1])
 
 
+TEXT3 = ["a", "b", "c"]
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda u: drf.assert_edm(np.zeros((0, 0))), DimensionMismatchError),
+        (lambda u: drf.d_max_bounds(np.zeros((0, 0))), DimensionMismatchError),
+        (lambda u: drf.assert_edm([["a"]]), ParseError),
+        (lambda u: drf.d_max_bounds([["a"]]), ParseError),
+        (lambda u: drf.check_budget(TEXT3), ParseError),
+        (lambda u: drf.portfolio_stats(u, TEXT3), ParseError),
+        (lambda u: drf.diversification_return(u, TEXT3), ParseError),
+        (lambda u: drf.centrality(drf.embed(u), TEXT3), ParseError),
+        (lambda u: drf.norm_dr_bound(drf.embed(u), [TEXT3] * 3, 1.0), ParseError),
+        (lambda u: drf.max_linear_over_ellipsoid(u, TEXT3, 1.2), ParseError),
+        (lambda u: drf.sweep(u, "efficient_dr", sigma_grid=["x", 1.2]), ParseError),
+    ],
+    ids=[
+        "assert_edm-empty", "d_max_bounds-empty", "assert_edm-text",
+        "d_max_bounds-text", "check_budget", "portfolio_stats",
+        "diversification_return", "centrality", "norm_dr_bound",
+        "max_linear_over_ellipsoid", "sweep",
+    ],
+)
+def test_library_entry_points_type_empty_and_non_numeric_arrays(ex3, call, error):
+    with pytest.raises(error):
+        call(ex3)
+
+
 def test_portfolio_stats_and_budget(ex3):
     w = np.full(3, 1.0 / 3.0)
     p = drf.portfolio_stats(ex3, w)
