@@ -29,8 +29,9 @@ library reads centrality from the same kernel
 Only a singular universe solves D y = 1, by its pseudoinverse.  The
 embedding serves the asset coordinates (the ``embed`` command and
 :func:`coords_table`), singular universes, where :func:`centrality` gives
-the distance, and :func:`norm_dr_bound`.  Only the coordinates need B's
-eigendecomposition, so it runs on their first read, not in :func:`embed`.
+the distance, and :func:`norm_dr_bound`.  None of these runs in
+:func:`embed`: B is formed on its first read, and its eigendecomposition,
+which only the coordinates need, on theirs.
 
 :func:`assert_edm` decides Schoenberg's criterion (1935), that D is a
 Euclidean distance matrix exactly when -0.5 J D J is PSD, by one Cholesky
@@ -42,7 +43,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -100,26 +101,35 @@ class EdmEmbedding:
         mdrp_weights: the centering weights s (the maximum-DR portfolio):
             the kernel's w_mdrp on a nonsingular universe, the normalized
             pseudoinverse solution of D y = 1 on a singular one.
-        gram: B = X' X, PSD of rank <= n - 1.
-        eigvals: positive eigenvalues of B, descending.
-        coords: k x n array X; column i is the image of asset i.
         q_max: top of the DR frontier, 1 / (2 * 1' D^-1 1): the kernel's
             q_mvp + rho^2 / 8 on a nonsingular universe, 1 / (2 * 1' y)
             from the pseudoinverse solution y on a singular one.
+        cov: the universe's covariance V, from which B is formed.
+        gram: B = X' X, PSD of rank <= n - 1.
+        eigvals: positive eigenvalues of B, descending.
+        coords: k x n array X; column i is the image of asset i.
 
-    eigvals and coords (and dim) come from one eigendecomposition of B,
-    computed on the first read of either and kept with the embedding; an
-    embedding that is only asked for D, s, B or q_max never runs it.
+    B is formed from V and s on its first read, and eigvals and coords (and
+    dim) come from one eigendecomposition of B on the first read of either;
+    an embedding only asked for D, s or q_max forms neither.
     """
 
     dist: np.ndarray
     mdrp_weights: np.ndarray
-    gram: np.ndarray
     q_max: float
+    cov: np.ndarray = field(repr=False, compare=False)
 
     @property
     def n(self) -> int:
         return self.dist.shape[0]
+
+    @functools.cached_property
+    def gram(self) -> np.ndarray:
+        # the rank-2 update B = 0.5 (V - v 1' - 1 v' + (s' v) 1 1'), v = V s;
+        # v_i + v_j is commutative, so B comes out exactly symmetric
+        s = self.mdrp_weights
+        v = self.cov @ s
+        return 0.5 * (self.cov - (v[:, None] + v[None, :]) + float(s @ v))
 
     @functools.cached_property
     def _axes(self):
@@ -170,30 +180,31 @@ def _certified_edm(D: np.ndarray, scale: float) -> bool:
     -0.5 J D J = J P' G_a P J, where P drops index 0.  As ||P J|| <= 1,
     lambda_min(-0.5 J D J) >= min(lambda_min(G_a), 0).
 
-    The factorization is of G_a + delta I with
+    The factorization is of 2 (G_a + delta I), formed in two passes over D
+    as h_i + h_j - D[i, j] + 2 delta [i = j], h_i = D[i, 0] - D[0, 0] / 2, with
 
         delta = EIG_RTOL * scale - 4 n (n + 1) eps * scale,
 
-    negative beyond n ~ 330.  Every |D[i, j]| <= scale, so rounding while
-    forming G_a + delta I moves it by under 2.25 n eps * scale in the
-    2-norm, and a Cholesky factorization that completes is exact for a
-    matrix within gamma_n / (1 - gamma_n) tr(G_a + delta I) <=
-    n^2 eps * scale / 2 (Demmel 1989, as in
-    :func:`~drfrontier.model._certified_nonsingular`): together under
-    4 n (n + 1) eps * scale.  Success therefore proves lambda_min(G_a) >
-    -EIG_RTOL * scale, hence lambda_min(-0.5 J D J) >= -EIG_RTOL *
-    max(lambda_top, scale), the eigenvalue test.  False only means the
-    factorization failed.
+    negative beyond n ~ 330.  Every |D[i, j]| <= scale, so |h_i| <= 1.5 scale
+    and rounding (u = eps / 2 on h_i, h_j, their sum and the difference)
+    moves each entry by under 5 eps * scale, the matrix by under
+    5 n eps * scale in the 2-norm with the diagonal, and a Cholesky
+    factorization that completes is exact for a matrix within
+    gamma_n / (1 - gamma_n) tr(2 (G_a + delta I)) <= n^2 eps * scale
+    (Demmel 1989, as in :func:`~drfrontier.model._certified_nonsingular`):
+    together under 8 n (n + 1) eps * scale, twice delta's allowance.  Success
+    therefore proves lambda_min(G_a) > -EIG_RTOL * scale, hence
+    lambda_min(-0.5 J D J) >= -EIG_RTOL * max(lambda_top, scale), the
+    eigenvalue test.  False only means the factorization failed.
     """
     n = D.shape[0]
-    d0 = D[1:, 0]
-    # d0_i + d0_j is commutative, so G_a comes out exactly symmetric
-    G = d0[:, None] + d0[None, :]
-    G -= D[1:, 1:]
-    G -= D[0, 0]
-    G *= 0.5
+    h = D[1:, 0] - 0.5 * D[0, 0]
+    # h_i + h_j is commutative, so 2 G_a comes out exactly symmetric
+    G2 = h[:, None] + h[None, :]
+    G2 -= D[1:, 1:]
     eps = float(np.finfo(float).eps)
-    return _shifted_cholesky(G, (EIG_RTOL - 4 * n * (n + 1) * eps) * scale)
+    shift = 2.0 * (EIG_RTOL - 4 * n * (n + 1) * eps) * scale
+    return _shifted_cholesky(G2, shift) is not None
 
 
 def assert_edm(dist) -> EdmCertificate:
@@ -273,11 +284,11 @@ def embed(universe: AssetUniverse) -> EdmEmbedding:
     from the rank-revealing pseudoinverse solution y of D y = 1, as
     s = y / (1' y) and q_max = 1 / (2 * 1' y); a residual of D y = 1 above
     GINV_RESIDUAL_ATOL, or a zero 1' y, raises SingularDistanceError.
-    The recentred Gram matrix is formed from V as the rank-2 update
-    B = 0.5 (V - v 1' - 1 v' + (s' v) 1 1') with v = V s (equal to
-    -0.5 Js' D Js, without its cancellation of the eta 1' terms).  B's
-    eigendecomposition runs on the first read of ``eigvals`` or ``coords``;
-    eigenvalues below EIG_RTOL times the leading one are dropped.
+    The recentred Gram matrix is formed from V on its first read, as the
+    rank-2 update B = 0.5 (V - v 1' - 1 v' + (s' v) 1 1') with v = V s
+    (equal to -0.5 Js' D Js, without its cancellation of the eta 1' terms).
+    B's eigendecomposition runs on the first read of ``eigvals`` or
+    ``coords``; eigenvalues below EIG_RTOL times the leading one are dropped.
 
     The coordinates are canonical, fixed by the math and not by rounding:
     kept eigenvalues within BASIS_RTOL * lambda_1 of their neighbour form one
@@ -306,11 +317,7 @@ def embed(universe: AssetUniverse) -> EdmEmbedding:
             f"q_max = {q_max:.3e} <= 0; universe admits no positive DR peak"
         )
 
-    v = universe.cov @ s
-    # v_i + v_j is commutative, so B comes out exactly symmetric
-    B = 0.5 * (universe.cov - (v[:, None] + v[None, :]) + float(s @ v))
-
-    return EdmEmbedding(dist=D, mdrp_weights=s, gram=B, q_max=q_max)
+    return EdmEmbedding(dist=D, mdrp_weights=s, q_max=q_max, cov=universe.cov)
 
 
 def centrality(embedding: EdmEmbedding, weights) -> float:

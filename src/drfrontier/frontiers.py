@@ -417,6 +417,8 @@ def sweep(
     if sigma_grid is None:
         sigma_grid = default_sigma_grid(params)
     sigmas = _float_array(sigma_grid, "sigma_grid")
+    if sigmas.ndim != 1:
+        raise DimensionMismatchError(f"sigma_grid must be 1-D, got shape {sigmas.shape}")
     rbar, r0 = universe.expected_returns, universe.risk_free_rate
     status, ret, centrality, alpha, cash = "ok", None, None, None, None
     if kind in (FrontierKind.CML, FrontierKind.EFFICIENT_DR_RISKFREE):

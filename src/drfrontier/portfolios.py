@@ -1,10 +1,10 @@
 """Closed-form special portfolios of a nonsingular universe.
 
 Every V^-1 image comes from the universe's own covariance kernel
-(:attr:`~drfrontier.model.AssetUniverse.solver`): one batched LU solve per
-universe, after which each portfolio here is a few dot products.  No inverse
-is ever formed explicitly.  Throughout, for a universe with covariance V,
-variance vector eta and expected returns rbar:
+(:attr:`~drfrontier.model.AssetUniverse.solver`): one batched solve per
+universe, after which each portfolio here is a few dot products.  V^-1 is
+never formed.  Throughout, for a universe with covariance V, variance vector
+eta and expected returns rbar:
 
     a = 1' V^-1 1          (inverse of the minimum-variance variance)
     b = 1' V^-1 rbar

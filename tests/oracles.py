@@ -3,8 +3,9 @@
 Everything here is deliberately independent of the library's closed forms:
 dense scans, projected-gradient ascent, simplex grids, support enumeration,
 bisection, the distance matrix's second route to the maximum-DR portfolio,
-q_max and centrality, and the eigenvalue decisions that the Cholesky
-certificates of `validate_universe` and `assert_edm` stand in for.
+q_max and centrality, the LU route to the kernel's images, and the
+eigenvalue decisions that the Cholesky certificates of `validate_universe`
+and `assert_edm` stand in for.
 Slow and dumb on purpose.
 """
 
@@ -454,6 +455,17 @@ def forward_error(universe):
             loss = max(loss, cancel)
     cond = float(np.linalg.cond(universe.cov))
     return universe.n * np.finfo(float).eps * cond * loss
+
+
+def lu_route(universe):
+    """The kernel's batch V^-1 [1, eta, sqrt(eta), rbar] by np.linalg.solve,
+    one row per right-hand side (rbar only with returns): the LU route that
+    the kernel takes only as its fallback."""
+    eta = universe.variances
+    rhs = [np.ones(universe.n), eta, np.sqrt(eta)]
+    if universe.expected_returns is not None:
+        rhs.append(universe.expected_returns)
+    return np.linalg.solve(universe.cov, np.column_stack(rhs)).T
 
 
 def eigen_covariance_decision(cov):

@@ -1,7 +1,13 @@
 """Operation-count gates: one factorization per universe, then no solves.
 
 Counts are deterministic, so these gates pin the complexity shape that wall
-times can only suggest: after the universe's kernel is built, every sweep,
+times can only suggest: from FACTOR_SOLVE_FROM assets, the Cholesky
+factorization that certifies a universe is its only factorization of V and
+its kernel solves with that factor (LU only as the fallback), while a
+smaller universe's kernel is one LU solve; the benchmark's frontier chain
+factors twice (the universe and the distance matrix's certificate) and makes no
+full-size solve, inverse or eigendecomposition, nor forms the embedding's
+Gram matrix, which is built when first read; after the kernel, every sweep,
 the inflection report and the ratio-maximizing portfolio are dot products,
 whatever the number of grid points; the special portfolios and the
 `portfolios` and `frontier` commands read centrality from the kernel and
@@ -19,6 +25,7 @@ dependency: a CLI run loads no scipy, and importing the CLI or running
 """
 
 import argparse
+import dataclasses
 import os
 import subprocess
 import sys
@@ -69,12 +76,24 @@ def _fresh_universes():
     ]
 
 
-def test_one_factorization_and_one_solve_per_universe(calls):
-    for u in _fresh_universes():
+@pytest.fixture
+def choleskys(monkeypatch):
+    """Number of np.linalg.cholesky calls."""
+    return _count_linalg(monkeypatch, "cholesky")
+
+
+def test_one_factorization_and_one_solve_per_universe(calls, choleskys):
+    # the certificate's factor serves the batched right-hand sides from
+    # FACTOR_SOLVE_FROM assets; a smaller universe takes one LU solve
+    big = random_universe(np.random.default_rng(6), model.FACTOR_SOLVE_FROM, with_riskfree=True)
+    universes = _fresh_universes() + [big]
+    assert choleskys["cholesky"] == len(universes)
+    for u in universes:
         before = calls["lu_solve"]
+        assert u.factor is not None
         assert u.solver is u.solver
-        # one LU factorization, shared by the batched right-hand sides
-        assert calls["lu_solve"] - before == 1
+        assert calls["lu_solve"] - before == (u.n < model.FACTOR_SOLVE_FROM)
+    assert choleskys["cholesky"] == len(universes)
 
 
 def _solves(counts):
@@ -130,8 +149,10 @@ def d_solves(monkeypatch):
 
 
 def test_embed_reads_s_and_q_max_from_the_kernel(calls, d_solves, degenerate3):
-    # embed, the special portfolios and every sweep share the kernel's one
-    # LU solve; no solve or pseudoinverse of D runs on a nonsingular universe
+    # embed, the special portfolios, every sweep, the inflection report and
+    # the ratio-maximizing portfolio share the kernel's one solve (an LU
+    # solve below FACTOR_SOLVE_FROM assets); no solve or pseudoinverse of D
+    # runs on a nonsingular universe
     universes = _fresh_universes()
     d_solves.clear()  # random_universe solves for its risk-free rate
     for u in universes:
@@ -140,12 +161,71 @@ def test_embed_reads_s_and_q_max_from_the_kernel(calls, d_solves, degenerate3):
         drf.special_portfolios(u)
         for kind in FrontierKind:
             drf.sweep(u, kind)
+        drf.inflection_report(u)
+        drf.mdp_global(u)
         assert calls["lu_solve"] - before == 1
     assert sum(d_solves.values()) == 0
     # singular V (a riskless asset), nonsingular D: the pseudoinverse route
     emb = drf.embed(degenerate3)
     assert d_solves == Counter(pinv=1) and calls["lu_solve"] == 2
     assert emb.q_max == pytest.approx(0.25, abs=1e-12)
+
+
+@pytest.fixture
+def linalg_calls(monkeypatch):
+    """(name, matrix shape) of each np.linalg factorization, solve, inverse
+    and eigendecomposition, in call order."""
+    calls = []
+
+    def recording(name):
+        inner = getattr(np.linalg, name)
+
+        def wrapper(a, *args, **kwargs):
+            calls.append((name, np.shape(a)))
+            return inner(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, wrapper)
+
+    for name in ("cholesky", "solve", "inv", "pinv", "eigh", "eigvalsh"):
+        recording(name)
+    return calls
+
+
+def test_the_frontier_chain_factors_twice_and_forms_no_gram(calls, linalg_calls):
+    # the benchmark's frontier_large chain on an n = 300 universe
+    n = 300
+    x = random_universe(np.random.default_rng(12), n, with_returns=True)
+    r0 = float(x.expected_returns @ x.solver.w_mvp) - 0.05
+    del linalg_calls[:]
+    u = drf.validate_universe(x.cov, expected_returns=x.expected_returns, risk_free_rate=r0)
+    emb = drf.embed(u)
+    assert drf.assert_edm(emb.dist).is_edm
+    drf.special_portfolios(u, embedding=emb)
+    params = drf.frontier_params(u)
+    for kind in FrontierKind:
+        curve = drf.sweep(u, kind, include_weights=kind is FrontierKind.EFFICIENT_DR)
+        assert len(curve.rows) == len(drf.default_sigma_grid(params))
+    drf.inflection_report(u)
+    drf.mdp_global(u)
+    # one Cholesky in validate_universe, one in assert_edm (of G_a, n - 1)
+    assert [c for c in linalg_calls if c[0] == "cholesky"] == [
+        ("cholesky", (n, n)),
+        ("cholesky", (n - 1, n - 1)),
+    ]
+    # nothing larger than the substitution's diagonal blocks is solved,
+    # inverted or decomposed, and no LU solve falls back
+    big = [c for c in linalg_calls if c[0] != "cholesky" and max(c[1]) > model.SOLVE_BLOCK]
+    assert big == []
+    assert calls["lu_solve"] == 0
+    # the Gram matrix is formed on its first read, once
+    assert "gram" not in vars(emb)
+    assert emb.gram is emb.gram and emb.gram.shape == (n, n)
+    # a new risk-free rate keeps the factor: the new kernel solves with it
+    v = dataclasses.replace(u, risk_free_rate=r0 - 0.01)
+    assert v.factor is u.factor and v.solver is not u.solver
+    drf.sweep(v, FrontierKind.CML)
+    assert calls["lu_solve"] == 0
+    assert len([c for c in linalg_calls if c[0] == "cholesky"]) == 2
 
 
 def test_special_portfolios_reuses_the_passed_embedding(calls):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import drfrontier as drf
+from drfrontier import model
 from drfrontier.errors import (
     AsymmetricError,
     BudgetViolationError,
@@ -15,8 +16,9 @@ from drfrontier.errors import (
     ParseError,
     SingularCovarianceError,
 )
+from drfrontier.model import PSD_RTOL
 
-from .oracles import conditioned_universe, random_universe
+from .oracles import conditioned_universe, forward_error, lu_route, random_universe, with_spectrum
 
 # Residual of a kernel image within this multiple of n eps |V| |x| (inf norms);
 # about 0.6 is the worst seen on conditioned universes up to cond 1e9.
@@ -180,12 +182,14 @@ TEXT3 = ["a", "b", "c"]
         (lambda u: drf.norm_dr_bound(drf.embed(u), [TEXT3] * 3, 1.0), ParseError),
         (lambda u: drf.max_linear_over_ellipsoid(u, TEXT3, 1.2), ParseError),
         (lambda u: drf.sweep(u, "efficient_dr", sigma_grid=["x", 1.2]), ParseError),
+        (lambda u: drf.sweep(u, "cml", 1.5), DimensionMismatchError),
+        (lambda u: drf.sweep(u, "efficient_dr", [[1.5, 2.0]]), DimensionMismatchError),
     ],
     ids=[
         "assert_edm-empty", "d_max_bounds-empty", "assert_edm-text",
         "d_max_bounds-text", "check_budget", "portfolio_stats",
         "diversification_return", "centrality", "norm_dr_bound",
-        "max_linear_over_ellipsoid", "sweep",
+        "max_linear_over_ellipsoid", "sweep", "sweep-scalar", "sweep-2d",
     ],
 )
 def test_library_entry_points_type_empty_and_non_numeric_arrays(ex3, call, error):
@@ -256,13 +260,14 @@ def test_kernel_images_are_backward_stable(n, seed, log_cond, with_returns):
         with pytest.raises(SingularCovarianceError):
             u.solver
         return
-    s = u.solver
-    V = u.cov
-    root_eta = np.sqrt(u.variances)
+    with pytest.MonkeyPatch.context() as mp:
+        # the factor's route at every size, as from FACTOR_SOLVE_FROM assets
+        mp.setattr(model, "FACTOR_SOLVE_FROM", 1)
+        s = u.solver
     pairs = [
         (np.ones(n), s.inv_ones),
         (u.variances, s.inv_eta),
-        (root_eta, s.inv_root_eta),
+        (np.sqrt(u.variances), s.inv_root_eta),
         (np.linspace(-1.0, 2.0, n), None),  # not in the batch: a fresh solve
     ]
     if with_returns:
@@ -272,6 +277,61 @@ def test_kernel_images_are_backward_stable(n, seed, log_cond, with_returns):
         if image is not None:
             # a right-hand side of the batch reads its cached image
             assert np.array_equal(x, image)
-        bound = KERNEL_RESIDUAL_C * n * np.finfo(float).eps
-        bound *= float(np.abs(V).sum(axis=1).max()) * float(np.abs(x).max())
-        assert float(np.abs(V @ x - c).max()) <= bound
+        _assert_backward_stable(u.cov, x, c)
+    # the refined images agree with the LU route within the forward error
+    rel_tol = forward_error(u)
+    batch = [image for _, image in pairs if image is not None]
+    for image, reference in zip(batch, lu_route(u)):
+        gap = float(np.abs(image - reference).max())
+        assert gap <= rel_tol * float(np.abs(reference).max())
+
+
+def _assert_backward_stable(V, x, c):
+    bound = KERNEL_RESIDUAL_C * len(c) * np.finfo(float).eps
+    bound *= float(np.abs(V).sum(axis=1).max()) * float(np.abs(x).max())
+    assert float(np.abs(V @ x - c).max()) <= bound
+
+
+def _kernel_lu_solves(monkeypatch, u):
+    """Number of LU solves that building u's kernel takes."""
+    count = []
+    inner = model.lu_solve
+
+    def counting(*args):
+        count.append(1)
+        return inner(*args)
+
+    monkeypatch.setattr(model, "lu_solve", counting)
+    u.solver
+    return len(count)
+
+
+def test_kernel_falls_back_to_lu_where_refinement_cannot_contract(monkeypatch):
+    # lambda_min(V) = 1.5 delta: the certificate accepts V, but each step of
+    # the refinement multiplies the error by delta / (lambda_min - delta) = 2
+    n = model.FACTOR_SOLVE_FROM
+    evals = np.linspace(1.0, 0.2, n)
+    evals[-1] = 0.0
+    for _ in range(3):  # delta moves with lambda_min through ||V||_inf and tr(V)
+        V = with_spectrum(evals)
+        delta = PSD_RTOL * float(np.abs(V).sum(axis=1).max())
+        delta += 4 * (n + 1) * np.finfo(float).eps * float(np.trace(V))
+        evals[-1] = 1.5 * delta
+    u = drf.validate_universe(with_spectrum(evals), expected_returns=np.linspace(0.02, 0.1, n))
+    assert u.factor is not None
+    assert _kernel_lu_solves(monkeypatch, u) == 1
+    for c, image in zip(
+        (np.ones(n), u.variances, np.sqrt(u.variances), u.expected_returns),
+        (u.solver.inv_ones, u.solver.inv_eta, u.solver.inv_root_eta, u.solver.inv_r),
+    ):
+        _assert_backward_stable(u.cov, image, c)
+
+
+def test_eigenvalue_certified_universe_takes_the_lu_route(monkeypatch):
+    # just above the nonsingular threshold the eigenvalues decide: no factor
+    evals = np.linspace(1.0, 0.3, model.FACTOR_SOLVE_FROM)
+    evals[-1] = 1.1 * PSD_RTOL
+    u = drf.validate_universe(with_spectrum(evals))
+    assert u.nonsingular and u.factor is None
+    assert _kernel_lu_solves(monkeypatch, u) == 1
+    _assert_backward_stable(u.cov, u.solver.inv_ones, np.ones(u.n))
