@@ -12,8 +12,11 @@ price panels; `mdp` on ex3 (default and two seeded sigmas), ex3 with
 returns, mini and panel-30 (one seeded sigma, and the default sigmas); the
 README's `frontier --grid 1.0:2.0:50 --kind efficient_dr`; the two cash
 curves, `--kind cml --kind efficient_dr_riskfree`, on ex3 with returns on
-the grid 0:3:7, which starts at sigma = 0 (all cash); `--log-returns`
-on mini; `--require-returns` on ex3; `--help` of the program and of every
+the grid 0:3:7, which starts at sigma = 0 (all cash); on ex3 with
+returns and `--riskfree 10`, above the minimum-variance return, the
+default `frontier --svg` (no tangency, so no `cml`) and the refused
+`frontier --kind cml`; the refused `frontier --kind mv_efficient_dr` on
+ex3, which has no returns; `--log-returns` on mini; `--require-returns` on ex3; `--help` of the program and of every
 subcommand; and the refused inputs: non-finite `--riskfree`, `--sigma` and
 `--grid` values, and covariance JSON with a NaN or non-numeric field or
 with names that are not a list; and `portfolios`, `frontier --svg` and
@@ -76,6 +79,9 @@ EXTRA = {
         "ex3r",
         ["frontier", "--grid", "0:3:7", "--kind", "cml", "--kind", "efficient_dr_riskfree"],
     ),
+    "ex3r-frontier-svg-rf-above-mvp": ("ex3r", ["frontier", "--svg", "--riskfree", "10"]),
+    "ex3r-frontier-cml-rf-above-mvp": ("ex3r", ["frontier", "--riskfree", "10", "--kind", "cml"]),
+    "ex3-frontier-mv-kind": ("ex3", ["frontier", "--kind", "mv_efficient_dr"]),
     "mini-portfolios-log-returns": ("mini", ["portfolios", "--log-returns"]),
     "mini-ingest-check-log-returns": ("mini", ["ingest-check", "--log-returns"]),
     "ex3-require-returns": ("ex3", ["portfolios", "--require-returns"]),

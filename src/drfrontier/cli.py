@@ -12,9 +12,11 @@ covariance JSON {"names": [...], "V": [[...]], "rbar": [...], "r0": x} with
 the last two optional; --riskfree overrides r0.  Validation failures,
 non-numeric JSON fields and a non-finite risk-free rate among them, exit
 with status 2 and a single machine-readable JSON object on stderr.  Each
-run validates its universe once.  For equal inputs, flags and seed,
-every output file is byte identical; floats are serialized with 12
-significant digits.
+run validates its universe once.  Each handler returns its artifacts, a
+dict from file name to text or to a JSON-able object, and ``main`` writes
+them only once the handler has returned: a run that exits 2 writes no
+files.  For equal inputs, flags and seed, every output file is byte
+identical; floats are serialized with 12 significant digits.
 
 Importing this module loads only the standard library and ``errors``; each
 handler imports the modules it runs, so ``ingest-check`` never loads numpy.
@@ -30,7 +32,7 @@ import math
 import os
 import sys
 
-from .errors import DrFrontierError, MissingReturnsError, ParseError
+from .errors import DrFrontierError, MissingReturnsError, ParseError, TangencyInfeasibleError
 
 SIGNIFICANT_DIGITS = 12
 
@@ -59,15 +61,15 @@ def _jsonable(obj):
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def _write_json(path: str, obj) -> None:
-    text = json.dumps(_jsonable(obj), sort_keys=True, indent=2)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
-
-
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+def _write(out_dir: str, files: dict) -> None:
+    """Write a run's artifacts into out_dir: a string as is, anything else
+    as JSON with sorted keys, an indent of 2 and a trailing newline."""
+    os.makedirs(out_dir, exist_ok=True)
+    for name, content in files.items():
+        if not isinstance(content, str):
+            content = json.dumps(_jsonable(content), sort_keys=True, indent=2) + "\n"
+        with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
+            fh.write(content)
 
 
 def _portfolio_dict(p) -> dict:
@@ -106,7 +108,8 @@ def _provenance(path: str, panel) -> dict:
 
 
 def _load_universe(args):
-    """Build the universe plus (for panel input) a provenance record.
+    """Build the universe and the artifacts its input adds: for a panel,
+    ``provenance.json``; for covariance JSON, none.
 
     --riskfree is applied where the universe is validated: JSON input passes
     it (or else r0) to its one validate_universe call, and a panel's
@@ -117,7 +120,7 @@ def _load_universe(args):
     if fmt is None:
         fmt = "json" if path.lower().endswith(".json") else "prices"
 
-    provenance = None
+    files = {}
     if fmt == "json":
         try:
             with open(path, encoding="utf-8") as fh:
@@ -139,7 +142,7 @@ def _load_universe(args):
 
         panel = ingest.load_panel(path, format=fmt, log_returns=args.log_returns)
         universe = ingest.annualize(panel)
-        provenance = _provenance(path, panel)
+        files["provenance.json"] = _provenance(path, panel)
         if args.riskfree is not None:
             universe = dataclasses.replace(universe, risk_free_rate=args.riskfree)
 
@@ -147,7 +150,7 @@ def _load_universe(args):
         raise MissingReturnsError(
             "input carries no expected returns (--require-returns)"
         )
-    return universe, provenance
+    return universe, files
 
 
 def _parse_grid_spec(spec: str):
@@ -174,19 +177,14 @@ def _parse_grid_spec(spec: str):
     return np.linspace(lo, hi, points)
 
 
-def _maybe_write_provenance(out_dir: str, provenance) -> None:
-    if provenance is not None:
-        _write_json(os.path.join(out_dir, "provenance.json"), provenance)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def cmd_portfolios(args) -> int:
+def cmd_portfolios(args) -> dict:
     from . import frontiers, portfolios
 
-    universe, provenance = _load_universe(args)
+    universe, files = _load_universe(args)
     sp = portfolios.special_portfolios(universe)
     params = frontiers.frontier_params(universe)
     payload = {
@@ -208,14 +206,13 @@ def cmd_portfolios(args) -> int:
         "q_portfolio": _portfolio_dict(sp.q_pf),
         "tangent": _portfolio_dict(sp.tangent),
     }
-    os.makedirs(args.out, exist_ok=True)
-    _write_json(os.path.join(args.out, "portfolios.json"), payload)
-    _maybe_write_provenance(args.out, provenance)
-    return 0
+    files["portfolios.json"] = payload
+    return files
 
 
 def _applicable_kinds(universe, params) -> list:
-    from . import frontiers
+    """Default kinds: the return curves need w_o, and ``cml`` a tangency."""
+    from . import frontiers, portfolios
 
     kinds = [frontiers.FrontierKind.EFFICIENT_DR, frontiers.FrontierKind.MDP_AT_SIGMA]
     if params.eta_wo is not None:
@@ -224,15 +221,17 @@ def _applicable_kinds(universe, params) -> list:
             frontiers.FrontierKind.MV_MEAN_RETURN,
         ]
         if universe.risk_free_rate is not None:
-            kinds += [
-                frontiers.FrontierKind.CML,
-                frontiers.FrontierKind.EFFICIENT_DR_RISKFREE,
-            ]
+            try:
+                portfolios.tangent_portfolio(universe)
+                kinds.append(frontiers.FrontierKind.CML)
+            except TangencyInfeasibleError:
+                pass
+            kinds.append(frontiers.FrontierKind.EFFICIENT_DR_RISKFREE)
     return kinds
 
 
 # (file, title, y label, FrontierRow field) of each chart; sigma_q.svg is
-# always written, the others when some curve has their field
+# always drawn, the others when some curve has their field
 CHARTS = (
     ("sigma_q.svg", "diversification return vs risk", "q", "q"),
     ("sigma_c.svg", "centrality vs risk", "c", "centrality"),
@@ -240,7 +239,7 @@ CHARTS = (
 )
 
 
-def _svg_charts(out_dir, params, curves) -> None:
+def _svg_charts(params, curves) -> dict:
     import numpy as np
 
     from . import svg
@@ -258,6 +257,7 @@ def _svg_charts(out_dir, params, curves) -> None:
                 params.q_mvp + m * m / 8.0,
             )
         )
+    charts = {}
     for filename, title, ylabel, field in CHARTS:
         series = []
         for curve in curves:
@@ -280,13 +280,14 @@ def _svg_charts(out_dir, params, curves) -> None:
             chart.markers = markers
         if field == "centrality":
             chart.hlines = [("sqrt(q_max)", float(np.sqrt(params.q_mdrp)))]
-        _write_text(os.path.join(out_dir, filename), svg.render(chart))
+        charts[filename] = svg.render(chart)
+    return charts
 
 
-def cmd_frontier(args) -> int:
+def cmd_frontier(args) -> dict:
     from . import frontiers
 
-    universe, provenance = _load_universe(args)
+    universe, files = _load_universe(args)
     params = frontiers.frontier_params(universe)
     if args.grid:
         grid = _parse_grid_spec(args.grid)
@@ -297,25 +298,18 @@ def cmd_frontier(args) -> int:
     else:
         kinds = _applicable_kinds(universe, params)
 
-    os.makedirs(args.out, exist_ok=True)
-    curves = []
-    for kind in kinds:
-        curve = frontiers.sweep(universe, kind, grid)
-        curves.append(curve)
-        _write_text(
-            os.path.join(args.out, f"frontier_{kind.value}.csv"),
-            curve.to_csv_text(),
-        )
+    curves = [frontiers.sweep(universe, kind, grid) for kind in kinds]
+    for curve in curves:
+        files[f"frontier_{curve.kind.value}.csv"] = curve.to_csv_text()
     if args.svg:
-        _svg_charts(args.out, params, curves)
-    _maybe_write_provenance(args.out, provenance)
-    return 0
+        files.update(_svg_charts(params, curves))
+    return files
 
 
-def cmd_mdp(args) -> int:
+def cmd_mdp(args) -> dict:
     from . import frontiers, mdp
 
-    universe, provenance = _load_universe(args)
+    universe, files = _load_universe(args)
     analysis = mdp.analyze_mdp(universe)
     params = frontiers.frontier_params(universe)
     sigmas = args.sigma or [params.sigma_mvp * f for f in (1.05, 1.15, 1.3)]
@@ -335,16 +329,14 @@ def cmd_mdp(args) -> int:
         "seed": args.seed,
         "sandwich": [dataclasses.asdict(r) for r in reports],
     }
-    os.makedirs(args.out, exist_ok=True)
-    _write_json(os.path.join(args.out, "mdp.json"), payload)
-    _maybe_write_provenance(args.out, provenance)
-    return 0
+    files["mdp.json"] = payload
+    return files
 
 
-def cmd_embed(args) -> int:
+def cmd_embed(args) -> dict:
     from . import embedding as emb_mod
 
-    universe, provenance = _load_universe(args)
+    universe, files = _load_universe(args)
     embedding = emb_mod.embed(universe)
     rows = emb_mod.coords_table(embedding, universe.names)
     header = ["asset"] + [f"dim{k + 1}" for k in range(embedding.dim)]
@@ -353,23 +345,16 @@ def cmd_embed(args) -> int:
         lines.append(
             ",".join([str(row[0])] + [f"{v:.12g}" for v in row[1:]])
         )
-    os.makedirs(args.out, exist_ok=True)
-    _write_text(
-        os.path.join(args.out, "embedding.csv"), "\n".join(lines) + "\n"
-    )
-    _write_json(
-        os.path.join(args.out, "embedding.json"),
-        {
-            "q_max": embedding.q_max,
-            "eigvals": embedding.eigvals,
-            "mdrp_weights": embedding.mdrp_weights,
-        },
-    )
-    _maybe_write_provenance(args.out, provenance)
-    return 0
+    files["embedding.csv"] = "\n".join(lines) + "\n"
+    files["embedding.json"] = {
+        "q_max": embedding.q_max,
+        "eigvals": embedding.eigvals,
+        "mdrp_weights": embedding.mdrp_weights,
+    }
+    return files
 
 
-def cmd_ingest_check(args) -> int:
+def cmd_ingest_check(args) -> dict:
     fmt = args.format or "prices"
     if fmt == "json":
         raise ParseError("ingest-check works on CSV panels, not covariance JSON")
@@ -377,10 +362,8 @@ def cmd_ingest_check(args) -> int:
 
     panel = ingest.load_panel(args.input, format=fmt, log_returns=args.log_returns)
     provenance = _provenance(args.input, panel)
-    os.makedirs(args.out, exist_ok=True)
-    _write_json(os.path.join(args.out, "provenance.json"), provenance)
     sys.stdout.write(json.dumps(_jsonable(provenance), sort_keys=True) + "\n")
-    return 0
+    return {"provenance.json": provenance}
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +394,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The drfrontier parser; each subcommand's handler is its ``handler``."""
+    """The drfrontier parser; each subcommand's handler is its ``handler``,
+    which returns the run's artifacts for :func:`_write`."""
     parser = argparse.ArgumentParser(
         prog="drfrontier",
         description="Diversification-return portfolio analytics",
@@ -470,7 +454,8 @@ def main(argv=None) -> int:
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        _write(args.out, args.handler(args))
+        return 0
     except DrFrontierError as exc:
         sys.stderr.write(
             json.dumps(

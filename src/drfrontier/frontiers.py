@@ -35,8 +35,8 @@ from .errors import (
 from .model import AssetUniverse, Portfolio, _float_array, proportional_to_ones
 from .portfolios import tangent_portfolio
 
-# sigma^2 this far below sigma_mvp^2 is an error; closer misses are snapped up.
-RISK_SNAP_ATOL = 1e-12
+# sigma^2 below (1 - RISK_SNAP_RTOL) sigma_mvp^2 is an error; closer misses snap up.
+RISK_SNAP_RTOL = 1e-12
 # sigma^2 - sigma_mvp^2 up to this times sigma_mvp^2 is rounding: snapped to 0
 _SNAP_RTOL = 4.0 * np.finfo(float).eps
 # the default sigma grid reaches this multiple of sigma_mdrp
@@ -100,7 +100,6 @@ class KktSolution:
 
     weights: np.ndarray
     degenerate: bool = False
-    beta: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -148,14 +147,15 @@ def _excess_risk(sigma2_mvp: float, sigmas: np.ndarray):
     """u = sqrt(sigma^2 - sigma_mvp^2) on a grid, and the mask of grid points
     below sigma_mvp.
 
-    Points within RISK_SNAP_ATOL below sigma_mvp^2, or a few ulps above it,
-    snap to u = 0: sigma_mvp itself squares back to sigma_mvp^2 only up to
-    rounding, and the square root would turn one ulp into u ~ 1e-8 sigma_mvp.
+    Points within RISK_SNAP_RTOL * sigma_mvp^2 below sigma_mvp^2, or a few
+    ulps above it, snap to u = 0: sigma_mvp itself squares back to
+    sigma_mvp^2 only up to rounding, and the square root would turn one ulp
+    into u ~ 1e-8 sigma_mvp.
     """
     s2 = sigmas * sigmas
     u2 = s2 - sigma2_mvp
     u2[u2 <= _SNAP_RTOL * sigma2_mvp] = 0.0
-    return np.sqrt(u2), s2 < sigma2_mvp - RISK_SNAP_ATOL
+    return np.sqrt(u2), s2 < sigma2_mvp * (1.0 - RISK_SNAP_RTOL)
 
 
 def _excess_risk_at(sigma2_mvp: float, sigma: float) -> float:
@@ -205,11 +205,11 @@ def max_linear_over_ellipsoid(
         return KktSolution(weights=s.w_mvp, degenerate=True)
     if u == 0.0:
         return KktSolution(weights=s.w_mvp)
-    d, k = s.direction(c, s.solve(c))
+    d, _ = s.direction(c, s.solve(c))
     if d is None:
         # c is indistinguishable from a multiple of ones in the V^-1 metric
         return KktSolution(weights=s.w_mvp, degenerate=True)
-    return KktSolution(weights=s.w_mvp + u * d, beta=k / u)
+    return KktSolution(weights=s.w_mvp + u * d)
 
 
 def q_dr_at(params: FrontierParams, sigma: float) -> float:

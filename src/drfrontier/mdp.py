@@ -102,14 +102,12 @@ class LongOnlyMvp:
     variance is w' V w at weights.  variance_lower = 2 min_j (V w)_j - w' V w,
     that is variance - 2 * gap with the Frank-Wolfe gap
     w' V w - min_j (V w)_j, bounds the long-only minimum from below by
-    convexity.  solves counts the support solves of
-    :func:`long_only_min_variance`.
+    convexity.
     """
 
     weights: np.ndarray
     variance: float
     variance_lower: float
-    solves: int
 
 
 @dataclass(frozen=True)
@@ -389,7 +387,6 @@ def long_only_min_variance(universe: AssetUniverse) -> LongOnlyMvp:
         weights=w,
         variance=variance,
         variance_lower=max(2.0 * float(g.min()) - variance, 0.0),
-        solves=solves,
     )
 
 

@@ -196,7 +196,7 @@ def test_mdp_non_finite_sigma_exits_2(fixture_dir, tmp_path, capsys, sigma):
     assert len(lines) == 1
     err = json.loads(lines[0])
     assert err["error"] == "ParseError" and "sigma" in err["message"]
-    assert not (out / "mdp.json").exists()
+    assert not out.exists()
 
 
 def test_near_constant_returns_leave_the_return_curves_out(tmp_path):
@@ -312,6 +312,42 @@ def test_frontier_all_kinds_with_svg(fixture_dir, tmp_path):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 200
     assert rows[0]["kind"] == "efficient_dr"
+
+
+@pytest.mark.parametrize(
+    "fixture, args",
+    [
+        (
+            "example3_with_returns.json",
+            ["frontier", "--riskfree", "10", "--kind", "efficient_dr", "--kind", "cml"],
+        ),
+        ("example3_universe.json", ["frontier", "--kind", "mv_efficient_dr"]),
+    ],
+    ids=["cml-without-tangency", "mv-without-returns"],
+)
+def test_a_failed_run_writes_nothing(fixture_dir, tmp_path, capsys, fixture, args):
+    out = tmp_path / "out"
+    assert main(args + ["--input", str(fixture_dir / fixture), "--out", str(out)]) == 2
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    assert not out.exists()
+
+
+def test_default_frontier_kinds_skip_cml_without_a_tangency(fixture_dir, tmp_path):
+    # r0 = 10 lies above the minimum-variance return, so the capital-market
+    # line has no tangency; the risk-free DR curve needs none
+    src = str(fixture_dir / "example3_with_returns.json")
+    args = ["frontier", "--svg", "--riskfree", "10", "--input", src, "--out", str(tmp_path)]
+    assert main(args) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "frontier_efficient_dr.csv",
+        "frontier_efficient_dr_riskfree.csv",
+        "frontier_mdp_at_sigma.csv",
+        "frontier_mv_efficient_dr.csv",
+        "frontier_mv_mean_return.csv",
+        "sigma_R.svg",
+        "sigma_c.svg",
+        "sigma_q.svg",
+    ]
 
 
 def test_frontier_custom_grid_and_kind(fixture_dir, tmp_path):

@@ -340,6 +340,25 @@ def test_curves_at_sigma_mvp_are_their_u0_values():
             assert row.q == scalar
 
 
+@pytest.mark.parametrize("scale", [1e-6, 1e-4, 1e-2, 1.0, 1e2, 1e4, 1e6, 1e8])
+def test_sigma_mvp_is_on_the_frontier_at_every_variance_scale(scale):
+    # sigma_mvp * sigma_mvp can round an ulp below sigma_mvp^2, and from
+    # variances near 1e4 one ulp exceeds 1e-12: the snap band is relative
+    rng = np.random.default_rng(41)
+    for _ in range(200):
+        A = rng.normal(size=(4, 4))
+        u = drf.validate_universe((A @ A.T + 4.0 * np.eye(4)) * scale)
+        p = drf.frontier_params(u)
+        for sigma in (p.sigma_mvp, p.sigma_mvp * (1.0 - 1e-14)):
+            assert drf.q_dr_at(p, sigma) == p.q_mvp
+            w = drf.mdp_at_sigma(u, sigma).weights
+            np.testing.assert_array_equal(w, u.solver.w_mvp)
+        with pytest.raises(RiskBelowMvpError):
+            drf.q_dr_at(p, 0.9 * p.sigma_mvp)
+        with pytest.raises(RiskBelowMvpError):
+            drf.mdp_at_sigma(u, 0.9 * p.sigma_mvp)
+
+
 def test_inflection_absent_when_concave(ex3_returns):
     report = drf.inflection_report(ex3_returns)
     assert report["shape"] == "strongly_concave"
