@@ -289,10 +289,7 @@ def cmd_frontier(args) -> dict:
 
     universe, files = _load_universe(args)
     params = frontiers.frontier_params(universe)
-    if args.grid:
-        grid = _parse_grid_spec(args.grid)
-    else:
-        grid = frontiers.default_sigma_grid(params)
+    grid = _parse_grid_spec(args.grid) if args.grid else None
     if args.kind:
         kinds = [frontiers.FrontierKind(k) for k in args.kind]
     else:

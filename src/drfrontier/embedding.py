@@ -154,9 +154,12 @@ class EdmEmbedding:
 
 
 def build_distance_matrix(universe: AssetUniverse) -> np.ndarray:
-    """Squared-distance matrix D[i, j] = 0.5 * (eta[i] + eta[j]) - V[i, j]."""
+    """Squared-distance matrix D[i, j] = 0.5 * (eta[i] + eta[j]) - V[i, j],
+    summed, halved and differenced in its one n x n array."""
     eta = universe.variances
-    D = 0.5 * (eta[:, None] + eta[None, :]) - universe.cov
+    D = eta[:, None] + eta[None, :]
+    D *= 0.5
+    D -= universe.cov
     np.fill_diagonal(D, 0.0)
     low = float(D.min())
     tol = DIST_CLAMP_TOL * max(1.0, float(D.max()), -low)
@@ -234,7 +237,7 @@ def assert_edm(dist) -> EdmCertificate:
     if float(np.abs(np.diag(D)).max()) > EDM_RTOL * scale:
         raise NonZeroDiagonalError("distance matrix has a nonzero diagonal")
     # D - D' is antisymmetric: its largest entry is its largest magnitude
-    asym = float((D - D.T).max())
+    asym = 0.0 if np.array_equal(D, D.T) else float((D - D.T).max())
     if asym > EDM_RTOL * scale:
         raise AsymmetricError("distance matrix is asymmetric")
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import repeat
 from typing import Optional, Sequence
 
 import numpy as np
@@ -30,6 +31,7 @@ from .errors import (
     DegenerateRhoError,
     DimensionMismatchError,
     MissingReturnsError,
+    ParseError,
     RiskBelowMvpError,
 )
 from .model import AssetUniverse, Portfolio, _float_array, proportional_to_ones
@@ -145,7 +147,7 @@ def frontier_params(universe: AssetUniverse) -> FrontierParams:
 
 def _excess_risk(sigma2_mvp: float, sigmas: np.ndarray):
     """u = sqrt(sigma^2 - sigma_mvp^2) on a grid, and the mask of grid points
-    below sigma_mvp.
+    below sigma_mvp, every negative sigma included.
 
     Points within RISK_SNAP_RTOL * sigma_mvp^2 below sigma_mvp^2, or a few
     ulps above it, snap to u = 0: sigma_mvp itself squares back to
@@ -155,16 +157,19 @@ def _excess_risk(sigma2_mvp: float, sigmas: np.ndarray):
     s2 = sigmas * sigmas
     u2 = s2 - sigma2_mvp
     u2[u2 <= _SNAP_RTOL * sigma2_mvp] = 0.0
-    return np.sqrt(u2), s2 < sigma2_mvp * (1.0 - RISK_SNAP_RTOL)
+    return np.sqrt(u2), (s2 < sigma2_mvp * (1.0 - RISK_SNAP_RTOL)) | (sigmas < 0.0)
 
 
 def _excess_risk_at(sigma2_mvp: float, sigma: float) -> float:
-    """Scalar u of :func:`_excess_risk`; a sigma below sigma_mvp raises."""
-    u, below = _excess_risk(sigma2_mvp, np.array([float(sigma)]))
+    """Scalar u of :func:`_excess_risk`; a sigma below sigma_mvp, or negative,
+    raises RiskBelowMvpError, and one that is not a finite number ParseError."""
+    sigma = float(sigma)
+    if not np.isfinite(sigma):
+        raise ParseError(f"sigma {sigma!r} is not a finite number")
+    u, below = _excess_risk(sigma2_mvp, np.array([sigma]))
     if below[0]:
-        s2 = float(sigma) * float(sigma)
         raise RiskBelowMvpError(
-            f"sigma^2 = {s2:.12g} below minimum-variance level {sigma2_mvp:.12g}"
+            f"sigma = {sigma:.12g} below minimum-variance risk {np.sqrt(sigma2_mvp):.12g}"
         )
     return float(u[0])
 
@@ -331,9 +336,10 @@ def q_dr_riskfree_at(universe: AssetUniverse, sigma: float) -> float:
 # sweeps
 
 
-@dataclass
+@dataclass(slots=True)
 class FrontierRow:
-    """One grid point of a frontier sweep; non-applicable fields stay None."""
+    """One grid point of a frontier sweep; non-applicable fields stay None.
+    Slotted, so a row has no ``__dict__``: a sweep builds hundreds."""
 
     sigma: float
     q: Optional[float] = None
@@ -395,7 +401,11 @@ def sweep(
     Per-point domain violations become row status flags; curve-level
     impossibilities (missing returns, infeasible tangency) raise before any
     row is produced.  Rows are emitted in grid order, so equal inputs give
-    identical output.  Every kind is evaluated as arrays over the grid.
+    identical output.  Every kind is evaluated as arrays over the grid, the
+    rows are built from those columns in one pass, and the rows below
+    sigma_mvp are replaced by index.  The default grid is the universe's
+    ``sigma_grid``, computed once per universe; a non-finite grid point
+    raises ParseError.
 
     Every kind without cash is w = w_mvp + u * d with eta' d = m; d None
     collapses it onto w_mvp.  Its centrality is c^2 = q_max - q =
@@ -406,19 +416,22 @@ def sweep(
     assets and the rest in cash for a unit-risk sleeve x (see
     :class:`CashDrCurve`), with x = w_T / sigma_T (cml, alpha the risky
     fraction) or x proportional to V^-1 eta (efficient_dr_riskfree).  Their
-    return is sigma * rbar' x + cash * r0, their rows carry no centrality,
-    and a negative sigma is flagged risk_below_mvp.  Weights, of every kind,
-    are formed only with include_weights.
+    return is sigma * rbar' x + cash * r0 and their rows carry no centrality.
+    A negative sigma is flagged risk_below_mvp on every kind.  Weights, of
+    every kind, are formed only with include_weights.
 
     `embedding` is unused; it is kept because existing callers pass it.
     """
     kind = FrontierKind(kind)
     params = frontier_params(universe)
     if sigma_grid is None:
-        sigma_grid = default_sigma_grid(params)
-    sigmas = _float_array(sigma_grid, "sigma_grid")
-    if sigmas.ndim != 1:
-        raise DimensionMismatchError(f"sigma_grid must be 1-D, got shape {sigmas.shape}")
+        sigmas = universe.sigma_grid
+    else:
+        sigmas = _float_array(sigma_grid, "sigma_grid")
+        if sigmas.ndim != 1:
+            raise DimensionMismatchError(f"sigma_grid must be 1-D, got shape {sigmas.shape}")
+        if not np.isfinite(sigmas).all():
+            raise ParseError("sigma_grid contains non-finite entries")
     rbar, r0 = universe.expected_returns, universe.risk_free_rate
     status, ret, centrality, alpha, cash = "ok", None, None, None, None
     if kind in (FrontierKind.CML, FrontierKind.EFFICIENT_DR_RISKFREE):
@@ -464,21 +477,18 @@ def sweep(
         centrality = np.sqrt(np.maximum(0.5 * (t * t) + bend * u, 0.0))
         weights = s.w_mvp + u[:, None] * d if include_weights else None
 
-    none = [None] * len(sigmas)
-    q, ret, centrality, alpha, cash = (
-        none if x is None else x.tolist() for x in (q, ret, centrality, alpha, cash)
-    )
     if not include_weights:
-        weights, cash = none, none
-    curve = FrontierCurve(kind=kind)
-    for i, sigma in enumerate(sigmas.tolist()):
-        row = FrontierRow(sigma, status="risk_below_mvp")
-        if not below[i]:
-            row = FrontierRow(
-                sigma, q[i], ret[i], centrality[i], alpha[i], status, weights[i], cash[i]
-            )
-        curve.rows.append(row)
-    return curve
+        weights, cash = repeat(None), None
+    sigma_list = sigmas.tolist()
+    q, ret, centrality, alpha, cash = (
+        repeat(None) if x is None else x.tolist() for x in (q, ret, centrality, alpha, cash)
+    )
+    rows = list(
+        map(FrontierRow, sigma_list, q, ret, centrality, alpha, repeat(status), weights, cash)
+    )
+    for i in np.flatnonzero(below).tolist():
+        rows[i] = FrontierRow(sigma_list[i], status="risk_below_mvp")
+    return FrontierCurve(kind=kind, rows=rows)
 
 
 # ---------------------------------------------------------------------------

@@ -137,6 +137,14 @@ class AssetUniverse:
 
         return long_only_min_variance(self)
 
+    @functools.cached_property
+    def sigma_grid(self) -> np.ndarray:
+        """The read-only :func:`~drfrontier.frontiers.default_sigma_grid` of
+        every sweep, computed on first access and kept with the universe."""
+        from .frontiers import default_sigma_grid, frontier_params
+
+        return _frozen(default_sigma_grid(frontier_params(self)))
+
 
 class CovarianceSolver:
     """V^-1 [1, eta, sqrt(eta), rbar], solved once per universe with the factor.
@@ -327,13 +335,17 @@ def _certified_nonsingular(V: np.ndarray) -> Optional[np.ndarray]:
     PSD_RTOL * lambda_max(V): the eigenvalue test's own threshold, so V
     needs no clamp and is nonsingular.  (A negative diagonal entry fails the
     factorization, so tr(V) > 0 on success.)  None only means the
-    factorization failed; the eigenvalues decide then.
+    factorization failed; the eigenvalues decide then.  A is formed in V, and
+    V's saved diagonal is written back afterwards, bit for bit.
     """
     n = V.shape[0]
     eps = float(np.finfo(float).eps)
     norm_inf = float(np.linalg.norm(V, np.inf))
     delta = PSD_RTOL * norm_inf + 4 * (n + 1) * eps * max(float(np.trace(V)), 0.0)
-    return _shifted_cholesky(V.copy(), -delta)
+    diagonal = V.diagonal().copy()
+    factor = _shifted_cholesky(V, -delta)
+    V.flat[:: n + 1] = diagonal  # the shift undone exactly
+    return factor
 
 
 def validate_universe(
@@ -361,8 +373,9 @@ def validate_universe(
     ``nonsingular`` False.  The certificate answers only where the
     eigenvalue test gives the same answer.
 
-    Returns a frozen universe whose variances vector is exactly the diagonal
-    of the stored covariance.
+    Returns a frozen universe whose ``cov`` is one private copy of V (or its
+    symmetrization), which the certificate factors in place and restores, and
+    whose variances vector is exactly its diagonal.
     """
     V = _float_array(cov, "covariance")
     if V.ndim != 2 or V.shape[0] != V.shape[1]:
@@ -376,13 +389,13 @@ def validate_universe(
         raise DimensionMismatchError("universe needs at least 2 assets")
 
     # V - V' is antisymmetric: its largest entry is its largest magnitude
-    asym = float((V - V.T).max())
+    asym = 0.0 if np.array_equal(V, V.T) else float((V - V.T).max())
     if asym > SYMMETRY_RTOL * scale:
         raise AsymmetricError(
             f"covariance asymmetry {asym:.3e} exceeds {SYMMETRY_RTOL:.0e} * {scale:.3e}"
         )
-    if asym:  # an exactly symmetric V is its own symmetrization
-        V = 0.5 * (V + V.T)
+    # the one private copy: the certificate factors it, and cov keeps it
+    V = 0.5 * (V + V.T) if asym else np.array(V)
 
     factor = _certified_nonsingular(V)
     if factor is not None:
@@ -425,9 +438,10 @@ def validate_universe(
             raise DimensionMismatchError("expected_returns contain non-finite entries")
         rbar = _frozen(rbar)
 
+    V.setflags(write=False)
     return AssetUniverse(
         names=names,
-        cov=_frozen(V),
+        cov=V,
         variances=_frozen(np.diag(V)),
         expected_returns=rbar,
         risk_free_rate=risk_free_rate,

@@ -9,7 +9,8 @@ factors twice (the universe and the distance matrix's certificate) and makes no
 full-size solve, inverse or eigendecomposition, nor forms the embedding's
 Gram matrix, which is built when first read; after the kernel, every sweep,
 the inflection report and the ratio-maximizing portfolio are dot products,
-whatever the number of grid points; the special portfolios and the
+whatever the number of grid points, and the default-grid sweeps of a universe
+compute its grid once and call no np.linalg function; the special portfolios and the
 `portfolios` and `frontier` commands read centrality from the kernel and
 build no embedding, and an embedding of a nonsingular universe reads its
 centre and q_max from the kernel, solving nothing; validating a universe
@@ -110,6 +111,40 @@ def test_sweeps_make_no_solve(calls, points):
             curve = drf.sweep(u, kind, grid, embedding=emb, include_weights=True)
             assert len(curve.rows) == points
         assert _solves(calls) == before
+
+
+def test_default_sweeps_share_one_grid_per_universe(monkeypatch):
+    # the six default-grid sweeps compute one grid and call no np.linalg
+    # function; a replaced universe computes its own
+    grids = Counter()
+    geomspace = np.geomspace
+
+    def counting(*args, **kwargs):
+        grids["geomspace"] += 1
+        return geomspace(*args, **kwargs)
+
+    universes = _fresh_universes()
+    for u in universes:
+        u.solver
+    monkeypatch.setattr(np, "geomspace", counting)
+    functions = [
+        name for name in np.linalg.__all__
+        if callable(getattr(np.linalg, name)) and not isinstance(getattr(np.linalg, name), type)
+    ]
+    linalg = _count_linalg(monkeypatch, *functions)
+    for u in universes:
+        grids.clear()
+        before = sum(linalg.values())
+        for kind in FrontierKind:
+            drf.sweep(u, kind)
+        assert grids["geomspace"] == 1
+        assert sum(linalg.values()) == before
+        assert not u.sigma_grid.flags.writeable
+        v = dataclasses.replace(u, names=tuple(f"B{i}" for i in range(u.n)))
+        drf.sweep(v, FrontierKind.EFFICIENT_DR)
+        assert grids["geomspace"] == 2
+        assert v.sigma_grid is not u.sigma_grid
+        np.testing.assert_array_equal(v.sigma_grid, u.sigma_grid)
 
 
 def test_inflection_audit_and_portfolios_make_no_solve(calls):

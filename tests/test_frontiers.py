@@ -581,3 +581,42 @@ def test_sigma_q_bound_for_concave_shapes():
         assert sigma2_q <= p.sigma2_mdrp + 1e-10
         checked += 1
     assert checked > 20
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda u, p, s: drf.q_dr_at(p, s),
+        lambda u, p, s: drf.q_ef_at(u, p, s),
+        lambda u, p, s: drf.dr_gap_at(p, s),
+        lambda u, p, s: drf.efficient_dr_portfolio(u, p, s),
+        lambda u, p, s: drf.mdp_at_sigma(u, s),
+    ],
+    ids=["q_dr_at", "q_ef_at", "dr_gap_at", "efficient_dr_portfolio", "mdp_at_sigma"],
+)
+def test_a_negative_sigma_is_below_the_frontier(ex3_returns, call):
+    # sigma^2 is the same at -1.2 and 1.2; only the latter is a risk level
+    p = drf.frontier_params(ex3_returns)
+    call(ex3_returns, p, 1.2)
+    for sigma in (-1.2, -p.sigma_mvp):
+        with pytest.raises(RiskBelowMvpError):
+            call(ex3_returns, p, sigma)
+
+
+@pytest.mark.parametrize(
+    "kind",
+    [
+        FrontierKind.EFFICIENT_DR,
+        FrontierKind.MV_EFFICIENT_DR,
+        FrontierKind.MV_MEAN_RETURN,
+        FrontierKind.MDP_AT_SIGMA,
+    ],
+)
+def test_sweeps_flag_a_negative_sigma(ex3_returns, kind):
+    sigma_mvp = drf.frontier_params(ex3_returns).sigma_mvp
+    grid = [-1.2, 1.2, -sigma_mvp, sigma_mvp]
+    curve = drf.sweep(ex3_returns, kind, grid, include_weights=True)
+    assert [r.status for r in curve.rows] == ["risk_below_mvp", "ok"] * 2
+    for row in curve.rows[::2]:
+        assert (row.q, row.centrality, row.weights) == (None, None, None)
+    assert [r.sigma for r in curve.rows] == grid

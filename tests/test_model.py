@@ -106,6 +106,54 @@ def test_validate_universe_symmetrizes_roundoff():
     np.testing.assert_array_equal(u.cov, u.cov.T)
 
 
+def _skewed(V):
+    # an ulp-scale asymmetry, within SYMMETRY_RTOL
+    V = V.copy()
+    V[0, 1] += 1e-15 * abs(V[0, 1])
+    assert V[0, 1] != V[1, 0]
+    return V
+
+
+@pytest.mark.parametrize(
+    "route, cov",
+    [
+        ("certificate", random_universe(np.random.default_rng(3), 12).cov),
+        ("certificate", _skewed(random_universe(np.random.default_rng(3), 12).cov)),
+        ("certificate", np.asfortranarray(random_universe(np.random.default_rng(3), 12).cov)),
+        ("eigenvalues", with_spectrum([1.0, 0.5, 0.0])),
+        ("clamp", with_spectrum([1.0, 0.5, -1e-12])),
+    ],
+    ids=["certificate", "certificate-asymmetric", "certificate-fortran", "eigenvalues", "clamp"],
+)
+@pytest.mark.parametrize("writeable", [True, False])
+def test_validate_universe_factors_a_private_copy(route, cov, writeable):
+    # the certificate shifts and factors one private copy of V, restores its
+    # diagonal and keeps it as cov: the caller's array is never written
+    V = np.array(cov, order="K")
+    V.setflags(write=writeable)
+    before = V.tobytes(order="A")
+    u = drf.validate_universe(V)
+    assert V.tobytes(order="A") == before and V.flags.writeable == writeable
+    assert not u.cov.flags.writeable and u.cov is not V
+    assert (u.factor is not None) == (route == "certificate")
+    assert u.nonsingular == (route == "certificate")
+    np.testing.assert_array_equal(u.variances, np.diag(u.cov))
+    if route == "clamp":
+        assert np.linalg.eigvalsh(u.cov)[0] > -1e-15
+        return
+    sym = V if np.array_equal(V, V.T) else 0.5 * (V + V.T)
+    assert u.cov.tobytes() == sym.tobytes()
+    if route == "certificate":
+        # the factor of V - delta I, delta as in _certified_nonsingular
+        n, eps = V.shape[0], float(np.finfo(float).eps)
+        delta = PSD_RTOL * float(np.linalg.norm(sym, np.inf)) + 4 * (n + 1) * eps * float(
+            np.trace(sym)
+        )
+        expected = model._shifted_cholesky(np.array(sym), -delta)
+        assert u.factor.tobytes() == expected.tobytes()
+        assert not u.factor.flags.writeable
+
+
 def test_validate_universe_singular_flag(degenerate3):
     assert not degenerate3.nonsingular
 
@@ -184,12 +232,22 @@ TEXT3 = ["a", "b", "c"]
         (lambda u: drf.sweep(u, "efficient_dr", sigma_grid=["x", 1.2]), ParseError),
         (lambda u: drf.sweep(u, "cml", 1.5), DimensionMismatchError),
         (lambda u: drf.sweep(u, "efficient_dr", [[1.5, 2.0]]), DimensionMismatchError),
+        (lambda u: drf.sweep(u, "efficient_dr", [1.5, np.nan]), ParseError),
+        (lambda u: drf.sweep(u, "efficient_dr", [np.inf]), ParseError),
+        (lambda u: drf.sweep(u, "mdp_at_sigma", [-np.inf, 1.5]), ParseError),
+        (lambda u: drf.q_dr_at(drf.frontier_params(u), np.nan), ParseError),
+        (lambda u: drf.efficient_dr_portfolio(u, drf.frontier_params(u), np.inf), ParseError),
+        (lambda u: drf.mdp_at_sigma(u, np.nan), ParseError),
+        (lambda u: drf.max_linear_over_ellipsoid(u, [1.0, 2.0, 3.0], -np.inf), ParseError),
     ],
     ids=[
         "assert_edm-empty", "d_max_bounds-empty", "assert_edm-text",
         "d_max_bounds-text", "check_budget", "portfolio_stats",
         "diversification_return", "centrality", "norm_dr_bound",
         "max_linear_over_ellipsoid", "sweep", "sweep-scalar", "sweep-2d",
+        "sweep-nan", "sweep-inf", "sweep-minus-inf", "q_dr_at-nan",
+        "efficient_dr_portfolio-inf", "mdp_at_sigma-nan",
+        "max_linear_over_ellipsoid-minus-inf",
     ],
 )
 def test_library_entry_points_type_empty_and_non_numeric_arrays(ex3, call, error):
