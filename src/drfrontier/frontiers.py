@@ -292,7 +292,10 @@ class CashDrCurve:
         return 0.5 * self.gain if self.gain > 0.0 else None
 
     def value(self, sigma):
-        """q at risk sigma, a float or an array; a negative sigma raises."""
+        """q at risk sigma, a float or an array; a negative sigma raises
+        RiskBelowMvpError and one that is not a finite number ParseError."""
+        if not np.all(np.isfinite(sigma)):
+            raise ParseError(f"sigma {sigma!r} is not a finite number")
         if np.any(np.less(sigma, 0.0)):
             raise RiskBelowMvpError("sigma must be nonnegative")
         return -0.5 * sigma * sigma + 0.5 * self.gain * sigma
@@ -302,9 +305,8 @@ class CashDrCurve:
         return sigma * float(self.direction.sum())
 
     def risky_weights(self, sigma: float):
-        """Risky sleeve and cash weight at risk sigma."""
-        if sigma < 0.0:
-            raise RiskBelowMvpError("sigma must be nonnegative")
+        """Risky sleeve and cash weight at risk sigma, checked by :meth:`value`."""
+        self.value(sigma)
         return sigma * self.direction, 1.0 - self.mix(sigma)
 
 

@@ -23,12 +23,11 @@ distance matrix.  That bound is what makes the
 ratio-maximizing portfolio track the DR-efficient frontier.
 
 :func:`sandwich_check` tests the sandwich 0 <= max eta' w - max
-(sqrt(eta)' w)^2 <= 2 d_max on long-only portfolios of a given risk.  It
-moves Dirichlet draws onto that risk shell along segments to two long-only
-anchors, the long-only minimum-variance portfolio
-(:func:`long_only_min_variance`, kept by its universe) and the most volatile
-asset, each with one quadratic root, so every draw lands; a level outside
-the long-only risk range is reported empty without drawing.
+(sqrt(eta)' w)^2 <= 2 d_max on long-only portfolios of a given risk with
+the exact maxima: each lies on Markowitz's long-only frontier for the
+return vector eta or sqrt(eta), which :func:`critical_line` computes as a
+finite list of corners (Markowitz 1956; Niedermayer and Niedermayer 2010;
+Bailey and Lopez de Prado 2013).
 """
 
 from __future__ import annotations
@@ -52,11 +51,22 @@ from .frontiers import KktSolution, max_linear_over_ellipsoid
 from .model import AssetUniverse, Portfolio, _float_array, portfolio_stats
 
 MAX_ITER = 10_000
-# Frank-Wolfe ascent stops when its duality gap is below this times max D;
-# the long-only minimum variance when its gap is below this times w' V w
+# Frank-Wolfe ascent stops when its duality gap is below this times max D
 GAP_RTOL = 1e-12
-# a landed draw counts when its risk is within this fraction of sigma
+# a sandwich level is empty this fraction of sigma outside the long-only risks
 SHELL_BAND = 0.01
+# a critical line solves for its KKT inverse again when a residual exceeds
+# this times the residual's scale
+RESIDUAL_RTOL = 1e-10
+# it does not border an asset whose Schur complement is below this times the
+# size of its terms (the asset is collinear with the free set)
+SCHUR_RTOL = 1e-13
+# an asset that changed at a corner changes back only below (1 - TIE_RTOL)
+# times that corner's lambda
+TIE_RTOL = 1e-9
+# from FOLD_FROM slots the inverse's corrections are folded in FOLD_EVERY at
+# a time: one rank-FOLD_EVERY product reads M once instead of FOLD_EVERY times
+FOLD_FROM, FOLD_EVERY = 128, 32
 
 
 @dataclass(frozen=True)
@@ -96,9 +106,41 @@ class MdpAnalysis:
 
 
 @dataclass(frozen=True)
+class CriticalLine:
+    """Markowitz's long-only frontier for return vector mu, by its corners.
+
+    The maximizer of lambda mu' w - 0.5 w' V w over budget portfolios w >= 0
+    for lambda from lambdas[0] = inf down to lambdas[-1] = 0; at each corner
+    an asset enters or leaves.  Between corners k and k + 1,
+    w = alpha[k] + lambda beta[k], of risk^2 var0[k] + lambda^2 k2[k] and
+    mu' w = top + mean[k] + lambda k2[k] with top = max mu.
+    """
+
+    top: float
+    lambdas: np.ndarray
+    alpha: np.ndarray
+    beta: np.ndarray
+    var0: np.ndarray
+    mean: np.ndarray
+    k2: np.ndarray
+
+    def max_at(self, tau: float) -> float:
+        """max mu' w over long-only budget portfolios of risk tau (the
+        line's value there, or at its nearer end outside its risk range)."""
+        lam, tau_sq = self.lambdas, tau * tau
+        low = self.var0 + lam[1:] ** 2 * self.k2  # each segment's lowest risk^2
+        k = min(int(np.searchsorted(-low, -tau_sq)), len(low) - 1)
+        t = 0.0
+        if self.k2[k] > 0.0:
+            t = min(max(np.sqrt(max(tau_sq - self.var0[k], 0.0) / self.k2[k]), lam[k + 1]), lam[k])
+        return float(self.top + self.mean[k] + t * self.k2[k])
+
+
+@dataclass(frozen=True)
 class LongOnlyMvp:
     """Long-only minimum-variance portfolio w_lo with its certificate.
 
+    weights is the last corner (lambda = 0) of the universe's eta line.
     variance is w' V w at weights.  variance_lower = 2 min_j (V w)_j - w' V w,
     that is variance - 2 * gap with the Frank-Wolfe gap
     w' V w - min_j (V w)_j, bounds the long-only minimum from below by
@@ -112,34 +154,20 @@ class LongOnlyMvp:
 
 @dataclass(frozen=True)
 class SandwichReport:
-    """Monte Carlo check of the objective sandwich at one risk level.
+    """Exact check of the objective sandwich at one risk level.
 
-    gap = max eta' w - max (sqrt(eta)' w)^2 over sampled long-only
-    portfolios on the risk shell.  eta' w - (sqrt(eta)' w)^2 is the
-    w-weighted variance of the volatilities, which equals w' D_eta w and so
-    is at most 2 * d_max.  holds is 0 <= gap <= 2 * d_max_upper (up to
-    rounding), where d_max_upper is the exact d_max of the universe's D_eta.
-    It is true for every non-empty sample: by Jensen
-    eta' w >= (sqrt(eta)' w)^2 for every w, so gap >= 0, and at the sampled
-    argmax w* of eta' w, gap <= eta' w* - (sqrt(eta)' w*)^2 = w*' D_eta w*
-    <= 2 * d_max.  So holds checks the sampler's arithmetic, not the theory;
-    only the exact maxima over the shell would test the sandwich itself.
-
-    Long-only risk spans [sigma_lo, sigma_hi]: sigma_lo is the risk of the
-    long-only minimum-variance portfolio w_lo and sigma_hi = max sqrt(eta_i)
-    the risk of the most volatile asset, the largest long-only risk because
-    risk is convex.  Each of the `requested` Dirichlet draws x is moved along
-    a segment to the target risk tau = clip(sigma, sigma_lo, sigma_hi):
-    along w_lo -> x when x's risk is at least tau, else along x -> the most
-    volatile vertex.  risk^2 is a convex quadratic along either segment whose
-    ends lie on opposite sides of tau^2, so one root lands the draw on the
-    shell, long-only and on budget.  accepted counts the landed portfolios
-    whose risk, evaluated again at the root, lies within SHELL_BAND * sigma
-    of sigma; every draw lands when that band meets [sigma_lo, sigma_hi].
-    empty flags a level with none.  When the band misses
-    [sigma_lo, sigma_hi] nothing is drawn and empty is certified: the test
-    uses the certified lower bound on w_lo's variance
-    (:class:`LongOnlyMvp`), so it does not depend on the seed.
+    gap = max eta' w - max (sqrt(eta)' w)^2 over long-only budget portfolios
+    of risk tau = clip(sigma, sigma_lo, sigma_hi), both maxima read from
+    the universe's critical lines.  eta' w - (sqrt(eta)' w)^2 = w' D_eta w,
+    the w-weighted variance of the volatilities, is at most 2 * d_max, so
+    holds, 0 <= gap <= 2 * d_max_upper up to 1e-12 * max(1, max eta' w),
+    tests the theorem.
+    sigma_lo is the risk of the long-only minimum-variance portfolio w_lo
+    and sigma_hi = max sqrt(eta_i), the largest long-only risk.  A sigma
+    more than SHELL_BAND * sigma outside [sigma_lo, sigma_hi] is empty, by
+    the certified lower bound on w_lo's variance (:class:`LongOnlyMvp`).
+    Nothing is drawn: requested echoes `samples` and accepted equals it, or
+    0 on an empty level; both are kept for readers of the fields.
     """
 
     sigma: float
@@ -313,81 +341,131 @@ def analyze_mdp(universe: AssetUniverse) -> MdpAnalysis:
     )
 
 
-def _support_minimum(V: np.ndarray, support: np.ndarray):
-    """Weights on `support` minimizing w' V w subject to 1' w = 1:
-    V_S^-1 1 normalized; None when the solve fails."""
-    try:
-        y = np.linalg.solve(V[np.ix_(support, support)], np.ones(len(support)))
-    except np.linalg.LinAlgError:
-        return None
-    z = y / y.sum()
-    return z if np.all(np.isfinite(z)) else None
+def _walk(V, mu, free):
+    """Corners of the critical line of mu (max mu = 0) from lambda = inf,
+    where the free set is `free`, down to lambda = 0.
 
-
-def long_only_min_variance(universe: AssetUniverse) -> LongOnlyMvp:
-    """Long-only minimum-variance portfolio by a primal active-set method.
-
-    Start: the support minimum (:func:`_support_minimum`) on all assets,
-    solved again without its negative weights until none is negative (the
-    least volatile asset if a solve fails).  Step (fully corrective
-    Frank-Wolfe): add the asset j of the smallest (V w)_j and move towards
-    the support minimum, dropping each asset whose weight reaches 0 first,
-    until that minimum is nonnegative; keep the step only if it lowers w' V w.
-    Convexity gives v' V v >= 2 min_j (V w)_j - w' V w for every long-only
-    v, so the Frank-Wolfe gap w' V w - min_j (V w)_j certifies w.  Stops
-    when the gap is at most GAP_RTOL * w' V w or j is already held (the gap
-    is rounding).  :attr:`~drfrontier.model.AssetUniverse.long_only_mvp`
-    keeps the result with its universe.
+    M inverts F's KKT matrix [[0, 1'], [1, V_F]] (slot 0 the budget, slot
+    i + 1 the i-th free asset) and Y = M [e_0, (0, mu_F)], so on a segment
+    (gamma, w_F) = Y[:, 0] + lambda Y[:, 1].  Asset j outside F stays out
+    while its slack lambda (mu_j - a_j) - b_j, (b, a) = [1, V_jF] Y, is
+    nonpositive, and a free asset while its weight is nonnegative; the next
+    corner is the largest lambda below this one where either changes sign.
+    There j enters by bordering, M += (M u - e) (M u - e)' / s with
+    u = [1, V_Fj], e its new slot and s = V_jj - u' M u, or the asset in slot
+    q leaves by M -= M e_q e_q' M / M_qq and the last slot moves into q.  From
+    FOLD_FROM slots the corrections wait aside and are folded in FOLD_EVERY
+    at a time, so a corner costs O(n |F|).  M is solved for at the start and
+    when a KKT residual fails; one refinement step polishes the last corner.
     """
-    V = universe.cov
-    n = universe.n
-    w = np.zeros(n)
-    support = np.arange(n)
-    solves = 0
-    while True:
-        z = _support_minimum(V, support)
-        solves += 1
-        if z is None:
-            w[int(np.argmin(universe.variances))] = 1.0
-            break
-        if z.min() >= 0.0:
-            w[support] = z
-            break
-        support = support[z > 0.0]
+    n, f, k = len(mu), 0, 0
+    M, Y, R = np.zeros((n + 1, n + 1)), np.zeros((n + 1, 2)), np.zeros((n + 1, 2))
+    aside, weights = np.zeros((n + 1, FOLD_EVERY)), np.zeros(FOLD_EVERY)
+    rows, F = np.empty((n, n)), np.zeros(n, dtype=int)  # rows[i] = V[F[i]]
+    R[0, 0] = 1.0
 
-    g = V @ w
-    variance = float(w @ g)
-    while solves < MAX_ITER:
-        j = int(np.argmin(g))
-        if w[j] > 0.0 or g[j] >= (1.0 - GAP_RTOL) * variance:
-            break
-        step = w.copy()
-        support = np.append(np.flatnonzero(step), j)
+    def solve(free):
+        nonlocal f, k
+        f, k, aside[:] = len(free), 0, 0.0
+        K = np.ones((f + 1, f + 1))
+        K[0, 0], K[1:, 1:] = 0.0, V[np.ix_(free, free)]
+        M[: f + 1, : f + 1] = np.linalg.inv(K)
+        F[:f], rows[:f], R[1 : f + 1, 1] = free, V[free], mu[free]
+        Y[: f + 1] = M[: f + 1, : f + 1] @ R[: f + 1]
+
+    def times(x):
+        A = aside[: f + 1, :k]
+        return M[: f + 1, : f + 1] @ x + (A * weights[:k]) @ (A.T @ x)
+
+    def correct(c, weight):  # M += weight c c', and Y with it
+        nonlocal k
+        Y[: f + 1] += np.outer(c, weight * (c @ R[: f + 1]))
+        if f + 1 < FOLD_FROM:
+            M[: f + 1, : f + 1] += np.outer(weight * c, c)
+            return
+        if k == FOLD_EVERY:
+            M[: f + 1, : f + 1] += (aside[: f + 1] * weights) @ aside[: f + 1].T
+            aside[: f + 1], k = 0.0, 0
+        aside[: f + 1, k], weights[k], k = c, weight, k + 1
+
+    solve(free)
+    vmax = float(np.abs(V).max())
+    lam, last, refreshed = np.inf, -1, False
+    lambdas, segments = [np.inf], []
+    while True:
+        free, W = F[:f], Y[1 : f + 1]
+        A = rows[:f].T @ W + Y[0]
+        # the KKT rows of F and the budget row, against their terms' size
+        residual = np.abs(A[free] - R[1 : f + 1]).max(axis=0) + np.abs(W.sum(axis=0) - R[0])
+        size = vmax * np.abs(W).sum(axis=0) + np.abs(Y[0]) + np.abs(R[1 : f + 1]).max(axis=0)
+        if not refreshed and (residual > RESIDUAL_RTOL * size).any():
+            solve(free)
+            refreshed = True
+            continue
+        refreshed = False
+        alpha, beta = np.zeros((2, n))
+        alpha[free], beta[free] = W.T
+        gain = mu[free] @ W
+        segments.append([alpha, beta, -Y[0, 0], gain[0], max(gain[1], 0.0)])
+        slope, level = mu - A[:, 1], A[:, 0]
+        rise = (slope < 0.0) & (level < 0.0)
+        cand = np.where(rise, level / np.where(rise, slope, -1.0), -np.inf)
+        fall = (W[:, 1] > 0.0) & (W[:, 0] < 0.0)
+        cand[free] = np.where(fall, -W[:, 0] / np.where(fall, W[:, 1], 1.0), -np.inf)
+        # the asset that changed at this corner does not change back at it
+        if last >= 0 and cand[last] >= lam * (1.0 - TIE_RTOL):
+            cand[last] = -np.inf
         while True:
-            z = _support_minimum(V, support)
-            solves += 1
-            if z is None or z.min() >= 0.0:
+            j = int(np.argmax(cand))
+            if not cand[j] > 0.0 or len(segments) >= MAX_ITER:
+                d = times(np.append(W[:, 0].sum() - 1.0, A[free, 0]))
+                alpha[free] -= d[1:]
+                segments[-1][2:4] = d[0] - Y[0, 0], mu[free] @ alpha[free]
+                return lambdas + [0.0], segments, free.copy()
+            held = np.flatnonzero(free == j)
+            if held.size:
+                i = int(held[0])
+                c = times(np.eye(1, f + 1, i + 1)[0])
+                correct(c, -1.0 / c[i + 1])
+                for a in (M, aside, Y, R):
+                    a[i + 1] = a[f]
+                M[:, i + 1], rows[i], F[i] = M[:, f], rows[f - 1], F[f - 1]
+                for a in (M, M.T, aside, Y, R):
+                    a[f] = 0.0
+                f -= 1
                 break
-            d = z - step[support]
-            shrink = np.flatnonzero(d < 0.0)
-            ratio = step[support[shrink]] / -d[shrink]
-            k = int(np.argmin(ratio))
-            step[support] += ratio[k] * d
-            step[support[shrink[k]]] = 0.0
-            np.clip(step, 0.0, None, out=step)
-            support = np.flatnonzero(step)
-        if z is None:
-            break
-        step[support] = z
-        g_step = V @ step
-        if not float(step @ g_step) < variance:
-            break
-        w, g, variance = step, g_step, float(step @ g_step)
-    return LongOnlyMvp(
-        weights=w,
-        variance=variance,
-        variance_lower=max(2.0 * float(g.min()) - variance, 0.0),
-    )
+            u = np.append(1.0, rows[:f, j])
+            Mu = times(u)
+            s = V[j, j] - u @ Mu
+            if s > SCHUR_RTOL * (abs(V[j, j]) + np.abs(u) @ np.abs(Mu)):
+                rows[f], F[f], R[f + 1, 1] = V[j], j, mu[j]
+                f += 1
+                correct(np.append(Mu, -1.0), 1.0 / s)
+                break
+            cand[j] = -np.inf  # collinear with F on budget portfolios
+        lam, last = min(float(cand[j]), lam), j
+        lambdas.append(lam)
+
+
+def critical_line(V, mu) -> CriticalLine:
+    """The long-only critical line of return vector mu over covariance V.
+
+    At lambda = inf it starts at the long-only minimum-variance portfolio of
+    the assets tied at max mu: the least volatile of them alone, or, when
+    several tie (mu proportional to ones included), the end of their own
+    line for a return vector that singles that one out.  Tied assets outside
+    the start then have a zero slack slope and never enter, as Bailey and
+    Lopez de Prado skip a candidate whose denominator is zero.
+    """
+    V, mu = np.asarray(V, dtype=float), np.asarray(mu, dtype=float)
+    top = np.flatnonzero(mu == mu.max())
+    free = [int(top[np.argmin(np.diag(V)[top])])]
+    if len(top) > 1:
+        single = np.where(top == free[0], 0.0, -1.0)
+        free = top[_walk(V[np.ix_(top, top)], single, [int(np.argmax(single))])[2]]
+    lambdas, segments, _ = _walk(V, mu - mu.max(), free)
+    alpha, beta, var0, mean, k2 = (np.array(x) for x in zip(*segments))
+    return CriticalLine(float(mu.max()), np.array(lambdas), alpha, beta, var0, mean, k2)
 
 
 def sandwich_check(
@@ -396,92 +474,46 @@ def sandwich_check(
     samples: int = 100_000,
     seed: int = 0,
 ) -> SandwichReport:
-    """Land `samples` long-only portfolios on the risk shell and test the sandwich.
+    """Test the sandwich at risk sigma with the exact long-only maxima.
 
-    See :class:`SandwichReport` for the anchors, the landing root and when
-    the report is certified empty.  The draws X come from one Dirichlet(1)
-    call of a generator seeded with `seed`.  One product X V gives every
-    coefficient of the quadratics: x' V x, x' V w_lo = x . (V w_lo) and
-    x' V e_hi, column hi of X V, with w_lo' V w_lo and eta_hi known.  The
-    landing check evaluates each quadratic again at its root, and
-    eta' w and sqrt(eta)' w of a landed w are linear along its segment, so
-    no landed portfolio is formed: after the draws and X V the cost is
-    O(samples * n).  samples below 1 raise DimensionMismatchError, and a
-    sigma that is not a finite number raises ParseError.
+    See :class:`SandwichReport`.  Both maxima are closed forms on one
+    segment of the universe's eta_line and root_eta_line, built once per
+    universe; an empty level reads only w_lo.  `samples` and `seed` are kept
+    for callers; nothing is drawn.  samples that is not a number raises
+    ParseError and below 1 DimensionMismatchError, and a sigma that is not
+    a finite number raises ParseError.
     """
     if not np.isfinite(sigma):
         raise ParseError(f"sigma {sigma!r} is not a finite number")
-    if int(samples) < 1:
+    try:
+        requested = int(samples)
+    except (TypeError, ValueError, OverflowError):
+        raise ParseError(f"samples {samples!r} is not a finite number") from None
+    if requested < 1:
         raise DimensionMismatchError(f"samples must be at least 1, got {samples}")
-    eta = np.clip(universe.variances, 0.0, None)
-    root = np.sqrt(eta)
     d_upper = _d_max_of_d_eta(universe)
     lo = universe.long_only_mvp
-    hi = int(np.argmax(eta))
     sigma_lo = float(np.sqrt(lo.variance))
-    sigma_hi = float(root[hi])
-    report = dict(
+    sigma_hi = float(np.sqrt(max(float(universe.variances.max()), 0.0)))
+    below = np.sqrt(lo.variance_lower) > (1.0 + SHELL_BAND) * sigma
+    empty = bool(below or sigma_hi < (1.0 - SHELL_BAND) * sigma)
+    tau = min(max(sigma, sigma_lo), sigma_hi)
+    max_var = float("nan") if empty else universe.eta_line.max_at(tau)
+    max_vol_sq = float("nan") if empty else universe.root_eta_line.max_at(tau) ** 2
+    gap = max_var - max_vol_sq
+    # the rounding of the two maxima, which cancel exactly where the most
+    # volatile assets tie
+    slack = 1e-12 * max(1.0, max_var)
+    return SandwichReport(
         sigma=float(sigma),
         sigma_lo=sigma_lo,
         sigma_hi=sigma_hi,
-        requested=int(samples),
-        d_max_upper=d_upper,
-    )
-    empty = SandwichReport(
-        **report,
-        accepted=0,
-        max_avg_variance=float("nan"),
-        max_avg_volatility_sq=float("nan"),
-        gap=float("nan"),
-        holds=None,
-        empty=True,
-    )
-    below = np.sqrt(lo.variance_lower) > (1.0 + SHELL_BAND) * sigma
-    if below or sigma_hi < (1.0 - SHELL_BAND) * sigma:
-        return empty
-
-    tau_sq = min(max(sigma, sigma_lo), sigma_hi) ** 2
-    X = np.random.default_rng(seed).dirichlet(np.ones(universe.n), size=int(samples))
-    XV = X @ universe.cov
-    r_x = np.einsum("ij,ij->i", X, XV)
-    v_lo = universe.cov @ lo.weights
-    # x' V w_lo, eta' x and sqrt(eta)' x in one pass over X
-    x_lo, x_eta, x_root = (X @ np.column_stack([v_lo, eta, root])).T
-    # up: w_lo -> x, else x -> e_hi; P and Q are the segment's ends
-    up = r_x >= tau_sq
-    r_p = np.where(up, lo.variance, r_x)
-    r_q = np.where(up, r_x, eta[hi])
-    pq = np.where(up, x_lo, XV[:, hi])
-    # risk^2 along P -> Q is r_p + 2 b t + a t^2, with r_p <= tau^2 <= r_q
-    b = pq - r_p
-    a = r_q - pq - b
-    rise = np.maximum(tau_sq - r_p, 0.0)
-    disc = np.sqrt(np.maximum(b * b + a * rise, 0.0))
-    # the root form without cancellation for either sign of b
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(b >= 0.0, rise / (b + disc), (disc - b) / a)
-    t = np.clip(np.nan_to_num(t), 0.0, 1.0)
-    risk = np.sqrt(np.maximum(r_p + t * (2.0 * b + a * t), 0.0))
-    landed = np.abs(risk - sigma) <= SHELL_BAND * sigma
-    if not landed.any():
-        return empty
-
-    # eta' w and sqrt(eta)' w are linear along the segment
-    p_eta = np.where(up, float(eta @ lo.weights), x_eta)
-    q_eta = np.where(up, x_eta, eta[hi])
-    p_root = np.where(up, float(root @ lo.weights), x_root)
-    q_root = np.where(up, x_root, root[hi])
-    w_eta = (p_eta + t * (q_eta - p_eta))[landed]
-    w_root = (p_root + t * (q_root - p_root))[landed]
-    max_avg_var = float(w_eta.max())
-    max_avg_vol_sq = float(np.square(w_root).max())
-    gap = max_avg_var - max_avg_vol_sq
-    return SandwichReport(
-        **report,
-        accepted=int(landed.sum()),
-        max_avg_variance=max_avg_var,
-        max_avg_volatility_sq=max_avg_vol_sq,
+        requested=requested,
+        accepted=0 if empty else requested,
+        max_avg_variance=max_var,
+        max_avg_volatility_sq=max_vol_sq,
         gap=gap,
-        holds=-1e-12 <= gap <= 2.0 * d_upper + 1e-12,
-        empty=False,
+        d_max_upper=d_upper,
+        holds=None if empty else -slack <= gap <= 2.0 * d_upper + slack,
+        empty=empty,
     )

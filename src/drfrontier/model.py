@@ -131,11 +131,29 @@ class AssetUniverse:
     @functools.cached_property
     def long_only_mvp(self):
         """The long-only minimum-variance portfolio with its certificate
-        (:class:`~drfrontier.mdp.LongOnlyMvp`), found on first access and
-        kept with the universe."""
-        from .mdp import long_only_min_variance
+        (:class:`~drfrontier.mdp.LongOnlyMvp`), the last corner of eta_line."""
+        from .mdp import LongOnlyMvp
 
-        return long_only_min_variance(self)
+        w = np.clip(self.eta_line.alpha[-1], 0.0, None)
+        w /= w.sum()
+        g = self.cov @ w
+        variance = float(w @ g)
+        return LongOnlyMvp(w, variance, max(2.0 * float(g.min()) - variance, 0.0))
+
+    @functools.cached_property
+    def eta_line(self):
+        """The long-only critical line (:func:`~drfrontier.mdp.critical_line`)
+        of mu = eta, built on first access and kept with the universe."""
+        from .mdp import critical_line
+
+        return critical_line(self.cov, np.clip(self.variances, 0.0, None))
+
+    @functools.cached_property
+    def root_eta_line(self):
+        """The long-only critical line of mu = sqrt(eta), kept likewise."""
+        from .mdp import critical_line
+
+        return critical_line(self.cov, np.sqrt(np.clip(self.variances, 0.0, None)))
 
     @functools.cached_property
     def sigma_grid(self) -> np.ndarray:

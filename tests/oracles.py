@@ -2,10 +2,11 @@
 
 Everything here is deliberately independent of the library's closed forms:
 dense scans, projected-gradient ascent, simplex grids, support enumeration,
-bisection, the distance matrix's second route to the maximum-DR portfolio,
-q_max and centrality, the LU route to the kernel's images, and the
-eigenvalue decisions that the Cholesky certificates of `validate_universe`
-and `assert_edm` stand in for.
+bisection, the active-set long-only minimum variance and the Dirichlet
+sandwich sampler that the critical line replaced, the distance matrix's
+second route to the maximum-DR portfolio, q_max and centrality, the LU
+route to the kernel's images, and the eigenvalue decisions that the
+Cholesky certificates of `validate_universe` and `assert_edm` stand in for.
 Slow and dumb on purpose.
 """
 
@@ -24,6 +25,7 @@ from drfrontier.frontiers import (
     FrontierRow,
     _excess_risk_at,
 )
+from drfrontier.mdp import GAP_RTOL, MAX_ITER, SHELL_BAND, LongOnlyMvp
 from drfrontier.model import PSD_RTOL
 
 
@@ -211,16 +213,151 @@ def exact_d_max(D):
     return best, best_w
 
 
-def sandwich_bisection(universe, sigma, samples, seed=0, band=0.01):
-    """The sandwich check's landings, found by bisection on each segment.
+def _support_minimum(V, support):
+    """Weights on `support` minimizing w' V w subject to 1' w = 1:
+    V_S^-1 1 normalized; None when the solve fails."""
+    try:
+        y = np.linalg.solve(V[np.ix_(support, support)], np.ones(len(support)))
+    except np.linalg.LinAlgError:
+        return None
+    z = y / y.sum()
+    return z if np.all(np.isfinite(z)) else None
 
-    Same Dirichlet draws and anchors as :func:`drfrontier.sandwich_check`
-    (w_lo from the universe, the most volatile vertex e_hi, the target
-    tau = clip(sigma, sigma_lo, sigma_hi)); each draw x moves along
-    w_lo -> x when its risk is at least tau, else along x -> e_hi, to the
-    point where the three-operand einsum risk crosses tau, by 60 halvings.
-    Returns the landed portfolios whose einsum risk is within `band` of
-    sigma, and their max eta' w and max (sqrt(eta)' w)^2.
+
+def long_only_min_variance(universe) -> LongOnlyMvp:
+    """Long-only minimum-variance portfolio by a primal active-set method.
+
+    Start: the support minimum (:func:`_support_minimum`) on all assets,
+    solved again without its negative weights until none is negative (the
+    least volatile asset if a solve fails).  Step (fully corrective
+    Frank-Wolfe): add the asset j of the smallest (V w)_j and move towards
+    the support minimum, dropping each asset whose weight reaches 0 first,
+    until that minimum is nonnegative; keep the step only if it lowers w' V w.
+    Convexity gives v' V v >= 2 min_j (V w)_j - w' V w for every long-only
+    v, so the Frank-Wolfe gap w' V w - min_j (V w)_j certifies w.  Stops
+    when the gap is at most GAP_RTOL * w' V w or j is already held (the gap
+    is rounding).  The second route to the last corner of the critical line.
+    """
+    V = universe.cov
+    n = universe.n
+    w = np.zeros(n)
+    support = np.arange(n)
+    solves = 0
+    while True:
+        z = _support_minimum(V, support)
+        solves += 1
+        if z is None:
+            w[int(np.argmin(universe.variances))] = 1.0
+            break
+        if z.min() >= 0.0:
+            w[support] = z
+            break
+        support = support[z > 0.0]
+
+    g = V @ w
+    variance = float(w @ g)
+    while solves < MAX_ITER:
+        j = int(np.argmin(g))
+        if w[j] > 0.0 or g[j] >= (1.0 - GAP_RTOL) * variance:
+            break
+        step = w.copy()
+        support = np.append(np.flatnonzero(step), j)
+        while True:
+            z = _support_minimum(V, support)
+            solves += 1
+            if z is None or z.min() >= 0.0:
+                break
+            d = z - step[support]
+            shrink = np.flatnonzero(d < 0.0)
+            ratio = step[support[shrink]] / -d[shrink]
+            k = int(np.argmin(ratio))
+            step[support] += ratio[k] * d
+            step[support[shrink[k]]] = 0.0
+            np.clip(step, 0.0, None, out=step)
+            support = np.flatnonzero(step)
+        if z is None:
+            break
+        step[support] = z
+        g_step = V @ step
+        if not float(step @ g_step) < variance:
+            break
+        w, g, variance = step, g_step, float(step @ g_step)
+    return LongOnlyMvp(
+        weights=w,
+        variance=variance,
+        variance_lower=max(2.0 * float(g.min()) - variance, 0.0),
+    )
+
+
+def _anchors(universe, sigma):
+    """w_lo by the active set, the most volatile asset hi, and the target
+    tau = clip(sigma, sigma_lo, sigma_hi) of the Dirichlet sampler."""
+    lo = long_only_min_variance(universe)
+    hi = int(np.argmax(universe.variances))
+    sigma_lo = float(np.sqrt(lo.variance))
+    return lo, hi, min(max(sigma, sigma_lo), float(np.sqrt(universe.variances[hi])))
+
+
+def sandwich_landings(universe, sigma, samples, seed=0, band=SHELL_BAND):
+    """The Dirichlet sampler that the sandwich check used before the exact
+    maxima: a lower bound on each of them.
+
+    Draws X, Dirichlet(1) from a generator seeded with `seed`, are moved to
+    risk tau (:func:`_anchors`) along w_lo -> x when x's risk is at least
+    tau, else along x -> e_hi.  risk^2 is a convex quadratic along either
+    segment whose ends lie on opposite sides of tau^2, so one root lands
+    each draw on the shell, long-only and on budget; one product X V gives
+    every coefficient.  Returns the number of landed portfolios whose risk,
+    evaluated again at the root, is within `band` of sigma, and their max
+    eta' w and max (sqrt(eta)' w)^2 (nan when none lands).
+    """
+    eta = np.clip(universe.variances, 0.0, None)
+    root = np.sqrt(eta)
+    lo, hi, tau = _anchors(universe, sigma)
+    tau_sq = tau * tau
+    X = np.random.default_rng(seed).dirichlet(np.ones(universe.n), size=int(samples))
+    XV = X @ universe.cov
+    r_x = np.einsum("ij,ij->i", X, XV)
+    v_lo = universe.cov @ lo.weights
+    # x' V w_lo, eta' x and sqrt(eta)' x in one pass over X
+    x_lo, x_eta, x_root = (X @ np.column_stack([v_lo, eta, root])).T
+    # up: w_lo -> x, else x -> e_hi; P and Q are the segment's ends
+    up = r_x >= tau_sq
+    r_p = np.where(up, lo.variance, r_x)
+    r_q = np.where(up, r_x, eta[hi])
+    pq = np.where(up, x_lo, XV[:, hi])
+    # risk^2 along P -> Q is r_p + 2 b t + a t^2, with r_p <= tau^2 <= r_q
+    b = pq - r_p
+    a = r_q - pq - b
+    rise = np.maximum(tau_sq - r_p, 0.0)
+    disc = np.sqrt(np.maximum(b * b + a * rise, 0.0))
+    # the root form without cancellation for either sign of b
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where(b >= 0.0, rise / (b + disc), (disc - b) / a)
+    t = np.clip(np.nan_to_num(t), 0.0, 1.0)
+    risk = np.sqrt(np.maximum(r_p + t * (2.0 * b + a * t), 0.0))
+    landed = np.abs(risk - sigma) <= band * sigma
+    if not landed.any():
+        return 0, float("nan"), float("nan")
+    # eta' w and sqrt(eta)' w are linear along the segment
+    p_eta = np.where(up, float(eta @ lo.weights), x_eta)
+    q_eta = np.where(up, x_eta, eta[hi])
+    p_root = np.where(up, float(root @ lo.weights), x_root)
+    q_root = np.where(up, x_root, root[hi])
+    w_eta = (p_eta + t * (q_eta - p_eta))[landed]
+    w_root = (p_root + t * (q_root - p_root))[landed]
+    return int(landed.sum()), float(w_eta.max()), float(np.square(w_root).max())
+
+
+def sandwich_bisection(universe, sigma, samples, seed=0, band=SHELL_BAND):
+    """The sampler's landings, found by bisection on each segment.
+
+    Same Dirichlet draws, anchors and target as :func:`sandwich_landings`;
+    each draw x moves along w_lo -> x when its risk is at least tau, else
+    along x -> e_hi, to the point where the three-operand einsum risk
+    crosses tau, by 60 halvings.  Returns the landed portfolios whose
+    einsum risk is within `band` of sigma, and their max eta' w and
+    max (sqrt(eta)' w)^2.
     """
     V = universe.cov
     eta = universe.variances
@@ -229,23 +366,61 @@ def sandwich_bisection(universe, sigma, samples, seed=0, band=0.01):
     def risk(W):
         return np.sqrt(np.einsum("ij,jk,ik->i", W, V, W))
 
-    w_lo = universe.long_only_mvp.weights
-    hi = int(np.argmax(eta))
-    tau = min(max(sigma, float(np.sqrt(w_lo @ V @ w_lo))), float(np.sqrt(eta[hi])))
+    lo, hi, tau = _anchors(universe, sigma)
     X = np.random.default_rng(seed).dirichlet(np.ones(n), size=samples)
     up = (risk(X) >= tau)[:, None]
-    P = np.where(up, w_lo, X)
+    P = np.where(up, lo.weights, X)
     Q = np.where(up, X, np.eye(n)[hi])
     # risk(P) <= tau <= risk(Q) and the set below tau is an interval at P
-    lo, hi_t = np.zeros(samples), np.ones(samples)
+    lo_t, hi_t = np.zeros(samples), np.ones(samples)
     for _ in range(60):
-        mid = 0.5 * (lo + hi_t)
+        mid = 0.5 * (lo_t + hi_t)
         below = risk(P + mid[:, None] * (Q - P)) < tau
-        lo = np.where(below, mid, lo)
+        lo_t = np.where(below, mid, lo_t)
         hi_t = np.where(below, hi_t, mid)
-    W = P + (0.5 * (lo + hi_t))[:, None] * (Q - P)
+    W = P + (0.5 * (lo_t + hi_t))[:, None] * (Q - P)
     W = W[np.abs(risk(W) - sigma) <= band * sigma]
     return W, float((W @ eta).max()), float(((W @ np.sqrt(eta)) ** 2).max())
+
+
+def long_only_max_enum(V, mu, tau):
+    """max mu' w over budget portfolios w >= 0 with w' V w <= tau^2, n <= 6.
+
+    At a maximizer with support S either the risk bound is slack, and w is
+    a vertex (or any point of a face where mu is constant), or it binds and
+    the KKT conditions give w_S = alpha_S + lambda beta_S with lambda >= 0,
+    from the bordered system [[0, 1'], [1, V_S]] against [1, 0] and
+    [0, mu_S], at the lambda of risk tau.  Every support is enumerated and
+    the best feasible candidate returned (None when none is).
+    """
+    V, mu = np.asarray(V, float), np.asarray(mu, float)
+    n = len(mu)
+    assert n <= 6
+    best = None
+    for k in range(1, n + 1):
+        for S in itertools.combinations(range(n), k):
+            idx = list(S)
+            K = np.zeros((k + 1, k + 1))
+            K[0, 1:] = K[1:, 0] = 1.0
+            K[1:, 1:] = V[np.ix_(idx, idx)]
+            rhs = np.zeros((k + 1, 2))
+            rhs[0, 0], rhs[1:, 1] = 1.0, mu[idx]
+            try:
+                sol = np.linalg.solve(K, rhs)[1:]
+            except np.linalg.LinAlgError:
+                continue
+            a, b = sol[:, 0], sol[:, 1]
+            VS = K[1:, 1:]
+            var0, k2 = float(a @ VS @ a), float(b @ VS @ b)
+            if var0 > tau * tau:
+                continue
+            lam = np.sqrt((tau * tau - var0) / k2) if k2 > 0.0 else 0.0
+            w = a + lam * b
+            if float(w.min()) < -1e-12:
+                continue
+            value = float(mu[idx] @ w)
+            best = value if best is None else max(best, value)
+    return best
 
 
 def random_universe(

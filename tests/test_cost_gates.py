@@ -18,8 +18,10 @@ and certifying a distance matrix take one Cholesky factorization and no
 eigendecomposition unless the factorization fails, and an embedding
 decomposes its Gram matrix only when its coordinates are read; d_max of a distance matrix is one ascent, and a
 matrix that is not one is refused before any; d_max of D_eta is a closed
-form; the sandwich check draws once per level, nothing on a level it proves
-empty, and finds its long-only anchor once per universe.  A CLI run
+form; the sandwich check draws nothing, and each universe builds its two
+critical lines once across levels (an empty level builds only the eta
+line, for w_lo), each with one solve for its first KKT inverse and no
+other np.linalg call when no residual asks for a refresh.  A CLI run
 validates its universe once, --riskfree or not.  numpy is the only runtime
 dependency: a CLI run loads no scipy, and importing the CLI or running
 `ingest-check` loads no numpy either.
@@ -62,7 +64,7 @@ def calls(monkeypatch):
     counting(model, "lu_solve")
     counting(embedding, "embed")
     counting(mdp, "_pairwise_frank_wolfe")
-    counting(mdp, "long_only_min_variance")
+    counting(mdp, "critical_line")
     counting(mdp, "assert_edm")
     counting(mdp, "d_max_bounds")
     return counts
@@ -127,11 +129,7 @@ def test_default_sweeps_share_one_grid_per_universe(monkeypatch):
     for u in universes:
         u.solver
     monkeypatch.setattr(np, "geomspace", counting)
-    functions = [
-        name for name in np.linalg.__all__
-        if callable(getattr(np.linalg, name)) and not isinstance(getattr(np.linalg, name), type)
-    ]
-    linalg = _count_linalg(monkeypatch, *functions)
+    linalg = _count_linalg(monkeypatch, *LINALG)
     for u in universes:
         grids.clear()
         before = sum(linalg.values())
@@ -156,6 +154,13 @@ def test_inflection_audit_and_portfolios_make_no_solve(calls):
         drf.mdp_global(u)
         drf.special_portfolios(u, embedding=emb)
         assert _solves(calls) == before
+
+
+# every np.linalg function
+LINALG = [
+    name for name in np.linalg.__all__
+    if callable(getattr(np.linalg, name)) and not isinstance(getattr(np.linalg, name), type)
+]
 
 
 def _count_linalg(monkeypatch, *names):
@@ -370,28 +375,32 @@ def draws(monkeypatch):
     return rows
 
 
-def test_sandwich_draws_once_per_level_and_finds_w_lo_once_per_universe(
-    calls, draws, ex3, universe30
+def test_sandwich_draws_nothing_and_builds_each_line_once_per_universe(
+    calls, draws, monkeypatch, ex3, universe30
 ):
-    for u in _fresh_universes() + [ex3, universe30]:
-        u = drf.validate_universe(u.cov)  # no anchor cached yet
-        found = calls["long_only_min_variance"]
+    linalg = _count_linalg(monkeypatch, *LINALG)
+    big = random_universe(np.random.default_rng(7), 60)
+    for u in _fresh_universes() + [ex3, universe30, big]:
+        u = drf.validate_universe(u.cov)  # no line cached yet
+        built, before = calls["critical_line"], Counter(linalg)
         w = np.full(u.n, 1.0 / u.n)
         sigma_eq = float(np.sqrt(w @ u.cov @ w))
+        rep = drf.sandwich_check(u, 1e-3 * sigma_eq, samples=500)
+        # an empty level reads w_lo, the last corner of the eta line, only
+        assert rep.empty and calls["critical_line"] - built == 1
         for factor in (1.0, 1.1, 1.2):
-            before = len(draws)
             rep = drf.sandwich_check(u, factor * sigma_eq, samples=500, seed=3)
-            assert not rep.empty
-            assert draws[before:] == [500]
-        # the three levels share the universe's long-only anchor
-        assert calls["long_only_min_variance"] - found == 1
-        # levels outside the long-only risk range draw nothing
-        before = len(draws)
+            assert not rep.empty and rep.accepted == rep.requested == 500
         for sigma in (0.5 * rep.sigma_lo, 2.0 * rep.sigma_hi):
             rep = drf.sandwich_check(u, sigma, samples=500, seed=3)
             assert rep.empty and rep.accepted == 0
-        assert len(draws) == before
-        assert calls["long_only_min_variance"] - found == 1
+        # the levels share the universe's two lines; each line solves for
+        # its first inverse (a tied top once more, for its start) and, with
+        # no residual asking for a refresh, makes no other np.linalg call
+        assert calls["critical_line"] - built == 2
+        tied = sum(np.count_nonzero(v == v.max()) > 1 for v in (u.variances, np.sqrt(u.variances)))
+        assert linalg - before == Counter(inv=2 + tied)
+    assert draws == []
 
 
 def test_non_edm_is_refused_before_any_ascent(calls):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -14,17 +16,22 @@ from drfrontier.errors import (
     ParseError,
     ZeroVarianceError,
 )
+from drfrontier import mdp
 from drfrontier.mdp import GAP_RTOL, SHELL_BAND, _d_max_of_d_eta
 
+from .conftest import V3
 from .oracles import (
     circle_scan,
     conditioned_universe,
     exact_d_max,
     grid_max_half_quad,
+    long_only_max_enum,
+    long_only_min_variance,
     long_only_min_variance_enum,
     random_universe,
     ratio_sweep_audit,
     sandwich_bisection,
+    sandwich_landings,
     simplex_grid,
 )
 
@@ -401,6 +408,156 @@ def test_long_only_min_variance_on_fixtures(ex3, universe30):
     assert lo.variance - lo.variance_lower <= GAP_RTOL * lo.variance
 
 
+def _lines(u):
+    return {"eta": (u.eta_line, u.variances), "root": (u.root_eta_line, np.sqrt(u.variances))}
+
+
+def _at_most_exact(landed, line, tau, square=False):
+    # a landed draw's risk is tau up to rounding, where the line's value
+    # rises like a square root at sigma_lo: compare at a hair above tau
+    exact = line.max_at(tau * (1.0 + 1e-9))
+    exact = exact * exact if square else exact
+    return landed <= exact * (1.0 + 1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 6),
+    st.integers(0, 10**6),
+    st.floats(0.0, 9.0),
+    st.floats(1e-3, 1.0),
+)
+def test_lines_meet_support_enumeration(n, seed, log_cond, where):
+    # max mu' w at risk tau, exact to 1e-10 relative from the long-only
+    # minimum risk (plus a thousandth of the span in variance) to sigma_hi
+    u = conditioned_universe(n, seed, log_cond)
+    var_lo = long_only_min_variance_enum(u.cov)[0]
+    tau = float(np.sqrt(var_lo + where * (u.variances.max() - var_lo)))
+    for name, (line, mu) in _lines(u).items():
+        ref = long_only_max_enum(u.cov, mu, tau)
+        assert abs(line.max_at(tau) - ref) <= 1e-10 * abs(ref), name
+
+
+def test_lines_are_continuous_at_every_corner(universe30):
+    us = [universe30] + [conditioned_universe(8, seed, 6.0) for seed in range(5)]
+    for u in us:
+        for name, (line, mu) in _lines(u).items():
+            lam = line.lambdas
+            assert lam[0] == np.inf and lam[-1] == 0.0
+            assert np.all(np.diff(lam) <= 0.0)
+            for k in range(1, len(lam) - 1):
+                before = line.alpha[k - 1] + lam[k] * line.beta[k - 1]
+                after = line.alpha[k] + lam[k] * line.beta[k]
+                scale = float(np.abs(before).max())
+                np.testing.assert_allclose(after, before, rtol=0, atol=1e-10 * scale)
+                risk_before = line.var0[k - 1] + lam[k] ** 2 * line.k2[k - 1]
+                risk_after = line.var0[k] + lam[k] ** 2 * line.k2[k]
+                assert risk_after == pytest.approx(risk_before, rel=1e-10), (name, k)
+                assert risk_before == pytest.approx(after @ u.cov @ after, rel=1e-10)
+                value = line.top + line.mean[k] + lam[k] * line.k2[k]
+                assert value == pytest.approx(mu @ after, rel=1e-10)
+                assert after.min() >= -1e-12 * scale
+                assert after.sum() == pytest.approx(1.0, abs=1e-12 * max(1.0, scale))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 8), st.integers(0, 10**6), st.floats(0.0, 9.0))
+def test_both_lines_end_at_the_active_set_w_lo(n, seed, log_cond):
+    u = conditioned_universe(n, seed, log_cond)
+    ref = long_only_min_variance(u)
+    floor = 4 * n * EPS * float(ref.weights @ np.abs(u.cov) @ ref.weights)
+    for line, _ in _lines(u).values():
+        w = line.alpha[-1]
+        assert abs(float(w @ u.cov @ w) - ref.variance) <= GAP_RTOL * ref.variance + floor
+    assert u.long_only_mvp.weights.min() >= 0.0
+    assert u.long_only_mvp.variance == pytest.approx(ref.variance, rel=GAP_RTOL, abs=floor)
+
+
+def test_lines_on_tied_top_variances(ex3):
+    # eta_b = eta_c = 23/9 tie at the top: both lines start at their
+    # long-only minimum variance (1/2, 1/2), of risk sqrt(19/18), and stay
+    # at the top value up to sigma_hi, so the sandwich gap is 0 there
+    u = drf.validate_universe(ex3.cov)
+    start = np.sqrt(19.0 / 18.0)
+    for name, (line, mu) in _lines(u).items():
+        np.testing.assert_allclose(line.alpha[0], [0.0, 0.5, 0.5], atol=1e-15)
+        np.testing.assert_array_equal(line.beta[0], 0.0)
+        np.testing.assert_allclose(line.alpha[-1], 1.0 / 3.0, rtol=1e-15)
+        assert line.max_at(start) == line.top == mu.max()
+        assert line.max_at(1.5) == line.top
+        for tau in (1.001, 1.01, 1.02, 1.027):
+            ref = long_only_max_enum(u.cov, mu, tau)
+            assert line.max_at(tau) == pytest.approx(ref, rel=1e-12), (name, tau)
+    for sigma in (1.05, 1.2, 1.4):
+        rep = drf.sandwich_check(u, sigma, samples=10)
+        assert rep.gap == pytest.approx(0.0, abs=1e-15) and rep.holds is True
+    rep = drf.sandwich_check(u, 1.01, samples=10)
+    assert 0.0 < rep.gap <= 2.0 * rep.d_max_upper
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e-2, 4135.626917817706, 1e4, 3e7, 1e9])
+def test_sandwich_holds_at_every_variance_scale(scale):
+    # ex3's tied top variances make the exact gap 0, so its sign is the
+    # rounding of eta_top against sqrt(eta_top)^2: at 4135.6 times V it
+    # came out -1.8e-12, below an absolute tolerance of 1e-12
+    u = drf.validate_universe(V3 * scale)
+    for factor in (1.05, 1.2, 1.4):
+        rep = drf.sandwich_check(u, factor * np.sqrt(scale), samples=10)
+        assert rep.holds is True, (factor, rep.gap)
+        assert abs(rep.gap) <= 1e-12 * rep.max_avg_variance
+
+
+def test_lines_of_equal_variances_are_flat(identity3):
+    # mu proportional to ones: one segment, the equal-weight portfolio
+    for line, mu in _lines(identity3).values():
+        assert list(line.lambdas) == [np.inf, 0.0]
+        np.testing.assert_allclose(line.alpha[0], 1.0 / 3.0, rtol=1e-15)
+        assert line.k2[0] == 0.0
+        for tau in (0.5, 0.7, 1.0, 2.0):
+            assert line.max_at(tau) == 1.0
+
+
+def test_a_refreshed_line_matches_the_updated_one(monkeypatch, universe30):
+    # a residual above zero refreshes the inverse by a solve at every corner
+    # (inv calls are counted); folding corrections aside from one slot
+    # exercises the large-|F| route on a small universe
+    def line_with(**constants):
+        for name, value in constants.items():
+            monkeypatch.setattr(mdp, name, value)
+        out = mdp.critical_line(universe30.cov, universe30.variances)
+        monkeypatch.undo()
+        return out
+
+    base = line_with()
+    inv = np.linalg.inv
+    calls = []
+    monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(1) or inv(a))
+    monkeypatch.setattr(mdp, "RESIDUAL_RTOL", 0.0)
+    refreshed = mdp.critical_line(universe30.cov, universe30.variances)
+    monkeypatch.undo()
+    # a solve at the start, then one at nearly every corner
+    assert len(calls) >= len(refreshed.lambdas) // 2
+    for other in (refreshed, line_with(FOLD_FROM=1, FOLD_EVERY=3)):
+        np.testing.assert_array_equal(other.alpha != 0.0, base.alpha != 0.0)
+        np.testing.assert_allclose(other.lambdas, base.lambdas, rtol=1e-9)
+        np.testing.assert_allclose(other.alpha, base.alpha, rtol=0, atol=1e-10)
+        for tau in np.linspace(0.146, 0.42, 9):
+            assert other.max_at(tau) == pytest.approx(base.max_at(tau), rel=1e-12)
+
+
+def test_a_duplicated_asset_leaves_the_lines_unchanged(universe30):
+    # the copy is collinear with its original on budget portfolios: the
+    # Schur complement is zero and it never enters beside it
+    V = universe30.cov
+    dup = np.concatenate([np.arange(30), [7]])
+    twin = drf.validate_universe(V[np.ix_(dup, dup)])
+    for tau in np.linspace(0.146, 0.42, 9):
+        for a, b in zip(_lines(universe30).values(), _lines(twin).values()):
+            assert b[0].max_at(tau) == pytest.approx(a[0].max_at(tau), rel=1e-12)
+    w = twin.long_only_mvp.weights
+    assert w[7] + w[30] == pytest.approx(universe30.long_only_mvp.weights[7], rel=1e-10)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.integers(2, 8),
@@ -409,6 +566,9 @@ def test_long_only_min_variance_on_fixtures(ex3, universe30):
     st.floats(0.0, 1.0),
 )
 def test_sandwich_lands_every_draw_on_the_shell(n, seed, log_cond, where):
+    # the sampler that the critical line replaced lands every draw on the
+    # shell where the band meets the long-only risk range, and its maxima
+    # are at most the exact ones
     u = conditioned_universe(n, seed, log_cond)
     band = SHELL_BAND
     sigma_lo = np.sqrt(long_only_min_variance_enum(u.cov)[0])
@@ -428,7 +588,12 @@ def test_sandwich_lands_every_draw_on_the_shell(n, seed, log_cond, where):
         return
     assert rep.accepted == rep.requested == 300
     assert rep.holds is True
-    W, max_var, max_vol_sq = sandwich_bisection(u, sigma, 300, seed=seed, band=band)
+    landed, max_var, max_vol_sq = sandwich_landings(u, sigma, 300, seed=seed)
+    assert landed == 300
+    tau = min(max(sigma, rep.sigma_lo), sigma_hi)
+    assert _at_most_exact(max_var, u.eta_line, tau)
+    assert _at_most_exact(max_vol_sq, u.root_eta_line, tau, square=True)
+    W, _, _ = sandwich_bisection(u, sigma, 300, seed=seed, band=band)
     assert len(W) == 300
     assert W.min() >= 0.0
     np.testing.assert_allclose(W.sum(axis=1), 1.0, rtol=0.0, atol=8 * n * EPS)
@@ -439,17 +604,41 @@ def test_sandwich_lands_every_draw_on_the_shell(n, seed, log_cond, where):
     [("ex3", 3, 1.2), ("ex3", 3, 1.4), ("ex3", 11, 1.3), ("panel", 7, 1.05)],
 )
 def test_sandwich_maxima_match_bisection_route(ex3, universe30, name, seed, factor):
-    # the quadratic roots must land the draws where bisection on the
-    # three-operand einsum risk does; sigma is a multiple of the
-    # equal-weight risk
+    # the sampler's quadratic roots land the draws where bisection on the
+    # three-operand einsum risk does, and its maxima stay at most the exact
+    # ones; sigma is a multiple of the equal-weight risk
     u = ex3 if name == "ex3" else universe30
     w = np.full(u.n, 1.0 / u.n)
     sigma = factor * float(np.sqrt(w @ u.cov @ w))
+    landed, max_var, max_vol_sq = sandwich_landings(u, sigma, 5_000, seed=seed)
+    W, ref_var, ref_vol_sq = sandwich_bisection(u, sigma, 5_000, seed=seed)
+    assert landed == len(W) == 5_000
+    assert max_var == pytest.approx(ref_var, rel=1e-12)
+    assert max_vol_sq == pytest.approx(ref_vol_sq, rel=1e-12)
     rep = drf.sandwich_check(u, sigma, samples=5_000, seed=seed)
-    W, max_var, max_vol_sq = sandwich_bisection(u, sigma, 5_000, seed=seed)
-    assert rep.accepted == len(W) == 5_000
-    assert rep.max_avg_variance == pytest.approx(max_var, rel=1e-12)
-    assert rep.max_avg_volatility_sq == pytest.approx(max_vol_sq, rel=1e-12)
+    assert rep.accepted == 5_000
+    assert max_var <= rep.max_avg_variance * (1.0 + 1e-12)
+    assert max_vol_sq <= rep.max_avg_volatility_sq * (1.0 + 1e-12)
+
+
+def test_exact_maxima_bound_the_sampler_on_the_cli_fixtures(fixture_dir):
+    # the `mdp` command's default levels and seed, 20 000 draws
+    for name in ("example3_universe.json", "mini_prices.csv", "synthetic_panel_30.csv"):
+        path = fixture_dir / name
+        if path.suffix == ".json":
+            u = drf.validate_universe(json.loads(path.read_text())["V"])
+        else:
+            u = drf.annualize(drf.load_panel(str(path)))
+        sigma_mvp = drf.frontier_params(u).sigma_mvp
+        for factor in (1.05, 1.15, 1.3):
+            rep = drf.sandwich_check(u, factor * sigma_mvp, samples=20_000, seed=0)
+            if rep.empty:
+                continue
+            assert rep.holds is True
+            landed, max_var, max_vol_sq = sandwich_landings(u, rep.sigma, 20_000, seed=0)
+            assert landed == 20_000
+            assert max_var <= rep.max_avg_variance * (1.0 + 1e-12), (name, factor)
+            assert max_vol_sq <= rep.max_avg_volatility_sq * (1.0 + 1e-12), (name, factor)
 
 
 def test_sandwich_holds_three_asset(ex3):
@@ -480,6 +669,12 @@ def test_sandwich_empty_when_shell_unreachable(ex3):
 @pytest.mark.parametrize("samples", [0, -1])
 def test_sandwich_rejects_samples_below_one(ex3, samples):
     with pytest.raises(DimensionMismatchError):
+        drf.sandwich_check(ex3, sigma=1.2, samples=samples)
+
+
+@pytest.mark.parametrize("samples", [np.nan, np.inf, "many", None])
+def test_sandwich_rejects_samples_that_are_not_numbers(ex3, samples):
+    with pytest.raises(ParseError, match="samples"):
         drf.sandwich_check(ex3, sigma=1.2, samples=samples)
 
 

@@ -18,6 +18,7 @@ from drfrontier.errors import (
 )
 from drfrontier.model import PSD_RTOL
 
+from .conftest import R0_3, RBAR3
 from .oracles import conditioned_universe, forward_error, lu_route, random_universe, with_spectrum
 
 # Residual of a kernel image within this multiple of n eps |V| |x| (inf norms);
@@ -216,6 +217,10 @@ def test_validate_universe_rejects_non_numeric_input():
 TEXT3 = ["a", "b", "c"]
 
 
+def _cash(u):
+    return drf.validate_universe(u.cov, expected_returns=RBAR3, risk_free_rate=R0_3)
+
+
 @pytest.mark.parametrize(
     "call, error",
     [
@@ -239,6 +244,10 @@ TEXT3 = ["a", "b", "c"]
         (lambda u: drf.efficient_dr_portfolio(u, drf.frontier_params(u), np.inf), ParseError),
         (lambda u: drf.mdp_at_sigma(u, np.nan), ParseError),
         (lambda u: drf.max_linear_over_ellipsoid(u, [1.0, 2.0, 3.0], -np.inf), ParseError),
+        (lambda u: drf.q_cml_at(_cash(u), np.nan), ParseError),
+        (lambda u: drf.q_dr_riskfree_at(_cash(u), np.inf), ParseError),
+        (lambda u: drf.cml_curve(_cash(u)).risky_weights(np.nan), ParseError),
+        (lambda u: drf.riskfree_dr_curve(_cash(u)).value(np.array([0.5, -np.inf])), ParseError),
     ],
     ids=[
         "assert_edm-empty", "d_max_bounds-empty", "assert_edm-text",
@@ -247,7 +256,8 @@ TEXT3 = ["a", "b", "c"]
         "max_linear_over_ellipsoid", "sweep", "sweep-scalar", "sweep-2d",
         "sweep-nan", "sweep-inf", "sweep-minus-inf", "q_dr_at-nan",
         "efficient_dr_portfolio-inf", "mdp_at_sigma-nan",
-        "max_linear_over_ellipsoid-minus-inf",
+        "max_linear_over_ellipsoid-minus-inf", "q_cml_at-nan",
+        "q_dr_riskfree_at-inf", "risky_weights-nan", "cash-value-minus-inf",
     ],
 )
 def test_library_entry_points_type_empty_and_non_numeric_arrays(ex3, call, error):
