@@ -19,7 +19,7 @@ import numpy as np
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 import drfrontier as drf
-from drfrontier import frontiers, mdp
+from drfrontier import frontiers
 
 OUT = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -109,7 +109,7 @@ def audit(path: str) -> None:
     dr_curve = frontiers.sweep(universe, frontiers.FrontierKind.EFFICIENT_DR, grid)
     ef_curve = frontiers.sweep(universe, frontiers.FrontierKind.MV_EFFICIENT_DR, grid)
     md_curve = frontiers.sweep(universe, frontiers.FrontierKind.MDP_AT_SIGMA, grid)
-    d_upper = 0.5 * float(mdp.build_d_eta(universe).max())
+    d_max = drf.analyze_mdp(universe).d_max
 
     q_dr = np.array([r.q for r in dr_curve.rows])
     q_ef = np.array([r.q for r in ef_curve.rows])
@@ -123,14 +123,14 @@ def audit(path: str) -> None:
     print(f"eta_wo           {fp.eta_wo:.6f}  shape {fp.ef_shape.value}")
     print(f"q_ef at grid end {q_ef[-1]:.6f}  (< 0 required)")
     print(f"min q_ef         {q_ef.min():.6f}")
-    print(f"max |q_dr-q_mdp| {track:.6f}  vs 2*d_max_upper {2 * d_upper:.6f}")
+    print(f"max |q_dr-q_mdp| {track:.6f}  vs 2*d_max {2 * d_max:.6f}")
     print(f"sigma_mvp        {fp.sigma_mvp:.4f}  sigma_mdrp {fp.sigma_mdrp:.4f}")
     ok = (
         abs(delta - 0.003952) / 0.003952 <= 0.05
         and universe.nonsingular
         and fp.q_mvp > 0
         and q_ef[-1] < 0
-        and track <= 2 * d_upper
+        and track <= 2 * d_max
     )
     print("fixture audit:", "OK" if ok else "NEEDS TUNING")
 

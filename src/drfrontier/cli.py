@@ -15,8 +15,8 @@ with status 2 and a single machine-readable JSON object on stderr.  Each
 run validates its universe once.  Each handler returns its artifacts, a
 dict from file name to text or to a JSON-able object, and ``main`` writes
 them only once the handler has returned: a run that exits 2 writes no
-files.  For equal inputs, flags and seed, every output file is byte
-identical; floats are serialized with 12 significant digits.
+files.  For equal inputs and flags, every output file is byte identical;
+floats are serialized with 12 significant digits.
 
 Importing this module loads only the standard library and ``errors``; each
 handler imports the modules it runs, so ``ingest-check`` never loads numpy.
@@ -310,20 +310,15 @@ def cmd_mdp(args) -> dict:
     analysis = mdp.analyze_mdp(universe)
     params = frontiers.frontier_params(universe)
     sigmas = args.sigma or [params.sigma_mvp * f for f in (1.05, 1.15, 1.3)]
-    reports = [
-        mdp.sandwich_check(universe, s, samples=args.samples, seed=args.seed)
-        for s in sigmas
-    ]
+    reports = [mdp.sandwich_check(universe, s, samples=args.samples) for s in sigmas]
     payload = {
         "weights": analysis.portfolio.weights,
         "ratio": analysis.ratio,
         "variance": analysis.portfolio.variance,
         "q": analysis.portfolio.dr,
-        "d_max_lower": analysis.d_max_lower,
-        "d_max_upper": analysis.d_max_upper,
-        "starts_used": analysis.starts_used,
-        "converged": analysis.converged,
-        "seed": args.seed,
+        # one closed form under both keys, which readers of the bracket still read
+        "d_max_lower": analysis.d_max,
+        "d_max_upper": analysis.d_max,
         "sandwich": [dataclasses.asdict(r) for r in reports],
     }
     files["mdp.json"] = payload
@@ -382,7 +377,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument("--riskfree", type=float, default=None, help="risk-free rate override")
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--seed", type=int, default=0, help="seed for stochastic pieces")
+    p.add_argument("--seed", type=int, default=0, help="changes nothing: runs are deterministic")
     p.add_argument(
         "--require-returns",
         action="store_true",
@@ -432,7 +427,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         help="risk level for the sandwich check (repeatable)",
     )
-    p.add_argument("--samples", type=int, default=20_000)
+    p.add_argument(
+        "--samples", type=int, default=20_000, help="only echoed, as each report's requested"
+    )
     p.set_defaults(handler=cmd_mdp)
 
     p = sub.add_parser("embed", help="asset coordinates and embedding summary")

@@ -55,11 +55,13 @@ MAX_ITER = 10_000
 GAP_RTOL = 1e-12
 # a sandwich level is empty this fraction of sigma outside the long-only risks
 SHELL_BAND = 0.01
+# a w_lo whose certificate gap exceeds this times max eta is refused
+MVP_GAP_RTOL = 1e-10
 # a critical line solves for its KKT inverse again when a residual exceeds
 # this times the residual's scale
 RESIDUAL_RTOL = 1e-10
-# it does not border an asset whose Schur complement is below this times the
-# size of its terms (the asset is collinear with the free set)
+# it does not border an asset whose Schur complement is below this times
+# max |V| (1 + |c|_1)^2, the rounding scale of the complement (see _walk)
 SCHUR_RTOL = 1e-13
 # an asset that changed at a corner changes back only below (1 - TIE_RTOL)
 # times that corner's lambda
@@ -90,19 +92,12 @@ class DmaxBounds:
 
 @dataclass(frozen=True)
 class MdpAnalysis:
-    """Ratio-optimal portfolio plus the exact d_max of its universe's D_eta.
-
-    d_max_lower and d_max_upper both hold the closed form; starts_used is 1
-    and converged is True.
-    """
+    """Ratio-optimal portfolio plus d_max of its universe's D_eta, the closed
+    form (sqrt(eta_max) - sqrt(eta_min))^2 / 8."""
 
     portfolio: Portfolio
     ratio: float
-    d_eta: np.ndarray
-    d_max_lower: float
-    d_max_upper: float
-    starts_used: int
-    converged: bool
+    d_max: float
 
 
 @dataclass(frozen=True)
@@ -327,17 +322,13 @@ def _d_max_of_d_eta(universe: AssetUniverse) -> float:
 
 
 def analyze_mdp(universe: AssetUniverse) -> MdpAnalysis:
-    """Bundle the ratio-optimal portfolio with the exact d_max of its universe."""
+    """The ratio-maximizing portfolio (:func:`mdp_global`), its ratio and the
+    closed-form d_max of the universe; builds no D_eta."""
     portfolio = mdp_global(universe)
-    d_max = _d_max_of_d_eta(universe)
     return MdpAnalysis(
         portfolio=portfolio,
         ratio=diversification_ratio(universe, portfolio.weights),
-        d_eta=build_d_eta(universe),
-        d_max_lower=d_max,
-        d_max_upper=d_max,
-        starts_used=1,
-        converged=True,
+        d_max=_d_max_of_d_eta(universe),
     )
 
 
@@ -357,6 +348,13 @@ def _walk(V, mu, free):
     FOLD_FROM slots the corrections wait aside and are folded in FOLD_EVERY
     at a time, so a corner costs O(n |F|).  M is solved for at the start and
     when a KKT residual fails; one refinement step polishes the last corner.
+
+    s is the variance of e_j - c, c = (M u)[1:] the budget mix of F that
+    matches j's covariances.  Below its rounding scale j is collinear with
+    F (a singular V): its slack is then lambda (mu_j - c' mu_F) exactly,
+    nonpositive at the corner where F came to span j, so it never enters.
+    A singular KKT matrix, a nonpositive pivot M_qq or MAX_ITER corners
+    raise SingularCovarianceError.
     """
     n, f, k = len(mu), 0, 0
     M, Y, R = np.zeros((n + 1, n + 1)), np.zeros((n + 1, 2)), np.zeros((n + 1, 2))
@@ -369,7 +367,10 @@ def _walk(V, mu, free):
         f, k, aside[:] = len(free), 0, 0.0
         K = np.ones((f + 1, f + 1))
         K[0, 0], K[1:, 1:] = 0.0, V[np.ix_(free, free)]
-        M[: f + 1, : f + 1] = np.linalg.inv(K)
+        try:
+            M[: f + 1, : f + 1] = np.linalg.inv(K)
+        except np.linalg.LinAlgError:
+            raise SingularCovarianceError("critical line: singular KKT matrix") from None
         F[:f], rows[:f], R[1 : f + 1, 1] = free, V[free], mu[free]
         Y[: f + 1] = M[: f + 1, : f + 1] @ R[: f + 1]
 
@@ -417,15 +418,19 @@ def _walk(V, mu, free):
             cand[last] = -np.inf
         while True:
             j = int(np.argmax(cand))
-            if not cand[j] > 0.0 or len(segments) >= MAX_ITER:
+            if not cand[j] > 0.0:
                 d = times(np.append(W[:, 0].sum() - 1.0, A[free, 0]))
                 alpha[free] -= d[1:]
                 segments[-1][2:4] = d[0] - Y[0, 0], mu[free] @ alpha[free]
                 return lambdas + [0.0], segments, free.copy()
+            if len(segments) >= MAX_ITER:
+                raise SingularCovarianceError(f"critical line: no end after {MAX_ITER} corners")
             held = np.flatnonzero(free == j)
             if held.size:
                 i = int(held[0])
                 c = times(np.eye(1, f + 1, i + 1)[0])
+                if not c[i + 1] > 0.0:
+                    raise SingularCovarianceError("critical line: nonpositive pivot")
                 correct(c, -1.0 / c[i + 1])
                 for a in (M, aside, Y, R):
                     a[i + 1] = a[f]
@@ -437,7 +442,7 @@ def _walk(V, mu, free):
             u = np.append(1.0, rows[:f, j])
             Mu = times(u)
             s = V[j, j] - u @ Mu
-            if s > SCHUR_RTOL * (abs(V[j, j]) + np.abs(u) @ np.abs(Mu)):
+            if s > SCHUR_RTOL * vmax * (1.0 + np.abs(Mu[1:]).sum()) ** 2:
                 rows[f], F[f], R[f + 1, 1] = V[j], j, mu[j]
                 f += 1
                 correct(np.append(Mu, -1.0), 1.0 / s)

@@ -131,14 +131,20 @@ class AssetUniverse:
     @functools.cached_property
     def long_only_mvp(self):
         """The long-only minimum-variance portfolio with its certificate
-        (:class:`~drfrontier.mdp.LongOnlyMvp`), the last corner of eta_line."""
-        from .mdp import LongOnlyMvp
+        (:class:`~drfrontier.mdp.LongOnlyMvp`), the last corner of eta_line.
+        A certificate gap above MVP_GAP_RTOL * max eta raises
+        SingularCovarianceError."""
+        from .mdp import MVP_GAP_RTOL, LongOnlyMvp
 
         w = np.clip(self.eta_line.alpha[-1], 0.0, None)
         w /= w.sum()
         g = self.cov @ w
-        variance = float(w @ g)
-        return LongOnlyMvp(w, variance, max(2.0 * float(g.min()) - variance, 0.0))
+        # a riskless mix of a singular V can round below zero, as in Portfolio.sigma
+        variance = max(float(w @ g), 0.0)
+        lower = max(2.0 * float(g.min()) - variance, 0.0)
+        if variance - lower > MVP_GAP_RTOL * float(self.variances.max()):
+            raise SingularCovarianceError(f"w_lo variance {variance:.3e} certified to {lower:.3e}")
+        return LongOnlyMvp(w, variance, lower)
 
     @functools.cached_property
     def eta_line(self):

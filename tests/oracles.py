@@ -214,13 +214,13 @@ def exact_d_max(D):
 
 
 def _support_minimum(V, support):
-    """Weights on `support` minimizing w' V w subject to 1' w = 1:
-    V_S^-1 1 normalized; None when the solve fails."""
-    try:
-        y = np.linalg.solve(V[np.ix_(support, support)], np.ones(len(support)))
-    except np.linalg.LinAlgError:
-        return None
-    z = y / y.sum()
+    """Weights on `support` minimizing w' V w subject to 1' w = 1: the
+    least-squares solution of the KKT system [[V_S, 1], [1', 0]], which is
+    consistent, and exact, also where V_S is singular; None when not finite."""
+    k = len(support)
+    K = np.ones((k + 1, k + 1))
+    K[:k, :k], K[k, k] = V[np.ix_(support, support)], 0.0
+    z = np.linalg.lstsq(K, np.eye(k + 1)[k], rcond=None)[0][:k]
     return z if np.all(np.isfinite(z)) else None
 
 

@@ -477,9 +477,9 @@ def test_mdp_command(fixture_dir, tmp_path):
     assert rc == 0
     data = _read_json(tmp_path / "mdp.json")
     assert data["d_max_upper"] == pytest.approx((17.0 - np.sqrt(253.0)) / 36.0, rel=1e-9)
-    assert data["d_max_lower"] == pytest.approx((17.0 - np.sqrt(253.0)) / 36.0, rel=1e-9)
-    assert data["converged"] is True
-    assert data["seed"] == 0
+    assert data["d_max_lower"] == data["d_max_upper"]
+    # the multistart era's cells are gone: d_max is a closed form, and no seed is used
+    assert not {"starts_used", "converged", "seed"} & data.keys()
     assert len(data["sandwich"]) == 2
     for rep in data["sandwich"]:
         assert rep["holds"] is True

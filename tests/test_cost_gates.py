@@ -67,6 +67,7 @@ def calls(monkeypatch):
     counting(mdp, "critical_line")
     counting(mdp, "assert_edm")
     counting(mdp, "d_max_bounds")
+    counting(mdp, "build_d_eta")
     return counts
 
 
@@ -308,15 +309,15 @@ def test_d_max_of_d_eta_is_its_start(ex3, universe30):
 
 
 def test_mdp_analysis_reads_d_max_in_closed_form(calls, ex3, universe30):
-    # d_max of D_eta needs neither the EDM certificate nor an ascent
+    # d_max of D_eta needs neither D_eta, nor the EDM certificate, nor an ascent
     for u in (ex3, universe30):
         drf.analyze_mdp(u)
         sigma = 2.0 * float(np.sqrt(u.cov.max()))
         drf.sandwich_check(u, sigma, samples=10)
-    assert calls["assert_edm"] == calls["d_max_bounds"] == 0
-    # the counters see the general bracket, which certifies its input
-    mdp.d_max_bounds(drf.build_d_eta(ex3))
-    assert calls["assert_edm"] == calls["d_max_bounds"] == 1
+    assert calls["build_d_eta"] == calls["assert_edm"] == calls["d_max_bounds"] == 0
+    # the counters see D_eta and the general bracket, which certifies its input
+    mdp.d_max_bounds(mdp.build_d_eta(ex3))
+    assert calls["build_d_eta"] == calls["assert_edm"] == calls["d_max_bounds"] == 1
 
 
 @pytest.fixture

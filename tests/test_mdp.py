@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -14,10 +15,11 @@ from drfrontier.errors import (
     NotPSDError,
     NotSPDError,
     ParseError,
+    SingularCovarianceError,
     ZeroVarianceError,
 )
 from drfrontier import mdp
-from drfrontier.mdp import GAP_RTOL, SHELL_BAND, _d_max_of_d_eta
+from drfrontier.mdp import GAP_RTOL, MVP_GAP_RTOL, SHELL_BAND, _d_max_of_d_eta
 
 from .conftest import V3
 from .oracles import (
@@ -318,9 +320,7 @@ def test_d_max_of_d_eta_closed_form_matches_the_ascent(ex3, universe30):
         b = drf.d_max_bounds(drf.build_d_eta(u))
         assert d_max == pytest.approx(b.lower, rel=1e-12)
         assert d_max == pytest.approx(b.upper, rel=1e-12)
-        a = drf.analyze_mdp(u)
-        assert a.d_max_lower == a.d_max_upper == d_max
-        assert a.starts_used == 1 and a.converged
+        assert drf.analyze_mdp(u).d_max == d_max
 
 
 def _edm(points):
@@ -374,10 +374,7 @@ def test_analyze_mdp_bundle(ex3):
     assert a.ratio == pytest.approx(
         drf.diversification_ratio(ex3, a.portfolio.weights), rel=1e-12
     )
-    assert a.d_max_lower <= a.d_max_upper + 1e-12
-    assert a.d_max_lower == pytest.approx((17.0 - np.sqrt(253.0)) / 36.0, rel=1e-9)
-    assert a.converged
-    np.testing.assert_allclose(a.d_eta, drf.build_d_eta(ex3), atol=0.0)
+    assert a.d_max == pytest.approx((17.0 - np.sqrt(253.0)) / 36.0, rel=1e-9)
 
 
 @settings(max_examples=60, deadline=None)
@@ -556,6 +553,82 @@ def test_a_duplicated_asset_leaves_the_lines_unchanged(universe30):
             assert b[0].max_at(tau) == pytest.approx(a[0].max_at(tau), rel=1e-12)
     w = twin.long_only_mvp.weights
     assert w[7] + w[30] == pytest.approx(universe30.long_only_mvp.weights[7], rel=1e-10)
+
+
+def _singular_cov(kind, seed):
+    """A singular covariance: integer loadings on fewer factors than assets,
+    copies of assets, or a sample covariance of fewer periods than assets."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 31))
+    if kind == "integer":
+        B = rng.integers(-2, 3, size=(n, int(rng.integers(1, min(5, n))))).astype(float)
+        return B @ B.T
+    if kind == "copies":
+        B = rng.normal(size=(n, n))
+        keep = np.concatenate([np.arange(n), rng.integers(0, n, size=int(rng.integers(1, 4)))])
+        return (B @ B.T)[np.ix_(keep, keep)]
+    X = rng.normal(size=(int(rng.integers(2, n)), n)) * rng.uniform(0.1, 0.5, n)
+    return np.cov(X, rowvar=False)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(["integer", "copies", "sample"]), st.integers(0, 10**6))
+def test_singular_universes_end_at_w_lo_or_in_a_typed_error(kind, seed):
+    u = drf.validate_universe(_singular_cov(kind, seed))
+    scale = float(u.variances.max())
+    try:
+        lo = u.long_only_mvp
+        reps = [drf.sandwich_check(u, f * np.sqrt(scale)) for f in (0.3, 0.7, 1.0)]
+    except DrFrontierError:
+        return
+    ref = long_only_min_variance(u)
+    tol = MVP_GAP_RTOL * scale
+    assert abs(lo.variance - ref.variance) <= tol
+    for rep in reps:
+        assert np.isfinite(rep.sigma_lo) and rep.holds is not False
+
+
+@pytest.mark.parametrize("seed", [60, 269, 348])
+def test_collinear_assets_of_integer_loadings(seed):
+    # rank 3, and a riskless long-only mix exists; a collinear asset's Schur
+    # complement is rounding even where its own variance is zero
+    B = np.random.default_rng(seed).integers(-2, 3, size=(30, 3)).astype(float)
+    u = drf.validate_universe(B @ B.T)
+    assert u.long_only_mvp.variance <= MVP_GAP_RTOL * u.variances.max()
+    rep = drf.sandwich_check(u, 0.5)
+    assert np.isfinite(rep.sigma_lo) and rep.holds is not False
+
+
+def test_sigma_lo_of_a_riskless_long_only_mix_is_finite():
+    # rank 2: w' V w of the riskless mix rounds to about -1e-16
+    B = np.random.default_rng(0).normal(size=(10, 2))
+    rep = drf.sandwich_check(drf.validate_universe(B @ B.T), 0.5)
+    assert 0.0 <= rep.sigma_lo <= 1e-6 * rep.sigma_hi
+
+
+def test_a_singular_kkt_matrix_is_a_typed_error(universe30):
+    # an asset and its copy as the starting free set
+    dup = np.concatenate([np.arange(30), [7]])
+    V = universe30.cov[np.ix_(dup, dup)]
+    with pytest.raises(SingularCovarianceError, match="singular KKT"):
+        mdp._walk(V, np.diag(V) - np.diag(V).max(), [7, 30])
+
+
+def test_a_line_past_the_corner_cap_is_a_typed_error(monkeypatch, universe30):
+    monkeypatch.setattr(mdp, "MAX_ITER", 3)
+    with pytest.raises(SingularCovarianceError, match="corners"):
+        mdp.critical_line(universe30.cov, universe30.variances)
+
+
+def test_an_uncertified_w_lo_is_a_typed_error(universe30):
+    # the most volatile asset alone as the last corner fails the certificate
+    u = drf.validate_universe(universe30.cov)
+    line = u.eta_line
+    alpha = line.alpha.copy()
+    alpha[-1] = np.eye(u.n)[int(np.argmax(u.variances))]
+    u.__dict__["eta_line"] = dataclasses.replace(line, alpha=alpha)
+    with pytest.raises(SingularCovarianceError, match="certified to"):
+        u.long_only_mvp
 
 
 @settings(max_examples=40, deadline=None)
