@@ -34,7 +34,7 @@ from .errors import (
     ParseError,
     RiskBelowMvpError,
 )
-from .model import AssetUniverse, Portfolio, _float_array, proportional_to_ones
+from .model import AssetUniverse, Portfolio, _finite_float, _float_array, proportional_to_ones
 from .portfolios import tangent_portfolio
 
 # sigma^2 below (1 - RISK_SNAP_RTOL) sigma_mvp^2 is an error; closer misses snap up.
@@ -163,9 +163,7 @@ def _excess_risk(sigma2_mvp: float, sigmas: np.ndarray):
 def _excess_risk_at(sigma2_mvp: float, sigma: float) -> float:
     """Scalar u of :func:`_excess_risk`; a sigma below sigma_mvp, or negative,
     raises RiskBelowMvpError, and one that is not a finite number ParseError."""
-    sigma = float(sigma)
-    if not np.isfinite(sigma):
-        raise ParseError(f"sigma {sigma!r} is not a finite number")
+    sigma = _finite_float(sigma, "sigma")
     u, below = _excess_risk(sigma2_mvp, np.array([sigma]))
     if below[0]:
         raise RiskBelowMvpError(
@@ -294,11 +292,12 @@ class CashDrCurve:
     def value(self, sigma):
         """q at risk sigma, a float or an array; a negative sigma raises
         RiskBelowMvpError and one that is not a finite number ParseError."""
-        if not np.all(np.isfinite(sigma)):
+        s = _float_array(sigma, "sigma")
+        if not np.all(np.isfinite(s)):
             raise ParseError(f"sigma {sigma!r} is not a finite number")
-        if np.any(np.less(sigma, 0.0)):
+        if np.any(s < 0.0):
             raise RiskBelowMvpError("sigma must be nonnegative")
-        return -0.5 * sigma * sigma + 0.5 * self.gain * sigma
+        return -0.5 * s * s + 0.5 * self.gain * s
 
     def mix(self, sigma):
         """Fraction of wealth in risky assets at risk sigma, sigma * 1' x."""
@@ -306,6 +305,7 @@ class CashDrCurve:
 
     def risky_weights(self, sigma: float):
         """Risky sleeve and cash weight at risk sigma, checked by :meth:`value`."""
+        sigma = _finite_float(sigma, "sigma")
         self.value(sigma)
         return sigma * self.direction, 1.0 - self.mix(sigma)
 
@@ -318,7 +318,7 @@ def cml_curve(universe: AssetUniverse) -> CashDrCurve:
 
 
 def q_cml_at(universe: AssetUniverse, sigma: float) -> float:
-    return cml_curve(universe).value(sigma)
+    return cml_curve(universe).value(_finite_float(sigma, "sigma"))
 
 
 def riskfree_dr_curve(universe: AssetUniverse) -> CashDrCurve:
@@ -331,7 +331,7 @@ def riskfree_dr_curve(universe: AssetUniverse) -> CashDrCurve:
 
 
 def q_dr_riskfree_at(universe: AssetUniverse, sigma: float) -> float:
-    return riskfree_dr_curve(universe).value(sigma)
+    return riskfree_dr_curve(universe).value(_finite_float(sigma, "sigma"))
 
 
 # ---------------------------------------------------------------------------

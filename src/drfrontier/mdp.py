@@ -48,7 +48,7 @@ from .errors import (
     ZeroVarianceError,
 )
 from .frontiers import KktSolution, max_linear_over_ellipsoid
-from .model import AssetUniverse, Portfolio, _float_array, portfolio_stats
+from .model import AssetUniverse, Portfolio, _finite_float, _float_array, portfolio_stats
 
 MAX_ITER = 10_000
 # Frank-Wolfe ascent stops when its duality gap is below this times max D
@@ -337,17 +337,22 @@ def _walk(V, mu, free):
     where the free set is `free`, down to lambda = 0.
 
     M inverts F's KKT matrix [[0, 1'], [1, V_F]] (slot 0 the budget, slot
-    i + 1 the i-th free asset) and Y = M [e_0, (0, mu_F)], so on a segment
-    (gamma, w_F) = Y[:, 0] + lambda Y[:, 1].  Asset j outside F stays out
-    while its slack lambda (mu_j - a_j) - b_j, (b, a) = [1, V_jF] Y, is
-    nonpositive, and a free asset while its weight is nonnegative; the next
-    corner is the largest lambda below this one where either changes sign.
+    i + 1 the i-th free asset, and slot[j] = i, or -1 for j outside F) and
+    Y = M [e_0, (0, mu_F)], so on a segment (gamma, w_F) = Y[:, 0] +
+    lambda Y[:, 1].  Asset j outside F stays out while its slack
+    lambda (mu_j - a_j) - b_j, (b, a) = [1, V_jF] Y, is nonpositive, and a
+    free asset stays in while its weight is nonnegative.  Both conditions
+    read lambda slope_j - level_j <= 0, with level_F = Y[1:, 0] and
+    slope_F = -Y[1:, 1] for the weights, so one rule gives the next corner:
+    the largest lambda = level_j / slope_j below this one over the j where
+    both are negative.
     There j enters by bordering, M += (M u - e) (M u - e)' / s with
     u = [1, V_Fj], e its new slot and s = V_jj - u' M u, or the asset in slot
     q leaves by M -= M e_q e_q' M / M_qq and the last slot moves into q.  From
     FOLD_FROM slots the corrections wait aside and are folded in FOLD_EVERY
     at a time, so a corner costs O(n |F|).  M is solved for at the start and
     when a KKT residual fails; one refinement step polishes the last corner.
+    Each segment is returned as (F, [w_F(0), dw_F/dlambda], var0, mean, k2).
 
     s is the variance of e_j - c, c = (M u)[1:] the budget mix of F that
     matches j's covariances.  Below its rounding scale j is collinear with
@@ -360,6 +365,8 @@ def _walk(V, mu, free):
     M, Y, R = np.zeros((n + 1, n + 1)), np.zeros((n + 1, 2)), np.zeros((n + 1, 2))
     aside, weights = np.zeros((n + 1, FOLD_EVERY)), np.zeros(FOLD_EVERY)
     rows, F = np.empty((n, n)), np.zeros(n, dtype=int)  # rows[i] = V[F[i]]
+    # u holds the border [1, V_Fj] (u[0] stays 1) and col the product M x
+    slot, u, col = np.full(n, -1), np.ones(n + 1), np.zeros(n + 1)
     R[0, 0] = 1.0
 
     def solve(free):
@@ -372,80 +379,90 @@ def _walk(V, mu, free):
         except np.linalg.LinAlgError:
             raise SingularCovarianceError("critical line: singular KKT matrix") from None
         F[:f], rows[:f], R[1 : f + 1, 1] = free, V[free], mu[free]
+        slot[F[:f]] = np.arange(f)
         Y[: f + 1] = M[: f + 1, : f + 1] @ R[: f + 1]
 
-    def times(x):
-        A = aside[: f + 1, :k]
-        return M[: f + 1, : f + 1] @ x + (A * weights[:k]) @ (A.T @ x)
+    def times(x):  # M x into col; an int x is the unit vector of that slot
+        unit = isinstance(x, int)
+        if unit:
+            col[: f + 1] = M[: f + 1, x]
+        else:
+            np.matmul(M[: f + 1, : f + 1], x, out=col[: f + 1])
+        if k:
+            A = aside[: f + 1, :k]
+            col[: f + 1] += (A * weights[:k]) @ (A[x] if unit else A.T @ x)
+        return col[: f + 1]
 
     def correct(c, weight):  # M += weight c c', and Y with it
         nonlocal k
-        Y[: f + 1] += np.outer(c, weight * (c @ R[: f + 1]))
+        Y_F, M_F = Y[: f + 1], M[: f + 1, : f + 1]  # views, updated in place
+        Y_F += c[:, None] * (weight * (c @ R[: f + 1]))
         if f + 1 < FOLD_FROM:
-            M[: f + 1, : f + 1] += np.outer(weight * c, c)
+            M_F += (weight * c)[:, None] * c
             return
         if k == FOLD_EVERY:
-            M[: f + 1, : f + 1] += (aside[: f + 1] * weights) @ aside[: f + 1].T
+            M_F += (aside[: f + 1] * weights) @ aside[: f + 1].T
             aside[: f + 1], k = 0.0, 0
         aside[: f + 1, k], weights[k], k = c, weight, k + 1
 
     solve(free)
     vmax = float(np.abs(V).max())
-    lam, last, refreshed = np.inf, -1, False
+    lam, last, refreshed, cand = np.inf, -1, False, np.empty(n)
     lambdas, segments = [np.inf], []
     while True:
         free, W = F[:f], Y[1 : f + 1]
         A = rows[:f].T @ W + Y[0]
         # the KKT rows of F and the budget row, against their terms' size
-        residual = np.abs(A[free] - R[1 : f + 1]).max(axis=0) + np.abs(W.sum(axis=0) - R[0])
-        size = vmax * np.abs(W).sum(axis=0) + np.abs(Y[0]) + np.abs(R[1 : f + 1]).max(axis=0)
-        if not refreshed and (residual > RESIDUAL_RTOL * size).any():
+        E, mu_F = A[free] - R[1 : f + 1], mu[free]
+        residual = np.abs(E).max(axis=0) + np.abs(W.sum(axis=0) - R[0])
+        size = vmax * np.abs(W).sum(axis=0) + np.abs(Y[0])
+        size[1] -= mu_F.min()  # max |R_F| = (0, -min mu_F), as mu <= 0
+        if not refreshed and any(residual > RESIDUAL_RTOL * size):
             solve(free)
             refreshed = True
             continue
         refreshed = False
-        alpha, beta = np.zeros((2, n))
-        alpha[free], beta[free] = W.T
-        gain = mu[free] @ W
-        segments.append([alpha, beta, -Y[0, 0], gain[0], max(gain[1], 0.0)])
+        gain = mu_F @ W
+        segments.append([free.copy(), W.copy(), -Y[0, 0], gain[0], max(gain[1], 0.0)])
         slope, level = mu - A[:, 1], A[:, 0]
-        rise = (slope < 0.0) & (level < 0.0)
-        cand = np.where(rise, level / np.where(rise, slope, -1.0), -np.inf)
-        fall = (W[:, 1] > 0.0) & (W[:, 0] < 0.0)
-        cand[free] = np.where(fall, -W[:, 0] / np.where(fall, W[:, 1], 1.0), -np.inf)
+        level[free], slope[free] = W[:, 0], -W[:, 1]
+        cand.fill(-np.inf)
+        np.divide(level, slope, out=cand, where=np.maximum(slope, level) < 0.0)
         # the asset that changed at this corner does not change back at it
         if last >= 0 and cand[last] >= lam * (1.0 - TIE_RTOL):
             cand[last] = -np.inf
         while True:
-            j = int(np.argmax(cand))
+            j = int(cand.argmax())
             if not cand[j] > 0.0:
-                d = times(np.append(W[:, 0].sum() - 1.0, A[free, 0]))
-                alpha[free] -= d[1:]
-                segments[-1][2:4] = d[0] - Y[0, 0], mu[free] @ alpha[free]
+                # E[:, 0] is A[free, 0] (R[:, 0] = e_0), which level overwrote
+                u[0], u[1 : f + 1] = W[:, 0].sum() - 1.0, E[:, 0]
+                d = times(u[: f + 1])
+                segments[-1][1][:, 0] = w = W[:, 0] - d[1:]
+                segments[-1][2:4] = d[0] - Y[0, 0], mu_F @ w
                 return lambdas + [0.0], segments, free.copy()
             if len(segments) >= MAX_ITER:
                 raise SingularCovarianceError(f"critical line: no end after {MAX_ITER} corners")
-            held = np.flatnonzero(free == j)
-            if held.size:
-                i = int(held[0])
-                c = times(np.eye(1, f + 1, i + 1)[0])
+            i = int(slot[j])
+            if i >= 0:
+                c = times(i + 1)
                 if not c[i + 1] > 0.0:
                     raise SingularCovarianceError("critical line: nonpositive pivot")
                 correct(c, -1.0 / c[i + 1])
                 for a in (M, aside, Y, R):
                     a[i + 1] = a[f]
                 M[:, i + 1], rows[i], F[i] = M[:, f], rows[f - 1], F[f - 1]
+                slot[F[i]], slot[j] = i, -1
                 for a in (M, M.T, aside, Y, R):
                     a[f] = 0.0
                 f -= 1
                 break
-            u = np.append(1.0, rows[:f, j])
-            Mu = times(u)
-            s = V[j, j] - u @ Mu
+            u[1 : f + 1] = rows[:f, j]
+            Mu = times(u[: f + 1])
+            s = V[j, j] - u[: f + 1] @ Mu
             if s > SCHUR_RTOL * vmax * (1.0 + np.abs(Mu[1:]).sum()) ** 2:
-                rows[f], F[f], R[f + 1, 1] = V[j], j, mu[j]
+                rows[f], F[f], R[f + 1, 1], col[f + 1], slot[j] = V[j], j, mu[j], -1.0, f
                 f += 1
-                correct(np.append(Mu, -1.0), 1.0 / s)
+                correct(col[: f + 1], 1.0 / s)
                 break
             cand[j] = -np.inf  # collinear with F on budget portfolios
         lam, last = min(float(cand[j]), lam), j
@@ -469,8 +486,12 @@ def critical_line(V, mu) -> CriticalLine:
         single = np.where(top == free[0], 0.0, -1.0)
         free = top[_walk(V[np.ix_(top, top)], single, [int(np.argmax(single))])[2]]
     lambdas, segments, _ = _walk(V, mu - mu.max(), free)
-    alpha, beta, var0, mean, k2 = (np.array(x) for x in zip(*segments))
-    return CriticalLine(float(mu.max()), np.array(lambdas), alpha, beta, var0, mean, k2)
+    held, pairs, var0, mean, k2 = zip(*segments)
+    # each segment's free weights into its row of alpha and beta at once
+    ab = np.zeros((2, len(held), len(mu)))
+    at = np.repeat(np.arange(len(held)), [len(x) for x in held])
+    ab[:, at, np.concatenate(held)] = np.concatenate(pairs).T
+    return CriticalLine(float(mu.max()), np.array(lambdas), *ab, *map(np.array, (var0, mean, k2)))
 
 
 def sandwich_check(
@@ -488,8 +509,7 @@ def sandwich_check(
     ParseError and below 1 DimensionMismatchError, and a sigma that is not
     a finite number raises ParseError.
     """
-    if not np.isfinite(sigma):
-        raise ParseError(f"sigma {sigma!r} is not a finite number")
+    sigma = _finite_float(sigma, "sigma")
     try:
         requested = int(samples)
     except (TypeError, ValueError, OverflowError):
@@ -510,7 +530,7 @@ def sandwich_check(
     # volatile assets tie
     slack = 1e-12 * max(1.0, max_var)
     return SandwichReport(
-        sigma=float(sigma),
+        sigma=sigma,
         sigma_lo=sigma_lo,
         sigma_hi=sigma_hi,
         requested=requested,

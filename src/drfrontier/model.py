@@ -71,6 +71,17 @@ def _float_array(values, what: str) -> np.ndarray:
         raise ParseError(f"{what} is not a numeric array") from None
 
 
+def _finite_float(value, what: str) -> float:
+    """float(value); a value that is not a finite number raises ParseError."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        x = math.nan
+    if not math.isfinite(x):
+        raise ParseError(f"{what} {value!r} is not a finite number")
+    return x
+
+
 def proportional_to_ones(vec: np.ndarray) -> bool:
     """True when vec is (numerically) a multiple of the ones vector."""
     v = np.asarray(vec, dtype=float)
@@ -109,14 +120,7 @@ class AssetUniverse:
     def __post_init__(self):
         if self.risk_free_rate is None:
             return
-        try:
-            r0 = float(self.risk_free_rate)
-        except (TypeError, ValueError):
-            r0 = math.nan
-        if not math.isfinite(r0):
-            raise ParseError(
-                f"risk-free rate {self.risk_free_rate!r} is not a finite number"
-            )
+        r0 = _finite_float(self.risk_free_rate, "risk-free rate")
         object.__setattr__(self, "risk_free_rate", r0)
 
     @property

@@ -21,7 +21,10 @@ matrix that is not one is refused before any; d_max of D_eta is a closed
 form; the sandwich check draws nothing, and each universe builds its two
 critical lines once across levels (an empty level builds only the eta
 line, for w_lo), each with one solve for its first KKT inverse and no
-other np.linalg call when no residual asks for a refresh.  A CLI run
+other np.linalg call when no residual asks for a refresh; a walk of a
+critical line allocates a fixed number of arrays with np.zeros, whatever its
+number of corners, and calls no np.flatnonzero, np.eye, np.append or
+np.outer.  A CLI run
 validates its universe once, --riskfree or not.  numpy is the only runtime
 dependency: a CLI run loads no scipy, and importing the CLI or running
 `ingest-check` loads no numpy either.
@@ -402,6 +405,31 @@ def test_sandwich_draws_nothing_and_builds_each_line_once_per_universe(
         tied = sum(np.count_nonzero(v == v.max()) > 1 for v in (u.variances, np.sqrt(u.variances)))
         assert linalg - before == Counter(inv=2 + tied)
     assert draws == []
+
+
+def test_a_walk_of_the_critical_line_allocates_nothing_per_corner(monkeypatch, ex3, universe30):
+    # ex3's eta line (2 corners, after a 2-corner walk of its tied assets) and
+    # panel-30's (30 corners) make the same calls in each walk
+    counts = _count_linalg(monkeypatch, "inv")
+    for name in ("zeros", "flatnonzero", "eye", "append", "outer"):
+        inner = getattr(np, name)
+        monkeypatch.setattr(
+            np, name, lambda *a, _f=inner, _name=name, **k: counts.update([_name]) or _f(*a, **k)
+        )
+    walk, walks = mdp._walk, []
+
+    def counting_walk(*args):
+        before = Counter(counts)
+        out = walk(*args)
+        walks.append((len(out[1]), counts - before))
+        return out
+
+    monkeypatch.setattr(mdp, "_walk", counting_walk)
+    for u in (ex3, universe30):
+        mdp.critical_line(u.cov, u.variances)
+    assert [corners for corners, _ in walks] == [2, 2, 30]
+    for _, made in walks:
+        assert made == Counter(zeros=walks[0][1]["zeros"], inv=1)
 
 
 def test_non_edm_is_refused_before_any_ascent(calls):

@@ -431,30 +431,97 @@ def test_lines_meet_support_enumeration(n, seed, log_cond, where):
     var_lo = long_only_min_variance_enum(u.cov)[0]
     tau = float(np.sqrt(var_lo + where * (u.variances.max() - var_lo)))
     for name, (line, mu) in _lines(u).items():
-        ref = long_only_max_enum(u.cov, mu, tau)
-        assert abs(line.max_at(tau) - ref) <= 1e-10 * abs(ref), name
+        _assert_meets_enumeration(u, line, mu, tau, name)
+
+
+def _assert_meets_enumeration(u, line, mu, tau, name):
+    ref = long_only_max_enum(u.cov, mu, tau)
+    assert abs(line.max_at(tau) - ref) <= 1e-10 * abs(ref), (name, tau)
+
+
+def _assert_continuous(u, line, mu, name):
+    lam = line.lambdas
+    assert lam[0] == np.inf and lam[-1] == 0.0
+    assert np.all(np.diff(lam) <= 0.0)
+    for k in range(1, len(lam) - 1):
+        before = line.alpha[k - 1] + lam[k] * line.beta[k - 1]
+        after = line.alpha[k] + lam[k] * line.beta[k]
+        scale = float(np.abs(before).max())
+        np.testing.assert_allclose(after, before, rtol=0, atol=1e-10 * scale)
+        risk_before = line.var0[k - 1] + lam[k] ** 2 * line.k2[k - 1]
+        risk_after = line.var0[k] + lam[k] ** 2 * line.k2[k]
+        assert risk_after == pytest.approx(risk_before, rel=1e-10), (name, k)
+        assert risk_before == pytest.approx(after @ u.cov @ after, rel=1e-10)
+        value = line.top + line.mean[k] + lam[k] * line.k2[k]
+        assert value == pytest.approx(mu @ after, rel=1e-10)
+        assert after.min() >= -1e-12 * scale
+        assert after.sum() == pytest.approx(1.0, abs=1e-12 * max(1.0, scale))
 
 
 def test_lines_are_continuous_at_every_corner(universe30):
     us = [universe30] + [conditioned_universe(8, seed, 6.0) for seed in range(5)]
     for u in us:
         for name, (line, mu) in _lines(u).items():
-            lam = line.lambdas
-            assert lam[0] == np.inf and lam[-1] == 0.0
-            assert np.all(np.diff(lam) <= 0.0)
-            for k in range(1, len(lam) - 1):
-                before = line.alpha[k - 1] + lam[k] * line.beta[k - 1]
-                after = line.alpha[k] + lam[k] * line.beta[k]
-                scale = float(np.abs(before).max())
-                np.testing.assert_allclose(after, before, rtol=0, atol=1e-10 * scale)
-                risk_before = line.var0[k - 1] + lam[k] ** 2 * line.k2[k - 1]
-                risk_after = line.var0[k] + lam[k] ** 2 * line.k2[k]
-                assert risk_after == pytest.approx(risk_before, rel=1e-10), (name, k)
-                assert risk_before == pytest.approx(after @ u.cov @ after, rel=1e-10)
-                value = line.top + line.mean[k] + lam[k] * line.k2[k]
-                assert value == pytest.approx(mu @ after, rel=1e-10)
-                assert after.min() >= -1e-12 * scale
-                assert after.sum() == pytest.approx(1.0, abs=1e-12 * max(1.0, scale))
+            _assert_continuous(u, line, mu, name)
+
+
+def _exit_slots(line):
+    """(slot, |F|) of each asset that leaves the line, replaying the walk's
+    slot order: an entering asset takes the next slot, and the asset in the
+    last slot moves into a leaving one's."""
+
+    def held(k):
+        return set(np.flatnonzero((line.alpha[k] != 0.0) | (line.beta[k] != 0.0)).tolist())
+
+    F, exits = sorted(held(0)), []
+    for k in range(1, len(line.alpha)):
+        (j,) = held(k) ^ set(F)
+        if j in F:
+            i = F.index(j)
+            exits.append((i, len(F)))
+            F[i] = F[-1]
+            F.pop()
+        else:
+            F.append(j)
+    return exits
+
+
+@pytest.mark.parametrize(
+    "args, constants, exits",
+    [
+        # on the root line the asset in the last slot leaves (its slot is
+        # also the one the last slot moves into) and later enters again
+        ((5, 284, 4.5), {}, {"eta": [(1, 4), (1, 3), (0, 2)],
+                             "root": [(1, 4), (2, 3), (1, 4), (1, 3), (0, 2)]}),
+        # every corner solves for M again and rebuilds the slot map first
+        ((6, 33, 3.0), {"RESIDUAL_RTOL": 0.0}, dict.fromkeys(("eta", "root"), [(1, 4), (2, 3)])),
+        # two or three corrections wait aside at each exit; at three the
+        # leaving asset's correction follows a fold
+        ((6, 6, 6.0), {"FOLD_FROM": 1, "FOLD_EVERY": 3},
+         dict.fromkeys(("eta", "root"), [(0, 3), (1, 4), (1, 3), (1, 4)])),
+    ],
+    ids=["last-slot", "after-refresh", "aside"],
+)
+def test_lines_through_exits_meet_enumeration(monkeypatch, args, constants, exits):
+    u = conditioned_universe(*args)
+    var_lo = long_only_min_variance_enum(u.cov)[0]
+    inv, calls = np.linalg.inv, []
+    monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(1) or inv(a))
+    for name, value in constants.items():
+        monkeypatch.setattr(mdp, name, value)
+    for name, mu in (("eta", u.variances), ("root", np.sqrt(u.variances))):
+        calls.clear()
+        line = mdp.critical_line(u.cov, mu)
+        assert _exit_slots(line) == exits[name]
+        # a solve at the start, and one after each corner when refreshing
+        corners = len(line.lambdas) - 2
+        assert len(calls) == (1 + corners if constants.get("RESIDUAL_RTOL") == 0.0 else 1)
+        _assert_continuous(u, line, mu, name)
+        lam = line.lambdas[1:-1]
+        at_corners = line.var0[1:] + lam**2 * line.k2[1:]
+        spread = var_lo + np.linspace(1e-3, 1.0, 7) * (u.variances.max() - var_lo)
+        for tau in np.sqrt(np.concatenate([at_corners, spread])):
+            _assert_meets_enumeration(u, line, mu, float(tau), name)
 
 
 @settings(max_examples=40, deadline=None)

@@ -248,6 +248,15 @@ def _cash(u):
         (lambda u: drf.q_dr_riskfree_at(_cash(u), np.inf), ParseError),
         (lambda u: drf.cml_curve(_cash(u)).risky_weights(np.nan), ParseError),
         (lambda u: drf.riskfree_dr_curve(_cash(u)).value(np.array([0.5, -np.inf])), ParseError),
+        (lambda u: drf.sandwich_check(u, None), ParseError),
+        (lambda u: drf.sandwich_check(u, "x"), ParseError),
+        (lambda u: drf.sandwich_check(u, np.array([1.2, 1.3])), ParseError),
+        (lambda u: drf.q_cml_at(_cash(u), [1.2, 1.3]), ParseError),
+        (lambda u: drf.q_dr_riskfree_at(_cash(u), None), ParseError),
+        (lambda u: drf.cml_curve(_cash(u)).risky_weights(None), ParseError),
+        (lambda u: drf.mdp_at_sigma(u, None), ParseError),
+        (lambda u: drf.q_dr_at(drf.frontier_params(u), np.array([1.2, 1.3])), ParseError),
+        (lambda u: drf.riskfree_dr_curve(_cash(u)).value(None), ParseError),
     ],
     ids=[
         "assert_edm-empty", "d_max_bounds-empty", "assert_edm-text",
@@ -258,11 +267,28 @@ def _cash(u):
         "efficient_dr_portfolio-inf", "mdp_at_sigma-nan",
         "max_linear_over_ellipsoid-minus-inf", "q_cml_at-nan",
         "q_dr_riskfree_at-inf", "risky_weights-nan", "cash-value-minus-inf",
+        "sandwich_check-none", "sandwich_check-text", "sandwich_check-array",
+        "q_cml_at-list", "q_dr_riskfree_at-none", "risky_weights-none",
+        "mdp_at_sigma-none", "q_dr_at-array", "cash-value-none",
     ],
 )
 def test_library_entry_points_type_empty_and_non_numeric_arrays(ex3, call, error):
     with pytest.raises(error):
         call(ex3)
+
+
+def test_scalar_sigma_entry_points_read_numeric_text_as_its_float(ex3):
+    # every scalar sigma goes through float(), so "1.2" is 1.2 everywhere
+    cash = _cash(ex3)
+    for call in (
+        lambda u, s: drf.sandwich_check(u, s),
+        lambda u, s: drf.mdp_at_sigma(u, s).weights.tolist(),
+        lambda u, s: drf.q_dr_at(drf.frontier_params(u), s),
+        lambda u, s: drf.q_cml_at(cash, s),
+        lambda u, s: drf.q_dr_riskfree_at(cash, s),
+        lambda u, s: drf.cml_curve(cash).value(s),
+    ):
+        assert call(ex3, "1.2") == call(ex3, 1.2)
 
 
 def test_portfolio_stats_and_budget(ex3):
