@@ -450,18 +450,9 @@ def main(argv=None) -> int:
     try:
         _write(args.out, args.handler(args))
         return 0
-    except DrFrontierError as exc:
-        sys.stderr.write(
-            json.dumps(
-                {"error": type(exc).__name__, "message": str(exc)}, sort_keys=True
-            )
-            + "\n"
-        )
-        return 2
-    except OSError as exc:
-        sys.stderr.write(
-            json.dumps({"error": "OSError", "message": str(exc)}, sort_keys=True) + "\n"
-        )
+    except (DrFrontierError, OSError) as exc:
+        name = type(exc).__name__ if isinstance(exc, DrFrontierError) else "OSError"
+        sys.stderr.write(json.dumps({"error": name, "message": str(exc)}, sort_keys=True) + "\n")
         return 2
 
 

@@ -57,7 +57,7 @@ from .errors import (
     NotSPDError,
     SingularDistanceError,
 )
-from .model import AssetUniverse, _float_array, _shifted_cholesky, check_budget
+from .model import AssetUniverse, _finite_float, _float_array, _shifted_cholesky, check_budget
 
 # Eigenvalues of B below EIG_RTOL * lambda_1 are treated as zero.
 EIG_RTOL = 1e-10
@@ -325,11 +325,7 @@ def embed(universe: AssetUniverse) -> EdmEmbedding:
 
 def centrality(embedding: EdmEmbedding, weights) -> float:
     """Distance c(w) = ||X w|| of a budget portfolio from the sphere centre."""
-    w = check_budget(weights)
-    if w.shape[0] != embedding.n:
-        raise DimensionMismatchError(
-            f"weights length {w.shape[0]} vs embedding of {embedding.n} assets"
-        )
+    w = check_budget(weights, embedding.n)
     return float(np.sqrt(max(w @ embedding.gram @ w, 0.0)))
 
 
@@ -341,8 +337,9 @@ def norm_dr_bound(embedding: EdmEmbedding, norm_matrix, tau: float) -> float:
 
         q(w) >= q_max - (tau / beta)^2.
 
-    A must be finite, symmetric and positive definite, and tau >= 0.  The
-    bound is valid but can be weak when A is ill conditioned relative to B.
+    A must be finite, symmetric and positive definite, and tau >= 0; a tau
+    that is not a finite number raises ParseError.  The bound is valid but
+    can be weak when A is ill conditioned relative to B.
     """
     A = _float_array(norm_matrix, "norm matrix")
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -362,7 +359,8 @@ def norm_dr_bound(embedding: EdmEmbedding, norm_matrix, tau: float) -> float:
         raise NotSPDError(
             f"norm matrix smallest eigenvalue {lam_min:.3e} is not strictly positive"
         )
-    if not tau >= 0.0:  # fails closed on NaN
+    tau = _finite_float(tau, "norm budget tau")
+    if tau < 0.0:
         raise BudgetViolationError("norm budget tau must be nonnegative")
     lam_b = float(embedding.eigvals[0]) if embedding.eigvals.size else 0.0
     if lam_b <= 0.0:

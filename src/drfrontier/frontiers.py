@@ -13,8 +13,9 @@ takes x proportional to V^-1 eta, so eta' x = sqrt(eta' V^-1 eta); the
 capital-market line takes x = w_T / sigma_T, the tangency portfolio per unit
 of its risk.  The two coincide when excess returns are proportional to eta.
 The DR-efficient portfolio at risk sigma is an affine mix of the
-minimum-variance and maximum-DR portfolios (two-fund separation), and the
-general engine behind all of the curves maximizes a linear objective over
+minimum-variance and maximum-DR portfolios (two-fund separation).  Every
+curve reads the directions its universe's covariance kernel caches;
+:func:`max_linear_over_ellipsoid` maximizes any other linear objective over
 the budget-and-risk set.
 """
 
@@ -31,10 +32,9 @@ from .errors import (
     DegenerateRhoError,
     DimensionMismatchError,
     MissingReturnsError,
-    ParseError,
     RiskBelowMvpError,
 )
-from .model import AssetUniverse, Portfolio, _finite_float, _float_array, proportional_to_ones
+from .model import AssetUniverse, Portfolio, _finite_array, _finite_float, _float_array
 from .portfolios import tangent_portfolio
 
 # sigma^2 below (1 - RISK_SNAP_RTOL) sigma_mvp^2 is an error; closer misses snap up.
@@ -192,7 +192,7 @@ def max_linear_over_ellipsoid(
 
         w = (V^-1 c + lam V^-1 1) / beta = w_mvp + u * d_c,
         beta = sqrt((c' V^-1 c - (1' V^-1 c)^2 / a) / (sigma^2 - sigma_mvp^2)),
-        lam = (beta - 1' V^-1 c) / a,  d_c = CovarianceSolver.direction of c.
+        lam = (beta - 1' V^-1 c) / a,  d_c = CovarianceSolver.centred_direction of c.
 
     c proportional to ones makes every feasible portfolio tie; the
     minimum-variance portfolio is returned with degenerate=True.
@@ -204,13 +204,8 @@ def max_linear_over_ellipsoid(
         )
     s = universe.solver
     u = _excess_risk_at(s.sigma2_mvp, sigma)
-    if proportional_to_ones(c):
-        return KktSolution(weights=s.w_mvp, degenerate=True)
-    if u == 0.0:
-        return KktSolution(weights=s.w_mvp)
-    d, _ = s.direction(c, s.solve(c))
+    d, _ = s.centred_direction(c)
     if d is None:
-        # c is indistinguishable from a multiple of ones in the V^-1 metric
         return KktSolution(weights=s.w_mvp, degenerate=True)
     return KktSolution(weights=s.w_mvp + u * d)
 
@@ -292,16 +287,16 @@ class CashDrCurve:
     def value(self, sigma):
         """q at risk sigma, a float or an array; a negative sigma raises
         RiskBelowMvpError and one that is not a finite number ParseError."""
-        s = _float_array(sigma, "sigma")
-        if not np.all(np.isfinite(s)):
-            raise ParseError(f"sigma {sigma!r} is not a finite number")
+        s = _finite_array(sigma, "sigma")
         if np.any(s < 0.0):
             raise RiskBelowMvpError("sigma must be nonnegative")
         return -0.5 * s * s + 0.5 * self.gain * s
 
     def mix(self, sigma):
-        """Fraction of wealth in risky assets at risk sigma, sigma * 1' x."""
-        return sigma * float(self.direction.sum())
+        """Fraction of wealth in risky assets at risk sigma, sigma * 1' x, a
+        float or an array; a negative sigma is read as given, and one that is
+        not a finite number raises ParseError."""
+        return _finite_array(sigma, "sigma") * float(self.direction.sum())
 
     def risky_weights(self, sigma: float):
         """Risky sleeve and cash weight at risk sigma, checked by :meth:`value`."""
@@ -429,11 +424,9 @@ def sweep(
     if sigma_grid is None:
         sigmas = universe.sigma_grid
     else:
-        sigmas = _float_array(sigma_grid, "sigma_grid")
+        sigmas = _finite_array(sigma_grid, "sigma_grid")
         if sigmas.ndim != 1:
             raise DimensionMismatchError(f"sigma_grid must be 1-D, got shape {sigmas.shape}")
-        if not np.isfinite(sigmas).all():
-            raise ParseError("sigma_grid contains non-finite entries")
     rbar, r0 = universe.expected_returns, universe.risk_free_rate
     status, ret, centrality, alpha, cash = "ok", None, None, None, None
     if kind in (FrontierKind.CML, FrontierKind.EFFICIENT_DR_RISKFREE):

@@ -47,7 +47,7 @@ from .errors import (
     SingularCovarianceError,
     ZeroVarianceError,
 )
-from .frontiers import KktSolution, max_linear_over_ellipsoid
+from .frontiers import KktSolution, _excess_risk_at
 from .model import AssetUniverse, Portfolio, _finite_float, _float_array, portfolio_stats
 
 MAX_ITER = 10_000
@@ -225,9 +225,14 @@ def mdp_global(universe: AssetUniverse) -> Portfolio:
 
 
 def mdp_at_sigma(universe: AssetUniverse, sigma: float) -> KktSolution:
-    """Maximize sqrt(eta)' w at risk sigma (degenerate when all vols are equal)."""
-    root = np.sqrt(np.clip(universe.variances, 0.0, None))
-    return max_linear_over_ellipsoid(universe, root, sigma)
+    """Maximize sqrt(eta)' w at risk sigma: w_mvp + u * d_root, the kernel's
+    direction, or w_mvp with degenerate=True when the kernel has none
+    (sqrt(eta) proportional to ones: all vols equal)."""
+    s = universe.solver
+    u = _excess_risk_at(s.sigma2_mvp, sigma)
+    if s.d_root is None:
+        return KktSolution(weights=s.w_mvp, degenerate=True)
+    return KktSolution(weights=s.w_mvp + u * s.d_root)
 
 
 def _pairwise_frank_wolfe(D: np.ndarray, tol: float):

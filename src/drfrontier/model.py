@@ -82,6 +82,15 @@ def _finite_float(value, what: str) -> float:
     return x
 
 
+def _finite_array(values, what: str) -> np.ndarray:
+    """A float array of values; a non-numeric or non-finite entry raises
+    ParseError, which names the input but not its entries."""
+    a = _float_array(values, what)
+    if not np.isfinite(a).all():
+        raise ParseError(f"{what} contains non-finite entries")
+    return a
+
+
 def proportional_to_ones(vec: np.ndarray) -> bool:
     """True when vec is (numerically) a multiple of the ones vector."""
     v = np.asarray(vec, dtype=float)
@@ -175,14 +184,17 @@ class AssetUniverse:
 
 
 class CovarianceSolver:
-    """V^-1 [1, eta, sqrt(eta), rbar], solved once per universe with the factor.
+    """V^-1 [1, eta, sqrt(eta), sqrt(eta) - mean, rbar], solved once per
+    universe with the factor.
 
     Every closed form afterwards is dot products with these images.  w_mdrp
     is the maximum-DR portfolio (1 - 1' V^-1 eta / 2) w_mvp + V^-1 eta / 2,
     the sphere centre s of the embedding, and q_max = q_mvp + rho^2 / 8 its
     DR, with q_mvp = (1' V^-1 eta - 1) sigma_mvp^2 / 2.  d_eta, d_root and
     w_o are the unit directions (see :meth:`direction`) along which the
-    DR-efficient, ratio-maximizing and mean-variance portfolios leave w_mvp.
+    DR-efficient, ratio-maximizing and mean-variance portfolios leave w_mvp;
+    d_root is the :meth:`centred_direction` of sqrt(eta), as any objective of
+    :func:`~drfrontier.frontiers.max_linear_over_ellipsoid` is.
     eta_wo is eta' w_o, 0.0 within ZERO_BAND_RTOL * rho of zero, and None
     exactly when w_o is: without returns, or with returns proportional to
     ones in the V^-1 metric.  Cached arrays are read-only because every
@@ -215,10 +227,9 @@ class CovarianceSolver:
         eta = universe.variances
         root_eta = np.sqrt(eta)
         rbar = universe.expected_returns
-        self._rhs = [ones, eta, root_eta] + ([] if rbar is None else [rbar])
-        images = np.ascontiguousarray(self._solve(np.column_stack(self._rhs)).T)
+        rhs = [ones, eta, root_eta, root_eta - root_eta.mean()] + ([] if rbar is None else [rbar])
+        images = np.ascontiguousarray(self.solve(np.column_stack(rhs)).T)
         images.setflags(write=False)
-        self._images = images
         self.inv_ones, self.inv_eta, self.inv_root_eta = images[:3]
         self.a = float(ones @ self.inv_ones)
         self.sigma2_mvp = 1.0 / self.a
@@ -231,8 +242,8 @@ class CovarianceSolver:
         self.d_eta, self.rho = self.direction(eta, self.inv_eta)
         self.q_mvp = 0.5 * (self.ones_inv_eta - 1.0) * self.sigma2_mvp
         self.q_max = self.q_mvp + 0.125 * self.rho * self.rho
-        self.d_root = self.direction(root_eta, self.inv_root_eta)[0]
-        self.inv_r = None if rbar is None else images[3]
+        self.d_root = self.centred_direction(root_eta, images[3])[0]
+        self.inv_r = None if rbar is None else images[4]
         self.b = None if rbar is None else float(ones @ self.inv_r)
         self.w_o = None if rbar is None else self.direction(rbar, self.inv_r)[0]
         self.eta_wo = None if self.w_o is None else float(eta @ self.w_o)
@@ -250,8 +261,9 @@ class CovarianceSolver:
             x[a:b] = inv.T @ (y[a:b] - L[b:, a:b].T @ x[b:])
         return x
 
-    def _solve(self, c: np.ndarray) -> np.ndarray:
+    def solve(self, c: np.ndarray) -> np.ndarray:
         """V^-1 c, for a vector or for columns (see the class docstring)."""
+        c = np.asarray(c, dtype=float)  # substitution writes into arrays like c
         if self._factor is not None:
             fp = np.finfo(float)
             x, last, rate, done = self._substitute(c), np.inf, 1.0, False
@@ -272,16 +284,6 @@ class CovarianceSolver:
         except LinAlgError as exc:
             raise SingularCovarianceError(f"covariance solve failed: {exc}") from exc
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """V^-1 rhs.  A right-hand side of the kernel's batch returns its
-        cached image, so every route to V^-1 sqrt(eta) (say) reads the same
-        bits: a lone solve differs from a batched column in the last bits."""
-        c = np.asarray(rhs, dtype=float)
-        for known, image in zip(self._rhs, self._images):
-            if np.array_equal(c, known):
-                return image
-        return self._solve(c)
-
     def direction(self, c: np.ndarray, inv_c: np.ndarray):
         """(d, k) with d = (V^-1 c - (1' V^-1 c / a) V^-1 1) / k and
         k^2 = c' V^-1 c - (1' V^-1 c)^2 / a, so 1' d = 0 and d' V d = 1;
@@ -292,6 +294,16 @@ class CovarianceSolver:
             return None, 0.0
         k = float(np.sqrt(k_sq))
         return _frozen((inv_c - (g / self.a) * self.inv_ones) / k), k
+
+    def centred_direction(self, c: np.ndarray, inv_c: Optional[np.ndarray] = None):
+        """:meth:`direction` of c - mean(c) 1, from inv_c = V^-1 (c - mean(c) 1),
+        solved here when None.  A multiple of ones does not change d, and
+        without one k^2 does not cancel when c is close to a multiple of ones
+        (sqrt(eta) at near-equal vols)."""
+        if proportional_to_ones(c):
+            return None, 0.0
+        c = c - c.mean()
+        return self.direction(c, self.solve(c) if inv_c is None else inv_c)
 
 
 @dataclass(frozen=True)
@@ -322,9 +334,10 @@ class Portfolio:
         return float(np.sqrt(max(self.variance, 0.0)))
 
 
-def check_budget(weights: np.ndarray) -> np.ndarray:
+def check_budget(weights: np.ndarray, n: Optional[int] = None) -> np.ndarray:
     """Coerce weights to a float vector and enforce sum(w) == 1 within
-    BUDGET_ATOL; a non-finite sum fails."""
+    BUDGET_ATOL; a non-finite sum fails.  With n, a vector of another length
+    then raises DimensionMismatchError."""
     w = _float_array(weights, "weights")
     if w.ndim != 1:
         raise DimensionMismatchError(f"weights must be 1-D, got shape {w.shape}")
@@ -334,6 +347,8 @@ def check_budget(weights: np.ndarray) -> np.ndarray:
         raise BudgetViolationError(
             f"weights sum to {total!r}, outside 1 +/- {BUDGET_ATOL}"
         )
+    if n is not None and len(w) != n:
+        raise DimensionMismatchError(f"{len(w)} weights for {n} assets")
     return w
 
 
@@ -480,11 +495,7 @@ def validate_universe(
 
 def diversification_return(universe: AssetUniverse, weights) -> float:
     """Diversification return q(w) = 0.5 * (eta' w - w' V w) of a budget portfolio."""
-    w = check_budget(weights)
-    if w.shape != (universe.n,):
-        raise DimensionMismatchError(
-            f"weights shape {w.shape} does not match universe of {universe.n} assets"
-        )
+    w = check_budget(weights, universe.n)
     return 0.5 * float(universe.variances @ w - w @ universe.cov @ w)
 
 
@@ -499,11 +510,7 @@ def portfolio_stats(universe: AssetUniverse, weights) -> Portfolio:
     singular universe it is None; :func:`~drfrontier.embedding.centrality`
     reads it from an embedding there.
     """
-    w = check_budget(weights)
-    if w.shape != (universe.n,):
-        raise DimensionMismatchError(
-            f"weights shape {w.shape} does not match universe of {universe.n} assets"
-        )
+    w = check_budget(weights, universe.n)
     variance = float(w @ universe.cov @ w)
     dr = 0.5 * float(universe.variances @ w) - 0.5 * variance
 

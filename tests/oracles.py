@@ -132,19 +132,6 @@ def circle_scan(V, objective, sigma, n_theta=4096, refine=60):
     return w, val
 
 
-def sample_risk_ball(V, sigma, count, rng):
-    """Sample budget portfolios with w' V w <= sigma^2 (interior included)."""
-    V = np.asarray(V, float)
-    n = V.shape[0]
-    Z, M_inv_half, w_mvp, s2_mvp = _shell_chart(V)
-    u_max = np.sqrt(max(sigma * sigma - s2_mvp, 0.0))
-    dirs = rng.normal(0.0, 1.0, (count, n - 1))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    radii = u_max * rng.uniform(0.0, 1.0, count) ** (1.0 / (n - 1))
-    Y = dirs * radii[:, None]
-    return w_mvp + Y @ M_inv_half.T @ Z.T
-
-
 def simplex_grid(n: int, m: int) -> np.ndarray:
     """All weight vectors with coordinates k/m summing to 1."""
     if n == 3:

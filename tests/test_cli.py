@@ -633,3 +633,22 @@ def test_cli_entry_point_installed():
     for proc in procs:
         assert proc.returncode == 0, proc.stderr
         assert "portfolios" in proc.stdout
+
+
+def test_readme_library_quick_start_runs():
+    # the first python block of README.md, in a fresh interpreter on src/
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", block], capture_output=True, text=True, timeout=60, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    q_max, weights, stats, radii = (
+        np.array(line.strip("[]").split(), dtype=float) for line in proc.stdout.splitlines()[:4]
+    )
+    assert q_max == pytest.approx([1.0], abs=1e-12)
+    np.testing.assert_allclose(weights, [-1.0, 1.0, 1.0], atol=1e-12)
+    np.testing.assert_allclose(stats, [5.0 / 9.0, 4.0 / 9.0], atol=1e-12)
+    np.testing.assert_allclose(radii, [1.0, 1.0, 1.0], atol=1e-12)

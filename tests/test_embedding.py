@@ -291,7 +291,7 @@ def test_norm_bound_input_errors(ex3):
         drf.norm_dr_bound(emb, np.eye(4), 0.5)
     with pytest.raises(drf.errors.BudgetViolationError):
         drf.norm_dr_bound(emb, np.eye(3), -0.1)
-    with pytest.raises(drf.errors.BudgetViolationError):
+    with pytest.raises(drf.errors.ParseError):
         drf.norm_dr_bound(emb, np.eye(3), float("nan"))
     for bad in (float("nan"), float("inf")):
         A = np.eye(3)

@@ -196,10 +196,14 @@ def test_mdp_at_sigma_matches_circle_scan(ex3):
         assert val >= ref - 1e-7
 
 
-def test_mdp_at_global_risk_recovers_global(ex3):
-    p = drf.mdp_global(ex3)
-    sol = drf.mdp_at_sigma(ex3, p.sigma)
-    np.testing.assert_allclose(sol.weights, p.weights, atol=1e-9)
+def test_mdp_at_global_risk_recovers_global(ex3, universe30):
+    for u in (ex3, universe30):
+        p = drf.mdp_global(u)
+        sol = drf.mdp_at_sigma(u, p.sigma)
+        np.testing.assert_allclose(sol.weights, p.weights, atol=1e-9)
+        # one route: the scalar reads the sweep's row bit for bit
+        row = drf.sweep(u, "mdp_at_sigma", [p.sigma], include_weights=True).rows[0]
+        assert np.array_equal(sol.weights, row.weights)
 
 
 def test_d_max_bounds_zero_matrix():

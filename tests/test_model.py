@@ -257,6 +257,17 @@ def _cash(u):
         (lambda u: drf.mdp_at_sigma(u, None), ParseError),
         (lambda u: drf.q_dr_at(drf.frontier_params(u), np.array([1.2, 1.3])), ParseError),
         (lambda u: drf.riskfree_dr_curve(_cash(u)).value(None), ParseError),
+        (lambda u: drf.cml_curve(_cash(u)).mix(None), ParseError),
+        (lambda u: drf.cml_curve(_cash(u)).mix("x"), ParseError),
+        (lambda u: drf.cml_curve(_cash(u)).mix(np.nan), ParseError),
+        (lambda u: drf.cml_curve(_cash(u)).mix(-np.inf), ParseError),
+        (lambda u: drf.norm_dr_bound(drf.embed(u), np.eye(3), None), ParseError),
+        (lambda u: drf.norm_dr_bound(drf.embed(u), np.eye(3), np.array([1.0, 2.0])), ParseError),
+        (lambda u: drf.norm_dr_bound(drf.embed(u), np.eye(3), "x"), ParseError),
+        (lambda u: drf.norm_dr_bound(drf.embed(u), np.eye(3), np.inf), ParseError),
+        (lambda u: drf.portfolio_stats(u, [0.5, 0.5]), DimensionMismatchError),
+        (lambda u: drf.diversification_return(u, [0.25] * 4), DimensionMismatchError),
+        (lambda u: drf.centrality(drf.embed(u), [0.5, 0.5]), DimensionMismatchError),
     ],
     ids=[
         "assert_edm-empty", "d_max_bounds-empty", "assert_edm-text",
@@ -270,6 +281,9 @@ def _cash(u):
         "sandwich_check-none", "sandwich_check-text", "sandwich_check-array",
         "q_cml_at-list", "q_dr_riskfree_at-none", "risky_weights-none",
         "mdp_at_sigma-none", "q_dr_at-array", "cash-value-none",
+        "mix-none", "mix-text", "mix-nan", "mix-minus-inf", "norm_dr_bound-tau-none",
+        "norm_dr_bound-tau-array", "norm_dr_bound-tau-text", "norm_dr_bound-tau-inf",
+        "portfolio_stats-length", "diversification_return-length", "centrality-length",
     ],
 )
 def test_library_entry_points_type_empty_and_non_numeric_arrays(ex3, call, error):
@@ -287,6 +301,8 @@ def test_scalar_sigma_entry_points_read_numeric_text_as_its_float(ex3):
         lambda u, s: drf.q_cml_at(cash, s),
         lambda u, s: drf.q_dr_riskfree_at(cash, s),
         lambda u, s: drf.cml_curve(cash).value(s),
+        lambda u, s: drf.cml_curve(cash).mix(s),
+        lambda u, s: drf.norm_dr_bound(drf.embed(u), np.eye(3), s),
     ):
         assert call(ex3, "1.2") == call(ex3, 1.2)
 
@@ -362,20 +378,15 @@ def test_kernel_images_are_backward_stable(n, seed, log_cond, with_returns):
         (np.ones(n), s.inv_ones),
         (u.variances, s.inv_eta),
         (np.sqrt(u.variances), s.inv_root_eta),
-        (np.linspace(-1.0, 2.0, n), None),  # not in the batch: a fresh solve
     ]
     if with_returns:
         pairs.append((u.expected_returns, s.inv_r))
-    for c, image in pairs:
-        x = s.solve(c)
-        if image is not None:
-            # a right-hand side of the batch reads its cached image
-            assert np.array_equal(x, image)
+    fresh = np.linspace(-1.0, 2.0, n)  # not in the batch: a solve of its own
+    for c, x in pairs + [(fresh, s.solve(fresh))]:
         _assert_backward_stable(u.cov, x, c)
     # the refined images agree with the LU route within the forward error
     rel_tol = forward_error(u)
-    batch = [image for _, image in pairs if image is not None]
-    for image, reference in zip(batch, lu_route(u)):
+    for (_, image), reference in zip(pairs, lu_route(u)):
         gap = float(np.abs(image - reference).max())
         assert gap <= rel_tol * float(np.abs(reference).max())
 
