@@ -19,8 +19,10 @@ default `frontier --svg` (no tangency, so no `cml`) and the refused
 ex3, which has no returns; `--log-returns` on mini; `--require-returns` on ex3; `--help` of the program and of every
 subcommand; and the refused inputs: non-finite `--riskfree`, `--sigma` and
 `--grid` values, and covariance JSON with a NaN or non-numeric field or
-with names that are not a list; and `portfolios`, `frontier --svg` and
-`mdp` on ex3's covariance with returns 1e-11 apart.  The script writes
+with names that are not a list; `portfolios`, `frontier --svg` and
+`mdp` on ex3's covariance with returns 1e-11 apart; and `portfolios` and
+`frontier --svg` on ex3's correlation with volatilities
+0.3 (1, 1 + 1e-9, 1 - 1e-9).  The script writes
 those covariance JSON inputs, and the CSV panels `ingest-check` reads to show each parse error
 (a non-numeric cell, a nonpositive price, a NaN cell before a negative
 price, dates out of order, a ragged row, fewer than two rows) and the
@@ -100,13 +102,21 @@ HELP = ["portfolios", "frontier", "mdp", "embed", "ingest-check"]
 JSON_RUN = ["portfolios", "--input", "input.json"]
 CSV_RUN = ["ingest-check", "--input", "input.csv"]
 
-# ex3's V with returns 1e-11 apart: no mean-variance direction in the V^-1
-# metric, though not proportional to ones
+# ex3's V with returns 1e-11 apart: close to, but not, a multiple of ones,
+# so the mean-variance direction rests on the centred returns
 NEAR_CONSTANT_RETURNS = (
     '{"V": [[1.2222222222222223, 0.8888888888888888, 0.8888888888888888], '
     "[0.8888888888888888, 2.5555555555555554, -0.4444444444444444], "
     "[0.8888888888888888, -0.4444444444444444, 2.5555555555555554]], "
     '"rbar": [0.05, 0.05000000001, 0.05]}\n'
+)
+
+# ex3's correlation with volatilities 0.3 (1, 1 + 1e-9, 1 - 1e-9): variances
+# close to equal, so rho (7.83e-10) rests on the centred variances
+NEAR_EQUAL_VOLS = (
+    '{"V": [[0.08999999999999998, 0.045266012214525066, 0.045266012123993046], '
+    "[0.045266012214525066, 0.09000000018000001, -0.01565217391304348], "
+    "[0.045266012123993046, -0.01565217391304348, 0.08999999982000001]]}\n"
 )
 
 # run -> (CLI arguments, text of the --input file written into OUT_DIR/<run>/)
@@ -136,6 +146,11 @@ WRITTEN = {
         NEAR_CONSTANT_RETURNS,
     ),
     "json-rbar-near-constant-mdp": (["mdp", "--input", "input.json"], NEAR_CONSTANT_RETURNS),
+    "json-vols-near-equal-portfolios": (JSON_RUN, NEAR_EQUAL_VOLS),
+    "json-vols-near-equal-frontier": (
+        ["frontier", "--svg", "--input", "input.json"],
+        NEAR_EQUAL_VOLS,
+    ),
 }
 
 

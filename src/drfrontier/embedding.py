@@ -337,10 +337,13 @@ def norm_dr_bound(embedding: EdmEmbedding, norm_matrix, tau: float) -> float:
 
         q(w) >= q_max - (tau / beta)^2.
 
-    A must be finite, symmetric and positive definite, and tau >= 0; a tau
-    that is not a finite number raises ParseError.  The bound is valid but
-    can be weak when A is ill conditioned relative to B.
+    tau >= 0 is checked first (a tau that is not a finite number raises
+    ParseError), then A: finite, symmetric and positive definite.  The bound
+    is valid but can be weak when A is ill conditioned relative to B.
     """
+    tau = _finite_float(tau, "norm budget tau")
+    if tau < 0.0:
+        raise BudgetViolationError("norm budget tau must be nonnegative")
     A = _float_array(norm_matrix, "norm matrix")
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise NotSPDError(f"norm matrix must be square, got {A.shape}")
@@ -359,9 +362,6 @@ def norm_dr_bound(embedding: EdmEmbedding, norm_matrix, tau: float) -> float:
         raise NotSPDError(
             f"norm matrix smallest eigenvalue {lam_min:.3e} is not strictly positive"
         )
-    tau = _finite_float(tau, "norm budget tau")
-    if tau < 0.0:
-        raise BudgetViolationError("norm budget tau must be nonnegative")
     lam_b = float(embedding.eigvals[0]) if embedding.eigvals.size else 0.0
     if lam_b <= 0.0:
         return embedding.q_max

@@ -192,7 +192,7 @@ def max_linear_over_ellipsoid(
 
         w = (V^-1 c + lam V^-1 1) / beta = w_mvp + u * d_c,
         beta = sqrt((c' V^-1 c - (1' V^-1 c)^2 / a) / (sigma^2 - sigma_mvp^2)),
-        lam = (beta - 1' V^-1 c) / a,  d_c = CovarianceSolver.centred_direction of c.
+        lam = (beta - 1' V^-1 c) / a,  d_c = CovarianceSolver.direction of c.
 
     c proportional to ones makes every feasible portfolio tie; the
     minimum-variance portfolio is returned with degenerate=True.
@@ -204,7 +204,7 @@ def max_linear_over_ellipsoid(
         )
     s = universe.solver
     u = _excess_risk_at(s.sigma2_mvp, sigma)
-    d, _ = s.centred_direction(c)
+    d, _ = s.direction(c)
     if d is None:
         return KktSolution(weights=s.w_mvp, degenerate=True)
     return KktSolution(weights=s.w_mvp + u * d)
@@ -317,12 +317,15 @@ def q_cml_at(universe: AssetUniverse, sigma: float) -> float:
 
 
 def riskfree_dr_curve(universe: AssetUniverse) -> CashDrCurve:
-    """Build the efficient DR curve with cash, gain = sqrt(eta' V^-1 eta)."""
+    """Build the efficient DR curve with cash, gain = sqrt(eta' V^-1 eta):
+    V^-1 eta = rho d_eta + a m w_mvp, m = eta' w_mvp, V-orthogonal parts."""
     s = universe.solver
-    gain = float(np.sqrt(max(s.eta_inv_eta, 0.0)))
+    m = float(universe.variances @ s.w_mvp)
+    gain = float(np.sqrt(s.rho * s.rho + s.a * m * m))
     if gain <= 0.0:
         raise DegenerateRhoError("all asset variances vanish; curve undefined")
-    return CashDrCurve(gain=gain, direction=s.inv_eta / gain)
+    x = s.a * m * s.w_mvp + (0.0 if s.d_eta is None else s.rho * s.d_eta)
+    return CashDrCurve(gain=gain, direction=x / gain)
 
 
 def q_dr_riskfree_at(universe: AssetUniverse, sigma: float) -> float:
@@ -451,8 +454,8 @@ def sweep(
             d, m = s.d_eta, params.rho
             alpha = None if d is None else 2.0 * u / params.rho
         elif kind is FrontierKind.MDP_AT_SIGMA:
-            d = s.d_root
-            m = 0.0 if d is None else float(universe.variances @ d)
+            d, eta = s.d_root, universe.variances
+            m = 0.0 if d is None else float((eta - eta.mean()) @ d)
             if d is None:
                 status = "degenerate"
         elif params.eta_wo is None:
@@ -465,7 +468,7 @@ def sweep(
             u, d = np.zeros_like(u), np.zeros(universe.n)
         q = _q_along(params, m, u)
         if rbar is not None:
-            ret = rbar @ s.w_mvp + u * (rbar @ d)
+            ret = rbar @ s.w_mvp + u * ((rbar - rbar.mean()) @ d)
         e = d - (0.0 if s.d_eta is None else s.d_eta)
         bend = 0.25 * params.rho * float(e @ universe.cov @ e)
         t = u - 0.5 * params.rho

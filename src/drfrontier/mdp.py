@@ -205,15 +205,16 @@ def mdp_global(universe: AssetUniverse) -> Portfolio:
     The ratio sqrt(eta)' x / sqrt(x' V x) of any x is extremal along
     V^-1 sqrt(eta), with value +-sqrt(sqrt(eta)' V^-1 sqrt(eta)) by
     Cauchy-Schwarz in the V metric, and the sign of the budget scaling
-    t = 1' V^-1 sqrt(eta) decides which extreme w = V^-1 sqrt(eta) / t is.
-    For t < 0 it is the minimum, and no budget portfolio attains the
-    supremum, so NotSPDError is raised.
+    t = 1' V^-1 sqrt(eta) = a sqrt(eta)' w_mvp decides which extreme
+    w = V^-1 sqrt(eta) / t = w_mvp + (k_root / t) d_root is (the kernel's
+    direction of sqrt(eta)).  For t < 0 it is the minimum, and no budget
+    portfolio attains the supremum, so NotSPDError is raised.
     """
     eta = universe.variances
     if float(eta.min()) <= 0.0:
         raise ZeroVarianceError("every asset needs positive variance")
-    x = universe.solver.inv_root_eta
-    total = float(np.ones(universe.n) @ x)
+    s = universe.solver
+    total = s.a * float(np.sqrt(eta) @ s.w_mvp)
     if abs(total) < 1e-300:
         raise SingularCovarianceError("V^-1 sqrt(eta) sums to zero; cannot normalize")
     if total < 0.0:
@@ -221,7 +222,10 @@ def mdp_global(universe: AssetUniverse) -> Portfolio:
             f"1' V^-1 sqrt(eta) = {total:.12g} < 0: the normalized V^-1 sqrt(eta) "
             "minimizes the ratio and no budget portfolio maximizes it"
         )
-    return portfolio_stats(universe, x / total)
+    w = s.w_mvp if s.d_root is None else s.w_mvp + (s.k_root / total) * s.d_root
+    # 1' d_root rounds to ~ eps |V^-1 sqrt(eta)0| / k_root, past BUDGET_ATOL at
+    # high cond(V): the miss moves onto w_mvp, so w sums to 1 as x / t does
+    return portfolio_stats(universe, w + (1.0 - float(w.sum())) * s.w_mvp)
 
 
 def mdp_at_sigma(universe: AssetUniverse, sigma: float) -> KktSolution:

@@ -184,21 +184,18 @@ class AssetUniverse:
 
 
 class CovarianceSolver:
-    """V^-1 [1, eta, sqrt(eta), sqrt(eta) - mean, rbar], solved once per
-    universe with the factor.
+    """V^-1 [1, eta0, sqrt(eta)0, rbar0], x0 = x - mean(x) 1, solved once per
+    universe with the factor; every closed form afterwards is dot products.
 
-    Every closed form afterwards is dot products with these images.  w_mdrp
-    is the maximum-DR portfolio (1 - 1' V^-1 eta / 2) w_mvp + V^-1 eta / 2,
-    the sphere centre s of the embedding, and q_max = q_mvp + rho^2 / 8 its
-    DR, with q_mvp = (1' V^-1 eta - 1) sigma_mvp^2 / 2.  d_eta, d_root and
-    w_o are the unit directions (see :meth:`direction`) along which the
-    DR-efficient, ratio-maximizing and mean-variance portfolios leave w_mvp;
-    d_root is the :meth:`centred_direction` of sqrt(eta), as any objective of
-    :func:`~drfrontier.frontiers.max_linear_over_ellipsoid` is.
-    eta_wo is eta' w_o, 0.0 within ZERO_BAND_RTOL * rho of zero, and None
-    exactly when w_o is: without returns, or with returns proportional to
-    ones in the V^-1 metric.  Cached arrays are read-only because every
-    caller shares them.
+    d_eta, d_root and w_o, with k = rho, k_root and k_r, are the
+    :meth:`direction` of eta, sqrt(eta) and rbar: the unit directions along
+    which the DR-efficient, ratio-maximizing and mean-variance portfolios
+    leave w_mvp.  The maximum-DR portfolio w_mdrp = w_mvp + (rho / 2) d_eta
+    is the sphere centre s of the embedding, and q_max = q_mvp + rho^2 / 8
+    its DR, q_mvp = (eta' w_mvp - sigma_mvp^2) / 2.  eta_wo is eta0' w_o,
+    0.0 within ZERO_BAND_RTOL * rho of zero, and None exactly when w_o is:
+    without returns, or with returns proportional to ones in the V^-1
+    metric.  Cached arrays are read-only because every caller shares them.
     V is certified strictly positive definite by :func:`validate_universe`
     (``nonsingular``), so no second factorization checks it again.
 
@@ -224,29 +221,23 @@ class CovarianceSolver:
             edges = [*range(0, universe.n, SOLVE_BLOCK), universe.n]
             self._blocks = [(a, b, np.linalg.inv(L[a:b, a:b])) for a, b in zip(edges, edges[1:])]
         ones = np.ones(universe.n)
-        eta = universe.variances
+        eta, rbar = universe.variances, universe.expected_returns
         root_eta = np.sqrt(eta)
-        rbar = universe.expected_returns
-        rhs = [ones, eta, root_eta, root_eta - root_eta.mean()] + ([] if rbar is None else [rbar])
+        rhs = [ones] + [c - c.mean() for c in (eta, root_eta) + (() if rbar is None else (rbar,))]
         images = np.ascontiguousarray(self.solve(np.column_stack(rhs)).T)
         images.setflags(write=False)
-        self.inv_ones, self.inv_eta, self.inv_root_eta = images[:3]
+        self.inv_ones = images[0]
         self.a = float(ones @ self.inv_ones)
         self.sigma2_mvp = 1.0 / self.a
         self.w_mvp = _frozen(self.inv_ones * self.sigma2_mvp)
-        self.ones_inv_eta = float(ones @ self.inv_eta)  # 1' V^-1 eta
-        self.eta_inv_eta = float(eta @ self.inv_eta)
-        self.w_mdrp = _frozen(
-            (1.0 - 0.5 * self.ones_inv_eta) * self.w_mvp + 0.5 * self.inv_eta
-        )
-        self.d_eta, self.rho = self.direction(eta, self.inv_eta)
-        self.q_mvp = 0.5 * (self.ones_inv_eta - 1.0) * self.sigma2_mvp
+        self.d_eta, self.rho = self.direction(eta, images[1])
+        self.q_mvp = 0.5 * (float(eta @ self.w_mvp) - self.sigma2_mvp)
         self.q_max = self.q_mvp + 0.125 * self.rho * self.rho
-        self.d_root = self.centred_direction(root_eta, images[3])[0]
-        self.inv_r = None if rbar is None else images[4]
-        self.b = None if rbar is None else float(ones @ self.inv_r)
-        self.w_o = None if rbar is None else self.direction(rbar, self.inv_r)[0]
-        self.eta_wo = None if self.w_o is None else float(eta @ self.w_o)
+        to_mdrp = 0.0 if self.d_eta is None else 0.5 * self.rho * self.d_eta
+        self.w_mdrp = _frozen(self.w_mvp + to_mdrp)
+        self.d_root, self.k_root = self.direction(root_eta, images[2])
+        self.w_o, self.k_r = (None, 0.0) if rbar is None else self.direction(rbar, images[3])
+        self.eta_wo = None if self.w_o is None else float(rhs[1] @ self.w_o)
         if self.eta_wo is not None and abs(self.eta_wo) <= ZERO_BAND_RTOL * self.rho:
             self.eta_wo = 0.0
 
@@ -284,26 +275,23 @@ class CovarianceSolver:
         except LinAlgError as exc:
             raise SingularCovarianceError(f"covariance solve failed: {exc}") from exc
 
-    def direction(self, c: np.ndarray, inv_c: np.ndarray):
-        """(d, k) with d = (V^-1 c - (1' V^-1 c / a) V^-1 1) / k and
-        k^2 = c' V^-1 c - (1' V^-1 c)^2 / a, so 1' d = 0 and d' V d = 1;
-        (None, 0.0) when c is proportional to ones or k^2 <= 0."""
-        g = float(np.ones(len(c)) @ inv_c)
-        k_sq = float(c @ inv_c) - g * g / self.a
-        if proportional_to_ones(c) or k_sq <= 0.0:
-            return None, 0.0
-        k = float(np.sqrt(k_sq))
-        return _frozen((inv_c - (g / self.a) * self.inv_ones) / k), k
-
-    def centred_direction(self, c: np.ndarray, inv_c: Optional[np.ndarray] = None):
-        """:meth:`direction` of c - mean(c) 1, from inv_c = V^-1 (c - mean(c) 1),
-        solved here when None.  A multiple of ones does not change d, and
-        without one k^2 does not cancel when c is close to a multiple of ones
-        (sqrt(eta) at near-equal vols)."""
+    def direction(self, c: np.ndarray, inv_c: Optional[np.ndarray] = None):
+        """(d, k) with d = (V^-1 c0 - (1' V^-1 c0 / a) V^-1 1) / k and
+        k^2 = c0' V^-1 c0 - (1' V^-1 c0)^2 / a, c0 = c - mean(c) 1 and inv_c
+        = V^-1 c0 (solved when None), so 1' d = 0 and d' V d = 1; (None, 0.0)
+        when k^2 <= 0 or c, tested before centring, is proportional to ones.
+        Centring changes neither d nor k, and keeps k^2 from cancelling when c
+        is close to a multiple of ones (near-equal vols or returns)."""
         if proportional_to_ones(c):
             return None, 0.0
         c = c - c.mean()
-        return self.direction(c, self.solve(c) if inv_c is None else inv_c)
+        inv_c = self.solve(c) if inv_c is None else inv_c
+        g = float(np.ones(len(c)) @ inv_c)
+        k_sq = float(c @ inv_c) - g * g / self.a
+        if k_sq <= 0.0:
+            return None, 0.0
+        k = float(np.sqrt(k_sq))
+        return _frozen((inv_c - (g / self.a) * self.inv_ones) / k), k
 
 
 @dataclass(frozen=True)

@@ -1,20 +1,22 @@
 """Closed-form special portfolios of a nonsingular universe.
 
-Every V^-1 image comes from the universe's own covariance kernel
-(:attr:`~drfrontier.model.AssetUniverse.solver`): one batched solve per
-universe, after which each portfolio here is a few dot products.  V^-1 is
-never formed.  Throughout, for a universe with covariance V, variance vector
-eta and expected returns rbar:
+Every portfolio here is w_mvp + t d for a unit direction d of the
+universe's covariance kernel (:attr:`~drfrontier.model.AssetUniverse.solver`):
+one batched solve per universe, then a few dot products.  V^-1 is never
+formed.  Throughout, for covariance V, variances eta, expected returns rbar
+and the centred x0 = x - mean(x) 1:
 
     a = 1' V^-1 1          (inverse of the minimum-variance variance)
-    b = 1' V^-1 rbar
-    rho^2 = eta' V^-1 eta - (1' V^-1 eta)^2 / a
+    b = 1' V^-1 rbar = a rbar' w_mvp
+    rho^2 = eta0' V^-1 eta0 - (1' V^-1 eta0)^2 / a
 
-rho measures how far eta is from being proportional to the ones vector in
-the V^-1 metric; it controls the spread between the minimum-variance and
-maximum-DR portfolios and the height of the DR frontier.  Every portfolio is
-formed once through :func:`~drfrontier.model.portfolio_stats`, which reads
-its centrality from the same kernel, so no embedding is built here.
+which is eta' V^-1 eta - (1' V^-1 eta)^2 / a without its cancellation when
+eta is close to a multiple of ones.  rho measures how far eta is from being
+proportional to the ones vector in the V^-1 metric; it controls the spread
+between the minimum-variance and maximum-DR portfolios and the height of
+the DR frontier.  Every portfolio is formed once through
+:func:`~drfrontier.model.portfolio_stats`, which reads its centrality from
+the same kernel, so no embedding is built here.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ def min_variance_portfolio(universe: AssetUniverse) -> Portfolio:
 def max_dr_portfolio(universe: AssetUniverse) -> Portfolio:
     """Maximum-DR budget portfolio, the kernel's
 
-        w = (1 - 1' V^-1 eta / 2) * w_mvp + 0.5 * V^-1 eta
+        w = (1 - 1' V^-1 eta / 2) * w_mvp + 0.5 * V^-1 eta = w_mvp + (rho / 2) d_eta
 
     Its DR is q_max and its centrality exactly 0.
     """
@@ -107,21 +109,23 @@ def q_portfolio(universe: AssetUniverse) -> Portfolio:
 def tangent_portfolio(universe: AssetUniverse) -> Portfolio:
     """Tangency portfolio of the risk-free capital-market line.
 
-    w_T = V^-1 (rbar - r0 1) / (b - r0 a); requires the minimum-variance
-    portfolio return b / a to exceed the risk-free rate r0.
+    w_T = V^-1 (rbar - r0 1) / (b - r0 a) = w_mvp + (k_r sigma_mvp^2 / (R - r0)) w_o
+    with R = rbar' w_mvp = b / a, the minimum-variance return, and (w_o, k_r)
+    the kernel's direction of rbar (w_T = w_mvp when there is none).
+    Requires R - r0 > 1e-12 |R|: the risk-free rate r0 below R.
     """
     rbar = _require_returns(universe)
     if universe.risk_free_rate is None:
         raise MissingReturnsError("universe has no risk-free rate")
     r0 = universe.risk_free_rate
     s = universe.solver
-    denom = s.b - r0 * s.a
-    if denom <= 1e-12 * abs(s.b):
+    ret = float(rbar @ s.w_mvp)
+    if ret - r0 <= 1e-12 * abs(ret):
         raise TangencyInfeasibleError(
-            f"b - r0 a = {denom:.3e}; risk-free rate must sit below the "
+            f"b - r0 a = {s.a * (ret - r0):.3e}; risk-free rate must sit below the "
             "minimum-variance portfolio return"
         )
-    w_t = (s.inv_r - r0 * s.inv_ones) / denom
+    w_t = s.w_mvp if s.w_o is None else s.w_mvp + (s.k_r * s.sigma2_mvp / (ret - r0)) * s.w_o
     return portfolio_stats(universe, w_t)
 
 
@@ -153,7 +157,7 @@ def special_portfolios(universe: AssetUniverse, embedding=None) -> SpecialPortfo
     `embedding` is unused: every centrality comes from the kernel.  It is
     kept because existing callers pass it.
     """
-    s = universe.solver
+    s, rbar = universe.solver, universe.expected_returns
     mvp = min_variance_portfolio(universe)
     mdrp = max_dr_portfolio(universe)
 
@@ -173,7 +177,7 @@ def special_portfolios(universe: AssetUniverse, embedding=None) -> SpecialPortfo
         d=mdrp.weights - mvp.weights,
         a=s.a,
         rho=s.rho,
-        b=s.b,
+        b=None if rbar is None else s.a * float(rbar @ s.w_mvp),
         w_o=s.w_o,
         eta_wo=s.eta_wo,
         eta_wo_sign=sign,

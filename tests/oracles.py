@@ -600,18 +600,16 @@ def forward_error(universe):
     """Relative forward-error bound of the kernel's unit directions.
 
     A solve with V is good to n * eps * cond(V) relative; forming
-    d = (V^-1 c - g w_mvp) / k then loses the ratio |V^-1 c| / (k |d|) to
-    cancellation.  Every quantity read from the kernel's images inherits this
-    error, and a reference route carries it in its own rounded weights.
+    d = (V^-1 c0 - g w_mvp) / k from the centred c0 = c - mean(c) 1 then
+    loses the ratio |V^-1 c0| / (k |d|) to cancellation.  Every quantity read
+    from the kernel's images inherits this error, and a reference route
+    carries it in its own rounded weights.
     """
     s = universe.solver
     loss = 1.0
-    for c, inv_c in (
-        (universe.variances, s.inv_eta),
-        (np.sqrt(universe.variances), s.inv_root_eta),
-        (universe.expected_returns, s.inv_r),
-    ):
-        d, k = (None, 0.0) if c is None else s.direction(c, inv_c)
+    eta, rbar = universe.variances, universe.expected_returns
+    for c, inv_c in zip((eta, np.sqrt(eta), rbar), lu_route(universe)[1:]):
+        d, k = s.direction(c, inv_c)
         if d is not None:
             cancel = float(np.abs(inv_c).max()) / (k * float(np.abs(d).max()))
             loss = max(loss, cancel)
@@ -619,15 +617,19 @@ def forward_error(universe):
     return universe.n * np.finfo(float).eps * cond * loss
 
 
+def centred_rhs(universe):
+    """The kernel's right-hand sides [1, eta0, sqrt(eta)0, rbar0], x0 the
+    centred x - mean(x) 1 (rbar0 only with returns)."""
+    eta, rbar = universe.variances, universe.expected_returns
+    cols = [eta, np.sqrt(eta)] + ([] if rbar is None else [rbar])
+    return [np.ones(universe.n)] + [c - c.mean() for c in cols]
+
+
 def lu_route(universe):
-    """The kernel's batch V^-1 [1, eta, sqrt(eta), rbar] by np.linalg.solve,
-    one row per right-hand side (rbar only with returns): the LU route that
-    the kernel takes only as its fallback."""
-    eta = universe.variances
-    rhs = [np.ones(universe.n), eta, np.sqrt(eta)]
-    if universe.expected_returns is not None:
-        rhs.append(universe.expected_returns)
-    return np.linalg.solve(universe.cov, np.column_stack(rhs)).T
+    """The kernel's batch V^-1 :func:`centred_rhs` by np.linalg.solve, one
+    row per right-hand side: the LU route that the kernel takes only as its
+    fallback."""
+    return np.linalg.solve(universe.cov, np.column_stack(centred_rhs(universe))).T
 
 
 def eigen_covariance_decision(cov):
@@ -739,22 +741,24 @@ RATIO_SWEEP_RTOL = 1e-6
 
 
 def ratio_sweep_audit(universe):
-    """Compare the ratio of the normalized V^-1 sqrt(eta) with the best ratio
-    of 64 risk-constrained maximizers w_mvp + u * d_root, sigma from just
-    above sigma_mvp to 16 times the larger of sigma_mvp and the normalized
-    point's risk; raises NotSPDError when the sweep wins by more than
-    RATIO_SWEEP_RTOL, and returns (closed-form ratio, best swept ratio)."""
+    """Compare the ratio of the normalized V^-1 sqrt(eta), solved here by
+    np.linalg.solve, with the best ratio of 64 risk-constrained maximizers
+    w_mvp + u * d_root, sigma from just above sigma_mvp to 16 times the
+    larger of sigma_mvp and the normalized point's risk; raises NotSPDError
+    when the sweep wins by more than RATIO_SWEEP_RTOL, and returns
+    (closed-form ratio, best swept ratio)."""
     s = universe.solver
     root = np.sqrt(universe.variances)
-    x = s.inv_root_eta
-    w = x / float(np.ones(universe.n) @ x)
+    x = np.linalg.solve(universe.cov, root)
+    w = x / float(x.sum())
     best = float(root @ w) / float(np.sqrt(w @ universe.cov @ w))
     sigma_lo = float(np.sqrt(s.sigma2_mvp))
     sigma_hi = 16.0 * max(sigma_lo, float(np.sqrt(w @ universe.cov @ w)))
     sigmas = np.geomspace(sigma_lo * (1.0 + 1e-9), sigma_hi, 64)
     slope, u = 0.0, np.zeros(len(sigmas))  # equal volatilities: all are w_mvp
     if s.d_root is not None:
-        slope, u = float(root @ s.d_root), np.sqrt(sigmas * sigmas - s.sigma2_mvp)
+        slope = float((root - root.mean()) @ s.d_root)
+        u = np.sqrt(sigmas * sigmas - s.sigma2_mvp)
     swept = float(np.max((root @ s.w_mvp + u * slope) / np.sqrt(s.sigma2_mvp + u * u)))
     if swept > best * (1.0 + RATIO_SWEEP_RTOL):
         raise NotSPDError(

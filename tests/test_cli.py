@@ -199,19 +199,24 @@ def test_mdp_non_finite_sigma_exits_2(fixture_dir, tmp_path, capsys, sigma):
     assert not out.exists()
 
 
-def test_near_constant_returns_leave_the_return_curves_out(tmp_path):
-    # returns 1e-11 apart are not proportional to ones, yet have no
-    # mean-variance direction in the V^-1 metric: the commands run without it,
-    # as on exactly constant returns
+def test_near_constant_returns_get_their_curves(tmp_path):
+    # returns 1e-11 apart still have a mean-variance direction: the kernel
+    # solves them centred, so eta' w_o is 4 / sqrt(6) for every gap, as a
+    # 50-digit solve gives, and the return curves are written
     src = _write_universe_json(tmp_path / "u.json", V3, rbar=[0.05, 0.05 + 1e-11, 0.05])
     for cmd in (["portfolios"], ["frontier"], ["mdp", "--samples", "100"]):
         out = tmp_path / cmd[0]
         assert main(cmd + ["--input", str(src), "--out", str(out)]) == 0, cmd
     scalars = _read_json(tmp_path / "portfolios" / "portfolios.json")["scalars"]
-    assert scalars["eta_wo"] is None and scalars["eta_wo_sign"] is None
-    assert scalars["ef_shape"] == "degenerate"
+    assert scalars["eta_wo"] == 1.63299316186 and scalars["eta_wo_sign"] == "positive"
+    assert scalars["ef_shape"] == "strongly_concave"
     written = sorted(p.name for p in (tmp_path / "frontier").iterdir())
-    assert written == ["frontier_efficient_dr.csv", "frontier_mdp_at_sigma.csv"]
+    assert written == [
+        "frontier_efficient_dr.csv",
+        "frontier_mdp_at_sigma.csv",
+        "frontier_mv_efficient_dr.csv",
+        "frontier_mv_mean_return.csv",
+    ]
 
 
 def test_riskfree_flag_replaces_a_bad_json_rate(tmp_path):

@@ -18,7 +18,8 @@ and certifying a distance matrix take one Cholesky factorization and no
 eigendecomposition unless the factorization fails, and an embedding
 decomposes its Gram matrix only when its coordinates are read; d_max of a distance matrix is one ascent, and a
 matrix that is not one is refused before any; d_max of D_eta is a closed
-form; the sandwich check draws nothing, and each universe builds its two
+form; a bad norm budget tau is refused before any eigendecomposition of
+the norm matrix; the sandwich check draws nothing, and each universe builds its two
 critical lines once across levels (an empty level builds only the eta
 line, for w_lo), each with one solve for its first KKT inverse and no
 other np.linalg call when no residual asks for a refresh; a walk of a
@@ -44,7 +45,7 @@ import pytest
 import drfrontier as drf
 from drfrontier import embedding, mdp, model
 from drfrontier.cli import main
-from drfrontier.errors import NotPSDError
+from drfrontier.errors import BudgetViolationError, NotPSDError, ParseError
 from drfrontier.frontiers import FrontierKind
 
 from .conftest import FIXTURES, R0_3, RBAR3, V3
@@ -284,6 +285,18 @@ def test_special_portfolios_reuses_the_passed_embedding(calls):
     embeds = calls["embed"]
     drf.special_portfolios(u)
     assert calls["embed"] == embeds
+
+
+def test_a_bad_norm_budget_costs_no_eigendecomposition(monkeypatch):
+    # norm_dr_bound reads tau before the norm matrix, so a bad tau is
+    # refused in O(1), without eigvalsh of A
+    n = 300
+    emb = drf.embed(random_universe(np.random.default_rng(13), n))
+    eigs = _count_linalg(monkeypatch, "eigvalsh")
+    for tau, error in (("x", ParseError), (-1.0, BudgetViolationError)):
+        with pytest.raises(error):
+            drf.norm_dr_bound(emb, np.eye(n), tau)
+    assert eigs["eigvalsh"] == 0
 
 
 def test_d_max_of_an_edm_is_one_ascent(calls, ex3, universe30):

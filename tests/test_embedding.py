@@ -287,6 +287,11 @@ def test_norm_bound_input_errors(ex3):
     asym[0, 1] = 0.5
     with pytest.raises(NotSPDError):
         drf.norm_dr_bound(emb, asym, 0.5)
+    # tau is read first: with a bad A as well, the tau error is raised
+    with pytest.raises(drf.errors.BudgetViolationError):
+        drf.norm_dr_bound(emb, asym, -0.1)
+    with pytest.raises(drf.errors.ParseError):
+        drf.norm_dr_bound(emb, np.eye(4), "x")
     with pytest.raises(DimensionMismatchError):
         drf.norm_dr_bound(emb, np.eye(4), 0.5)
     with pytest.raises(drf.errors.BudgetViolationError):

@@ -19,7 +19,14 @@ from drfrontier.errors import (
 from drfrontier.model import PSD_RTOL
 
 from .conftest import R0_3, RBAR3
-from .oracles import conditioned_universe, forward_error, lu_route, random_universe, with_spectrum
+from .oracles import (
+    centred_rhs,
+    conditioned_universe,
+    forward_error,
+    lu_route,
+    random_universe,
+    with_spectrum,
+)
 
 # Residual of a kernel image within this multiple of n eps |V| |x| (inf norms);
 # about 0.6 is the worst seen on conditioned universes up to cond 1e9.
@@ -374,13 +381,11 @@ def test_kernel_images_are_backward_stable(n, seed, log_cond, with_returns):
         # the factor's route at every size, as from FACTOR_SOLVE_FROM assets
         mp.setattr(model, "FACTOR_SOLVE_FROM", 1)
         s = u.solver
-    pairs = [
-        (np.ones(n), s.inv_ones),
-        (u.variances, s.inv_eta),
-        (np.sqrt(u.variances), s.inv_root_eta),
-    ]
-    if with_returns:
-        pairs.append((u.expected_returns, s.inv_r))
+    # the kernel's batch, the same solve of the same columns as its build
+    rhs = centred_rhs(u)
+    images = s.solve(np.column_stack(rhs)).T
+    np.testing.assert_array_equal(images[0], s.inv_ones)
+    pairs = list(zip(rhs, images))
     fresh = np.linspace(-1.0, 2.0, n)  # not in the batch: a solve of its own
     for c, x in pairs + [(fresh, s.solve(fresh))]:
         _assert_backward_stable(u.cov, x, c)
@@ -425,10 +430,10 @@ def test_kernel_falls_back_to_lu_where_refinement_cannot_contract(monkeypatch):
     u = drf.validate_universe(with_spectrum(evals), expected_returns=np.linspace(0.02, 0.1, n))
     assert u.factor is not None
     assert _kernel_lu_solves(monkeypatch, u) == 1
-    for c, image in zip(
-        (np.ones(n), u.variances, np.sqrt(u.variances), u.expected_returns),
-        (u.solver.inv_ones, u.solver.inv_eta, u.solver.inv_root_eta, u.solver.inv_r),
-    ):
+    rhs = centred_rhs(u)
+    images = u.solver.solve(np.column_stack(rhs)).T
+    np.testing.assert_array_equal(images[0], u.solver.inv_ones)
+    for c, image in zip(rhs, images):
         _assert_backward_stable(u.cov, image, c)
 
 

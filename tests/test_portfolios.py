@@ -450,3 +450,63 @@ def test_kernel_mdrp_meets_a_50_digit_reference(ex3, ex3_returns, universe30):
         w = u.solver.w_mdrp
         assert float(np.abs(w - s_ref).max()) <= rel_tol * float(np.abs(s_ref).max())
         assert abs(u.solver.q_max - q_ref) <= rel_tol * abs(q_ref)
+
+
+def _directions_at_50_digits(mpmath, u):
+    """(rho, d_eta, w_o, eta' w_o) of the float V, eta and rbar at 50 digits:
+    d = (V^-1 c0 - g w_mvp) / k for c0 = c - mean(c) 1, g = 1' V^-1 c0 and
+    k^2 = c0' V^-1 c0 - g^2 / a."""
+    n = u.n
+    with mpmath.workdps(50):
+        V = mpmath.matrix(u.cov.tolist())
+        inv_ones = mpmath.lu_solve(V, mpmath.matrix([1] * n))
+        a = sum(inv_ones)
+        eta = [V[i, i] for i in range(n)]
+
+        def direction(c):
+            mean = sum(c) / n
+            c0 = mpmath.matrix([x - mean for x in c])
+            y = mpmath.lu_solve(V, c0)
+            g = sum(y)
+            k = mpmath.sqrt(sum(c0[i] * y[i] for i in range(n)) - g * g / a)
+            return k, [(y[i] - g * inv_ones[i] / a) / k for i in range(n)]
+
+        rho, d_eta = direction(eta)
+        _, w_o = direction([mpmath.mpf(float(r)) for r in u.expected_returns])
+        eta_wo = sum(eta[i] * w_o[i] for i in range(n))
+    return float(rho), np.array(d_eta, dtype=float), np.array(w_o, dtype=float), float(eta_wo)
+
+
+def _near_equal_universes(count=60):
+    # vols and returns spread 1e-9 to 1e-3 about a common level, on the
+    # sample correlation of 2n normal draws
+    rng = np.random.default_rng(11)
+    for _ in range(count):
+        n = int(rng.integers(2, 8))
+        spread = 10.0 ** rng.uniform(-9.0, -3.0)
+        G = rng.normal(size=(n, 2 * n))
+        C = G @ G.T
+        root = np.sqrt(np.diag(C))
+        vols = 0.3 * (1.0 + spread * rng.normal(size=n))
+        rbar = 0.05 + 0.05 * spread * rng.normal(size=n)
+        yield drf.validate_universe(C / np.outer(root, root) * np.outer(vols, vols), rbar)
+
+
+def test_kernel_directions_meet_a_50_digit_reference_at_near_equal_inputs():
+    # eta and rbar close to multiples of ones: the kernel solves them centred,
+    # so rho, d_eta, w_o and eta' w_o keep full accuracy where the uncentred
+    # k^2 = c' V^-1 c - (1' V^-1 c)^2 / a cancelled to rounding
+    mpmath = pytest.importorskip("mpmath")
+    for u in _near_equal_universes():
+        rho, d_eta, w_o, eta_wo = _directions_at_50_digits(mpmath, u)
+        s = u.solver
+        assert abs(s.rho - rho) <= 1e-14 * rho
+        for got, ref in ((s.d_eta, d_eta), (s.w_o, w_o)):
+            assert got is not None
+            assert float(np.abs(got - ref).max()) <= 1e-14 * float(np.abs(ref).max())
+        assert abs(s.eta_wo - eta_wo) <= 1e-13 * abs(eta_wo)
+    # returns (0.05, 0.05 + delta, 0.05) on ex3's V: affine invariance fixes
+    # eta' w_o at 4 / sqrt(6) for every delta > 0
+    for delta in (1e-11, 3e-10, 1e-9, 1e-8):
+        u = drf.validate_universe(V3, expected_returns=[0.05, 0.05 + delta, 0.05])
+        assert abs(u.solver.eta_wo - 4.0 / np.sqrt(6.0)) <= 1e-14 * (4.0 / np.sqrt(6.0))
