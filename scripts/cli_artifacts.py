@@ -20,10 +20,12 @@ ex3, which has no returns; `--log-returns` on mini; `--require-returns` on ex3; 
 subcommand; and the refused inputs: non-finite `--riskfree`, `--sigma` and
 `--grid` values, and covariance JSON with a NaN or non-numeric field or
 with names that are not a list; `portfolios`, `frontier --svg` and
-`mdp` on ex3's covariance with returns 1e-11 apart; and `portfolios` and
+`mdp` on ex3's covariance with returns 1e-11 apart; `portfolios` and
 `frontier --svg` on ex3's correlation with volatilities
-0.3 (1, 1 + 1e-9, 1 - 1e-9).  The script writes
-those covariance JSON inputs, and the CSV panels `ingest-check` reads to show each parse error
+0.3 (1, 1 + 1e-9, 1 - 1e-9); `portfolios` and `frontier --svg` on a
+two-asset universe with cond(V) = 4.3e6, whose max-DR portfolio is
+(1/2, 1/2); and the refused covariance JSON with a NaN return.  The
+script writes those covariance JSON inputs, and the CSV panels `ingest-check` reads to show each parse error
 (a non-numeric cell, a nonpositive price, a NaN cell before a negative
 price, dates out of order, a ragged row, fewer than two rows) and the
 warning for a row with a blank cell, into the run's directory, and runs
@@ -119,11 +121,20 @@ NEAR_EQUAL_VOLS = (
     "[0.045266012123993046, -0.01565217391304348, 0.08999999982000001]]}\n"
 )
 
+# two assets with cond(V) = 4.3e6: the max-DR portfolio of any two assets is
+# (1/2, 1/2), and every named portfolio sums to one only up to rounding
+TWO_ASSETS = (
+    '{"V": [[0.24671167963129925, -0.05000930994942807], '
+    "[-0.05000930994942807, 0.01013712273722854]], "
+    '"rbar": [0.12813823780813746, 0.04365469787233788]}\n'
+)
+
 # run -> (CLI arguments, text of the --input file written into OUT_DIR/<run>/)
 WRITTEN = {
     "json-r0-nan": (JSON_RUN, '{"V": [[1, 0], [0, 2]], "rbar": [0.1, 0.2], "r0": NaN}\n'),
     "json-r0-text": (JSON_RUN, '{"V": [[1, 0], [0, 2]], "rbar": [0.1, 0.2], "r0": "abc"}\n'),
     "json-rbar-text": (JSON_RUN, '{"V": [[1, 0], [0, 2]], "rbar": ["x", 0.2]}\n'),
+    "json-rbar-nan": (JSON_RUN, '{"V": [[1, 0], [0, 2]], "rbar": [NaN, 0.2]}\n'),
     "json-V-text": (JSON_RUN, '{"V": [["a", 0], [0, 2]]}\n'),
     "json-names-number": (JSON_RUN, '{"V": [[1, 0], [0, 2]], "names": 5}\n'),
     "json-names-text": (JSON_RUN, '{"V": [[1, 0], [0, 2]], "names": "ab"}\n'),
@@ -151,6 +162,8 @@ WRITTEN = {
         ["frontier", "--svg", "--input", "input.json"],
         NEAR_EQUAL_VOLS,
     ),
+    "json-two-assets-portfolios": (JSON_RUN, TWO_ASSETS),
+    "json-two-assets-frontier": (["frontier", "--svg", "--input", "input.json"], TWO_ASSETS),
 }
 
 

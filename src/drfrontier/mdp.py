@@ -206,9 +206,9 @@ def mdp_global(universe: AssetUniverse) -> Portfolio:
     V^-1 sqrt(eta), with value +-sqrt(sqrt(eta)' V^-1 sqrt(eta)) by
     Cauchy-Schwarz in the V metric, and the sign of the budget scaling
     t = 1' V^-1 sqrt(eta) = a sqrt(eta)' w_mvp decides which extreme
-    w = V^-1 sqrt(eta) / t = w_mvp + (k_root / t) d_root is (the kernel's
-    direction of sqrt(eta)).  For t < 0 it is the minimum, and no budget
-    portfolio attains the supremum, so NotSPDError is raised.
+    w = V^-1 sqrt(eta) / t = w_mvp + (k_root / t) d_root is, d_root being the
+    kernel's zero-budget direction of sqrt(eta).  For t < 0 it is the minimum,
+    and no budget portfolio attains the supremum, so NotSPDError is raised.
     """
     eta = universe.variances
     if float(eta.min()) <= 0.0:
@@ -223,9 +223,7 @@ def mdp_global(universe: AssetUniverse) -> Portfolio:
             "minimizes the ratio and no budget portfolio maximizes it"
         )
     w = s.w_mvp if s.d_root is None else s.w_mvp + (s.k_root / total) * s.d_root
-    # 1' d_root rounds to ~ eps |V^-1 sqrt(eta)0| / k_root, past BUDGET_ATOL at
-    # high cond(V): the miss moves onto w_mvp, so w sums to 1 as x / t does
-    return portfolio_stats(universe, w + (1.0 - float(w.sum())) * s.w_mvp)
+    return portfolio_stats(universe, w)
 
 
 def mdp_at_sigma(universe: AssetUniverse, sigma: float) -> KktSolution:

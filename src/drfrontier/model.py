@@ -44,7 +44,7 @@ from .errors import (
 SYMMETRY_RTOL = 1e-12
 # Eigenvalues of V down to -PSD_RTOL * lambda_max are accepted and clamped to 0.
 PSD_RTOL = 1e-10
-# Absolute tolerance on |sum(w) - 1|.
+# Tolerance on |sum(w) - 1|, widened by check_budget to a float sum's rounding.
 BUDGET_ATOL = 1e-10
 # Absolute tolerance of the identity centrality^2 + q = q_max, checked against
 # the distance matrix's route to s and q_max by tests/oracles.py::pythagoras_gaps.
@@ -281,7 +281,9 @@ class CovarianceSolver:
         = V^-1 c0 (solved when None), so 1' d = 0 and d' V d = 1; (None, 0.0)
         when k^2 <= 0 or c, tested before centring, is proportional to ones.
         Centring changes neither d nor k, and keeps k^2 from cancelling when c
-        is close to a multiple of ones (near-equal vols or returns)."""
+        is close to a multiple of ones (near-equal vols or returns).  Returning
+        d - (1' d) w_mvp puts each w_mvp + t d on budget up to rounding, and
+        adds no V-norm error: w_mvp' V z = 1' z / a = 0 for zero-budget z."""
         if proportional_to_ones(c):
             return None, 0.0
         c = c - c.mean()
@@ -291,7 +293,8 @@ class CovarianceSolver:
         if k_sq <= 0.0:
             return None, 0.0
         k = float(np.sqrt(k_sq))
-        return _frozen((inv_c - (g / self.a) * self.inv_ones) / k), k
+        d = (inv_c - (g / self.a) * self.inv_ones) / k
+        return _frozen(d - float(d.sum()) * self.w_mvp), k
 
 
 @dataclass(frozen=True)
@@ -324,17 +327,17 @@ class Portfolio:
 
 def check_budget(weights: np.ndarray, n: Optional[int] = None) -> np.ndarray:
     """Coerce weights to a float vector and enforce sum(w) == 1 within
-    BUDGET_ATOL; a non-finite sum fails.  With n, a vector of another length
-    then raises DimensionMismatchError."""
+    max(BUDGET_ATOL, 4 n eps sum|w_i|), a float sum's rounding bound (Higham
+    2002, sec. 4.2); a non-finite weight fails.  With n, a vector of another
+    length then raises DimensionMismatchError."""
     w = _float_array(weights, "weights")
     if w.ndim != 1:
         raise DimensionMismatchError(f"weights must be 1-D, got shape {w.shape}")
     with np.errstate(invalid="ignore"):  # inf - inf: the test below fails it
         total = float(w.sum())
-    if not abs(total - 1.0) <= BUDGET_ATOL:
-        raise BudgetViolationError(
-            f"weights sum to {total!r}, outside 1 +/- {BUDGET_ATOL}"
-        )
+    tol = max(BUDGET_ATOL, 4 * len(w) * np.finfo(float).eps * float(np.abs(w).sum()))
+    if not abs(total - 1.0) <= tol < math.inf:  # an infinite weight fails
+        raise BudgetViolationError(f"weights sum to {total!r}, outside 1 +/- {tol:.3g}")
     if n is not None and len(w) != n:
         raise DimensionMismatchError(f"{len(w)} weights for {n} assets")
     return w
@@ -390,8 +393,8 @@ def validate_universe(
     Checks, in order: squareness, n >= 2, symmetry within a relative
     tolerance (then exact symmetrization), positive semidefiniteness with a
     small negative eigenvalue allowance (offenders are clamped to zero), and
-    dimension agreement of optional expected returns.  Non-numeric cov or
-    expected returns, a risk-free rate that is not a finite number, and
+    dimension agreement of optional expected returns.  Non-numeric cov,
+    expected returns or a risk-free rate that are not all finite numbers, and
     names given as a string or as anything but a sequence raise ParseError.
 
     Definiteness is decided by one shifted Cholesky factorization when it
@@ -460,13 +463,11 @@ def validate_universe(
 
     rbar = None
     if expected_returns is not None:
-        rbar = _float_array(expected_returns, "expected_returns")
+        rbar = _finite_array(expected_returns, "expected_returns")
         if rbar.shape != (n,):
             raise DimensionMismatchError(
                 f"expected_returns shape {rbar.shape}, need ({n},)"
             )
-        if not np.all(np.isfinite(rbar)):
-            raise DimensionMismatchError("expected_returns contain non-finite entries")
         rbar = _frozen(rbar)
 
     V.setflags(write=False)

@@ -134,8 +134,9 @@ class SpecialPortfolios:
     """The named portfolios of a universe, plus the scalars tying them together.
 
     d = mdrp.weights - mvp.weights satisfies 1' d = 0, d' V w_mvp = 0 and
-    d' V d = rho^2 / 4.  Fields needing expected returns (or a feasible
-    risk-free rate) are None when the inputs are absent or degenerate.
+    d' V d = rho^2 / 4.  Every portfolio is w_mvp plus a multiple of a
+    zero-budget direction, so it sums to one up to rounding.  Fields needing
+    returns (or a feasible risk-free rate) are None when absent or degenerate.
     """
 
     mvp: Portfolio

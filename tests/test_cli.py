@@ -157,6 +157,7 @@ def test_non_finite_riskfree_exits_2(fixture_dir, tmp_path, capsys, fixture, fla
         ({"r0": "abc"}, "risk-free rate"),
         ({"rbar": ["x", 0.1, 0.1]}, "expected_returns"),
         ({"V": [["a", 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]}, "covariance"),
+        ({"rbar": [float("nan"), 0.1, 0.1]}, "expected_returns"),
     ],
 )
 def test_bad_json_fields_exit_2(tmp_path, capsys, fields, named):

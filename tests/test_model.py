@@ -16,7 +16,7 @@ from drfrontier.errors import (
     ParseError,
     SingularCovarianceError,
 )
-from drfrontier.model import PSD_RTOL
+from drfrontier.model import BUDGET_ATOL, PSD_RTOL
 
 from .conftest import R0_3, RBAR3
 from .oracles import (
@@ -186,11 +186,31 @@ def test_validate_universe_mismatched_returns():
 
 def test_check_budget_tolerance():
     drf.check_budget(np.array([0.5, 0.5 + 9e-11]))
-    with pytest.raises(BudgetViolationError):
-        drf.check_budget(np.array([0.5, 0.5 + 1e-6]))
+    for w in ([0.5, 0.5 + 1e-6], [0.5, 0.5 + 2e-10]):
+        with pytest.raises(BudgetViolationError, match=r"outside 1 \+/- 1e-10"):
+            drf.check_budget(np.array(w))
+    # levered weights are held to their sum's rounding, 4 n eps sum|w_i|:
+    # a miss of 1e-6 is far past it
+    w = np.array([1e7, -1e7 + 1 + 1e-6])
+    tol = 4 * 2 * np.finfo(float).eps * 2e7
+    with pytest.raises(BudgetViolationError, match=f"outside 1 \\+/- {tol:.3g}"):
+        drf.check_budget(w)
+    # the budget projection of levered weights, on budget but for rounding
+    # that no sum can resolve to BUDGET_ATOL
+    x = np.random.default_rng(0).normal(size=8) * 1e7
+    w = x - (x.sum() - 1.0) / 8
+    assert abs(w.sum() - 1.0) > BUDGET_ATOL
+    drf.check_budget(w)
 
 
-@pytest.mark.parametrize("weights", [[np.nan, 1.0], [np.inf, -np.inf]])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_validate_universe_reads_expected_returns_as_finite(bad):
+    # one reader for rbar, r0 and sigma: a non-finite entry is a ParseError
+    with pytest.raises(ParseError, match="expected_returns"):
+        drf.validate_universe(np.eye(3), expected_returns=[0.1, bad, 0.2])
+
+
+@pytest.mark.parametrize("weights", [[np.nan, 1.0], [np.inf, -np.inf], [np.inf, 1.0]])
 def test_check_budget_rejects_a_non_finite_sum(weights):
     with pytest.raises(BudgetViolationError):
         drf.check_budget(np.array(weights))

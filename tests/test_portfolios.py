@@ -1,18 +1,18 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import drfrontier as drf
 from drfrontier.errors import (
-    BudgetViolationError,
     DegenerateReturnsError,
     MissingReturnsError,
+    NotSPDError,
     SingularCovarianceError,
     TangencyInfeasibleError,
 )
 from drfrontier.frontiers import FrontierKind
-from drfrontier.model import BUDGET_ATOL, PYTHAGORAS_ATOL, proportional_to_ones
+from drfrontier.model import PYTHAGORAS_ATOL, proportional_to_ones
 
 from .conftest import FIXTURES, R0_3, RBAR3, V3
 from .oracles import (
@@ -400,13 +400,7 @@ def test_embedding_routes_across_conditioning(n, seed, log_cond, with_riskfree):
     # error bound, on the scale of the weights and of |B| ~ q_max
     u = conditioned_universe(n, seed, log_cond, with_riskfree)
     rel_tol = forward_error(u)
-    try:
-        sp = drf.special_portfolios(u)
-    except BudgetViolationError:
-        # weights of size ~1e7 sum off 1 past the absolute BUDGET_ATOL only
-        # where rounding of that size is allowed
-        assert rel_tol > BUDGET_ATOL
-        return
+    sp = drf.special_portfolios(u)
     scale = max(1.0, float(np.abs(u.cov).max()))
     for p in _formed(sp):
         w_size = max(1.0, float(np.abs(p.weights).max()))
@@ -415,6 +409,57 @@ def test_embedding_routes_across_conditioning(n, seed, log_cond, with_riskfree):
         tol = max(PYTHAGORAS_ATOL, rel_tol) * size
         assert gram <= tol and kernel <= tol, (gram, kernel, tol)
     assert mdrp_route_gap(u) <= max(MDRP_AGREEMENT_ATOL, rel_tol)
+
+
+def _sum_rounding(x):
+    """4 n eps sum|x_i|, the rounding bound of a float sum of x."""
+    return 4 * len(x) * np.finfo(float).eps * float(np.abs(x).sum())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.floats(0.0, 9.0))
+def test_two_asset_max_dr_portfolio_is_the_midpoint(seed, log_cond):
+    # q(w) = D12 w1 w2 for two assets, so s = (1/2, 1/2) exactly; all the
+    # named portfolios are formed, as the portfolios command forms them
+    u = conditioned_universe(2, seed, log_cond)
+    w = drf.special_portfolios(u).mdrp.weights
+    assert float(np.abs(w - 0.5).max()) <= forward_error(u)
+
+
+def test_two_asset_max_dr_portfolio_is_the_midpoint_at_cond_4e6():
+    # without the kernel's budget projection the Q weights sum to
+    # 0.9999999998981275 here, and special_portfolios refuses the universe
+    u = conditioned_universe(2, 1278992882, 6.133)
+    w = drf.special_portfolios(u).mdrp.weights
+    assert float(np.abs(w - 0.5).max()) <= forward_error(u)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 8),
+    st.integers(0, 2**31 - 1),
+    st.floats(0.0, 9.0),
+    st.booleans(),
+)
+@example(2, 958895565, 5.828462093606521, True)  # sum|w_mvp| = 64, sum|w_mdrp| = 1
+def test_kernel_directions_and_portfolios_are_on_budget(n, seed, log_cond, with_riskfree):
+    # every kernel direction is zero-budget up to the rounding of its own
+    # sum, and every named portfolio w = w_mvp + t d sums to one up to the
+    # rounding of the terms that form it: w carries the miss of w_mvp's sum,
+    # which exceeds 4 n eps sum|w_i| where w_mvp is levered and w is not
+    u = conditioned_universe(n, seed, log_cond, with_riskfree)
+    s = u.solver
+    for d in (s.d_eta, s.d_root, s.w_o):
+        if d is not None:
+            assert abs(float(d.sum())) <= _sum_rounding(d)
+    formed = _formed(drf.special_portfolios(u))
+    try:
+        formed.append(drf.mdp_global(u))
+    except NotSPDError:  # 1' V^-1 sqrt(eta) < 0: no budget maximizer
+        pass
+    for p in formed:
+        terms = _sum_rounding(s.w_mvp) + _sum_rounding(p.weights - s.w_mvp)
+        assert abs(float(p.weights.sum()) - 1.0) <= terms
 
 
 def _mdrp_at_50_digits(mpmath, u):
