@@ -20,8 +20,8 @@ ex3, which has no returns; `--log-returns` on mini; `--require-returns` on ex3; 
 subcommand; and the refused inputs: non-finite `--riskfree`, `--sigma` and
 `--grid` values, and covariance JSON with a NaN or non-numeric field or
 with names that are not a list; `portfolios`, `frontier --svg` and
-`mdp` on ex3's covariance with returns 1e-11 apart; `portfolios` and
-`frontier --svg` on ex3's correlation with volatilities
+`mdp` on ex3's covariance with returns 1e-11 apart; `portfolios`,
+`frontier --svg` and `mdp` on ex3's correlation with volatilities
 0.3 (1, 1 + 1e-9, 1 - 1e-9); `portfolios` and `frontier --svg` on a
 two-asset universe with cond(V) = 4.3e6, whose max-DR portfolio is
 (1/2, 1/2); and the refused covariance JSON with a NaN return.  The
@@ -162,6 +162,7 @@ WRITTEN = {
         ["frontier", "--svg", "--input", "input.json"],
         NEAR_EQUAL_VOLS,
     ),
+    "json-vols-near-equal-mdp": (["mdp", "--input", "input.json"], NEAR_EQUAL_VOLS),
     "json-two-assets-portfolios": (JSON_RUN, TWO_ASSETS),
     "json-two-assets-frontier": (["frontier", "--svg", "--input", "input.json"], TWO_ASSETS),
 }

@@ -454,8 +454,8 @@ def sweep(
             d, m = s.d_eta, params.rho
             alpha = None if d is None else 2.0 * u / params.rho
         elif kind is FrontierKind.MDP_AT_SIGMA:
-            d, eta = s.d_root, universe.variances
-            m = 0.0 if d is None else float((eta - eta.mean()) @ d)
+            d = s.d_root
+            m = 0.0 if d is None else float(s.eta0 @ d)
             if d is None:
                 status = "degenerate"
         elif params.eta_wo is None:
@@ -468,7 +468,7 @@ def sweep(
             u, d = np.zeros_like(u), np.zeros(universe.n)
         q = _q_along(params, m, u)
         if rbar is not None:
-            ret = rbar @ s.w_mvp + u * ((rbar - rbar.mean()) @ d)
+            ret = rbar @ s.w_mvp + u * (s.rbar0 @ d)
         e = d - (0.0 if s.d_eta is None else s.d_eta)
         bend = 0.25 * params.rho * float(e @ universe.cov @ e)
         t = u - 0.5 * params.rho

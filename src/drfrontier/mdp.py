@@ -180,10 +180,10 @@ class SandwichReport:
 
 def build_d_eta(universe: AssetUniverse) -> np.ndarray:
     """Volatility distance matrix D_eta[i, j] = 0.5 (sqrt(eta_i) - sqrt(eta_j))^2."""
-    eta = np.asarray(universe.variances, dtype=float)
+    eta = universe.variances
     if float(eta.min()) < -1e-12:
         raise NegativeVarianceError(f"negative asset variance {eta.min():.3e}")
-    root = np.sqrt(np.clip(eta, 0.0, None))
+    root = universe.volatilities
     # difference-of-roots form: no cancellation for near-equal variances,
     # exact zero diagonal, nonnegative by construction
     diff = root[:, None] - root[None, :]
@@ -195,8 +195,7 @@ def diversification_ratio(universe: AssetUniverse, weights) -> float:
     p = portfolio_stats(universe, weights)
     if p.variance <= 0.0:
         raise ZeroVarianceError("portfolio variance is zero; ratio undefined")
-    root = np.sqrt(np.clip(universe.variances, 0.0, None))
-    return float(root @ p.weights) / p.sigma
+    return float(universe.volatilities @ p.weights) / p.sigma
 
 
 def mdp_global(universe: AssetUniverse) -> Portfolio:
@@ -214,7 +213,7 @@ def mdp_global(universe: AssetUniverse) -> Portfolio:
     if float(eta.min()) <= 0.0:
         raise ZeroVarianceError("every asset needs positive variance")
     s = universe.solver
-    total = s.a * float(np.sqrt(eta) @ s.w_mvp)
+    total = s.a * float(universe.volatilities @ s.w_mvp)
     if abs(total) < 1e-300:
         raise SingularCovarianceError("V^-1 sqrt(eta) sums to zero; cannot normalize")
     if total < 0.0:
@@ -229,7 +228,7 @@ def mdp_global(universe: AssetUniverse) -> Portfolio:
 def mdp_at_sigma(universe: AssetUniverse, sigma: float) -> KktSolution:
     """Maximize sqrt(eta)' w at risk sigma: w_mvp + u * d_root, the kernel's
     direction, or w_mvp with degenerate=True when the kernel has none
-    (sqrt(eta) proportional to ones: all vols equal)."""
+    (sqrt(eta) proportional to ones: vols equal within PROPORTIONALITY_RTOL)."""
     s = universe.solver
     u = _excess_risk_at(s.sigma2_mvp, sigma)
     if s.d_root is None:
@@ -323,7 +322,7 @@ def _d_max_of_d_eta(universe: AssetUniverse) -> float:
     Points on a line have the segment between the extremes as their minimum
     enclosing ball, so d_max = (sqrt(eta_max) - sqrt(eta_min))^2 / 8.
     """
-    root = np.sqrt(np.clip(universe.variances, 0.0, None))
+    root = universe.volatilities
     spread = float(root.max() - root.min())
     return spread * spread / 8.0
 
@@ -526,7 +525,7 @@ def sandwich_check(
     d_upper = _d_max_of_d_eta(universe)
     lo = universe.long_only_mvp
     sigma_lo = float(np.sqrt(lo.variance))
-    sigma_hi = float(np.sqrt(max(float(universe.variances.max()), 0.0)))
+    sigma_hi = float(universe.volatilities.max())
     below = np.sqrt(lo.variance_lower) > (1.0 + SHELL_BAND) * sigma
     empty = bool(below or sigma_hi < (1.0 - SHELL_BAND) * sigma)
     tau = min(max(sigma, sigma_lo), sigma_hi)

@@ -108,6 +108,7 @@ class AssetUniverse:
         cov: annualized covariance matrix (symmetric PSD, read-only).
         variances: diagonal of cov, kept separately because the DR
             functional weights it directly.
+        volatilities: sqrt(max(variances, 0)), read-only, formed once.
         expected_returns: optional annualized mean returns.
         risk_free_rate: optional annualized risk-free rate, a finite float
             (anything else raises ParseError, also through
@@ -135,6 +136,10 @@ class AssetUniverse:
     @property
     def n(self) -> int:
         return len(self.names)
+
+    @functools.cached_property
+    def volatilities(self) -> np.ndarray:
+        return _frozen(np.sqrt(np.clip(self.variances, 0.0, None)))
 
     @functools.cached_property
     def solver(self) -> "CovarianceSolver":
@@ -172,7 +177,7 @@ class AssetUniverse:
         """The long-only critical line of mu = sqrt(eta), kept likewise."""
         from .mdp import critical_line
 
-        return critical_line(self.cov, np.sqrt(np.clip(self.variances, 0.0, None)))
+        return critical_line(self.cov, self.volatilities)
 
     @functools.cached_property
     def sigma_grid(self) -> np.ndarray:
@@ -186,6 +191,8 @@ class AssetUniverse:
 class CovarianceSolver:
     """V^-1 [1, eta0, sqrt(eta)0, rbar0], x0 = x - mean(x) 1, solved once per
     universe with the factor; every closed form afterwards is dot products.
+    sqrt(eta)0 centres (eta_i - eta_1) / (sqrt(eta_i) + sqrt(eta_1)), free of
+    the roots' cancellation; eta0 and rbar0 (None without returns) are kept.
 
     d_eta, d_root and w_o, with k = rho, k_root and k_r, are the
     :meth:`direction` of eta, sqrt(eta) and rbar: the unit directions along
@@ -221,23 +228,24 @@ class CovarianceSolver:
             edges = [*range(0, universe.n, SOLVE_BLOCK), universe.n]
             self._blocks = [(a, b, np.linalg.inv(L[a:b, a:b])) for a, b in zip(edges, edges[1:])]
         ones = np.ones(universe.n)
-        eta, rbar = universe.variances, universe.expected_returns
-        root_eta = np.sqrt(eta)
-        rhs = [ones] + [c - c.mean() for c in (eta, root_eta) + (() if rbar is None else (rbar,))]
-        images = np.ascontiguousarray(self.solve(np.column_stack(rhs)).T)
-        images.setflags(write=False)
-        self.inv_ones = images[0]
+        eta, root, rbar = universe.variances, universe.volatilities, universe.expected_returns
+        near = (eta - eta[0]) / (root + root[0])  # sqrt(eta_i) - sqrt(eta_1), exact to rounding
+        rhs = [ones] + [_frozen(c - c.mean()) for c in (eta, near, rbar) if c is not None]
+        self.eta0, self.rbar0 = rhs[1], None if rbar is None else rhs[3]
+        inv = np.ascontiguousarray(self.solve(np.column_stack(rhs)).T)
+        inv.setflags(write=False)
+        self.inv_ones = inv[0]
         self.a = float(ones @ self.inv_ones)
         self.sigma2_mvp = 1.0 / self.a
         self.w_mvp = _frozen(self.inv_ones * self.sigma2_mvp)
-        self.d_eta, self.rho = self.direction(eta, images[1])
+        self.d_eta, self.rho = self.direction(eta, rhs[1], inv[1])
         self.q_mvp = 0.5 * (float(eta @ self.w_mvp) - self.sigma2_mvp)
         self.q_max = self.q_mvp + 0.125 * self.rho * self.rho
         to_mdrp = 0.0 if self.d_eta is None else 0.5 * self.rho * self.d_eta
         self.w_mdrp = _frozen(self.w_mvp + to_mdrp)
-        self.d_root, self.k_root = self.direction(root_eta, images[2])
-        self.w_o, self.k_r = (None, 0.0) if rbar is None else self.direction(rbar, images[3])
-        self.eta_wo = None if self.w_o is None else float(rhs[1] @ self.w_o)
+        self.d_root, self.k_root = self.direction(root, rhs[2], inv[2])
+        self.w_o, self.k_r = (None, 0.0) if rbar is None else self.direction(rbar, rhs[3], inv[3])
+        self.eta_wo = None if self.w_o is None else float(self.eta0 @ self.w_o)
         if self.eta_wo is not None and abs(self.eta_wo) <= ZERO_BAND_RTOL * self.rho:
             self.eta_wo = 0.0
 
@@ -275,18 +283,18 @@ class CovarianceSolver:
         except LinAlgError as exc:
             raise SingularCovarianceError(f"covariance solve failed: {exc}") from exc
 
-    def direction(self, c: np.ndarray, inv_c: Optional[np.ndarray] = None):
+    def direction(self, c: np.ndarray, c0: Optional[np.ndarray] = None, inv_c=None):
         """(d, k) with d = (V^-1 c0 - (1' V^-1 c0 / a) V^-1 1) / k and
-        k^2 = c0' V^-1 c0 - (1' V^-1 c0)^2 / a, c0 = c - mean(c) 1 and inv_c
-        = V^-1 c0 (solved when None), so 1' d = 0 and d' V d = 1; (None, 0.0)
-        when k^2 <= 0 or c, tested before centring, is proportional to ones.
-        Centring changes neither d nor k, and keeps k^2 from cancelling when c
+        k^2 = c0' V^-1 c0 - (1' V^-1 c0)^2 / a, c0 = c - mean(c) 1 unless given
+        (any c + t 1 centred: t 1 changes neither d nor k) and inv_c = V^-1 c0,
+        solved when None; 1' d = 0, d' V d = 1.  (None, 0.0) when k^2 <= 0 or
+        c is proportional to ones.  Centring keeps k^2 from cancelling when c
         is close to a multiple of ones (near-equal vols or returns).  Returning
         d - (1' d) w_mvp puts each w_mvp + t d on budget up to rounding, and
         adds no V-norm error: w_mvp' V z = 1' z / a = 0 for zero-budget z."""
         if proportional_to_ones(c):
             return None, 0.0
-        c = c - c.mean()
+        c = c - c.mean() if c0 is None else c0
         inv_c = self.solve(c) if inv_c is None else inv_c
         g = float(np.ones(len(c)) @ inv_c)
         k_sq = float(c @ inv_c) - g * g / self.a
@@ -500,7 +508,7 @@ def portfolio_stats(universe: AssetUniverse, weights) -> Portfolio:
     reads it from an embedding there.
     """
     w = check_budget(weights, universe.n)
-    variance = float(w @ universe.cov @ w)
+    variance = max(float(w @ universe.cov @ w), 0.0)  # V is PSD: below 0 is rounding
     dr = 0.5 * float(universe.variances @ w) - 0.5 * variance
 
     centrality_sq = None

@@ -600,16 +600,16 @@ def forward_error(universe):
     """Relative forward-error bound of the kernel's unit directions.
 
     A solve with V is good to n * eps * cond(V) relative; forming
-    d = (V^-1 c0 - g w_mvp) / k from the centred c0 = c - mean(c) 1 then
-    loses the ratio |V^-1 c0| / (k |d|) to cancellation.  Every quantity read
-    from the kernel's images inherits this error, and a reference route
-    carries it in its own rounded weights.
+    d = (V^-1 c0 - g w_mvp) / k from the kernel's centred c0
+    (:func:`centred_rhs`) then loses the ratio |V^-1 c0| / (k |d|) to
+    cancellation.  Every quantity read from the kernel's images inherits this
+    error, and a reference route carries it in its own rounded weights.
     """
     s = universe.solver
     loss = 1.0
-    eta, rbar = universe.variances, universe.expected_returns
-    for c, inv_c in zip((eta, np.sqrt(eta), rbar), lu_route(universe)[1:]):
-        d, k = s.direction(c, inv_c)
+    cols = (universe.variances, universe.volatilities, universe.expected_returns)
+    for c, c0, inv_c in zip(cols, centred_rhs(universe)[1:], lu_route(universe)[1:]):
+        d, k = s.direction(c, c0, inv_c)
         if d is not None:
             cancel = float(np.abs(inv_c).max()) / (k * float(np.abs(d).max()))
             loss = max(loss, cancel)
@@ -619,9 +619,10 @@ def forward_error(universe):
 
 def centred_rhs(universe):
     """The kernel's right-hand sides [1, eta0, sqrt(eta)0, rbar0], x0 the
-    centred x - mean(x) 1 (rbar0 only with returns)."""
-    eta, rbar = universe.variances, universe.expected_returns
-    cols = [eta, np.sqrt(eta)] + ([] if rbar is None else [rbar])
+    centred x - mean(x) 1 (rbar0 only with returns), with sqrt(eta) - sqrt(eta_1)
+    formed as (eta - eta_1) / (sqrt(eta) + sqrt(eta_1)) before centring."""
+    eta, root, rbar = universe.variances, universe.volatilities, universe.expected_returns
+    cols = [eta, (eta - eta[0]) / (root + root[0])] + ([] if rbar is None else [rbar])
     return [np.ones(universe.n)] + [c - c.mean() for c in cols]
 
 

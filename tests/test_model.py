@@ -352,6 +352,17 @@ def test_portfolio_stats_expected_return(ex3_returns):
     assert p.expected_return == pytest.approx(0.2 * 0.06 + 0.3 * 0.10 + 0.5 * 0.08)
 
 
+def test_portfolio_stats_reads_a_riskless_mix_at_percent_scale():
+    # vols 12.05 and 10.83 with correlation 1 (percent units): the mix
+    # (b, -a) / (b - a) is riskless, and w' V w rounds to -1.24e-12
+    a, b = 12.048676196809733, 10.826381776426455
+    u = drf.validate_universe([[a * a, a * b], [a * b, b * b]])
+    p = drf.portfolio_stats(u, np.array([b, -a]) / (b - a))
+    assert p.variance == 0.0 and p.sigma == 0.0
+    with pytest.raises(NotPSDError):  # a Portfolio built directly is still checked
+        drf.Portfolio(weights=p.weights, variance=-1.24e-12, dr=p.dr)
+
+
 def test_portfolio_stats_with_embedding(ex3, degenerate3):
     # the kernel's centrality meets the embedding's Gram form and q_max
     w = np.full(3, 1.0 / 3.0)

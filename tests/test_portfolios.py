@@ -479,14 +479,54 @@ def _mdrp_at_50_digits(mpmath, u):
         return np.array([float(v / total) for v in y]), float(1 / (2 * total))
 
 
+def _kernel_portfolios_at_50_digits(mpmath, u):
+    """{name: weights} of the float V, eta, rbar and r0 at 50 digits, for the
+    portfolios the inputs define: the Q portfolio w_mvp + (eta' w_o / 2) w_o,
+    the tangency V^-1 (rbar - r0 1) / 1' V^-1 (rbar - r0 1), the
+    most-diversified V^-1 sqrt(eta) / 1' V^-1 sqrt(eta) (where that sum is
+    positive) and the risk-free sleeve V^-1 eta / sqrt(eta' V^-1 eta)."""
+    n = u.n
+    with mpmath.workdps(50):
+        V = mpmath.matrix(u.cov.tolist())
+
+        def at50(c):
+            y = mpmath.lu_solve(V, mpmath.matrix(c))
+            return [y[i] for i in range(n)]
+
+        eta = [V[i, i] for i in range(n)]
+        x = at50(eta)
+        gain = mpmath.sqrt(sum(eta[i] * x[i] for i in range(n)))
+        refs = {"sleeve": [xi / gain for xi in x]}
+        y = at50([mpmath.sqrt(e) for e in eta])
+        if sum(y) > 0:
+            refs["mdp"] = [yi / sum(y) for yi in y]
+        if u.expected_returns is not None:
+            rbar = [mpmath.mpf(float(r)) for r in u.expected_returns]
+            inv_ones, inv_r = at50([1] * n), at50(rbar)
+            a, b = sum(inv_ones), sum(inv_r)
+            k = mpmath.sqrt(sum(rbar[i] * inv_r[i] for i in range(n)) - b * b / a)
+            w_mvp = [v / a for v in inv_ones]
+            w_o = [(inv_r[i] - b * w_mvp[i]) / k for i in range(n)]
+            eta_wo = sum(eta[i] * w_o[i] for i in range(n))
+            refs["q"] = [w_mvp[i] + eta_wo / 2 * w_o[i] for i in range(n)]
+            if u.risk_free_rate is not None:
+                r0 = mpmath.mpf(u.risk_free_rate)
+                t = at50([r - r0 for r in rbar])
+                refs["tangent"] = [ti / sum(t) for ti in t]
+        return {name: np.array(w, dtype=float) for name, w in refs.items()}
+
+
 def test_kernel_mdrp_meets_a_50_digit_reference(ex3, ex3_returns, universe30):
-    # the kernel is the one production route to s and q_max; each lies within
-    # its forward-error bound of the 50-digit value, up to cond 1e6
+    # the kernel is the one production route to s and q_max, and to the Q,
+    # tangency and most-diversified portfolios and the risk-free sleeve; each
+    # lies within its forward-error bound of the 50-digit value, up to cond 1e6
     mpmath = pytest.importorskip("mpmath")
     mini = drf.annualize(drf.load_panel(FIXTURES / "mini_prices.csv", format="prices"))
     rng = np.random.default_rng(83)
     draws = [
-        conditioned_universe(int(rng.integers(2, 9)), seed, rng.uniform(0.0, 6.0))
+        conditioned_universe(
+            int(rng.integers(2, 9)), seed, rng.uniform(0.0, 6.0), with_riskfree=True
+        )
         for seed in range(30)
     ]
     for u in [ex3, ex3_returns, mini, universe30, *draws]:
@@ -495,12 +535,27 @@ def test_kernel_mdrp_meets_a_50_digit_reference(ex3, ex3_returns, universe30):
         w = u.solver.w_mdrp
         assert float(np.abs(w - s_ref).max()) <= rel_tol * float(np.abs(s_ref).max())
         assert abs(u.solver.q_max - q_ref) <= rel_tol * abs(q_ref)
+        refs = _kernel_portfolios_at_50_digits(mpmath, u)
+        kernel = {"sleeve": drf.riskfree_dr_curve(u).direction}
+        if "mdp" in refs:
+            kernel["mdp"] = drf.mdp_global(u).weights
+        else:
+            with pytest.raises(NotSPDError):
+                drf.mdp_global(u)
+        if u.expected_returns is not None:
+            kernel["q"] = drf.q_portfolio(u).weights
+        if u.risk_free_rate is not None:
+            kernel["tangent"] = drf.tangent_portfolio(u).weights
+        assert kernel.keys() == refs.keys()
+        for name, ref in refs.items():
+            gap = float(np.abs(kernel[name] - ref).max())
+            assert gap <= rel_tol * float(np.abs(ref).max()), name
 
 
 def _directions_at_50_digits(mpmath, u):
-    """(rho, d_eta, w_o, eta' w_o) of the float V, eta and rbar at 50 digits:
-    d = (V^-1 c0 - g w_mvp) / k for c0 = c - mean(c) 1, g = 1' V^-1 c0 and
-    k^2 = c0' V^-1 c0 - g^2 / a."""
+    """(rho, d_eta, w_o, eta' w_o, k_root, d_root) of the float V, eta and
+    rbar at 50 digits, with exact roots sqrt(eta): d = (V^-1 c0 - g w_mvp) / k
+    for c0 = c - mean(c) 1, g = 1' V^-1 c0 and k^2 = c0' V^-1 c0 - g^2 / a."""
     n = u.n
     with mpmath.workdps(50):
         V = mpmath.matrix(u.cov.tolist())
@@ -519,7 +574,9 @@ def _directions_at_50_digits(mpmath, u):
         rho, d_eta = direction(eta)
         _, w_o = direction([mpmath.mpf(float(r)) for r in u.expected_returns])
         eta_wo = sum(eta[i] * w_o[i] for i in range(n))
-    return float(rho), np.array(d_eta, dtype=float), np.array(w_o, dtype=float), float(eta_wo)
+        k_root, d_root = direction([mpmath.sqrt(e) for e in eta])
+    d_eta, w_o, d_root = (np.array(x, dtype=float) for x in (d_eta, w_o, d_root))
+    return float(rho), d_eta, w_o, float(eta_wo), float(k_root), d_root
 
 
 def _near_equal_universes(count=60):
@@ -540,13 +597,16 @@ def _near_equal_universes(count=60):
 def test_kernel_directions_meet_a_50_digit_reference_at_near_equal_inputs():
     # eta and rbar close to multiples of ones: the kernel solves them centred,
     # so rho, d_eta, w_o and eta' w_o keep full accuracy where the uncentred
-    # k^2 = c' V^-1 c - (1' V^-1 c)^2 / a cancelled to rounding
+    # k^2 = c' V^-1 c - (1' V^-1 c)^2 / a cancelled to rounding; sqrt(eta)
+    # centred from variance differences, not from rounded roots, keeps k_root
+    # and d_root there too
     mpmath = pytest.importorskip("mpmath")
     for u in _near_equal_universes():
-        rho, d_eta, w_o, eta_wo = _directions_at_50_digits(mpmath, u)
+        rho, d_eta, w_o, eta_wo, k_root, d_root = _directions_at_50_digits(mpmath, u)
         s = u.solver
         assert abs(s.rho - rho) <= 1e-14 * rho
-        for got, ref in ((s.d_eta, d_eta), (s.w_o, w_o)):
+        assert abs(s.k_root - k_root) <= 1e-14 * k_root
+        for got, ref in ((s.d_eta, d_eta), (s.w_o, w_o), (s.d_root, d_root)):
             assert got is not None
             assert float(np.abs(got - ref).max()) <= 1e-14 * float(np.abs(ref).max())
         assert abs(s.eta_wo - eta_wo) <= 1e-13 * abs(eta_wo)
