@@ -12,11 +12,11 @@ rest in cash, for a sleeve x with x' V x = 1.  The risk-free efficient curve
 takes x proportional to V^-1 eta, so eta' x = sqrt(eta' V^-1 eta); the
 capital-market line takes x = w_T / sigma_T, the tangency portfolio per unit
 of its risk.  The two coincide when excess returns are proportional to eta.
-The DR-efficient portfolio at risk sigma is an affine mix of the
-minimum-variance and maximum-DR portfolios (two-fund separation).  Every
-curve reads the directions its universe's covariance kernel caches;
-:func:`max_linear_over_ellipsoid` maximizes any other linear objective over
-the budget-and-risk set.
+Every curve without cash is a ray of two-fund separation (Merton 1972),
+w = w_mvp + u d along a direction d that the universe's covariance kernel
+caches.  :func:`sweep` evaluates the rays over a grid; each scalar reader,
+:func:`~drfrontier.mdp.mdp_at_sigma` too, is one sweep row read at one point,
+and :func:`max_linear_over_ellipsoid` is the ray of any other linear objective.
 """
 
 from __future__ import annotations
@@ -62,25 +62,35 @@ class EfShape(str, Enum):
     DEGENERATE = "degenerate"
 
 
+def _kernel(name: str) -> property:
+    """A read-only FrontierParams attribute: the kernel's attribute `name`."""
+    return property(lambda self: getattr(self.universe.solver, name))
+
+
 @dataclass(frozen=True)
 class FrontierParams:
-    """Scalars fixing every closed-form curve of a universe.
+    """Scalars fixing every closed-form curve of a universe: a view that reads
+    its covariance kernel and copies nothing.
 
     eta_wo (and with it tau_o and a non-degenerate shape class) is only
-    present when the universe carries usable expected returns.  tau_o is the
+    present when the kernel has a mean-variance direction w_o: with expected
+    returns that are not proportional to ones in the V^-1 metric.  tau_o is the
     paper's reported inflection scale of a strictly decreasing q_ef curve; it
     is not the curvature root, which :func:`inflection_report` gives in
     closed form next to it.
     """
 
-    sigma2_mvp: float
-    q_mvp: float
-    rho: float
-    sigma2_mdrp: float
-    q_mdrp: float
-    eta_wo: Optional[float] = None
-    tau_o: Optional[float] = None
-    ef_shape: EfShape = EfShape.DEGENERATE
+    universe: AssetUniverse
+
+    sigma2_mvp = _kernel("sigma2_mvp")
+    q_mvp = _kernel("q_mvp")
+    rho = _kernel("rho")
+    q_mdrp = _kernel("q_max")
+    eta_wo = _kernel("eta_wo")
+
+    @property
+    def sigma2_mdrp(self) -> float:
+        return self.sigma2_mvp + 0.25 * self.rho * self.rho
 
     @property
     def sigma_mvp(self) -> float:
@@ -89,6 +99,19 @@ class FrontierParams:
     @property
     def sigma_mdrp(self) -> float:
         return float(np.sqrt(self.sigma2_mdrp))
+
+    @property
+    def ef_shape(self) -> EfShape:
+        if self.eta_wo is None:
+            return EfShape.DEGENERATE
+        return EfShape.STRONGLY_CONCAVE if self.eta_wo >= 0.0 else EfShape.STRICTLY_DECREASING
+
+    @property
+    def tau_o(self) -> Optional[float]:
+        m, s = self.eta_wo, self.sigma_mvp
+        if m is None or m >= 0.0:
+            return None
+        return s * float(np.sqrt(1.0 + abs(m) ** (4.0 / 3.0) / s ** (2.0 / 3.0)))
 
 
 @dataclass(frozen=True)
@@ -114,35 +137,10 @@ class DrPoint:
 
 
 def frontier_params(universe: AssetUniverse) -> FrontierParams:
-    """Compute the frontier scalars of a universe, all read from its kernel.
-
-    eta_wo is None, and the shape degenerate, when the kernel has no
-    mean-variance direction w_o: without returns, or with returns
-    proportional to ones in the V^-1 metric.
-    """
-    s = universe.solver
-    sigma2_mvp, rho, m = s.sigma2_mvp, s.rho, s.eta_wo
-    tau_o = None
-    shape = EfShape.DEGENERATE
-    if m is not None and m >= 0.0:
-        shape = EfShape.STRONGLY_CONCAVE
-    elif m is not None:
-        shape = EfShape.STRICTLY_DECREASING
-        sigma_mvp = float(np.sqrt(sigma2_mvp))
-        tau_o = sigma_mvp * float(
-            np.sqrt(1.0 + abs(m) ** (4.0 / 3.0) / sigma_mvp ** (2.0 / 3.0))
-        )
-
-    return FrontierParams(
-        sigma2_mvp=sigma2_mvp,
-        q_mvp=s.q_mvp,
-        rho=rho,
-        sigma2_mdrp=sigma2_mvp + 0.25 * rho * rho,
-        q_mdrp=s.q_max,
-        eta_wo=m,
-        tau_o=tau_o,
-        ef_shape=shape,
-    )
+    """The :class:`FrontierParams` view of a universe, whose kernel is built
+    first: a singular universe raises SingularCovarianceError here."""
+    universe.solver
+    return FrontierParams(universe)
 
 
 def _excess_risk(sigma2_mvp: float, sigmas: np.ndarray):
@@ -153,6 +151,12 @@ def _excess_risk(sigma2_mvp: float, sigmas: np.ndarray):
     ulps above it, snap to u = 0: sigma_mvp itself squares back to
     sigma_mvp^2 only up to rounding, and the square root would turn one ulp
     into u ~ 1e-8 sigma_mvp.
+
+    u is that of the float sigma, on the default grid too, whose exact u^2
+    belongs to another sigma than the row's: near sigma_mvp u's condition
+    number sigma^2 / u^2 is 1e6.  Against 50 digits at the rows' float sigma
+    (800 default-grid rows, four universes) that u^2 was farther on 388 rows
+    and closer on 304.
     """
     s2 = sigmas * sigmas
     u2 = s2 - sigma2_mvp
@@ -160,26 +164,61 @@ def _excess_risk(sigma2_mvp: float, sigmas: np.ndarray):
     return np.sqrt(u2), (s2 < sigma2_mvp * (1.0 - RISK_SNAP_RTOL)) | (sigmas < 0.0)
 
 
-def _excess_risk_at(sigma2_mvp: float, sigma: float) -> float:
-    """Scalar u of :func:`_excess_risk`; a sigma below sigma_mvp, or negative,
-    raises RiskBelowMvpError, and one that is not a finite number ParseError."""
-    sigma = _finite_float(sigma, "sigma")
-    u, below = _excess_risk(sigma2_mvp, np.array([sigma]))
-    if below[0]:
-        raise RiskBelowMvpError(
-            f"sigma = {sigma:.12g} below minimum-variance risk {np.sqrt(sigma2_mvp):.12g}"
-        )
-    return float(u[0])
+def _objective_ray(s, d):
+    """The ray maximizing c' w, d the kernel's direction of c; degenerate, on
+    w_mvp, when c has none (every feasible portfolio ties)."""
+    return (None, 0.0, None, "degenerate") if d is None else (d, float(s.eta0 @ d), None, "ok")
 
 
-def _q_along(params: FrontierParams, m, u):
-    """DR of w_mvp + u * d for a unit-variance, zero-budget d with eta' d = m.
+def _ray(universe: AssetUniverse, kind: FrontierKind):
+    """(d, m, u_one, status) of a kind without cash: rows w = w_mvp + u d,
+    m = eta' d, alpha = u / u_one (None without u_one); d None puts them on
+    w_mvp.  A mean-variance kind without w_o raises MissingReturnsError."""
+    s = universe.solver
+    if kind is FrontierKind.EFFICIENT_DR:
+        # alpha = 1 at the maximum-DR portfolio, u = rho / 2
+        return s.d_eta, s.rho, None if s.d_eta is None else 0.5 * s.rho, "ok"
+    if kind is FrontierKind.MDP_AT_SIGMA:
+        return _objective_ray(s, s.d_root)
+    if s.w_o is None:
+        raise MissingReturnsError("mean-variance sweeps need non-degenerate expected returns")
+    return s.w_o, s.eta_wo, 1.0, "ok"
 
-    Squares by multiplication (``**`` is C ``pow`` on a float), so at u = 0
-    -0.5 (m/2)^2 + m^2/8 is exactly 0 on the scalar and the array route.
-    """
+
+def _ray_rows(universe: AssetUniverse, ray, sigmas: np.ndarray, include_weights: bool) -> list:
+    """The rows of a :func:`_ray` on the grid sigmas (see :func:`sweep`)."""
+    s = universe.solver
+    d, m, u_one, status = ray
+    u, below = _excess_risk(s.sigma2_mvp, sigmas)
+    alpha = None if u_one is None else u / u_one
+    if d is None:
+        u, d = np.zeros_like(u), np.zeros(universe.n)
+    # squared by multiplication (``**`` is C ``pow`` on a float), so at u = 0
+    # -0.5 (m/2)^2 + m^2/8 is exactly 0 and q exactly q_mvp
     t = u - 0.5 * m
-    return -0.5 * (t * t) + m * m / 8.0 + params.q_mvp
+    q = -0.5 * (t * t) + m * m / 8.0 + s.q_mvp
+    rbar = universe.expected_returns
+    ret = None if rbar is None else rbar @ s.w_mvp + u * (s.rbar0 @ d)
+    e = d - (0.0 if s.d_eta is None else s.d_eta)
+    bend = 0.25 * s.rho * float(e @ universe.cov @ e)
+    t = u - 0.5 * s.rho
+    centrality = np.sqrt(np.maximum(0.5 * (t * t) + bend * u, 0.0))
+    weights = s.w_mvp + u[:, None] * d if include_weights else repeat(None)
+    return _rows(sigmas, below, status, q, ret, centrality, alpha, weights, None)
+
+
+def _point(universe: AssetUniverse, ray, sigma) -> FrontierRow:
+    """The one-point sweep row, with weights, of a kind or a :func:`_ray` at
+    risk sigma.  As in :func:`sweep`, sigma is read before the kind's ray: one
+    that is not a finite number raises ParseError, and one below sigma_mvp, or
+    negative, RiskBelowMvpError."""
+    sigma = _finite_float(sigma, "sigma")
+    ray = _ray(universe, ray) if isinstance(ray, FrontierKind) else ray
+    (row,) = _ray_rows(universe, ray, np.array([sigma]), True)
+    if row.status == "risk_below_mvp":
+        mvp = np.sqrt(universe.solver.sigma2_mvp)
+        raise RiskBelowMvpError(f"sigma = {sigma:.12g} below minimum-variance risk {mvp:.12g}")
+    return row
 
 
 def max_linear_over_ellipsoid(
@@ -192,78 +231,68 @@ def max_linear_over_ellipsoid(
 
         w = (V^-1 c + lam V^-1 1) / beta = w_mvp + u * d_c,
         beta = sqrt((c' V^-1 c - (1' V^-1 c)^2 / a) / (sigma^2 - sigma_mvp^2)),
-        lam = (beta - 1' V^-1 c) / a,  d_c = CovarianceSolver.direction of c.
+        lam = (beta - 1' V^-1 c) / a,  d_c = CovarianceSolver.direction of c,
 
-    c proportional to ones makes every feasible portfolio tie; the
-    minimum-variance portfolio is returned with degenerate=True.
+    one solve of c, then the one-point sweep row of the ray along d_c.  c
+    proportional to ones makes every feasible portfolio tie; the
+    minimum-variance portfolio is returned with degenerate=True.  Accuracy is
+    bounded by the rounding of the c passed, which centring cancels when c is
+    nearly constant: for c = sqrt(eta) use :func:`~drfrontier.mdp.mdp_at_sigma`.
     """
     c = _float_array(objective, "objective")
     if c.shape != (universe.n,):
         raise DimensionMismatchError(
             f"objective shape {c.shape} vs universe of {universe.n} assets"
         )
-    s = universe.solver
-    u = _excess_risk_at(s.sigma2_mvp, sigma)
-    d, _ = s.direction(c)
-    if d is None:
-        return KktSolution(weights=s.w_mvp, degenerate=True)
-    return KktSolution(weights=s.w_mvp + u * d)
+    d, _ = universe.solver.direction(c)
+    row = _point(universe, _objective_ray(universe.solver, d), sigma)
+    return KktSolution(weights=row.weights, degenerate=d is None)
 
 
 def q_dr_at(params: FrontierParams, sigma: float) -> float:
-    """Efficient-frontier DR at risk sigma.
+    """Efficient-frontier DR at risk sigma: the one-point efficient_dr row's q.
 
     With rho = 0 the frontier is flat at q_mvp (every budget portfolio has
     the same weighted-average variance, so extra risk buys nothing).
     """
-    u = _excess_risk_at(params.sigma2_mvp, sigma)
-    if params.rho == 0.0:
-        return params.q_mvp
-    return _q_along(params, params.rho, u)
+    return _point(params.universe, FrontierKind.EFFICIENT_DR, sigma).q
 
 
 def efficient_dr_portfolio(
     universe: AssetUniverse, params: FrontierParams, sigma: float
 ) -> DrPoint:
-    """DR-efficient portfolio at risk sigma as a two-fund mix.
+    """DR-efficient portfolio at risk sigma: the one-point efficient_dr row.
 
     w(sigma) = alpha * w_mdrp + (1 - alpha) * w_mvp with
     alpha = (2 / rho) * sqrt(sigma^2 - sigma_mvp^2).  alpha > 1 lands past
     the maximum-DR portfolio (risk no longer buys DR) and is flagged.
     """
-    if params.rho == 0.0:
+    row = _point(universe, FrontierKind.EFFICIENT_DR, sigma)
+    if row.alpha is None:
         raise DegenerateRhoError("flat frontier: DR-efficient mix undefined")
-    u = _excess_risk_at(params.sigma2_mvp, sigma)
-    alpha = 2.0 * u / params.rho
-    w = universe.solver.w_mvp + u * universe.solver.d_eta
-    return DrPoint(weights=w, alpha=alpha, beyond_mdrp=alpha > 1.0)
+    return DrPoint(weights=row.weights, alpha=row.alpha, beyond_mdrp=row.alpha > 1.0)
 
 
 def q_ef_at(universe: AssetUniverse, params: FrontierParams, sigma: float):
     """DR of the mean-variance efficient portfolio at risk sigma.
 
-    Returns (q, weights); q equals the direct DR of the returned weights.
+    Returns (q, weights) of the one-point mv_efficient_dr sweep row; q equals
+    the direct DR of the returned weights.
     """
-    if params.eta_wo is None:
-        raise MissingReturnsError(
-            "mean-variance DR curve needs expected returns not proportional to ones"
-        )
-    u = _excess_risk_at(params.sigma2_mvp, sigma)
-    w = universe.solver.w_mvp + u * universe.solver.w_o
-    return _q_along(params, params.eta_wo, u), w
+    row = _point(universe, FrontierKind.MV_EFFICIENT_DR, sigma)
+    return row.q, row.weights
 
 
 def dr_gap_at(params: FrontierParams, sigma: float) -> float:
-    """q_dr(sigma) - q_ef(sigma) = 0.5 (rho - eta' w_o) sqrt(sigma^2 - sigma_mvp^2).
+    """q_dr(sigma) - q_ef(sigma) = 0.5 (rho - eta' w_o) u, u the one-point
+    mv_efficient_dr row's alpha, sqrt(sigma^2 - sigma_mvp^2).
 
     Nonnegative because eta' w_o <= rho (Cauchy-Schwarz in the V^-1 metric);
     identically zero exactly when expected returns are proportional to the
     variance vector.
     """
-    if params.eta_wo is None:
-        raise MissingReturnsError("gap needs the mean-variance DR curve")
-    u = _excess_risk_at(params.sigma2_mvp, sigma)
-    return 0.5 * (params.rho - params.eta_wo) * u
+    row = _point(params.universe, FrontierKind.MV_EFFICIENT_DR, sigma)
+    return 0.5 * (params.rho - params.eta_wo) * row.alpha
 
 
 @dataclass(frozen=True)
@@ -313,7 +342,8 @@ def cml_curve(universe: AssetUniverse) -> CashDrCurve:
 
 
 def q_cml_at(universe: AssetUniverse, sigma: float) -> float:
-    return cml_curve(universe).value(_finite_float(sigma, "sigma"))
+    sigma = _finite_float(sigma, "sigma")  # read first, as sweep reads its grid
+    return cml_curve(universe).value(sigma)
 
 
 def riskfree_dr_curve(universe: AssetUniverse) -> CashDrCurve:
@@ -329,7 +359,8 @@ def riskfree_dr_curve(universe: AssetUniverse) -> CashDrCurve:
 
 
 def q_dr_riskfree_at(universe: AssetUniverse, sigma: float) -> float:
-    return riskfree_dr_curve(universe).value(_finite_float(sigma, "sigma"))
+    sigma = _finite_float(sigma, "sigma")
+    return riskfree_dr_curve(universe).value(sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -401,14 +432,13 @@ def sweep(
     Per-point domain violations become row status flags; curve-level
     impossibilities (missing returns, infeasible tangency) raise before any
     row is produced.  Rows are emitted in grid order, so equal inputs give
-    identical output.  Every kind is evaluated as arrays over the grid, the
-    rows are built from those columns in one pass, and the rows below
-    sigma_mvp are replaced by index.  The default grid is the universe's
-    ``sigma_grid``, computed once per universe; a non-finite grid point
-    raises ParseError.
+    identical output; every kind is evaluated as arrays over the grid.  The
+    default grid is the universe's ``sigma_grid``, computed once per
+    universe; a non-finite grid point raises ParseError.
 
-    Every kind without cash is w = w_mvp + u * d with eta' d = m; d None
-    collapses it onto w_mvp.  Its centrality is c^2 = q_max - q =
+    Every kind without cash is a ray w = w_mvp + u * d with eta' d = m, from
+    which each scalar reader takes one row; d None collapses it onto w_mvp.
+    Its centrality is c^2 = q_max - q =
     |u d - (rho / 2) d_eta|_V^2 / 2, i.e.
     (u - rho / 2)^2 / 2 + (rho u / 4) |d - d_eta|_V^2: one O(n^2) product per
     sweep and no cancellation near the maximum-DR portfolio, even when d is
@@ -423,60 +453,31 @@ def sweep(
     `embedding` is unused; it is kept because existing callers pass it.
     """
     kind = FrontierKind(kind)
-    params = frontier_params(universe)
     if sigma_grid is None:
         sigmas = universe.sigma_grid
     else:
         sigmas = _finite_array(sigma_grid, "sigma_grid")
         if sigmas.ndim != 1:
             raise DimensionMismatchError(f"sigma_grid must be 1-D, got shape {sigmas.shape}")
+    if kind not in (FrontierKind.CML, FrontierKind.EFFICIENT_DR_RISKFREE):
+        rows = _ray_rows(universe, _ray(universe, kind), sigmas, include_weights)
+        return FrontierCurve(kind=kind, rows=rows)
+    cash_curve = cml_curve(universe) if kind is FrontierKind.CML else riskfree_dr_curve(universe)
+    sleeve = cash_curve.direction
+    # rows below zero are flagged, so their q is never read
+    q = cash_curve.value(np.maximum(sigmas, 0.0))
+    mix = cash_curve.mix(sigmas)
+    cash = 1.0 - mix
     rbar, r0 = universe.expected_returns, universe.risk_free_rate
-    status, ret, centrality, alpha, cash = "ok", None, None, None, None
-    if kind in (FrontierKind.CML, FrontierKind.EFFICIENT_DR_RISKFREE):
-        if kind is FrontierKind.CML:
-            cash_curve = cml_curve(universe)
-        else:
-            cash_curve = riskfree_dr_curve(universe)
-        sleeve = cash_curve.direction
-        below = sigmas < 0.0
-        # rows below zero are flagged, so their q is never read
-        q = cash_curve.value(np.maximum(sigmas, 0.0))
-        mix = cash_curve.mix(sigmas)
-        cash = 1.0 - mix
-        alpha = mix if kind is FrontierKind.CML else None
-        if rbar is not None and r0 is not None:
-            ret = sigmas * float(rbar @ sleeve) + cash * r0
-        weights = sigmas[:, None] * sleeve if include_weights else None
-    else:
-        s = universe.solver
-        u, below = _excess_risk(params.sigma2_mvp, sigmas)
-        if kind is FrontierKind.EFFICIENT_DR:
-            d, m = s.d_eta, params.rho
-            alpha = None if d is None else 2.0 * u / params.rho
-        elif kind is FrontierKind.MDP_AT_SIGMA:
-            d = s.d_root
-            m = 0.0 if d is None else float(s.eta0 @ d)
-            if d is None:
-                status = "degenerate"
-        elif params.eta_wo is None:
-            raise MissingReturnsError(
-                "mean-variance sweeps need non-degenerate expected returns"
-            )
-        else:
-            d, m, alpha = s.w_o, params.eta_wo, u
-        if d is None:
-            u, d = np.zeros_like(u), np.zeros(universe.n)
-        q = _q_along(params, m, u)
-        if rbar is not None:
-            ret = rbar @ s.w_mvp + u * (s.rbar0 @ d)
-        e = d - (0.0 if s.d_eta is None else s.d_eta)
-        bend = 0.25 * params.rho * float(e @ universe.cov @ e)
-        t = u - 0.5 * params.rho
-        centrality = np.sqrt(np.maximum(0.5 * (t * t) + bend * u, 0.0))
-        weights = s.w_mvp + u[:, None] * d if include_weights else None
+    ret = None if rbar is None or r0 is None else sigmas * float(rbar @ sleeve) + cash * r0
+    alpha = mix if kind is FrontierKind.CML else None
+    weights, cash = (sigmas[:, None] * sleeve, cash) if include_weights else (repeat(None), None)
+    rows = _rows(sigmas, sigmas < 0.0, "ok", q, ret, None, alpha, weights, cash)
+    return FrontierCurve(kind=kind, rows=rows)
 
-    if not include_weights:
-        weights, cash = repeat(None), None
+
+def _rows(sigmas, below, status, q, ret, centrality, alpha, weights, cash) -> list:
+    """Rows from a sweep's columns, None where one is; rows in `below` are replaced."""
     sigma_list = sigmas.tolist()
     q, ret, centrality, alpha, cash = (
         repeat(None) if x is None else x.tolist() for x in (q, ret, centrality, alpha, cash)
@@ -486,7 +487,7 @@ def sweep(
     )
     for i in np.flatnonzero(below).tolist():
         rows[i] = FrontierRow(sigma_list[i], status="risk_below_mvp")
-    return FrontierCurve(kind=kind, rows=rows)
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,7 @@ from .errors import (
     SingularCovarianceError,
     ZeroVarianceError,
 )
-from .frontiers import KktSolution, _excess_risk_at
+from .frontiers import FrontierKind, KktSolution, _point
 from .model import AssetUniverse, Portfolio, _finite_float, _float_array, portfolio_stats
 
 MAX_ITER = 10_000
@@ -226,14 +226,11 @@ def mdp_global(universe: AssetUniverse) -> Portfolio:
 
 
 def mdp_at_sigma(universe: AssetUniverse, sigma: float) -> KktSolution:
-    """Maximize sqrt(eta)' w at risk sigma: w_mvp + u * d_root, the kernel's
-    direction, or w_mvp with degenerate=True when the kernel has none
-    (sqrt(eta) proportional to ones: vols equal within PROPORTIONALITY_RTOL)."""
-    s = universe.solver
-    u = _excess_risk_at(s.sigma2_mvp, sigma)
-    if s.d_root is None:
-        return KktSolution(weights=s.w_mvp, degenerate=True)
-    return KktSolution(weights=s.w_mvp + u * s.d_root)
+    """Maximize sqrt(eta)' w at risk sigma: the one-point mdp_at_sigma row,
+    w_mvp + u * d_root, or w_mvp with degenerate=True when the kernel has no
+    d_root (sqrt(eta) proportional to ones: vols within PROPORTIONALITY_RTOL)."""
+    row = _point(universe, FrontierKind.MDP_AT_SIGMA, sigma)
+    return KktSolution(weights=row.weights, degenerate=row.status == "degenerate")
 
 
 def _pairwise_frank_wolfe(D: np.ndarray, tol: float):

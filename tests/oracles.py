@@ -5,8 +5,9 @@ dense scans, projected-gradient ascent, simplex grids, support enumeration,
 bisection, the active-set long-only minimum variance and the Dirichlet
 sandwich sampler that the critical line replaced, the distance matrix's
 second route to the maximum-DR portfolio, q_max and centrality, the LU
-route to the kernel's images, and the eigenvalue decisions that the
-Cholesky certificates of `validate_universe` and `assert_edm` stand in for.
+route to the kernel's images and a row-by-row sweep built on it, and the
+eigenvalue decisions that the Cholesky certificates of `validate_universe`
+and `assert_edm` stand in for.
 Slow and dumb on purpose.
 """
 
@@ -18,15 +19,20 @@ import numpy as np
 
 import drfrontier as drf
 from drfrontier.embedding import EIG_RTOL
-from drfrontier.errors import MissingReturnsError, NotSPDError, RiskBelowMvpError
+from drfrontier.errors import (
+    MissingReturnsError,
+    NotSPDError,
+    TangencyInfeasibleError,
+)
 from drfrontier.frontiers import (
+    _SNAP_RTOL,
+    RISK_SNAP_RTOL,
     FrontierCurve,
     FrontierKind,
     FrontierRow,
-    _excess_risk_at,
 )
 from drfrontier.mdp import GAP_RTOL, MAX_ITER, SHELL_BAND, LongOnlyMvp
-from drfrontier.model import PSD_RTOL
+from drfrontier.model import PSD_RTOL, proportional_to_ones
 
 
 def hyperplane_basis(n: int) -> np.ndarray:
@@ -505,94 +511,110 @@ def block_riskfree_dr(V, eta, risky_weights, cash):
 def sweep_rowwise(
     universe, kind, sigma_grid=None, embedding=None, include_weights=False
 ):
-    """Row-by-row reference for :func:`drfrontier.sweep`.
+    """Row-by-row reference for :func:`drfrontier.sweep`, on a route of its own.
 
-    Every row calls the scalar per-point functions (q_dr_at,
-    efficient_dr_portfolio, q_ef_at, max_linear_over_ellipsoid) and reads
-    centrality from the row's weights: from the Gram form w' B w of an
-    embedding, or without one from 0.5 (w - s)' V (w - s) about the kernel's
-    w_mdrp s; no array expression in u is shared with the library sweep.
+    It calls no curve function of the library and reads none of the kernel's
+    directions.  Every direction is formed here from the LU images of
+    :func:`lu_route` and the right-hand sides of :func:`centred_rhs`, each
+    row's u from its sigma with the library's snap constants, q as the direct
+    DR of the row's weights (:func:`block_riskfree_dr` for a row holding
+    cash), and centrality from the row's weights: from the Gram form w' B w of
+    an embedding, or without one from 0.5 (w - s)' V (w - s) about the
+    maximum-DR portfolio s formed here.  The library's decisions are shared
+    so that statuses and refusals compare: proportional_to_ones for a missing
+    direction, and a tangency only for r0 below the minimum-variance return.
     """
+    V, eta, rbar = universe.cov, universe.variances, universe.expected_returns
+    r0 = universe.risk_free_rate
+    _, eta0, root0, *rbar0 = centred_rhs(universe)
+    inv_ones, inv_eta, inv_root, *inv_rbar = lu_route(universe)
+    a = float(inv_ones.sum())
+    sigma2_mvp, w_mvp = 1.0 / a, inv_ones / a
+
+    def direction(c, c0, inv_c):
+        # (d, k): d = (V^-1 c0 - (1' V^-1 c0) w_mvp) / k, then projected onto
+        # the budget hyperplane; None where c is a multiple of ones
+        if proportional_to_ones(c):
+            return None, 0.0
+        g = float(inv_c.sum())
+        k_sq = float(c0 @ inv_c) - g * g / a
+        if k_sq <= 0.0:
+            return None, 0.0
+        d = (inv_c - g * w_mvp) / np.sqrt(k_sq)
+        return d - d.sum() * w_mvp, float(np.sqrt(k_sq))
+
+    d_eta, rho = direction(eta, eta0, inv_eta)
+    d_root, _ = direction(universe.volatilities, root0, inv_root)
+    w_o, _ = (None, 0.0) if rbar is None else direction(rbar, rbar0[0], inv_rbar[0])
+    w_mdrp = w_mvp if d_eta is None else w_mvp + 0.5 * rho * d_eta
+
     def row_centrality(w):
         if embedding is not None:
             return float(np.sqrt(max(w @ embedding.gram @ w, 0.0)))
-        offset = w - universe.solver.w_mdrp
-        return float(np.sqrt(max(0.5 * float(offset @ universe.cov @ offset), 0.0)))
+        offset = w - w_mdrp
+        return float(np.sqrt(max(0.5 * float(offset @ V @ offset), 0.0)))
 
     kind = FrontierKind(kind)
-    params = drf.frontier_params(universe)
     if sigma_grid is None:
-        sigma_grid = drf.default_sigma_grid(params)
-    rbar = universe.expected_returns
-    if kind in (FrontierKind.MV_EFFICIENT_DR, FrontierKind.MV_MEAN_RETURN):
-        if params.eta_wo is None:
-            raise MissingReturnsError("mean-variance sweeps need returns")
+        sigma_grid = drf.default_sigma_grid(drf.frontier_params(universe))
+    if kind in (FrontierKind.MV_EFFICIENT_DR, FrontierKind.MV_MEAN_RETURN) and w_o is None:
+        raise MissingReturnsError("mean-variance sweeps need returns")
+    sleeve = None
     if kind is FrontierKind.CML:
-        cml = drf.cml_curve(universe)
+        if rbar is None or r0 is None:
+            raise MissingReturnsError("the capital-market line needs returns and r0")
+        ret_mvp = float(rbar @ w_mvp)
+        if ret_mvp - r0 <= 1e-12 * abs(ret_mvp):
+            raise TangencyInfeasibleError("r0 not below the minimum-variance return")
+        excess = inv_rbar[0] + (rbar.mean() - r0) * inv_ones  # V^-1 (rbar - r0 1)
+        w_t = excess / excess.sum()
+        sleeve = w_t / np.sqrt(float(w_t @ V @ w_t))
     if kind is FrontierKind.EFFICIENT_DR_RISKFREE:
-        rf = drf.riskfree_dr_curve(universe)
-    if kind is FrontierKind.MDP_AT_SIGMA:
-        root_eta = np.sqrt(np.clip(universe.variances, 0.0, None))
+        inv_eta_full = inv_eta + eta.mean() * inv_ones  # V^-1 eta
+        sleeve = inv_eta_full / np.sqrt(float(eta @ inv_eta_full))
 
     curve = FrontierCurve(kind=kind)
     for sigma in np.asarray(sigma_grid, dtype=float):
-        row = FrontierRow(sigma=float(sigma))
-        try:
-            if kind is FrontierKind.EFFICIENT_DR:
-                row.q = drf.q_dr_at(params, sigma)
-                if params.rho == 0.0:
-                    w = drf.min_variance_portfolio(universe).weights
-                else:
-                    point = drf.efficient_dr_portfolio(universe, params, sigma)
-                    w = point.weights
-                    row.alpha = point.alpha
-                row.ret = None if rbar is None else float(rbar @ w)
-                row.centrality = row_centrality(w)
-                if include_weights:
-                    row.weights = w
-            elif kind in (FrontierKind.MV_EFFICIENT_DR, FrontierKind.MV_MEAN_RETURN):
-                q, w = drf.q_ef_at(universe, params, sigma)
-                row.q = q
-                row.alpha = _excess_risk_at(params.sigma2_mvp, sigma)
-                row.ret = None if rbar is None else float(rbar @ w)
-                row.centrality = row_centrality(w)
-                if include_weights:
-                    row.weights = w
-            elif kind is FrontierKind.MDP_AT_SIGMA:
-                sol = drf.max_linear_over_ellipsoid(universe, root_eta, sigma)
-                w = sol.weights
-                # the DR functional of the row's weights, without the budget
-                # check of diversification_return: on near-singular universes
-                # sum(w) drifts from 1 by about u * |d| * eps
-                row.q = 0.5 * float(universe.variances @ w - w @ universe.cov @ w)
-                row.ret = None if rbar is None else float(rbar @ w)
-                row.centrality = row_centrality(w)
-                if sol.degenerate:
-                    row.status = "degenerate"
-                if include_weights:
-                    row.weights = w
-            elif kind is FrontierKind.CML:
-                row.q = cml.value(sigma)
-                mix = cml.mix(sigma)
-                row.alpha = mix
-                if rbar is not None and universe.risk_free_rate is not None:
-                    row.ret = universe.risk_free_rate + mix * (
-                        float(rbar @ cml.tangent.weights) - universe.risk_free_rate
-                    )
-                if include_weights:
-                    row.weights = mix * cml.tangent.weights
-                    row.cash = 1.0 - mix
-            elif kind is FrontierKind.EFFICIENT_DR_RISKFREE:
-                row.q = rf.value(sigma)
-                w, cash = rf.risky_weights(sigma)
-                if rbar is not None and universe.risk_free_rate is not None:
-                    row.ret = float(rbar @ w) + cash * universe.risk_free_rate
-                if include_weights:
-                    row.weights = w
-                    row.cash = cash
-        except RiskBelowMvpError:
-            row.status = "risk_below_mvp"
+        sigma = float(sigma)
+        row = FrontierRow(sigma=sigma)
         curve.rows.append(row)
+        if sleeve is not None:
+            if sigma < 0.0:
+                row.status = "risk_below_mvp"
+                continue
+            w = sigma * sleeve
+            cash = 1.0 - float(w.sum())
+            row.q = block_riskfree_dr(V, eta, w, cash)
+            if kind is FrontierKind.CML:
+                row.alpha = float(w.sum())
+            if rbar is not None and r0 is not None:
+                row.ret = float(rbar @ w) + cash * r0
+            if include_weights:
+                row.weights, row.cash = w, cash
+            continue
+        u_sq = sigma * sigma - sigma2_mvp
+        if sigma < 0.0 or sigma * sigma < sigma2_mvp * (1.0 - RISK_SNAP_RTOL):
+            row.status = "risk_below_mvp"
+            continue
+        u = 0.0 if u_sq <= _SNAP_RTOL * sigma2_mvp else float(np.sqrt(u_sq))
+        if kind is FrontierKind.EFFICIENT_DR:
+            d = d_eta
+            row.alpha = None if d is None else 2.0 * u / rho
+        elif kind is FrontierKind.MDP_AT_SIGMA:
+            d = d_root
+            row.status = "degenerate" if d is None else "ok"
+        else:
+            d = w_o
+            row.alpha = u
+        w = w_mvp if d is None else w_mvp + u * d
+        # the DR functional of the row's weights, without the budget
+        # check of diversification_return: on near-singular universes
+        # sum(w) drifts from 1 by about u * |d| * eps
+        row.q = 0.5 * float(eta @ w - w @ V @ w)
+        row.ret = None if rbar is None else float(rbar @ w)
+        row.centrality = row_centrality(w)
+        if include_weights:
+            row.weights = w
     return curve
 
 

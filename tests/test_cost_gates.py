@@ -118,6 +118,19 @@ def test_sweeps_make_no_solve(calls, points):
             curve = drf.sweep(u, kind, grid, embedding=emb, include_weights=True)
             assert len(curve.rows) == points
         assert _solves(calls) == before
+        # every one-point reader reads the kernel's rays; the generic
+        # objective alone solves, once
+        p, sigma = drf.frontier_params(u), float(grid[points // 2])
+        drf.q_dr_at(p, sigma)
+        drf.efficient_dr_portfolio(u, p, sigma)
+        drf.q_ef_at(u, p, sigma)
+        drf.dr_gap_at(p, sigma)
+        drf.mdp_at_sigma(u, sigma)
+        drf.q_cml_at(u, sigma)
+        drf.q_dr_riskfree_at(u, sigma)
+        assert _solves(calls) == before
+        drf.max_linear_over_ellipsoid(u, u.variances, sigma)
+        assert _solves(calls) == before + 1
 
 
 def test_default_sweeps_share_one_grid_per_universe(monkeypatch):

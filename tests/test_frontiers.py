@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ import drfrontier as drf
 from drfrontier.errors import (
     DegenerateRhoError,
     DimensionMismatchError,
+    DrFrontierError,
     MissingReturnsError,
     RiskBelowMvpError,
     TangencyInfeasibleError,
@@ -312,17 +315,88 @@ def test_inflection_root_is_the_curvature_sign_change():
     assert found > 0
 
 
-def test_curves_at_sigma_mvp_are_their_u0_values():
+def _one_point_readers(u):
+    """(kind, reader, from_row) for every scalar reader of a universe: reader
+    at a sigma gives the same fields that from_row reads off the kind's
+    one-point sweep row (from_row None: compared within the solve's rounding)."""
+    p = drf.frontier_params(u)
+    K = FrontierKind
+    return [
+        (K.EFFICIENT_DR, lambda s: drf.q_dr_at(p, s), lambda r: r.q),
+        (
+            K.EFFICIENT_DR,
+            lambda s: dataclasses.astuple(drf.efficient_dr_portfolio(u, p, s)),
+            lambda r: (r.weights, r.alpha, r.alpha > 1.0),
+        ),
+        (K.MV_EFFICIENT_DR, lambda s: drf.q_ef_at(u, p, s), lambda r: (r.q, r.weights)),
+        (
+            K.MV_EFFICIENT_DR,
+            lambda s: drf.dr_gap_at(p, s),
+            lambda r: 0.5 * (p.rho - p.eta_wo) * r.alpha,
+        ),
+        (
+            K.MDP_AT_SIGMA,
+            lambda s: dataclasses.astuple(drf.mdp_at_sigma(u, s)),
+            lambda r: (r.weights, r.status == "degenerate"),
+        ),
+        (K.CML, lambda s: drf.q_cml_at(u, s), lambda r: r.q),
+        (K.EFFICIENT_DR_RISKFREE, lambda s: drf.q_dr_riskfree_at(u, s), lambda r: r.q),
+        (K.EFFICIENT_DR, lambda s: drf.max_linear_over_ellipsoid(u, u.variances, s).weights, None),
+    ]
+
+
+def _outcome(call):
+    """call(), or the type of the DrFrontierError it raises."""
+    try:
+        return call()
+    except DrFrontierError as exc:
+        return type(exc)
+
+
+def _fields(x):
+    return x if isinstance(x, tuple) else (x,)
+
+
+def _assert_readers_are_sweep_rows(u, sigmas):
+    for kind, reader, from_row in _one_point_readers(u):
+        for sigma in sigmas:
+            got = _outcome(lambda: reader(sigma))
+            curve = _outcome(lambda: drf.sweep(u, kind, [sigma], include_weights=True))
+            if isinstance(curve, type):
+                # a grid (ParseError) or curve the sweep refuses, the reader refuses
+                assert got is curve, (kind, sigma, got, curve)
+                continue
+            (row,) = curve.rows
+            if row.status == "risk_below_mvp":
+                assert got is RiskBelowMvpError, (kind, sigma, got)
+            elif got is DegenerateRhoError:
+                # the DR-efficient mix of a flat frontier, whose row has no alpha
+                assert row.alpha is None
+            elif from_row is None:
+                atol = 1e-12 * float(np.abs(row.weights).max())
+                np.testing.assert_allclose(got, row.weights, rtol=0, atol=atol)
+            else:
+                got, want = _fields(got), _fields(from_row(row))
+                assert len(got) == len(want)
+                assert all(np.array_equal(a, b) for a, b in zip(got, want)), (kind, sigma)
+
+
+def test_curves_at_sigma_mvp_are_their_u0_values(ex3, universe30, identity3):
     # sigma_mvp squared can round a few ulps above sigma_mvp^2; the snap
     # keeps that from turning into u ~ 1e-8 sigma_mvp, and squaring by
-    # multiplication makes the u = 0 value q_mvp exactly on both routes
+    # multiplication makes the u = 0 value q_mvp exactly.  Every scalar
+    # reader is its kind's one-point sweep row bit for bit, and refuses a
+    # sigma exactly where the sweep flags risk_below_mvp or raises ParseError
     rng = np.random.default_rng(0)
-    for _ in range(2000):
+    for i in range(2000):
         n = int(rng.integers(2, 8))
         A = rng.normal(size=(n, n))
-        u = drf.validate_universe(
-            A @ A.T + 0.1 * np.eye(n), expected_returns=rng.uniform(0.01, 0.2, n)
-        )
+        V = A @ A.T + 0.1 * np.eye(n)
+        rbar = rng.uniform(0.01, 0.2, n)
+        w_mvp = np.linalg.solve(V, np.ones(n))
+        # a risk-free rate below the minimum-variance return: both cash curves
+        r0 = float(rbar @ w_mvp / w_mvp.sum()) - 0.05
+        u = drf.validate_universe(V, expected_returns=rbar, risk_free_rate=r0)
         p = drf.frontier_params(u)
         assert drf.q_dr_at(p, p.sigma_mvp) == p.q_mvp
         q_ef, w = drf.q_ef_at(u, p, p.sigma_mvp)
@@ -338,6 +412,16 @@ def test_curves_at_sigma_mvp_are_their_u0_values():
             assert at_mvp.q == p.q_mvp
             # the scalar and the sweep route agree bit for bit
             assert row.q == scalar
+        if i % 10 == 0:
+            _assert_readers_are_sweep_rows(u, [p.sigma_mvp, sigma])
+    for u in (ex3, universe30, identity3):
+        p = drf.frontier_params(u)
+        sigmas = [p.sigma_mvp, p.sigma_mvp * (1.0 - 1e-14), 1.5 * p.sigma_mvp, 4.0 * p.sigma_mdrp]
+        sigmas += [0.5 * p.sigma_mvp, -1.0, np.nan, np.inf, "x", "1.2", None]
+        if u is not identity3:
+            # the ratio-maximizing portfolio's own risk
+            sigmas.append(drf.mdp_global(u).sigma)
+        _assert_readers_are_sweep_rows(u, sigmas)
 
 
 @pytest.mark.parametrize("scale", [1e-6, 1e-4, 1e-2, 1.0, 1e2, 1e4, 1e6, 1e8])

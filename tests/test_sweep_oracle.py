@@ -12,6 +12,7 @@ from drfrontier.errors import DrFrontierError
 from drfrontier.frontiers import FrontierKind
 
 from .oracles import conditioned_universe, forward_error, sweep_rowwise
+from .test_portfolios import _near_equal_universes
 
 # q, ret and alpha agree to REL_TOL times the row's scale; centrality to
 # CENTRALITY_ATOL, because the reference's sqrt(w' B w) is noisy near c = 0;
@@ -83,7 +84,10 @@ def _assert_matches_reference(universe, embedding, grid, ill_conditioned=False):
                 if include_weights and b.weights is not None:
                     atol = weights_tol * max(1.0, w_size)
                     np.testing.assert_allclose(a.weights, b.weights, rtol=0, atol=atol)
-                    assert a.cash == b.cash
+                    # cash is the weight of the riskless asset
+                    assert (a.cash is None) == (b.cash is None)
+                    if a.cash is not None:
+                        assert abs(a.cash - b.cash) <= atol, (kind, a.sigma, a.cash, b.cash)
                 else:
                     assert a.weights is None and b.weights is None
 
@@ -102,6 +106,14 @@ def test_sweep_matches_reference_panel30(universe30):
 
 def test_sweep_matches_reference_without_embedding(ex3_returns):
     _assert_matches_reference(ex3_returns, None, _grid(ex3_returns))
+
+
+def test_sweep_matches_reference_at_near_equal_inputs():
+    # vols and returns 1e-9 to 1e-3 apart: the reference forms its
+    # right-hand sides as the kernel does, sqrt(eta)0 from variance
+    # differences, so it needs no objective the caller rounded
+    for u in _near_equal_universes():
+        _assert_matches_reference(u, drf.embed(u), _grid(u))
 
 
 def _grid_or_none(universe):
