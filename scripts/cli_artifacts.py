@@ -24,7 +24,11 @@ with names that are not a list; `portfolios`, `frontier --svg` and
 `frontier --svg` and `mdp` on ex3's correlation with volatilities
 0.3 (1, 1 + 1e-9, 1 - 1e-9); `portfolios` and `frontier --svg` on a
 two-asset universe with cond(V) = 4.3e6, whose max-DR portfolio is
-(1/2, 1/2); and the refused covariance JSON with a NaN return.  The
+(1/2, 1/2); `portfolios`, `frontier --svg` and the refused
+`frontier --kind mv_efficient_dr` on ex3's covariance with constant
+returns 0.05 and r0 = 0.01, whose tangency is the minimum-variance
+portfolio while its mean-variance curves have no direction; and the refused
+covariance JSON with a NaN return.  The
 script writes those covariance JSON inputs, and the CSV panels `ingest-check` reads to show each parse error
 (a non-numeric cell, a nonpositive price, a NaN cell before a negative
 price, dates out of order, a ragged row, fewer than two rows) and the
@@ -129,6 +133,15 @@ TWO_ASSETS = (
     '"rbar": [0.12813823780813746, 0.04365469787233788]}\n'
 )
 
+# ex3's V with constant returns and r0 below them: the tangency portfolio is
+# w_mvp, and the mean-variance curves are refused (DegenerateReturnsError)
+CONSTANT_RETURNS = (
+    '{"V": [[1.2222222222222223, 0.8888888888888888, 0.8888888888888888], '
+    "[0.8888888888888888, 2.5555555555555554, -0.4444444444444444], "
+    "[0.8888888888888888, -0.4444444444444444, 2.5555555555555554]], "
+    '"rbar": [0.05, 0.05, 0.05], "r0": 0.01}\n'
+)
+
 # run -> (CLI arguments, text of the --input file written into OUT_DIR/<run>/)
 WRITTEN = {
     "json-r0-nan": (JSON_RUN, '{"V": [[1, 0], [0, 2]], "rbar": [0.1, 0.2], "r0": NaN}\n'),
@@ -165,6 +178,15 @@ WRITTEN = {
     "json-vols-near-equal-mdp": (["mdp", "--input", "input.json"], NEAR_EQUAL_VOLS),
     "json-two-assets-portfolios": (JSON_RUN, TWO_ASSETS),
     "json-two-assets-frontier": (["frontier", "--svg", "--input", "input.json"], TWO_ASSETS),
+    "json-rbar-constant-portfolios": (JSON_RUN, CONSTANT_RETURNS),
+    "json-rbar-constant-frontier": (
+        ["frontier", "--svg", "--input", "input.json"],
+        CONSTANT_RETURNS,
+    ),
+    "json-rbar-constant-mv-kind": (
+        ["frontier", "--kind", "mv_efficient_dr", "--input", "input.json"],
+        CONSTANT_RETURNS,
+    ),
 }
 
 

@@ -32,7 +32,13 @@ import math
 import os
 import sys
 
-from .errors import DrFrontierError, MissingReturnsError, ParseError, TangencyInfeasibleError
+from .errors import (
+    DegenerateReturnsError,
+    DrFrontierError,
+    MissingReturnsError,
+    ParseError,
+    TangencyInfeasibleError,
+)
 
 SIGNIFICANT_DIGITS = 12
 
@@ -54,10 +60,6 @@ def _jsonable(obj):
 
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return _round12(float(obj))
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
@@ -210,24 +212,12 @@ def cmd_portfolios(args) -> dict:
     return files
 
 
-def _applicable_kinds(universe, params) -> list:
-    """Default kinds: the return curves need w_o, and ``cml`` a tangency."""
-    from . import frontiers, portfolios
-
-    kinds = [frontiers.FrontierKind.EFFICIENT_DR, frontiers.FrontierKind.MDP_AT_SIGMA]
-    if params.eta_wo is not None:
-        kinds += [
-            frontiers.FrontierKind.MV_EFFICIENT_DR,
-            frontiers.FrontierKind.MV_MEAN_RETURN,
-        ]
-        if universe.risk_free_rate is not None:
-            try:
-                portfolios.tangent_portfolio(universe)
-                kinds.append(frontiers.FrontierKind.CML)
-            except TangencyInfeasibleError:
-                pass
-            kinds.append(frontiers.FrontierKind.EFFICIENT_DR_RISKFREE)
-    return kinds
+# the kinds `frontier` sweeps without --kind, in the order they are drawn:
+# the two cash curves only with a risk-free rate, and each only if its sweep
+# raises none of _REFUSALS
+_DEFAULT_KINDS = ("efficient_dr", "mdp_at_sigma", "mv_efficient_dr", "mv_mean_return")
+_CASH_KINDS = ("cml", "efficient_dr_riskfree")
+_REFUSALS = (MissingReturnsError, DegenerateReturnsError, TangencyInfeasibleError)
 
 
 # (file, title, y label, FrontierRow field) of each chart; sigma_q.svg is
@@ -243,20 +233,16 @@ def _svg_charts(params, curves) -> dict:
     import numpy as np
 
     from . import svg
+    from .frontiers import EfShape
+    from .portfolios import q_portfolio
 
     markers = [
         svg.Marker("MVP", params.sigma_mvp, params.q_mvp),
         svg.Marker("MDRP", params.sigma_mdrp, params.q_mdrp),
     ]
-    if params.eta_wo is not None and params.eta_wo >= 0.0:
-        m = params.eta_wo
-        markers.append(
-            svg.Marker(
-                "Q",
-                float(np.sqrt(params.sigma2_mvp + 0.25 * m * m)),
-                params.q_mvp + m * m / 8.0,
-            )
-        )
+    if params.ef_shape is EfShape.STRONGLY_CONCAVE:
+        q_pf = q_portfolio(params.universe)
+        markers.append(svg.Marker("Q", q_pf.sigma, q_pf.dr))
     charts = {}
     for filename, title, ylabel, field in CHARTS:
         series = []
@@ -290,12 +276,16 @@ def cmd_frontier(args) -> dict:
     universe, files = _load_universe(args)
     params = frontiers.frontier_params(universe)
     grid = _parse_grid_spec(args.grid) if args.grid else None
-    if args.kind:
-        kinds = [frontiers.FrontierKind(k) for k in args.kind]
-    else:
-        kinds = _applicable_kinds(universe, params)
-
-    curves = [frontiers.sweep(universe, kind, grid) for kind in kinds]
+    kinds = args.kind or _DEFAULT_KINDS
+    if not args.kind and universe.risk_free_rate is not None:
+        kinds += _CASH_KINDS
+    curves = []
+    for kind in kinds:
+        try:
+            curves.append(frontiers.sweep(universe, frontiers.FrontierKind(kind), grid))
+        except _REFUSALS:
+            if args.kind:
+                raise
     for curve in curves:
         files[f"frontier_{curve.kind.value}.csv"] = curve.to_csv_text()
     if args.svg:

@@ -28,14 +28,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    DegenerateRhoError,
-    DimensionMismatchError,
-    MissingReturnsError,
-    RiskBelowMvpError,
-)
+from .errors import DegenerateRhoError, DimensionMismatchError, RiskBelowMvpError
 from .model import AssetUniverse, Portfolio, _finite_array, _finite_float, _float_array
-from .portfolios import tangent_portfolio
+from .portfolios import self_financing_direction, tangent_portfolio
 
 # sigma^2 below (1 - RISK_SNAP_RTOL) sigma_mvp^2 is an error; closer misses snap up.
 RISK_SNAP_RTOL = 1e-12
@@ -173,16 +168,15 @@ def _objective_ray(s, d):
 def _ray(universe: AssetUniverse, kind: FrontierKind):
     """(d, m, u_one, status) of a kind without cash: rows w = w_mvp + u d,
     m = eta' d, alpha = u / u_one (None without u_one); d None puts them on
-    w_mvp.  A mean-variance kind without w_o raises MissingReturnsError."""
+    w_mvp.  A mean-variance kind raises where :func:`self_financing_direction`
+    refuses."""
     s = universe.solver
     if kind is FrontierKind.EFFICIENT_DR:
         # alpha = 1 at the maximum-DR portfolio, u = rho / 2
         return s.d_eta, s.rho, None if s.d_eta is None else 0.5 * s.rho, "ok"
     if kind is FrontierKind.MDP_AT_SIGMA:
         return _objective_ray(s, s.d_root)
-    if s.w_o is None:
-        raise MissingReturnsError("mean-variance sweeps need non-degenerate expected returns")
-    return s.w_o, s.eta_wo, 1.0, "ok"
+    return self_financing_direction(universe), s.eta_wo, 1.0, "ok"
 
 
 def _ray_rows(universe: AssetUniverse, ray, sigmas: np.ndarray, include_weights: bool) -> list:
@@ -266,6 +260,7 @@ def efficient_dr_portfolio(
     w(sigma) = alpha * w_mdrp + (1 - alpha) * w_mvp with
     alpha = (2 / rho) * sqrt(sigma^2 - sigma_mvp^2).  alpha > 1 lands past
     the maximum-DR portfolio (risk no longer buys DR) and is flagged.
+    `params` is unused; it is kept because existing callers pass it.
     """
     row = _point(universe, FrontierKind.EFFICIENT_DR, sigma)
     if row.alpha is None:
@@ -277,7 +272,8 @@ def q_ef_at(universe: AssetUniverse, params: FrontierParams, sigma: float):
     """DR of the mean-variance efficient portfolio at risk sigma.
 
     Returns (q, weights) of the one-point mv_efficient_dr sweep row; q equals
-    the direct DR of the returned weights.
+    the direct DR of the returned weights.  `params` is unused; it is kept
+    because existing callers pass it.
     """
     row = _point(universe, FrontierKind.MV_EFFICIENT_DR, sigma)
     return row.q, row.weights
@@ -503,11 +499,11 @@ def inflection_report(universe: AssetUniverse):
     is concave everywhere otherwise.  Returns a dict with the paper's tau_o
     (None unless the curve is strictly decreasing), the root
     sqrt(sigma_mvp^2 + u*^2) under "inflection_empirical" (None when m >= 0),
-    their gap, and the shape class.
+    their gap, and the shape class.  It raises where
+    :func:`self_financing_direction` refuses.
     """
     params = frontier_params(universe)
-    if params.eta_wo is None:
-        raise MissingReturnsError("inflection needs the mean-variance DR curve")
+    self_financing_direction(universe)
     root = gap = None
     if params.eta_wo < 0.0:
         u_star = float(np.cbrt(-0.5 * params.eta_wo * params.sigma2_mvp))

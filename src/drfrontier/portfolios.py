@@ -60,8 +60,10 @@ def self_financing_direction(universe: AssetUniverse) -> np.ndarray:
 
     w_o = V^-1 (rbar - (b/a) 1), normalized so that w_o' V w_o = 1.  Satisfies
     1' w_o = 0; every mean-variance efficient portfolio is
-    w_mvp + sqrt(sigma^2 - sigma_mvp^2) * w_o.  Returns proportional to ones
-    in the V^-1 metric leave it undefined (DegenerateReturnsError).
+    w_mvp + sqrt(sigma^2 - sigma_mvp^2) * w_o.  This is the one refusal of
+    the mean-variance curves: a universe without returns raises
+    MissingReturnsError, and returns proportional to ones in the V^-1 metric,
+    which leave w_o undefined, DegenerateReturnsError.
     """
     _require_returns(universe)
     w_o = universe.solver.w_o
@@ -93,13 +95,12 @@ def eta_wo_sign(universe: AssetUniverse) -> str:
 
 
 def q_portfolio(universe: AssetUniverse) -> Portfolio:
-    """The mean-variance efficient portfolio with the highest DR.
+    """The portfolio of highest DR on the line w_mvp + t w_o.
 
-    w_Q = w_mvp + (eta' w_o / 2) * w_o.  When eta' w_o >= 0 this sits on the
-    efficient branch with sigma_Q^2 = sigma_mvp^2 + (eta' w_o)^2 / 4; when
-    eta' w_o < 0 the formula lands on the inefficient branch and the best
-    efficient choice is the minimum-variance portfolio itself (the zero band
-    collapses w_Q onto it).
+    w_Q = w_mvp + (eta' w_o / 2) * w_o, sigma_Q^2 = sigma_mvp^2 + (eta' w_o)^2 / 4.
+    It is the mean-variance efficient portfolio with the highest DR only when
+    eta' w_o >= 0.  When eta' w_o < 0 it lies on the inefficient branch, below
+    the minimum-variance return, and the best efficient choice is w_mvp itself.
     """
     s = universe.solver
     w_q = s.w_mvp + 0.5 * eta_wo(universe) * s.w_o
@@ -112,7 +113,9 @@ def tangent_portfolio(universe: AssetUniverse) -> Portfolio:
     w_T = V^-1 (rbar - r0 1) / (b - r0 a) = w_mvp + (k_r sigma_mvp^2 / (R - r0)) w_o
     with R = rbar' w_mvp = b / a, the minimum-variance return, and (w_o, k_r)
     the kernel's direction of rbar (w_T = w_mvp when there is none).
-    Requires R - r0 > 1e-12 |R|: the risk-free rate r0 below R.
+    Requires R - r0 > 1e-12 |R|: the risk-free rate r0 below R.  This is
+    the one refusal of the tangency (TangencyInfeasibleError); without
+    returns or r0 it raises MissingReturnsError.
     """
     rbar = _require_returns(universe)
     if universe.risk_free_rate is None:
@@ -136,7 +139,8 @@ class SpecialPortfolios:
     d = mdrp.weights - mvp.weights satisfies 1' d = 0, d' V w_mvp = 0 and
     d' V d = rho^2 / 4.  Every portfolio is w_mvp plus a multiple of a
     zero-budget direction, so it sums to one up to rounding.  Fields needing
-    returns (or a feasible risk-free rate) are None when absent or degenerate.
+    w_o, or the tangency, are None where :func:`self_financing_direction`,
+    or :func:`tangent_portfolio`, refuses.
     """
 
     mvp: Portfolio
@@ -162,15 +166,14 @@ def special_portfolios(universe: AssetUniverse, embedding=None) -> SpecialPortfo
     mvp = min_variance_portfolio(universe)
     mdrp = max_dr_portfolio(universe)
 
-    sign = q_pf = tangent = None
-    if s.w_o is not None:
-        sign = eta_wo_sign(universe)
-        q_pf = q_portfolio(universe)
-        if universe.risk_free_rate is not None:
-            try:
-                tangent = tangent_portfolio(universe)
-            except TangencyInfeasibleError:
-                pass
+    try:
+        sign, q_pf = eta_wo_sign(universe), q_portfolio(universe)
+    except (MissingReturnsError, DegenerateReturnsError):
+        sign = q_pf = None
+    try:
+        tangent = tangent_portfolio(universe)
+    except (MissingReturnsError, TangencyInfeasibleError):
+        tangent = None
 
     return SpecialPortfolios(
         mvp=mvp,

@@ -20,6 +20,7 @@ import numpy as np
 import drfrontier as drf
 from drfrontier.embedding import EIG_RTOL
 from drfrontier.errors import (
+    DegenerateReturnsError,
     MissingReturnsError,
     NotSPDError,
     TangencyInfeasibleError,
@@ -558,7 +559,9 @@ def sweep_rowwise(
     if sigma_grid is None:
         sigma_grid = drf.default_sigma_grid(drf.frontier_params(universe))
     if kind in (FrontierKind.MV_EFFICIENT_DR, FrontierKind.MV_MEAN_RETURN) and w_o is None:
-        raise MissingReturnsError("mean-variance sweeps need returns")
+        if rbar is None:
+            raise MissingReturnsError("mean-variance sweeps need returns")
+        raise DegenerateReturnsError("returns proportional to ones")
     sleeve = None
     if kind is FrontierKind.CML:
         if rbar is None or r0 is None:

@@ -167,6 +167,29 @@ def test_self_financing_direction_errors(ex3):
         drf.self_financing_direction(u)
 
 
+def test_mean_variance_readers_refuse_as_self_financing_direction(ex3):
+    # every reader of w_o raises the type self_financing_direction raises;
+    # special_portfolios leaves w_o's fields out and still builds the
+    # tangency, which is w_mvp for constant returns
+    constant = drf.validate_universe(V3, expected_returns=np.full(3, 0.05), risk_free_rate=0.01)
+    for u, error in ((ex3, MissingReturnsError), (constant, DegenerateReturnsError)):
+        p = drf.frontier_params(u)
+        for call in (
+            lambda: drf.sweep(u, FrontierKind.MV_EFFICIENT_DR),
+            lambda: drf.sweep(u, FrontierKind.MV_MEAN_RETURN),
+            lambda: drf.q_ef_at(u, p, 2.0),
+            lambda: drf.dr_gap_at(p, 2.0),
+            lambda: drf.inflection_report(u),
+            lambda: drf.eta_wo(u),
+            lambda: drf.q_portfolio(u),
+        ):
+            with pytest.raises(error):
+                call()
+    sp = drf.special_portfolios(constant)
+    assert sp.w_o is None and sp.q_pf is None and sp.eta_wo_sign is None
+    np.testing.assert_array_equal(sp.tangent.weights, sp.mvp.weights)
+
+
 def test_eta_wo_three_asset(ex3_returns):
     m = drf.eta_wo(ex3_returns)
     assert m * m == pytest.approx(24.0 / 7.0, rel=1e-12)
