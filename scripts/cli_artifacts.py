@@ -16,8 +16,10 @@ the grid 0:3:7, which starts at sigma = 0 (all cash); on ex3 with
 returns and `--riskfree 10`, above the minimum-variance return, the
 default `frontier --svg` (no tangency, so no `cml`) and the refused
 `frontier --kind cml`; the refused `frontier --kind mv_efficient_dr` on
-ex3, which has no returns; `--log-returns` on mini; `--require-returns` on ex3; `--help` of the program and of every
-subcommand; and the refused inputs: non-finite `--riskfree`, `--sigma` and
+ex3, which has no returns, and the refused
+`frontier --kind efficient_dr_riskfree` on ex3, which has no risk-free
+rate; `--log-returns` on mini; `--require-returns` on ex3; `--help` of the
+program and of every subcommand; and the refused inputs: non-finite `--riskfree`, `--sigma` and
 `--grid` values, and covariance JSON with a NaN or non-numeric field or
 with names that are not a list; `portfolios`, `frontier --svg` and
 `mdp` on ex3's covariance with returns 1e-11 apart; `portfolios`,
@@ -90,6 +92,7 @@ EXTRA = {
     "ex3r-frontier-svg-rf-above-mvp": ("ex3r", ["frontier", "--svg", "--riskfree", "10"]),
     "ex3r-frontier-cml-rf-above-mvp": ("ex3r", ["frontier", "--riskfree", "10", "--kind", "cml"]),
     "ex3-frontier-mv-kind": ("ex3", ["frontier", "--kind", "mv_efficient_dr"]),
+    "ex3-frontier-riskfree-kind": ("ex3", ["frontier", "--kind", "efficient_dr_riskfree"]),
     "mini-portfolios-log-returns": ("mini", ["portfolios", "--log-returns"]),
     "mini-ingest-check-log-returns": ("mini", ["ingest-check", "--log-returns"]),
     "ex3-require-returns": ("ex3", ["portfolios", "--require-returns"]),

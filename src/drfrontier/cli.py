@@ -212,11 +212,12 @@ def cmd_portfolios(args) -> dict:
     return files
 
 
-# the kinds `frontier` sweeps without --kind, in the order they are drawn:
-# the two cash curves only with a risk-free rate, and each only if its sweep
-# raises none of _REFUSALS
-_DEFAULT_KINDS = ("efficient_dr", "mdp_at_sigma", "mv_efficient_dr", "mv_mean_return")
-_CASH_KINDS = ("cml", "efficient_dr_riskfree")
+# the kinds `frontier` sweeps without --kind, in the order they are drawn,
+# each only if its sweep raises none of _REFUSALS
+_DEFAULT_KINDS = (
+    "efficient_dr", "mdp_at_sigma", "mv_efficient_dr", "mv_mean_return",
+    "cml", "efficient_dr_riskfree",
+)
 _REFUSALS = (MissingReturnsError, DegenerateReturnsError, TangencyInfeasibleError)
 
 
@@ -276,11 +277,8 @@ def cmd_frontier(args) -> dict:
     universe, files = _load_universe(args)
     params = frontiers.frontier_params(universe)
     grid = _parse_grid_spec(args.grid) if args.grid else None
-    kinds = args.kind or _DEFAULT_KINDS
-    if not args.kind and universe.risk_free_rate is not None:
-        kinds += _CASH_KINDS
     curves = []
-    for kind in kinds:
+    for kind in args.kind or _DEFAULT_KINDS:
         try:
             curves.append(frontiers.sweep(universe, frontiers.FrontierKind(kind), grid))
         except _REFUSALS:

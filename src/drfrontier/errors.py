@@ -62,7 +62,7 @@ class TangencyInfeasibleError(DrFrontierError):
 
 
 class RiskBelowMvpError(DrFrontierError):
-    """Requested risk target lies below the minimum-variance risk."""
+    """Requested risk lies below its curve's base risk: sigma_mvp, or 0 with cash."""
 
 
 class DegenerateRhoError(DrFrontierError):

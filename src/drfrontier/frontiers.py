@@ -1,22 +1,23 @@
 """Closed-form risk frontiers in the (sigma, DR) plane.
 
-Every curve here is parameterized by the portfolio risk sigma.  With
-u = sqrt(sigma^2 - sigma_mvp^2) the three families are
+Every curve is a ray of two-fund separation, w = w0 + u d, from a base point
+w0 of risk sigma0 and DR q0 along d with d' V d = 1 and eta' d = m.  At risk
+sigma, with u = sqrt(sigma^2 - sigma0^2),
 
-    efficient DR:        q_dr(sigma) = -0.5 (u - rho/2)^2 + rho^2/8 + q_mvp
-    mean-variance DR:    q_ef(sigma) = -0.5 (u - m/2)^2 + m^2/8 + q_mvp
-    DR with cash:        q(sigma) = -0.5 sigma^2 + (eta' x / 2) sigma
+    q(sigma) = q0 + u (m - u) / 2.
 
-where m = eta' w_o.  A cash curve holds sigma * x in risky assets and the
-rest in cash, for a sleeve x with x' V x = 1.  The risk-free efficient curve
-takes x proportional to V^-1 eta, so eta' x = sqrt(eta' V^-1 eta); the
-capital-market line takes x = w_T / sigma_T, the tangency portfolio per unit
-of its risk.  The two coincide when excess returns are proportional to eta.
-Every curve without cash is a ray of two-fund separation (Merton 1972),
-w = w_mvp + u d along a direction d that the universe's covariance kernel
-caches.  :func:`sweep` evaluates the rays over a grid; each scalar reader,
-:func:`~drfrontier.mdp.mdp_at_sigma` too, is one sweep row read at one point,
-and :func:`max_linear_over_ellipsoid` is the ray of any other linear objective.
+A curve without cash starts at the minimum-variance portfolio (Merton 1972)
+along a zero-budget direction the covariance kernel caches: d_eta, m = rho,
+for the efficient DR curve and w_o, m = eta' w_o, for the mean-variance
+curves.  A curve with cash starts at all cash (Tobin 1958), so u = sigma,
+and holds sigma * x in risky assets and the rest in cash, for a unit-risk
+sleeve x: the risk-free efficient curve x proportional to V^-1 eta, so
+m = sqrt(eta' V^-1 eta), the capital-market line x = w_T / sigma_T, the
+tangency portfolio per unit of its risk.  The two coincide when excess
+returns are proportional to eta.  :func:`sweep` evaluates the rays over a
+grid; each scalar reader, :func:`~drfrontier.mdp.mdp_at_sigma` too, is one
+sweep row read at one point, and :func:`max_linear_over_ellipsoid` is the
+ray of any other linear objective.
 """
 
 from __future__ import annotations
@@ -24,13 +25,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import repeat
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .errors import DegenerateRhoError, DimensionMismatchError, RiskBelowMvpError
 from .model import AssetUniverse, Portfolio, _finite_array, _finite_float, _float_array
-from .portfolios import self_financing_direction, tangent_portfolio
+from .portfolios import _require_risk_free_rate, self_financing_direction, tangent_portfolio
 
 # sigma^2 below (1 - RISK_SNAP_RTOL) sigma_mvp^2 is an error; closer misses snap up.
 RISK_SNAP_RTOL = 1e-12
@@ -138,14 +139,15 @@ def frontier_params(universe: AssetUniverse) -> FrontierParams:
     return FrontierParams(universe)
 
 
-def _excess_risk(sigma2_mvp: float, sigmas: np.ndarray):
-    """u = sqrt(sigma^2 - sigma_mvp^2) on a grid, and the mask of grid points
-    below sigma_mvp, every negative sigma included.
+def _excess_risk(sigma2_0: float, sigmas: np.ndarray):
+    """u = sqrt(sigma^2 - sigma0^2) on a grid, and the mask of grid points
+    below the base risk sigma0, every negative sigma included.
 
-    Points within RISK_SNAP_RTOL * sigma_mvp^2 below sigma_mvp^2, or a few
-    ulps above it, snap to u = 0: sigma_mvp itself squares back to
-    sigma_mvp^2 only up to rounding, and the square root would turn one ulp
-    into u ~ 1e-8 sigma_mvp.
+    From all cash, sigma0 = 0, u is sigma itself: sqrt(sigma * sigma) would
+    underflow to 0 below about 1.5e-154.  From w_mvp, points within
+    RISK_SNAP_RTOL * sigma_mvp^2 below sigma_mvp^2, or a few ulps above it,
+    snap to u = 0: sigma_mvp itself squares back to sigma_mvp^2 only up to
+    rounding, and the square root would turn one ulp into u ~ 1e-8 sigma_mvp.
 
     u is that of the float sigma, on the default grid too, whose exact u^2
     belongs to another sigma than the row's: near sigma_mvp u's condition
@@ -153,65 +155,118 @@ def _excess_risk(sigma2_mvp: float, sigmas: np.ndarray):
     (800 default-grid rows, four universes) that u^2 was farther on 388 rows
     and closer on 304.
     """
+    if sigma2_0 == 0.0:
+        return sigmas, sigmas < 0.0
     s2 = sigmas * sigmas
-    u2 = s2 - sigma2_mvp
-    u2[u2 <= _SNAP_RTOL * sigma2_mvp] = 0.0
-    return np.sqrt(u2), (s2 < sigma2_mvp * (1.0 - RISK_SNAP_RTOL)) | (sigmas < 0.0)
+    u2 = s2 - sigma2_0
+    u2[u2 <= _SNAP_RTOL * sigma2_0] = 0.0
+    return np.sqrt(u2), (s2 < sigma2_0 * (1.0 - RISK_SNAP_RTOL)) | (sigmas < 0.0)
 
 
-def _objective_ray(s, d):
+class _Ray(NamedTuple):
+    """A ray w = w0 + u d and its base point at u = 0: weights w0, variance
+    sigma2, DR q and return ret there; d None keeps every row on w0.  m =
+    eta' d, slope is the return per unit u (None without returns) and alpha
+    u / u_one.  risky is None on a budget ray, from w_mvp, whose rows carry
+    centrality, and 1' d on a cash ray, from all cash, whose rows carry cash."""
+
+    w: np.ndarray
+    sigma2: float
+    q: float
+    ret: Optional[float]
+    d: Optional[np.ndarray]
+    m: float
+    slope: Optional[float]
+    u_one: Optional[float]
+    status: str = "ok"
+    risky: Optional[float] = None
+
+
+def _budget_ray(universe: AssetUniverse, d, m: float, u_one, status: str = "ok") -> _Ray:
+    """The ray from w_mvp along a zero-budget direction d."""
+    s, rbar = universe.solver, universe.expected_returns
+    ret = None if rbar is None else float(rbar @ s.w_mvp)
+    slope = None if rbar is None else 0.0 if d is None else float(s.rbar0 @ d)
+    return _Ray(s.w_mvp, s.sigma2_mvp, s.q_mvp, ret, d, m, slope, u_one, status)
+
+
+def _objective_ray(universe: AssetUniverse, d) -> _Ray:
     """The ray maximizing c' w, d the kernel's direction of c; degenerate, on
     w_mvp, when c has none (every feasible portfolio ties)."""
-    return (None, 0.0, None, "degenerate") if d is None else (d, float(s.eta0 @ d), None, "ok")
+    m = 0.0 if d is None else float(universe.solver.eta0 @ d)
+    return _budget_ray(universe, d, m, None, "degenerate" if d is None else "ok")
 
 
-def _ray(universe: AssetUniverse, kind: FrontierKind):
-    """(d, m, u_one, status) of a kind without cash: rows w = w_mvp + u d,
-    m = eta' d, alpha = u / u_one (None without u_one); d None puts them on
-    w_mvp.  A mean-variance kind raises where :func:`self_financing_direction`
-    refuses."""
+def _cash_ray(universe: AssetUniverse, curve: CashDrCurve, u_one) -> _Ray:
+    """The ray from all cash, whose return is r0, along a cash curve's sleeve."""
+    x, rbar, r0 = curve.direction, universe.expected_returns, universe.risk_free_rate
+    slope = None if rbar is None else float((rbar - r0) @ x)
+    return _Ray(np.zeros(universe.n), 0.0, 0.0, r0, x, curve.gain, slope, u_one, risky=x.sum())
+
+
+def _ray(universe: AssetUniverse, kind: FrontierKind) -> _Ray:
+    """The ray of a kind.  A mean-variance kind raises where
+    :func:`self_financing_direction` refuses, cml where :func:`tangent_portfolio`
+    does, and efficient_dr_riskfree, as cml, without a risk-free rate."""
     s = universe.solver
     if kind is FrontierKind.EFFICIENT_DR:
         # alpha = 1 at the maximum-DR portfolio, u = rho / 2
-        return s.d_eta, s.rho, None if s.d_eta is None else 0.5 * s.rho, "ok"
+        return _budget_ray(universe, s.d_eta, s.rho, None if s.d_eta is None else 0.5 * s.rho)
     if kind is FrontierKind.MDP_AT_SIGMA:
-        return _objective_ray(s, s.d_root)
-    return self_financing_direction(universe), s.eta_wo, 1.0, "ok"
+        return _objective_ray(universe, s.d_root)
+    if kind is FrontierKind.CML:
+        # alpha, the risky fraction u 1' x, is 1 at the tangency, u = sigma_T
+        curve = cml_curve(universe)
+        return _cash_ray(universe, curve, curve.tangent.sigma)
+    if kind is FrontierKind.EFFICIENT_DR_RISKFREE:
+        _require_risk_free_rate(universe)
+        return _cash_ray(universe, riskfree_dr_curve(universe), None)
+    return _budget_ray(universe, self_financing_direction(universe), s.eta_wo, 1.0)
 
 
 def _ray_rows(universe: AssetUniverse, ray, sigmas: np.ndarray, include_weights: bool) -> list:
-    """The rows of a :func:`_ray` on the grid sigmas (see :func:`sweep`)."""
-    s = universe.solver
-    d, m, u_one, status = ray
-    u, below = _excess_risk(s.sigma2_mvp, sigmas)
-    alpha = None if u_one is None else u / u_one
-    if d is None:
-        u, d = np.zeros_like(u), np.zeros(universe.n)
-    # squared by multiplication (``**`` is C ``pow`` on a float), so at u = 0
-    # -0.5 (m/2)^2 + m^2/8 is exactly 0 and q exactly q_mvp
-    t = u - 0.5 * m
-    q = -0.5 * (t * t) + m * m / 8.0 + s.q_mvp
-    rbar = universe.expected_returns
-    ret = None if rbar is None else rbar @ s.w_mvp + u * (s.rbar0 @ d)
-    e = d - (0.0 if s.d_eta is None else s.d_eta)
-    bend = 0.25 * s.rho * float(e @ universe.cov @ e)
-    t = u - 0.5 * s.rho
-    centrality = np.sqrt(np.maximum(0.5 * (t * t) + bend * u, 0.0))
-    weights = s.w_mvp + u[:, None] * d if include_weights else repeat(None)
-    return _rows(sigmas, below, status, q, ret, centrality, alpha, weights, None)
+    """The rows of a ray on the grid sigmas (see :func:`sweep`): q = q0 +
+    u (m - u) / 2, exactly q0 at u = 0, ret = ret0 + u slope, alpha = u / u_one
+    and, with include_weights, weights w0 + u d.  Rows below the base risk
+    are replaced by flagged ones."""
+    u, below = _excess_risk(ray.sigma2, sigmas)
+    u, d = (np.zeros_like(u), np.zeros(universe.n)) if ray.d is None else (u, ray.d)
+    q = ray.q + 0.5 * u * (ray.m - u)
+    ret = None if ray.slope is None else ray.ret + u * ray.slope
+    alpha = None if ray.u_one is None else u / ray.u_one
+    centrality = cash = None
+    if ray.risky is None:
+        s = universe.solver
+        e = d - (0.0 if s.d_eta is None else s.d_eta)
+        bend = 0.25 * s.rho * float(e @ universe.cov @ e)
+        t = u - 0.5 * s.rho
+        centrality = np.sqrt(np.maximum(0.5 * (t * t) + bend * u, 0.0))
+    elif include_weights:
+        cash = 1.0 - u * ray.risky
+    weights = ray.w + u[:, None] * d if include_weights else repeat(None)
+    sigma_list = sigmas.tolist()
+    q, ret, centrality, alpha, cash = (
+        repeat(None) if x is None else x.tolist() for x in (q, ret, centrality, alpha, cash)
+    )
+    status = repeat(ray.status)
+    rows = list(map(FrontierRow, sigma_list, q, ret, centrality, alpha, status, weights, cash))
+    for i in np.flatnonzero(below).tolist():
+        rows[i] = FrontierRow(sigma_list[i], status="risk_below_mvp")
+    return rows
 
 
 def _point(universe: AssetUniverse, ray, sigma) -> FrontierRow:
     """The one-point sweep row, with weights, of a kind or a :func:`_ray` at
     risk sigma.  As in :func:`sweep`, sigma is read before the kind's ray: one
-    that is not a finite number raises ParseError, and one below sigma_mvp, or
-    negative, RiskBelowMvpError."""
+    that is not a finite number raises ParseError, and one below the ray's
+    base risk (sigma_mvp, or 0 with cash) RiskBelowMvpError."""
     sigma = _finite_float(sigma, "sigma")
     ray = _ray(universe, ray) if isinstance(ray, FrontierKind) else ray
     (row,) = _ray_rows(universe, ray, np.array([sigma]), True)
     if row.status == "risk_below_mvp":
-        mvp = np.sqrt(universe.solver.sigma2_mvp)
-        raise RiskBelowMvpError(f"sigma = {sigma:.12g} below minimum-variance risk {mvp:.12g}")
+        base = "minimum-variance" if ray.risky is None else "all-cash"
+        risk = np.sqrt(ray.sigma2)
+        raise RiskBelowMvpError(f"sigma = {sigma:.12g} below {base} risk {risk:.12g}")
     return row
 
 
@@ -239,7 +294,7 @@ def max_linear_over_ellipsoid(
             f"objective shape {c.shape} vs universe of {universe.n} assets"
         )
     d, _ = universe.solver.direction(c)
-    row = _point(universe, _objective_ray(universe.solver, d), sigma)
+    row = _point(universe, _objective_ray(universe, d), sigma)
     return KktSolution(weights=row.weights, degenerate=d is None)
 
 
@@ -293,13 +348,12 @@ def dr_gap_at(params: FrontierParams, sigma: float) -> float:
 
 @dataclass(frozen=True)
 class CashDrCurve:
-    """DR of sigma * x in risky assets and 1 - sigma * 1' x in cash, x' V x = 1.
-
-    The sleeve x has unit risk, so q(sigma) = -sigma^2/2 + gain * sigma / 2
-    with gain = eta' x, and when gain > 0 the curve peaks at sigma = gain / 2.
-    The risk-free efficient curve takes x proportional to V^-1 eta, the
-    capital-market line x = w_T / sigma_T and keeps the tangency portfolio.
-    """
+    """DR of sigma * x in risky assets and 1 - sigma * 1' x in cash, x' V x = 1:
+    q(sigma) = sigma (gain - sigma) / 2, gain = eta' x, which peaks at
+    sigma = gain / 2 when gain > 0.  The risk-free efficient curve takes x
+    proportional to V^-1 eta, the capital-market line x = w_T / sigma_T and
+    keeps the tangency portfolio.  Its rows, weights and cash included, are
+    :func:`sweep`'s."""
 
     gain: float
     direction: np.ndarray
@@ -308,26 +362,6 @@ class CashDrCurve:
     @property
     def peak_sigma(self) -> Optional[float]:
         return 0.5 * self.gain if self.gain > 0.0 else None
-
-    def value(self, sigma):
-        """q at risk sigma, a float or an array; a negative sigma raises
-        RiskBelowMvpError and one that is not a finite number ParseError."""
-        s = _finite_array(sigma, "sigma")
-        if np.any(s < 0.0):
-            raise RiskBelowMvpError("sigma must be nonnegative")
-        return -0.5 * s * s + 0.5 * self.gain * s
-
-    def mix(self, sigma):
-        """Fraction of wealth in risky assets at risk sigma, sigma * 1' x, a
-        float or an array; a negative sigma is read as given, and one that is
-        not a finite number raises ParseError."""
-        return _finite_array(sigma, "sigma") * float(self.direction.sum())
-
-    def risky_weights(self, sigma: float):
-        """Risky sleeve and cash weight at risk sigma, checked by :meth:`value`."""
-        sigma = _finite_float(sigma, "sigma")
-        self.value(sigma)
-        return sigma * self.direction, 1.0 - self.mix(sigma)
 
 
 def cml_curve(universe: AssetUniverse) -> CashDrCurve:
@@ -338,13 +372,14 @@ def cml_curve(universe: AssetUniverse) -> CashDrCurve:
 
 
 def q_cml_at(universe: AssetUniverse, sigma: float) -> float:
-    sigma = _finite_float(sigma, "sigma")  # read first, as sweep reads its grid
-    return cml_curve(universe).value(sigma)
+    """DR of the capital-market line at risk sigma: the one-point cml row's q."""
+    return _point(universe, FrontierKind.CML, sigma).q
 
 
 def riskfree_dr_curve(universe: AssetUniverse) -> CashDrCurve:
     """Build the efficient DR curve with cash, gain = sqrt(eta' V^-1 eta):
-    V^-1 eta = rho d_eta + a m w_mvp, m = eta' w_mvp, V-orthogonal parts."""
+    V^-1 eta = rho d_eta + a m w_mvp, m = eta' w_mvp, V-orthogonal parts.
+    It needs only eta; its sweep rows need a risk-free rate as well."""
     s = universe.solver
     m = float(universe.variances @ s.w_mvp)
     gain = float(np.sqrt(s.rho * s.rho + s.a * m * m))
@@ -355,8 +390,8 @@ def riskfree_dr_curve(universe: AssetUniverse) -> CashDrCurve:
 
 
 def q_dr_riskfree_at(universe: AssetUniverse, sigma: float) -> float:
-    sigma = _finite_float(sigma, "sigma")
-    return riskfree_dr_curve(universe).value(sigma)
+    """DR of the efficient curve with cash at risk sigma: its one-point row's q."""
+    return _point(universe, FrontierKind.EFFICIENT_DR_RISKFREE, sigma).q
 
 
 # ---------------------------------------------------------------------------
@@ -391,19 +426,8 @@ class FrontierCurve:
 
         lines = [",".join(self.CSV_HEADER)]
         for r in self.rows:
-            lines.append(
-                ",".join(
-                    [
-                        self.kind.value,
-                        fmt(r.sigma),
-                        fmt(r.q),
-                        fmt(r.ret),
-                        fmt(r.centrality),
-                        fmt(r.alpha),
-                        r.status,
-                    ]
-                )
-            )
+            cells = (fmt(r.sigma), fmt(r.q), fmt(r.ret), fmt(r.centrality), fmt(r.alpha))
+            lines.append(",".join((self.kind.value, *cells, r.status)))
         return "\n".join(lines) + "\n"
 
 
@@ -432,19 +456,17 @@ def sweep(
     default grid is the universe's ``sigma_grid``, computed once per
     universe; a non-finite grid point raises ParseError.
 
-    Every kind without cash is a ray w = w_mvp + u * d with eta' d = m, from
-    which each scalar reader takes one row; d None collapses it onto w_mvp.
-    Its centrality is c^2 = q_max - q =
-    |u d - (rho / 2) d_eta|_V^2 / 2, i.e.
+    Every kind is one ray w = w0 + u * d (:func:`_ray`), from which each
+    scalar reader takes one row.  A kind without cash starts at w_mvp; d None
+    collapses it there.  Its centrality is c^2 = q_max - q =
     (u - rho / 2)^2 / 2 + (rho u / 4) |d - d_eta|_V^2: one O(n^2) product per
-    sweep and no cancellation near the maximum-DR portfolio, even when d is
-    nearly d_eta.  The two cash kinds are one formula, sigma * x in risky
-    assets and the rest in cash for a unit-risk sleeve x (see
-    :class:`CashDrCurve`), with x = w_T / sigma_T (cml, alpha the risky
-    fraction) or x proportional to V^-1 eta (efficient_dr_riskfree).  Their
-    return is sigma * rbar' x + cash * r0 and their rows carry no centrality.
-    A negative sigma is flagged risk_below_mvp on every kind.  Weights, of
-    every kind, are formed only with include_weights.
+    sweep and no cancellation near the maximum-DR portfolio.  The two cash
+    kinds need a risk-free rate r0 and start at all cash, u = sigma, along a
+    unit-risk sleeve x (:class:`CashDrCurve`); cml's alpha is the risky
+    fraction sigma 1' x.  Their return is r0 + sigma (rbar - r0 1)' x and
+    their rows carry, in place of centrality, the cash 1 - sigma 1' x with
+    include_weights, which alone forms the weights of any kind.  A negative
+    sigma is flagged risk_below_mvp on every kind.
 
     `embedding` is unused; it is kept because existing callers pass it.
     """
@@ -455,35 +477,8 @@ def sweep(
         sigmas = _finite_array(sigma_grid, "sigma_grid")
         if sigmas.ndim != 1:
             raise DimensionMismatchError(f"sigma_grid must be 1-D, got shape {sigmas.shape}")
-    if kind not in (FrontierKind.CML, FrontierKind.EFFICIENT_DR_RISKFREE):
-        rows = _ray_rows(universe, _ray(universe, kind), sigmas, include_weights)
-        return FrontierCurve(kind=kind, rows=rows)
-    cash_curve = cml_curve(universe) if kind is FrontierKind.CML else riskfree_dr_curve(universe)
-    sleeve = cash_curve.direction
-    # rows below zero are flagged, so their q is never read
-    q = cash_curve.value(np.maximum(sigmas, 0.0))
-    mix = cash_curve.mix(sigmas)
-    cash = 1.0 - mix
-    rbar, r0 = universe.expected_returns, universe.risk_free_rate
-    ret = None if rbar is None or r0 is None else sigmas * float(rbar @ sleeve) + cash * r0
-    alpha = mix if kind is FrontierKind.CML else None
-    weights, cash = (sigmas[:, None] * sleeve, cash) if include_weights else (repeat(None), None)
-    rows = _rows(sigmas, sigmas < 0.0, "ok", q, ret, None, alpha, weights, cash)
+    rows = _ray_rows(universe, _ray(universe, kind), sigmas, include_weights)
     return FrontierCurve(kind=kind, rows=rows)
-
-
-def _rows(sigmas, below, status, q, ret, centrality, alpha, weights, cash) -> list:
-    """Rows from a sweep's columns, None where one is; rows in `below` are replaced."""
-    sigma_list = sigmas.tolist()
-    q, ret, centrality, alpha, cash = (
-        repeat(None) if x is None else x.tolist() for x in (q, ret, centrality, alpha, cash)
-    )
-    rows = list(
-        map(FrontierRow, sigma_list, q, ret, centrality, alpha, repeat(status), weights, cash)
-    )
-    for i in np.flatnonzero(below).tolist():
-        rows[i] = FrontierRow(sigma_list[i], status="risk_below_mvp")
-    return rows
 
 
 # ---------------------------------------------------------------------------

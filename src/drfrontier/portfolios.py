@@ -55,6 +55,12 @@ def _require_returns(universe: AssetUniverse) -> np.ndarray:
     return universe.expected_returns
 
 
+def _require_risk_free_rate(universe: AssetUniverse) -> float:
+    if universe.risk_free_rate is None:
+        raise MissingReturnsError("universe has no risk-free rate")
+    return universe.risk_free_rate
+
+
 def self_financing_direction(universe: AssetUniverse) -> np.ndarray:
     """Unit-variance, zero-budget direction spanning the mean-variance frontier.
 
@@ -118,9 +124,7 @@ def tangent_portfolio(universe: AssetUniverse) -> Portfolio:
     returns or r0 it raises MissingReturnsError.
     """
     rbar = _require_returns(universe)
-    if universe.risk_free_rate is None:
-        raise MissingReturnsError("universe has no risk-free rate")
-    r0 = universe.risk_free_rate
+    r0 = _require_risk_free_rate(universe)
     s = universe.solver
     ret = float(rbar @ s.w_mvp)
     if ret - r0 <= 1e-12 * abs(ret):

@@ -148,11 +148,12 @@ def test_criterion_06_proportional_collapse():
                 expected_returns=base.variances / gamma + r0,
                 risk_free_rate=r0,
             )
-            cml = drf.cml_curve(u2)
-            rf = drf.riskfree_dr_curve(u2)
             sigma_t = float(np.sqrt(drf.tangent_portfolio(u2).variance))
-            for sigma in np.linspace(0.1 * sigma_t, 2.0 * sigma_t, 50):
-                assert abs(cml.value(sigma) - rf.value(sigma)) <= 1e-10
+            sigmas = np.linspace(0.1 * sigma_t, 2.0 * sigma_t, 50)
+            cml = drf.sweep(u2, drf.FrontierKind.CML, sigmas)
+            rf = drf.sweep(u2, drf.FrontierKind.EFFICIENT_DR_RISKFREE, sigmas)
+            for cml_row, rf_row in zip(cml.rows, rf.rows):
+                assert abs(cml_row.q - rf_row.q) <= 1e-10
 
 
 def test_criterion_07_riskfree_suite():
@@ -166,22 +167,28 @@ def test_criterion_07_riskfree_suite():
             sigma_t = float(np.sqrt(tangent.variance))
             cml = drf.cml_curve(u)
             rf = drf.riskfree_dr_curve(u)
-            for frac in (0.0, 0.4, 1.0, 1.6):
-                sigma = frac * sigma_t
-                mix = cml.mix(sigma)
+            sigmas = [frac * sigma_t for frac in (0.0, 0.4, 1.0, 1.6)]
+            cml_rows, rf_rows = (
+                drf.sweep(u, kind, sigmas, include_weights=True).rows
+                for kind in (drf.FrontierKind.CML, drf.FrontierKind.EFFICIENT_DR_RISKFREE)
+            )
+            for sigma, cml_row, rf_row in zip(sigmas, cml_rows, rf_rows):
+                # the cml row's alpha is its risky fraction
+                mix = cml_row.alpha
                 oracle = block_riskfree_dr(
                     u.cov, u.variances, mix * tangent.weights, 1.0 - mix
                 )
-                assert abs(cml.value(sigma) - oracle) <= 1e-10
+                assert abs(cml_row.q - oracle) <= 1e-10
                 # one contract for both cash curves: a risky sleeve of
                 # variance sigma^2, its mix, and the DR of sleeve and cash
-                for curve in (cml, rf):
-                    risky, cash = curve.risky_weights(sigma)
+                for curve, row in ((cml, cml_row), (rf, rf_row)):
+                    risky, cash = row.weights, row.cash
                     variance = float(risky @ u.cov @ risky)
                     assert abs(variance - sigma * sigma) <= 1e-9 * sigma * sigma
-                    assert abs(curve.mix(sigma) - (1.0 - cash)) <= 1e-12
+                    mix = sigma * float(curve.direction.sum())
+                    assert abs(mix - (1.0 - cash)) <= 1e-12
                     oracle2 = block_riskfree_dr(u.cov, u.variances, risky, cash)
-                    assert abs(curve.value(sigma) - oracle2) <= 1e-10
+                    assert abs(row.q - oracle2) <= 1e-10
             margin = rf.gain * sigma_t - float(u.variances @ tangent.weights)
             assert margin >= -1e-12
 

@@ -328,8 +328,12 @@ def test_frontier_all_kinds_with_svg(fixture_dir, tmp_path):
             ["frontier", "--riskfree", "10", "--kind", "efficient_dr", "--kind", "cml"],
         ),
         ("example3_universe.json", ["frontier", "--kind", "mv_efficient_dr"]),
+        (
+            "example3_universe.json",
+            ["frontier", "--kind", "efficient_dr", "--kind", "efficient_dr_riskfree"],
+        ),
     ],
-    ids=["cml-without-tangency", "mv-without-returns"],
+    ids=["cml-without-tangency", "mv-without-returns", "riskfree-without-r0"],
 )
 def test_a_failed_run_writes_nothing(fixture_dir, tmp_path, capsys, fixture, args):
     out = tmp_path / "out"

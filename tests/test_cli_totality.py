@@ -10,10 +10,10 @@ and below the minimum-variance return) and CSV panels (ragged rows, blank
 and NaN cells, nonpositive prices, unsorted dates, no more rows than
 assets).
 
-On universes with a risk-free rate two consistencies are checked as well:
-the default ``frontier`` writes exactly the kinds for which
-``frontier --kind K`` exits 0, and ``portfolios.json`` has a null
-``tangent`` exactly where ``tangent_portfolio`` raises.
+On every JSON universe two consistencies are checked as well: the default
+``frontier`` writes exactly the kinds for which ``frontier --kind K`` exits
+0, and ``portfolios.json`` has a null ``tangent`` exactly where
+``tangent_portfolio`` raises.
 """
 
 import contextlib
@@ -133,8 +133,6 @@ def test_cli_is_total_on_json_universes(data):
         outcome = {
             cmd[0]: _run(cmd + ["--input", str(src)], tmp / cmd[0]) for cmd in COMMANDS
         }
-        if "r0" not in data:
-            return
         accepted = {
             kind.value
             for kind in FrontierKind
@@ -144,7 +142,7 @@ def test_cli_is_total_on_json_universes(data):
         assert _frontier_kinds(tmp / "frontier") == accepted
         if outcome["portfolios"] is None:
             u = drf.validate_universe(
-                data["V"], expected_returns=data.get("rbar"), risk_free_rate=data["r0"]
+                data["V"], expected_returns=data.get("rbar"), risk_free_rate=data.get("r0")
             )
             try:
                 drf.tangent_portfolio(u)

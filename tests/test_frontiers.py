@@ -14,7 +14,7 @@ from drfrontier.errors import (
 )
 from drfrontier.frontiers import EfShape, FrontierKind
 
-from .conftest import RBAR3, V3
+from .conftest import R0_3, RBAR3, V3
 from .oracles import (
     block_riskfree_dr,
     circle_scan,
@@ -464,21 +464,22 @@ def test_cml_curve_three_asset(ex3_returns):
     sigma_t = np.sqrt(29.0 / 21.0)
     assert curve.gain == pytest.approx(eta_wt / sigma_t, rel=1e-12)
     assert curve.peak_sigma == pytest.approx(0.5 * eta_wt / sigma_t, rel=1e-12)
-    peak_mix = curve.mix(curve.peak_sigma)
-    assert peak_mix == pytest.approx(eta_wt / (2.0 * 29.0 / 21.0), rel=1e-12)
-    assert curve.value(0.0) == 0.0
-    # peak value and location
-    peak = curve.value(curve.peak_sigma)
-    assert peak == pytest.approx(curve.gain**2 / 8.0, rel=1e-12)
     eps = 1e-4
-    assert curve.value(curve.peak_sigma - eps) < peak
-    assert curve.value(curve.peak_sigma + eps) < peak
+    sigmas = [0.0, curve.peak_sigma, curve.peak_sigma - eps, curve.peak_sigma + eps, sigma_t]
+    at_zero, at_peak, before, after, at_t = drf.sweep(ex3_returns, FrontierKind.CML, sigmas).rows
+    # the cml row's alpha is the risky fraction
+    assert at_peak.alpha == pytest.approx(eta_wt / (2.0 * 29.0 / 21.0), rel=1e-12)
+    assert at_zero.q == 0.0
+    # peak value and location
+    assert at_peak.q == pytest.approx(curve.gain**2 / 8.0, rel=1e-12)
+    assert before.q < at_peak.q
+    assert after.q < at_peak.q
     # at the tangency risk the line is fully invested, so the DR is the
     # plain diversification return of the tangency portfolio
     q_t = drf.diversification_return(ex3_returns, curve.tangent.weights)
-    assert curve.value(sigma_t) == pytest.approx(q_t, rel=1e-10)
+    assert at_t.q == pytest.approx(q_t, rel=1e-10)
     with pytest.raises(RiskBelowMvpError):
-        curve.value(-0.5)
+        drf.q_cml_at(ex3_returns, -0.5)
 
 
 def test_cml_matches_blockwise_oracle(ex3_returns):
@@ -494,17 +495,30 @@ def test_cml_matches_blockwise_oracle(ex3_returns):
         assert drf.q_cml_at(ex3_returns, sigma) == pytest.approx(ref, abs=1e-10)
 
 
+def _with_cash(u):
+    """u with a risk-free rate, which the rows of both cash curves need."""
+    return dataclasses.replace(u, risk_free_rate=0.01)
+
+
+def _point_reader(kind):
+    """The scalar reader of a cash kind."""
+    return drf.q_cml_at if kind is FrontierKind.CML else drf.q_dr_riskfree_at
+
+
 def test_riskfree_curve_three_asset(ex3):
     curve = drf.riskfree_dr_curve(ex3)
     assert curve.gain**2 == pytest.approx(649.0 / 81.0, rel=1e-12)
     # the cheapest sleeve with unit weighted-average variance has risk 1 / gain
-    w, _ = curve.risky_weights(1.0 / curve.gain)
-    assert float(ex3.variances @ w) == pytest.approx(1.0, rel=1e-12)
-    w, cash = curve.risky_weights(1.2)
+    cheapest, row = drf.sweep(
+        _with_cash(ex3), FrontierKind.EFFICIENT_DR_RISKFREE, [1.0 / curve.gain, 1.2],
+        include_weights=True,
+    ).rows
+    assert float(ex3.variances @ cheapest.weights) == pytest.approx(1.0, rel=1e-12)
+    w, cash = row.weights, row.cash
     assert float(w @ ex3.cov @ w) == pytest.approx(1.44, rel=1e-10)
     assert cash == pytest.approx(1.0 - w.sum(), abs=1e-12)
     ref = block_riskfree_dr(ex3.cov, ex3.variances, w, cash)
-    assert curve.value(1.2) == pytest.approx(ref, abs=1e-10)
+    assert row.q == pytest.approx(ref, abs=1e-10)
 
 
 def test_riskfree_beats_cml(ex3_returns):
@@ -513,22 +527,46 @@ def test_riskfree_beats_cml(ex3_returns):
     cml = drf.cml_curve(ex3_returns)
     assert rf.gain >= cml.gain - 1e-12
     for sigma in (0.2, 0.8, 1.5, 3.0):
-        assert rf.value(sigma) >= cml.value(sigma) - 1e-12
+        assert drf.q_dr_riskfree_at(ex3_returns, sigma) >= drf.q_cml_at(ex3_returns, sigma) - 1e-12
 
 
 def test_riskfree_optimality_by_sampling(ex3):
     # no risky sleeve of the same risk has a larger weighted-average variance
-    curve = drf.riskfree_dr_curve(ex3)
+    sigmas = (0.5, 1.0, 2.0)
+    rows = drf.sweep(
+        _with_cash(ex3), FrontierKind.EFFICIENT_DR_RISKFREE, sigmas, include_weights=True
+    ).rows
     rng = np.random.default_rng(103)
     L = np.linalg.cholesky(np.array(ex3.cov))
-    for sigma in (0.5, 1.0, 2.0):
-        w_star, _ = curve.risky_weights(sigma)
+    for sigma, row in zip(sigmas, rows):
+        w_star = row.weights
         best = float(ex3.variances @ w_star)
         z = rng.normal(0.0, 1.0, (5_000, 3))
         z /= np.linalg.norm(z, axis=1, keepdims=True)
         W = sigma * np.linalg.solve(L.T, z.T).T
         vals = W @ ex3.variances
         assert float(vals.max()) <= best + 1e-9
+
+
+@pytest.mark.parametrize("kind", [FrontierKind.CML, FrontierKind.EFFICIENT_DR_RISKFREE])
+def test_cash_rays_start_at_all_cash(ex3_returns, kind):
+    # u is sigma itself on a cash ray: sqrt(sigma * sigma) would underflow
+    # to 0 below about 1.5e-154 and lose the 1e-200 row
+    curve = drf.cml_curve if kind is FrontierKind.CML else drf.riskfree_dr_curve
+    gain = curve(ex3_returns).gain
+    sigmas = [0.0, 1e-200, 1e-12, 1e-6]
+    rows = drf.sweep(ex3_returns, kind, sigmas, include_weights=True).rows
+    assert rows[0].q == 0.0
+    assert rows[0].ret == R0_3 and rows[0].cash == 1.0
+    np.testing.assert_array_equal(rows[0].weights, np.zeros(3))
+    for sigma, row in zip(sigmas, rows):
+        assert row.status == "ok" and row.centrality is None
+        want = 0.5 * sigma * (gain - sigma)
+        assert abs(row.q - want) <= 4.0 * np.spacing(want), sigma
+    assert rows[1].q > 0.0
+    # a negative sigma is below the all-cash base risk 0, not below sigma_mvp
+    with pytest.raises(RiskBelowMvpError, match=r"below all-cash risk 0$"):
+        _point_reader(kind)(ex3_returns, -1.0)
 
 
 def test_cml_collapses_when_variances_track_excess_returns():
@@ -608,6 +646,13 @@ def test_sweep_requires_returns(ex3):
         drf.sweep(ex3, FrontierKind.MV_EFFICIENT_DR)
     with pytest.raises(MissingReturnsError):
         drf.sweep(ex3, FrontierKind.CML)
+    # both cash curves need a risk-free rate, and are refused alike without one
+    no_rate = dataclasses.replace(ex3, expected_returns=RBAR3)
+    for kind in (FrontierKind.CML, FrontierKind.EFFICIENT_DR_RISKFREE):
+        with pytest.raises(MissingReturnsError, match="risk-free rate"):
+            drf.sweep(no_rate, kind)
+        with pytest.raises(MissingReturnsError, match="risk-free rate"):
+            _point_reader(kind)(no_rate, 1.0)
 
 
 def test_sweep_cml_infeasible_rate():

@@ -273,21 +273,21 @@ def _cash(u):
         (lambda u: drf.max_linear_over_ellipsoid(u, [1.0, 2.0, 3.0], -np.inf), ParseError),
         (lambda u: drf.q_cml_at(_cash(u), np.nan), ParseError),
         (lambda u: drf.q_dr_riskfree_at(_cash(u), np.inf), ParseError),
-        (lambda u: drf.cml_curve(_cash(u)).risky_weights(np.nan), ParseError),
-        (lambda u: drf.riskfree_dr_curve(_cash(u)).value(np.array([0.5, -np.inf])), ParseError),
+        (lambda u: drf.sweep(_cash(u), "cml", [np.nan], include_weights=True), ParseError),
+        (lambda u: drf.sweep(_cash(u), "efficient_dr_riskfree", [0.5, -np.inf]), ParseError),
         (lambda u: drf.sandwich_check(u, None), ParseError),
         (lambda u: drf.sandwich_check(u, "x"), ParseError),
         (lambda u: drf.sandwich_check(u, np.array([1.2, 1.3])), ParseError),
         (lambda u: drf.q_cml_at(_cash(u), [1.2, 1.3]), ParseError),
         (lambda u: drf.q_dr_riskfree_at(_cash(u), None), ParseError),
-        (lambda u: drf.cml_curve(_cash(u)).risky_weights(None), ParseError),
+        (lambda u: drf.sweep(_cash(u), "cml", [None], include_weights=True), ParseError),
         (lambda u: drf.mdp_at_sigma(u, None), ParseError),
         (lambda u: drf.q_dr_at(drf.frontier_params(u), np.array([1.2, 1.3])), ParseError),
-        (lambda u: drf.riskfree_dr_curve(_cash(u)).value(None), ParseError),
-        (lambda u: drf.cml_curve(_cash(u)).mix(None), ParseError),
-        (lambda u: drf.cml_curve(_cash(u)).mix("x"), ParseError),
-        (lambda u: drf.cml_curve(_cash(u)).mix(np.nan), ParseError),
-        (lambda u: drf.cml_curve(_cash(u)).mix(-np.inf), ParseError),
+        (lambda u: drf.sweep(_cash(u), "efficient_dr_riskfree", [None]), ParseError),
+        (lambda u: drf.sweep(_cash(u), "cml", [None]), ParseError),
+        (lambda u: drf.sweep(_cash(u), "cml", ["x"]), ParseError),
+        (lambda u: drf.sweep(_cash(u), "cml", [np.nan]), ParseError),
+        (lambda u: drf.sweep(_cash(u), "cml", [-np.inf]), ParseError),
         (lambda u: drf.norm_dr_bound(drf.embed(u), np.eye(3), None), ParseError),
         (lambda u: drf.norm_dr_bound(drf.embed(u), np.eye(3), np.array([1.0, 2.0])), ParseError),
         (lambda u: drf.norm_dr_bound(drf.embed(u), np.eye(3), "x"), ParseError),
@@ -327,8 +327,8 @@ def test_scalar_sigma_entry_points_read_numeric_text_as_its_float(ex3):
         lambda u, s: drf.q_dr_at(drf.frontier_params(u), s),
         lambda u, s: drf.q_cml_at(cash, s),
         lambda u, s: drf.q_dr_riskfree_at(cash, s),
-        lambda u, s: drf.cml_curve(cash).value(s),
-        lambda u, s: drf.cml_curve(cash).mix(s),
+        lambda u, s: drf.sweep(cash, "cml", [s]).rows[0].q,
+        lambda u, s: drf.sweep(cash, "cml", [s]).rows[0].alpha,
         lambda u, s: drf.norm_dr_bound(drf.embed(u), np.eye(3), s),
     ):
         assert call(ex3, "1.2") == call(ex3, 1.2)
