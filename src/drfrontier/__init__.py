@@ -30,14 +30,13 @@ _EXPORTS = {
         "EfShape", "FrontierCurve", "FrontierKind", "FrontierParams", "cml_curve",
         "default_sigma_grid", "dr_gap_at", "efficient_dr_portfolio",
         "frontier_params", "inflection_report", "max_linear_over_ellipsoid",
-        "q_cml_at", "q_dr_at", "q_dr_riskfree_at", "q_ef_at",
+        "mdp_at_sigma", "q_cml_at", "q_dr_at", "q_dr_riskfree_at", "q_ef_at",
         "riskfree_dr_curve", "sweep",
     ),
     "ingest": ("ReturnPanel", "annualization_step", "annualize", "load_panel"),
     "mdp": (
         "DmaxBounds", "MdpAnalysis", "SandwichReport", "analyze_mdp", "build_d_eta",
-        "d_max_bounds", "diversification_ratio", "mdp_at_sigma", "mdp_global",
-        "sandwich_check",
+        "d_max_bounds", "diversification_ratio", "mdp_global", "sandwich_check",
     ),
     "model": (
         "AssetUniverse", "Portfolio", "check_budget", "diversification_return",

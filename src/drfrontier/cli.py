@@ -292,12 +292,11 @@ def cmd_frontier(args) -> dict:
 
 
 def cmd_mdp(args) -> dict:
-    from . import frontiers, mdp
+    from . import mdp
 
     universe, files = _load_universe(args)
     analysis = mdp.analyze_mdp(universe)
-    params = frontiers.frontier_params(universe)
-    sigmas = args.sigma or [params.sigma_mvp * f for f in (1.05, 1.15, 1.3)]
+    sigmas = args.sigma or [universe.solver.sigma_mvp * f for f in (1.05, 1.15, 1.3)]
     reports = [mdp.sandwich_check(universe, s, samples=args.samples) for s in sigmas]
     payload = {
         "weights": analysis.portfolio.weights,

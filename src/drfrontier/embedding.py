@@ -92,7 +92,7 @@ class EdmCertificate:
     reason: Optional[str] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EdmEmbedding:
     """Spherical embedding of an asset universe.
 
@@ -117,7 +117,7 @@ class EdmEmbedding:
     dist: np.ndarray
     mdrp_weights: np.ndarray
     q_max: float
-    cov: np.ndarray = field(repr=False, compare=False)
+    cov: np.ndarray = field(repr=False)
 
     @property
     def n(self) -> int:

@@ -15,9 +15,9 @@ sleeve x: the risk-free efficient curve x proportional to V^-1 eta, so
 m = sqrt(eta' V^-1 eta), the capital-market line x = w_T / sigma_T, the
 tangency portfolio per unit of its risk.  The two coincide when excess
 returns are proportional to eta.  :func:`sweep` evaluates the rays over a
-grid; each scalar reader, :func:`~drfrontier.mdp.mdp_at_sigma` too, is one
-sweep row read at one point, and :func:`max_linear_over_ellipsoid` is the
-ray of any other linear objective.
+grid; each scalar reader, :func:`mdp_at_sigma` too, is one sweep row read
+at one point, and :func:`max_linear_over_ellipsoid` is the ray of any other
+linear objective.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ def _kernel(name: str) -> property:
     return property(lambda self: getattr(self.universe.solver, name))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FrontierParams:
     """Scalars fixing every closed-form curve of a universe: a view that reads
     its covariance kernel and copies nothing.
@@ -79,6 +79,7 @@ class FrontierParams:
     universe: AssetUniverse
 
     sigma2_mvp = _kernel("sigma2_mvp")
+    sigma_mvp = _kernel("sigma_mvp")
     q_mvp = _kernel("q_mvp")
     rho = _kernel("rho")
     q_mdrp = _kernel("q_max")
@@ -87,10 +88,6 @@ class FrontierParams:
     @property
     def sigma2_mdrp(self) -> float:
         return self.sigma2_mvp + 0.25 * self.rho * self.rho
-
-    @property
-    def sigma_mvp(self) -> float:
-        return float(np.sqrt(self.sigma2_mvp))
 
     @property
     def sigma_mdrp(self) -> float:
@@ -110,7 +107,7 @@ class FrontierParams:
         return s * float(np.sqrt(1.0 + abs(m) ** (4.0 / 3.0) / s ** (2.0 / 3.0)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KktSolution:
     """Maximizer of a linear objective over the budget-and-risk set.
 
@@ -123,7 +120,7 @@ class KktSolution:
     degenerate: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DrPoint:
     """DR-efficient portfolio at a given risk level."""
 
@@ -286,7 +283,7 @@ def max_linear_over_ellipsoid(
     proportional to ones makes every feasible portfolio tie; the
     minimum-variance portfolio is returned with degenerate=True.  Accuracy is
     bounded by the rounding of the c passed, which centring cancels when c is
-    nearly constant: for c = sqrt(eta) use :func:`~drfrontier.mdp.mdp_at_sigma`.
+    nearly constant: for c = sqrt(eta) use :func:`mdp_at_sigma`.
     """
     c = _float_array(objective, "objective")
     if c.shape != (universe.n,):
@@ -296,6 +293,13 @@ def max_linear_over_ellipsoid(
     d, _ = universe.solver.direction(c)
     row = _point(universe, _objective_ray(universe, d), sigma)
     return KktSolution(weights=row.weights, degenerate=d is None)
+
+
+def mdp_at_sigma(universe: AssetUniverse, sigma: float) -> KktSolution:
+    """Maximize sqrt(eta)' w at risk sigma: the one-point mdp_at_sigma row, w_mvp +
+    u * d_root, or w_mvp, degenerate, without d_root (vols within PROPORTIONALITY_RTOL)."""
+    row = _point(universe, FrontierKind.MDP_AT_SIGMA, sigma)
+    return KktSolution(weights=row.weights, degenerate=row.status == "degenerate")
 
 
 def q_dr_at(params: FrontierParams, sigma: float) -> float:
@@ -346,7 +350,7 @@ def dr_gap_at(params: FrontierParams, sigma: float) -> float:
     return 0.5 * (params.rho - params.eta_wo) * row.alpha
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CashDrCurve:
     """DR of sigma * x in risky assets and 1 - sigma * 1' x in cash, x' V x = 1:
     q(sigma) = sigma (gain - sigma) / 2, gain = eta' x, which peaks at

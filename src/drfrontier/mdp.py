@@ -27,7 +27,8 @@ ratio-maximizing portfolio track the DR-efficient frontier.
 the exact maxima: each lies on Markowitz's long-only frontier for the
 return vector eta or sqrt(eta), which :func:`critical_line` computes as a
 finite list of corners (Markowitz 1956; Niedermayer and Niedermayer 2010;
-Bailey and Lopez de Prado 2013).
+Bailey and Lopez de Prado 2013).  The module stands on model alone; the
+ratio maximizer at a given risk is :func:`~drfrontier.frontiers.mdp_at_sigma`.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from typing import Optional
 
 import numpy as np
 
-from .embedding import assert_edm
 from .errors import (
     DimensionMismatchError,
     NegativeVarianceError,
@@ -47,7 +47,6 @@ from .errors import (
     SingularCovarianceError,
     ZeroVarianceError,
 )
-from .frontiers import FrontierKind, KktSolution, _point
 from .model import AssetUniverse, Portfolio, _finite_float, _float_array, portfolio_stats
 
 MAX_ITER = 10_000
@@ -71,7 +70,7 @@ TIE_RTOL = 1e-9
 FOLD_FROM, FOLD_EVERY = 128, 32
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DmaxBounds:
     """Bracket for the simplex maximum of 0.5 * w' D w, D a Euclidean distance matrix.
 
@@ -90,7 +89,7 @@ class DmaxBounds:
     steps: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MdpAnalysis:
     """Ratio-optimal portfolio plus d_max of its universe's D_eta, the closed
     form (sqrt(eta_max) - sqrt(eta_min))^2 / 8."""
@@ -100,7 +99,7 @@ class MdpAnalysis:
     d_max: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CriticalLine:
     """Markowitz's long-only frontier for return vector mu, by its corners.
 
@@ -131,20 +130,34 @@ class CriticalLine:
         return float(self.top + self.mean[k] + t * self.k2[k])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LongOnlyMvp:
     """Long-only minimum-variance portfolio w_lo with its certificate.
 
-    weights is the last corner (lambda = 0) of the universe's eta line.
-    variance is w' V w at weights.  variance_lower = 2 min_j (V w)_j - w' V w,
-    that is variance - 2 * gap with the Frank-Wolfe gap
-    w' V w - min_j (V w)_j, bounds the long-only minimum from below by
-    convexity.
+    weights is the last corner (lambda = 0) of the universe's eta line,
+    clipped at zero and renormalized, and variance is w' V w.
+    variance_lower = 2 min_j (V w)_j - w' V w, that is variance - 2 * gap
+    with the Frank-Wolfe gap w' V w - min_j (V w)_j, bounds the long-only
+    minimum from below by convexity.
     """
 
     weights: np.ndarray
     variance: float
     variance_lower: float
+
+
+def long_only_mvp(universe: AssetUniverse) -> LongOnlyMvp:
+    """The :class:`LongOnlyMvp` of a universe, which keeps it; a gap above
+    MVP_GAP_RTOL * max eta raises SingularCovarianceError."""
+    w = np.clip(universe.eta_line.alpha[-1], 0.0, None)
+    w /= w.sum()
+    g = universe.cov @ w
+    # a riskless mix of a singular V can round below zero, as in Portfolio.sigma
+    variance = max(float(w @ g), 0.0)
+    lower = max(2.0 * float(g.min()) - variance, 0.0)
+    if variance - lower > MVP_GAP_RTOL * float(universe.variances.max()):
+        raise SingularCovarianceError(f"w_lo variance {variance:.3e} certified to {lower:.3e}")
+    return LongOnlyMvp(w, variance, lower)
 
 
 @dataclass(frozen=True)
@@ -225,14 +238,6 @@ def mdp_global(universe: AssetUniverse) -> Portfolio:
     return portfolio_stats(universe, w)
 
 
-def mdp_at_sigma(universe: AssetUniverse, sigma: float) -> KktSolution:
-    """Maximize sqrt(eta)' w at risk sigma: the one-point mdp_at_sigma row,
-    w_mvp + u * d_root, or w_mvp with degenerate=True when the kernel has no
-    d_root (sqrt(eta) proportional to ones: vols within PROPORTIONALITY_RTOL)."""
-    row = _point(universe, FrontierKind.MDP_AT_SIGMA, sigma)
-    return KktSolution(weights=row.weights, degenerate=row.status == "degenerate")
-
-
 def _pairwise_frank_wolfe(D: np.ndarray, tol: float):
     """Pairwise Frank-Wolfe ascent of f(w) = 0.5 * w' D w on the simplex.
 
@@ -294,6 +299,8 @@ def d_max_bounds(d_eta, *, seed: int = 0) -> DmaxBounds:
     unless the step cap is hit.  `seed` is unused; it is kept because
     existing callers pass it.
     """
+    from .embedding import assert_edm
+
     A = _float_array(d_eta, "distance matrix")
     cert = assert_edm(A)
     if not cert.is_edm:

@@ -99,7 +99,7 @@ def proportional_to_ones(vec: np.ndarray) -> bool:
     return float(np.abs(resid).max()) <= PROPORTIONALITY_RTOL * scale
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AssetUniverse:
     """Validated covariance model for n >= 2 assets.
 
@@ -125,7 +125,7 @@ class AssetUniverse:
     expected_returns: Optional[np.ndarray]
     risk_free_rate: Optional[float]
     nonsingular: bool
-    factor: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
+    factor: Optional[np.ndarray] = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.risk_free_rate is None:
@@ -148,21 +148,10 @@ class AssetUniverse:
 
     @functools.cached_property
     def long_only_mvp(self):
-        """The long-only minimum-variance portfolio with its certificate
-        (:class:`~drfrontier.mdp.LongOnlyMvp`), the last corner of eta_line.
-        A certificate gap above MVP_GAP_RTOL * max eta raises
-        SingularCovarianceError."""
-        from .mdp import MVP_GAP_RTOL, LongOnlyMvp
+        """w_lo with its certificate (:func:`~drfrontier.mdp.long_only_mvp`), kept likewise."""
+        from .mdp import long_only_mvp
 
-        w = np.clip(self.eta_line.alpha[-1], 0.0, None)
-        w /= w.sum()
-        g = self.cov @ w
-        # a riskless mix of a singular V can round below zero, as in Portfolio.sigma
-        variance = max(float(w @ g), 0.0)
-        lower = max(2.0 * float(g.min()) - variance, 0.0)
-        if variance - lower > MVP_GAP_RTOL * float(self.variances.max()):
-            raise SingularCovarianceError(f"w_lo variance {variance:.3e} certified to {lower:.3e}")
-        return LongOnlyMvp(w, variance, lower)
+        return long_only_mvp(self)
 
     @functools.cached_property
     def eta_line(self):
@@ -194,6 +183,7 @@ class CovarianceSolver:
     sqrt(eta)0 centres (eta_i - eta_1) / (sqrt(eta_i) + sqrt(eta_1)), free of
     the roots' cancellation; eta0 and rbar0 (None without returns) are kept.
 
+    w_mvp = V^-1 1 / a has variance sigma2_mvp = 1 / a and risk sigma_mvp.
     d_eta, d_root and w_o, with k = rho, k_root and k_r, are the
     :meth:`direction` of eta, sqrt(eta) and rbar: the unit directions along
     which the DR-efficient, ratio-maximizing and mean-variance portfolios
@@ -237,6 +227,7 @@ class CovarianceSolver:
         self.inv_ones = inv[0]
         self.a = float(ones @ self.inv_ones)
         self.sigma2_mvp = 1.0 / self.a
+        self.sigma_mvp = float(np.sqrt(self.sigma2_mvp))
         self.w_mvp = _frozen(self.inv_ones * self.sigma2_mvp)
         self.d_eta, self.rho = self.direction(eta, rhs[1], inv[1])
         self.q_mvp = 0.5 * (float(eta @ self.w_mvp) - self.sigma2_mvp)
@@ -305,7 +296,7 @@ class CovarianceSolver:
         return _frozen(d - float(d.sum()) * self.w_mvp), k
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Portfolio:
     """A fully invested portfolio with its basic statistics.
 

@@ -136,7 +136,7 @@ def tangent_portfolio(universe: AssetUniverse) -> Portfolio:
     return portfolio_stats(universe, w_t)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpecialPortfolios:
     """The named portfolios of a universe, plus the scalars tying them together.
 

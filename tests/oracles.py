@@ -33,7 +33,7 @@ from drfrontier.frontiers import (
     FrontierRow,
 )
 from drfrontier.mdp import GAP_RTOL, MAX_ITER, SHELL_BAND, LongOnlyMvp
-from drfrontier.model import PSD_RTOL, proportional_to_ones
+from drfrontier.model import BUDGET_ATOL, PSD_RTOL, proportional_to_ones
 
 
 def hyperplane_basis(n: int) -> np.ndarray:
@@ -505,7 +505,9 @@ def block_riskfree_dr(V, eta, risky_weights, cash):
     etat = np.append(eta, 0.0)
     Dt = 0.5 * (etat[:, None] + etat[None, :]) - Vt
     wt = np.append(np.asarray(risky_weights, float), float(cash))
-    assert abs(wt.sum() - 1.0) < 1e-9
+    # check_budget's rule: a levered cash row sums to 1 only up to its rounding
+    tol = max(BUDGET_ATOL, 4 * len(wt) * np.finfo(float).eps * float(np.abs(wt).sum()))
+    assert abs(wt.sum() - 1.0) <= tol
     return 0.5 * float(wt @ Dt @ wt)
 
 

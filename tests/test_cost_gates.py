@@ -25,10 +25,11 @@ line, for w_lo), each with one solve for its first KKT inverse and no
 other np.linalg call when no residual asks for a refresh; a walk of a
 critical line allocates a fixed number of arrays with np.zeros, whatever its
 number of corners, and calls no np.flatnonzero, np.eye, np.append or
-np.outer.  A CLI run
-validates its universe once, --riskfree or not.  numpy is the only runtime
-dependency: a CLI run loads no scipy, and importing the CLI or running
-`ingest-check` loads no numpy either.
+np.outer.  A CLI run validates its universe once, --riskfree or not, and
+executes only the library modules its command uses: `mdp` runs `model` and
+`mdp` (and `ingest` on a panel), never `frontiers`, `portfolios` or
+`embedding`.  numpy is the only runtime dependency: a CLI run loads no
+scipy, and importing the CLI or running `ingest-check` loads no numpy either.
 """
 
 import argparse
@@ -69,7 +70,11 @@ def calls(monkeypatch):
     counting(embedding, "embed")
     counting(mdp, "_pairwise_frank_wolfe")
     counting(mdp, "critical_line")
-    counting(mdp, "assert_edm")
+    # the package binds drf.assert_edm on its first read: read it before the
+    # count, so that a direct call stays uncounted and no wrapper outlives
+    # the test
+    assert drf.assert_edm is embedding.assert_edm
+    counting(embedding, "assert_edm")
     counting(mdp, "d_max_bounds")
     counting(mdp, "build_d_eta")
     return counts
@@ -572,6 +577,36 @@ def test_ingest_check_loads_no_numpy(fixture, tmp_path):
     # the provenance record, then the numpy modules loaded
     assert printed[-1] == "[]"
     assert (tmp_path / "provenance.json").exists()
+
+
+_JSON, _PANEL = "example3_with_returns.json", "synthetic_panel_30.csv"
+_BASE = {"cli", "errors", "model"}
+
+
+@pytest.mark.parametrize(
+    "args, fixture, executed",
+    [
+        (["portfolios"], _JSON, _BASE | {"portfolios", "frontiers"}),
+        (["frontier", "--svg"], _JSON, _BASE | {"portfolios", "frontiers", "svg"}),
+        (["mdp"], _JSON, _BASE | {"mdp"}),
+        (["mdp"], _PANEL, _BASE | {"mdp", "ingest"}),
+        (["embed"], _JSON, _BASE | {"embedding"}),
+        (["ingest-check"], _PANEL, {"cli", "errors", "ingest"}),
+    ],
+    ids=["portfolios", "frontier-svg", "mdp-ex3", "mdp-panel30", "embed", "ingest-check"],
+)
+def test_each_command_executes_only_the_modules_it_uses(args, fixture, executed, tmp_path):
+    # a module the package registered but nobody imported is a lazy module,
+    # not yet a types.ModuleType
+    args = args + ["--input", str(FIXTURES / fixture), "--out", str(tmp_path)]
+    printed = _fresh_interpreter(
+        "import types",
+        "from drfrontier.cli import main",
+        f"assert main({args!r}) == 0",
+        "print(sorted(m for m, v in sys.modules.items()"
+        " if m.startswith('drfrontier.') and type(v) is types.ModuleType))",
+    )
+    assert printed[-1] == str(sorted(f"drfrontier.{m}" for m in executed))
 
 
 def test_importing_the_cli_loads_no_numpy_and_registers_the_traced_modules(tmp_path):

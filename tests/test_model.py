@@ -18,7 +18,7 @@ from drfrontier.errors import (
 )
 from drfrontier.model import BUDGET_ATOL, PSD_RTOL
 
-from .conftest import R0_3, RBAR3
+from .conftest import R0_3, RBAR3, V3
 from .oracles import (
     centred_rhs,
     conditioned_universe,
@@ -476,3 +476,40 @@ def test_eigenvalue_certified_universe_takes_the_lu_route(monkeypatch):
     assert u.nonsingular and u.factor is None
     assert _kernel_lu_solves(monkeypatch, u) == 1
     _assert_backward_stable(u.cov, u.solver.inv_ones, np.ones(u.n))
+
+
+def _records(u):
+    """One of each record that holds an array, or a record holding one."""
+    p = drf.frontier_params(u)
+    return [
+        u,
+        drf.min_variance_portfolio(u),
+        drf.special_portfolios(u),
+        p,
+        drf.mdp_at_sigma(u, 1.5),
+        drf.efficient_dr_portfolio(u, p, 1.5),
+        drf.cml_curve(u),
+        drf.embed(u),
+        drf.d_max_bounds(drf.build_d_eta(u)),
+        drf.analyze_mdp(u),
+        u.eta_line,
+        u.long_only_mvp,
+    ]
+
+
+def test_records_holding_arrays_compare_by_identity():
+    # value equality of an array is an array, not a bool: == would raise
+    # and hash fail, so these records compare, and hash, as objects
+    def build():
+        return drf.validate_universe(V3, expected_returns=RBAR3, risk_free_rate=R0_3)
+
+    first, second = _records(build()), _records(build())
+    assert len({type(r) for r in first}) == 12
+    for a, b in zip(first, second):
+        assert a == a and not a != a, type(a).__name__
+        assert not a == b and a != b, type(a).__name__
+        assert len({a, b, a}) == 2 and a in {a} and b not in {a}, type(a).__name__
+    # records of scalars keep value equality
+    u, v = build(), build()
+    assert drf.assert_edm(drf.build_d_eta(u)) == drf.assert_edm(drf.build_d_eta(v))
+    assert drf.sandwich_check(u, 1.2) == drf.sandwich_check(v, 1.2)

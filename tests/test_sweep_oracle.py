@@ -134,6 +134,9 @@ def _grid_or_none(universe):
 # relative, 3.5e-11 at |w| = 19, while both lie 5.05e-9 from a 50-digit
 # reference, within the forward-error bound of 2.6e-3
 @example(n=2, seed=510509, log_cond=9.0, with_riskfree=True)
+# a levered cash row whose weights sum to 1 only within their own rounding,
+# 4 n eps sum|w_i|, beyond a fixed 1e-9
+@example(n=7, seed=0, log_cond=9.0, with_riskfree=True)
 def test_sweep_matches_reference_across_conditioning(n, seed, log_cond, with_riskfree):
     u = conditioned_universe(n, seed, log_cond, with_riskfree)
     grid = _grid_or_none(u)
