@@ -28,10 +28,8 @@ _EXPORTS = {
     ),
     "frontiers": (
         "EfShape", "FrontierCurve", "FrontierKind", "FrontierParams", "cml_curve",
-        "default_sigma_grid", "dr_gap_at", "efficient_dr_portfolio",
         "frontier_params", "inflection_report", "max_linear_over_ellipsoid",
-        "mdp_at_sigma", "q_cml_at", "q_dr_at", "q_dr_riskfree_at", "q_ef_at",
-        "riskfree_dr_curve", "sweep",
+        "point", "riskfree_dr_curve", "sweep",
     ),
     "ingest": ("ReturnPanel", "annualization_step", "annualize", "load_panel"),
     "mdp": (
@@ -39,8 +37,8 @@ _EXPORTS = {
         "d_max_bounds", "diversification_ratio", "mdp_global", "sandwich_check",
     ),
     "model": (
-        "AssetUniverse", "Portfolio", "check_budget", "diversification_return",
-        "portfolio_stats", "validate_universe",
+        "AssetUniverse", "Portfolio", "check_budget", "default_sigma_grid",
+        "diversification_return", "portfolio_stats", "validate_universe",
     ),
     "portfolios": (
         "SpecialPortfolios", "eta_wo", "eta_wo_sign", "max_dr_portfolio",
@@ -64,12 +62,15 @@ for _module in _EXPORTS:
 
 def __getattr__(name):
     """drfrontier.<module> or an exported name, from a module executed now,
-    so that `from drfrontier import mdp` returns a module that has run."""
+    so that `from drfrontier import mdp` returns a module that has run.  Only
+    modules are kept in the package: an exported name is read from its module
+    at each access, so it follows what the module holds (a monkeypatch and
+    its undoing included)."""
     module = _MODULE_OF.get(name, name)
     if module not in _EXPORTS:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     value = importlib.import_module(f"{__name__}.{module}")
     if module != name:
-        value = getattr(value, name)
+        return getattr(value, name)
     globals()[name] = value
     return value

@@ -57,7 +57,15 @@ from .errors import (
     NotSPDError,
     SingularDistanceError,
 )
-from .model import AssetUniverse, _finite_float, _float_array, _shifted_cholesky, check_budget
+from .model import (
+    PSD_RTOL,
+    PYTHAGORAS_ATOL,
+    AssetUniverse,
+    _finite_float,
+    _float_array,
+    _shifted_cholesky,
+    check_budget,
+)
 
 # Eigenvalues of B below EIG_RTOL * lambda_1 are treated as zero.
 EIG_RTOL = 1e-10
@@ -277,6 +285,40 @@ def _canonical_axes(lam: np.ndarray, X: np.ndarray) -> np.ndarray:
     return X + 0.0  # a flipped structural zero reads 0, not -0
 
 
+def _require_bounded_dr(universe: AssetUniverse) -> None:
+    """Refuse a singular universe whose DR has no maximum on the budget
+    hyperplane: some z in Z = null(V) with 1' z = 0 has eta' z != 0, and
+    q(w + t z) = q(w) + t eta' z / 2 then grows without bound.
+
+    The null space is spanned by the eigenvectors U of V whose eigenvalues
+    are at most PSD_RTOL * lambda_max, the threshold below which
+    :func:`~drfrontier.model.validate_universe` calls V singular.  With
+    a = U' 1 and b = U' eta, Z = {U c : a' c = 0}, so q is bounded exactly
+    when b is parallel to a: the part r of b orthogonal to a must vanish
+    (all of b when a does).  eigh's vectors are those of V + E with
+    ||E|| ~ n eps ||V||, so they lie within an angle n eps lambda_max / gap
+    of V's null space (Davis and Kahan 1970), gap the smallest eigenvalue
+    kept out of it, and U' x rounds by n eps ||x|| more: a within
+    slack * sqrt(n) = ||1|| slack of 0 is 0, and r within slack * ||eta|| is
+    rounding, slack = 4 n eps (1 + lambda_max / gap).
+    """
+    evals, vecs = np.linalg.eigh(universe.cov)
+    lam_max = max(float(evals[-1]), 0.0)
+    k = int(np.count_nonzero(evals <= PSD_RTOL * lam_max))
+    gap = float(evals[k]) if k < universe.n else math.inf
+    n, eta = universe.n, universe.variances
+    slack = 4 * n * np.finfo(float).eps * (1.0 + lam_max / gap)
+    a, b = vecs[:, :k].sum(axis=0), eta @ vecs[:, :k]
+    if float(np.linalg.norm(a)) > slack * math.sqrt(n):
+        b = b - a * (float(a @ b) / float(a @ a))
+    r, tol = float(np.linalg.norm(b)), slack * float(np.linalg.norm(eta))
+    if r > tol:
+        raise SingularDistanceError(
+            f"DR unbounded on the budget hyperplane: |eta' z| = {r:.3e} > {tol:.3e} "
+            "for a unit zero-budget z in the null space of V"
+        )
+
+
 def embed(universe: AssetUniverse) -> EdmEmbedding:
     """Build the spherical embedding of a universe.
 
@@ -285,8 +327,14 @@ def embed(universe: AssetUniverse) -> EdmEmbedding:
     :attr:`~drfrontier.model.AssetUniverse.solver`), so the embedding and
     every closed form share their bits.  On a singular universe they come
     from the rank-revealing pseudoinverse solution y of D y = 1, as
-    s = y / (1' y) and q_max = 1 / (2 * 1' y); a residual of D y = 1 above
-    GINV_RESIDUAL_ATOL, or a zero 1' y, raises SingularDistanceError.
+    s = y / (1' y) and q_max = 1 / (2 * 1' y).  SingularDistanceError is
+    raised first where DR is unbounded on the budget hyperplane
+    (:func:`_require_bounded_dr`), then on a residual of D y = 1 above
+    GINV_RESIDUAL_ATOL, a zero 1' y, or a positive q_max that the DR of s
+    misses by more than PYTHAGORAS_ATOL * max(1, q_max), less twice the
+    rounding bound of that DR: the identity c^2 + q = q_max at the centre,
+    c = 0, which an ill-conditioned D y = 1 breaks (near-singular V, whose
+    maximum lies far out), must hold for any evaluation of q at s.
     The recentred Gram matrix is formed from V on its first read, as the
     rank-2 update B = 0.5 (V - v 1' - 1 v' + (s' v) 1 1') with v = V s
     (equal to -0.5 Js' D Js, without its cancellation of the eta 1' terms).
@@ -305,6 +353,7 @@ def embed(universe: AssetUniverse) -> EdmEmbedding:
     if universe.nonsingular:
         s, q_max = universe.solver.w_mdrp, universe.solver.q_max
     else:
+        _require_bounded_dr(universe)
         ones = np.ones(universe.n)
         # cutoff relative to the top singular value
         y = np.linalg.pinv(D, rcond=1e-10) @ ones
@@ -315,6 +364,14 @@ def embed(universe: AssetUniverse) -> EdmEmbedding:
         if abs(total) < np.finfo(float).tiny:
             raise SingularDistanceError("1' D^+ 1 is numerically zero")
         s, q_max = y / total, 1.0 / (2.0 * total)
+        eta, V, size = universe.variances, universe.cov, np.abs(s)
+        q_s = 0.5 * float(eta @ s - s @ V @ s)
+        # twice the rounding bound of q_s, n eps times its sums of |terms|
+        noise = universe.n * np.finfo(float).eps * float(eta @ size + size @ np.abs(V) @ size)
+        if q_max > 0.0 and abs(q_s - q_max) + noise > PYTHAGORAS_ATOL * max(1.0, q_max):
+            raise SingularDistanceError(
+                f"D y = 1 ill-conditioned: q = {q_s:.6e} at the centre, q_max = {q_max:.6e}"
+            )
     if q_max <= 0.0:
         raise NonPositiveQmaxError(
             f"q_max = {q_max:.3e} <= 0; universe admits no positive DR peak"

@@ -15,9 +15,9 @@ sleeve x: the risk-free efficient curve x proportional to V^-1 eta, so
 m = sqrt(eta' V^-1 eta), the capital-market line x = w_T / sigma_T, the
 tangency portfolio per unit of its risk.  The two coincide when excess
 returns are proportional to eta.  :func:`sweep` evaluates the rays over a
-grid; each scalar reader, :func:`mdp_at_sigma` too, is one sweep row read
-at one point, and :func:`max_linear_over_ellipsoid` is the ray of any other
-linear objective.
+grid, :func:`point` reads one kind's row at one sigma, and
+:func:`max_linear_over_ellipsoid` the row of any other linear objective's
+ray.
 """
 
 from __future__ import annotations
@@ -31,14 +31,13 @@ import numpy as np
 
 from .errors import DegenerateRhoError, DimensionMismatchError, RiskBelowMvpError
 from .model import AssetUniverse, Portfolio, _finite_array, _finite_float, _float_array
+from .model import default_sigma_grid  # noqa: F401  (the grid of a FrontierParams too)
 from .portfolios import _require_risk_free_rate, self_financing_direction, tangent_portfolio
 
 # sigma^2 below (1 - RISK_SNAP_RTOL) sigma_mvp^2 is an error; closer misses snap up.
 RISK_SNAP_RTOL = 1e-12
 # sigma^2 - sigma_mvp^2 up to this times sigma_mvp^2 is rounding: snapped to 0
 _SNAP_RTOL = 4.0 * np.finfo(float).eps
-# the default sigma grid reaches this multiple of sigma_mdrp
-GRID_SPAN = 3.0
 
 
 class FrontierKind(str, Enum):
@@ -83,15 +82,9 @@ class FrontierParams:
     q_mvp = _kernel("q_mvp")
     rho = _kernel("rho")
     q_mdrp = _kernel("q_max")
+    sigma2_mdrp = _kernel("sigma2_mdrp")
+    sigma_mdrp = _kernel("sigma_mdrp")
     eta_wo = _kernel("eta_wo")
-
-    @property
-    def sigma2_mdrp(self) -> float:
-        return self.sigma2_mvp + 0.25 * self.rho * self.rho
-
-    @property
-    def sigma_mdrp(self) -> float:
-        return float(np.sqrt(self.sigma2_mdrp))
 
     @property
     def ef_shape(self) -> EfShape:
@@ -105,28 +98,6 @@ class FrontierParams:
         if m is None or m >= 0.0:
             return None
         return s * float(np.sqrt(1.0 + abs(m) ** (4.0 / 3.0) / s ** (2.0 / 3.0)))
-
-
-@dataclass(frozen=True, eq=False)
-class KktSolution:
-    """Maximizer of a linear objective over the budget-and-risk set.
-
-    degenerate is True when the objective was proportional to ones, in which
-    case every feasible point ties and the minimum-variance portfolio is
-    returned.
-    """
-
-    weights: np.ndarray
-    degenerate: bool = False
-
-
-@dataclass(frozen=True, eq=False)
-class DrPoint:
-    """DR-efficient portfolio at a given risk level."""
-
-    weights: np.ndarray
-    alpha: float
-    beyond_mdrp: bool
 
 
 def frontier_params(universe: AssetUniverse) -> FrontierParams:
@@ -252,13 +223,24 @@ def _ray_rows(universe: AssetUniverse, ray, sigmas: np.ndarray, include_weights:
     return rows
 
 
-def _point(universe: AssetUniverse, ray, sigma) -> FrontierRow:
-    """The one-point sweep row, with weights, of a kind or a :func:`_ray` at
-    risk sigma.  As in :func:`sweep`, sigma is read before the kind's ray: one
-    that is not a finite number raises ParseError, and one below the ray's
-    base risk (sigma_mvp, or 0 with cash) RiskBelowMvpError."""
+def point(universe: AssetUniverse, kind, sigma) -> FrontierRow:
+    """The :func:`sweep` row, with weights, of a kind at risk sigma, bit for
+    bit: q, ret, centrality or cash, alpha, status and weights.  kind is a
+    :class:`FrontierKind` or its value (or the ray of
+    :func:`max_linear_over_ellipsoid`).
+
+    As in :func:`sweep`, sigma is read before the kind's ray: one that is not
+    a finite number raises ParseError, a kind the sweep refuses raises as
+    the sweep does, and a sigma below the ray's base risk (sigma_mvp, or 0
+    with cash) RiskBelowMvpError.  A kind's scalars are the row's fields:
+    on efficient_dr the mix alpha = (2 / rho) u of w_mdrp and w_mvp, None
+    where rho = 0, lands past the maximum-DR portfolio when alpha > 1; on
+    mv_efficient_dr alpha is u = sqrt(sigma^2 - sigma_mvp^2), so the gap
+    q_dr - q_ef of the two curves is 0.5 (rho - eta' w_o) alpha, nonnegative
+    by Cauchy-Schwarz in the V^-1 metric.
+    """
     sigma = _finite_float(sigma, "sigma")
-    ray = _ray(universe, ray) if isinstance(ray, FrontierKind) else ray
+    ray = kind if isinstance(kind, _Ray) else _ray(universe, FrontierKind(kind))
     (row,) = _ray_rows(universe, ray, np.array([sigma]), True)
     if row.status == "risk_below_mvp":
         base = "minimum-variance" if ray.risky is None else "all-cash"
@@ -269,7 +251,7 @@ def _point(universe: AssetUniverse, ray, sigma) -> FrontierRow:
 
 def max_linear_over_ellipsoid(
     universe: AssetUniverse, objective, sigma: float
-) -> KktSolution:
+) -> FrontierRow:
     """Maximize c' w subject to 1' w = 1 and w' V w <= sigma^2.
 
     The optimizer is invariant to positive rescaling of c.  For c not
@@ -279,11 +261,12 @@ def max_linear_over_ellipsoid(
         beta = sqrt((c' V^-1 c - (1' V^-1 c)^2 / a) / (sigma^2 - sigma_mvp^2)),
         lam = (beta - 1' V^-1 c) / a,  d_c = CovarianceSolver.direction of c,
 
-    one solve of c, then the one-point sweep row of the ray along d_c.  c
-    proportional to ones makes every feasible portfolio tie; the
-    minimum-variance portfolio is returned with degenerate=True.  Accuracy is
-    bounded by the rounding of the c passed, which centring cancels when c is
-    nearly constant: for c = sqrt(eta) use :func:`mdp_at_sigma`.
+    one solve of c, then the :func:`point` row, weights and DR q included,
+    of the ray along d_c.  c proportional to ones makes every feasible
+    portfolio tie; the row then holds the minimum-variance portfolio and
+    status "degenerate".  Accuracy is bounded by the rounding of the c
+    passed, which centring cancels when c is nearly constant: for
+    c = sqrt(eta) read the mdp_at_sigma kind's point.
     """
     c = _float_array(objective, "objective")
     if c.shape != (universe.n,):
@@ -291,63 +274,7 @@ def max_linear_over_ellipsoid(
             f"objective shape {c.shape} vs universe of {universe.n} assets"
         )
     d, _ = universe.solver.direction(c)
-    row = _point(universe, _objective_ray(universe, d), sigma)
-    return KktSolution(weights=row.weights, degenerate=d is None)
-
-
-def mdp_at_sigma(universe: AssetUniverse, sigma: float) -> KktSolution:
-    """Maximize sqrt(eta)' w at risk sigma: the one-point mdp_at_sigma row, w_mvp +
-    u * d_root, or w_mvp, degenerate, without d_root (vols within PROPORTIONALITY_RTOL)."""
-    row = _point(universe, FrontierKind.MDP_AT_SIGMA, sigma)
-    return KktSolution(weights=row.weights, degenerate=row.status == "degenerate")
-
-
-def q_dr_at(params: FrontierParams, sigma: float) -> float:
-    """Efficient-frontier DR at risk sigma: the one-point efficient_dr row's q.
-
-    With rho = 0 the frontier is flat at q_mvp (every budget portfolio has
-    the same weighted-average variance, so extra risk buys nothing).
-    """
-    return _point(params.universe, FrontierKind.EFFICIENT_DR, sigma).q
-
-
-def efficient_dr_portfolio(
-    universe: AssetUniverse, params: FrontierParams, sigma: float
-) -> DrPoint:
-    """DR-efficient portfolio at risk sigma: the one-point efficient_dr row.
-
-    w(sigma) = alpha * w_mdrp + (1 - alpha) * w_mvp with
-    alpha = (2 / rho) * sqrt(sigma^2 - sigma_mvp^2).  alpha > 1 lands past
-    the maximum-DR portfolio (risk no longer buys DR) and is flagged.
-    `params` is unused; it is kept because existing callers pass it.
-    """
-    row = _point(universe, FrontierKind.EFFICIENT_DR, sigma)
-    if row.alpha is None:
-        raise DegenerateRhoError("flat frontier: DR-efficient mix undefined")
-    return DrPoint(weights=row.weights, alpha=row.alpha, beyond_mdrp=row.alpha > 1.0)
-
-
-def q_ef_at(universe: AssetUniverse, params: FrontierParams, sigma: float):
-    """DR of the mean-variance efficient portfolio at risk sigma.
-
-    Returns (q, weights) of the one-point mv_efficient_dr sweep row; q equals
-    the direct DR of the returned weights.  `params` is unused; it is kept
-    because existing callers pass it.
-    """
-    row = _point(universe, FrontierKind.MV_EFFICIENT_DR, sigma)
-    return row.q, row.weights
-
-
-def dr_gap_at(params: FrontierParams, sigma: float) -> float:
-    """q_dr(sigma) - q_ef(sigma) = 0.5 (rho - eta' w_o) u, u the one-point
-    mv_efficient_dr row's alpha, sqrt(sigma^2 - sigma_mvp^2).
-
-    Nonnegative because eta' w_o <= rho (Cauchy-Schwarz in the V^-1 metric);
-    identically zero exactly when expected returns are proportional to the
-    variance vector.
-    """
-    row = _point(params.universe, FrontierKind.MV_EFFICIENT_DR, sigma)
-    return 0.5 * (params.rho - params.eta_wo) * row.alpha
+    return point(universe, _objective_ray(universe, d), sigma)
 
 
 @dataclass(frozen=True, eq=False)
@@ -375,11 +302,6 @@ def cml_curve(universe: AssetUniverse) -> CashDrCurve:
     return CashDrCurve(gain=float(universe.variances @ x), direction=x, tangent=tangent)
 
 
-def q_cml_at(universe: AssetUniverse, sigma: float) -> float:
-    """DR of the capital-market line at risk sigma: the one-point cml row's q."""
-    return _point(universe, FrontierKind.CML, sigma).q
-
-
 def riskfree_dr_curve(universe: AssetUniverse) -> CashDrCurve:
     """Build the efficient DR curve with cash, gain = sqrt(eta' V^-1 eta):
     V^-1 eta = rho d_eta + a m w_mvp, m = eta' w_mvp, V-orthogonal parts.
@@ -393,19 +315,15 @@ def riskfree_dr_curve(universe: AssetUniverse) -> CashDrCurve:
     return CashDrCurve(gain=gain, direction=x / gain)
 
 
-def q_dr_riskfree_at(universe: AssetUniverse, sigma: float) -> float:
-    """DR of the efficient curve with cash at risk sigma: its one-point row's q."""
-    return _point(universe, FrontierKind.EFFICIENT_DR_RISKFREE, sigma).q
-
-
 # ---------------------------------------------------------------------------
 # sweeps
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class FrontierRow:
     """One grid point of a frontier sweep; non-applicable fields stay None.
-    Slotted, so a row has no ``__dict__``: a sweep builds hundreds."""
+    Slotted, so a row has no ``__dict__``: a sweep builds hundreds.  It may
+    hold weights, so rows compare by identity, like the other records."""
 
     sigma: float
     q: Optional[float] = None
@@ -435,15 +353,6 @@ class FrontierCurve:
         return "\n".join(lines) + "\n"
 
 
-def default_sigma_grid(params: FrontierParams, points: int = 200) -> np.ndarray:
-    """Geometric grid in excess variance, from near sigma_mvp out to
-    GRID_SPAN * sigma_mdrp."""
-    lo = 1e-6 * params.sigma2_mvp
-    hi = (GRID_SPAN * params.sigma_mdrp) ** 2
-    u2 = np.geomspace(lo, max(hi, lo * 10.0), int(points))
-    return np.sqrt(params.sigma2_mvp + u2)
-
-
 def sweep(
     universe: AssetUniverse,
     kind: FrontierKind,
@@ -460,8 +369,8 @@ def sweep(
     default grid is the universe's ``sigma_grid``, computed once per
     universe; a non-finite grid point raises ParseError.
 
-    Every kind is one ray w = w0 + u * d (:func:`_ray`), from which each
-    scalar reader takes one row.  A kind without cash starts at w_mvp; d None
+    Every kind is one ray w = w0 + u * d (:func:`_ray`), from which
+    :func:`point` takes one row.  A kind without cash starts at w_mvp; d None
     collapses it there.  Its centrality is c^2 = q_max - q =
     (u - rho / 2)^2 / 2 + (rho u / 4) |d - d_eta|_V^2: one O(n^2) product per
     sweep and no cancellation near the maximum-DR portfolio.  The two cash

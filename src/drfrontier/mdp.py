@@ -28,7 +28,8 @@ the exact maxima: each lies on Markowitz's long-only frontier for the
 return vector eta or sqrt(eta), which :func:`critical_line` computes as a
 finite list of corners (Markowitz 1956; Niedermayer and Niedermayer 2010;
 Bailey and Lopez de Prado 2013).  The module stands on model alone; the
-ratio maximizer at a given risk is :func:`~drfrontier.frontiers.mdp_at_sigma`.
+ratio maximizer at a given risk is the mdp_at_sigma kind's
+:func:`~drfrontier.frontiers.point`.
 """
 
 from __future__ import annotations

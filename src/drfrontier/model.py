@@ -56,6 +56,8 @@ ZERO_BAND_RTOL = 1e-12
 # The kernel's rows per diagonal block, refinement steps before LU, and the
 # fewest assets it substitutes for (below, LU is faster).
 SOLVE_BLOCK, REFINE_STEPS, FACTOR_SOLVE_FROM = 64, 8, 288
+# the default sigma grid reaches this multiple of sigma_mdrp
+GRID_SPAN = 3.0
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -170,11 +172,9 @@ class AssetUniverse:
 
     @functools.cached_property
     def sigma_grid(self) -> np.ndarray:
-        """The read-only :func:`~drfrontier.frontiers.default_sigma_grid` of
+        """The read-only :func:`default_sigma_grid` of the kernel, the grid of
         every sweep, computed on first access and kept with the universe."""
-        from .frontiers import default_sigma_grid, frontier_params
-
-        return _frozen(default_sigma_grid(frontier_params(self)))
+        return _frozen(default_sigma_grid(self.solver))
 
 
 class CovarianceSolver:
@@ -188,8 +188,9 @@ class CovarianceSolver:
     :meth:`direction` of eta, sqrt(eta) and rbar: the unit directions along
     which the DR-efficient, ratio-maximizing and mean-variance portfolios
     leave w_mvp.  The maximum-DR portfolio w_mdrp = w_mvp + (rho / 2) d_eta
-    is the sphere centre s of the embedding, and q_max = q_mvp + rho^2 / 8
-    its DR, q_mvp = (eta' w_mvp - sigma_mvp^2) / 2.  eta_wo is eta0' w_o,
+    is the sphere centre s of the embedding, q_max = q_mvp + rho^2 / 8 its
+    DR, q_mvp = (eta' w_mvp - sigma_mvp^2) / 2, and sigma2_mdrp = sigma2_mvp
+    + rho^2 / 4 its variance, sigma_mdrp its risk.  eta_wo is eta0' w_o,
     0.0 within ZERO_BAND_RTOL * rho of zero, and None exactly when w_o is:
     without returns, or with returns proportional to ones in the V^-1
     metric.  Cached arrays are read-only because every caller shares them.
@@ -232,6 +233,8 @@ class CovarianceSolver:
         self.d_eta, self.rho = self.direction(eta, rhs[1], inv[1])
         self.q_mvp = 0.5 * (float(eta @ self.w_mvp) - self.sigma2_mvp)
         self.q_max = self.q_mvp + 0.125 * self.rho * self.rho
+        self.sigma2_mdrp = self.sigma2_mvp + 0.25 * self.rho * self.rho
+        self.sigma_mdrp = float(np.sqrt(self.sigma2_mdrp))
         to_mdrp = 0.0 if self.d_eta is None else 0.5 * self.rho * self.d_eta
         self.w_mdrp = _frozen(self.w_mvp + to_mdrp)
         self.d_root, self.k_root = self.direction(root, rhs[2], inv[2])
@@ -294,6 +297,16 @@ class CovarianceSolver:
         k = float(np.sqrt(k_sq))
         d = (inv_c - (g / self.a) * self.inv_ones) / k
         return _frozen(d - float(d.sum()) * self.w_mvp), k
+
+
+def default_sigma_grid(params, points: int = 200) -> np.ndarray:
+    """Geometric grid in excess variance, from near sigma_mvp out to
+    GRID_SPAN * sigma_mdrp, for the kernel or its
+    :class:`~drfrontier.frontiers.FrontierParams` view (params)."""
+    lo = 1e-6 * params.sigma2_mvp
+    hi = (GRID_SPAN * params.sigma_mdrp) ** 2
+    u2 = np.geomspace(lo, max(hi, lo * 10.0), int(points))
+    return np.sqrt(params.sigma2_mvp + u2)
 
 
 @dataclass(frozen=True, eq=False)

@@ -754,13 +754,14 @@ def locate_inflection(xs, ys):
 
 def swept_inflection(universe, points=800, span=3.0):
     """Inflection of the mean-variance DR curve located on a sigma grid of
-    q_ef_at values, from just above sigma_mvp to span * max(sigma_mdrp,
-    2 sigma_mvp); None when the discrete curvature never changes sign."""
+    the q of mv_efficient_dr points, from just above sigma_mvp to
+    span * max(sigma_mdrp, 2 sigma_mvp); None when the discrete curvature
+    never changes sign."""
     params = drf.frontier_params(universe)
     sigma_lo = params.sigma_mvp * (1.0 + 1e-9)
     sigma_hi = span * max(params.sigma_mdrp, params.sigma_mvp * 2.0)
     sigmas = np.linspace(sigma_lo, sigma_hi, int(points))
-    values = [drf.q_ef_at(universe, params, s)[0] for s in sigmas]
+    values = [drf.point(universe, "mv_efficient_dr", s).q for s in sigmas]
     return locate_inflection(sigmas, values)
 
 

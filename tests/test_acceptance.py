@@ -97,13 +97,13 @@ def test_criterion_04_separation_suite():
             u = random_universe(rng, int(rng.integers(2, 13)))
             p = drf.frontier_params(u)
             for sigma in _sigma_grid(p, 50):
-                mix = drf.efficient_dr_portfolio(u, p, sigma)
+                mix = drf.point(u, "efficient_dr", sigma)
                 sol = drf.max_linear_over_ellipsoid(u, u.variances, sigma)
                 np.testing.assert_allclose(mix.weights, sol.weights, atol=1e-8)
                 q_mix = drf.diversification_return(u, mix.weights)
                 q_sol = drf.diversification_return(u, sol.weights)
                 assert abs(q_mix - q_sol) <= 1e-10
-                assert abs(q_mix - drf.q_dr_at(p, sigma)) <= 1e-10
+                assert abs(q_mix - mix.q) <= 1e-10
 
 
 def test_criterion_05_frontier_identity_suite():
@@ -118,13 +118,15 @@ def test_criterion_05_frontier_identity_suite():
             m = p.eta_wo
             ratios = []
             for sigma in _sigma_grid(p, 25):
-                q_dr = drf.q_dr_at(p, sigma)
-                q_ef, _ = drf.q_ef_at(u, p, sigma)
+                q_dr = drf.point(u, "efficient_dr", sigma).q
+                ef = drf.point(u, "mv_efficient_dr", sigma)
+                q_ef = ef.q
                 assert q_dr >= q_ef - 1e-12
                 gap = q_dr - q_ef
                 uu = np.sqrt(sigma * sigma - p.sigma2_mvp)
                 assert abs(gap - 0.5 * (p.rho - m) * uu) <= 1e-10
-                assert abs(drf.dr_gap_at(p, sigma) - gap) <= 1e-10
+                # the gap law, read off the mv_efficient_dr row, whose alpha is u
+                assert abs(0.5 * (p.rho - m) * ef.alpha - gap) <= 1e-10
                 ratios.append(gap / uu)
             assert max(ratios) - min(ratios) <= 1e-10
 
@@ -138,8 +140,8 @@ def test_criterion_06_proportional_collapse():
             u = drf.validate_universe(base.cov, expected_returns=base.variances / gamma)
             p = drf.frontier_params(u)
             for sigma in _sigma_grid(p, 50):
-                q_dr = drf.q_dr_at(p, sigma)
-                q_ef, _ = drf.q_ef_at(u, p, sigma)
+                q_dr = drf.point(u, "efficient_dr", sigma).q
+                q_ef = drf.point(u, "mv_efficient_dr", sigma).q
                 assert abs(q_dr - q_ef) <= 1e-10
 
             r0 = float(rng.uniform(0.005, 0.03))
@@ -274,12 +276,12 @@ def test_criterion_10_circle_oracle(ex3_returns):
             _, best_q = circle_scan(
                 u.cov, lambda w: drf.diversification_return(u, w), sigma
             )
-            assert abs(best_q - drf.q_dr_at(p, sigma)) <= 1e-5
+            assert abs(best_q - drf.point(u, "efficient_dr", sigma).q) <= 1e-5
 
             w_ret, _ = circle_scan(u.cov, lambda w: float(RBAR3 @ w), sigma)
-            q_ef, _ = drf.q_ef_at(u, p, sigma)
+            q_ef = drf.point(u, "mv_efficient_dr", sigma).q
             assert abs(drf.diversification_return(u, w_ret) - q_ef) <= 1e-5
 
             _, best_lin = circle_scan(u.cov, lambda w: float(root @ w), sigma)
-            engine = drf.diversification_ratio(u, drf.mdp_at_sigma(u, sigma).weights)
+            engine = drf.diversification_ratio(u, drf.point(u, "mdp_at_sigma", sigma).weights)
             assert abs(best_lin / sigma - engine) <= 1e-5

@@ -397,7 +397,6 @@ def test_frontier_round_trip(fixture_dir, tmp_path):
     )
     assert rc == 0
     u = drf.validate_universe(V3)
-    params = drf.frontier_params(u)
     with open(tmp_path / "frontier_efficient_dr.csv") as fh:
         for row in csv.DictReader(fh):
             assert row["status"] == "ok"
@@ -405,7 +404,7 @@ def test_frontier_round_trip(fixture_dir, tmp_path):
             q = float(row["q"])
             # sigma itself is rounded to 12 significant digits and the curve is
             # steep next to the minimum-variance point, so allow a little slack
-            assert q == pytest.approx(drf.q_dr_at(params, sigma), abs=1e-8)
+            assert q == pytest.approx(drf.point(u, "efficient_dr", sigma).q, abs=1e-8)
 
 
 def test_frontier_grid_below_mvp_flags_rows(fixture_dir, tmp_path):

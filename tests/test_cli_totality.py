@@ -10,10 +10,13 @@ and below the minimum-variance return) and CSV panels (ragged rows, blank
 and NaN cells, nonpositive prices, unsorted dates, no more rows than
 assets).
 
-On every JSON universe two consistencies are checked as well: the default
-``frontier`` writes exactly the kinds for which ``frontier --kind K`` exits
-0, and ``portfolios.json`` has a null ``tangent`` exactly where
-``tangent_portfolio`` raises.
+On every JSON universe three consistencies are checked as well: the
+default ``frontier`` writes exactly the kinds for which ``frontier --kind K``
+exits 0, ``portfolios.json`` has a null ``tangent`` exactly where
+``tangent_portfolio`` raises, and on a singular V the DR of the centre that
+``embed`` writes is the q_max it writes (of rank n - 2 and below, V leaves
+DR unbounded on the budget hyperplane unless eta' z = 0 on its zero-budget
+null space, and ``embed`` must refuse it).
 """
 
 import contextlib
@@ -34,6 +37,7 @@ import drfrontier as drf
 from drfrontier import errors
 from drfrontier.cli import main
 from drfrontier.frontiers import FrontierKind
+from drfrontier.model import PYTHAGORAS_ATOL
 
 from .conftest import V3
 from .oracles import conditioned_cov
@@ -52,6 +56,11 @@ SETTINGS = settings(
 # ex3's V with constant returns and r0 below them: the tangency is w_mvp,
 # while the mean-variance curves have no direction
 CONSTANT_RETURNS = {"V": V3.tolist(), "rbar": [0.05, 0.05, 0.05], "r0": 0.01}
+# a V of rank n - 2 on which DR is unbounded on the budget hyperplane, and a
+# near-singular V whose pseudoinverse centre misses q_max by 6e-4 relative
+_FACTORS = np.random.default_rng(5).standard_normal((4, 2))
+UNBOUNDED_DR = {"V": (_FACTORS @ _FACTORS.T).tolist()}
+ILL_CONDITIONED_CENTRE = {"V": conditioned_cov(np.random.default_rng(0), 6, 11.0).tolist()}
 
 
 def _assert_well_formed(out: Path, stdout: str) -> None:
@@ -96,8 +105,8 @@ def json_universes(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     scale = 10.0 ** draw(st.sampled_from([-8, -4, 0, 2, 4, 8]))
     if draw(st.integers(0, 3)) == 0:
-        # rank n - 1
-        factors = rng.normal(size=(n, n - 1))
+        # rank n - 1 (a riskless budget portfolio) down to 1
+        factors = rng.normal(size=(n, draw(st.integers(1, n - 1))))
         V = factors @ factors.T
     else:
         V = conditioned_cov(rng, n, draw(st.floats(0.0, 12.0)))
@@ -122,9 +131,26 @@ def _frontier_kinds(out: Path) -> set:
     return {p.name[len("frontier_"):-len(".csv")] for p in out.glob("frontier_*.csv")}
 
 
+def _assert_embed_centre_has_q_max(data, out: Path) -> None:
+    """On a singular V, the DR of the centre embed writes is the q_max it
+    writes.  The 12-digit weights are put back on budget first, which moves
+    q only to second order at its maximum.  A nonsingular V's centre and
+    q_max are the covariance kernel's, which the kernel's own tests check."""
+    u = drf.validate_universe(data["V"])
+    if u.nonsingular:
+        return
+    emb = json.loads((out / "embedding.json").read_text())
+    s, q_max = np.array(emb["mdrp_weights"]), emb["q_max"]
+    s = s / s.sum()
+    q = 0.5 * float(u.variances @ s - s @ u.cov @ s)
+    assert abs(q - q_max) <= PYTHAGORAS_ATOL * max(1.0, q_max), (q, q_max)
+
+
 @SETTINGS
 @given(json_universes())
 @example(CONSTANT_RETURNS)
+@example(UNBOUNDED_DR)
+@example(ILL_CONDITIONED_CENTRE)
 def test_cli_is_total_on_json_universes(data):
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -140,6 +166,8 @@ def test_cli_is_total_on_json_universes(data):
             is None
         }
         assert _frontier_kinds(tmp / "frontier") == accepted
+        if outcome["embed"] is None:
+            _assert_embed_centre_has_q_max(data, tmp / "embed")
         if outcome["portfolios"] is None:
             u = drf.validate_universe(
                 data["V"], expected_returns=data.get("rbar"), risk_free_rate=data.get("r0")

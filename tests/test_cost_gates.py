@@ -28,8 +28,10 @@ number of corners, and calls no np.flatnonzero, np.eye, np.append or
 np.outer.  A CLI run validates its universe once, --riskfree or not, and
 executes only the library modules its command uses: `mdp` runs `model` and
 `mdp` (and `ingest` on a panel), never `frontiers`, `portfolios` or
-`embedding`.  numpy is the only runtime dependency: a CLI run loads no
-scipy, and importing the CLI or running `ingest-check` loads no numpy either.
+`embedding`, and a universe's kernel and default grid execute `model`
+alone.  The package keeps no exported name, only modules.  numpy is the
+only runtime dependency: a CLI run loads no scipy, and importing the CLI or
+running `ingest-check` loads no numpy either.
 """
 
 import argparse
@@ -70,10 +72,6 @@ def calls(monkeypatch):
     counting(embedding, "embed")
     counting(mdp, "_pairwise_frank_wolfe")
     counting(mdp, "critical_line")
-    # the package binds drf.assert_edm on its first read: read it before the
-    # count, so that a direct call stays uncounted and no wrapper outlives
-    # the test
-    assert drf.assert_edm is embedding.assert_edm
     counting(embedding, "assert_edm")
     counting(mdp, "d_max_bounds")
     counting(mdp, "build_d_eta")
@@ -123,16 +121,11 @@ def test_sweeps_make_no_solve(calls, points):
             curve = drf.sweep(u, kind, grid, embedding=emb, include_weights=True)
             assert len(curve.rows) == points
         assert _solves(calls) == before
-        # every one-point reader reads the kernel's rays; the generic
+        # the point of every kind reads the kernel's rays; the generic
         # objective alone solves, once
-        p, sigma = drf.frontier_params(u), float(grid[points // 2])
-        drf.q_dr_at(p, sigma)
-        drf.efficient_dr_portfolio(u, p, sigma)
-        drf.q_ef_at(u, p, sigma)
-        drf.dr_gap_at(p, sigma)
-        drf.mdp_at_sigma(u, sigma)
-        drf.q_cml_at(u, sigma)
-        drf.q_dr_riskfree_at(u, sigma)
+        sigma = float(grid[points // 2])
+        for kind in FrontierKind:
+            drf.point(u, kind, sigma)
         assert _solves(calls) == before
         drf.max_linear_over_ellipsoid(u, u.variances, sigma)
         assert _solves(calls) == before + 1
@@ -356,7 +349,8 @@ def test_mdp_analysis_reads_d_max_in_closed_form(calls, ex3, universe30):
 
 @pytest.fixture
 def validations(monkeypatch):
-    """Number of validate_universe calls, under every name the package binds."""
+    """Number of validate_universe calls, under every name a module binds
+    (the package itself binds none: drf.validate_universe reads model's)."""
     count = Counter()
     inner = model.validate_universe
 
@@ -365,7 +359,7 @@ def validations(monkeypatch):
         return inner(*args, **kwargs)
 
     for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "drfrontier":
+        if name.startswith("drfrontier."):
             if getattr(module, "validate_universe", None) is inner:
                 monkeypatch.setattr(module, "validate_universe", counting)
     return count
@@ -469,9 +463,10 @@ def test_non_edm_is_refused_before_any_ascent(calls):
     A = np.ones((n, n)) - np.eye(n)
     A[0, 1] = A[1, 0] = 100.0  # sqrt(A) breaks the triangle inequality
     assert not drf.assert_edm(A).is_edm
+    certified = calls["assert_edm"]
     with pytest.raises(NotPSDError):
         drf.d_max_bounds(A)
-    assert calls["assert_edm"] == 1
+    assert calls["assert_edm"] - certified == 1
     assert calls["_pairwise_frank_wolfe"] == 0
 
 
@@ -630,6 +625,34 @@ def test_importing_the_cli_loads_no_numpy_and_registers_the_traced_modules(tmp_p
     assert spans == str(
         ["frontiers.frontier_params", "model.validate_universe", "portfolios.special_portfolios"]
     )
+
+
+def test_model_runs_without_frontiers():
+    # the kernel owns sigma_mdrp and model the default grid, so a universe's
+    # grid needs no other library module
+    path = str(FIXTURES / "example3_universe.json")
+    printed = _fresh_interpreter(
+        "import json, types",
+        "from drfrontier import model",
+        f"u = model.validate_universe(json.load(open({path!r}))['V'])",
+        "u.sigma_grid, u.solver.sigma_mdrp",
+        "print(sorted(m for m, v in sys.modules.items()"
+        " if m.startswith('drfrontier.') and type(v) is types.ModuleType))",
+    )
+    assert printed == [str(["drfrontier.errors", "drfrontier.model"])]
+
+
+def test_package_names_follow_their_module(monkeypatch):
+    # a name read through the package while its module is patched is not
+    # kept: once the patch is undone the package gives the module's again
+    from drfrontier import frontiers
+
+    sweep = frontiers.sweep
+    monkeypatch.delitem(vars(drf), "sweep", raising=False)  # as before a first read
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(frontiers, "sweep", lambda *args, **kwargs: None)
+        assert drf.sweep is not sweep
+    assert drf.sweep is frontiers.sweep is sweep
 
 
 def test_package_names_resolve_to_executed_modules():

@@ -182,6 +182,16 @@ def test_embed_duplicated_asset_pseudoinverse_path():
     )
 
 
+def test_embed_refuses_dr_unbounded_on_the_budget_hyperplane():
+    # rank n - 2: some z in null(V) with 1' z = 0 has eta' z != 0, and
+    # q(w + t z) = q(w) + t eta' z / 2 has no maximum
+    A = np.random.default_rng(5).standard_normal((4, 2))
+    u = drf.validate_universe(A @ A.T)
+    assert not u.nonsingular
+    with pytest.raises(SingularDistanceError, match="DR unbounded on the budget hyperplane"):
+        drf.embed(u)
+
+
 def test_embed_all_clones_rejected():
     V = np.array([[1.0, 1.0], [1.0, 1.0]])
     with pytest.raises(SingularDistanceError):

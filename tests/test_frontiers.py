@@ -5,7 +5,6 @@ import pytest
 
 import drfrontier as drf
 from drfrontier.errors import (
-    DegenerateRhoError,
     DimensionMismatchError,
     DrFrontierError,
     MissingReturnsError,
@@ -53,45 +52,58 @@ def test_frontier_peak_matches_embedding():
         p = drf.frontier_params(u)
         emb = drf.embed(u)
         assert p.q_mdrp == pytest.approx(emb.q_max, abs=1e-8 * max(1.0, emb.q_max))
-        assert drf.q_dr_at(p, p.sigma_mdrp) == pytest.approx(
+        assert drf.point(u, "efficient_dr", p.sigma_mdrp).q == pytest.approx(
             emb.q_max, abs=1e-10 * max(1.0, emb.q_max)
         )
 
 
+def _q_dr(u, sigma):
+    return drf.point(u, "efficient_dr", sigma).q
+
+
+def _q_ef(u, sigma):
+    return drf.point(u, "mv_efficient_dr", sigma).q
+
+
+def _gap(u, sigma):
+    """q_dr - q_ef at sigma by the gap law: 0.5 (rho - eta' w_o) times the
+    mv_efficient_dr row's alpha, u = sqrt(sigma^2 - sigma_mvp^2)."""
+    s = u.solver
+    return 0.5 * (s.rho - s.eta_wo) * drf.point(u, "mv_efficient_dr", sigma).alpha
+
+
 def test_q_dr_values(ex3):
-    p = drf.frontier_params(ex3)
-    assert drf.q_dr_at(p, 1.0) == pytest.approx(5.0 / 9.0, abs=1e-12)
-    assert drf.q_dr_at(p, np.sqrt(1.5)) == pytest.approx(35.0 / 36.0, rel=1e-12)
-    assert drf.q_dr_at(p, np.sqrt(17.0 / 9.0)) == pytest.approx(1.0, abs=1e-12)
+    assert _q_dr(ex3, 1.0) == pytest.approx(5.0 / 9.0, abs=1e-12)
+    assert _q_dr(ex3, np.sqrt(1.5)) == pytest.approx(35.0 / 36.0, rel=1e-12)
+    assert _q_dr(ex3, np.sqrt(17.0 / 9.0)) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(RiskBelowMvpError):
-        drf.q_dr_at(p, 0.9)
+        _q_dr(ex3, 0.9)
 
 
 def test_q_dr_flat_for_equal_variances(identity3):
     p = drf.frontier_params(identity3)
     assert p.rho == 0.0
     for sigma in (p.sigma_mvp, 0.8, 1.5):
-        assert drf.q_dr_at(p, sigma) == pytest.approx(1.0 / 3.0, abs=1e-12)
-    with pytest.raises(DegenerateRhoError):
-        drf.efficient_dr_portfolio(identity3, p, 1.0)
+        assert _q_dr(identity3, sigma) == pytest.approx(1.0 / 3.0, abs=1e-12)
+    # a flat frontier has no DR-efficient mix
+    assert drf.point(identity3, "efficient_dr", 1.0).alpha is None
 
 
 def test_two_fund_mix(ex3):
-    p = drf.frontier_params(ex3)
-    at_mvp = drf.efficient_dr_portfolio(ex3, p, 1.0)
+    at_mvp = drf.point(ex3, "efficient_dr", 1.0)
     assert at_mvp.alpha == 0.0
     np.testing.assert_allclose(at_mvp.weights, np.full(3, 1.0 / 3.0), atol=1e-10)
 
-    halfway = drf.efficient_dr_portfolio(ex3, p, np.sqrt(13.0 / 9.0))
+    halfway = drf.point(ex3, "efficient_dr", np.sqrt(13.0 / 9.0))
     assert halfway.alpha**2 == pytest.approx(0.5, rel=1e-12)
-    assert not halfway.beyond_mdrp
+    assert halfway.alpha <= 1.0  # not beyond the maximum-DR portfolio
 
-    at_peak = drf.efficient_dr_portfolio(ex3, p, np.sqrt(17.0 / 9.0))
+    at_peak = drf.point(ex3, "efficient_dr", np.sqrt(17.0 / 9.0))
     assert at_peak.alpha == pytest.approx(1.0, rel=1e-12)
     np.testing.assert_allclose(at_peak.weights, [-1.0, 1.0, 1.0], atol=1e-8)
 
-    past = drf.efficient_dr_portfolio(ex3, p, 2.0)
-    assert past.beyond_mdrp
+    past = drf.point(ex3, "efficient_dr", 2.0)
+    assert past.alpha > 1.0
 
 
 def test_mix_variance_matches_sigma():
@@ -103,11 +115,11 @@ def test_mix_variance_matches_sigma():
             continue
         for factor in (1.0001, 1.3, 2.0, 4.0):
             sigma = p.sigma_mvp * factor
-            point = drf.efficient_dr_portfolio(u, p, sigma)
-            var = float(point.weights @ u.cov @ point.weights)
+            row = drf.point(u, "efficient_dr", sigma)
+            var = float(row.weights @ u.cov @ row.weights)
             assert var == pytest.approx(sigma * sigma, rel=1e-8)
-            assert drf.diversification_return(u, point.weights) == pytest.approx(
-                drf.q_dr_at(p, sigma), abs=1e-10 * max(1.0, p.q_mdrp)
+            assert drf.diversification_return(u, row.weights) == pytest.approx(
+                row.q, abs=1e-10 * max(1.0, p.q_mdrp)
             )
 
 
@@ -120,7 +132,7 @@ def test_engine_matches_two_fund_mix():
             continue
         for factor in (1.001, 1.5, 2.5):
             sigma = p.sigma_mvp * factor
-            mix = drf.efficient_dr_portfolio(u, p, sigma)
+            mix = drf.point(u, "efficient_dr", sigma)
             sol = drf.max_linear_over_ellipsoid(u, 2.0 * u.variances, sigma)
             np.testing.assert_allclose(sol.weights, mix.weights, atol=1e-8)
 
@@ -135,7 +147,7 @@ def test_engine_scale_invariance(ex3):
 
 def test_engine_degenerate_objective(ex3):
     sol = drf.max_linear_over_ellipsoid(ex3, np.ones(3), 1.5)
-    assert sol.degenerate
+    assert sol.status == "degenerate"
     np.testing.assert_allclose(sol.weights, np.full(3, 1.0 / 3.0), atol=1e-12)
 
 
@@ -166,15 +178,14 @@ def test_engine_against_circle_scan(ex3):
 
 
 def test_q_ef_values(ex3_returns):
-    p = drf.frontier_params(ex3_returns)
-    q0, w0 = drf.q_ef_at(ex3_returns, p, 1.0)
-    assert q0 == pytest.approx(5.0 / 9.0, abs=1e-12)
-    np.testing.assert_allclose(w0, np.full(3, 1.0 / 3.0), atol=1e-12)
+    at_mvp = drf.point(ex3_returns, "mv_efficient_dr", 1.0)
+    assert at_mvp.q == pytest.approx(5.0 / 9.0, abs=1e-12)
+    np.testing.assert_allclose(at_mvp.weights, np.full(3, 1.0 / 3.0), atol=1e-12)
     # the curve peaks at the Q portfolio
-    q_peak, w_peak = drf.q_ef_at(ex3_returns, p, np.sqrt(13.0 / 7.0))
-    assert q_peak == pytest.approx(62.0 / 63.0, rel=1e-12)
+    peak = drf.point(ex3_returns, "mv_efficient_dr", np.sqrt(13.0 / 7.0))
+    assert peak.q == pytest.approx(62.0 / 63.0, rel=1e-12)
     q_pf = drf.q_portfolio(ex3_returns)
-    np.testing.assert_allclose(w_peak, q_pf.weights, atol=1e-10)
+    np.testing.assert_allclose(peak.weights, q_pf.weights, atol=1e-10)
 
 
 def test_q_ef_consistent_with_direct_dr():
@@ -186,7 +197,8 @@ def test_q_ef_consistent_with_direct_dr():
             continue
         for factor in (1.0, 1.2, 2.0, 3.5):
             sigma = p.sigma_mvp * factor
-            q, w = drf.q_ef_at(u, p, sigma)
+            row = drf.point(u, "mv_efficient_dr", sigma)
+            q, w = row.q, row.weights
             assert drf.diversification_return(u, w) == pytest.approx(
                 q, abs=1e-10 * max(1.0, abs(q))
             )
@@ -196,10 +208,9 @@ def test_q_ef_consistent_with_direct_dr():
 
 def test_q_ef_maximizes_return_at_risk(ex3_returns):
     # the weights behind q_ef carry the highest mean return at that risk
-    p = drf.frontier_params(ex3_returns)
     rng = np.random.default_rng(97)
     for sigma in (1.1, 1.5, 2.0):
-        _, w = drf.q_ef_at(ex3_returns, p, sigma)
+        w = drf.point(ex3_returns, "mv_efficient_dr", sigma).weights
         ret = float(ex3_returns.expected_returns @ w)
         sol = drf.max_linear_over_ellipsoid(
             ex3_returns, ex3_returns.expected_returns, sigma
@@ -217,15 +228,15 @@ def test_q_ef_maximizes_return_at_risk(ex3_returns):
 
 def test_dr_gap(ex3_returns):
     p = drf.frontier_params(ex3_returns)
-    assert drf.dr_gap_at(p, p.sigma_mvp) == pytest.approx(0.0, abs=1e-12)
+    assert _gap(ex3_returns, p.sigma_mvp) == pytest.approx(0.0, abs=1e-12)
     expected = 0.5 * (RHO3 - M3)
-    assert drf.dr_gap_at(p, np.sqrt(2.0)) == pytest.approx(expected, rel=1e-12)
+    assert _gap(ex3_returns, np.sqrt(2.0)) == pytest.approx(expected, rel=1e-12)
     # gap equals the curve difference and grows linearly in u
     for sigma in (1.05, 1.4, 2.2):
-        direct = drf.q_dr_at(p, sigma) - drf.q_ef_at(ex3_returns, p, sigma)[0]
-        assert drf.dr_gap_at(p, sigma) == pytest.approx(direct, abs=1e-10)
+        direct = _q_dr(ex3_returns, sigma) - _q_ef(ex3_returns, sigma)
+        assert _gap(ex3_returns, sigma) == pytest.approx(direct, abs=1e-10)
         u = np.sqrt(sigma * sigma - 1.0)
-        assert drf.dr_gap_at(p, sigma) / u == pytest.approx(
+        assert _gap(ex3_returns, sigma) / u == pytest.approx(
             0.5 * (RHO3 - M3), rel=1e-10
         )
 
@@ -237,17 +248,17 @@ def test_gap_vanishes_for_proportional_returns():
     p = drf.frontier_params(prop)
     for factor in (1.0, 1.3, 2.0, 3.0):
         sigma = p.sigma_mvp * factor
-        assert drf.dr_gap_at(p, sigma) == pytest.approx(0.0, abs=1e-10)
-        q_dr = drf.q_dr_at(p, sigma)
-        q_ef = drf.q_ef_at(prop, p, sigma)[0]
+        assert _gap(prop, sigma) == pytest.approx(0.0, abs=1e-10)
+        q_dr = _q_dr(prop, sigma)
+        q_ef = _q_ef(prop, sigma)
         assert q_dr == pytest.approx(q_ef, abs=1e-10)
 
 
 def test_concavity_of_closed_forms(ex3_returns):
     p = drf.frontier_params(ex3_returns)
     sigmas = np.linspace(p.sigma_mvp * 1.001, 3.0 * p.sigma_mdrp, 400)
-    q_dr = np.array([drf.q_dr_at(p, s) for s in sigmas])
-    q_ef = np.array([drf.q_ef_at(ex3_returns, p, s)[0] for s in sigmas])
+    q_dr = np.array([_q_dr(ex3_returns, s) for s in sigmas])
+    q_ef = np.array([_q_ef(ex3_returns, s) for s in sigmas])
     assert np.all(second_divided(sigmas, q_dr) < 0.0)
     assert np.all(second_divided(sigmas, q_ef) < 0.0)
 
@@ -265,7 +276,7 @@ def test_strictly_decreasing_shape():
     assert p.eta_wo == pytest.approx(-RHO3, rel=1e-10)
     assert p.tau_o is not None
     sigmas = np.linspace(p.sigma_mvp * 1.0001, 3.0 * p.sigma_mdrp, 300)
-    values = np.array([drf.q_ef_at(u, p, s)[0] for s in sigmas])
+    values = np.array([_q_ef(u, s) for s in sigmas])
     assert np.all(np.diff(values) < 0.0)
 
 
@@ -310,39 +321,19 @@ def test_inflection_root_is_the_curvature_sign_change():
             sigmas = root * side * np.array([0.9999, 1.0, 1.0001])
             if sigmas[0] <= p.sigma_mvp:
                 continue
-            q = [drf.q_ef_at(u, p, s)[0] for s in sigmas]
+            q = [_q_ef(u, s) for s in sigmas]
             assert sign * second_divided(sigmas, q)[0] > 0.0
     assert found > 0
 
 
 def _one_point_readers(u):
-    """(kind, reader, from_row) for every scalar reader of a universe: reader
-    at a sigma gives the same fields that from_row reads off the kind's
-    one-point sweep row (from_row None: compared within the solve's rounding)."""
-    p = drf.frontier_params(u)
-    K = FrontierKind
-    return [
-        (K.EFFICIENT_DR, lambda s: drf.q_dr_at(p, s), lambda r: r.q),
-        (
-            K.EFFICIENT_DR,
-            lambda s: dataclasses.astuple(drf.efficient_dr_portfolio(u, p, s)),
-            lambda r: (r.weights, r.alpha, r.alpha > 1.0),
-        ),
-        (K.MV_EFFICIENT_DR, lambda s: drf.q_ef_at(u, p, s), lambda r: (r.q, r.weights)),
-        (
-            K.MV_EFFICIENT_DR,
-            lambda s: drf.dr_gap_at(p, s),
-            lambda r: 0.5 * (p.rho - p.eta_wo) * r.alpha,
-        ),
-        (
-            K.MDP_AT_SIGMA,
-            lambda s: dataclasses.astuple(drf.mdp_at_sigma(u, s)),
-            lambda r: (r.weights, r.status == "degenerate"),
-        ),
-        (K.CML, lambda s: drf.q_cml_at(u, s), lambda r: r.q),
-        (K.EFFICIENT_DR_RISKFREE, lambda s: drf.q_dr_riskfree_at(u, s), lambda r: r.q),
-        (K.EFFICIENT_DR, lambda s: drf.max_linear_over_ellipsoid(u, u.variances, s).weights, None),
-    ]
+    """(kind, reader, exact) for the one-point readers of a universe: point of
+    every kind, read by its value, which is the kind's sweep row bit for bit
+    (exact), and max_linear_over_ellipsoid of eta, whose weights are the
+    efficient_dr row's within the solve's rounding."""
+    readers = [(k, lambda s, k=k: drf.point(u, k.value, s), True) for k in FrontierKind]
+    eta = (lambda s: drf.max_linear_over_ellipsoid(u, u.variances, s), False)
+    return readers + [(FrontierKind.EFFICIENT_DR, *eta)]
 
 
 def _outcome(call):
@@ -353,12 +344,8 @@ def _outcome(call):
         return type(exc)
 
 
-def _fields(x):
-    return x if isinstance(x, tuple) else (x,)
-
-
 def _assert_readers_are_sweep_rows(u, sigmas):
-    for kind, reader, from_row in _one_point_readers(u):
+    for kind, reader, exact in _one_point_readers(u):
         for sigma in sigmas:
             got = _outcome(lambda: reader(sigma))
             curve = _outcome(lambda: drf.sweep(u, kind, [sigma], include_weights=True))
@@ -369,24 +356,21 @@ def _assert_readers_are_sweep_rows(u, sigmas):
             (row,) = curve.rows
             if row.status == "risk_below_mvp":
                 assert got is RiskBelowMvpError, (kind, sigma, got)
-            elif got is DegenerateRhoError:
-                # the DR-efficient mix of a flat frontier, whose row has no alpha
-                assert row.alpha is None
-            elif from_row is None:
-                atol = 1e-12 * float(np.abs(row.weights).max())
-                np.testing.assert_allclose(got, row.weights, rtol=0, atol=atol)
+            elif exact:
+                for f in dataclasses.fields(row):
+                    a, b = getattr(got, f.name), getattr(row, f.name)
+                    assert np.array_equal(a, b), (kind, sigma, f.name)
             else:
-                got, want = _fields(got), _fields(from_row(row))
-                assert len(got) == len(want)
-                assert all(np.array_equal(a, b) for a, b in zip(got, want)), (kind, sigma)
+                atol = 1e-12 * float(np.abs(row.weights).max())
+                np.testing.assert_allclose(got.weights, row.weights, rtol=0, atol=atol)
 
 
 def test_curves_at_sigma_mvp_are_their_u0_values(ex3, universe30, identity3):
     # sigma_mvp squared can round a few ulps above sigma_mvp^2; the snap
     # keeps that from turning into u ~ 1e-8 sigma_mvp, and squaring by
-    # multiplication makes the u = 0 value q_mvp exactly.  Every scalar
-    # reader is its kind's one-point sweep row bit for bit, and refuses a
-    # sigma exactly where the sweep flags risk_below_mvp or raises ParseError
+    # multiplication makes the u = 0 value q_mvp exactly.  Every point is
+    # its kind's one-point sweep row bit for bit, and refuses a sigma
+    # exactly where the sweep flags risk_below_mvp or raises ParseError
     rng = np.random.default_rng(0)
     for i in range(2000):
         n = int(rng.integers(2, 8))
@@ -398,20 +382,17 @@ def test_curves_at_sigma_mvp_are_their_u0_values(ex3, universe30, identity3):
         r0 = float(rbar @ w_mvp / w_mvp.sum()) - 0.05
         u = drf.validate_universe(V, expected_returns=rbar, risk_free_rate=r0)
         p = drf.frontier_params(u)
-        assert drf.q_dr_at(p, p.sigma_mvp) == p.q_mvp
-        q_ef, w = drf.q_ef_at(u, p, p.sigma_mvp)
-        assert q_ef == p.q_mvp
-        np.testing.assert_array_equal(w, u.solver.w_mvp)
+        assert _q_dr(u, p.sigma_mvp) == p.q_mvp
+        ef = drf.point(u, "mv_efficient_dr", p.sigma_mvp)
+        assert ef.q == p.q_mvp
+        np.testing.assert_array_equal(ef.weights, u.solver.w_mvp)
         sigma = 1.5 * p.sigma_mvp
-        for kind, scalar in (
-            (FrontierKind.EFFICIENT_DR, drf.q_dr_at(p, sigma)),
-            (FrontierKind.MV_EFFICIENT_DR, drf.q_ef_at(u, p, sigma)[0]),
-        ):
+        for kind in (FrontierKind.EFFICIENT_DR, FrontierKind.MV_EFFICIENT_DR):
             at_mvp, row = drf.sweep(u, kind, [p.sigma_mvp, sigma]).rows
             assert at_mvp.status == "ok" and at_mvp.alpha == 0.0
             assert at_mvp.q == p.q_mvp
-            # the scalar and the sweep route agree bit for bit
-            assert row.q == scalar
+            # the point and the sweep route agree bit for bit
+            assert row.q == drf.point(u, kind, sigma).q
         if i % 10 == 0:
             _assert_readers_are_sweep_rows(u, [p.sigma_mvp, sigma])
     for u in (ex3, universe30, identity3):
@@ -434,13 +415,13 @@ def test_sigma_mvp_is_on_the_frontier_at_every_variance_scale(scale):
         u = drf.validate_universe((A @ A.T + 4.0 * np.eye(4)) * scale)
         p = drf.frontier_params(u)
         for sigma in (p.sigma_mvp, p.sigma_mvp * (1.0 - 1e-14)):
-            assert drf.q_dr_at(p, sigma) == p.q_mvp
-            w = drf.mdp_at_sigma(u, sigma).weights
+            assert _q_dr(u, sigma) == p.q_mvp
+            w = drf.point(u, "mdp_at_sigma", sigma).weights
             np.testing.assert_array_equal(w, u.solver.w_mvp)
         with pytest.raises(RiskBelowMvpError):
-            drf.q_dr_at(p, 0.9 * p.sigma_mvp)
+            _q_dr(u, 0.9 * p.sigma_mvp)
         with pytest.raises(RiskBelowMvpError):
-            drf.mdp_at_sigma(u, 0.9 * p.sigma_mvp)
+            drf.point(u, "mdp_at_sigma", 0.9 * p.sigma_mvp)
 
 
 def test_inflection_absent_when_concave(ex3_returns):
@@ -479,7 +460,7 @@ def test_cml_curve_three_asset(ex3_returns):
     q_t = drf.diversification_return(ex3_returns, curve.tangent.weights)
     assert at_t.q == pytest.approx(q_t, rel=1e-10)
     with pytest.raises(RiskBelowMvpError):
-        drf.q_cml_at(ex3_returns, -0.5)
+        drf.point(ex3_returns, "cml", -0.5)
 
 
 def test_cml_matches_blockwise_oracle(ex3_returns):
@@ -492,7 +473,7 @@ def test_cml_matches_blockwise_oracle(ex3_returns):
             mix * curve.tangent.weights,
             1.0 - mix,
         )
-        assert drf.q_cml_at(ex3_returns, sigma) == pytest.approx(ref, abs=1e-10)
+        assert drf.point(ex3_returns, "cml", sigma).q == pytest.approx(ref, abs=1e-10)
 
 
 def _with_cash(u):
@@ -500,9 +481,9 @@ def _with_cash(u):
     return dataclasses.replace(u, risk_free_rate=0.01)
 
 
-def _point_reader(kind):
-    """The scalar reader of a cash kind."""
-    return drf.q_cml_at if kind is FrontierKind.CML else drf.q_dr_riskfree_at
+def _q_cash(u, kind, sigma):
+    """q of a cash kind's point."""
+    return drf.point(u, kind, sigma).q
 
 
 def test_riskfree_curve_three_asset(ex3):
@@ -527,7 +508,8 @@ def test_riskfree_beats_cml(ex3_returns):
     cml = drf.cml_curve(ex3_returns)
     assert rf.gain >= cml.gain - 1e-12
     for sigma in (0.2, 0.8, 1.5, 3.0):
-        assert drf.q_dr_riskfree_at(ex3_returns, sigma) >= drf.q_cml_at(ex3_returns, sigma) - 1e-12
+        rf = _q_cash(ex3_returns, "efficient_dr_riskfree", sigma)
+        assert rf >= _q_cash(ex3_returns, "cml", sigma) - 1e-12
 
 
 def test_riskfree_optimality_by_sampling(ex3):
@@ -566,7 +548,7 @@ def test_cash_rays_start_at_all_cash(ex3_returns, kind):
     assert rows[1].q > 0.0
     # a negative sigma is below the all-cash base risk 0, not below sigma_mvp
     with pytest.raises(RiskBelowMvpError, match=r"below all-cash risk 0$"):
-        _point_reader(kind)(ex3_returns, -1.0)
+        _q_cash(ex3_returns, kind, -1.0)
 
 
 def test_cml_collapses_when_variances_track_excess_returns():
@@ -579,8 +561,8 @@ def test_cml_collapses_when_variances_track_excess_returns():
     rf = drf.riskfree_dr_curve(u)
     assert cml.gain == pytest.approx(rf.gain, rel=1e-10)
     for sigma in (0.1, 0.5, 1.0, 2.0):
-        assert drf.q_cml_at(u, sigma) == pytest.approx(
-            drf.q_dr_riskfree_at(u, sigma), abs=1e-10
+        assert _q_cash(u, "cml", sigma) == pytest.approx(
+            _q_cash(u, "efficient_dr_riskfree", sigma), abs=1e-10
         )
 
 
@@ -605,7 +587,7 @@ def test_sweep_efficient_dr(ex3):
     qs = np.array([r.q for r in curve.rows])
     sigmas = np.array([r.sigma for r in curve.rows])
     peak = int(np.argmax(qs))
-    # grid points straddle the exact peak; q_dr_at pins the exact value
+    # grid points straddle the exact peak; test_q_dr_values pins the exact value
     assert qs[peak] == pytest.approx(1.0, abs=1e-3)
     assert sigmas[peak] == pytest.approx(np.sqrt(17.0 / 9.0), rel=2e-2)
     # rises to the peak, falls after it
@@ -652,7 +634,7 @@ def test_sweep_requires_returns(ex3):
         with pytest.raises(MissingReturnsError, match="risk-free rate"):
             drf.sweep(no_rate, kind)
         with pytest.raises(MissingReturnsError, match="risk-free rate"):
-            _point_reader(kind)(no_rate, 1.0)
+            _q_cash(no_rate, kind, 1.0)
 
 
 def test_sweep_cml_infeasible_rate():
@@ -715,21 +697,22 @@ def test_sigma_q_bound_for_concave_shapes():
 @pytest.mark.parametrize(
     "call",
     [
-        lambda u, p, s: drf.q_dr_at(p, s),
-        lambda u, p, s: drf.q_ef_at(u, p, s),
-        lambda u, p, s: drf.dr_gap_at(p, s),
-        lambda u, p, s: drf.efficient_dr_portfolio(u, p, s),
-        lambda u, p, s: drf.mdp_at_sigma(u, s),
+        lambda u, s: _q_dr(u, s),
+        lambda u, s: _q_ef(u, s),
+        lambda u, s: _gap(u, s),
+        lambda u, s: drf.point(u, "efficient_dr", s).weights,
+        lambda u, s: drf.point(u, "mdp_at_sigma", s).weights,
     ],
+    # each id names the quantity read: q_dr and q_ef, their gap, and the
+    # weights of the DR-efficient and the ratio-maximizing portfolios
     ids=["q_dr_at", "q_ef_at", "dr_gap_at", "efficient_dr_portfolio", "mdp_at_sigma"],
 )
 def test_a_negative_sigma_is_below_the_frontier(ex3_returns, call):
     # sigma^2 is the same at -1.2 and 1.2; only the latter is a risk level
-    p = drf.frontier_params(ex3_returns)
-    call(ex3_returns, p, 1.2)
-    for sigma in (-1.2, -p.sigma_mvp):
+    call(ex3_returns, 1.2)
+    for sigma in (-1.2, -ex3_returns.solver.sigma_mvp):
         with pytest.raises(RiskBelowMvpError):
-            call(ex3_returns, p, sigma)
+            call(ex3_returns, sigma)
 
 
 @pytest.mark.parametrize(

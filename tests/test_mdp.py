@@ -179,19 +179,19 @@ def test_ratio_sweep_audit_is_the_sign_of_the_budget_scaling(n, seed, log_cond):
 
 
 def test_mdp_at_sigma_snaps_to_mvp(ex3):
-    sol = drf.mdp_at_sigma(ex3, 1.0)
+    sol = drf.point(ex3, "mdp_at_sigma", 1.0)
     np.testing.assert_allclose(sol.weights, np.full(3, 1.0 / 3.0), atol=1e-12)
 
 
 def test_mdp_at_sigma_degenerate(identity3):
-    sol = drf.mdp_at_sigma(identity3, 1.0)
-    assert sol.degenerate
+    sol = drf.point(identity3, "mdp_at_sigma", 1.0)
+    assert sol.status == "degenerate"
 
 
 def test_mdp_at_sigma_matches_circle_scan(ex3):
     root = np.sqrt(ex3.variances)
     for sigma in (1.1, 1.5, 2.0):
-        sol = drf.mdp_at_sigma(ex3, sigma)
+        sol = drf.point(ex3, "mdp_at_sigma", sigma)
         val = float(root @ sol.weights)
         _, ref = circle_scan(np.array(ex3.cov), lambda w: float(root @ w), sigma)
         assert val == pytest.approx(ref, abs=1e-7)
@@ -201,7 +201,7 @@ def test_mdp_at_sigma_matches_circle_scan(ex3):
 def test_mdp_at_global_risk_recovers_global(ex3, universe30):
     for u in (ex3, universe30):
         p = drf.mdp_global(u)
-        sol = drf.mdp_at_sigma(u, p.sigma)
+        sol = drf.point(u, "mdp_at_sigma", p.sigma)
         np.testing.assert_allclose(sol.weights, p.weights, atol=1e-9)
         # that it reads the sweep's row bit for bit is pinned, at this sigma,
         # by test_frontiers::test_curves_at_sigma_mvp_are_their_u0_values

@@ -267,22 +267,22 @@ def _cash(u):
         (lambda u: drf.sweep(u, "efficient_dr", [1.5, np.nan]), ParseError),
         (lambda u: drf.sweep(u, "efficient_dr", [np.inf]), ParseError),
         (lambda u: drf.sweep(u, "mdp_at_sigma", [-np.inf, 1.5]), ParseError),
-        (lambda u: drf.q_dr_at(drf.frontier_params(u), np.nan), ParseError),
-        (lambda u: drf.efficient_dr_portfolio(u, drf.frontier_params(u), np.inf), ParseError),
-        (lambda u: drf.mdp_at_sigma(u, np.nan), ParseError),
+        (lambda u: drf.point(u, "efficient_dr", np.nan), ParseError),
+        (lambda u: drf.point(u, drf.FrontierKind.EFFICIENT_DR, np.inf), ParseError),
+        (lambda u: drf.point(u, "mdp_at_sigma", np.nan), ParseError),
         (lambda u: drf.max_linear_over_ellipsoid(u, [1.0, 2.0, 3.0], -np.inf), ParseError),
-        (lambda u: drf.q_cml_at(_cash(u), np.nan), ParseError),
-        (lambda u: drf.q_dr_riskfree_at(_cash(u), np.inf), ParseError),
+        (lambda u: drf.point(_cash(u), "cml", np.nan), ParseError),
+        (lambda u: drf.point(_cash(u), "efficient_dr_riskfree", np.inf), ParseError),
         (lambda u: drf.sweep(_cash(u), "cml", [np.nan], include_weights=True), ParseError),
         (lambda u: drf.sweep(_cash(u), "efficient_dr_riskfree", [0.5, -np.inf]), ParseError),
         (lambda u: drf.sandwich_check(u, None), ParseError),
         (lambda u: drf.sandwich_check(u, "x"), ParseError),
         (lambda u: drf.sandwich_check(u, np.array([1.2, 1.3])), ParseError),
-        (lambda u: drf.q_cml_at(_cash(u), [1.2, 1.3]), ParseError),
-        (lambda u: drf.q_dr_riskfree_at(_cash(u), None), ParseError),
+        (lambda u: drf.point(_cash(u), "cml", [1.2, 1.3]), ParseError),
+        (lambda u: drf.point(_cash(u), "efficient_dr_riskfree", None), ParseError),
         (lambda u: drf.sweep(_cash(u), "cml", [None], include_weights=True), ParseError),
-        (lambda u: drf.mdp_at_sigma(u, None), ParseError),
-        (lambda u: drf.q_dr_at(drf.frontier_params(u), np.array([1.2, 1.3])), ParseError),
+        (lambda u: drf.point(u, "mdp_at_sigma", None), ParseError),
+        (lambda u: drf.point(u, "efficient_dr", np.array([1.2, 1.3])), ParseError),
         (lambda u: drf.sweep(_cash(u), "efficient_dr_riskfree", [None]), ParseError),
         (lambda u: drf.sweep(_cash(u), "cml", [None]), ParseError),
         (lambda u: drf.sweep(_cash(u), "cml", ["x"]), ParseError),
@@ -323,10 +323,10 @@ def test_scalar_sigma_entry_points_read_numeric_text_as_its_float(ex3):
     cash = _cash(ex3)
     for call in (
         lambda u, s: drf.sandwich_check(u, s),
-        lambda u, s: drf.mdp_at_sigma(u, s).weights.tolist(),
-        lambda u, s: drf.q_dr_at(drf.frontier_params(u), s),
-        lambda u, s: drf.q_cml_at(cash, s),
-        lambda u, s: drf.q_dr_riskfree_at(cash, s),
+        lambda u, s: drf.point(u, "mdp_at_sigma", s).weights.tolist(),
+        lambda u, s: drf.point(u, "efficient_dr", s).q,
+        lambda u, s: drf.point(cash, "cml", s).q,
+        lambda u, s: drf.point(cash, "efficient_dr_riskfree", s).q,
         lambda u, s: drf.sweep(cash, "cml", [s]).rows[0].q,
         lambda u, s: drf.sweep(cash, "cml", [s]).rows[0].alpha,
         lambda u, s: drf.norm_dr_bound(drf.embed(u), np.eye(3), s),
@@ -486,8 +486,7 @@ def _records(u):
         drf.min_variance_portfolio(u),
         drf.special_portfolios(u),
         p,
-        drf.mdp_at_sigma(u, 1.5),
-        drf.efficient_dr_portfolio(u, p, 1.5),
+        drf.point(u, "efficient_dr", 1.5),
         drf.cml_curve(u),
         drf.embed(u),
         drf.d_max_bounds(drf.build_d_eta(u)),
@@ -504,7 +503,7 @@ def test_records_holding_arrays_compare_by_identity():
         return drf.validate_universe(V3, expected_returns=RBAR3, risk_free_rate=R0_3)
 
     first, second = _records(build()), _records(build())
-    assert len({type(r) for r in first}) == 12
+    assert len({type(r) for r in first}) == len(first) == 11
     for a, b in zip(first, second):
         assert a == a and not a != a, type(a).__name__
         assert not a == b and a != b, type(a).__name__

@@ -173,12 +173,11 @@ def test_mean_variance_readers_refuse_as_self_financing_direction(ex3):
     # tangency, which is w_mvp for constant returns
     constant = drf.validate_universe(V3, expected_returns=np.full(3, 0.05), risk_free_rate=0.01)
     for u, error in ((ex3, MissingReturnsError), (constant, DegenerateReturnsError)):
-        p = drf.frontier_params(u)
         for call in (
             lambda: drf.sweep(u, FrontierKind.MV_EFFICIENT_DR),
             lambda: drf.sweep(u, FrontierKind.MV_MEAN_RETURN),
-            lambda: drf.q_ef_at(u, p, 2.0),
-            lambda: drf.dr_gap_at(p, 2.0),
+            lambda: drf.point(u, FrontierKind.MV_EFFICIENT_DR, 2.0),
+            lambda: drf.point(u, "mv_mean_return", 2.0),
             lambda: drf.inflection_report(u),
             lambda: drf.eta_wo(u),
             lambda: drf.q_portfolio(u),
