@@ -104,8 +104,8 @@ def audit(path: str) -> None:
     panel = drf.load_panel(path, format="prices")
     delta = drf.annualization_step(panel)
     universe = drf.annualize(panel)
-    fp = drf.frontier_params(universe)
-    grid = frontiers.default_sigma_grid(fp)
+    kernel = universe.solver
+    grid = universe.sigma_grid
     dr_curve = frontiers.sweep(universe, frontiers.FrontierKind.EFFICIENT_DR, grid)
     ef_curve = frontiers.sweep(universe, frontiers.FrontierKind.MV_EFFICIENT_DR, grid)
     md_curve = frontiers.sweep(universe, frontiers.FrontierKind.MDP_AT_SIGMA, grid)
@@ -119,16 +119,16 @@ def audit(path: str) -> None:
     print(f"delta            {delta:.6f}  (target 0.003952, rel gap "
           f"{abs(delta - 0.003952) / 0.003952:.3f})")
     print(f"nonsingular      {universe.nonsingular}")
-    print(f"q_mvp            {fp.q_mvp:.6f}  (> 0 required)")
-    print(f"eta_wo           {fp.eta_wo:.6f}  shape {fp.ef_shape.value}")
+    print(f"q_mvp            {kernel.q_mvp:.6f}  (> 0 required)")
+    print(f"eta_wo           {kernel.eta_wo:.6f}  shape {kernel.ef_shape.value}")
     print(f"q_ef at grid end {q_ef[-1]:.6f}  (< 0 required)")
     print(f"min q_ef         {q_ef.min():.6f}")
     print(f"max |q_dr-q_mdp| {track:.6f}  vs 2*d_max {2 * d_max:.6f}")
-    print(f"sigma_mvp        {fp.sigma_mvp:.4f}  sigma_mdrp {fp.sigma_mdrp:.4f}")
+    print(f"sigma_mvp        {kernel.sigma_mvp:.4f}  sigma_mdrp {kernel.sigma_mdrp:.4f}")
     ok = (
         abs(delta - 0.003952) / 0.003952 <= 0.05
         and universe.nonsingular
-        and fp.q_mvp > 0
+        and kernel.q_mvp > 0
         and q_ef[-1] < 0
         and track <= 2 * d_max
     )

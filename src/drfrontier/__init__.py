@@ -27,9 +27,9 @@ _EXPORTS = {
         "centrality", "coords_table", "embed", "norm_dr_bound",
     ),
     "frontiers": (
-        "EfShape", "FrontierCurve", "FrontierKind", "FrontierParams", "cml_curve",
-        "frontier_params", "inflection_report", "max_linear_over_ellipsoid",
-        "point", "riskfree_dr_curve", "sweep",
+        "FrontierCurve", "FrontierKind", "cml_curve", "frontier_params",
+        "inflection_report", "max_linear_over_ellipsoid", "point",
+        "riskfree_dr_curve", "sweep",
     ),
     "ingest": ("ReturnPanel", "annualization_step", "annualize", "load_panel"),
     "mdp": (
@@ -37,7 +37,7 @@ _EXPORTS = {
         "d_max_bounds", "diversification_ratio", "mdp_global", "sandwich_check",
     ),
     "model": (
-        "AssetUniverse", "Portfolio", "check_budget", "default_sigma_grid",
+        "AssetUniverse", "EfShape", "Portfolio", "check_budget", "default_sigma_grid",
         "diversification_return", "portfolio_stats", "validate_universe",
     ),
     "portfolios": (

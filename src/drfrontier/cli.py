@@ -41,6 +41,10 @@ from .errors import (
 )
 
 SIGNIFICANT_DIGITS = 12
+# the most points a --grid spec may ask for: at the cap, `frontier --svg` on
+# the 30-asset panel takes about 6 s and 330 MB, and time and memory grow
+# linearly with the points
+MAX_GRID_POINTS = 100_000
 
 
 def _round12(x: float) -> float:
@@ -168,6 +172,8 @@ def _parse_grid_spec(spec: str):
         raise ParseError(
             f"grid spec {spec!r}: need finite 0 <= min < max and points >= 2"
         )
+    if points > MAX_GRID_POINTS:
+        raise ParseError(f"grid spec {spec!r}: more than {MAX_GRID_POINTS} points")
     import numpy as np
 
     if len(parts) == 4:
@@ -184,24 +190,24 @@ def _parse_grid_spec(spec: str):
 
 
 def cmd_portfolios(args) -> dict:
-    from . import frontiers, portfolios
+    from . import portfolios
 
     universe, files = _load_universe(args)
     sp = portfolios.special_portfolios(universe)
-    params = frontiers.frontier_params(universe)
+    s = universe.solver
     payload = {
         "names": list(universe.names),
         "scalars": {
             "a": sp.a,
             "b": sp.b,
             "rho": sp.rho,
-            "sigma_mvp": params.sigma_mvp,
-            "sigma_mdrp": params.sigma_mdrp,
-            "q_mvp": params.q_mvp,
-            "q_max": params.q_mdrp,
+            "sigma_mvp": s.sigma_mvp,
+            "sigma_mdrp": s.sigma_mdrp,
+            "q_mvp": s.q_mvp,
+            "q_max": s.q_max,
             "eta_wo": sp.eta_wo,
             "eta_wo_sign": sp.eta_wo_sign,
-            "ef_shape": params.ef_shape.value,
+            "ef_shape": s.ef_shape.value,
         },
         "mvp": _portfolio_dict(sp.mvp),
         "mdrp": _portfolio_dict(sp.mdrp),
@@ -230,19 +236,20 @@ CHARTS = (
 )
 
 
-def _svg_charts(params, curves) -> dict:
+def _svg_charts(universe, curves) -> dict:
     import numpy as np
 
     from . import svg
-    from .frontiers import EfShape
+    from .model import EfShape
     from .portfolios import q_portfolio
 
+    s = universe.solver
     markers = [
-        svg.Marker("MVP", params.sigma_mvp, params.q_mvp),
-        svg.Marker("MDRP", params.sigma_mdrp, params.q_mdrp),
+        svg.Marker("MVP", s.sigma_mvp, s.q_mvp),
+        svg.Marker("MDRP", s.sigma_mdrp, s.q_max),
     ]
-    if params.ef_shape is EfShape.STRONGLY_CONCAVE:
-        q_pf = q_portfolio(params.universe)
+    if s.ef_shape is EfShape.STRONGLY_CONCAVE:
+        q_pf = q_portfolio(universe)
         markers.append(svg.Marker("Q", q_pf.sigma, q_pf.dr))
     charts = {}
     for filename, title, ylabel, field in CHARTS:
@@ -266,7 +273,7 @@ def _svg_charts(params, curves) -> dict:
         if field == "q":
             chart.markers = markers
         if field == "centrality":
-            chart.hlines = [("sqrt(q_max)", float(np.sqrt(params.q_mdrp)))]
+            chart.hlines = [("sqrt(q_max)", float(np.sqrt(s.q_max)))]
         charts[filename] = svg.render(chart)
     return charts
 
@@ -275,7 +282,7 @@ def cmd_frontier(args) -> dict:
     from . import frontiers
 
     universe, files = _load_universe(args)
-    params = frontiers.frontier_params(universe)
+    universe.solver  # a singular universe refuses before a bad --grid does
     grid = _parse_grid_spec(args.grid) if args.grid else None
     curves = []
     for kind in args.kind or _DEFAULT_KINDS:
@@ -287,7 +294,7 @@ def cmd_frontier(args) -> dict:
     for curve in curves:
         files[f"frontier_{curve.kind.value}.csv"] = curve.to_csv_text()
     if args.svg:
-        files.update(_svg_charts(params, curves))
+        files.update(_svg_charts(universe, curves))
     return files
 
 

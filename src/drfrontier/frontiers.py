@@ -17,7 +17,9 @@ tangency portfolio per unit of its risk.  The two coincide when excess
 returns are proportional to eta.  :func:`sweep` evaluates the rays over a
 grid, :func:`point` reads one kind's row at one sigma, and
 :func:`max_linear_over_ellipsoid` the row of any other linear objective's
-ray.
+ray.  The scalars that fix the rays (sigma_mvp, q_mvp, rho, q_max, eta' w_o
+and the shape class ef_shape) are the covariance kernel's, ``universe.solver``;
+this module keeps no record of its own.
 """
 
 from __future__ import annotations
@@ -30,8 +32,9 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import DegenerateRhoError, DimensionMismatchError, RiskBelowMvpError
-from .model import AssetUniverse, Portfolio, _finite_array, _finite_float, _float_array
-from .model import default_sigma_grid  # noqa: F401  (the grid of a FrontierParams too)
+from .model import AssetUniverse, CovarianceSolver, Portfolio
+from .model import _finite_array, _finite_float, _float_array
+from .model import default_sigma_grid  # noqa: F401  (read as frontiers.default_sigma_grid)
 from .portfolios import _require_risk_free_rate, self_financing_direction, tangent_portfolio
 
 # sigma^2 below (1 - RISK_SNAP_RTOL) sigma_mvp^2 is an error; closer misses snap up.
@@ -49,62 +52,12 @@ class FrontierKind(str, Enum):
     MDP_AT_SIGMA = "mdp_at_sigma"
 
 
-class EfShape(str, Enum):
-    """Shape class of the mean-variance DR curve q_ef."""
-
-    STRONGLY_CONCAVE = "strongly_concave"
-    STRICTLY_DECREASING = "strictly_decreasing"
-    DEGENERATE = "degenerate"
-
-
-def _kernel(name: str) -> property:
-    """A read-only FrontierParams attribute: the kernel's attribute `name`."""
-    return property(lambda self: getattr(self.universe.solver, name))
-
-
-@dataclass(frozen=True, eq=False)
-class FrontierParams:
-    """Scalars fixing every closed-form curve of a universe: a view that reads
-    its covariance kernel and copies nothing.
-
-    eta_wo (and with it tau_o and a non-degenerate shape class) is only
-    present when the kernel has a mean-variance direction w_o: with expected
-    returns that are not proportional to ones in the V^-1 metric.  tau_o is the
-    paper's reported inflection scale of a strictly decreasing q_ef curve; it
-    is not the curvature root, which :func:`inflection_report` gives in
-    closed form next to it.
-    """
-
-    universe: AssetUniverse
-
-    sigma2_mvp = _kernel("sigma2_mvp")
-    sigma_mvp = _kernel("sigma_mvp")
-    q_mvp = _kernel("q_mvp")
-    rho = _kernel("rho")
-    q_mdrp = _kernel("q_max")
-    sigma2_mdrp = _kernel("sigma2_mdrp")
-    sigma_mdrp = _kernel("sigma_mdrp")
-    eta_wo = _kernel("eta_wo")
-
-    @property
-    def ef_shape(self) -> EfShape:
-        if self.eta_wo is None:
-            return EfShape.DEGENERATE
-        return EfShape.STRONGLY_CONCAVE if self.eta_wo >= 0.0 else EfShape.STRICTLY_DECREASING
-
-    @property
-    def tau_o(self) -> Optional[float]:
-        m, s = self.eta_wo, self.sigma_mvp
-        if m is None or m >= 0.0:
-            return None
-        return s * float(np.sqrt(1.0 + abs(m) ** (4.0 / 3.0) / s ** (2.0 / 3.0)))
-
-
-def frontier_params(universe: AssetUniverse) -> FrontierParams:
-    """The :class:`FrontierParams` view of a universe, whose kernel is built
-    first: a singular universe raises SingularCovarianceError here."""
-    universe.solver
-    return FrontierParams(universe)
+def frontier_params(universe: AssetUniverse) -> CovarianceSolver:
+    """The universe's covariance kernel ``universe.solver`` itself, the one
+    record of every scalar that fixes the curves (sigma_mvp, q_mvp, rho,
+    q_max, eta_wo, ef_shape, ...), for callers that ask this module for it:
+    a singular universe raises SingularCovarianceError here."""
+    return universe.solver
 
 
 def _excess_risk(sigma2_0: float, sigmas: np.ndarray):
@@ -404,22 +357,25 @@ def inflection_report(universe: AssetUniverse):
     With u = sqrt(sigma^2 - sigma_mvp^2) and m = eta' w_o the curve has
     d^2 q / d sigma^2 = -1 - (m / 2) sigma_mvp^2 / u^3, so it bends from
     convex to concave exactly at u*^3 = |m| sigma_mvp^2 / 2 when m < 0, and
-    is concave everywhere otherwise.  Returns a dict with the paper's tau_o
-    (None unless the curve is strictly decreasing), the root
+    is concave everywhere otherwise.  Returns a dict with the paper's
+    reported inflection scale tau_o = sigma_mvp sqrt(1 + |m|^(4/3) /
+    sigma_mvp^(2/3)) (None unless the curve is strictly decreasing), the root
     sqrt(sigma_mvp^2 + u*^2) under "inflection_empirical" (None when m >= 0),
     their gap, and the shape class.  It raises where
     :func:`self_financing_direction` refuses.
     """
-    params = frontier_params(universe)
+    s = universe.solver
     self_financing_direction(universe)
-    root = gap = None
-    if params.eta_wo < 0.0:
-        u_star = float(np.cbrt(-0.5 * params.eta_wo * params.sigma2_mvp))
-        root = float(np.sqrt(params.sigma2_mvp + u_star * u_star))
-        gap = abs(root - params.tau_o)
+    tau_o = root = gap = None
+    if s.eta_wo < 0.0:
+        m, sigma = abs(s.eta_wo), s.sigma_mvp
+        tau_o = sigma * float(np.sqrt(1.0 + m ** (4.0 / 3.0) / sigma ** (2.0 / 3.0)))
+        u_star = float(np.cbrt(0.5 * m * s.sigma2_mvp))
+        root = float(np.sqrt(s.sigma2_mvp + u_star * u_star))
+        gap = abs(root - tau_o)
     return {
-        "tau_o_formula": params.tau_o,
+        "tau_o_formula": tau_o,
         "inflection_empirical": root,
         "abs_gap": gap,
-        "shape": params.ef_shape.value,
+        "shape": s.ef_shape.value,
     }

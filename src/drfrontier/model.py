@@ -24,6 +24,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from enum import Enum
 from typing import Optional, Sequence
 
 import numpy as np
@@ -177,6 +178,14 @@ class AssetUniverse:
         return _frozen(default_sigma_grid(self.solver))
 
 
+class EfShape(str, Enum):
+    """Shape class of the mean-variance DR curve q_ef."""
+
+    STRONGLY_CONCAVE = "strongly_concave"
+    STRICTLY_DECREASING = "strictly_decreasing"
+    DEGENERATE = "degenerate"
+
+
 class CovarianceSolver:
     """V^-1 [1, eta0, sqrt(eta)0, rbar0], x0 = x - mean(x) 1, solved once per
     universe with the factor; every closed form afterwards is dot products.
@@ -193,7 +202,10 @@ class CovarianceSolver:
     + rho^2 / 4 its variance, sigma_mdrp its risk.  eta_wo is eta0' w_o,
     0.0 within ZERO_BAND_RTOL * rho of zero, and None exactly when w_o is:
     without returns, or with returns proportional to ones in the V^-1
-    metric.  Cached arrays are read-only because every caller shares them.
+    metric.  ef_shape is the :class:`EfShape` of the mean-variance DR curve:
+    degenerate where eta_wo is None, strongly concave where eta_wo >= 0 (the
+    zero band included) and strictly decreasing below it.  Cached arrays are
+    read-only because every caller shares them.
     V is certified strictly positive definite by :func:`validate_universe`
     (``nonsingular``), so no second factorization checks it again.
 
@@ -242,6 +254,9 @@ class CovarianceSolver:
         self.eta_wo = None if self.w_o is None else float(self.eta0 @ self.w_o)
         if self.eta_wo is not None and abs(self.eta_wo) <= ZERO_BAND_RTOL * self.rho:
             self.eta_wo = 0.0
+        self.ef_shape = EfShape.DEGENERATE if self.eta_wo is None else (
+            EfShape.STRONGLY_CONCAVE if self.eta_wo >= 0.0 else EfShape.STRICTLY_DECREASING
+        )
 
     def _substitute(self, c: np.ndarray) -> np.ndarray:
         """(L L')^-1 c by blocked forward and back substitution."""
@@ -299,14 +314,13 @@ class CovarianceSolver:
         return _frozen(d - float(d.sum()) * self.w_mvp), k
 
 
-def default_sigma_grid(params, points: int = 200) -> np.ndarray:
+def default_sigma_grid(solver: CovarianceSolver, points: int = 200) -> np.ndarray:
     """Geometric grid in excess variance, from near sigma_mvp out to
-    GRID_SPAN * sigma_mdrp, for the kernel or its
-    :class:`~drfrontier.frontiers.FrontierParams` view (params)."""
-    lo = 1e-6 * params.sigma2_mvp
-    hi = (GRID_SPAN * params.sigma_mdrp) ** 2
+    GRID_SPAN * sigma_mdrp, of a universe's covariance kernel (``u.solver``)."""
+    lo = 1e-6 * solver.sigma2_mvp
+    hi = (GRID_SPAN * solver.sigma_mdrp) ** 2
     u2 = np.geomspace(lo, max(hi, lo * 10.0), int(points))
-    return np.sqrt(params.sigma2_mvp + u2)
+    return np.sqrt(solver.sigma2_mvp + u2)
 
 
 @dataclass(frozen=True, eq=False)

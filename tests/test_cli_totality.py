@@ -10,6 +10,11 @@ and below the minimum-variance return) and CSV panels (ragged rows, blank
 and NaN cells, nonpositive prices, unsorted dates, no more rows than
 assets).
 
+``frontier --grid`` runs on drawn grid specs as well: valid ones of at
+most 200 points, malformed ones and ones over ``MAX_GRID_POINTS``, which
+must be refused by ParseError before any grid is built, unless the universe
+is refused first; a valid spec ends as the default grid does.
+
 On every JSON universe three consistencies are checked as well: the
 default ``frontier`` writes exactly the kinds for which ``frontier --kind K``
 exits 0, ``portfolios.json`` has a null ``tangent`` exactly where
@@ -35,7 +40,7 @@ from hypothesis import strategies as st
 
 import drfrontier as drf
 from drfrontier import errors
-from drfrontier.cli import main
+from drfrontier.cli import MAX_GRID_POINTS, main
 from drfrontier.frontiers import FrontierKind
 from drfrontier.model import PYTHAGORAS_ATOL
 
@@ -213,3 +218,65 @@ def test_cli_is_total_on_csv_panels(text, flags):
         src.write_text(text)
         for cmd in (["ingest-check"],) + COMMANDS:
             _run(cmd + flags + ["--input", str(src)], tmp / cmd[0])
+
+
+# specs the grid parser refuses: a wrong field count, non-numeric fields,
+# points below 2 or not an integer, min >= max, a negative, NaN or infinite
+# bound, a bad trailing field, log spacing from 0, and a points field past
+# int()'s digit limit
+MALFORMED_GRIDS = (
+    "1", "0.5:3", "0.5:3:10:log:log", "a:3:10", "0.5:b:10", "0.5:3:c",
+    "0.5:3:1", "0.5:3:0", "0.5:3:-4", "0.5:3:2.5", "3:0.5:10", "1:1:10",
+    "-1:3:10", "nan:3:10", "0.5:nan:10", "0.5:inf:10", "0.5:3:10:lin",
+    "0:3:10:log", "0.5:3:" + "9" * 5000,
+)
+
+
+@st.composite
+def grid_specs(draw):
+    """A --grid spec and whether the parser accepts it: valid specs of at
+    most 200 points, malformed ones and specs over MAX_GRID_POINTS."""
+    form = draw(st.sampled_from(["valid", "malformed", "over"]))
+    if form == "malformed":
+        return draw(st.sampled_from(MALFORMED_GRIDS)), False
+    scale = 10.0 ** draw(st.sampled_from([-4, -2, 0, 2, 4]))
+    lo = scale * draw(st.floats(0.0, 10.0))
+    hi = lo + scale * draw(st.floats(1e-3, 10.0))
+    if form == "valid":
+        points = draw(st.integers(2, 200))
+    else:
+        points = draw(st.integers(MAX_GRID_POINTS + 1, 10**18))
+    log = ":log" if lo > 0.0 and draw(st.booleans()) else ""
+    return f"{lo!r}:{hi!r}:{points}{log}", form == "valid"
+
+
+def _refusal_before_the_grid(data):
+    """The error `frontier` raises on data before it reads --grid, or None:
+    validating the universe, then building its kernel."""
+    try:
+        drf.validate_universe(
+            data["V"], expected_returns=data.get("rbar"), risk_free_rate=data.get("r0")
+        ).solver
+    except errors.DrFrontierError as exc:
+        return type(exc).__name__
+    return None
+
+
+@SETTINGS
+@given(json_universes(), grid_specs())
+@example(CONSTANT_RETURNS, (f"0.5:3:{10**15}", False))
+@example(UNBOUNDED_DR, (f"0.5:3:{MAX_GRID_POINTS + 1}", False))
+@example(CONSTANT_RETURNS, (f"0.5:3:{MAX_GRID_POINTS + 1}:log", False))
+def test_frontier_grid_specs_end_in_a_result_or_a_refusal(data, spec):
+    spec, valid = spec
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        src = tmp / "u.json"
+        src.write_text(json.dumps(data))
+        cmd = ["frontier", "--svg", "--input", str(src)]
+        # as one argument: argparse reads a separate "-1:3:10" as an option
+        outcome = _run(cmd + [f"--grid={spec}"], tmp / "grid")
+        if valid:
+            assert outcome == _run(cmd, tmp / "default"), spec
+        else:
+            assert outcome == (_refusal_before_the_grid(data) or "ParseError"), spec

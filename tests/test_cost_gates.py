@@ -28,10 +28,11 @@ number of corners, and calls no np.flatnonzero, np.eye, np.append or
 np.outer.  A CLI run validates its universe once, --riskfree or not, and
 executes only the library modules its command uses: `mdp` runs `model` and
 `mdp` (and `ingest` on a panel), never `frontiers`, `portfolios` or
-`embedding`, and a universe's kernel and default grid execute `model`
-alone.  The package keeps no exported name, only modules.  numpy is the
-only runtime dependency: a CLI run loads no scipy, and importing the CLI or
-running `ingest-check` loads no numpy either.
+`embedding`, `portfolios` runs `model` and `portfolios`, never `frontiers`,
+and a universe's kernel and default grid execute `model` alone.  The
+package keeps no exported name, only modules.  numpy is the only runtime
+dependency: a CLI run loads no scipy, and importing the CLI or running
+`ingest-check` loads no numpy either.
 """
 
 import argparse
@@ -581,7 +582,7 @@ _BASE = {"cli", "errors", "model"}
 @pytest.mark.parametrize(
     "args, fixture, executed",
     [
-        (["portfolios"], _JSON, _BASE | {"portfolios", "frontiers"}),
+        (["portfolios"], _JSON, _BASE | {"portfolios"}),
         (["frontier", "--svg"], _JSON, _BASE | {"portfolios", "frontiers", "svg"}),
         (["mdp"], _JSON, _BASE | {"mdp"}),
         (["mdp"], _PANEL, _BASE | {"mdp", "ingest"}),
@@ -622,9 +623,7 @@ def test_importing_the_cli_loads_no_numpy_and_registers_the_traced_modules(tmp_p
         "print(sorted({s['name'] for s in tracer.spans}))",
     )
     assert numpy_loaded == "[]"
-    assert spans == str(
-        ["frontiers.frontier_params", "model.validate_universe", "portfolios.special_portfolios"]
-    )
+    assert spans == str(["model.validate_universe", "portfolios.special_portfolios"])
 
 
 def test_model_runs_without_frontiers():

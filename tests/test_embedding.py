@@ -103,7 +103,7 @@ def test_embed_reads_s_and_q_max_from_the_kernel(ex3, ex3_returns, identity3, un
     for u in [ex3, ex3_returns, identity3, universe30, *draws]:
         emb = drf.embed(u)
         assert np.array_equal(emb.mdrp_weights, u.solver.w_mdrp)
-        assert emb.q_max == drf.frontier_params(u).q_mdrp
+        assert emb.q_max == drf.frontier_params(u).q_max
 
 
 def _csv_cells(emb):

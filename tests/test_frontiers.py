@@ -11,7 +11,8 @@ from drfrontier.errors import (
     RiskBelowMvpError,
     TangencyInfeasibleError,
 )
-from drfrontier.frontiers import EfShape, FrontierKind
+from drfrontier.frontiers import FrontierKind
+from drfrontier.model import EfShape
 
 from .conftest import R0_3, RBAR3, V3
 from .oracles import (
@@ -29,11 +30,12 @@ M3 = np.sqrt(24.0 / 7.0)
 
 def test_frontier_params_three_asset(ex3):
     p = drf.frontier_params(ex3)
+    assert p is ex3.solver  # the kernel is the one record of these scalars
     assert p.sigma2_mvp == pytest.approx(1.0, abs=1e-12)
     assert p.q_mvp == pytest.approx(5.0 / 9.0, abs=1e-12)
     assert p.rho**2 == pytest.approx(32.0 / 9.0, rel=1e-12)
     assert p.sigma2_mdrp == pytest.approx(17.0 / 9.0, rel=1e-12)
-    assert p.q_mdrp == pytest.approx(1.0, abs=1e-12)
+    assert p.q_max == pytest.approx(1.0, abs=1e-12)
     assert p.eta_wo is None
     assert p.ef_shape is EfShape.DEGENERATE
 
@@ -42,7 +44,7 @@ def test_frontier_params_with_returns(ex3_returns):
     p = drf.frontier_params(ex3_returns)
     assert p.eta_wo == pytest.approx(M3, rel=1e-12)
     assert p.ef_shape is EfShape.STRONGLY_CONCAVE
-    assert p.tau_o is None
+    assert drf.inflection_report(ex3_returns)["tau_o_formula"] is None
 
 
 def test_frontier_peak_matches_embedding():
@@ -51,7 +53,7 @@ def test_frontier_peak_matches_embedding():
         u = random_universe(rng, int(rng.integers(2, 20)))
         p = drf.frontier_params(u)
         emb = drf.embed(u)
-        assert p.q_mdrp == pytest.approx(emb.q_max, abs=1e-8 * max(1.0, emb.q_max))
+        assert p.q_max == pytest.approx(emb.q_max, abs=1e-8 * max(1.0, emb.q_max))
         assert drf.point(u, "efficient_dr", p.sigma_mdrp).q == pytest.approx(
             emb.q_max, abs=1e-10 * max(1.0, emb.q_max)
         )
@@ -119,7 +121,7 @@ def test_mix_variance_matches_sigma():
             var = float(row.weights @ u.cov @ row.weights)
             assert var == pytest.approx(sigma * sigma, rel=1e-8)
             assert drf.diversification_return(u, row.weights) == pytest.approx(
-                row.q, abs=1e-10 * max(1.0, p.q_mdrp)
+                row.q, abs=1e-10 * max(1.0, p.q_max)
             )
 
 
@@ -274,7 +276,7 @@ def test_strictly_decreasing_shape():
     p = drf.frontier_params(u)
     assert p.ef_shape is EfShape.STRICTLY_DECREASING
     assert p.eta_wo == pytest.approx(-RHO3, rel=1e-10)
-    assert p.tau_o is not None
+    assert drf.inflection_report(u)["tau_o_formula"] is not None
     sigmas = np.linspace(p.sigma_mvp * 1.0001, 3.0 * p.sigma_mdrp, 300)
     values = np.array([_q_ef(u, s) for s in sigmas])
     assert np.all(np.diff(values) < 0.0)
@@ -284,12 +286,12 @@ def test_inflection_empirical_location():
     # the report gives the true curvature change of
     # q(sigma) = -(u - m/2)^2 / 2 + ..., which sits at u^3 = |m| sigma_mvp^2 / 2
     u = _negative_slope_universe()
-    p = drf.frontier_params(u)
     report = drf.inflection_report(u)
     star = np.sqrt(1.0 + (RHO3 / 2.0) ** (2.0 / 3.0))
     assert report["shape"] == "strictly_decreasing"
     assert report["inflection_empirical"] == pytest.approx(star, abs=1e-12)
-    assert report["tau_o_formula"] == pytest.approx(p.tau_o, abs=1e-15)
+    # the paper's tau_o = sigma_mvp sqrt(1 + |m|^(4/3) / sigma_mvp^(2/3)), sigma_mvp = 1
+    assert report["tau_o_formula"] == pytest.approx(np.sqrt(1.0 + RHO3 ** (4.0 / 3.0)), rel=1e-12)
     assert report["abs_gap"] is not None
     # the reported closed-form scale is not the curvature root here; the
     # report keeps both visible

@@ -480,12 +480,11 @@ def test_eigenvalue_certified_universe_takes_the_lu_route(monkeypatch):
 
 def _records(u):
     """One of each record that holds an array, or a record holding one."""
-    p = drf.frontier_params(u)
     return [
         u,
         drf.min_variance_portfolio(u),
         drf.special_portfolios(u),
-        p,
+        u.solver,
         drf.point(u, "efficient_dr", 1.5),
         drf.cml_curve(u),
         drf.embed(u),

@@ -12,7 +12,7 @@ from drfrontier.errors import (
     TangencyInfeasibleError,
 )
 from drfrontier.frontiers import FrontierKind
-from drfrontier.model import PYTHAGORAS_ATOL, proportional_to_ones
+from drfrontier.model import PYTHAGORAS_ATOL, EfShape, proportional_to_ones
 
 from .conftest import FIXTURES, R0_3, RBAR3, V3
 from .oracles import (
@@ -227,6 +227,14 @@ def test_eta_wo_sign_zero_band():
     np.testing.assert_allclose(
         q_pf.weights, drf.min_variance_portfolio(u).weights, atol=1e-10
     )
+    # the one edge where the two sign classifications group differently: a
+    # zero eta' w_o is its own sign, but a strongly concave curve, so it has
+    # no inflection
+    assert u.solver.ef_shape is EfShape.STRONGLY_CONCAVE
+    report = drf.inflection_report(u)
+    assert report["shape"] == "strongly_concave"
+    assert report["tau_o_formula"] is None
+    assert report["inflection_empirical"] is None
 
 
 def test_q_portfolio_three_asset(ex3_returns):

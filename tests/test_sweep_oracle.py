@@ -53,7 +53,7 @@ def _assert_matches_reference(universe, embedding, grid, ill_conditioned=False):
     the 60-digit value.
     """
     scale = max(1.0, float(np.abs(universe.cov).max()))
-    q_max = drf.frontier_params(universe).q_mdrp if embedding is None else embedding.q_max
+    q_max = drf.frontier_params(universe).q_max if embedding is None else embedding.q_max
     rel_tol, weights_tol = REL_TOL, WEIGHTS_TOL
     if ill_conditioned:
         rel_tol = max(REL_TOL, forward_error(universe))
