@@ -20,7 +20,9 @@ ex3, which has no returns, and the refused
 `frontier --kind efficient_dr_riskfree` on ex3, which has no risk-free
 rate; `--log-returns` on mini; `--require-returns` on ex3; `--help` of the
 program and of every subcommand; and the refused inputs: non-finite `--riskfree`, `--sigma` and
-`--grid` values, and covariance JSON with a NaN or non-numeric field or
+`--grid` values, on ex3 an empty `frontier --grid=`, `frontier --grid -1:3:10`
+as two arguments (argparse reads the bound as an option) and
+`frontier --kind bogus`, and covariance JSON with a NaN or non-numeric field or
 with names that are not a list; `portfolios`, `frontier --svg` and
 `mdp` on ex3's covariance with returns 1e-11 apart; `portfolios`,
 `frontier --svg` and `mdp` on ex3's correlation with volatilities
@@ -104,6 +106,9 @@ EXTRA = {
     "ex3-frontier-grid-nan": ("ex3", ["frontier", "--grid", "nan:2:5"]),
     "ex3-frontier-grid-inf": ("ex3", ["frontier", "--grid", "1:inf:5"]),
     "ex3-frontier-grid-neginf": ("ex3", ["frontier", "--grid=-inf:1:5"]),
+    "ex3-frontier-grid-empty": ("ex3", ["frontier", "--grid="]),
+    "ex3-frontier-grid-two-args": ("ex3", ["frontier", "--grid", "-1:3:10"]),
+    "ex3-frontier-kind-bogus": ("ex3", ["frontier", "--kind", "bogus"]),
 }
 
 HELP = ["portfolios", "frontier", "mdp", "embed", "ingest-check"]

@@ -27,9 +27,8 @@ _EXPORTS = {
         "centrality", "coords_table", "embed", "norm_dr_bound",
     ),
     "frontiers": (
-        "FrontierCurve", "FrontierKind", "cml_curve", "frontier_params",
-        "inflection_report", "max_linear_over_ellipsoid", "point",
-        "riskfree_dr_curve", "sweep",
+        "FrontierCurve", "FrontierKind", "frontier_params", "inflection_report",
+        "max_linear_over_ellipsoid", "point", "sweep",
     ),
     "ingest": ("ReturnPanel", "annualization_step", "annualize", "load_panel"),
     "mdp": (
@@ -41,7 +40,7 @@ _EXPORTS = {
         "diversification_return", "portfolio_stats", "validate_universe",
     ),
     "portfolios": (
-        "SpecialPortfolios", "eta_wo", "eta_wo_sign", "max_dr_portfolio",
+        "SpecialPortfolios", "eta_wo_sign", "max_dr_portfolio",
         "min_variance_portfolio", "q_portfolio", "self_financing_direction",
         "special_portfolios", "tangent_portfolio",
     ),

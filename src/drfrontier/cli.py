@@ -8,15 +8,15 @@ Subcommands:
     ingest-check  parse a panel and emit provenance only
 
 Inputs are either a CSV panel of prices/returns (see ingest) or a direct
-covariance JSON {"names": [...], "V": [[...]], "rbar": [...], "r0": x} with
-the last two optional; --riskfree overrides r0.  Validation failures,
-non-numeric JSON fields and a non-finite risk-free rate among them, exit
-with status 2 and a single machine-readable JSON object on stderr.  Each
-run validates its universe once.  Each handler returns its artifacts, a
-dict from file name to text or to a JSON-able object, and ``main`` writes
-them only once the handler has returned: a run that exits 2 writes no
-files.  For equal inputs and flags, every output file is byte identical;
-floats are serialized with 12 significant digits.
+covariance JSON {"names": [...], "V": [[...]], "rbar": [...], "r0": x}
+with the last two optional; --riskfree overrides r0.  Refused arguments
+and inputs, non-numeric JSON fields and a non-finite risk-free rate
+among them, exit with status 2 and a single machine-readable JSON object
+on stderr.  Each run validates its universe once.  Each handler returns
+its artifacts, a dict from file name to text or to a JSON-able object,
+and ``main`` writes them only once the handler has returned: a run that
+exits 2 writes no files.  For equal inputs and flags, every output file
+is byte identical; floats are serialized with 12 significant digits.
 
 Importing this module loads only the standard library and ``errors``; each
 handler imports the modules it runs, so ``ingest-check`` never loads numpy.
@@ -198,14 +198,14 @@ def cmd_portfolios(args) -> dict:
     payload = {
         "names": list(universe.names),
         "scalars": {
-            "a": sp.a,
-            "b": sp.b,
-            "rho": sp.rho,
+            "a": s.a,
+            "b": None if s.ret_mvp is None else s.a * s.ret_mvp,
+            "rho": s.rho,
             "sigma_mvp": s.sigma_mvp,
             "sigma_mdrp": s.sigma_mdrp,
             "q_mvp": s.q_mvp,
             "q_max": s.q_max,
-            "eta_wo": sp.eta_wo,
+            "eta_wo": s.eta_wo,
             "eta_wo_sign": sp.eta_wo_sign,
             "ef_shape": s.ef_shape.value,
         },
@@ -283,7 +283,7 @@ def cmd_frontier(args) -> dict:
 
     universe, files = _load_universe(args)
     universe.solver  # a singular universe refuses before a bad --grid does
-    grid = _parse_grid_spec(args.grid) if args.grid else None
+    grid = None if args.grid is None else _parse_grid_spec(args.grid)
     curves = []
     for kind in args.kind or _DEFAULT_KINDS:
         try:
@@ -379,10 +379,18 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose refusals raise ParseError, which ``main``
+    reports as one JSON line; its subparsers are of this class too."""
+
+    def error(self, message):
+        raise ParseError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The drfrontier parser; each subcommand's handler is its ``handler``,
     which returns the run's artifacts for :func:`_write`."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="drfrontier",
         description="Diversification-return portfolio analytics",
     )
@@ -440,8 +448,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     level = os.environ.get("DRFRONTIER_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         _write(args.out, args.handler(args))
         return 0
     except (DrFrontierError, OSError) as exc:

@@ -13,13 +13,13 @@ curves.  A curve with cash starts at all cash (Tobin 1958), so u = sigma,
 and holds sigma * x in risky assets and the rest in cash, for a unit-risk
 sleeve x: the risk-free efficient curve x proportional to V^-1 eta, so
 m = sqrt(eta' V^-1 eta), the capital-market line x = w_T / sigma_T, the
-tangency portfolio per unit of its risk.  The two coincide when excess
-returns are proportional to eta.  :func:`sweep` evaluates the rays over a
-grid, :func:`point` reads one kind's row at one sigma, and
+tangency portfolio per unit of its risk, so m = eta' x.  The two coincide
+when excess returns are proportional to eta.  :func:`sweep` evaluates the
+rays over a grid, :func:`point` reads one kind's row at one sigma, and
 :func:`max_linear_over_ellipsoid` the row of any other linear objective's
-ray.  The scalars that fix the rays (sigma_mvp, q_mvp, rho, q_max, eta' w_o
-and the shape class ef_shape) are the covariance kernel's, ``universe.solver``;
-this module keeps no record of its own.
+ray.  The scalars that fix the rays (sigma_mvp, q_mvp, rho, q_max, eta' w_o,
+eta' w_mvp, rbar' w_mvp and the shape class ef_shape) are the covariance
+kernel's, ``universe.solver``; this module keeps no record of its own.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import DegenerateRhoError, DimensionMismatchError, RiskBelowMvpError
-from .model import AssetUniverse, CovarianceSolver, Portfolio
+from .model import AssetUniverse, CovarianceSolver
 from .model import _finite_array, _finite_float, _float_array
 from .model import default_sigma_grid  # noqa: F401  (read as frontiers.default_sigma_grid)
 from .portfolios import _require_risk_free_rate, self_financing_direction, tangent_portfolio
@@ -105,10 +105,9 @@ class _Ray(NamedTuple):
 
 def _budget_ray(universe: AssetUniverse, d, m: float, u_one, status: str = "ok") -> _Ray:
     """The ray from w_mvp along a zero-budget direction d."""
-    s, rbar = universe.solver, universe.expected_returns
-    ret = None if rbar is None else float(rbar @ s.w_mvp)
-    slope = None if rbar is None else 0.0 if d is None else float(s.rbar0 @ d)
-    return _Ray(s.w_mvp, s.sigma2_mvp, s.q_mvp, ret, d, m, slope, u_one, status)
+    s = universe.solver
+    slope = None if s.rbar0 is None else 0.0 if d is None else float(s.rbar0 @ d)
+    return _Ray(s.w_mvp, s.sigma2_mvp, s.q_mvp, s.ret_mvp, d, m, slope, u_one, status)
 
 
 def _objective_ray(universe: AssetUniverse, d) -> _Ray:
@@ -118,11 +117,12 @@ def _objective_ray(universe: AssetUniverse, d) -> _Ray:
     return _budget_ray(universe, d, m, None, "degenerate" if d is None else "ok")
 
 
-def _cash_ray(universe: AssetUniverse, curve: CashDrCurve, u_one) -> _Ray:
-    """The ray from all cash, whose return is r0, along a cash curve's sleeve."""
-    x, rbar, r0 = curve.direction, universe.expected_returns, universe.risk_free_rate
+def _cash_ray(universe: AssetUniverse, x: np.ndarray, gain: float, u_one) -> _Ray:
+    """The ray from all cash, whose return is r0, along a unit-risk sleeve x
+    of gain m = eta' x."""
+    rbar, r0 = universe.expected_returns, universe.risk_free_rate
     slope = None if rbar is None else float((rbar - r0) @ x)
-    return _Ray(np.zeros(universe.n), 0.0, 0.0, r0, x, curve.gain, slope, u_one, risky=x.sum())
+    return _Ray(np.zeros(universe.n), 0.0, 0.0, r0, x, gain, slope, u_one, risky=x.sum())
 
 
 def _ray(universe: AssetUniverse, kind: FrontierKind) -> _Ray:
@@ -137,11 +137,17 @@ def _ray(universe: AssetUniverse, kind: FrontierKind) -> _Ray:
         return _objective_ray(universe, s.d_root)
     if kind is FrontierKind.CML:
         # alpha, the risky fraction u 1' x, is 1 at the tangency, u = sigma_T
-        curve = cml_curve(universe)
-        return _cash_ray(universe, curve, curve.tangent.sigma)
+        tangent = tangent_portfolio(universe)
+        x = tangent.weights / tangent.sigma
+        return _cash_ray(universe, x, float(universe.variances @ x), tangent.sigma)
     if kind is FrontierKind.EFFICIENT_DR_RISKFREE:
+        # V^-1 eta = rho d_eta + a eta_mvp w_mvp, two V-orthogonal parts
         _require_risk_free_rate(universe)
-        return _cash_ray(universe, riskfree_dr_curve(universe), None)
+        gain = float(np.sqrt(s.rho * s.rho + s.a * s.eta_mvp * s.eta_mvp))
+        if gain <= 0.0:
+            raise DegenerateRhoError("all asset variances vanish; curve undefined")
+        x = s.a * s.eta_mvp * s.w_mvp + (0.0 if s.d_eta is None else s.rho * s.d_eta)
+        return _cash_ray(universe, x / gain, gain, None)
     return _budget_ray(universe, self_financing_direction(universe), s.eta_wo, 1.0)
 
 
@@ -230,44 +236,6 @@ def max_linear_over_ellipsoid(
     return point(universe, _objective_ray(universe, d), sigma)
 
 
-@dataclass(frozen=True, eq=False)
-class CashDrCurve:
-    """DR of sigma * x in risky assets and 1 - sigma * 1' x in cash, x' V x = 1:
-    q(sigma) = sigma (gain - sigma) / 2, gain = eta' x, which peaks at
-    sigma = gain / 2 when gain > 0.  The risk-free efficient curve takes x
-    proportional to V^-1 eta, the capital-market line x = w_T / sigma_T and
-    keeps the tangency portfolio.  Its rows, weights and cash included, are
-    :func:`sweep`'s."""
-
-    gain: float
-    direction: np.ndarray
-    tangent: Optional[Portfolio] = None
-
-    @property
-    def peak_sigma(self) -> Optional[float]:
-        return 0.5 * self.gain if self.gain > 0.0 else None
-
-
-def cml_curve(universe: AssetUniverse) -> CashDrCurve:
-    """Build the capital-market-line DR curve (needs returns and a feasible r0)."""
-    tangent = tangent_portfolio(universe)
-    x = tangent.weights / tangent.sigma
-    return CashDrCurve(gain=float(universe.variances @ x), direction=x, tangent=tangent)
-
-
-def riskfree_dr_curve(universe: AssetUniverse) -> CashDrCurve:
-    """Build the efficient DR curve with cash, gain = sqrt(eta' V^-1 eta):
-    V^-1 eta = rho d_eta + a m w_mvp, m = eta' w_mvp, V-orthogonal parts.
-    It needs only eta; its sweep rows need a risk-free rate as well."""
-    s = universe.solver
-    m = float(universe.variances @ s.w_mvp)
-    gain = float(np.sqrt(s.rho * s.rho + s.a * m * m))
-    if gain <= 0.0:
-        raise DegenerateRhoError("all asset variances vanish; curve undefined")
-    x = s.a * m * s.w_mvp + (0.0 if s.d_eta is None else s.rho * s.d_eta)
-    return CashDrCurve(gain=gain, direction=x / gain)
-
-
 # ---------------------------------------------------------------------------
 # sweeps
 
@@ -328,7 +296,7 @@ def sweep(
     (u - rho / 2)^2 / 2 + (rho u / 4) |d - d_eta|_V^2: one O(n^2) product per
     sweep and no cancellation near the maximum-DR portfolio.  The two cash
     kinds need a risk-free rate r0 and start at all cash, u = sigma, along a
-    unit-risk sleeve x (:class:`CashDrCurve`); cml's alpha is the risky
+    unit-risk sleeve x (:func:`_cash_ray`); cml's alpha is the risky
     fraction sigma 1' x.  Their return is r0 + sigma (rbar - r0 1)' x and
     their rows carry, in place of centrality, the cash 1 - sigma 1' x with
     include_weights, which alone forms the weights of any kind.  A negative

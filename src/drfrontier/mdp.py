@@ -204,12 +204,16 @@ def build_d_eta(universe: AssetUniverse) -> np.ndarray:
     return 0.5 * diff * diff
 
 
-def diversification_ratio(universe: AssetUniverse, weights) -> float:
-    """sqrt(eta)' w / sqrt(w' V w) for a budget portfolio."""
-    p = portfolio_stats(universe, weights)
+def _ratio(universe: AssetUniverse, p: Portfolio) -> float:
+    """sqrt(eta)' w / sigma of a portfolio p with weights w."""
     if p.variance <= 0.0:
         raise ZeroVarianceError("portfolio variance is zero; ratio undefined")
     return float(universe.volatilities @ p.weights) / p.sigma
+
+
+def diversification_ratio(universe: AssetUniverse, weights) -> float:
+    """sqrt(eta)' w / sqrt(w' V w) for a budget portfolio."""
+    return _ratio(universe, portfolio_stats(universe, weights))
 
 
 def mdp_global(universe: AssetUniverse) -> Portfolio:
@@ -338,7 +342,7 @@ def analyze_mdp(universe: AssetUniverse) -> MdpAnalysis:
     portfolio = mdp_global(universe)
     return MdpAnalysis(
         portfolio=portfolio,
-        ratio=diversification_ratio(universe, portfolio.weights),
+        ratio=_ratio(universe, portfolio),
         d_max=_d_max_of_d_eta(universe),
     )
 

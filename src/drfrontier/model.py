@@ -198,8 +198,10 @@ class CovarianceSolver:
     which the DR-efficient, ratio-maximizing and mean-variance portfolios
     leave w_mvp.  The maximum-DR portfolio w_mdrp = w_mvp + (rho / 2) d_eta
     is the sphere centre s of the embedding, q_max = q_mvp + rho^2 / 8 its
-    DR, q_mvp = (eta' w_mvp - sigma_mvp^2) / 2, and sigma2_mdrp = sigma2_mvp
-    + rho^2 / 4 its variance, sigma_mdrp its risk.  eta_wo is eta0' w_o,
+    DR, q_mvp = (eta_mvp - sigma_mvp^2) / 2, and sigma2_mdrp = sigma2_mvp
+    + rho^2 / 4 its variance, sigma_mdrp its risk.  eta_mvp = eta' w_mvp and
+    ret_mvp = rbar' w_mvp (None without returns) are the average variance
+    and the return of w_mvp, formed here only.  eta_wo is eta0' w_o,
     0.0 within ZERO_BAND_RTOL * rho of zero, and None exactly when w_o is:
     without returns, or with returns proportional to ones in the V^-1
     metric.  ef_shape is the :class:`EfShape` of the mean-variance DR curve:
@@ -243,7 +245,9 @@ class CovarianceSolver:
         self.sigma_mvp = float(np.sqrt(self.sigma2_mvp))
         self.w_mvp = _frozen(self.inv_ones * self.sigma2_mvp)
         self.d_eta, self.rho = self.direction(eta, rhs[1], inv[1])
-        self.q_mvp = 0.5 * (float(eta @ self.w_mvp) - self.sigma2_mvp)
+        self.eta_mvp = float(eta @ self.w_mvp)
+        self.ret_mvp = None if rbar is None else float(rbar @ self.w_mvp)
+        self.q_mvp = 0.5 * (self.eta_mvp - self.sigma2_mvp)
         self.q_max = self.q_mvp + 0.125 * self.rho * self.rho
         self.sigma2_mdrp = self.sigma2_mvp + 0.25 * self.rho * self.rho
         self.sigma_mdrp = float(np.sqrt(self.sigma2_mdrp))

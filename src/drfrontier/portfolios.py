@@ -81,20 +81,14 @@ def self_financing_direction(universe: AssetUniverse) -> np.ndarray:
     return w_o
 
 
-def eta_wo(universe: AssetUniverse) -> float:
-    """The slope coefficient eta' w_o of weighted-average variance along the
-    frontier, the kernel's: 0.0 within ZERO_BAND_RTOL * rho of zero."""
-    self_financing_direction(universe)  # the typed errors of a missing w_o
-    return universe.solver.eta_wo
-
-
 def eta_wo_sign(universe: AssetUniverse) -> str:
-    """Tri-state sign of eta' w_o: 'positive', 'zero', or 'negative'.
+    """Tri-state sign of the kernel's eta' w_o: 'positive', 'zero', or 'negative'.
 
     The zero band has half-width ZERO_BAND_RTOL * rho, so the knife-edge
     case is reported explicitly rather than resolved by rounding noise.
     """
-    m = eta_wo(universe)
+    self_financing_direction(universe)  # the typed errors of a missing w_o
+    m = universe.solver.eta_wo
     if m == 0.0:
         return "zero"
     return "positive" if m > 0.0 else "negative"
@@ -108,8 +102,8 @@ def q_portfolio(universe: AssetUniverse) -> Portfolio:
     eta' w_o >= 0.  When eta' w_o < 0 it lies on the inefficient branch, below
     the minimum-variance return, and the best efficient choice is w_mvp itself.
     """
-    s = universe.solver
-    w_q = s.w_mvp + 0.5 * eta_wo(universe) * s.w_o
+    w_o, s = self_financing_direction(universe), universe.solver
+    w_q = s.w_mvp + 0.5 * s.eta_wo * w_o
     return portfolio_stats(universe, w_q)
 
 
@@ -117,16 +111,17 @@ def tangent_portfolio(universe: AssetUniverse) -> Portfolio:
     """Tangency portfolio of the risk-free capital-market line.
 
     w_T = V^-1 (rbar - r0 1) / (b - r0 a) = w_mvp + (k_r sigma_mvp^2 / (R - r0)) w_o
-    with R = rbar' w_mvp = b / a, the minimum-variance return, and (w_o, k_r)
-    the kernel's direction of rbar (w_T = w_mvp when there is none).
+    with R = rbar' w_mvp = b / a, the minimum-variance return (the kernel's
+    ret_mvp), and (w_o, k_r) the kernel's direction of rbar (w_T = w_mvp
+    when there is none).
     Requires R - r0 > 1e-12 |R|: the risk-free rate r0 below R.  This is
     the one refusal of the tangency (TangencyInfeasibleError); without
     returns or r0 it raises MissingReturnsError.
     """
-    rbar = _require_returns(universe)
+    _require_returns(universe)
     r0 = _require_risk_free_rate(universe)
     s = universe.solver
-    ret = float(rbar @ s.w_mvp)
+    ret = s.ret_mvp
     if ret - r0 <= 1e-12 * abs(ret):
         raise TangencyInfeasibleError(
             f"b - r0 a = {s.a * (ret - r0):.3e}; risk-free rate must sit below the "
@@ -138,23 +133,17 @@ def tangent_portfolio(universe: AssetUniverse) -> Portfolio:
 
 @dataclass(frozen=True, eq=False)
 class SpecialPortfolios:
-    """The named portfolios of a universe, plus the scalars tying them together.
+    """The named portfolios of a universe.
 
-    d = mdrp.weights - mvp.weights satisfies 1' d = 0, d' V w_mvp = 0 and
-    d' V d = rho^2 / 4.  Every portfolio is w_mvp plus a multiple of a
-    zero-budget direction, so it sums to one up to rounding.  Fields needing
-    w_o, or the tangency, are None where :func:`self_financing_direction`,
-    or :func:`tangent_portfolio`, refuses.
+    Each is w_mvp plus a multiple of a zero-budget direction of the kernel,
+    so it sums to one up to rounding; the scalars tying them together (a,
+    rho, w_o, eta' w_o, ...) are the kernel's, ``universe.solver``.  The
+    fields needing w_o, or the tangency, are None where
+    :func:`self_financing_direction`, or :func:`tangent_portfolio`, refuses.
     """
 
     mvp: Portfolio
     mdrp: Portfolio
-    d: np.ndarray
-    a: float
-    rho: float
-    b: Optional[float] = None
-    w_o: Optional[np.ndarray] = None
-    eta_wo: Optional[float] = None
     eta_wo_sign: Optional[str] = None
     q_pf: Optional[Portfolio] = None
     tangent: Optional[Portfolio] = None
@@ -166,10 +155,7 @@ def special_portfolios(universe: AssetUniverse, embedding=None) -> SpecialPortfo
     `embedding` is unused: every centrality comes from the kernel.  It is
     kept because existing callers pass it.
     """
-    s, rbar = universe.solver, universe.expected_returns
-    mvp = min_variance_portfolio(universe)
-    mdrp = max_dr_portfolio(universe)
-
+    mvp, mdrp = min_variance_portfolio(universe), max_dr_portfolio(universe)
     try:
         sign, q_pf = eta_wo_sign(universe), q_portfolio(universe)
     except (MissingReturnsError, DegenerateReturnsError):
@@ -178,17 +164,4 @@ def special_portfolios(universe: AssetUniverse, embedding=None) -> SpecialPortfo
         tangent = tangent_portfolio(universe)
     except (MissingReturnsError, TangencyInfeasibleError):
         tangent = None
-
-    return SpecialPortfolios(
-        mvp=mvp,
-        mdrp=mdrp,
-        d=mdrp.weights - mvp.weights,
-        a=s.a,
-        rho=s.rho,
-        b=None if rbar is None else s.a * float(rbar @ s.w_mvp),
-        w_o=s.w_o,
-        eta_wo=s.eta_wo,
-        eta_wo_sign=sign,
-        q_pf=q_pf,
-        tangent=tangent,
-    )
+    return SpecialPortfolios(mvp, mdrp, sign, q_pf, tangent)

@@ -13,6 +13,7 @@ from contextlib import contextmanager
 import numpy as np
 
 import drfrontier as drf
+from drfrontier.frontiers import FrontierKind, _ray
 
 from .conftest import R0_3, RBAR3, V3
 from .oracles import (
@@ -167,8 +168,8 @@ def test_criterion_07_riskfree_suite():
             )
             tangent = drf.tangent_portfolio(u)
             sigma_t = float(np.sqrt(tangent.variance))
-            cml = drf.cml_curve(u)
-            rf = drf.riskfree_dr_curve(u)
+            # the two rays: a unit-risk sleeve d and its gain m = eta' d
+            cml, rf = (_ray(u, k) for k in (FrontierKind.CML, FrontierKind.EFFICIENT_DR_RISKFREE))
             sigmas = [frac * sigma_t for frac in (0.0, 0.4, 1.0, 1.6)]
             cml_rows, rf_rows = (
                 drf.sweep(u, kind, sigmas, include_weights=True).rows
@@ -187,11 +188,11 @@ def test_criterion_07_riskfree_suite():
                     risky, cash = row.weights, row.cash
                     variance = float(risky @ u.cov @ risky)
                     assert abs(variance - sigma * sigma) <= 1e-9 * sigma * sigma
-                    mix = sigma * float(curve.direction.sum())
+                    mix = sigma * float(curve.d.sum())
                     assert abs(mix - (1.0 - cash)) <= 1e-12
                     oracle2 = block_riskfree_dr(u.cov, u.variances, risky, cash)
                     assert abs(row.q - oracle2) <= 1e-10
-            margin = rf.gain * sigma_t - float(u.variances @ tangent.weights)
+            margin = rf.m * sigma_t - float(u.variances @ tangent.weights)
             assert margin >= -1e-12
 
 

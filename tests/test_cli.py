@@ -447,6 +447,26 @@ def test_frontier_bad_grid_spec(fixture_dir, tmp_path, capsys):
         assert err["error"] == "ParseError"
 
 
+@pytest.mark.parametrize(
+    "args, what",
+    [
+        (["frontier", "--grid", "-1:3:10"], "--grid"),  # read as an option
+        (["frontier", "--kind", "bogus"], "--kind"),
+        (["frontier"], "--input"),
+    ],
+)
+def test_refused_arguments_print_one_json_line(fixture_dir, tmp_path, capsys, args, what):
+    # the parser's refusals exit 2 with one JSON line, like every other
+    # refused input, and not with argparse's usage text
+    src = [] if what == "--input" else ["--input", str(fixture_dir / "example3_universe.json")]
+    rc = main([*args, *src, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    err = json.loads(line)
+    assert err["error"] == "ParseError" and what in err["message"], err
+    assert not (tmp_path / "out").exists()
+
+
 def test_frontier_deterministic(fixture_dir, tmp_path):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"

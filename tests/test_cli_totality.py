@@ -228,7 +228,7 @@ MALFORMED_GRIDS = (
     "1", "0.5:3", "0.5:3:10:log:log", "a:3:10", "0.5:b:10", "0.5:3:c",
     "0.5:3:1", "0.5:3:0", "0.5:3:-4", "0.5:3:2.5", "3:0.5:10", "1:1:10",
     "-1:3:10", "nan:3:10", "0.5:nan:10", "0.5:inf:10", "0.5:3:10:lin",
-    "0:3:10:log", "0.5:3:" + "9" * 5000,
+    "0:3:10:log", "0.5:3:" + "9" * 5000, "",
 )
 
 
@@ -267,6 +267,7 @@ def _refusal_before_the_grid(data):
 @example(CONSTANT_RETURNS, (f"0.5:3:{10**15}", False))
 @example(UNBOUNDED_DR, (f"0.5:3:{MAX_GRID_POINTS + 1}", False))
 @example(CONSTANT_RETURNS, (f"0.5:3:{MAX_GRID_POINTS + 1}:log", False))
+@example(CONSTANT_RETURNS, ("", False))  # an empty spec is no default grid
 def test_frontier_grid_specs_end_in_a_result_or_a_refusal(data, spec):
     spec, valid = spec
     with tempfile.TemporaryDirectory() as tmp:

@@ -11,7 +11,7 @@ from drfrontier.errors import (
     RiskBelowMvpError,
     TangencyInfeasibleError,
 )
-from drfrontier.frontiers import FrontierKind
+from drfrontier.frontiers import FrontierKind, _ray
 from drfrontier.model import EfShape
 
 from .conftest import R0_3, RBAR3, V3
@@ -441,38 +441,45 @@ def test_locate_inflection_on_synthetic_cubic():
     assert locate_inflection(xs, xs**2) is None
 
 
+def _gain(u, kind):
+    """The gain eta' x of a cash kind's unit-risk sleeve x: its DR is
+    sigma (gain - sigma) / 2, which peaks at sigma = gain / 2."""
+    return _ray(u, FrontierKind(kind)).m
+
+
 def test_cml_curve_three_asset(ex3_returns):
-    curve = drf.cml_curve(ex3_returns)
+    gain = _gain(ex3_returns, "cml")
+    peak_sigma = 0.5 * gain
     eta_wt = 615.0 / 189.0
     sigma_t = np.sqrt(29.0 / 21.0)
-    assert curve.gain == pytest.approx(eta_wt / sigma_t, rel=1e-12)
-    assert curve.peak_sigma == pytest.approx(0.5 * eta_wt / sigma_t, rel=1e-12)
+    assert gain == pytest.approx(eta_wt / sigma_t, rel=1e-12)
+    assert peak_sigma == pytest.approx(0.5 * eta_wt / sigma_t, rel=1e-12)
     eps = 1e-4
-    sigmas = [0.0, curve.peak_sigma, curve.peak_sigma - eps, curve.peak_sigma + eps, sigma_t]
+    sigmas = [0.0, peak_sigma, peak_sigma - eps, peak_sigma + eps, sigma_t]
     at_zero, at_peak, before, after, at_t = drf.sweep(ex3_returns, FrontierKind.CML, sigmas).rows
     # the cml row's alpha is the risky fraction
     assert at_peak.alpha == pytest.approx(eta_wt / (2.0 * 29.0 / 21.0), rel=1e-12)
     assert at_zero.q == 0.0
     # peak value and location
-    assert at_peak.q == pytest.approx(curve.gain**2 / 8.0, rel=1e-12)
+    assert at_peak.q == pytest.approx(gain**2 / 8.0, rel=1e-12)
     assert before.q < at_peak.q
     assert after.q < at_peak.q
     # at the tangency risk the line is fully invested, so the DR is the
     # plain diversification return of the tangency portfolio
-    q_t = drf.diversification_return(ex3_returns, curve.tangent.weights)
+    q_t = drf.diversification_return(ex3_returns, drf.tangent_portfolio(ex3_returns).weights)
     assert at_t.q == pytest.approx(q_t, rel=1e-10)
     with pytest.raises(RiskBelowMvpError):
         drf.point(ex3_returns, "cml", -0.5)
 
 
 def test_cml_matches_blockwise_oracle(ex3_returns):
-    curve = drf.cml_curve(ex3_returns)
+    tangent = drf.tangent_portfolio(ex3_returns)
     for mix in (0.0, 0.25, 0.6, 1.0, 1.7):
-        sigma = mix * curve.tangent.sigma
+        sigma = mix * tangent.sigma
         ref = block_riskfree_dr(
             ex3_returns.cov,
             ex3_returns.variances,
-            mix * curve.tangent.weights,
+            mix * tangent.weights,
             1.0 - mix,
         )
         assert drf.point(ex3_returns, "cml", sigma).q == pytest.approx(ref, abs=1e-10)
@@ -489,11 +496,11 @@ def _q_cash(u, kind, sigma):
 
 
 def test_riskfree_curve_three_asset(ex3):
-    curve = drf.riskfree_dr_curve(ex3)
-    assert curve.gain**2 == pytest.approx(649.0 / 81.0, rel=1e-12)
+    gain = _gain(_with_cash(ex3), "efficient_dr_riskfree")
+    assert gain**2 == pytest.approx(649.0 / 81.0, rel=1e-12)
     # the cheapest sleeve with unit weighted-average variance has risk 1 / gain
     cheapest, row = drf.sweep(
-        _with_cash(ex3), FrontierKind.EFFICIENT_DR_RISKFREE, [1.0 / curve.gain, 1.2],
+        _with_cash(ex3), FrontierKind.EFFICIENT_DR_RISKFREE, [1.0 / gain, 1.2],
         include_weights=True,
     ).rows
     assert float(ex3.variances @ cheapest.weights) == pytest.approx(1.0, rel=1e-12)
@@ -506,9 +513,7 @@ def test_riskfree_curve_three_asset(ex3):
 
 def test_riskfree_beats_cml(ex3_returns):
     # dropping the full-investment constraint can only help
-    rf = drf.riskfree_dr_curve(ex3_returns)
-    cml = drf.cml_curve(ex3_returns)
-    assert rf.gain >= cml.gain - 1e-12
+    assert _gain(ex3_returns, "efficient_dr_riskfree") >= _gain(ex3_returns, "cml") - 1e-12
     for sigma in (0.2, 0.8, 1.5, 3.0):
         rf = _q_cash(ex3_returns, "efficient_dr_riskfree", sigma)
         assert rf >= _q_cash(ex3_returns, "cml", sigma) - 1e-12
@@ -536,8 +541,7 @@ def test_riskfree_optimality_by_sampling(ex3):
 def test_cash_rays_start_at_all_cash(ex3_returns, kind):
     # u is sigma itself on a cash ray: sqrt(sigma * sigma) would underflow
     # to 0 below about 1.5e-154 and lose the 1e-200 row
-    curve = drf.cml_curve if kind is FrontierKind.CML else drf.riskfree_dr_curve
-    gain = curve(ex3_returns).gain
+    gain = _gain(ex3_returns, kind)
     sigmas = [0.0, 1e-200, 1e-12, 1e-6]
     rows = drf.sweep(ex3_returns, kind, sigmas, include_weights=True).rows
     assert rows[0].q == 0.0
@@ -559,9 +563,7 @@ def test_cml_collapses_when_variances_track_excess_returns():
     r0 = 0.02
     rbar = base.variances / 4.0 + r0
     u = drf.validate_universe(base.cov, expected_returns=rbar, risk_free_rate=r0)
-    cml = drf.cml_curve(u)
-    rf = drf.riskfree_dr_curve(u)
-    assert cml.gain == pytest.approx(rf.gain, rel=1e-10)
+    assert _gain(u, "cml") == pytest.approx(_gain(u, "efficient_dr_riskfree"), rel=1e-10)
     for sigma in (0.1, 0.5, 1.0, 2.0):
         assert _q_cash(u, "cml", sigma) == pytest.approx(
             _q_cash(u, "efficient_dr_riskfree", sigma), abs=1e-10

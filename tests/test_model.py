@@ -486,7 +486,6 @@ def _records(u):
         drf.special_portfolios(u),
         u.solver,
         drf.point(u, "efficient_dr", 1.5),
-        drf.cml_curve(u),
         drf.embed(u),
         drf.d_max_bounds(drf.build_d_eta(u)),
         drf.analyze_mdp(u),
@@ -502,7 +501,7 @@ def test_records_holding_arrays_compare_by_identity():
         return drf.validate_universe(V3, expected_returns=RBAR3, risk_free_rate=R0_3)
 
     first, second = _records(build()), _records(build())
-    assert len({type(r) for r in first}) == len(first) == 11
+    assert len({type(r) for r in first}) == len(first) == 10
     for a, b in zip(first, second):
         assert a == a and not a != a, type(a).__name__
         assert not a == b and a != b, type(a).__name__

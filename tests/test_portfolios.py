@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -11,7 +13,7 @@ from drfrontier.errors import (
     SingularCovarianceError,
     TangencyInfeasibleError,
 )
-from drfrontier.frontiers import FrontierKind
+from drfrontier.frontiers import FrontierKind, _ray
 from drfrontier.model import PYTHAGORAS_ATOL, EfShape, proportional_to_ones
 
 from .conftest import FIXTURES, R0_3, RBAR3, V3
@@ -102,17 +104,17 @@ def test_special_portfolio_identities():
     rng = np.random.default_rng(43)
     for _ in range(20):
         u = random_universe(rng, int(rng.integers(2, 16)))
-        sp = drf.special_portfolios(u)
-        d = sp.d
+        sp, rho = drf.special_portfolios(u), u.solver.rho
+        d = sp.mdrp.weights - sp.mvp.weights
         scale = max(1.0, float(np.abs(u.cov).max()))
         assert abs(d.sum()) < 1e-10
         assert abs(d @ u.cov @ sp.mvp.weights) < 1e-10 * scale
-        assert d @ u.cov @ d == pytest.approx(sp.rho**2 / 4.0, abs=1e-10 * scale)
+        assert d @ u.cov @ d == pytest.approx(rho**2 / 4.0, abs=1e-10 * scale)
         assert sp.mdrp.variance - sp.mvp.variance == pytest.approx(
-            sp.rho**2 / 4.0, abs=1e-10 * scale
+            rho**2 / 4.0, abs=1e-10 * scale
         )
         assert sp.mdrp.dr - sp.mvp.dr == pytest.approx(
-            sp.rho**2 / 8.0, abs=1e-10 * scale
+            rho**2 / 8.0, abs=1e-10 * scale
         )
 
 
@@ -179,18 +181,18 @@ def test_mean_variance_readers_refuse_as_self_financing_direction(ex3):
             lambda: drf.point(u, FrontierKind.MV_EFFICIENT_DR, 2.0),
             lambda: drf.point(u, "mv_mean_return", 2.0),
             lambda: drf.inflection_report(u),
-            lambda: drf.eta_wo(u),
+            lambda: drf.eta_wo_sign(u),
             lambda: drf.q_portfolio(u),
         ):
             with pytest.raises(error):
                 call()
     sp = drf.special_portfolios(constant)
-    assert sp.w_o is None and sp.q_pf is None and sp.eta_wo_sign is None
+    assert constant.solver.w_o is None and sp.q_pf is None and sp.eta_wo_sign is None
     np.testing.assert_array_equal(sp.tangent.weights, sp.mvp.weights)
 
 
 def test_eta_wo_three_asset(ex3_returns):
-    m = drf.eta_wo(ex3_returns)
+    m = ex3_returns.solver.eta_wo
     assert m * m == pytest.approx(24.0 / 7.0, rel=1e-12)
     assert m > 0.0
     assert drf.eta_wo_sign(ex3_returns) == "positive"
@@ -200,7 +202,7 @@ def test_eta_wo_sign_negative():
     # returns anti-aligned with variances put the DR peak on the other branch
     u = drf.validate_universe(V3, expected_returns=1.0 - np.array(np.diag(V3)))
     assert drf.eta_wo_sign(u) == "negative"
-    assert drf.eta_wo(u) < 0.0
+    assert u.solver.eta_wo < 0.0
 
 
 def _zero_band_universe(rng, n):
@@ -312,12 +314,13 @@ def test_tangent_missing_inputs(ex3):
 
 
 def test_special_portfolios_full_bundle(ex3_returns):
-    sp = drf.special_portfolios(ex3_returns)
-    assert sp.a == pytest.approx(1.0, abs=1e-12)
-    assert sp.rho**2 == pytest.approx(32.0 / 9.0, rel=1e-12)
-    assert sp.b == pytest.approx(0.08, abs=1e-12)
+    sp, s = drf.special_portfolios(ex3_returns), ex3_returns.solver
+    assert s.a == pytest.approx(1.0, abs=1e-12)
+    assert s.rho**2 == pytest.approx(32.0 / 9.0, rel=1e-12)
+    assert s.a * s.ret_mvp == pytest.approx(0.08, abs=1e-12)  # b = 1' V^-1 rbar
     assert sp.eta_wo_sign == "positive"
-    np.testing.assert_allclose(sp.d, [-4.0 / 3.0, 2.0 / 3.0, 2.0 / 3.0], atol=1e-8)
+    d = sp.mdrp.weights - sp.mvp.weights
+    np.testing.assert_allclose(d, [-4.0 / 3.0, 2.0 / 3.0, 2.0 / 3.0], atol=1e-8)
     # centralities come from the kernel, without an embedding
     assert sp.mvp.centrality_sq == pytest.approx(4.0 / 9.0, abs=1e-8)
     assert sp.mdrp.centrality_sq == pytest.approx(0.0, abs=1e-8)
@@ -335,10 +338,10 @@ def test_mdrp_centrality_is_exactly_zero(ex3_returns, universe30):
 
 
 def test_special_portfolios_without_returns(ex3):
-    sp = drf.special_portfolios(ex3)
-    assert sp.b is None
-    assert sp.w_o is None
-    assert sp.eta_wo is None
+    sp, s = drf.special_portfolios(ex3), ex3.solver
+    assert s.ret_mvp is None
+    assert s.w_o is None
+    assert s.eta_wo is None
     assert sp.q_pf is None
     assert sp.tangent is None
 
@@ -346,15 +349,15 @@ def test_special_portfolios_without_returns(ex3):
 def test_special_portfolios_flat_returns():
     u = drf.validate_universe(V3, expected_returns=np.array([0.07, 0.07, 0.07]))
     sp = drf.special_portfolios(u)
-    assert sp.b is not None
-    assert sp.w_o is None
+    assert u.solver.ret_mvp is not None
+    assert u.solver.w_o is None
     assert sp.q_pf is None
 
 
 def test_special_portfolios_infeasible_tangent():
     u = drf.validate_universe(V3, expected_returns=RBAR3, risk_free_rate=0.5)
     sp = drf.special_portfolios(u)
-    assert sp.w_o is not None
+    assert u.solver.w_o is not None
     assert sp.tangent is None
 
 
@@ -566,7 +569,9 @@ def test_kernel_mdrp_meets_a_50_digit_reference(ex3, ex3_returns, universe30):
         assert float(np.abs(w - s_ref).max()) <= rel_tol * float(np.abs(s_ref).max())
         assert abs(u.solver.q_max - q_ref) <= rel_tol * abs(q_ref)
         refs = _kernel_portfolios_at_50_digits(mpmath, u)
-        kernel = {"sleeve": drf.riskfree_dr_curve(u).direction}
+        # the risk-free efficient sleeve needs only eta; its ray asks for an r0
+        cash = dataclasses.replace(u, risk_free_rate=0.0)
+        kernel = {"sleeve": _ray(cash, FrontierKind.EFFICIENT_DR_RISKFREE).d}
         if "mdp" in refs:
             kernel["mdp"] = drf.mdp_global(u).weights
         else:
