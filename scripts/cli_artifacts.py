@@ -31,8 +31,9 @@ two-asset universe with cond(V) = 4.3e6, whose max-DR portfolio is
 (1/2, 1/2); `portfolios`, `frontier --svg` and the refused
 `frontier --kind mv_efficient_dr` on ex3's covariance with constant
 returns 0.05 and r0 = 0.01, whose tangency is the minimum-variance
-portfolio while its mean-variance curves have no direction; and the refused
-covariance JSON with a NaN return.  The
+portfolio while its mean-variance curves have no direction; `embed` on
+ex3's covariance with the asset names "a,b", 'c"d' and "e", which the CSV
+quotes; and the refused covariance JSON with a NaN return.  The
 script writes those covariance JSON inputs, and the CSV panels `ingest-check` reads to show each parse error
 (a non-numeric cell, a nonpositive price, a NaN cell before a negative
 price, dates out of order, a ragged row, fewer than two rows) and the
@@ -150,6 +151,14 @@ CONSTANT_RETURNS = (
     '"rbar": [0.05, 0.05, 0.05], "r0": 0.01}\n'
 )
 
+# ex3's V with asset names that embedding.csv must quote: a comma and a quote
+QUOTED_NAMES = (
+    '{"V": [[1.2222222222222223, 0.8888888888888888, 0.8888888888888888], '
+    "[0.8888888888888888, 2.5555555555555554, -0.4444444444444444], "
+    "[0.8888888888888888, -0.4444444444444444, 2.5555555555555554]], "
+    '"names": ["a,b", "c\\"d", "e"]}\n'
+)
+
 # run -> (CLI arguments, text of the --input file written into OUT_DIR/<run>/)
 WRITTEN = {
     "json-r0-nan": (JSON_RUN, '{"V": [[1, 0], [0, 2]], "rbar": [0.1, 0.2], "r0": NaN}\n'),
@@ -195,6 +204,7 @@ WRITTEN = {
         ["frontier", "--kind", "mv_efficient_dr", "--input", "input.json"],
         CONSTANT_RETURNS,
     ),
+    "json-names-quoted-embed": (["embed", "--input", "input.json"], QUOTED_NAMES),
 }
 
 

@@ -24,7 +24,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "embedding": (
         "EdmCertificate", "EdmEmbedding", "assert_edm", "build_distance_matrix",
-        "centrality", "coords_table", "embed", "norm_dr_bound",
+        "centrality", "embed", "norm_dr_bound",
     ),
     "frontiers": (
         "FrontierCurve", "FrontierKind", "frontier_params", "inflection_report",

@@ -15,8 +15,9 @@ among them, exit with status 2 and a single machine-readable JSON object
 on stderr.  Each run validates its universe once.  Each handler returns
 its artifacts, a dict from file name to text or to a JSON-able object,
 and ``main`` writes them only once the handler has returned: a run that
-exits 2 writes no files.  For equal inputs and flags, every output file
-is byte identical; floats are serialized with 12 significant digits.
+exits 2 writes no files.  Every artifact format lives here: one JSON and
+one CSV writer print each float at SIGNIFICANT_DIGITS (12) significant
+digits, and equal inputs and flags give byte-identical files.
 
 Importing this module loads only the standard library and ``errors``; each
 handler imports the modules it runs, so ``ingest-check`` never loads numpy.
@@ -47,15 +48,16 @@ SIGNIFICANT_DIGITS = 12
 MAX_GRID_POINTS = 100_000
 
 
-def _round12(x: float) -> float:
-    return float(f"{float(x):.{SIGNIFICANT_DIGITS}g}")
+def _digits(x: float) -> str:
+    """x at SIGNIFICANT_DIGITS significant digits, as both writers print it."""
+    return f"{x:.{SIGNIFICANT_DIGITS}g}"
 
 
 def _jsonable(obj):
     if obj is None or isinstance(obj, (str, bool, int)):
         return obj
     if isinstance(obj, float):
-        return _round12(obj)
+        return float(_digits(obj))
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -65,6 +67,19 @@ def _jsonable(obj):
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
     raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+def _csv_text(header, rows) -> str:
+    """CSV text of a header and rows: a float at SIGNIFICANT_DIGITS, None
+    as an empty cell, a string as it is, quoted only where it needs it."""
+    import csv
+    import io
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_digits(x) if isinstance(x, float) else x for x in row] for row in rows)
+    return buf.getvalue()
 
 
 def _write(out_dir: str, files: dict) -> None:
@@ -225,7 +240,8 @@ _DEFAULT_KINDS = (
     "cml", "efficient_dr_riskfree",
 )
 _REFUSALS = (MissingReturnsError, DegenerateReturnsError, TangencyInfeasibleError)
-
+# the FrontierRow fields of a frontier CSV's columns, after its kind
+FRONTIER_CSV_FIELDS = ("sigma", "q", "ret", "centrality", "alpha", "status")
 
 # (file, title, y label, FrontierRow field) of each chart; sigma_q.svg is
 # always drawn, the others when some curve has their field
@@ -292,7 +308,9 @@ def cmd_frontier(args) -> dict:
             if args.kind:
                 raise
     for curve in curves:
-        files[f"frontier_{curve.kind.value}.csv"] = curve.to_csv_text()
+        kind = curve.kind.value
+        rows = [(kind, *(getattr(r, f) for f in FRONTIER_CSV_FIELDS)) for r in curve.rows]
+        files[f"frontier_{kind}.csv"] = _csv_text(("kind", *FRONTIER_CSV_FIELDS), rows)
     if args.svg:
         files.update(_svg_charts(universe, curves))
     return files
@@ -324,14 +342,9 @@ def cmd_embed(args) -> dict:
 
     universe, files = _load_universe(args)
     embedding = emb_mod.embed(universe)
-    rows = emb_mod.coords_table(embedding, universe.names)
     header = ["asset"] + [f"dim{k + 1}" for k in range(embedding.dim)]
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(
-            ",".join([str(row[0])] + [f"{v:.12g}" for v in row[1:]])
-        )
-    files["embedding.csv"] = "\n".join(lines) + "\n"
+    rows = [(name, *x) for name, x in zip(universe.names, embedding.coords.T.tolist())]
+    files["embedding.csv"] = _csv_text(header, rows)
     files["embedding.json"] = {
         "q_max": embedding.q_max,
         "eigvals": embedding.eigvals,

@@ -27,9 +27,10 @@ portfolio and q_max its DR, so :func:`embed` solves nothing, and the
 library reads centrality from the same kernel
 (:func:`~drfrontier.model.portfolio_stats`) without building an embedding.
 Only a singular universe solves D y = 1, by its pseudoinverse.  The
-embedding serves the asset coordinates (the ``embed`` command and
-:func:`coords_table`), singular universes, where :func:`centrality` gives
-the distance, and :func:`norm_dr_bound`.  None of these runs in
+embedding serves the asset coordinates (column i of ``coords`` is asset i,
+which the ``embed`` command writes beside its name), singular universes,
+where :func:`centrality` gives the distance by the kernel's formula
+0.5 (w - s)' V (w - s), and :func:`norm_dr_bound`.  None of these runs in
 :func:`embed`: B is formed on its first read, and its eigendecomposition,
 which only the coordinates need, on theirs.
 
@@ -61,6 +62,7 @@ from .model import (
     PSD_RTOL,
     PYTHAGORAS_ATOL,
     AssetUniverse,
+    _centrality_sq,
     _finite_float,
     _float_array,
     _shifted_cholesky,
@@ -381,9 +383,10 @@ def embed(universe: AssetUniverse) -> EdmEmbedding:
 
 
 def centrality(embedding: EdmEmbedding, weights) -> float:
-    """Distance c(w) = ||X w|| of a budget portfolio from the sphere centre."""
+    """Distance c(w) = ||X w|| of a budget portfolio from the sphere centre s,
+    as sqrt(0.5 (w - s)' V (w - s)), portfolio_stats' form: exactly 0 at s."""
     w = check_budget(weights, embedding.n)
-    return float(np.sqrt(max(w @ embedding.gram @ w, 0.0)))
+    return math.sqrt(_centrality_sq(embedding.cov, w, embedding.mdrp_weights))
 
 
 def norm_dr_bound(embedding: EdmEmbedding, norm_matrix, tau: float) -> float:
@@ -424,16 +427,3 @@ def norm_dr_bound(embedding: EdmEmbedding, norm_matrix, tau: float) -> float:
         return embedding.q_max
     beta_sq = lam_min / lam_b
     return embedding.q_max - tau * tau / beta_sq
-
-
-def coords_table(embedding: EdmEmbedding, names) -> list:
-    """Rows (name, x_1, ..., x_k) for export of the asset coordinates."""
-    names = tuple(names)
-    if len(names) != embedding.n:
-        raise DimensionMismatchError(
-            f"{len(names)} names for {embedding.n} embedded assets"
-        )
-    rows = []
-    for i, name in enumerate(names):
-        rows.append((name, *[float(v) for v in embedding.coords[:, i]]))
-    return rows

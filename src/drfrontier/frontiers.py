@@ -19,7 +19,8 @@ rays over a grid, :func:`point` reads one kind's row at one sigma, and
 :func:`max_linear_over_ellipsoid` the row of any other linear objective's
 ray.  The scalars that fix the rays (sigma_mvp, q_mvp, rho, q_max, eta' w_o,
 eta' w_mvp, rbar' w_mvp and the shape class ef_shape) are the covariance
-kernel's, ``universe.solver``; this module keeps no record of its own.
+kernel's, ``universe.solver``; this module keeps no record of its own, and
+its rows carry numbers only: the ``frontier`` command writes them as CSV.
 """
 
 from __future__ import annotations
@@ -260,18 +261,6 @@ class FrontierRow:
 class FrontierCurve:
     kind: FrontierKind
     rows: list = field(default_factory=list)
-
-    CSV_HEADER = ("kind", "sigma", "q", "ret", "centrality", "alpha", "status")
-
-    def to_csv_text(self) -> str:
-        def fmt(x):
-            return "" if x is None else f"{x:.12g}"
-
-        lines = [",".join(self.CSV_HEADER)]
-        for r in self.rows:
-            cells = (fmt(r.sigma), fmt(r.q), fmt(r.ret), fmt(r.centrality), fmt(r.alpha))
-            lines.append(",".join((self.kind.value, *cells, r.status)))
-        return "\n".join(lines) + "\n"
 
 
 def sweep(

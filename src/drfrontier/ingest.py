@@ -193,10 +193,8 @@ def annualize(panel: ReturnPanel) -> AssetUniverse:
 
     delta = annualization_step(panel)
     mu = panel.returns.mean(axis=0) / delta
-    if panel.returns.shape[1] == 1:
-        v_hat = np.array([[float(np.var(panel.returns[:, 0], ddof=1))]])
-    else:
-        v_hat = np.cov(panel.returns, rowvar=False, ddof=1)
+    # a one-asset panel's 0-d covariance becomes 1 x 1, which validation refuses
+    v_hat = np.atleast_2d(np.cov(panel.returns, rowvar=False, ddof=1))
     universe = validate_universe(
         v_hat / delta, expected_returns=mu, names=panel.assets
     )

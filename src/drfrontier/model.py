@@ -425,7 +425,8 @@ def validate_universe(
     small negative eigenvalue allowance (offenders are clamped to zero), and
     dimension agreement of optional expected returns.  Non-numeric cov,
     expected returns or a risk-free rate that are not all finite numbers, and
-    names given as a string or as anything but a sequence raise ParseError.
+    names that are a string, not a sequence or hold a carriage return raise
+    ParseError.
 
     Definiteness is decided by one shifted Cholesky factorization when it
     succeeds (see :func:`_certified_nonsingular`): V is then strictly
@@ -486,6 +487,8 @@ def validate_universe(
         if isinstance(names, str) or not isinstance(names, (Sequence, np.ndarray)):
             raise ParseError(f"names must be a sequence of asset names, got {names!r}")
         names = tuple(str(s) for s in names)
+        if any("\r" in s for s in names):  # csv.writer leaves "\r" unquoted
+            raise ParseError("an asset name holds a carriage return")
         if len(names) != n:
             raise DimensionMismatchError(
                 f"{len(names)} names for {n} assets"
@@ -518,6 +521,13 @@ def diversification_return(universe: AssetUniverse, weights) -> float:
     return 0.5 * float(universe.variances @ w - w @ universe.cov @ w)
 
 
+def _centrality_sq(cov: np.ndarray, w: np.ndarray, s: np.ndarray) -> float:
+    """Squared centrality 0.5 (w - s)' V (w - s) of a budget portfolio w about
+    the centre s: exactly 0 at s, where w' B w and q_max - q(w) round."""
+    offset = w - s
+    return max(0.5 * float(offset @ cov @ offset), 0.0)
+
+
 def portfolio_stats(universe: AssetUniverse, weights) -> Portfolio:
     """Bundle variance, DR, centrality and expected return into a Portfolio.
 
@@ -535,8 +545,7 @@ def portfolio_stats(universe: AssetUniverse, weights) -> Portfolio:
 
     centrality_sq = None
     if universe.nonsingular:
-        offset = w - universe.solver.w_mdrp
-        centrality_sq = max(0.5 * float(offset @ universe.cov @ offset), 0.0)
+        centrality_sq = _centrality_sq(universe.cov, w, universe.solver.w_mdrp)
 
     expected_return = None
     if universe.expected_returns is not None:

@@ -422,11 +422,15 @@ def test_frontier_grid_below_mvp_flags_rows(fixture_dir, tmp_path):
         ]
     )
     assert rc == 0
-    with open(tmp_path / "frontier_efficient_dr.csv") as fh:
-        rows = list(csv.DictReader(fh))
+    with open(tmp_path / "frontier_efficient_dr.csv", newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header == ["kind", "sigma", "q", "ret", "centrality", "alpha", "status"]
     # sigma grid is 0.4, 0.95, 1.5 and the minimum-variance risk is 1.0
-    assert [r["status"] for r in rows] == ["risk_below_mvp", "risk_below_mvp", "ok"]
-    assert rows[0]["q"] == ""
+    assert [r[-1] for r in rows] == ["risk_below_mvp", "risk_below_mvp", "ok"]
+    # a flagged row keeps its kind and sigma; q, ret, centrality and alpha are empty
+    assert rows[0] == ["efficient_dr", "0.4", "", "", "", "", "risk_below_mvp"]
+    # the ok row has every number but ret, which needs expected returns
+    assert [f for f, cell in zip(header, rows[2]) if cell == ""] == ["ret"]
 
 
 def test_frontier_bad_grid_spec(fixture_dir, tmp_path, capsys):
@@ -568,20 +572,67 @@ def test_embed_command(fixture_dir, tmp_path):
         ]
     )
     assert rc == 0
-    lines = (tmp_path / "embedding.csv").read_text().strip().split("\n")
-    assert lines[0] == "asset,dim1,dim2"
-    assert len(lines) == 4
+    with open(tmp_path / "embedding.csv", newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header == ["asset", "dim1", "dim2"]
+    # one row per asset, its name first, then one cell per dimension
+    assert [row[0] for row in rows] == ["A1", "A2", "A3"]
+    assert all(len(row) == len(header) for row in rows)
     data = _read_json(tmp_path / "embedding.json")
     assert data["q_max"] == pytest.approx(1.0, abs=1e-10)
     np.testing.assert_allclose(data["mdrp_weights"], [-1.0, 1.0, 1.0], atol=1e-6)
     # coordinates in the CSV replay the pairwise distances
-    coords = np.array(
-        [[float(v) for v in line.split(",")[1:]] for line in lines[1:]]
-    )
+    coords = np.array([[float(v) for v in row[1:]] for row in rows])
     d01 = float(((coords[0] - coords[1]) ** 2).sum())
     d12 = float(((coords[1] - coords[2]) ** 2).sum())
     assert d01 == pytest.approx(1.0, abs=1e-8)
     assert d12 == pytest.approx(3.0, abs=1e-8)
+
+
+def _significant_digits(cell: str) -> int:
+    mantissa = cell.lstrip("-").split("e")[0].replace(".", "").strip("0")
+    return len(mantissa)
+
+
+def _json_numbers(obj):
+    if isinstance(obj, float):
+        yield obj
+    elif isinstance(obj, dict):
+        for v in obj.values():
+            yield from _json_numbers(v)
+    elif isinstance(obj, list):
+        for v in obj:
+            yield from _json_numbers(v)
+
+
+@pytest.mark.parametrize("fixture", ["example3_with_returns.json", "synthetic_panel_30.csv"])
+def test_every_written_number_has_significant_digits(fixture_dir, tmp_path, monkeypatch, fixture):
+    # both writers read cli.SIGNIFICANT_DIGITS: at 6, no CSV cell and no JSON
+    # number of `frontier` or `embed` carries a seventh digit
+    monkeypatch.setattr("drfrontier.cli.SIGNIFICANT_DIGITS", 6)
+    src = str(fixture_dir / fixture)
+    for cmd in ("frontier", "embed"):
+        assert main([cmd, "--input", src, "--out", str(tmp_path / cmd)]) == 0
+    cells = numbers = 0
+    for path in (tmp_path / "frontier").glob("*.csv"):
+        with open(path, newline="") as fh:
+            _, *rows = list(csv.reader(fh))
+        for row in rows:
+            for cell in row[1:-1]:  # kind and status are words
+                if cell:
+                    cells += 1
+                    assert _significant_digits(cell) <= 6, (path.name, cell)
+    with open(tmp_path / "embed" / "embedding.csv", newline="") as fh:
+        _, *rows = list(csv.reader(fh))
+    for row in rows:
+        for cell in row[1:]:  # the asset's name, then its coordinates
+            cells += 1
+            assert _significant_digits(cell) <= 6, ("embedding.csv", cell)
+    for path in tmp_path.glob("*/*.json"):
+        for x in _json_numbers(_read_json(path)):
+            numbers += 1
+            assert _significant_digits(repr(x)) <= 6, (path.name, x)
+    assert cells > 0 and numbers > 0
 
 
 def test_ingest_check(fixture_dir, tmp_path, capsys):

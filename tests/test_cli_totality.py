@@ -6,9 +6,11 @@ header's field count, every SVG parses as XML) or exit 2 with one JSON line
 on stderr naming a DrFrontierError subclass, and it must finish within
 RUN_SECONDS.  The inputs are covariance JSON universes (n = 2-8, cond(V) up
 to 1e12, scales 1e-8 to 1e8, rank-deficient V, constant returns, r0 above
-and below the minimum-variance return) and CSV panels (ragged rows, blank
-and NaN cells, nonpositive prices, unsorted dates, no more rows than
-assets).
+and below the minimum-variance return, asset names holding commas, quotes,
+spaces and newlines, which a CSV row must quote to keep its header's field
+count, and carriage returns, with which no command succeeds) and CSV
+panels (ragged rows, blank and NaN cells, nonpositive prices, unsorted
+dates, no more rows than assets).
 
 ``frontier --grid`` runs on drawn grid specs as well: valid ones of at
 most 200 points, malformed ones and ones over ``MAX_GRID_POINTS``, which
@@ -66,6 +68,13 @@ CONSTANT_RETURNS = {"V": V3.tolist(), "rbar": [0.05, 0.05, 0.05], "r0": 0.01}
 _FACTORS = np.random.default_rng(5).standard_normal((4, 2))
 UNBOUNDED_DR = {"V": (_FACTORS @ _FACTORS.T).tolist()}
 ILL_CONDITIONED_CENTRE = {"V": conditioned_cov(np.random.default_rng(0), 6, 11.0).tolist()}
+# names a CSV cell must quote: one holds a comma, one a quote
+QUOTED_NAMES = {"V": V3.tolist(), "names": ["a,b", 'c"d', "e"]}
+# a name csv.writer would leave unquoted, so every command refuses it
+CARRIAGE_RETURN_NAME = {"V": V3.tolist(), "names": ["a\rb", "c", "d"]}
+# the characters asset names are drawn from: in a CSV cell a comma, a quote
+# and a newline need quoting, a space does not; a carriage return is refused
+NAME_ALPHABET = 'ab, "\n\r'
 
 
 def _assert_well_formed(out: Path, stdout: str) -> None:
@@ -105,7 +114,7 @@ def _run(args, out: Path):
 
 @st.composite
 def json_universes(draw):
-    """A covariance JSON input as a dict: V, and maybe rbar and r0."""
+    """A covariance JSON input as a dict: V, and maybe rbar, r0 and names."""
     n = draw(st.integers(2, 8))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     scale = 10.0 ** draw(st.sampled_from([-8, -4, 0, 2, 4, 8]))
@@ -127,6 +136,9 @@ def json_universes(draw):
         x = np.linalg.pinv(V) @ np.ones(n)
         ret = 0.0 if rbar is None or x.sum() == 0.0 else float(rbar @ x / x.sum())
         data["r0"] = ret - 0.01 if r0 == "below" else ret + 0.05
+    if draw(st.booleans()):
+        name = st.text(alphabet=NAME_ALPHABET, max_size=4)
+        data["names"] = draw(st.lists(name, min_size=n, max_size=n))
     return data
 
 
@@ -156,6 +168,8 @@ def _assert_embed_centre_has_q_max(data, out: Path) -> None:
 @example(CONSTANT_RETURNS)
 @example(UNBOUNDED_DR)
 @example(ILL_CONDITIONED_CENTRE)
+@example(QUOTED_NAMES)
+@example(CARRIAGE_RETURN_NAME)
 def test_cli_is_total_on_json_universes(data):
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -171,6 +185,8 @@ def test_cli_is_total_on_json_universes(data):
             is None
         }
         assert _frontier_kinds(tmp / "frontier") == accepted
+        if any("\r" in name for name in data.get("names", ())):
+            assert None not in outcome.values() and not accepted, outcome
         if outcome["embed"] is None:
             _assert_embed_centre_has_q_max(data, tmp / "embed")
         if outcome["portfolios"] is None:
@@ -255,7 +271,10 @@ def _refusal_before_the_grid(data):
     validating the universe, then building its kernel."""
     try:
         drf.validate_universe(
-            data["V"], expected_returns=data.get("rbar"), risk_free_rate=data.get("r0")
+            data["V"],
+            expected_returns=data.get("rbar"),
+            risk_free_rate=data.get("r0"),
+            names=data.get("names"),
         ).solver
     except errors.DrFrontierError as exc:
         return type(exc).__name__

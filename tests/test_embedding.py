@@ -227,6 +227,16 @@ def test_centrality_of_mvp(ex3):
     )
 
 
+def test_centrality_is_zero_at_the_centre(ex3, ex3_returns, universe30, degenerate3, fixture_dir):
+    # 0.5 (w - s)' V (w - s) vanishes exactly at s, where w' B w left a
+    # rounding residual (1.5e-8 on mini, 7.5e-9 on panel-30)
+    mini = drf.annualize(drf.load_panel(fixture_dir / "mini_prices.csv", format="prices"))
+    clones = drf.validate_universe([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 2.0]])
+    for u in (ex3, ex3_returns, mini, universe30, degenerate3, clones):
+        emb = drf.embed(u)
+        assert drf.centrality(emb, emb.mdrp_weights) == 0.0
+
+
 def test_centrality_sign_equivalence():
     # q(w) >= 0 exactly when the portfolio sits inside the asset sphere
     rng = np.random.default_rng(17)
@@ -317,13 +327,3 @@ def test_norm_bound_input_errors(ex3):
     nan_diagonal[1, 1] = float("nan")
     with pytest.raises(NotSPDError, match="non-finite"):
         drf.norm_dr_bound(emb, nan_diagonal, 0.5)
-
-
-def test_coords_table(ex3):
-    emb = drf.embed(ex3)
-    rows = drf.coords_table(emb, ex3.names)
-    assert len(rows) == 3
-    assert rows[0][0] == "a"
-    assert len(rows[0]) == 1 + emb.dim
-    with pytest.raises(DimensionMismatchError):
-        drf.coords_table(emb, ("a", "b"))

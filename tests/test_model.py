@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -177,6 +178,13 @@ def test_validate_universe_rejects_names_that_are_not_a_sequence(names):
     with pytest.raises(ParseError, match="names"):
         drf.validate_universe(np.eye(3), names=names)
     assert drf.validate_universe(np.eye(3), names=["a", "b", "c"]).names == ("a", "b", "c")
+
+
+def test_validate_universe_rejects_a_name_holding_a_carriage_return():
+    # csv.writer quotes a name holding "\n" but not one holding "\r"
+    with pytest.raises(ParseError, match="carriage return"):
+        drf.validate_universe(np.eye(3), names=["a\rb", "c", "d"])
+    assert drf.validate_universe(np.eye(3), names=["a\nb", "c", "d"]).names[0] == "a\nb"
 
 
 def test_validate_universe_mismatched_returns():
@@ -363,14 +371,22 @@ def test_portfolio_stats_reads_a_riskless_mix_at_percent_scale():
         drf.Portfolio(weights=p.weights, variance=-1.24e-12, dr=p.dr)
 
 
-def test_portfolio_stats_with_embedding(ex3, degenerate3):
+def test_portfolio_stats_with_embedding(ex3, universe30, degenerate3):
     # the kernel's centrality meets the embedding's Gram form and q_max
     w = np.full(3, 1.0 / 3.0)
     emb = drf.embed(ex3)
     p = drf.portfolio_stats(ex3, w)
     assert p.centrality_sq == pytest.approx(4.0 / 9.0, abs=1e-10)
-    assert p.centrality_sq == pytest.approx(drf.centrality(emb, w) ** 2, abs=1e-12)
     assert p.centrality_sq + p.dr == pytest.approx(emb.q_max, abs=1e-8)
+    # one formula: on a nonsingular universe the embedding's centrality is
+    # the square root of the kernel's centrality_sq, bit for bit
+    rng = np.random.default_rng(41)
+    for u in [ex3, universe30] + [random_universe(rng, n) for n in (2, 5, 12)]:
+        e = drf.embed(u)
+        for x in [e.mdrp_weights, np.full(u.n, 1.0 / u.n)] + [
+            rng.dirichlet(np.ones(u.n)) * 3.0 - 2.0 / u.n for _ in range(10)
+        ]:
+            assert drf.centrality(e, x) == math.sqrt(drf.portfolio_stats(u, x).centrality_sq)
     # a singular universe has no kernel: the embedding gives centrality there
     p = drf.portfolio_stats(degenerate3, w)
     assert p.centrality_sq is None
