@@ -10,7 +10,10 @@ and its exit code.  The runs cover, on each of the four fixtures,
 `frontier --svg --riskfree 0.01` and `embed`; `ingest-check` on the two
 price panels; `mdp` on ex3 (default and two seeded sigmas), ex3 with
 returns, mini and panel-30 (one seeded sigma, and the default sigmas); the
-README's `frontier --grid 1.0:2.0:50 --kind efficient_dr`; the two cash
+README's `frontier --grid 1.0:2.0:50 --kind efficient_dr`;
+`frontier --svg` on ex3 with returns on the grid 1.5:1.5000000000000002:2,
+one ulp wide, and on ex3 on the grid 0.1:1e17:2, whose sigma_c.svg has one
+point, at 1e17, to which adding 1 is lost to rounding; the two cash
 curves, `--kind cml --kind efficient_dr_riskfree`, on ex3 with returns on
 the grid 0:3:7, which starts at sigma = 0 (all cash); on ex3 with
 returns and `--riskfree 10`, above the minimum-variance return, the
@@ -53,6 +56,9 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+# a run still going after this long has hung: subprocess.run raises
+# TimeoutExpired, naming its command, and the script stops
+RUN_TIMEOUT_SECONDS = 120
 
 FIXTURES = {
     "ex3": "fixtures/example3_universe.json",
@@ -88,6 +94,11 @@ EXTRA = {
         "ex3",
         ["frontier", "--grid", "1.0:2.0:50", "--kind", "efficient_dr"],
     ),
+    "ex3r-frontier-svg-ulp-grid": (
+        "ex3r",
+        ["frontier", "--svg", "--grid", "1.5:1.5000000000000002:2"],
+    ),
+    "ex3-frontier-svg-1e17-grid": ("ex3", ["frontier", "--svg", "--grid", "0.1:1e17:2"]),
     "ex3r-frontier-cash-grid": (
         "ex3r",
         ["frontier", "--grid", "0:3:7", "--kind", "cml", "--kind", "efficient_dr_riskfree"],
@@ -246,6 +257,7 @@ def main(argv) -> int:
             cwd=ROOT if text is None else run_dir,
             env=env,
             capture_output=True,
+            timeout=RUN_TIMEOUT_SECONDS,
         )
         (run_dir / "stdout").write_bytes(proc.stdout)
         (run_dir / "stderr").write_bytes(proc.stderr)

@@ -260,13 +260,11 @@ def _svg_charts(universe, curves) -> dict:
     from .portfolios import q_portfolio
 
     s = universe.solver
-    markers = [
-        svg.Marker("MVP", s.sigma_mvp, s.q_mvp),
-        svg.Marker("MDRP", s.sigma_mdrp, s.q_max),
-    ]
+    markers = [("MVP", s.sigma_mvp, s.q_mvp), ("MDRP", s.sigma_mdrp, s.q_max)]
     if s.ef_shape is EfShape.STRONGLY_CONCAVE:
         q_pf = q_portfolio(universe)
-        markers.append(svg.Marker("Q", q_pf.sigma, q_pf.dr))
+        markers.append(("Q", q_pf.sigma, q_pf.dr))
+    hlines = [("sqrt(q_max)", float(np.sqrt(s.q_max)))]
     charts = {}
     for filename, title, ylabel, field in CHARTS:
         series = []
@@ -277,20 +275,14 @@ def _svg_charts(universe, curves) -> dict:
             ]
             if rows:
                 series.append(
-                    svg.Series(
-                        curve.kind.value,
-                        [r.sigma for r in rows],
-                        [getattr(r, field) for r in rows],
-                    )
+                    (curve.kind.value, [r.sigma for r in rows], [getattr(r, field) for r in rows])
                 )
         if field != "q" and not series:
             continue
-        chart = svg.Chart(title=title, xlabel="sigma", ylabel=ylabel, series=series)
-        if field == "q":
-            chart.markers = markers
-        if field == "centrality":
-            chart.hlines = [("sqrt(q_max)", float(np.sqrt(s.q_max)))]
-        charts[filename] = svg.render(chart)
+        charts[filename] = svg.render(
+            title, ylabel, series,
+            markers if field == "q" else (), hlines if field == "centrality" else (),
+        )
     return charts
 
 

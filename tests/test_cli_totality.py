@@ -31,6 +31,8 @@ import csv
 import datetime
 import io
 import json
+import math
+import signal
 import tempfile
 import time
 import xml.etree.ElementTree as ET
@@ -46,10 +48,12 @@ from drfrontier.cli import MAX_GRID_POINTS, main
 from drfrontier.frontiers import FrontierKind
 from drfrontier.model import PYTHAGORAS_ATOL
 
-from .conftest import V3
+from .conftest import FIXTURES, V3
 from .oracles import conditioned_cov
 
 RUN_SECONDS = 2.0
+# a run still going after this long has hung: the watchdog fails it
+WATCHDOG_SECONDS = 10 * RUN_SECONDS
 ERROR_NAMES = {
     name
     for name, obj in vars(errors).items()
@@ -60,6 +64,9 @@ SETTINGS = settings(
     max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
 
+# the shipped three-asset fixtures, without and with returns
+EX3 = json.loads((FIXTURES / "example3_universe.json").read_text())
+EX3_RETURNS = json.loads((FIXTURES / "example3_with_returns.json").read_text())
 # ex3's V with constant returns and r0 below them: the tangency is w_mvp,
 # while the mean-variance curves have no direction
 CONSTANT_RETURNS = {"V": V3.tolist(), "rbar": [0.05, 0.05, 0.05], "r0": 0.01}
@@ -93,12 +100,23 @@ def _assert_well_formed(out: Path, stdout: str) -> None:
             raise AssertionError(f"unexpected artifact {path.name}")
 
 
+def _hung(signum, frame):
+    # an AssertionError, which main does not catch as it does an OSError
+    raise AssertionError(f"a run went past the {WATCHDOG_SECONDS} s watchdog")
+
+
 def _run(args, out: Path):
     """Run the CLI on args into out; None on exit 0, else the error's name."""
     stdout, stderr = io.StringIO(), io.StringIO()
     start = time.perf_counter()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        rc = main(args + ["--out", str(out)])
+    previous = signal.signal(signal.SIGALRM, _hung)
+    signal.setitimer(signal.ITIMER_REAL, WATCHDOG_SECONDS)
+    try:
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            rc = main(args + ["--out", str(out)])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
     elapsed = time.perf_counter() - start
     assert elapsed < RUN_SECONDS, (args, elapsed)
     if rc == 0:
@@ -251,13 +269,20 @@ MALFORMED_GRIDS = (
 @st.composite
 def grid_specs(draw):
     """A --grid spec and whether the parser accepts it: valid specs of at
-    most 200 points, malformed ones and specs over MAX_GRID_POINTS."""
+    most 200 points, malformed ones and specs over MAX_GRID_POINTS.  A span
+    is wide or 1-4 ulps, and min reaches 1e17, where adding 1 is lost to
+    rounding."""
     form = draw(st.sampled_from(["valid", "malformed", "over"]))
     if form == "malformed":
         return draw(st.sampled_from(MALFORMED_GRIDS)), False
-    scale = 10.0 ** draw(st.sampled_from([-4, -2, 0, 2, 4]))
+    scale = 10.0 ** draw(st.sampled_from([-4, -2, 0, 2, 4, 16]))
     lo = scale * draw(st.floats(0.0, 10.0))
-    hi = lo + scale * draw(st.floats(1e-3, 10.0))
+    if draw(st.booleans()):
+        hi = lo + scale * draw(st.floats(1e-3, 10.0))
+    else:
+        hi = lo
+        for _ in range(draw(st.integers(1, 4))):
+            hi = math.nextafter(hi, math.inf)
     if form == "valid":
         points = draw(st.integers(2, 200))
     else:
@@ -287,6 +312,10 @@ def _refusal_before_the_grid(data):
 @example(UNBOUNDED_DR, (f"0.5:3:{MAX_GRID_POINTS + 1}", False))
 @example(CONSTANT_RETURNS, (f"0.5:3:{MAX_GRID_POINTS + 1}:log", False))
 @example(CONSTANT_RETURNS, ("", False))  # an empty spec is no default grid
+# a span of one ulp, whose tick step is below half an ulp of its ticks, and
+# a span from 1e17, to which adding 1 is lost to rounding
+@example(EX3_RETURNS, ("1.5:1.5000000000000002:2", True))
+@example(EX3, ("0.1:1e17:2", True))
 def test_frontier_grid_specs_end_in_a_result_or_a_refusal(data, spec):
     spec, valid = spec
     with tempfile.TemporaryDirectory() as tmp:
