@@ -36,7 +36,14 @@ two-asset universe with cond(V) = 4.3e6, whose max-DR portfolio is
 returns 0.05 and r0 = 0.01, whose tangency is the minimum-variance
 portfolio while its mean-variance curves have no direction; `embed` on
 ex3's covariance with the asset names "a,b", 'c"d' and "e", which the CSV
-quotes; and the refused covariance JSON with a NaN return.  The
+quotes; `embed` on four singular covariances: diag(0, 1, 1), whose riskless
+first asset leaves one maximum-DR portfolio, (0, 1/2, 1/2); two clones of
+one asset beside a third, [[1, 1, 0], [1, 1, 0], [0, 0, 2]], whose clones
+share their weight; the totality harness's UNBOUNDED_DR, a V of rank 2 on
+four assets on which DR is unbounded on the budget hyperplane (refused);
+and two clones alone, [[1, 1], [1, 1]], on which DR is 0 on the whole
+budget hyperplane (refused); and the refused covariance JSON with a NaN
+return.  The
 script writes those covariance JSON inputs, and the CSV panels `ingest-check` reads to show each parse error
 (a non-numeric cell, a nonpositive price, a NaN cell before a negative
 price, dates out of order, a ragged row, fewer than two rows) and the
@@ -170,6 +177,20 @@ QUOTED_NAMES = (
     '"names": ["a,b", "c\\"d", "e"]}\n'
 )
 
+# singular covariances, each refused by the kernel, on which embed reads the
+# universe's centre from the bordered KKT solve
+EMBED_RUN = ["embed", "--input", "input.json"]
+RISKLESS_ASSET = '{"V": [[0, 0, 0], [0, 1, 0], [0, 0, 1]]}\n'
+CLONES_AND_ONE = '{"V": [[1, 1, 0], [1, 1, 0], [0, 0, 2]]}\n'
+TWO_CLONES = '{"V": [[1, 1], [1, 1]]}\n'
+# tests/test_cli_totality.py's UNBOUNDED_DR: A A' for a 4 x 2 normal A, seed 5
+UNBOUNDED_DR = (
+    '{"V": [[2.3970207601102143, -0.35765144361598955, -1.056322071773466, 1.482516176612567], '
+    "[-0.35765144361598955, 0.23845769354175608, -0.23602482640464129, -0.19270077835689822], "
+    "[-1.056322071773466, -0.23602482640464129, 1.302637218033897, -0.7139284992281889], "
+    "[1.482516176612567, -0.19270077835689822, -0.7139284992281889, 0.9212992670301691]]}\n"
+)
+
 # run -> (CLI arguments, text of the --input file written into OUT_DIR/<run>/)
 WRITTEN = {
     "json-r0-nan": (JSON_RUN, '{"V": [[1, 0], [0, 2]], "rbar": [0.1, 0.2], "r0": NaN}\n'),
@@ -215,7 +236,11 @@ WRITTEN = {
         ["frontier", "--kind", "mv_efficient_dr", "--input", "input.json"],
         CONSTANT_RETURNS,
     ),
-    "json-names-quoted-embed": (["embed", "--input", "input.json"], QUOTED_NAMES),
+    "json-names-quoted-embed": (EMBED_RUN, QUOTED_NAMES),
+    "json-riskless-asset-embed": (EMBED_RUN, RISKLESS_ASSET),
+    "json-clones-and-one-embed": (EMBED_RUN, CLONES_AND_ONE),
+    "json-unbounded-dr-embed": (EMBED_RUN, UNBOUNDED_DR),
+    "json-two-clones-embed": (EMBED_RUN, TWO_CLONES),
 }
 
 

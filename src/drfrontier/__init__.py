@@ -24,7 +24,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "embedding": (
         "EdmCertificate", "EdmEmbedding", "assert_edm", "build_distance_matrix",
-        "centrality", "embed", "norm_dr_bound",
+        "embed", "norm_dr_bound",
     ),
     "frontiers": (
         "FrontierCurve", "FrontierKind", "frontier_params", "inflection_report",
@@ -33,15 +33,14 @@ _EXPORTS = {
     "ingest": ("ReturnPanel", "annualization_step", "annualize", "load_panel"),
     "mdp": (
         "DmaxBounds", "MdpAnalysis", "SandwichReport", "analyze_mdp", "build_d_eta",
-        "d_max_bounds", "diversification_ratio", "mdp_global", "sandwich_check",
+        "d_max_bounds", "mdp_global", "sandwich_check",
     ),
     "model": (
         "AssetUniverse", "EfShape", "Portfolio", "check_budget", "default_sigma_grid",
         "diversification_return", "portfolio_stats", "validate_universe",
     ),
     "portfolios": (
-        "SpecialPortfolios", "eta_wo_sign", "max_dr_portfolio",
-        "min_variance_portfolio", "q_portfolio", "self_financing_direction",
+        "SpecialPortfolios", "q_portfolio", "self_financing_direction",
         "special_portfolios", "tangent_portfolio",
     ),
     "svg": (),

@@ -221,7 +221,9 @@ def cmd_portfolios(args) -> dict:
             "q_mvp": s.q_mvp,
             "q_max": s.q_max,
             "eta_wo": s.eta_wo,
-            "eta_wo_sign": sp.eta_wo_sign,
+            "eta_wo_sign": None if s.eta_wo is None else (
+                "zero" if s.eta_wo == 0.0 else "positive" if s.eta_wo > 0.0 else "negative"
+            ),
             "ef_shape": s.ef_shape.value,
         },
         "mvp": _portfolio_dict(sp.mvp),

@@ -22,17 +22,17 @@ distance of a portfolio's image from the origin, c(w) = ||X w||, satisfies
 for every budget portfolio, so DR maximization is a nearest-point problem in
 this geometry.
 
-On a nonsingular universe s is the covariance kernel's maximum-DR
-portfolio and q_max its DR, so :func:`embed` solves nothing, and the
-library reads centrality from the same kernel
+The centre s and q_max are the universe's own
+(:attr:`~drfrontier.model.AssetUniverse.centre`): the covariance kernel's
+maximum-DR portfolio and its DR on a nonsingular universe, one bordered KKT
+solve on a singular one, so :func:`embed` solves nothing, and the library
+reads centrality from the same centre
 (:func:`~drfrontier.model.portfolio_stats`) without building an embedding.
-Only a singular universe solves D y = 1, by its pseudoinverse.  The
-embedding serves the asset coordinates (column i of ``coords`` is asset i,
-which the ``embed`` command writes beside its name), singular universes,
-where :func:`centrality` gives the distance by the kernel's formula
-0.5 (w - s)' V (w - s), and :func:`norm_dr_bound`.  None of these runs in
-:func:`embed`: B is formed on its first read, and its eigendecomposition,
-which only the coordinates need, on theirs.
+The embedding serves the asset coordinates (column i of ``coords`` is asset
+i, which the ``embed`` command writes beside its name) and
+:func:`norm_dr_bound`.  Neither runs in :func:`embed`: B is formed on its
+first read, and its eigendecomposition, which only the coordinates need, on
+theirs.
 
 :func:`assert_edm` decides Schoenberg's criterion (1935), that D is a
 Euclidean distance matrix exactly when -0.5 J D J is PSD, by one Cholesky
@@ -56,17 +56,12 @@ from .errors import (
     NonPositiveQmaxError,
     NonZeroDiagonalError,
     NotSPDError,
-    SingularDistanceError,
 )
 from .model import (
-    PSD_RTOL,
-    PYTHAGORAS_ATOL,
     AssetUniverse,
-    _centrality_sq,
     _finite_float,
     _float_array,
     _shifted_cholesky,
-    check_budget,
 )
 
 # Eigenvalues of B below EIG_RTOL * lambda_1 are treated as zero.
@@ -79,8 +74,6 @@ EDM_RTOL = 1e-10
 BASIS_RTOL = 1e-8
 # Off-diagonal D entries in [-DIST_CLAMP_TOL, 0) are rounding debris: clamp.
 DIST_CLAMP_TOL = 1e-12
-# max-norm residual allowed for D @ (D^+ 1) = 1 on the generalized-inverse path
-GINV_RESIDUAL_ATOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -108,12 +101,10 @@ class EdmEmbedding:
 
     Attributes:
         dist: the squared-distance matrix D.
-        mdrp_weights: the centering weights s (the maximum-DR portfolio):
-            the kernel's w_mdrp on a nonsingular universe, the normalized
-            pseudoinverse solution of D y = 1 on a singular one.
-        q_max: top of the DR frontier, 1 / (2 * 1' D^-1 1): the kernel's
-            q_mvp + rho^2 / 8 on a nonsingular universe, 1 / (2 * 1' y)
-            from the pseudoinverse solution y on a singular one.
+        mdrp_weights: the centering weights s, the maximum-DR portfolio of
+            the universe's ``centre``.
+        q_max: top of the DR frontier, 1 / (2 * 1' D^-1 1) where D is
+            nonsingular: the DR of s, from the same ``centre``.
         cov: the universe's covariance V, from which B is formed.
         gram: B = X' X, PSD of rank <= n - 1.
         eigvals: positive eigenvalues of B, descending.
@@ -287,56 +278,17 @@ def _canonical_axes(lam: np.ndarray, X: np.ndarray) -> np.ndarray:
     return X + 0.0  # a flipped structural zero reads 0, not -0
 
 
-def _require_bounded_dr(universe: AssetUniverse) -> None:
-    """Refuse a singular universe whose DR has no maximum on the budget
-    hyperplane: some z in Z = null(V) with 1' z = 0 has eta' z != 0, and
-    q(w + t z) = q(w) + t eta' z / 2 then grows without bound.
-
-    The null space is spanned by the eigenvectors U of V whose eigenvalues
-    are at most PSD_RTOL * lambda_max, the threshold below which
-    :func:`~drfrontier.model.validate_universe` calls V singular.  With
-    a = U' 1 and b = U' eta, Z = {U c : a' c = 0}, so q is bounded exactly
-    when b is parallel to a: the part r of b orthogonal to a must vanish
-    (all of b when a does).  eigh's vectors are those of V + E with
-    ||E|| ~ n eps ||V||, so they lie within an angle n eps lambda_max / gap
-    of V's null space (Davis and Kahan 1970), gap the smallest eigenvalue
-    kept out of it, and U' x rounds by n eps ||x|| more: a within
-    slack * sqrt(n) = ||1|| slack of 0 is 0, and r within slack * ||eta|| is
-    rounding, slack = 4 n eps (1 + lambda_max / gap).
-    """
-    evals, vecs = np.linalg.eigh(universe.cov)
-    lam_max = max(float(evals[-1]), 0.0)
-    k = int(np.count_nonzero(evals <= PSD_RTOL * lam_max))
-    gap = float(evals[k]) if k < universe.n else math.inf
-    n, eta = universe.n, universe.variances
-    slack = 4 * n * np.finfo(float).eps * (1.0 + lam_max / gap)
-    a, b = vecs[:, :k].sum(axis=0), eta @ vecs[:, :k]
-    if float(np.linalg.norm(a)) > slack * math.sqrt(n):
-        b = b - a * (float(a @ b) / float(a @ a))
-    r, tol = float(np.linalg.norm(b)), slack * float(np.linalg.norm(eta))
-    if r > tol:
-        raise SingularDistanceError(
-            f"DR unbounded on the budget hyperplane: |eta' z| = {r:.3e} > {tol:.3e} "
-            "for a unit zero-budget z in the null space of V"
-        )
-
-
 def embed(universe: AssetUniverse) -> EdmEmbedding:
     """Build the spherical embedding of a universe.
 
-    The centre s and q_max come from the covariance kernel on a nonsingular
-    universe (w_mdrp and q_max of
-    :attr:`~drfrontier.model.AssetUniverse.solver`), so the embedding and
-    every closed form share their bits.  On a singular universe they come
-    from the rank-revealing pseudoinverse solution y of D y = 1, as
-    s = y / (1' y) and q_max = 1 / (2 * 1' y).  SingularDistanceError is
-    raised first where DR is unbounded on the budget hyperplane
-    (:func:`_require_bounded_dr`), then on a residual of D y = 1 above
-    GINV_RESIDUAL_ATOL, a zero 1' y, or a positive q_max that the DR of s
-    misses by more than PYTHAGORAS_ATOL * max(1, q_max), less twice the
-    rounding bound of that DR: the identity c^2 + q = q_max at the centre,
-    c = 0, which an ill-conditioned D y = 1 breaks (near-singular V, whose
-    maximum lies far out), must hold for any evaluation of q at s.
+    The centre s and q_max are the universe's
+    (:attr:`~drfrontier.model.AssetUniverse.centre`): the covariance
+    kernel's w_mdrp and q_max on a nonsingular universe, so the embedding and
+    every closed form share their bits, and the bordered KKT solve on a
+    singular one.  Where the universe refuses its centre, SingularDistanceError
+    says why: DR unbounded on the budget hyperplane, or an ill-conditioned
+    centre.  A q_max <= 0 (q = 0 on the whole budget hyperplane, as for two
+    clones) raises NonPositiveQmaxError.
     The recentred Gram matrix is formed from V on its first read, as the
     rank-2 update B = 0.5 (V - v 1' - 1 v' + (s' v) 1 1') with v = V s
     (equal to -0.5 Js' D Js, without its cancellation of the eta 1' terms).
@@ -352,41 +304,13 @@ def embed(universe: AssetUniverse) -> EdmEmbedding:
     times the axis's largest in magnitude has a positive coordinate.
     """
     D = build_distance_matrix(universe)
-    if universe.nonsingular:
-        s, q_max = universe.solver.w_mdrp, universe.solver.q_max
-    else:
-        _require_bounded_dr(universe)
-        ones = np.ones(universe.n)
-        # cutoff relative to the top singular value
-        y = np.linalg.pinv(D, rcond=1e-10) @ ones
-        resid = float(np.abs(D @ y - ones).max())
-        if not np.isfinite(resid) or resid > GINV_RESIDUAL_ATOL:
-            raise SingularDistanceError(f"D y = 1 unsolved, residual {resid:.3e}")
-        total = float(ones @ y)
-        if abs(total) < np.finfo(float).tiny:
-            raise SingularDistanceError("1' D^+ 1 is numerically zero")
-        s, q_max = y / total, 1.0 / (2.0 * total)
-        eta, V, size = universe.variances, universe.cov, np.abs(s)
-        q_s = 0.5 * float(eta @ s - s @ V @ s)
-        # twice the rounding bound of q_s, n eps times its sums of |terms|
-        noise = universe.n * np.finfo(float).eps * float(eta @ size + size @ np.abs(V) @ size)
-        if q_max > 0.0 and abs(q_s - q_max) + noise > PYTHAGORAS_ATOL * max(1.0, q_max):
-            raise SingularDistanceError(
-                f"D y = 1 ill-conditioned: q = {q_s:.6e} at the centre, q_max = {q_max:.6e}"
-            )
+    s, q_max = universe.require_centre()
     if q_max <= 0.0:
         raise NonPositiveQmaxError(
             f"q_max = {q_max:.3e} <= 0; universe admits no positive DR peak"
         )
 
     return EdmEmbedding(dist=D, mdrp_weights=s, q_max=q_max, cov=universe.cov)
-
-
-def centrality(embedding: EdmEmbedding, weights) -> float:
-    """Distance c(w) = ||X w|| of a budget portfolio from the sphere centre s,
-    as sqrt(0.5 (w - s)' V (w - s)), portfolio_stats' form: exactly 0 at s."""
-    w = check_budget(weights, embedding.n)
-    return math.sqrt(_centrality_sq(embedding.cov, w, embedding.mdrp_weights))
 
 
 def norm_dr_bound(embedding: EdmEmbedding, norm_matrix, tau: float) -> float:

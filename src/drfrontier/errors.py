@@ -38,7 +38,9 @@ class SingularCovarianceError(DrFrontierError):
 
 
 class SingularDistanceError(DrFrontierError):
-    """Distance matrix admits no usable (generalized) inverse."""
+    """A singular universe has no usable maximum-DR centre: DR is unbounded
+    on the budget hyperplane, or the centre is too ill-conditioned to
+    resolve q_max."""
 
 
 class NonPositiveQmaxError(DrFrontierError):

@@ -211,11 +211,6 @@ def _ratio(universe: AssetUniverse, p: Portfolio) -> float:
     return float(universe.volatilities @ p.weights) / p.sigma
 
 
-def diversification_ratio(universe: AssetUniverse, weights) -> float:
-    """sqrt(eta)' w / sqrt(w' V w) for a budget portfolio."""
-    return _ratio(universe, portfolio_stats(universe, weights))
-
-
 def mdp_global(universe: AssetUniverse) -> Portfolio:
     """Ratio-maximizing budget portfolio w proportional to V^-1 sqrt(eta).
 

@@ -11,8 +11,11 @@ portfolio variance.  Everything downstream (embeddings, frontiers, bounds)
 is built on this functional, so validation lives here, together with the
 covariance kernel that every closed form reads.  The centrality of a
 portfolio, c(w)^2 = q_max - q(w), is its V-distance from the maximum-DR
-portfolio s, 0.5 (w - s)' V (w - s), so it too is a kernel product: no
-embedding is needed for it.
+portfolio s, 0.5 (w - s)' V (w - s), so no embedding is needed for it.
+The identity needs only the KKT point of q on the budget hyperplane, not
+V^-1, so every universe owns its centre (s, q_max): the kernel's on a
+nonsingular V, one bordered KKT solve on a singular one, and none where q
+has no maximum there.
 
 Note that q depends on the asset decomposition, not just on the final return
 stream: merging several assets into one composite asset and re-weighting
@@ -39,6 +42,7 @@ from .errors import (
     NotPSDError,
     ParseError,
     SingularCovarianceError,
+    SingularDistanceError,
 )
 
 # Relative tolerance for accepting (and then exactly symmetrizing) V.
@@ -50,6 +54,9 @@ BUDGET_ATOL = 1e-10
 # Absolute tolerance of the identity centrality^2 + q = q_max, checked against
 # the distance matrix's route to s and q_max by tests/oracles.py::pythagoras_gaps.
 PYTHAGORAS_ATOL = 1e-8
+# Singular values of the bordered KKT matrix [[V, t 1], [t 1', 0]], t = max|V|,
+# below CENTRE_RCOND times the largest are dropped (_bordered_centre).
+CENTRE_RCOND = 1e-12
 # Relative residual below which a vector counts as proportional to ones.
 PROPORTIONALITY_RTOL = 1e-12
 # |eta' w_o| <= ZERO_BAND_RTOL * rho is the knife-edge zero case, read as 0.
@@ -148,6 +155,27 @@ class AssetUniverse:
     def solver(self) -> "CovarianceSolver":
         """The covariance kernel, built on first access and kept with the universe."""
         return CovarianceSolver(self)
+
+    @functools.cached_property
+    def _centre(self) -> tuple:
+        """(centre, reason): the centre below, or None with the reason why, formed once."""
+        if self.nonsingular:
+            return (self.solver.w_mdrp, self.solver.q_max), ""
+        return _bordered_centre(self)
+
+    @property
+    def centre(self) -> Optional[tuple]:
+        """(s, q_max), the maximum-DR portfolio and its DR: the kernel's on a
+        nonsingular universe, :func:`_bordered_centre`'s on a singular one,
+        None where that refuses it (DR unbounded, or ill-conditioned)."""
+        return self._centre[0]
+
+    def require_centre(self) -> tuple:
+        """``centre``, or SingularDistanceError saying why there is none."""
+        centre, reason = self._centre
+        if centre is None:
+            raise SingularDistanceError(reason)
+        return centre
 
     @functools.cached_property
     def long_only_mvp(self):
@@ -318,6 +346,59 @@ class CovarianceSolver:
         return _frozen(d - float(d.sum()) * self.w_mvp), k
 
 
+def _bordered_centre(universe: AssetUniverse):
+    """((s, q_max), "") of a singular universe from the stationarity of q on
+    the budget hyperplane, V s + mu 1 = eta / 2 with 1' s = 1, or (None,
+    reason) when it refuses them.
+
+    The border is scaled by t = max|V|, K = [[V, t 1], [t 1', 0]] against
+    b = [eta / 2; t] for [s; mu / t], so that K's singular values, and every
+    test below, scale with V.  One SVD of K solves it: singular values below
+    CENTRE_RCOND times the largest are dropped, and two refinement steps
+    x <- x + K^+ (b - K x) follow.  K's null space is Z = null(V) with
+    1' z = 0 (and a zero multiplier), so the least-norm solution is the
+    maximizer orthogonal to Z: duplicated assets share their weight equally.
+    s is put on budget and q_max = q(s).  Refused:
+
+    - a KKT residual above 1e-8 (max|V| max|s| + |mu| + max eta + t): DR is
+      unbounded on the budget hyperplane when the part of b along singular
+      values at rounding level, up to (n + 1) eps times the largest, exceeds
+      that bound (some z in Z has eta' z != 0: q(w + t z) = q(w) + t eta' z
+      / 2); otherwise V is near singular and the centre ill conditioned;
+    - a rounding bound of q(s), n eps (eta' |s| + |s|' |V| |s|), above
+      PYTHAGORAS_ATOL * max(1, q_max): the centre lies too far out for any
+      evaluation of q to resolve q_max.  A q_max within it of 0 reads 0.
+    """
+    n, V, eta = universe.n, universe.cov, universe.variances
+    t = float(np.abs(V).max()) or 1.0
+    K = np.full((n + 1, n + 1), t)
+    K[:n, :n], K[n, n] = V, 0.0
+    b = np.append(0.5 * eta, t)
+    U, sv, Wt = np.linalg.svd(K)
+    keep = sv > CENTRE_RCOND * sv[0]
+    W, Ut = Wt[keep].T / sv[keep], U[:, keep].T  # K^+ = W Ut
+    x = W @ (Ut @ b)
+    for _ in range(2):
+        x += W @ (Ut @ (b - K @ x))
+    s, mu = x[:n], t * float(x[n])
+    resid = float(np.abs(b - K @ x).max())
+    tol = 1e-8 * (t * float(np.abs(s).max()) + abs(mu) + float(eta.max()) + t)
+    rounding = sv <= (n + 1) * np.finfo(float).eps * sv[0]
+    if not resid <= tol and float(np.linalg.norm(U[:, rounding].T @ b)) > tol:
+        return None, f"DR unbounded on the budget hyperplane: KKT residual {resid:.3e} > {tol:.3e}"
+    s = _frozen(s + (1.0 - float(s.sum())) / n)
+    size = np.abs(s)
+    q_max = 0.5 * float(eta @ s - s @ V @ s)
+    noise = n * np.finfo(float).eps * float(eta @ size + size @ np.abs(V) @ size)
+    if not resid <= tol or noise > PYTHAGORAS_ATOL * max(1.0, q_max):
+        return None, (
+            f"maximum-DR centre ill-conditioned: KKT residual {resid:.3e} (bound {tol:.3e}), "
+            f"q = {q_max:.6e} at the centre, max|s| = {float(size.max()):.3e}, "
+            f"rounding bound {noise:.3e}"
+        )
+    return (s, 0.0 if abs(q_max) <= noise else q_max), ""
+
+
 def default_sigma_grid(solver: CovarianceSolver, points: int = 200) -> np.ndarray:
     """Geometric grid in excess variance, from near sigma_mvp out to
     GRID_SPAN * sigma_mdrp, of a universe's covariance kernel (``u.solver``)."""
@@ -333,8 +414,8 @@ class Portfolio:
 
     centrality_sq is c^2 = q_max - dr, the squared distance (in the embedded
     geometry) between the portfolio point and the maximum-DR portfolio.
-    :func:`portfolio_stats` sets it from the covariance kernel on every
-    nonsingular universe and leaves it None on a singular one.
+    :func:`portfolio_stats` sets it about the universe's ``centre`` and
+    leaves it None where the universe has none.
     """
 
     weights: np.ndarray
@@ -521,31 +602,24 @@ def diversification_return(universe: AssetUniverse, weights) -> float:
     return 0.5 * float(universe.variances @ w - w @ universe.cov @ w)
 
 
-def _centrality_sq(cov: np.ndarray, w: np.ndarray, s: np.ndarray) -> float:
-    """Squared centrality 0.5 (w - s)' V (w - s) of a budget portfolio w about
-    the centre s: exactly 0 at s, where w' B w and q_max - q(w) round."""
-    offset = w - s
-    return max(0.5 * float(offset @ cov @ offset), 0.0)
-
-
 def portfolio_stats(universe: AssetUniverse, weights) -> Portfolio:
     """Bundle variance, DR, centrality and expected return into a Portfolio.
 
-    On a nonsingular universe the squared centrality is
-    0.5 (w - s)' V (w - s) about the kernel's w_mdrp s, the weights of
-    :func:`~drfrontier.portfolios.max_dr_portfolio`, whose centrality is
-    therefore exactly 0.  It equals q_max - q(w) and the embedding's
-    w' B w on budget portfolios, without their cancellation near s.  On a
-    singular universe it is None; :func:`~drfrontier.embedding.centrality`
-    reads it from an embedding there.
+    The squared centrality is 0.5 (w - s)' V (w - s) about the universe's
+    centre s (:attr:`AssetUniverse.centre`: the kernel's w_mdrp on a
+    nonsingular universe, the weights of ``special_portfolios(u).mdrp``,
+    whose centrality is therefore exactly 0).  It equals q_max - q(w) and
+    the embedding's w' B w on budget portfolios, without their cancellation
+    near s.  It is None where the universe has no centre.
     """
     w = check_budget(weights, universe.n)
     variance = max(float(w @ universe.cov @ w), 0.0)  # V is PSD: below 0 is rounding
     dr = 0.5 * float(universe.variances @ w) - 0.5 * variance
 
-    centrality_sq = None
-    if universe.nonsingular:
-        centrality_sq = _centrality_sq(universe.cov, w, universe.solver.w_mdrp)
+    centrality_sq, centre = None, universe.centre
+    if centre is not None:
+        offset = w - centre[0]  # exactly 0 at s, where w' B w and q_max - q(w) round
+        centrality_sq = max(0.5 * float(offset @ universe.cov @ offset), 0.0)
 
     expected_return = None
     if universe.expected_returns is not None:

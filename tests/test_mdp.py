@@ -19,7 +19,7 @@ from drfrontier.errors import (
     ZeroVarianceError,
 )
 from drfrontier import mdp
-from drfrontier.mdp import GAP_RTOL, MVP_GAP_RTOL, SHELL_BAND, _d_max_of_d_eta
+from drfrontier.mdp import GAP_RTOL, MVP_GAP_RTOL, SHELL_BAND, _d_max_of_d_eta, _ratio
 
 from .conftest import V3
 from .oracles import (
@@ -78,25 +78,25 @@ def test_d_eta_is_always_a_distance_matrix(variances):
 def test_diversification_ratio_three_asset(ex3):
     w = np.full(3, 1.0 / 3.0)
     expected = (np.sqrt(11.0) + 2.0 * np.sqrt(23.0)) / 9.0
-    assert drf.diversification_ratio(ex3, w) == pytest.approx(expected, rel=1e-12)
+    assert _ratio(ex3, drf.portfolio_stats(ex3, w)) == pytest.approx(expected, rel=1e-12)
 
 
 def test_diversification_ratio_single_asset_is_one(ex3):
     for i in range(3):
         w = np.zeros(3)
         w[i] = 1.0
-        assert drf.diversification_ratio(ex3, w) == pytest.approx(1.0, rel=1e-12)
+        assert _ratio(ex3, drf.portfolio_stats(ex3, w)) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_diversification_ratio_zero_variance(degenerate3):
     with pytest.raises(ZeroVarianceError):
-        drf.diversification_ratio(degenerate3, np.array([1.0, 0.0, 0.0]))
+        _ratio(degenerate3, drf.portfolio_stats(degenerate3, np.array([1.0, 0.0, 0.0])))
 
 
 def test_mdp_global_identity(identity3):
     p = drf.mdp_global(identity3)
     np.testing.assert_allclose(p.weights, np.full(3, 1.0 / 3.0), atol=1e-12)
-    assert drf.diversification_ratio(identity3, p.weights) == pytest.approx(
+    assert _ratio(identity3, drf.portfolio_stats(identity3, p.weights)) == pytest.approx(
         np.sqrt(3.0), rel=1e-12
     )
 
@@ -106,7 +106,7 @@ def test_mdp_global_diagonal():
     u = drf.validate_universe(np.diag([1.0, 4.0, 9.0]))
     p = drf.mdp_global(u)
     np.testing.assert_allclose(p.weights, [6.0 / 11.0, 3.0 / 11.0, 2.0 / 11.0], atol=1e-12)
-    assert drf.diversification_ratio(u, p.weights) == pytest.approx(
+    assert _ratio(u, drf.portfolio_stats(u, p.weights)) == pytest.approx(
         np.sqrt(3.0), rel=1e-12
     )
 
@@ -118,18 +118,18 @@ def test_mdp_global_three_asset(ex3):
     x = np.linalg.solve(ex3.cov, root)
     np.testing.assert_allclose(p.weights, x / x.sum(), atol=1e-10)
     # ratio value from the quadratic form
-    ratio = drf.diversification_ratio(ex3, p.weights)
+    ratio = _ratio(ex3, drf.portfolio_stats(ex3, p.weights))
     assert ratio**2 == pytest.approx(float(root @ x), rel=1e-10)
 
 
 def test_mdp_global_beats_sampling(ex3):
     p = drf.mdp_global(ex3)
-    best = drf.diversification_ratio(ex3, p.weights)
+    best = _ratio(ex3, drf.portfolio_stats(ex3, p.weights))
     rng = np.random.default_rng(113)
     for _ in range(5_000):
         v = rng.normal(0.0, 1.0, 3)
         w = np.full(3, 1.0 / 3.0) + (v - v.mean())
-        assert drf.diversification_ratio(ex3, w) <= best + 1e-12
+        assert _ratio(ex3, drf.portfolio_stats(ex3, w)) <= best + 1e-12
 
 
 def test_mdp_global_requires_positive_variances(degenerate3):
@@ -377,7 +377,7 @@ def test_d_max_bounds_rejects_non_square():
 def test_analyze_mdp_bundle(ex3):
     a = drf.analyze_mdp(ex3)
     assert a.ratio == pytest.approx(
-        drf.diversification_ratio(ex3, a.portfolio.weights), rel=1e-12
+        _ratio(ex3, drf.portfolio_stats(ex3, a.portfolio.weights)), rel=1e-12
     )
     assert a.d_max == pytest.approx((17.0 - np.sqrt(253.0)) / 36.0, rel=1e-9)
 
@@ -842,4 +842,4 @@ def test_ratio_audit_on_random_universes():
     for _ in range(5):
         u = random_universe(rng, int(rng.integers(2, 12)))
         p = drf.mdp_global(u)
-        assert drf.diversification_ratio(u, p.weights) > 1.0
+        assert _ratio(u, drf.portfolio_stats(u, p.weights)) > 1.0

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import drfrontier as drf
@@ -16,16 +16,21 @@ from drfrontier.errors import (
     NotPSDError,
     ParseError,
     SingularCovarianceError,
+    SingularDistanceError,
 )
-from drfrontier.model import BUDGET_ATOL, PSD_RTOL
+from drfrontier.model import BUDGET_ATOL, PSD_RTOL, PYTHAGORAS_ATOL
 
 from .conftest import R0_3, RBAR3, V3
 from .oracles import (
+    MDRP_AGREEMENT_ATOL,
+    SINGULAR_KINDS,
     centred_rhs,
     conditioned_universe,
+    distance_route,
     forward_error,
     lu_route,
     random_universe,
+    singular_cov,
     with_spectrum,
 )
 
@@ -266,7 +271,6 @@ def _cash(u):
         (lambda u: drf.check_budget(TEXT3), ParseError),
         (lambda u: drf.portfolio_stats(u, TEXT3), ParseError),
         (lambda u: drf.diversification_return(u, TEXT3), ParseError),
-        (lambda u: drf.centrality(drf.embed(u), TEXT3), ParseError),
         (lambda u: drf.norm_dr_bound(drf.embed(u), [TEXT3] * 3, 1.0), ParseError),
         (lambda u: drf.max_linear_over_ellipsoid(u, TEXT3, 1.2), ParseError),
         (lambda u: drf.sweep(u, "efficient_dr", sigma_grid=["x", 1.2]), ParseError),
@@ -302,12 +306,11 @@ def _cash(u):
         (lambda u: drf.norm_dr_bound(drf.embed(u), np.eye(3), np.inf), ParseError),
         (lambda u: drf.portfolio_stats(u, [0.5, 0.5]), DimensionMismatchError),
         (lambda u: drf.diversification_return(u, [0.25] * 4), DimensionMismatchError),
-        (lambda u: drf.centrality(drf.embed(u), [0.5, 0.5]), DimensionMismatchError),
     ],
     ids=[
         "assert_edm-empty", "d_max_bounds-empty", "assert_edm-text",
         "d_max_bounds-text", "check_budget", "portfolio_stats",
-        "diversification_return", "centrality", "norm_dr_bound",
+        "diversification_return", "norm_dr_bound",
         "max_linear_over_ellipsoid", "sweep", "sweep-scalar", "sweep-2d",
         "sweep-nan", "sweep-inf", "sweep-minus-inf", "q_dr_at-nan",
         "efficient_dr_portfolio-inf", "mdp_at_sigma-nan",
@@ -318,7 +321,7 @@ def _cash(u):
         "mdp_at_sigma-none", "q_dr_at-array", "cash-value-none",
         "mix-none", "mix-text", "mix-nan", "mix-minus-inf", "norm_dr_bound-tau-none",
         "norm_dr_bound-tau-array", "norm_dr_bound-tau-text", "norm_dr_bound-tau-inf",
-        "portfolio_stats-length", "diversification_return-length", "centrality-length",
+        "portfolio_stats-length", "diversification_return-length",
     ],
 )
 def test_library_entry_points_type_empty_and_non_numeric_arrays(ex3, call, error):
@@ -378,22 +381,106 @@ def test_portfolio_stats_with_embedding(ex3, universe30, degenerate3):
     p = drf.portfolio_stats(ex3, w)
     assert p.centrality_sq == pytest.approx(4.0 / 9.0, abs=1e-10)
     assert p.centrality_sq + p.dr == pytest.approx(emb.q_max, abs=1e-8)
-    # one formula: on a nonsingular universe the embedding's centrality is
-    # the square root of the kernel's centrality_sq, bit for bit
+    # one centre: the embedding's s and q_max are the universe's, bit for
+    # bit, and the centrality about it is exactly 0 at s
     rng = np.random.default_rng(41)
     for u in [ex3, universe30] + [random_universe(rng, n) for n in (2, 5, 12)]:
         e = drf.embed(u)
+        assert e.mdrp_weights is u.centre[0] and e.q_max == u.centre[1]
         for x in [e.mdrp_weights, np.full(u.n, 1.0 / u.n)] + [
             rng.dirichlet(np.ones(u.n)) * 3.0 - 2.0 / u.n for _ in range(10)
         ]:
-            assert drf.centrality(e, x) == math.sqrt(drf.portfolio_stats(u, x).centrality_sq)
-    # a singular universe has no kernel: the embedding gives centrality there
+            c = math.sqrt(drf.portfolio_stats(u, x).centrality_sq)
+            assert c * c + drf.diversification_return(u, x) == pytest.approx(
+                e.q_max, abs=1e-8 * max(1.0, e.q_max)
+            )
+            if x is e.mdrp_weights:
+                assert c == 0.0
+    # a singular universe has its centre too, from the bordered KKT solve
     p = drf.portfolio_stats(degenerate3, w)
-    assert p.centrality_sq is None
     emb = drf.embed(degenerate3)
-    c = drf.centrality(emb, w)
+    c = math.sqrt(p.centrality_sq)
     assert c * c == pytest.approx(1.0 / 36.0, abs=1e-12)
     assert c * c + p.dr == pytest.approx(emb.q_max, abs=1e-12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(SINGULAR_KINDS), st.integers(2, 8), st.integers(0, 2**32 - 1))
+def test_centre_of_a_singular_universe(kind, n, seed):
+    # u.centre where V is singular: none exactly where DR is unbounded, and
+    # where it answers, the distance matrix's route, the deduplicated
+    # universe's kernel and Pythagoras agree with it
+    assume(kind != "unbounded" or n >= 3)
+    rng = np.random.default_rng(seed)
+    u = drf.validate_universe(singular_cov(rng, kind, n))
+    assume(not u.nonsingular)  # a conditioned draw near cond 1e10 may certify
+    if u.centre is None:
+        # refused: unbounded DR, or a centre that rounding cannot resolve
+        reason = "DR unbounded" if kind == "unbounded" else "centre ill-conditioned"
+        with pytest.raises(SingularDistanceError, match=reason):
+            drf.embed(u)
+        return
+    assert kind != "unbounded"
+    s, q_max = u.centre
+    tol = PYTHAGORAS_ATOL * max(1.0, q_max)
+    assert abs(float(s.sum()) - 1.0) <= 4 * n * np.finfo(float).eps * float(np.abs(s).sum())
+    D = drf.build_distance_matrix(u)
+    if np.linalg.cond(D) < 1e8:  # D nonsingular: its own route to s and q_max
+        s_d, q_d = distance_route(u)
+        assert abs(q_d - q_max) <= tol
+        assert float(np.abs(s_d - s).max()) <= MDRP_AGREEMENT_ATOL * max(1.0, float(np.abs(s).max()))
+    if kind == "duplicate":
+        # the clones share their weight, and q_max is the deduplicated
+        # universe's (0 for two clones: q = 0 on the budget hyperplane)
+        assert abs(s[0] - s[-1]) <= MDRP_AGREEMENT_ATOL * max(1.0, float(np.abs(s).max()))
+        deduplicated = 0.0 if n == 2 else drf.validate_universe(u.cov[:-1, :-1]).solver.q_max
+        assert abs(q_max - deduplicated) <= 1e-12 * max(1.0, q_max)
+    for w in [s, np.full(n, 1.0 / n), *(rng.dirichlet(np.ones(n)) * 3.0 - 2.0 / n for _ in range(10))]:
+        p = drf.portfolio_stats(u, w)
+        assert abs(p.centrality_sq + p.dr - q_max) <= tol
+
+
+@pytest.mark.parametrize("c", [1.0, 1e-9, 1e-6, 1e6])
+def test_centre_of_a_small_eigenvalue_is_scale_free(c):
+    # V = c 1e-6 diag(0, 1, 1e-6) has its unique maximum at (0, 1/2, 1/2):
+    # V's eigenvalue c 1e-12 must survive the cut however small V is
+    u = drf.validate_universe(c * 1e-6 * np.diag([0.0, 1.0, 1e-6]))
+    s, q_max = u.centre
+    np.testing.assert_allclose(s, [0.0, 0.5, 0.5], rtol=0.0, atol=1e-12)
+    assert q_max == pytest.approx(c * 0.125e-6 * (1.0 + 1e-6), rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SINGULAR_KINDS), st.integers(2, 8), st.integers(0, 2**32 - 1))
+def test_centre_is_scale_equivariant(kind, n, seed):
+    # u.centre of c V is (s, c q_max) for c from 1e-9 to 1e6: the SVD's cut
+    # and the KKT residual's bound scale with V, so unbounded DR is refused
+    # at every scale and a bounded one never reads as unbounded.  Only the
+    # rounding rule, PYTHAGORAS_ATOL * max(1, q_max), is absolute below
+    # q_max = 1, so an ill-conditioned centre may be answered at small c.
+    assume(kind != "unbounded" or n >= 3)
+    V = singular_cov(np.random.default_rng(seed), kind, n)
+    u = drf.validate_universe(V)
+    assume(not u.nonsingular)
+    for c in (1e-9, 1e-6, 1e6):
+        scaled = drf.validate_universe(c * V)
+        if kind == "unbounded":
+            assert u.centre is None and scaled.centre is None
+            with pytest.raises(SingularDistanceError, match="DR unbounded"):
+                drf.embed(scaled)
+            continue
+        if kind == "duplicate":
+            assert u.centre is not None and scaled.centre is not None
+        if scaled.centre is None:
+            with pytest.raises(SingularDistanceError, match="centre ill-conditioned"):
+                drf.embed(scaled)
+        if u.centre is None or scaled.centre is None:
+            continue
+        (s, q_max), (s_c, q_c) = u.centre, scaled.centre
+        assert abs(q_c / c - q_max) <= PYTHAGORAS_ATOL * max(1.0, q_max)
+        if kind != "conditioned":  # s itself is ill conditioned there
+            gap = float(np.abs(s_c - s).max())
+            assert gap <= MDRP_AGREEMENT_ATOL * max(1.0, float(np.abs(s).max()))
 
 
 def test_universe_and_portfolio_are_frozen(ex3):
@@ -498,7 +585,7 @@ def _records(u):
     """One of each record that holds an array, or a record holding one."""
     return [
         u,
-        drf.min_variance_portfolio(u),
+        drf.special_portfolios(u).mvp,
         drf.special_portfolios(u),
         u.solver,
         drf.point(u, "efficient_dr", 1.5),

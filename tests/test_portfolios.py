@@ -38,7 +38,7 @@ def test_proportional_to_ones():
 
 
 def test_mvp_three_asset(ex3):
-    p = drf.min_variance_portfolio(ex3)
+    p = drf.special_portfolios(ex3).mvp
     np.testing.assert_allclose(p.weights, np.full(3, 1.0 / 3.0), atol=1e-12)
     assert p.variance == pytest.approx(1.0, abs=1e-12)
     assert p.dr == pytest.approx(5.0 / 9.0, abs=1e-12)
@@ -47,7 +47,7 @@ def test_mvp_three_asset(ex3):
 def test_mvp_identity_cov():
     for n in (2, 4, 7):
         u = drf.validate_universe(np.eye(n))
-        p = drf.min_variance_portfolio(u)
+        p = drf.special_portfolios(u).mvp
         np.testing.assert_allclose(p.weights, np.full(n, 1.0 / n), atol=1e-12)
         assert p.variance == pytest.approx(1.0 / n, abs=1e-12)
 
@@ -56,34 +56,33 @@ def test_mvp_matches_projected_gradient():
     rng = np.random.default_rng(31)
     for _ in range(10):
         u = random_universe(rng, int(rng.integers(2, 10)))
-        p = drf.min_variance_portfolio(u)
+        p = drf.special_portfolios(u).mvp
         w_ref = projected_gradient_min_variance(u.cov)
         np.testing.assert_allclose(p.weights, w_ref, atol=1e-6)
 
 
 def test_mvp_expected_return_is_b_over_a(ex3_returns):
-    p = drf.min_variance_portfolio(ex3_returns)
+    p = drf.special_portfolios(ex3_returns).mvp
     assert p.expected_return == pytest.approx(0.08, abs=1e-12)
 
 
 def test_mdrp_three_asset(ex3):
-    p = drf.max_dr_portfolio(ex3)
+    p = drf.special_portfolios(ex3).mdrp
     np.testing.assert_allclose(p.weights, [-1.0, 1.0, 1.0], atol=1e-8)
     assert p.dr == pytest.approx(1.0, abs=1e-10)
     assert p.variance == pytest.approx(17.0 / 9.0, abs=1e-8)
 
 
 def test_mdrp_equals_mvp_for_equal_variances(identity3):
-    mvp = drf.min_variance_portfolio(identity3)
-    mdrp = drf.max_dr_portfolio(identity3)
-    np.testing.assert_allclose(mdrp.weights, mvp.weights, atol=1e-10)
+    sp = drf.special_portfolios(identity3)
+    np.testing.assert_allclose(sp.mdrp.weights, sp.mvp.weights, atol=1e-10)
 
 
 def test_mdrp_matches_projected_gradient():
     rng = np.random.default_rng(37)
     for _ in range(6):
         u = random_universe(rng, int(rng.integers(2, 8)))
-        p = drf.max_dr_portfolio(u)
+        p = drf.special_portfolios(u).mdrp
         w_ref, val_ref = projected_gradient_max_dr(u.cov, u.variances, starts=20)
         np.testing.assert_allclose(p.weights, w_ref, atol=1e-6)
         assert p.dr == pytest.approx(val_ref, abs=1e-8)
@@ -93,7 +92,7 @@ def test_mdrp_dr_is_embedding_peak():
     rng = np.random.default_rng(41)
     for _ in range(10):
         u = random_universe(rng, int(rng.integers(2, 20)))
-        p = drf.max_dr_portfolio(u)
+        p = drf.special_portfolios(u).mdrp
         emb = drf.embed(u)
         assert p.dr == pytest.approx(emb.q_max, abs=1e-10 * max(1.0, emb.q_max))
 
@@ -124,7 +123,7 @@ def test_rho_exactly_zero_for_equal_variances(identity3):
 
 def test_solver_rejects_singular(degenerate3):
     with pytest.raises(SingularCovarianceError):
-        drf.min_variance_portfolio(degenerate3)
+        drf.special_portfolios(degenerate3).mvp
 
 
 def test_solver_cache_reuse(ex3):
@@ -181,13 +180,13 @@ def test_mean_variance_readers_refuse_as_self_financing_direction(ex3):
             lambda: drf.point(u, FrontierKind.MV_EFFICIENT_DR, 2.0),
             lambda: drf.point(u, "mv_mean_return", 2.0),
             lambda: drf.inflection_report(u),
-            lambda: drf.eta_wo_sign(u),
+            lambda: drf.self_financing_direction(u),
             lambda: drf.q_portfolio(u),
         ):
             with pytest.raises(error):
                 call()
     sp = drf.special_portfolios(constant)
-    assert constant.solver.w_o is None and sp.q_pf is None and sp.eta_wo_sign is None
+    assert constant.solver.w_o is None and sp.q_pf is None and constant.solver.eta_wo is None
     np.testing.assert_array_equal(sp.tangent.weights, sp.mvp.weights)
 
 
@@ -195,13 +194,11 @@ def test_eta_wo_three_asset(ex3_returns):
     m = ex3_returns.solver.eta_wo
     assert m * m == pytest.approx(24.0 / 7.0, rel=1e-12)
     assert m > 0.0
-    assert drf.eta_wo_sign(ex3_returns) == "positive"
 
 
 def test_eta_wo_sign_negative():
     # returns anti-aligned with variances put the DR peak on the other branch
     u = drf.validate_universe(V3, expected_returns=1.0 - np.array(np.diag(V3)))
-    assert drf.eta_wo_sign(u) == "negative"
     assert u.solver.eta_wo < 0.0
 
 
@@ -224,10 +221,10 @@ def _zero_band_universe(rng, n):
 def test_eta_wo_sign_zero_band():
     rng = np.random.default_rng(59)
     u = _zero_band_universe(rng, 5)
-    assert drf.eta_wo_sign(u) == "zero"
+    assert u.solver.eta_wo == 0.0
     q_pf = drf.q_portfolio(u)
     np.testing.assert_allclose(
-        q_pf.weights, drf.min_variance_portfolio(u).weights, atol=1e-10
+        q_pf.weights, drf.special_portfolios(u).mvp.weights, atol=1e-10
     )
     # the one edge where the two sign classifications group differently: a
     # zero eta' w_o is its own sign, but a strongly concave curve, so it has
@@ -247,7 +244,7 @@ def test_q_portfolio_three_asset(ex3_returns):
 
 def test_q_portfolio_maximizes_dr_along_frontier(ex3_returns):
     # dense scan over the frontier line w_mvp + t * w_o
-    w_mvp = drf.min_variance_portfolio(ex3_returns).weights
+    w_mvp = drf.special_portfolios(ex3_returns).mvp.weights
     w_o = drf.self_financing_direction(ex3_returns)
     best = max(
         drf.diversification_return(ex3_returns, w_mvp + t * w_o)
@@ -263,7 +260,7 @@ def test_q_portfolio_collapses_to_mdrp_for_proportional_returns():
     u = random_universe(rng, 7)
     prop = drf.validate_universe(u.cov, expected_returns=0.05 * u.variances)
     q_pf = drf.q_portfolio(prop)
-    mdrp = drf.max_dr_portfolio(prop)
+    mdrp = drf.special_portfolios(prop).mdrp
     np.testing.assert_allclose(q_pf.weights, mdrp.weights, atol=1e-8)
 
 
@@ -318,7 +315,7 @@ def test_special_portfolios_full_bundle(ex3_returns):
     assert s.a == pytest.approx(1.0, abs=1e-12)
     assert s.rho**2 == pytest.approx(32.0 / 9.0, rel=1e-12)
     assert s.a * s.ret_mvp == pytest.approx(0.08, abs=1e-12)  # b = 1' V^-1 rbar
-    assert sp.eta_wo_sign == "positive"
+    assert s.eta_wo > 0.0
     d = sp.mdrp.weights - sp.mvp.weights
     np.testing.assert_allclose(d, [-4.0 / 3.0, 2.0 / 3.0, 2.0 / 3.0], atol=1e-8)
     # centralities come from the kernel, without an embedding

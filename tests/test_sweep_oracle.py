@@ -158,7 +158,7 @@ def test_equal_variances_collapse_onto_mvp(identity3):
     # sqrt(eta) is proportional to ones: every ratio-maximizing point is
     # w_mvp, flagged degenerate, and no step divides by the zero norm
     p = drf.frontier_params(identity3)
-    w_mvp = drf.min_variance_portfolio(identity3).weights
+    w_mvp = drf.special_portfolios(identity3).mvp.weights
     grid = [0.5 * p.sigma_mvp, p.sigma_mvp, 0.7, 1.0, 5.0]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -184,7 +184,7 @@ def test_equal_variances_collapse_onto_mvp(identity3):
 
 def test_grid_point_exactly_at_sigma_mvp(ex3_returns):
     p = drf.frontier_params(ex3_returns)
-    w_mvp = drf.min_variance_portfolio(ex3_returns).weights
+    w_mvp = drf.special_portfolios(ex3_returns).mvp.weights
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for kind in (
