@@ -209,7 +209,7 @@ def cmd_portfolios(args) -> dict:
 
     universe, files = _load_universe(args)
     sp = portfolios.special_portfolios(universe)
-    s = universe.solver
+    s, q_max = universe.solver, universe.centre[1]
     payload = {
         "names": list(universe.names),
         "scalars": {
@@ -219,7 +219,7 @@ def cmd_portfolios(args) -> dict:
             "sigma_mvp": s.sigma_mvp,
             "sigma_mdrp": s.sigma_mdrp,
             "q_mvp": s.q_mvp,
-            "q_max": s.q_max,
+            "q_max": q_max,
             "eta_wo": s.eta_wo,
             "eta_wo_sign": None if s.eta_wo is None else (
                 "zero" if s.eta_wo == 0.0 else "positive" if s.eta_wo > 0.0 else "negative"
@@ -261,12 +261,12 @@ def _svg_charts(universe, curves) -> dict:
     from .model import EfShape
     from .portfolios import q_portfolio
 
-    s = universe.solver
-    markers = [("MVP", s.sigma_mvp, s.q_mvp), ("MDRP", s.sigma_mdrp, s.q_max)]
+    s, q_max = universe.solver, universe.centre[1]
+    markers = [("MVP", s.sigma_mvp, s.q_mvp), ("MDRP", s.sigma_mdrp, q_max)]
     if s.ef_shape is EfShape.STRONGLY_CONCAVE:
         q_pf = q_portfolio(universe)
         markers.append(("Q", q_pf.sigma, q_pf.dr))
-    hlines = [("sqrt(q_max)", float(np.sqrt(s.q_max)))]
+    hlines = [("sqrt(q_max)", float(np.sqrt(q_max)))]
     charts = {}
     for filename, title, ylabel, field in CHARTS:
         series = []

@@ -30,9 +30,9 @@ reads centrality from the same centre
 (:func:`~drfrontier.model.portfolio_stats`) without building an embedding.
 The embedding serves the asset coordinates (column i of ``coords`` is asset
 i, which the ``embed`` command writes beside its name) and
-:func:`norm_dr_bound`.  Neither runs in :func:`embed`: B is formed on its
-first read, and its eigendecomposition, which only the coordinates need, on
-theirs.
+:func:`norm_dr_bound`.  Neither runs in :func:`embed`: D and B are formed
+on their first reads, and B's eigendecomposition, which only the
+coordinates need, on theirs.
 
 :func:`assert_edm` decides Schoenberg's criterion (1935), that D is a
 Euclidean distance matrix exactly when -0.5 J D J is PSD, by one Cholesky
@@ -100,37 +100,40 @@ class EdmEmbedding:
     """Spherical embedding of an asset universe.
 
     Attributes:
-        dist: the squared-distance matrix D.
+        universe: the universe embedded, whose V forms D and B.
         mdrp_weights: the centering weights s, the maximum-DR portfolio of
             the universe's ``centre``.
         q_max: top of the DR frontier, 1 / (2 * 1' D^-1 1) where D is
             nonsingular: the DR of s, from the same ``centre``.
-        cov: the universe's covariance V, from which B is formed.
+        dist: the squared-distance matrix D.
         gram: B = X' X, PSD of rank <= n - 1.
         eigvals: positive eigenvalues of B, descending.
         coords: k x n array X; column i is the image of asset i.
 
-    B is formed from V and s on its first read, and eigvals and coords (and
-    dim) come from one eigendecomposition of B on the first read of either;
-    an embedding only asked for D, s or q_max forms neither.
+    D and B (from V and s) are formed on their first reads, and eigvals and
+    coords (and dim) from one eigendecomposition of B on the first read of
+    either; an embedding only asked for s or q_max forms none of them.
     """
 
-    dist: np.ndarray
+    universe: AssetUniverse = field(repr=False)
     mdrp_weights: np.ndarray
     q_max: float
-    cov: np.ndarray = field(repr=False)
 
     @property
     def n(self) -> int:
-        return self.dist.shape[0]
+        return len(self.mdrp_weights)
+
+    @functools.cached_property
+    def dist(self) -> np.ndarray:
+        return build_distance_matrix(self.universe)
 
     @functools.cached_property
     def gram(self) -> np.ndarray:
         # the rank-2 update B = 0.5 (V - v 1' - 1 v' + (s' v) 1 1'), v = V s;
         # v_i + v_j is commutative, so B comes out exactly symmetric
-        s = self.mdrp_weights
-        v = self.cov @ s
-        return 0.5 * (self.cov - (v[:, None] + v[None, :]) + float(s @ v))
+        s, V = self.mdrp_weights, self.universe.cov
+        v = V @ s
+        return 0.5 * (V - (v[:, None] + v[None, :]) + float(s @ v))
 
     @functools.cached_property
     def _axes(self):
@@ -281,15 +284,13 @@ def _canonical_axes(lam: np.ndarray, X: np.ndarray) -> np.ndarray:
 def embed(universe: AssetUniverse) -> EdmEmbedding:
     """Build the spherical embedding of a universe.
 
-    The centre s and q_max are the universe's
-    (:attr:`~drfrontier.model.AssetUniverse.centre`): the covariance
-    kernel's w_mdrp and q_max on a nonsingular universe, so the embedding and
-    every closed form share their bits, and the bordered KKT solve on a
-    singular one.  Where the universe refuses its centre, SingularDistanceError
-    says why: DR unbounded on the budget hyperplane, or an ill-conditioned
-    centre.  A q_max <= 0 (q = 0 on the whole budget hyperplane, as for two
-    clones) raises NonPositiveQmaxError.
-    The recentred Gram matrix is formed from V on its first read, as the
+    The centre s and q_max = q(s) are the universe's
+    (:attr:`~drfrontier.model.AssetUniverse.centre`), so the embedding and
+    every closed form share their bits.  Where the universe refuses its
+    centre, SingularDistanceError says why: DR unbounded on the budget
+    hyperplane, or an ill-conditioned centre.  A q_max <= 0 (q = 0 on the
+    whole budget hyperplane, as for two clones) raises NonPositiveQmaxError.
+    D and the recentred Gram matrix are formed on their first reads, B as the
     rank-2 update B = 0.5 (V - v 1' - 1 v' + (s' v) 1 1') with v = V s
     (equal to -0.5 Js' D Js, without its cancellation of the eta 1' terms).
     B's eigendecomposition runs on the first read of ``eigvals`` or
@@ -303,14 +304,13 @@ def embed(universe: AssetUniverse) -> EdmEmbedding:
     then oriented so that the first asset whose coordinate exceeds BASIS_RTOL
     times the axis's largest in magnitude has a positive coordinate.
     """
-    D = build_distance_matrix(universe)
     s, q_max = universe.require_centre()
     if q_max <= 0.0:
         raise NonPositiveQmaxError(
             f"q_max = {q_max:.3e} <= 0; universe admits no positive DR peak"
         )
 
-    return EdmEmbedding(dist=D, mdrp_weights=s, q_max=q_max, cov=universe.cov)
+    return EdmEmbedding(universe=universe, mdrp_weights=s, q_max=q_max)
 
 
 def norm_dr_bound(embedding: EdmEmbedding, norm_matrix, tau: float) -> float:

@@ -67,10 +67,6 @@ class RiskBelowMvpError(DrFrontierError):
     """Requested risk lies below its curve's base risk: sigma_mvp, or 0 with cash."""
 
 
-class DegenerateRhoError(DrFrontierError):
-    """Frontier is flat (all asset variances equal in the solved metric)."""
-
-
 class NegativeVarianceError(DrFrontierError):
     """An asset variance is negative."""
 

@@ -17,10 +17,10 @@ tangency portfolio per unit of its risk, so m = eta' x.  The two coincide
 when excess returns are proportional to eta.  :func:`sweep` evaluates the
 rays over a grid, :func:`point` reads one kind's row at one sigma, and
 :func:`max_linear_over_ellipsoid` the row of any other linear objective's
-ray.  The scalars that fix the rays (sigma_mvp, q_mvp, rho, q_max, eta' w_o,
+ray.  The scalars that fix the rays (sigma_mvp, q_mvp, rho, eta' w_o,
 eta' w_mvp, rbar' w_mvp and the shape class ef_shape) are the covariance
-kernel's, ``universe.solver``; this module keeps no record of its own, and
-its rows carry numbers only: the ``frontier`` command writes them as CSV.
+kernel's, ``universe.solver``; this module keeps no record of its own (q_max
+is ``universe.centre``'s), and its rows carry numbers only.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import DegenerateRhoError, DimensionMismatchError, RiskBelowMvpError
+from .errors import DimensionMismatchError, RiskBelowMvpError
 from .model import AssetUniverse, CovarianceSolver
 from .model import _finite_array, _finite_float, _float_array
 from .model import default_sigma_grid  # noqa: F401  (read as frontiers.default_sigma_grid)
@@ -56,8 +56,8 @@ class FrontierKind(str, Enum):
 def frontier_params(universe: AssetUniverse) -> CovarianceSolver:
     """The universe's covariance kernel ``universe.solver`` itself, the one
     record of every scalar that fixes the curves (sigma_mvp, q_mvp, rho,
-    q_max, eta_wo, ef_shape, ...), for callers that ask this module for it:
-    a singular universe raises SingularCovarianceError here."""
+    eta_wo, ef_shape, ...), for callers that ask this module for it: a
+    singular universe raises SingularCovarianceError here."""
     return universe.solver
 
 
@@ -142,11 +142,10 @@ def _ray(universe: AssetUniverse, kind: FrontierKind) -> _Ray:
         x = tangent.weights / tangent.sigma
         return _cash_ray(universe, x, float(universe.variances @ x), tangent.sigma)
     if kind is FrontierKind.EFFICIENT_DR_RISKFREE:
-        # V^-1 eta = rho d_eta + a eta_mvp w_mvp, two V-orthogonal parts
+        # V^-1 eta = rho d_eta + a eta_mvp w_mvp, two V-orthogonal parts, and
+        # gain > 0: rho = 0 makes eta constant, so eta_mvp = eta_1 > 0
         _require_risk_free_rate(universe)
         gain = float(np.sqrt(s.rho * s.rho + s.a * s.eta_mvp * s.eta_mvp))
-        if gain <= 0.0:
-            raise DegenerateRhoError("all asset variances vanish; curve undefined")
         x = s.a * s.eta_mvp * s.w_mvp + (0.0 if s.d_eta is None else s.rho * s.d_eta)
         return _cash_ray(universe, x / gain, gain, None)
     return _budget_ray(universe, self_financing_direction(universe), s.eta_wo, 1.0)
@@ -193,7 +192,7 @@ def point(universe: AssetUniverse, kind, sigma) -> FrontierRow:
     a finite number raises ParseError, a kind the sweep refuses raises as
     the sweep does, and a sigma below the ray's base risk (sigma_mvp, or 0
     with cash) RiskBelowMvpError.  A kind's scalars are the row's fields:
-    on efficient_dr the mix alpha = (2 / rho) u of w_mdrp and w_mvp, None
+    on efficient_dr the mix alpha = (2 / rho) u of s and w_mvp, None
     where rho = 0, lands past the maximum-DR portfolio when alpha > 1; on
     mv_efficient_dr alpha is u = sqrt(sigma^2 - sigma_mvp^2), so the gap
     q_dr - q_ef of the two curves is 0.5 (rho - eta' w_o) alpha, nonnegative

@@ -13,9 +13,9 @@ covariance kernel that every closed form reads.  The centrality of a
 portfolio, c(w)^2 = q_max - q(w), is its V-distance from the maximum-DR
 portfolio s, 0.5 (w - s)' V (w - s), so no embedding is needed for it.
 The identity needs only the KKT point of q on the budget hyperplane, not
-V^-1, so every universe owns its centre (s, q_max): the kernel's on a
-nonsingular V, one bordered KKT solve on a singular one, and none where q
-has no maximum there.
+V^-1, so every universe owns its centre (s, q_max = q(s)): s from the kernel
+on a nonsingular V, one bordered KKT solve on a singular one, and none
+where q has no maximum there.
 
 Note that q depends on the asset decomposition, not just on the final return
 stream: merging several assets into one composite asset and re-weighting
@@ -159,13 +159,16 @@ class AssetUniverse:
     @functools.cached_property
     def _centre(self) -> tuple:
         """(centre, reason): the centre below, or None with the reason why, formed once."""
-        if self.nonsingular:
-            return (self.solver.w_mdrp, self.solver.q_max), ""
-        return _bordered_centre(self)
+        if not self.nonsingular:
+            return _bordered_centre(self)
+        k = self.solver
+        s = _frozen(k.w_mvp + (0.0 if k.d_eta is None else 0.5 * k.rho * k.d_eta))
+        return (s, _variance_and_dr(self, s)[1]), ""
 
     @property
     def centre(self) -> Optional[tuple]:
-        """(s, q_max), the maximum-DR portfolio and its DR: the kernel's on a
+        """(s, q_max), the maximum-DR portfolio and its DR q(s), as
+        :func:`portfolio_stats` evaluates it: s from the kernel on a
         nonsingular universe, :func:`_bordered_centre`'s on a singular one,
         None where that refuses it (DR unbounded, or ill-conditioned)."""
         return self._centre[0]
@@ -224,10 +227,9 @@ class CovarianceSolver:
     d_eta, d_root and w_o, with k = rho, k_root and k_r, are the
     :meth:`direction` of eta, sqrt(eta) and rbar: the unit directions along
     which the DR-efficient, ratio-maximizing and mean-variance portfolios
-    leave w_mvp.  The maximum-DR portfolio w_mdrp = w_mvp + (rho / 2) d_eta
-    is the sphere centre s of the embedding, q_max = q_mvp + rho^2 / 8 its
-    DR, q_mvp = (eta_mvp - sigma_mvp^2) / 2, and sigma2_mdrp = sigma2_mvp
-    + rho^2 / 4 its variance, sigma_mdrp its risk.  eta_mvp = eta' w_mvp and
+    leave w_mvp, of DR q_mvp = (eta_mvp - sigma_mvp^2) / 2, towards the
+    universe's ``centre`` w_mvp + (rho / 2) d_eta, of variance sigma2_mdrp =
+    sigma2_mvp + rho^2 / 4 and risk sigma_mdrp.  eta_mvp = eta' w_mvp and
     ret_mvp = rbar' w_mvp (None without returns) are the average variance
     and the return of w_mvp, formed here only.  eta_wo is eta0' w_o,
     0.0 within ZERO_BAND_RTOL * rho of zero, and None exactly when w_o is:
@@ -276,11 +278,8 @@ class CovarianceSolver:
         self.eta_mvp = float(eta @ self.w_mvp)
         self.ret_mvp = None if rbar is None else float(rbar @ self.w_mvp)
         self.q_mvp = 0.5 * (self.eta_mvp - self.sigma2_mvp)
-        self.q_max = self.q_mvp + 0.125 * self.rho * self.rho
         self.sigma2_mdrp = self.sigma2_mvp + 0.25 * self.rho * self.rho
         self.sigma_mdrp = float(np.sqrt(self.sigma2_mdrp))
-        to_mdrp = 0.0 if self.d_eta is None else 0.5 * self.rho * self.d_eta
-        self.w_mdrp = _frozen(self.w_mvp + to_mdrp)
         self.d_root, self.k_root = self.direction(root, rhs[2], inv[2])
         self.w_o, self.k_r = (None, 0.0) if rbar is None else self.direction(rbar, rhs[3], inv[3])
         self.eta_wo = None if self.w_o is None else float(self.eta0 @ self.w_o)
@@ -388,7 +387,7 @@ def _bordered_centre(universe: AssetUniverse):
         return None, f"DR unbounded on the budget hyperplane: KKT residual {resid:.3e} > {tol:.3e}"
     s = _frozen(s + (1.0 - float(s.sum())) / n)
     size = np.abs(s)
-    q_max = 0.5 * float(eta @ s - s @ V @ s)
+    q_max = _variance_and_dr(universe, s)[1]
     noise = n * np.finfo(float).eps * float(eta @ size + size @ np.abs(V) @ size)
     if not resid <= tol or noise > PYTHAGORAS_ATOL * max(1.0, q_max):
         return None, (
@@ -596,25 +595,29 @@ def validate_universe(
     )
 
 
+def _variance_and_dr(universe: AssetUniverse, w: np.ndarray) -> tuple:
+    """(w' V w clamped at 0, as V is PSD, and q(w)): the one evaluation of q."""
+    variance = max(float(w @ universe.cov @ w), 0.0)
+    return variance, 0.5 * float(universe.variances @ w) - 0.5 * variance
+
+
 def diversification_return(universe: AssetUniverse, weights) -> float:
     """Diversification return q(w) = 0.5 * (eta' w - w' V w) of a budget portfolio."""
-    w = check_budget(weights, universe.n)
-    return 0.5 * float(universe.variances @ w - w @ universe.cov @ w)
+    return _variance_and_dr(universe, check_budget(weights, universe.n))[1]
 
 
 def portfolio_stats(universe: AssetUniverse, weights) -> Portfolio:
     """Bundle variance, DR, centrality and expected return into a Portfolio.
 
     The squared centrality is 0.5 (w - s)' V (w - s) about the universe's
-    centre s (:attr:`AssetUniverse.centre`: the kernel's w_mdrp on a
-    nonsingular universe, the weights of ``special_portfolios(u).mdrp``,
-    whose centrality is therefore exactly 0).  It equals q_max - q(w) and
+    centre s (:attr:`AssetUniverse.centre`, the weights of
+    ``special_portfolios(u).mdrp``, whose centrality is therefore exactly 0
+    and whose DR is q_max bit for bit).  It equals q_max - q(w) and
     the embedding's w' B w on budget portfolios, without their cancellation
     near s.  It is None where the universe has no centre.
     """
     w = check_budget(weights, universe.n)
-    variance = max(float(w @ universe.cov @ w), 0.0)  # V is PSD: below 0 is rounding
-    dr = 0.5 * float(universe.variances @ w) - 0.5 * variance
+    variance, dr = _variance_and_dr(universe, w)
 
     centrality_sq, centre = None, universe.centre
     if centre is not None:

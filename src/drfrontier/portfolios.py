@@ -15,8 +15,8 @@ eta is close to a multiple of ones.  rho measures how far eta is from being
 proportional to the ones vector in the V^-1 metric; it controls the spread
 between the minimum-variance and maximum-DR portfolios and the height of
 the DR frontier.  Every portfolio is formed once through
-:func:`~drfrontier.model.portfolio_stats`, which reads its centrality from
-the same kernel, so no embedding is built here.
+:func:`~drfrontier.model.portfolio_stats`, which reads its centrality about
+the universe's ``centre``, so no embedding is built here.
 """
 
 from __future__ import annotations
@@ -109,10 +109,10 @@ class SpecialPortfolios:
 
     Each is w_mvp plus a multiple of a zero-budget direction of the kernel,
     so it sums to one up to rounding: mvp is w_mvp = V^-1 1 / (1' V^-1 1),
-    mdrp is w_mdrp = w_mvp + (rho / 2) d_eta, of DR q_max and centrality
-    exactly 0.  The scalars tying them together (a, rho, w_o, eta' w_o, ...)
-    are the kernel's, ``universe.solver``.  The fields needing w_o, or the
-    tangency, are None where
+    mdrp is the universe's centre s = w_mvp + (rho / 2) d_eta, of DR q_max
+    bit for bit and centrality exactly 0.  The scalars tying them together
+    (a, rho, w_o, eta' w_o, ...) are the kernel's, ``universe.solver``.  The
+    fields needing w_o, or the tangency, are None where
     :func:`self_financing_direction`, or :func:`tangent_portfolio`, refuses.
     """
 
@@ -128,8 +128,8 @@ def special_portfolios(universe: AssetUniverse, embedding=None) -> SpecialPortfo
     `embedding` is unused: every centrality comes from the kernel.  It is
     kept because existing callers pass it.
     """
-    s = universe.solver
-    mvp, mdrp = portfolio_stats(universe, s.w_mvp), portfolio_stats(universe, s.w_mdrp)
+    mvp = portfolio_stats(universe, universe.solver.w_mvp)
+    mdrp = portfolio_stats(universe, universe.centre[0])
     try:
         q_pf = q_portfolio(universe)
     except (MissingReturnsError, DegenerateReturnsError):

@@ -5,9 +5,10 @@ dense scans, projected-gradient ascent, simplex grids, support enumeration,
 bisection, the active-set long-only minimum variance and the Dirichlet
 sandwich sampler that the critical line replaced, the distance matrix's
 second route to the maximum-DR portfolio, q_max and centrality, the LU
-route to the kernel's images and a row-by-row sweep built on it, and the
+route to the kernel's images and a row-by-row sweep built on it, the
 eigenvalue decisions that the Cholesky certificates of `validate_universe`
-and `assert_edm` stand in for.
+and `assert_edm` stand in for, and the kernel and the centre at 50 or 60
+digits (mpmath), which the tests and `scripts/accuracy.py` score against.
 Slow and dumb on purpose.
 """
 
@@ -846,3 +847,146 @@ def long_only_min_variance_enum(V):
             if val < best:
                 best, best_w = val, w
     return best, best_w
+
+
+# ---------------------------------------------------------------------------
+# the closed forms at many digits (mpmath, a test extra, imported on use)
+
+
+def floats(values) -> np.ndarray:
+    """A float array of mpf values."""
+    return np.array([float(v) for v in values])
+
+
+def centre_at_digits(cov, dps=60):
+    """(s, q_max) of a float covariance, read exactly, at dps digits.
+
+    The bordered KKT system V s + mu 1 = eta / 2, 1' s = 1 is solved by LU;
+    where its matrix is singular (V has a null direction z with 1' z = 0,
+    as clones do), its least-norm solution is read from the eigenvalues of
+    the symmetric bordered matrix, which shares the clones' weight equally,
+    as the library's bordered centre does.  q_max = (eta' s - s' V s) / 2.
+    Returns a list of mpf and an mpf; arithmetic on them belongs under
+    ``mpmath.workdps(dps)``.
+    """
+    import mpmath as mp
+
+    rows = np.asarray(cov, dtype=float).tolist()
+    n = len(rows)
+    with mp.workdps(dps):
+        K = mp.matrix([row + [1] for row in rows] + [[1] * n + [0]])
+        b = mp.matrix([K[i, i] / 2 for i in range(n)] + [1])
+        try:
+            x = mp.lu_solve(K, b)
+        except ZeroDivisionError:
+            E, Q = mp.eigsy(K)
+            cut = mp.mpf(10) ** (-dps // 2) * max(abs(e) for e in E)
+            x = mp.matrix(n + 1, 1)
+            for k in range(n + 1):
+                if abs(E[k]) > cut:
+                    x += Q[:, k] * (mp.fdot(Q[:, k], b) / E[k])
+        s = [x[i] for i in range(n)]
+        Vs = [mp.fdot(K[i, :n], s) for i in range(n)]
+        q_max = (mp.fdot([K[i, i] for i in range(n)], s) - mp.fdot(s, Vs)) / 2
+    return s, q_max
+
+
+class DigitKernel:
+    """The covariance kernel of a nonsingular universe's float inputs at dps
+    digits: V, eta = diag(V), rbar and r0 are read exactly, V is factored
+    once by mpmath's LU, and sqrt(eta) is exact.
+
+    Fields mirror ``u.solver``: a, w_mvp, sigma2_mvp, q_mvp, sigma2_mdrp,
+    eta_mvp, ret_mvp, and (k, d) for rho and d_eta, k_root and d_root, k_r
+    and w_o, each d = (V^-1 c0 - g w_mvp) / k with c0 = c - mean(c) 1,
+    g = 1' V^-1 c0 and k^2 = c0' V^-1 c0 - g^2 / a (0 and None for a
+    constant c), and eta_wo = eta' w_o; s and q_max are
+    :func:`centre_at_digits`'s.  Values are mpf numbers and lists of them,
+    None without returns or r0; arithmetic on them belongs under
+    ``mpmath.workdps(k.dps)``, as in the methods.
+    """
+
+    def __init__(self, universe, dps=50):
+        import mpmath as mp
+
+        self.mp, self.dps, self.n = mp, dps, universe.n
+        rbar, r0 = universe.expected_returns, universe.risk_free_rate
+        with mp.workdps(dps):
+            self.V = mp.matrix(universe.cov.tolist())
+            self._lu = mp.mp.LU_decomp(self.V)
+            self.eta = [self.V[i, i] for i in range(self.n)]
+            self.root = [mp.sqrt(e) for e in self.eta]
+            self.rbar = None if rbar is None else [mp.mpf(r) for r in rbar.tolist()]
+            self.r0 = None if r0 is None else mp.mpf(r0)
+            self.inv_ones = self.solve([1] * self.n)
+            self.a = mp.fsum(self.inv_ones)
+            self.w_mvp = [v / self.a for v in self.inv_ones]
+            self.sigma2_mvp = 1 / self.a
+            self.rho, self.d_eta = self.direction(self.eta)
+            self.k_root, self.d_root = self.direction(self.root)
+            self.k_r, self.w_o = (None, None) if rbar is None else self.direction(self.rbar)
+            self.eta_wo = None if self.w_o is None else mp.fdot(self.eta, self.w_o)
+            self.eta_mvp = mp.fdot(self.eta, self.w_mvp)
+            self.ret_mvp = None if rbar is None else mp.fdot(self.rbar, self.w_mvp)
+            self.q_mvp = self.q(self.w_mvp)
+            self.sigma2_mdrp = self.sigma2_mvp + self.rho**2 / 4
+        self.s, self.q_max = centre_at_digits(universe.cov, dps)
+
+    def solve(self, c) -> list:
+        """V^-1 c."""
+        mp = self.mp
+        with mp.workdps(self.dps):
+            LU, p = self._lu
+            y = mp.mp.U_solve(LU, mp.mp.L_solve(LU, mp.matrix(list(c)), p))
+            return [y[i] for i in range(self.n)]
+
+    def direction(self, c):
+        """(k, d) of c, as the class docstring defines them."""
+        mp = self.mp
+        with mp.workdps(self.dps):
+            mean = mp.fsum(c) / self.n
+            c0 = [x - mean for x in c]
+            if not any(c0):
+                return 0, None
+            y = self.solve(c0)
+            g = mp.fsum(y)
+            k = mp.sqrt(mp.fdot(c0, y) - g * g / self.a)
+            return k, [(y[i] - g * self.w_mvp[i]) / k for i in range(self.n)]
+
+    def variance(self, w):
+        """w' V w."""
+        mp = self.mp
+        with mp.workdps(self.dps):
+            return mp.fdot(w, [mp.fdot(self.V[i, :], w) for i in range(self.n)])
+
+    def q(self, w):
+        """q(w) = (eta' w - w' V w) / 2."""
+        with self.mp.workdps(self.dps):
+            return (self.mp.fdot(self.eta, w) - self.variance(w)) / 2
+
+    def centrality_sq(self, w):
+        """(w - s)' V (w - s) / 2."""
+        with self.mp.workdps(self.dps):
+            return self.variance([wi - si for wi, si in zip(w, self.s)]) / 2
+
+    def portfolios(self) -> dict:
+        """{name: weights} of the portfolios the inputs define: the
+        risk-free sleeve V^-1 eta / sqrt(eta' V^-1 eta), the most-diversified
+        V^-1 sqrt(eta) / 1' V^-1 sqrt(eta) (where that sum is positive), the
+        Q portfolio w_mvp + (eta' w_o / 2) w_o (where w_o is defined) and
+        the tangency V^-1 (rbar - r0 1) / 1' V^-1 (rbar - r0 1) (with returns
+        and r0)."""
+        mp, n = self.mp, self.n
+        with mp.workdps(self.dps):
+            x = self.solve(self.eta)
+            gain = mp.sqrt(mp.fdot(self.eta, x))
+            refs = {"sleeve": [xi / gain for xi in x]}
+            y = self.solve(self.root)
+            if mp.fsum(y) > 0:
+                refs["mdp"] = [yi / mp.fsum(y) for yi in y]
+            if self.w_o is not None:
+                refs["q"] = [self.w_mvp[i] + self.eta_wo / 2 * self.w_o[i] for i in range(n)]
+            if self.rbar is not None and self.r0 is not None:
+                t = self.solve([r - self.r0 for r in self.rbar])
+                refs["tangent"] = [ti / mp.fsum(t) for ti in t]
+            return refs

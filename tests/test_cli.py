@@ -109,6 +109,34 @@ def test_portfolios_on_ill_conditioned_universe(tmp_path):
     assert data["q_portfolio"]["centrality"] is not None
 
 
+# the two-asset universe of scripts/cli_artifacts.py, cond(V) = 4.3e6
+TWO_ASSETS_V = [
+    [0.24671167963129925, -0.05000930994942807],
+    [-0.05000930994942807, 0.01013712273722854],
+]
+TWO_ASSETS_RBAR = [0.12813823780813746, 0.04365469787233788]
+
+
+@pytest.mark.parametrize(
+    "fixture",
+    [
+        "example3_universe.json", "example3_with_returns.json", "mini_prices.csv",
+        "synthetic_panel_30.csv", "two assets",
+    ],
+)
+def test_portfolios_q_max_cell_is_the_mdrp_q_cell(fixture_dir, tmp_path, fixture):
+    # one number, one cell: q_max is the DR of the maximum-DR portfolio, so
+    # both cells print the same bits (on two assets q_mvp + rho^2 / 8 printed
+    # 0.0446084277829 beside the DR 0.0446084277834)
+    if fixture == "two assets":
+        src = _write_universe_json(tmp_path / "u.json", TWO_ASSETS_V, rbar=TWO_ASSETS_RBAR)
+    else:
+        src = fixture_dir / fixture
+    assert main(["portfolios", "--input", str(src), "--out", str(tmp_path)]) == 0
+    data = _read_json(tmp_path / "portfolios.json")
+    assert data["scalars"]["q_max"] == data["mdrp"]["q"]
+
+
 def test_riskfree_override(tmp_path):
     src = _write_universe_json(tmp_path / "u.json", V3, rbar=RBAR3)
     out = tmp_path / "out"

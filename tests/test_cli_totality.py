@@ -20,7 +20,7 @@ is refused first; a valid spec ends as the default grid does.
 On every JSON universe three consistencies are checked as well: the
 default ``frontier`` writes exactly the kinds for which ``frontier --kind K``
 exits 0, ``portfolios.json`` has a null ``tangent`` exactly where
-``tangent_portfolio`` raises, and on a singular V the DR of the centre that
+``tangent_portfolio`` raises, and on every V the DR of the centre that
 ``embed`` writes is the q_max it writes (of rank n - 2 and below, V leaves
 DR unbounded on the budget hyperplane unless eta' z = 0 on its zero-budget
 null space, and ``embed`` must refuse it).
@@ -168,13 +168,10 @@ def _frontier_kinds(out: Path) -> set:
 
 
 def _assert_embed_centre_has_q_max(data, out: Path) -> None:
-    """On a singular V, the DR of the centre embed writes is the q_max it
-    writes.  The 12-digit weights are put back on budget first, which moves
-    q only to second order at its maximum.  A nonsingular V's centre and
-    q_max are the covariance kernel's, which the kernel's own tests check."""
+    """The DR of the centre embed writes is the q_max it writes, on every
+    V.  The 12-digit weights are put back on budget first, which moves q
+    only to second order at its maximum."""
     u = drf.validate_universe(data["V"])
-    if u.nonsingular:
-        return
     emb = json.loads((out / "embedding.json").read_text())
     s, q_max = np.array(emb["mdrp_weights"]), emb["q_max"]
     s = s / s.sum()

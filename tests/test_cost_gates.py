@@ -11,9 +11,10 @@ Gram matrix, which is built when first read; after the kernel, every sweep,
 the inflection report and the ratio-maximizing portfolio are dot products,
 whatever the number of grid points, and the default-grid sweeps of a universe
 compute its grid once and call no np.linalg function; the special portfolios and the
-`portfolios` and `frontier` commands read centrality from the kernel and
-build no embedding, and an embedding of a nonsingular universe reads its
-centre and q_max from the kernel, solving nothing; validating a universe
+`portfolios` and `frontier` commands read centrality about the universe's
+centre and build no embedding, and an embedding of a nonsingular universe
+reads its centre from the kernel and q_max as q there, solving nothing, and
+forms no distance matrix unless its D is read; validating a universe
 and certifying a distance matrix take one Cholesky factorization and no
 eigendecomposition unless the factorization fails, and an embedding
 decomposes its Gram matrix only when its coordinates are read; d_max of a distance matrix is one ascent, and a
@@ -521,6 +522,21 @@ def test_certificates_and_embed_make_no_eigendecomposition(eigen):
         assert cert.is_edm and cert.min_eigenvalue == 0.0
     assert emb.q_max > 0.0 and emb.gram.shape == (30, 30)
     assert eigen["eigh"] == eigen["eigvalsh"] == 0
+
+
+def test_embed_and_coords_form_no_distance_matrix(monkeypatch, degenerate3):
+    # the embed command reads s, q_max and the coordinates, none of which
+    # needs D (n^2 floats); D is formed once, on the first read of dist
+    built = []
+    inner = embedding.build_distance_matrix
+    monkeypatch.setattr(embedding, "build_distance_matrix", lambda u: built.append(u) or inner(u))
+    for u in [*_fresh_universes(), drf.validate_universe(degenerate3.cov)]:
+        emb = drf.embed(u)
+        emb.coords, emb.eigvals, emb.gram, emb.n
+        assert not built
+        assert emb.dist is emb.dist and built == [u]
+        np.testing.assert_array_equal(emb.dist, inner(u))
+        built.clear()
 
 
 @pytest.mark.parametrize("first", ["coords", "eigvals", "dim"])

@@ -99,13 +99,15 @@ def test_embed_three_asset(ex3):
 
 
 def test_embed_reads_s_and_q_max_from_the_kernel(ex3, ex3_returns, identity3, universe30):
-    # one route to the maximum-DR portfolio on a nonsingular universe
+    # one route to the maximum-DR portfolio on a nonsingular universe: s
+    # from the kernel's directions, and q_max the DR of s, bit for bit
     rng = np.random.default_rng(29)
     draws = [random_universe(rng, n, with_returns=True) for n in (2, 5, 12, 30)]
     for u in [ex3, ex3_returns, identity3, universe30, *draws]:
-        emb = drf.embed(u)
-        assert np.array_equal(emb.mdrp_weights, u.solver.w_mdrp)
-        assert emb.q_max == drf.frontier_params(u).q_max
+        emb, k = drf.embed(u), u.solver
+        to_s = 0.0 if k.d_eta is None else 0.5 * k.rho * k.d_eta
+        assert np.array_equal(emb.mdrp_weights, k.w_mvp + to_s)
+        assert emb.q_max == u.centre[1] == drf.special_portfolios(u).mdrp.dr
 
 
 def _csv_cells(emb):
@@ -128,7 +130,8 @@ def test_embed_three_asset_canonical_basis(ex3):
     ]
     # the same cells whichever route built s: the kernel's, or the
     # bordered KKT solve that a universe flagged singular takes
-    assert np.array_equal(emb.mdrp_weights, ex3.solver.w_mdrp)
+    k = ex3.solver
+    assert np.array_equal(emb.mdrp_weights, k.w_mvp + 0.5 * k.rho * k.d_eta)
     pinv_emb = drf.embed(dataclasses.replace(ex3, nonsingular=False))
     assert not np.array_equal(pinv_emb.mdrp_weights, emb.mdrp_weights)
     assert _csv_cells(pinv_emb) == _csv_cells(emb)

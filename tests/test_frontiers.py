@@ -35,7 +35,7 @@ def test_frontier_params_three_asset(ex3):
     assert p.q_mvp == pytest.approx(5.0 / 9.0, abs=1e-12)
     assert p.rho**2 == pytest.approx(32.0 / 9.0, rel=1e-12)
     assert p.sigma2_mdrp == pytest.approx(17.0 / 9.0, rel=1e-12)
-    assert p.q_max == pytest.approx(1.0, abs=1e-12)
+    assert ex3.centre[1] == pytest.approx(1.0, abs=1e-12)
     assert p.eta_wo is None
     assert p.ef_shape is EfShape.DEGENERATE
 
@@ -53,7 +53,9 @@ def test_frontier_peak_matches_embedding():
         u = random_universe(rng, int(rng.integers(2, 20)))
         p = drf.frontier_params(u)
         emb = drf.embed(u)
-        assert p.q_max == pytest.approx(emb.q_max, abs=1e-8 * max(1.0, emb.q_max))
+        # the closed form q_mvp + rho^2 / 8 meets the DR of the centre s
+        peak = p.q_mvp + 0.125 * p.rho * p.rho
+        assert peak == pytest.approx(emb.q_max, abs=1e-8 * max(1.0, emb.q_max))
         assert drf.point(u, "efficient_dr", p.sigma_mdrp).q == pytest.approx(
             emb.q_max, abs=1e-10 * max(1.0, emb.q_max)
         )
@@ -121,7 +123,7 @@ def test_mix_variance_matches_sigma():
             var = float(row.weights @ u.cov @ row.weights)
             assert var == pytest.approx(sigma * sigma, rel=1e-8)
             assert drf.diversification_return(u, row.weights) == pytest.approx(
-                row.q, abs=1e-10 * max(1.0, p.q_max)
+                row.q, abs=1e-10 * max(1.0, u.centre[1])
             )
 
 

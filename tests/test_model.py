@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import drfrontier as drf
@@ -24,6 +24,7 @@ from .conftest import R0_3, RBAR3, V3
 from .oracles import (
     MDRP_AGREEMENT_ATOL,
     SINGULAR_KINDS,
+    centre_at_digits,
     centred_rhs,
     conditioned_universe,
     distance_route,
@@ -433,11 +434,34 @@ def test_centre_of_a_singular_universe(kind, n, seed):
         # the clones share their weight, and q_max is the deduplicated
         # universe's (0 for two clones: q = 0 on the budget hyperplane)
         assert abs(s[0] - s[-1]) <= MDRP_AGREEMENT_ATOL * max(1.0, float(np.abs(s).max()))
-        deduplicated = 0.0 if n == 2 else drf.validate_universe(u.cov[:-1, :-1]).solver.q_max
+        deduplicated = 0.0 if n == 2 else drf.validate_universe(u.cov[:-1, :-1]).centre[1]
         assert abs(q_max - deduplicated) <= 1e-12 * max(1.0, q_max)
     for w in [s, np.full(n, 1.0 / n), *(rng.dirichlet(np.ones(n)) * 3.0 - 2.0 / n for _ in range(10))]:
         p = drf.portfolio_stats(u, w)
         assert abs(p.centrality_sq + p.dr - q_max) <= tol
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 7), st.integers(0, 2**31 - 1), st.floats(0.0, 9.0))
+@example(2, 1501142508, 8.96958637060581)  # q_mvp + rho^2 / 8 was 1.4e7 bounds off
+@example(2, 1888967019, 3.767166472944971)  # s sums to 1 + 1.8e-15
+def test_q_max_is_within_its_rounding_bound_of_60_digits(n, seed, log_cond):
+    # q_max is q at the centre s, stationary there: its error is the
+    # rounding of its own evaluation, n eps (eta' |s| + |s|' |V| |s|), and
+    # the first-order move mu (1' s - 1) off the budget hyperplane along the
+    # gradient mu 1 = eta / 2 - V s, where the float s sums to one only up
+    # to rounding.  The closed form q_mvp + rho^2 / 8 carried k^2's
+    # cancellation instead.
+    pytest.importorskip("mpmath")
+    u = conditioned_universe(n, seed, log_cond)
+    s, q_max = u.centre
+    size = np.abs(s)
+    evaluation = n * np.finfo(float).eps * float(u.variances @ size + size @ np.abs(u.cov) @ size)
+    mu = float(np.mean(0.5 * u.variances - u.cov @ s))
+    budget = abs(mu) * abs(math.fsum(s) - 1.0)
+    q_ref = float(centre_at_digits(u.cov, 60)[1])
+    assert abs(q_max - q_ref) <= evaluation + budget, (q_max, q_ref, evaluation, budget)
+    assert q_max == drf.special_portfolios(u).mdrp.dr
 
 
 @pytest.mark.parametrize("c", [1.0, 1e-9, 1e-6, 1e6])

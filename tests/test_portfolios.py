@@ -19,8 +19,11 @@ from drfrontier.model import PYTHAGORAS_ATOL, EfShape, proportional_to_ones
 from .conftest import FIXTURES, R0_3, RBAR3, V3
 from .oracles import (
     MDRP_AGREEMENT_ATOL,
+    DigitKernel,
+    centre_at_digits,
     conditioned_universe,
     distance_route,
+    floats,
     forward_error,
     mdrp_route_gap,
     projected_gradient_max_dr,
@@ -326,7 +329,7 @@ def test_special_portfolios_full_bundle(ex3_returns):
 
 
 def test_mdrp_centrality_is_exactly_zero(ex3_returns, universe30):
-    # c^2 = 0.5 (w - s)' V (w - s) about the kernel's w_mdrp: no rounding
+    # c^2 = 0.5 (w - s)' V (w - s) about the universe's centre s: no rounding
     # residual at the centre, where w' B w left about sqrt(eps)
     mini = drf.annualize(drf.load_panel(FIXTURES / "mini_prices.csv", format="prices"))
     for u in (ex3_returns, mini, universe30):
@@ -415,7 +418,7 @@ def test_special_portfolios_meet_the_embedding_routes():
     # with the kernel's centrality, and the max-DR portfolio against the
     # normalized D^-1 1, each to the tolerance the production checks had
     for u in _route_universes():
-        atol = PYTHAGORAS_ATOL * max(1.0, abs(u.solver.q_max))
+        atol = PYTHAGORAS_ATOL * max(1.0, abs(u.centre[1]))
         for p in _formed(drf.special_portfolios(u)):
             gram, kernel = pythagoras_gaps(u, p)
             assert gram <= atol and kernel <= atol, (gram, kernel)
@@ -438,7 +441,7 @@ def test_embedding_routes_across_conditioning(n, seed, log_cond, with_riskfree):
     scale = max(1.0, float(np.abs(u.cov).max()))
     for p in _formed(sp):
         w_size = max(1.0, float(np.abs(p.weights).max()))
-        size = max(scale, p.centrality_sq, abs(u.solver.q_max)) * w_size**2
+        size = max(scale, p.centrality_sq, abs(u.centre[1])) * w_size**2
         gram, kernel = pythagoras_gaps(u, p)
         tol = max(PYTHAGORAS_ATOL, rel_tol) * size
         assert gram <= tol and kernel <= tol, (gram, kernel, tol)
@@ -475,7 +478,7 @@ def test_two_asset_max_dr_portfolio_is_the_midpoint_at_cond_4e6():
     st.floats(0.0, 9.0),
     st.booleans(),
 )
-@example(2, 958895565, 5.828462093606521, True)  # sum|w_mvp| = 64, sum|w_mdrp| = 1
+@example(2, 958895565, 5.828462093606521, True)  # sum|w_mvp| = 64, sum|s| = 1
 def test_kernel_directions_and_portfolios_are_on_budget(n, seed, log_cond, with_riskfree):
     # every kernel direction is zero-budget up to the rounding of its own
     # sum, and every named portfolio w = w_mvp + t d sums to one up to the
@@ -496,65 +499,23 @@ def test_kernel_directions_and_portfolios_are_on_budget(n, seed, log_cond, with_
         assert abs(float(p.weights.sum()) - 1.0) <= terms
 
 
-def _mdrp_at_50_digits(mpmath, u):
-    """(s, q_max) of the float V at 50 digits, by the geometric route:
-    y = D^-1 1 with D[i, j] = (eta_i + eta_j) / 2 - V[i, j], s = y / (1' y)
-    and q_max = 1 / (2 * 1' y)."""
-    n = u.n
-    with mpmath.workdps(50):
-        V = mpmath.matrix(u.cov.tolist())
-        D = mpmath.matrix(n, n)
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    D[i, j] = (V[i, i] + V[j, j]) / 2 - V[i, j]
-        y = mpmath.lu_solve(D, mpmath.matrix([1] * n))
-        total = sum(y)
-        return np.array([float(v / total) for v in y]), float(1 / (2 * total))
+def _mdrp_at_50_digits(u):
+    """(s, q_max) of the float V at 50 digits (:func:`oracles.centre_at_digits`)."""
+    s, q_max = centre_at_digits(u.cov, 50)
+    return floats(s), float(q_max)
 
 
-def _kernel_portfolios_at_50_digits(mpmath, u):
-    """{name: weights} of the float V, eta, rbar and r0 at 50 digits, for the
-    portfolios the inputs define: the Q portfolio w_mvp + (eta' w_o / 2) w_o,
-    the tangency V^-1 (rbar - r0 1) / 1' V^-1 (rbar - r0 1), the
-    most-diversified V^-1 sqrt(eta) / 1' V^-1 sqrt(eta) (where that sum is
-    positive) and the risk-free sleeve V^-1 eta / sqrt(eta' V^-1 eta)."""
-    n = u.n
-    with mpmath.workdps(50):
-        V = mpmath.matrix(u.cov.tolist())
-
-        def at50(c):
-            y = mpmath.lu_solve(V, mpmath.matrix(c))
-            return [y[i] for i in range(n)]
-
-        eta = [V[i, i] for i in range(n)]
-        x = at50(eta)
-        gain = mpmath.sqrt(sum(eta[i] * x[i] for i in range(n)))
-        refs = {"sleeve": [xi / gain for xi in x]}
-        y = at50([mpmath.sqrt(e) for e in eta])
-        if sum(y) > 0:
-            refs["mdp"] = [yi / sum(y) for yi in y]
-        if u.expected_returns is not None:
-            rbar = [mpmath.mpf(float(r)) for r in u.expected_returns]
-            inv_ones, inv_r = at50([1] * n), at50(rbar)
-            a, b = sum(inv_ones), sum(inv_r)
-            k = mpmath.sqrt(sum(rbar[i] * inv_r[i] for i in range(n)) - b * b / a)
-            w_mvp = [v / a for v in inv_ones]
-            w_o = [(inv_r[i] - b * w_mvp[i]) / k for i in range(n)]
-            eta_wo = sum(eta[i] * w_o[i] for i in range(n))
-            refs["q"] = [w_mvp[i] + eta_wo / 2 * w_o[i] for i in range(n)]
-            if u.risk_free_rate is not None:
-                r0 = mpmath.mpf(u.risk_free_rate)
-                t = at50([r - r0 for r in rbar])
-                refs["tangent"] = [ti / sum(t) for ti in t]
-        return {name: np.array(w, dtype=float) for name, w in refs.items()}
+def _kernel_portfolios_at_50_digits(u):
+    """{name: weights} of the float V, eta, rbar and r0 at 50 digits
+    (:meth:`oracles.DigitKernel.portfolios`)."""
+    return {name: floats(w) for name, w in DigitKernel(u).portfolios().items()}
 
 
 def test_kernel_mdrp_meets_a_50_digit_reference(ex3, ex3_returns, universe30):
     # the kernel is the one production route to s and q_max, and to the Q,
     # tangency and most-diversified portfolios and the risk-free sleeve; each
     # lies within its forward-error bound of the 50-digit value, up to cond 1e6
-    mpmath = pytest.importorskip("mpmath")
+    pytest.importorskip("mpmath")
     mini = drf.annualize(drf.load_panel(FIXTURES / "mini_prices.csv", format="prices"))
     rng = np.random.default_rng(83)
     draws = [
@@ -564,12 +525,12 @@ def test_kernel_mdrp_meets_a_50_digit_reference(ex3, ex3_returns, universe30):
         for seed in range(30)
     ]
     for u in [ex3, ex3_returns, mini, universe30, *draws]:
-        s_ref, q_ref = _mdrp_at_50_digits(mpmath, u)
+        s_ref, q_ref = _mdrp_at_50_digits(u)
         rel_tol = forward_error(u)
-        w = u.solver.w_mdrp
+        w, q_max = u.centre
         assert float(np.abs(w - s_ref).max()) <= rel_tol * float(np.abs(s_ref).max())
-        assert abs(u.solver.q_max - q_ref) <= rel_tol * abs(q_ref)
-        refs = _kernel_portfolios_at_50_digits(mpmath, u)
+        assert abs(q_max - q_ref) <= rel_tol * abs(q_ref)
+        refs = _kernel_portfolios_at_50_digits(u)
         # the risk-free efficient sleeve needs only eta; its ray asks for an r0
         cash = dataclasses.replace(u, risk_free_rate=0.0)
         kernel = {"sleeve": _ray(cash, FrontierKind.EFFICIENT_DR_RISKFREE).d}
@@ -588,31 +549,12 @@ def test_kernel_mdrp_meets_a_50_digit_reference(ex3, ex3_returns, universe30):
             assert gap <= rel_tol * float(np.abs(ref).max()), name
 
 
-def _directions_at_50_digits(mpmath, u):
+def _directions_at_50_digits(u):
     """(rho, d_eta, w_o, eta' w_o, k_root, d_root) of the float V, eta and
-    rbar at 50 digits, with exact roots sqrt(eta): d = (V^-1 c0 - g w_mvp) / k
-    for c0 = c - mean(c) 1, g = 1' V^-1 c0 and k^2 = c0' V^-1 c0 - g^2 / a."""
-    n = u.n
-    with mpmath.workdps(50):
-        V = mpmath.matrix(u.cov.tolist())
-        inv_ones = mpmath.lu_solve(V, mpmath.matrix([1] * n))
-        a = sum(inv_ones)
-        eta = [V[i, i] for i in range(n)]
-
-        def direction(c):
-            mean = sum(c) / n
-            c0 = mpmath.matrix([x - mean for x in c])
-            y = mpmath.lu_solve(V, c0)
-            g = sum(y)
-            k = mpmath.sqrt(sum(c0[i] * y[i] for i in range(n)) - g * g / a)
-            return k, [(y[i] - g * inv_ones[i] / a) / k for i in range(n)]
-
-        rho, d_eta = direction(eta)
-        _, w_o = direction([mpmath.mpf(float(r)) for r in u.expected_returns])
-        eta_wo = sum(eta[i] * w_o[i] for i in range(n))
-        k_root, d_root = direction([mpmath.sqrt(e) for e in eta])
-    d_eta, w_o, d_root = (np.array(x, dtype=float) for x in (d_eta, w_o, d_root))
-    return float(rho), d_eta, w_o, float(eta_wo), float(k_root), d_root
+    rbar at 50 digits, with exact roots sqrt(eta) (:class:`oracles.DigitKernel`)."""
+    k = DigitKernel(u)
+    d_eta, w_o, d_root = (floats(d) for d in (k.d_eta, k.w_o, k.d_root))
+    return float(k.rho), d_eta, w_o, float(k.eta_wo), float(k.k_root), d_root
 
 
 def _near_equal_universes(count=60):
@@ -636,9 +578,9 @@ def test_kernel_directions_meet_a_50_digit_reference_at_near_equal_inputs():
     # k^2 = c' V^-1 c - (1' V^-1 c)^2 / a cancelled to rounding; sqrt(eta)
     # centred from variance differences, not from rounded roots, keeps k_root
     # and d_root there too
-    mpmath = pytest.importorskip("mpmath")
+    pytest.importorskip("mpmath")
     for u in _near_equal_universes():
-        rho, d_eta, w_o, eta_wo, k_root, d_root = _directions_at_50_digits(mpmath, u)
+        rho, d_eta, w_o, eta_wo, k_root, d_root = _directions_at_50_digits(u)
         s = u.solver
         assert abs(s.rho - rho) <= 1e-14 * rho
         assert abs(s.k_root - k_root) <= 1e-14 * k_root
