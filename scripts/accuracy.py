@@ -17,22 +17,33 @@ Scored, each cell as printed:
 
 - `portfolios.json`: every number of `scalars` and of `mvp`, `mdrp`,
   `q_portfolio` and `tangent`;
-- `embedding.json`: `q_max` and `mdrp_weights`;
+- `embedding.json`: `q_max`, `mdrp_weights` and `eigvals`, the latter
+  against the largest eigenvalues of B = (V - v 1' - 1 v' + (s' v) 1 1') / 2,
+  v = V s, with s from `centre_at_digits`;
 - `frontier_<kind>.csv`: `q`, `ret`, `centrality` and `alpha` of each row,
   at the row's float sigma (of the default grid or of `--grid`);
 - `mdp.json`: the closed forms `weights`, `ratio`, `variance`, `q`,
-  `d_max_lower` and `d_max_upper`.
+  `d_max_lower` and `d_max_upper`, and of each sandwich level `sigma_hi`,
+  `d_max_upper`, `sigma_lo` and, on a level that is not empty,
+  `max_avg_variance`, `max_avg_volatility_sq` and `gap`.  A maximum's
+  reference is the two-fund maximum on the free set F of the line's segment
+  at the level's float risk tau (`CriticalLine.at`), mu_F' w_mvp,F +
+  k_F sqrt(tau^2 - sigma_mvp,F^2), from `DigitKernel` of V_F; sigma_lo's is
+  sigma_mvp,F on the free set of the eta line's last segment.  Each counts
+  only where its weights on F are nonnegative, and the gap only where both
+  maxima count.
 
-Counted as unscored: the `sigma` column (each row's input), `eigvals` of
-`embedding.json`, the coordinates of `embedding.csv` and the numbers of the
-sandwich reports of `mdp.json`, whose maxima come from the critical lines.
+Counted as unscored: the `sigma` column (each row's input), the coordinates
+of `embedding.csv`, each sandwich level's `sigma`, `requested` and
+`accepted`, and the sandwich cells whose reference does not count.
 
 A cell is off when it is not the correctly rounded value of its reference
 at `cli.SIGNIFICANT_DIGITS` (12) significant digits.  Its relative error is
 |x - r| / |r|, where x is the printed decimal and r the reference; a weight
-is scaled by the largest |r| of its vector instead, and a zero scale leaves
-the absolute error.  A squared centrality within 1e-40 max(1, q_max) of 0
-(the references' own rounding) makes a centrality of 0.
+or an eigenvalue is scaled by the largest |r| of its vector instead, and a
+zero scale leaves the absolute error.  A squared centrality within
+1e-40 max(1, q_max) of 0 (the references' own rounding) makes a centrality
+of 0.
 
 `OUT_DIR/BENCH_accuracy.json` holds:
 
@@ -48,7 +59,7 @@ the absolute error.  A squared centrality within 1e-40 max(1, q_max) of 0
 - `unscored`: per `<run>/<file>` and column, the count of unscored cells.
 
 It prints the `by_file` table in Markdown.  It reports and does not gate;
-on the shipped fixtures it takes about 5 s.
+on the shipped fixtures it takes about 6 s.
 """
 
 from __future__ import annotations
@@ -61,7 +72,10 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import types
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
@@ -175,11 +189,27 @@ def score_portfolios(led, key, data, k):
                 led.score(key, f"{name}.{field}", cell[field], value)
 
 
-def score_embedding(led, key, data, centre):
+def _gram_eigvals(cov, s) -> list:
+    """Eigenvalues of B = (V - v 1' - 1 v' + (s' v) 1 1') / 2, v = V s, at
+    DPS digits, descending."""
+    with mp.workdps(DPS):
+        V = mp.matrix(cov.tolist())
+        n = V.rows
+        v = [mp.fdot(V[i, :], s) for i in range(n)]
+        sv = mp.fdot(s, v)
+        B = mp.matrix(n, n)
+        for i in range(n):
+            for j in range(n):
+                B[i, j] = (V[i, j] - v[i] - v[j] + sv) / 2
+        return sorted(mp.eigsy(B, eigvals_only=True), reverse=True)
+
+
+def score_embedding(led, key, data, centre, cov):
     s, q_max = centre
     led.score(key, "q_max", data["q_max"], q_max)
     led.vector(key, "mdrp_weights", data["mdrp_weights"], s)
-    led.skip(key, "eigvals", len(data["eigvals"]))
+    eigvals = _gram_eigvals(cov, s)[: len(data["eigvals"])]
+    led.vector(key, "eigvals", data["eigvals"], eigvals)
 
 
 def _ray(k, kind):
@@ -229,7 +259,63 @@ def score_frontier(led, key, text, sigmas, k, kind):
                 led.score(key, column, row[column], value, i)
 
 
-def score_mdp(led, key, data, k):
+def _segment_kernel(u, free, kernels) -> DigitKernel:
+    """DigitKernel of V_F, F the free set of a line's segment, kept in
+    kernels by V_F."""
+    V_F = u.cov[np.ix_(free, free)]
+    ident = (len(free), V_F.tobytes())
+    if ident not in kernels:
+        sub = types.SimpleNamespace(
+            n=len(free), cov=V_F, expected_returns=None, risk_free_rate=None
+        )
+        kernels[ident] = DigitKernel(sub, DPS)
+    return kernels[ident]
+
+
+def _two_fund_max(kf, tau, root):
+    """(max mu_F' w over budget w on F of risk tau, whether that w >= 0), mu
+    = sqrt(eta) with root, else eta: mu_F' w_mvp,F + k_F sqrt(tau^2 -
+    sigma_mvp,F^2)."""
+    with mp.workdps(DPS):
+        x = mp.sqrt(max(mp.mpf(tau) ** 2 - kf.sigma2_mvp, 0))
+        if root:
+            base, gain, d = mp.fdot(kf.root, kf.w_mvp), kf.k_root, kf.d_root
+        else:
+            base, gain, d = kf.eta_mvp, kf.rho, kf.d_eta
+        w = kf.w_mvp if d is None else [a + x * b for a, b in zip(kf.w_mvp, d)]
+        return base + gain * x, min(w) >= 0
+
+
+def score_sandwich(led, key, printed, reports, k, d_max, u, kernels):
+    """Score each sandwich level; reports are the levels' unrounded fields."""
+    lo = _segment_kernel(u, u.eta_line.free[-1], kernels)
+    with mp.workdps(DPS):
+        sigma_hi = mp.sqrt(max(k.eta))
+        sigma_lo = mp.sqrt(lo.sigma2_mvp) if min(lo.w_mvp) >= 0 else None
+    for cell, rep in zip(printed, reports, strict=True):
+        refs = {"sigma_hi": sigma_hi, "d_max_upper": d_max, "sigma_lo": sigma_lo}
+        if not rep["empty"]:
+            tau = min(max(rep["sigma"], rep["sigma_lo"]), rep["sigma_hi"])
+            maxima = []
+            for line, root in ((u.eta_line, False), (u.root_eta_line, True)):
+                kf = _segment_kernel(u, line.free[line.at(tau)[0]], kernels)
+                value, counts = _two_fund_max(kf, tau, root)
+                maxima.append(value if counts else None)
+            var, vol = maxima
+            with mp.workdps(DPS):
+                vol_sq = None if vol is None else vol**2
+                gap = None if var is None or vol_sq is None else var - vol_sq
+            refs.update(max_avg_variance=var, max_avg_volatility_sq=vol_sq, gap=gap)
+        for field, value in cell.items():
+            if isinstance(value, bool) or not isinstance(value, (int, decimal.Decimal)):
+                continue
+            if refs.get(field) is None:
+                led.skip(key, f"sandwich.{field}")
+            else:
+                led.score(key, f"sandwich.{field}", value, refs[field])
+
+
+def score_mdp(led, key, data, k, u, reports, kernels):
     w = k.portfolios()["mdp"]
     with mp.workdps(DPS):
         variance = k.variance(w)
@@ -244,10 +330,7 @@ def score_mdp(led, key, data, k):
     led.vector(key, "weights", data["weights"], w)
     for name, value in refs.items():
         led.score(key, name, data[name], value)
-    for report in data["sandwich"]:
-        for field, value in report.items():
-            if not isinstance(value, bool) and isinstance(value, (int, decimal.Decimal)):
-                led.skip(key, f"sandwich.{field}")
+    score_sandwich(led, key, data["sandwich"], reports, k, d_max, u, kernels)
 
 
 def _load(path: Path):
@@ -272,7 +355,8 @@ def _commit():
 
 
 def _run(name, argv, text, work: Path):
-    """(args, universe, out) of one CLI run in this process, None if refused."""
+    """(args, universe, out, files) of one CLI run in this process, None if
+    refused; files holds the artifacts before they are written."""
     run_dir = work / name
     run_dir.mkdir(parents=True)
     argv = list(argv)
@@ -289,7 +373,7 @@ def _run(name, argv, text, work: Path):
     except DrFrontierError:
         return None
     cli._write(str(out), files)
-    return args, cli._load_universe(args)[0], out
+    return args, cli._load_universe(args)[0], out, files
 
 
 def main(argv) -> int:
@@ -297,7 +381,7 @@ def main(argv) -> int:
         sys.stderr.write(__doc__)
         return 2
     out_root = Path(argv[0]).resolve()
-    led, refs = Ledger(), {}
+    led, refs, kernels = Ledger(), {}, {}
     with tempfile.TemporaryDirectory() as tmp:
         for name, (args, text) in cli_artifacts.runs().items():
             if args[0] not in COMMANDS or "--input" not in args:
@@ -305,7 +389,7 @@ def main(argv) -> int:
             ran = _run(name, args, text, Path(tmp))
             if ran is None:
                 continue
-            args, u, out = ran
+            args, u, out, files = ran
             rbar = u.expected_returns
             ident = (u.cov.tobytes(), None if rbar is None else rbar.tobytes(), u.risk_free_rate)
             if ident not in refs:
@@ -317,12 +401,13 @@ def main(argv) -> int:
                 if path.name == "portfolios.json":
                     score_portfolios(led, key, _load(path), k)
                 elif path.name == "embedding.json":
-                    score_embedding(led, key, _load(path), centre)
+                    score_embedding(led, key, _load(path), centre, u.cov)
                 elif path.name == "embedding.csv":
                     rows = list(csv.reader(path.read_text().splitlines()))[1:]
                     led.skip(key, "coords", sum(len(r) - 1 for r in rows))
                 elif path.name == "mdp.json":
-                    score_mdp(led, key, _load(path), k)
+                    reports = files["mdp.json"]["sandwich"]
+                    score_mdp(led, key, _load(path), k, u, reports, kernels)
                 elif path.name.startswith("frontier_"):
                     grid = u.sigma_grid if args.grid is None else cli._parse_grid_spec(args.grid)
                     kind = path.name[len("frontier_"):-len(".csv")]

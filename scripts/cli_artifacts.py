@@ -8,9 +8,10 @@ OUT_DIR/<run>/ the files the command wrote (in out/), its stdout, its stderr
 and its exit code.  The runs cover, on each of the four fixtures,
 `portfolios`, `portfolios --riskfree 0.01`, `frontier --svg`,
 `frontier --svg --riskfree 0.01` and `embed`; `ingest-check` on the two
-price panels; `mdp` on ex3 (default and two seeded sigmas), ex3 with
-returns, mini and panel-30 (one seeded sigma, and the default sigmas); the
-README's `frontier --grid 1.0:2.0:50 --kind efficient_dr`;
+price panels; `mdp` on ex3 (default, two seeded sigmas, and the sigmas
+0.1 and 100, both levels empty), ex3 with returns, mini and panel-30 (one
+seeded sigma, and the default sigmas); the README's
+`frontier --grid 1.0:2.0:50 --kind efficient_dr`;
 `frontier --svg` on ex3 with returns on the grid 1.5:1.5000000000000002:2,
 one ulp wide, and on ex3 on the grid 0.1:1e17:2, whose sigma_c.svg has one
 point, at 1e17, to which adding 1 is lost to rounding; the two cash
@@ -25,8 +26,9 @@ rate; `--log-returns` on mini; `--require-returns` on ex3; `--help` of the
 program and of every subcommand; and the refused inputs: non-finite `--riskfree`, `--sigma` and
 `--grid` values, on ex3 an empty `frontier --grid=`, `frontier --grid -1:3:10`
 as two arguments (argparse reads the bound as an option) and
-`frontier --kind bogus`, and covariance JSON with a NaN or non-numeric field or
-with names that are not a list; `portfolios`, `frontier --svg` and
+`frontier --kind bogus`, on ex3 with returns `frontier --grid=1e150:1e200:3`,
+whose sigmas past 1.34e154 square to infinity, and covariance JSON with a
+NaN or non-numeric field or with names that are not a list; `portfolios`, `frontier --svg` and
 `mdp` on ex3's covariance with returns 1e-11 apart; `portfolios`,
 `frontier --svg` and `mdp` on ex3's correlation with volatilities
 0.3 (1, 1 + 1e-9, 1 - 1e-9); `portfolios` and `frontier --svg` on a
@@ -97,6 +99,7 @@ EXTRA = {
         ["mdp", "--sigma", "0.177032476371", "--samples", "20000", "--seed", "5"],
     ),
     "panel-mdp": ("panel", ["mdp"]),
+    "ex3-mdp-empty-levels": ("ex3", ["mdp", "--sigma", "0.1", "--sigma", "100"]),
     "ex3-frontier-grid-kind": (
         "ex3",
         ["frontier", "--grid", "1.0:2.0:50", "--kind", "efficient_dr"],
@@ -127,6 +130,7 @@ EXTRA = {
     "ex3-frontier-grid-neginf": ("ex3", ["frontier", "--grid=-inf:1:5"]),
     "ex3-frontier-grid-empty": ("ex3", ["frontier", "--grid="]),
     "ex3-frontier-grid-two-args": ("ex3", ["frontier", "--grid", "-1:3:10"]),
+    "ex3r-frontier-grid-overflow": ("ex3r", ["frontier", "--grid=1e150:1e200:3"]),
     "ex3-frontier-kind-bogus": ("ex3", ["frontier", "--kind", "bogus"]),
 }
 

@@ -84,11 +84,13 @@ def _csv_text(header, rows) -> str:
 
 def _write(out_dir: str, files: dict) -> None:
     """Write a run's artifacts into out_dir: a string as is, anything else
-    as JSON with sorted keys, an indent of 2 and a trailing newline."""
+    as JSON with sorted keys, an indent of 2 and a trailing newline.  JSON
+    has no NaN or Infinity, so a non-finite number raises ValueError."""
     os.makedirs(out_dir, exist_ok=True)
     for name, content in files.items():
         if not isinstance(content, str):
-            content = json.dumps(_jsonable(content), sort_keys=True, indent=2) + "\n"
+            content = json.dumps(_jsonable(content), sort_keys=True, indent=2, allow_nan=False)
+            content += "\n"
         with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
             fh.write(content)
 

@@ -32,7 +32,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, RiskBelowMvpError
+from .errors import DimensionMismatchError, ParseError, RiskBelowMvpError
 from .model import AssetUniverse, CovarianceSolver
 from .model import _finite_array, _finite_float, _float_array
 from .model import default_sigma_grid  # noqa: F401  (read as frontiers.default_sigma_grid)
@@ -42,6 +42,8 @@ from .portfolios import _require_risk_free_rate, self_financing_direction, tange
 RISK_SNAP_RTOL = 1e-12
 # sigma^2 - sigma_mvp^2 up to this times sigma_mvp^2 is rounding: snapped to 0
 _SNAP_RTOL = 4.0 * np.finfo(float).eps
+# the largest sigma whose square is a finite float
+MAX_SIGMA = float(np.sqrt(np.finfo(float).max))
 
 
 class FrontierKind(str, Enum):
@@ -63,7 +65,8 @@ def frontier_params(universe: AssetUniverse) -> CovarianceSolver:
 
 def _excess_risk(sigma2_0: float, sigmas: np.ndarray):
     """u = sqrt(sigma^2 - sigma0^2) on a grid, and the mask of grid points
-    below the base risk sigma0, every negative sigma included.
+    below the base risk sigma0, every negative sigma included.  A sigma
+    past MAX_SIGMA in size, whose square overflows, raises ParseError.
 
     From all cash, sigma0 = 0, u is sigma itself: sqrt(sigma * sigma) would
     underflow to 0 below about 1.5e-154.  From w_mvp, points within
@@ -77,6 +80,10 @@ def _excess_risk(sigma2_0: float, sigmas: np.ndarray):
     (800 default-grid rows, four universes) that u^2 was farther on 388 rows
     and closer on 304.
     """
+    big = np.flatnonzero(np.abs(sigmas) > MAX_SIGMA)
+    if big.size:
+        x = float(sigmas[big[0]])
+        raise ParseError(f"sigma {x:.12g} is past {MAX_SIGMA:.12g}: its square overflows")
     if sigma2_0 == 0.0:
         return sigmas, sigmas < 0.0
     s2 = sigmas * sigmas
@@ -190,13 +197,14 @@ def point(universe: AssetUniverse, kind, sigma) -> FrontierRow:
 
     As in :func:`sweep`, sigma is read before the kind's ray: one that is not
     a finite number raises ParseError, a kind the sweep refuses raises as
-    the sweep does, and a sigma below the ray's base risk (sigma_mvp, or 0
-    with cash) RiskBelowMvpError.  A kind's scalars are the row's fields:
-    on efficient_dr the mix alpha = (2 / rho) u of s and w_mvp, None
-    where rho = 0, lands past the maximum-DR portfolio when alpha > 1; on
-    mv_efficient_dr alpha is u = sqrt(sigma^2 - sigma_mvp^2), so the gap
-    q_dr - q_ef of the two curves is 0.5 (rho - eta' w_o) alpha, nonnegative
-    by Cauchy-Schwarz in the V^-1 metric.
+    the sweep does, a sigma past MAX_SIGMA in size ParseError, and a sigma
+    below the ray's base risk (sigma_mvp, or 0 with cash) RiskBelowMvpError.
+    A kind's scalars are the row's fields: on efficient_dr the mix
+    alpha = (2 / rho) u of s and w_mvp, None where rho = 0, lands past the
+    maximum-DR portfolio when alpha > 1; on mv_efficient_dr alpha is
+    u = sqrt(sigma^2 - sigma_mvp^2), so the gap q_dr - q_ef of the two
+    curves is 0.5 (rho - eta' w_o) alpha, nonnegative by Cauchy-Schwarz in
+    the V^-1 metric.
     """
     sigma = _finite_float(sigma, "sigma")
     ray = kind if isinstance(kind, _Ray) else _ray(universe, FrontierKind(kind))
@@ -276,7 +284,8 @@ def sweep(
     row is produced.  Rows are emitted in grid order, so equal inputs give
     identical output; every kind is evaluated as arrays over the grid.  The
     default grid is the universe's ``sigma_grid``, computed once per
-    universe; a non-finite grid point raises ParseError.
+    universe; a non-finite grid point, or one past MAX_SIGMA in size, whose
+    square overflows, raises ParseError.
 
     Every kind is one ray w = w0 + u * d (:func:`_ray`), from which
     :func:`point` takes one row.  A kind without cash starts at w_mvp; d None

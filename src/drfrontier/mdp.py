@@ -48,7 +48,9 @@ from .errors import (
     SingularCovarianceError,
     ZeroVarianceError,
 )
-from .model import AssetUniverse, Portfolio, _finite_float, _float_array, portfolio_stats
+from .model import (
+    AssetUniverse, Portfolio, _finite_float, _float_array, _root_gap, portfolio_stats,
+)
 
 MAX_ITER = 10_000
 # Frank-Wolfe ascent stops when its duality gap is below this times max D
@@ -106,28 +108,33 @@ class CriticalLine:
 
     The maximizer of lambda mu' w - 0.5 w' V w over budget portfolios w >= 0
     for lambda from lambdas[0] = inf down to lambdas[-1] = 0; at each corner
-    an asset enters or leaves.  Between corners k and k + 1,
-    w = alpha[k] + lambda beta[k], of risk^2 var0[k] + lambda^2 k2[k] and
-    mu' w = top + mean[k] + lambda k2[k] with top = max mu.
+    an asset enters or leaves.  Between corners k and k + 1, free[k] holds
+    w_F = pairs[k] @ [1, lambda] (zero elsewhere), of risk^2 var0[k] +
+    lambda^2 k2[k] and mu' w = top + mean[k] + lambda k2[k] with top = max mu.
     """
 
     top: float
     lambdas: np.ndarray
-    alpha: np.ndarray
-    beta: np.ndarray
+    free: tuple
+    pairs: tuple
     var0: np.ndarray
     mean: np.ndarray
     k2: np.ndarray
 
-    def max_at(self, tau: float) -> float:
-        """max mu' w over long-only budget portfolios of risk tau (the
-        line's value there, or at its nearer end outside its risk range)."""
+    def at(self, tau: float) -> tuple:
+        """(k, lambda) of the line's point of risk tau, on segment k (its
+        nearer end outside the line's risk range)."""
         lam, tau_sq = self.lambdas, tau * tau
         low = self.var0 + lam[1:] ** 2 * self.k2  # each segment's lowest risk^2
         k = min(int(np.searchsorted(-low, -tau_sq)), len(low) - 1)
         t = 0.0
         if self.k2[k] > 0.0:
             t = min(max(np.sqrt(max(tau_sq - self.var0[k], 0.0) / self.k2[k]), lam[k + 1]), lam[k])
+        return k, t
+
+    def max_at(self, tau: float) -> float:
+        """max mu' w over long-only budget portfolios of risk tau, at :meth:`at`."""
+        k, t = self.at(tau)
         return float(self.top + self.mean[k] + t * self.k2[k])
 
 
@@ -150,7 +157,8 @@ class LongOnlyMvp:
 def long_only_mvp(universe: AssetUniverse) -> LongOnlyMvp:
     """The :class:`LongOnlyMvp` of a universe, which keeps it; a gap above
     MVP_GAP_RTOL * max eta raises SingularCovarianceError."""
-    w = np.clip(universe.eta_line.alpha[-1], 0.0, None)
+    line, w = universe.eta_line, np.zeros(universe.n)
+    w[line.free[-1]] = np.clip(line.pairs[-1][:, 0], 0.0, None)
     w /= w.sum()
     g = universe.cov @ w
     # a riskless mix of a singular V can round below zero, as in Portfolio.sigma
@@ -174,9 +182,10 @@ class SandwichReport:
     sigma_lo is the risk of the long-only minimum-variance portfolio w_lo
     and sigma_hi = max sqrt(eta_i), the largest long-only risk.  A sigma
     more than SHELL_BAND * sigma outside [sigma_lo, sigma_hi] is empty, by
-    the certified lower bound on w_lo's variance (:class:`LongOnlyMvp`).
-    Nothing is drawn: requested echoes `samples` and accepted equals it, or
-    0 on an empty level; both are kept for readers of the fields.
+    the certified lower bound on w_lo's variance (:class:`LongOnlyMvp`);
+    its two maxima, gap and holds are None.  Nothing is drawn: requested
+    echoes `samples` and accepted equals it, or 0 on an empty level; both
+    are kept for readers of the fields.
     """
 
     sigma: float
@@ -184,9 +193,9 @@ class SandwichReport:
     sigma_hi: float
     requested: int
     accepted: int
-    max_avg_variance: float
-    max_avg_volatility_sq: float
-    gap: float
+    max_avg_variance: Optional[float]
+    max_avg_volatility_sq: Optional[float]
+    gap: Optional[float]
     d_max_upper: float
     holds: Optional[bool]
     empty: bool
@@ -197,10 +206,9 @@ def build_d_eta(universe: AssetUniverse) -> np.ndarray:
     eta = universe.variances
     if float(eta.min()) < -1e-12:
         raise NegativeVarianceError(f"negative asset variance {eta.min():.3e}")
-    root = universe.volatilities
-    # difference-of-roots form: no cancellation for near-equal variances,
-    # exact zero diagonal, nonnegative by construction
-    diff = root[:, None] - root[None, :]
+    # no cancellation for near-equal variances, exact zero diagonal,
+    # symmetric and nonnegative by construction
+    diff = _root_gap(eta[:, None], eta[None, :])
     return 0.5 * diff * diff
 
 
@@ -326,8 +334,8 @@ def _d_max_of_d_eta(universe: AssetUniverse) -> float:
     Points on a line have the segment between the extremes as their minimum
     enclosing ball, so d_max = (sqrt(eta_max) - sqrt(eta_min))^2 / 8.
     """
-    root = universe.volatilities
-    spread = float(root.max() - root.min())
+    eta = universe.variances
+    spread = float(_root_gap(eta.max(), eta.min()))
     return spread * spread / 8.0
 
 
@@ -449,7 +457,7 @@ def _walk(V, mu, free):
                 d = times(u[: f + 1])
                 segments[-1][1][:, 0] = w = W[:, 0] - d[1:]
                 segments[-1][2:4] = d[0] - Y[0, 0], mu_F @ w
-                return lambdas + [0.0], segments, free.copy()
+                return lambdas + [0.0], segments
             if len(segments) >= MAX_ITER:
                 raise SingularCovarianceError(f"critical line: no end after {MAX_ITER} corners")
             i = int(slot[j])
@@ -494,14 +502,10 @@ def critical_line(V, mu) -> CriticalLine:
     free = [int(top[np.argmin(np.diag(V)[top])])]
     if len(top) > 1:
         single = np.where(top == free[0], 0.0, -1.0)
-        free = top[_walk(V[np.ix_(top, top)], single, [int(np.argmax(single))])[2]]
-    lambdas, segments, _ = _walk(V, mu - mu.max(), free)
-    held, pairs, var0, mean, k2 = zip(*segments)
-    # each segment's free weights into its row of alpha and beta at once
-    ab = np.zeros((2, len(held), len(mu)))
-    at = np.repeat(np.arange(len(held)), [len(x) for x in held])
-    ab[:, at, np.concatenate(held)] = np.concatenate(pairs).T
-    return CriticalLine(float(mu.max()), np.array(lambdas), *ab, *map(np.array, (var0, mean, k2)))
+        free = top[_walk(V[np.ix_(top, top)], single, [int(np.argmax(single))])[1][-1][0]]
+    lambdas, segments = _walk(V, mu - mu.max(), free)
+    held, pairs, *scalars = zip(*segments)
+    return CriticalLine(float(mu.max()), np.array(lambdas), held, pairs, *map(np.array, scalars))
 
 
 def sandwich_check(
@@ -533,12 +537,15 @@ def sandwich_check(
     below = np.sqrt(lo.variance_lower) > (1.0 + SHELL_BAND) * sigma
     empty = bool(below or sigma_hi < (1.0 - SHELL_BAND) * sigma)
     tau = min(max(sigma, sigma_lo), sigma_hi)
-    max_var = float("nan") if empty else universe.eta_line.max_at(tau)
-    max_vol_sq = float("nan") if empty else universe.root_eta_line.max_at(tau) ** 2
-    gap = max_var - max_vol_sq
-    # the rounding of the two maxima, which cancel exactly where the most
-    # volatile assets tie
-    slack = 1e-12 * max(1.0, max_var)
+    max_var = max_vol_sq = gap = holds = None
+    if not empty:
+        max_var = universe.eta_line.max_at(tau)
+        max_vol_sq = universe.root_eta_line.max_at(tau) ** 2
+        gap = max_var - max_vol_sq
+        # the rounding of the two maxima, which cancel exactly where the most
+        # volatile assets tie
+        slack = 1e-12 * max(1.0, max_var)
+        holds = -slack <= gap <= 2.0 * d_upper + slack
     return SandwichReport(
         sigma=sigma,
         sigma_lo=sigma_lo,
@@ -549,6 +556,6 @@ def sandwich_check(
         max_avg_volatility_sq=max_vol_sq,
         gap=gap,
         d_max_upper=d_upper,
-        holds=None if empty else -slack <= gap <= 2.0 * d_upper + slack,
+        holds=holds,
         empty=empty,
     )

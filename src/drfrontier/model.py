@@ -74,6 +74,14 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _root_gap(a, b):
+    """sqrt(a) - sqrt(b) of variances (clipped at 0) as (a - b) / (sqrt(a) +
+    sqrt(b)), free of the roots' cancellation; 0 where both are 0."""
+    a, b = np.clip(a, 0.0, None), np.clip(b, 0.0, None)
+    total = np.sqrt(a) + np.sqrt(b)
+    return np.divide(a - b, total, out=np.zeros(np.shape(total)), where=total > 0.0)
+
+
 def _float_array(values, what: str) -> np.ndarray:
     try:
         return np.asarray(values, dtype=float)
@@ -264,7 +272,7 @@ class CovarianceSolver:
             self._blocks = [(a, b, np.linalg.inv(L[a:b, a:b])) for a, b in zip(edges, edges[1:])]
         ones = np.ones(universe.n)
         eta, root, rbar = universe.variances, universe.volatilities, universe.expected_returns
-        near = (eta - eta[0]) / (root + root[0])  # sqrt(eta_i) - sqrt(eta_1), exact to rounding
+        near = _root_gap(eta, eta[0])  # sqrt(eta_i) - sqrt(eta_1), exact to rounding
         rhs = [ones] + [_frozen(c - c.mean()) for c in (eta, near, rbar) if c is not None]
         self.eta0, self.rbar0 = rhs[1], None if rbar is None else rhs[3]
         inv = np.ascontiguousarray(self.solve(np.column_stack(rhs)).T)

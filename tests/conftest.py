@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,15 @@ V3 = np.array(
 ) / 9.0
 RBAR3 = np.array([0.06, 0.10, 0.08])
 R0_3 = 0.01
+
+
+def strict_json(text):
+    """json.loads that refuses NaN and Infinity, which RFC 8259 JSON has not."""
+
+    def refuse(constant):
+        raise AssertionError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,7 @@
 import csv
 import functools
 import hashlib
+import importlib.util
 import json
 import os
 import shutil
@@ -15,7 +16,7 @@ import drfrontier as drf
 from drfrontier.cli import main
 from drfrontier.mdp import _ratio
 
-from .conftest import RBAR3, V3
+from .conftest import RBAR3, V3, strict_json
 from .oracles import rotated_spectrum_cov
 
 
@@ -603,6 +604,37 @@ def test_mdp_on_panel_lands_every_default_level(fixture_dir, tmp_path):
         assert rep["accepted"] == rep["requested"] == 20_000
         assert rep["sigma_lo"] == pytest.approx(0.145493457267, rel=1e-11)
         assert rep["sigma_lo"] < rep["sigma"] < rep["sigma_hi"]
+
+
+def test_every_shipped_json_artifact_isstrict_json(tmp_path, capsys):
+    # every run of scripts/cli_artifacts.py that exits 0, in this process:
+    # an empty sandwich level wrote NaN for its maxima and gap
+    root = Path(__file__).resolve().parents[1]
+    path = root / "scripts" / "cli_artifacts.py"
+    spec = importlib.util.spec_from_file_location("cli_artifacts", path)
+    artifacts = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(artifacts)
+    parsed = {}
+    for name, (args, text) in artifacts.runs().items():
+        if "--input" not in args:
+            continue
+        run, args = tmp_path / name, list(args)
+        run.mkdir()
+        at = args.index("--input") + 1
+        if text is not None:
+            (run / args[at]).write_text(text)
+        args[at] = str((root if text is None else run) / args[at])
+        if main(args + ["--out", str(run / "out")]) == 0:
+            for path in (run / "out").glob("*.json"):
+                parsed[f"{name}/{path.name}"] = strict_json(path.read_text(encoding="utf-8"))
+    capsys.readouterr()
+    assert len(parsed) >= 40
+    levels = parsed["ex3-mdp-empty-levels/mdp.json"]["sandwich"]
+    assert [rep["sigma"] for rep in levels] == [0.1, 100.0]
+    for rep in levels:
+        assert rep["empty"] is True and rep["accepted"] == 0
+        assert rep["gap"] is rep["holds"] is None
+        assert rep["max_avg_variance"] is rep["max_avg_volatility_sq"] is None
 
 
 def test_embed_command(fixture_dir, tmp_path):

@@ -1,8 +1,9 @@
 """Totality of the command line: every input ends in a result or a refusal.
 
 Each run of ``cli.main``, in-process, must either exit 0 with well-formed
-artifacts (every JSON file and stdout line parses, every CSV row has its
-header's field count, every SVG parses as XML) or exit 2 with one JSON line
+artifacts (every JSON file and stdout line parses, without NaN or
+Infinity, every CSV row has its header's field count and finite numbers,
+every SVG parses as XML) or exit 2 with one JSON line
 on stderr naming a DrFrontierError subclass, and it must finish within
 RUN_SECONDS.  The inputs are covariance JSON universes (n = 2-8, cond(V) up
 to 1e12, scales 1e-8 to 1e8, rank-deficient V, constant returns, r0 above
@@ -15,7 +16,9 @@ dates, no more rows than assets).
 ``frontier --grid`` runs on drawn grid specs as well: valid ones of at
 most 200 points, malformed ones and ones over ``MAX_GRID_POINTS``, which
 must be refused by ParseError before any grid is built, unless the universe
-is refused first; a valid spec ends as the default grid does.
+is refused first, and ones reaching past ``MAX_SIGMA``, whose squares
+overflow, which must be refused by ParseError as well; any other valid spec
+ends as the default grid does.
 
 On every JSON universe three consistencies are checked as well: the
 default ``frontier`` writes exactly the kinds for which ``frontier --kind K``
@@ -45,10 +48,10 @@ from hypothesis import strategies as st
 import drfrontier as drf
 from drfrontier import errors
 from drfrontier.cli import MAX_GRID_POINTS, main
-from drfrontier.frontiers import FrontierKind
+from drfrontier.frontiers import MAX_SIGMA, FrontierKind
 from drfrontier.model import PYTHAGORAS_ATOL
 
-from .conftest import FIXTURES, V3
+from .conftest import FIXTURES, V3, strict_json
 from .oracles import conditioned_cov
 
 RUN_SECONDS = 2.0
@@ -80,6 +83,8 @@ ILL_CONDITIONED_CENTRE = {"V": conditioned_cov(np.random.default_rng(0), 6, 11.0
 QUOTED_NAMES = {"V": V3.tolist(), "names": ["a,b", 'c"d', "e"]}
 # a name csv.writer would leave unquoted, so every command refuses it
 CARRIAGE_RETURN_NAME = {"V": V3.tolist(), "names": ["a\rb", "c", "d"]}
+# the CSV columns that hold text, not numbers
+TEXT_COLUMNS = ("asset", "kind", "status")
 # the characters asset names are drawn from: in a CSV cell a comma, a quote
 # and a newline need quoting, a space does not; a carriage return is refused
 NAME_ALPHABET = 'ab, "\n\r'
@@ -87,14 +92,19 @@ NAME_ALPHABET = 'ab, "\n\r'
 
 def _assert_well_formed(out: Path, stdout: str) -> None:
     for line in stdout.splitlines():
-        json.loads(line)
+        strict_json(line)
     for path in out.iterdir():
         text = path.read_text(encoding="utf-8")
         if path.suffix == ".json":
-            json.loads(text)
+            strict_json(text)
         elif path.suffix == ".csv":
             header, *rows = list(csv.reader(io.StringIO(text)))
             assert all(len(row) == len(header) for row in rows), path.name
+            # every number printed is finite; names, kinds and statuses are text
+            numeric = [i for i, h in enumerate(header) if h not in TEXT_COLUMNS]
+            for row in rows:
+                cells = [float(row[i]) for i in numeric if row[i] != ""]
+                assert all(map(math.isfinite, cells)), (path.name, row)
         elif path.suffix == ".svg":
             ET.fromstring(text)
         else:
@@ -266,14 +276,15 @@ MALFORMED_GRIDS = (
 
 @st.composite
 def grid_specs(draw):
-    """A --grid spec and whether the parser accepts it: valid specs of at
+    """A --grid spec and whether `frontier` accepts it: valid specs of at
     most 200 points, malformed ones and specs over MAX_GRID_POINTS.  A span
     is wide or 1-4 ulps, and min reaches 1e17, where adding 1 is lost to
-    rounding."""
+    rounding, and 1e300, where a sigma past MAX_SIGMA, whose square
+    overflows, is refused."""
     form = draw(st.sampled_from(["valid", "malformed", "over"]))
     if form == "malformed":
         return draw(st.sampled_from(MALFORMED_GRIDS)), False
-    scale = 10.0 ** draw(st.sampled_from([-4, -2, 0, 2, 4, 16]))
+    scale = 10.0 ** draw(st.sampled_from([-4, -2, 0, 2, 4, 16, 150, 300]))
     lo = scale * draw(st.floats(0.0, 10.0))
     if draw(st.booleans()):
         hi = lo + scale * draw(st.floats(1e-3, 10.0))
@@ -286,7 +297,7 @@ def grid_specs(draw):
     else:
         points = draw(st.integers(MAX_GRID_POINTS + 1, 10**18))
     log = ":log" if lo > 0.0 and draw(st.booleans()) else ""
-    return f"{lo!r}:{hi!r}:{points}{log}", form == "valid"
+    return f"{lo!r}:{hi!r}:{points}{log}", form == "valid" and hi <= MAX_SIGMA
 
 
 def _refusal_before_the_grid(data):
@@ -314,6 +325,8 @@ def _refusal_before_the_grid(data):
 # a span from 1e17, to which adding 1 is lost to rounding
 @example(EX3_RETURNS, ("1.5:1.5000000000000002:2", True))
 @example(EX3, ("0.1:1e17:2", True))
+# sigmas of 5e199 and 1e200, which square to infinity
+@example(EX3_RETURNS, ("1e150:1e200:3", False))
 def test_frontier_grid_specs_end_in_a_result_or_a_refusal(data, spec):
     spec, valid = spec
     with tempfile.TemporaryDirectory() as tmp:

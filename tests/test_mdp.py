@@ -19,6 +19,7 @@ from drfrontier.errors import (
     ZeroVarianceError,
 )
 from drfrontier import mdp
+from drfrontier.model import check_budget
 from drfrontier.mdp import GAP_RTOL, MVP_GAP_RTOL, SHELL_BAND, _d_max_of_d_eta, _ratio
 
 from .conftest import V3
@@ -328,6 +329,26 @@ def test_d_max_of_d_eta_closed_form_matches_the_ascent(ex3, universe30):
         assert drf.analyze_mdp(u).d_max == d_max
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 8), st.integers(0, 10**6), st.floats(-9.0, -3.0))
+def test_d_max_and_d_eta_on_near_equal_volatilities(n, seed, log_spread):
+    # a difference of rounded roots cancels: on volatilities 0.3 (1, 1 + 1e-9,
+    # 1 - 1e-9) it put d_max 3.1e-8 relative off its 50-digit value
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(seed)
+    vols = 0.3 * (1.0 + 10.0**log_spread * rng.uniform(-1.0, 1.0, n))
+    u = drf.validate_universe(np.diag(vols * vols))
+    D = drf.build_d_eta(u)
+    with mp.workdps(50):
+        root = [mp.sqrt(mp.mpf(e)) for e in u.variances.tolist()]
+        ref = [[(a - b) ** 2 / 2 for b in root] for a in root]
+        d_max = (max(root) - min(root)) ** 2 / 8
+        for i in range(n):
+            for j in range(n):
+                assert abs(D[i, j] - ref[i][j]) <= 8 * EPS * ref[i][j], (i, j)
+        assert abs(_d_max_of_d_eta(u) - d_max) <= 8 * EPS * d_max
+
+
 def _edm(points):
     diff = points[:, None, :] - points[None, :, :]
     return np.einsum("ijk,ijk->ij", diff, diff)
@@ -414,6 +435,15 @@ def _lines(u):
     return {"eta": (u.eta_line, u.variances), "root": (u.root_eta_line, np.sqrt(u.variances))}
 
 
+def _tables(line, n):
+    """(alpha, beta), corners x n: segment k of the line holds the weights
+    alpha[k] + lambda beta[k], its pair scattered onto its free set."""
+    ab = np.zeros((2, len(line.free), n))
+    for k, (free, pair) in enumerate(zip(line.free, line.pairs)):
+        ab[:, k, free] = pair.T
+    return ab
+
+
 def _at_most_exact(landed, line, tau, square=False):
     # a landed draw's risk is tau up to rounding, where the line's value
     # rises like a square root at sigma_lo: compare at a hair above tau
@@ -444,13 +474,36 @@ def _assert_meets_enumeration(u, line, mu, tau, name):
     assert abs(line.max_at(tau) - ref) <= 1e-10 * abs(ref), (name, tau)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 6),
+    st.integers(0, 10**6),
+    st.floats(0.0, 9.0),
+    st.floats(1e-3, 1.0),
+)
+def test_the_point_at_tau_is_a_long_only_portfolio_of_risk_tau(n, seed, log_cond, where):
+    # at(tau)'s segment and lambda rebuild, from that segment's free set and
+    # pair, the long-only budget portfolio of risk tau whose return max_at reads
+    u = conditioned_universe(n, seed, log_cond)
+    var_lo = long_only_min_variance_enum(u.cov)[0]
+    tau = float(np.sqrt(var_lo + where * (u.variances.max() - var_lo)))
+    for name, (line, mu) in _lines(u).items():
+        k, lam = line.at(tau)
+        w = np.zeros(n)
+        w[line.free[k]] = line.pairs[k] @ [1.0, lam]
+        assert w.min() >= 0.0, (name, w)
+        check_budget(w, n)
+        assert float(w @ u.cov @ w) == pytest.approx(tau * tau, rel=1e-10), name
+        assert float(mu @ w) == pytest.approx(line.max_at(tau), rel=1e-12), name
+
+
 def _assert_continuous(u, line, mu, name):
-    lam = line.lambdas
+    lam, (alpha, beta) = line.lambdas, _tables(line, u.n)
     assert lam[0] == np.inf and lam[-1] == 0.0
     assert np.all(np.diff(lam) <= 0.0)
     for k in range(1, len(lam) - 1):
-        before = line.alpha[k - 1] + lam[k] * line.beta[k - 1]
-        after = line.alpha[k] + lam[k] * line.beta[k]
+        before = alpha[k - 1] + lam[k] * beta[k - 1]
+        after = alpha[k] + lam[k] * beta[k]
         scale = float(np.abs(before).max())
         np.testing.assert_allclose(after, before, rtol=0, atol=1e-10 * scale)
         risk_before = line.var0[k - 1] + lam[k] ** 2 * line.k2[k - 1]
@@ -470,16 +523,17 @@ def test_lines_are_continuous_at_every_corner(universe30):
             _assert_continuous(u, line, mu, name)
 
 
-def _exit_slots(line):
+def _exit_slots(line, n):
     """(slot, |F|) of each asset that leaves the line, replaying the walk's
     slot order: an entering asset takes the next slot, and the asset in the
     last slot moves into a leaving one's."""
+    alpha, beta = _tables(line, n)
 
     def held(k):
-        return set(np.flatnonzero((line.alpha[k] != 0.0) | (line.beta[k] != 0.0)).tolist())
+        return set(np.flatnonzero((alpha[k] != 0.0) | (beta[k] != 0.0)).tolist())
 
     F, exits = sorted(held(0)), []
-    for k in range(1, len(line.alpha)):
+    for k in range(1, len(alpha)):
         (j,) = held(k) ^ set(F)
         if j in F:
             i = F.index(j)
@@ -517,7 +571,7 @@ def test_lines_through_exits_meet_enumeration(monkeypatch, args, constants, exit
     for name, mu in (("eta", u.variances), ("root", np.sqrt(u.variances))):
         calls.clear()
         line = mdp.critical_line(u.cov, mu)
-        assert _exit_slots(line) == exits[name]
+        assert _exit_slots(line, u.n) == exits[name]
         # a solve at the start, and one after each corner when refreshing
         corners = len(line.lambdas) - 2
         assert len(calls) == (1 + corners if constants.get("RESIDUAL_RTOL") == 0.0 else 1)
@@ -536,7 +590,7 @@ def test_both_lines_end_at_the_active_set_w_lo(n, seed, log_cond):
     ref = long_only_min_variance(u)
     floor = 4 * n * EPS * float(ref.weights @ np.abs(u.cov) @ ref.weights)
     for line, _ in _lines(u).values():
-        w = line.alpha[-1]
+        w = _tables(line, n)[0][-1]
         assert abs(float(w @ u.cov @ w) - ref.variance) <= GAP_RTOL * ref.variance + floor
     assert u.long_only_mvp.weights.min() >= 0.0
     assert u.long_only_mvp.variance == pytest.approx(ref.variance, rel=GAP_RTOL, abs=floor)
@@ -549,9 +603,10 @@ def test_lines_on_tied_top_variances(ex3):
     u = drf.validate_universe(ex3.cov)
     start = np.sqrt(19.0 / 18.0)
     for name, (line, mu) in _lines(u).items():
-        np.testing.assert_allclose(line.alpha[0], [0.0, 0.5, 0.5], atol=1e-15)
-        np.testing.assert_array_equal(line.beta[0], 0.0)
-        np.testing.assert_allclose(line.alpha[-1], 1.0 / 3.0, rtol=1e-15)
+        alpha, beta = _tables(line, u.n)
+        np.testing.assert_allclose(alpha[0], [0.0, 0.5, 0.5], atol=1e-15)
+        np.testing.assert_array_equal(beta[0], 0.0)
+        np.testing.assert_allclose(alpha[-1], 1.0 / 3.0, rtol=1e-15)
         assert line.max_at(start) == line.top == mu.max()
         assert line.max_at(1.5) == line.top
         for tau in (1.001, 1.01, 1.02, 1.027):
@@ -580,7 +635,7 @@ def test_lines_of_equal_variances_are_flat(identity3):
     # mu proportional to ones: one segment, the equal-weight portfolio
     for line, mu in _lines(identity3).values():
         assert list(line.lambdas) == [np.inf, 0.0]
-        np.testing.assert_allclose(line.alpha[0], 1.0 / 3.0, rtol=1e-15)
+        np.testing.assert_allclose(_tables(line, 3)[0][0], 1.0 / 3.0, rtol=1e-15)
         assert line.k2[0] == 0.0
         for tau in (0.5, 0.7, 1.0, 2.0):
             assert line.max_at(tau) == 1.0
@@ -606,10 +661,12 @@ def test_a_refreshed_line_matches_the_updated_one(monkeypatch, universe30):
     monkeypatch.undo()
     # a solve at the start, then one at nearly every corner
     assert len(calls) >= len(refreshed.lambdas) // 2
+    alpha = _tables(base, 30)[0]
     for other in (refreshed, line_with(FOLD_FROM=1, FOLD_EVERY=3)):
-        np.testing.assert_array_equal(other.alpha != 0.0, base.alpha != 0.0)
+        other_alpha = _tables(other, 30)[0]
+        np.testing.assert_array_equal(other_alpha != 0.0, alpha != 0.0)
         np.testing.assert_allclose(other.lambdas, base.lambdas, rtol=1e-9)
-        np.testing.assert_allclose(other.alpha, base.alpha, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(other_alpha, alpha, rtol=0, atol=1e-10)
         for tau in np.linspace(0.146, 0.42, 9):
             assert other.max_at(tau) == pytest.approx(base.max_at(tau), rel=1e-12)
 
@@ -696,9 +753,10 @@ def test_an_uncertified_w_lo_is_a_typed_error(universe30):
     # the most volatile asset alone as the last corner fails the certificate
     u = drf.validate_universe(universe30.cov)
     line = u.eta_line
-    alpha = line.alpha.copy()
-    alpha[-1] = np.eye(u.n)[int(np.argmax(u.variances))]
-    u.__dict__["eta_line"] = dataclasses.replace(line, alpha=alpha)
+    top = np.array([int(np.argmax(u.variances))])
+    u.__dict__["eta_line"] = dataclasses.replace(
+        line, free=line.free[:-1] + (top,), pairs=line.pairs[:-1] + (np.array([[1.0, 0.0]]),)
+    )
     with pytest.raises(SingularCovarianceError, match="certified to"):
         u.long_only_mvp
 
