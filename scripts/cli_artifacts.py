@@ -45,12 +45,13 @@ share their weight; the totality harness's UNBOUNDED_DR, a V of rank 2 on
 four assets on which DR is unbounded on the budget hyperplane (refused);
 and two clones alone, [[1, 1], [1, 1]], on which DR is 0 on the whole
 budget hyperplane (refused); and the refused covariance JSON with a NaN
-return.  The
-script writes those covariance JSON inputs, and the CSV panels `ingest-check` reads to show each parse error
-(a non-numeric cell, a nonpositive price, a NaN cell before a negative
-price, dates out of order, a ragged row, fewer than two rows) and the
-warning for a row with a blank cell, into the run's directory, and runs
-the command there, so a message names the input by its file name only.
+return, and with a NaN in V.  The script writes those covariance JSON
+inputs, and the CSV panels `ingest-check` reads to show each parse error (a
+non-numeric cell, a nonpositive price, a NaN cell before a negative price,
+an inf cell in a returns panel, dates out of order, a ragged row, fewer than
+two rows) and the warning for a row with a blank cell, into the run's
+directory, and runs the command there, so a message names the input by its
+file name only.
 
 Whether two checkouts produce byte-identical artifacts is then one command:
 
@@ -202,6 +203,7 @@ WRITTEN = {
     "json-rbar-text": (JSON_RUN, '{"V": [[1, 0], [0, 2]], "rbar": ["x", 0.2]}\n'),
     "json-rbar-nan": (JSON_RUN, '{"V": [[1, 0], [0, 2]], "rbar": [NaN, 0.2]}\n'),
     "json-V-text": (JSON_RUN, '{"V": [["a", 0], [0, 2]]}\n'),
+    "json-V-nan": (JSON_RUN, '{"V": [[1, NaN], [NaN, 2]]}\n'),
     "json-names-number": (JSON_RUN, '{"V": [[1, 0], [0, 2]], "names": 5}\n'),
     "json-names-text": (JSON_RUN, '{"V": [[1, 0], [0, 2]], "names": "ab"}\n'),
     "csv-text-cell": (CSV_RUN, "date,X,Y\n2020-01-01,1,2\n2020-01-02,oops,3\n2020-01-03,4,5\n"),
@@ -209,6 +211,10 @@ WRITTEN = {
     "csv-nan-then-negative": (
         CSV_RUN,
         "date,X,Y\n2020-01-01,5,2\n2020-01-02,nan,3\n2020-01-03,4,-1\n2020-01-06,4,5\n",
+    ),
+    "csv-inf-cell": (
+        ["ingest-check", "--format", "returns", "--input", "input.csv"],
+        "date,X,Y\n2020-01-01,0.01,0.02\n2020-01-02,inf,0.03\n2020-01-03,0.04,0.05\n",
     ),
     "csv-dates-out-of-order": (CSV_RUN, "date,X\n2020-01-03,1\n2020-01-02,2\n2020-01-04,3\n"),
     "csv-ragged-row": (CSV_RUN, "date,X,Y\n2020-01-01,1,2\n2020-01-02,3\n2020-01-03,4,5\n"),

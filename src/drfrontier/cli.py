@@ -10,7 +10,7 @@ Subcommands:
 Inputs are either a CSV panel of prices/returns (see ingest) or a direct
 covariance JSON {"names": [...], "V": [[...]], "rbar": [...], "r0": x}
 with the last two optional; --riskfree overrides r0.  Refused arguments
-and inputs, non-numeric JSON fields and a non-finite risk-free rate
+and inputs, non-numeric JSON fields and numbers that are not finite
 among them, exit with status 2 and a single machine-readable JSON object
 on stderr.  Each run validates its universe once.  Each handler returns
 its artifacts, a dict from file name to text or to a JSON-able object,
@@ -148,7 +148,7 @@ def _load_universe(args):
         try:
             with open(path, encoding="utf-8") as fh:
                 data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # not JSON, not UTF-8, or an integer past the digit limit
             raise ParseError(f"{path}: {exc}") from None
         if not isinstance(data, dict) or "V" not in data:
             raise ParseError(f"{path}: missing key 'V'")

@@ -56,6 +56,7 @@ from .errors import (
     NonPositiveQmaxError,
     NonZeroDiagonalError,
     NotSPDError,
+    ParseError,
 )
 from .model import (
     AssetUniverse,
@@ -86,8 +87,7 @@ class EdmCertificate:
     holds: J 1 = 0 makes 0 the smallest eigenvalue of every PSD centered
     form, and the factorization proves the true value lies between
     -EIG_RTOL * max|D| and 0.  A certificate from the eigenvalue route
-    carries the computed value, one refused for negative or non-finite
-    entries NaN.
+    carries the computed value, one refused for negative entries NaN.
     """
 
     is_edm: bool
@@ -217,9 +217,10 @@ def _certified_edm(D: np.ndarray, scale: float) -> bool:
 def assert_edm(dist) -> EdmCertificate:
     """Certify that a matrix is a Euclidean squared-distance matrix.
 
-    Preconditions (a numeric, nonempty square matrix, zero diagonal,
-    symmetry) raise; a non-finite entry, a negative entry or a negative
-    eigenvalue of the centered Gram form yields a failing certificate instead.
+    Preconditions (a nonempty square matrix, zero diagonal, symmetry) raise,
+    and an entry that is not a finite number raises ParseError, as wherever
+    a number is read; a negative entry or a negative eigenvalue of the
+    centered Gram form yields a failing certificate instead.
 
     The test is lambda_min(-0.5 J D J) >= -EIG_RTOL * max(lambda_top,
     max|D|), J = I - 1 1' / n.  One Cholesky factorization of the anchored
@@ -237,7 +238,7 @@ def assert_edm(dist) -> EdmCertificate:
     # max|D| from max and min, NaN or inf when any entry is
     scale = max(float(D.max()), -low, np.finfo(float).tiny)
     if not math.isfinite(scale):
-        return EdmCertificate(False, float("nan"), "non-finite entries")
+        raise ParseError("distance matrix contains non-finite entries")
     if float(np.abs(np.diag(D)).max()) > EDM_RTOL * scale:
         raise NonZeroDiagonalError("distance matrix has a nonzero diagonal")
     # D - D' is antisymmetric: its largest entry is its largest magnitude
@@ -337,7 +338,7 @@ def norm_dr_bound(embedding: EdmEmbedding, norm_matrix, tau: float) -> float:
         )
     scale = max(float(A.max()), -float(A.min()), np.finfo(float).tiny)
     if not math.isfinite(scale):
-        raise NotSPDError("norm matrix contains non-finite entries")
+        raise ParseError("norm matrix contains non-finite entries")
     if float((A - A.T).max()) > 1e-10 * scale:
         raise NotSPDError("norm matrix is asymmetric")
     evals = np.linalg.eigvalsh(A)

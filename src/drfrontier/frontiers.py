@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, ParseError, RiskBelowMvpError
 from .model import AssetUniverse, CovarianceSolver
-from .model import _finite_array, _finite_float, _float_array
+from .model import _finite_array, _finite_float
 from .model import default_sigma_grid  # noqa: F401  (read as frontiers.default_sigma_grid)
 from .portfolios import _require_risk_free_rate, self_financing_direction, tangent_portfolio
 
@@ -53,6 +53,10 @@ class FrontierKind(str, Enum):
     EFFICIENT_DR_RISKFREE = "efficient_dr_riskfree"
     MV_MEAN_RETURN = "mv_mean_return"
     MDP_AT_SIGMA = "mdp_at_sigma"
+
+    @classmethod
+    def _missing_(cls, value):  # FrontierKind(kind) of an unknown kind: the one refusal
+        raise ParseError(f"unknown kind {value!r}; valid kinds: {[k.value for k in cls]}")
 
 
 def frontier_params(universe: AssetUniverse) -> CovarianceSolver:
@@ -235,7 +239,7 @@ def max_linear_over_ellipsoid(
     passed, which centring cancels when c is nearly constant: for
     c = sqrt(eta) read the mdp_at_sigma kind's point.
     """
-    c = _float_array(objective, "objective")
+    c = _finite_array(objective, "objective")
     if c.shape != (universe.n,):
         raise DimensionMismatchError(
             f"objective shape {c.shape} vs universe of {universe.n} assets"
@@ -279,6 +283,7 @@ def sweep(
 ) -> FrontierCurve:
     """Evaluate one curve on a sigma grid, one row per grid point.
 
+    A kind that is not a FrontierKind or its value raises ParseError.
     Per-point domain violations become row status flags; curve-level
     impossibilities (missing returns, infeasible tangency) raise before any
     row is produced.  Rows are emitted in grid order, so equal inputs give

@@ -24,6 +24,7 @@ import csv
 import datetime
 import functools
 import logging
+import math
 from array import array
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -90,9 +91,7 @@ def _parse_rows(path: str):
         if not assets:
             raise ParseError(f"{path}: no asset columns")
 
-        dates = []
-        values = array("d")
-        dropped = 0
+        dates, values, dropped = [], array("d"), 0
         for lineno, row in enumerate(reader, start=2):
             if not row or all(not c.strip() for c in row):
                 continue
@@ -109,12 +108,15 @@ def _parse_rows(path: str):
                 raise ParseError(f"{path}:{lineno}: column 'date': {exc}") from None
             for j, cell in enumerate(row[1:], start=1):
                 try:
-                    values.append(float(cell))
+                    x = float(cell)
                 except ValueError:
+                    x = None
+                if x is None or not math.isfinite(x):  # text, or nan, inf, 1e999
                     raise ParseError(
-                        f"{path}:{lineno}: column '{header[j]}': "
-                        f"not a number: {cell.strip()!r}"
-                    ) from None
+                        f"{path}:{lineno}: column '{header[j]}': not a "
+                        f"{'number' if x is None else 'finite number'}: {cell.strip()!r}"
+                    )
+                values.append(x)
             dates.append(day)
     return assets, dates, values, dropped
 
@@ -125,7 +127,8 @@ def load_panel(path: str, format: str = "prices", log_returns: bool = False) -> 
     format='prices' converts to simple returns p_t / p_{t-1} - 1 (or log
     returns when log_returns is set); format='returns' takes the numbers as
     given.  Rows with missing cells are dropped (counted, warned); dates
-    must end up strictly increasing.
+    must end up strictly increasing.  A cell that is not a finite number
+    (text, nan, inf, 1e999) raises ParseError naming its line and column.
     """
     if format not in ("prices", "returns"):
         raise ParseError(f"unknown format {format!r}")
@@ -143,24 +146,17 @@ def load_panel(path: str, format: str = "prices", log_returns: bool = False) -> 
     calendar_days = (dates[-1] - dates[0]).days
 
     if format == "prices":
-        # min() > 0 proves every price positive: a NaN first makes it NaN,
-        # and it skips a NaN later.  Otherwise find the first cell <= 0 in
-        # file order; a NaN cell is not one, and does not hide one either.
-        if not min(values) > 0.0:
-            k = next((k for k, v in enumerate(values) if v <= 0.0), None)
-            if k is not None:
-                i, j = divmod(k, len(assets))
-                raise ParseError(
-                    f"{path}: nonpositive price for {assets[j]} on {dates[i].isoformat()}"
-                )
+        if min(values) <= 0.0:  # then name the first such price in file order
+            i, j = divmod(next(k for k, v in enumerate(values) if v <= 0.0), len(assets))
+            raise ParseError(
+                f"{path}: nonpositive price for {assets[j]} on {dates[i].isoformat()}"
+            )
         ret_dates = dates[1:]
     else:
         ret_dates = dates
 
     if len(ret_dates) < 2:
-        raise TooFewRowsError(
-            f"{path}: {len(ret_dates)} return rows, need at least 2"
-        )
+        raise TooFewRowsError(f"{path}: {len(ret_dates)} return rows, need at least 2")
     return ReturnPanel(
         assets=assets,
         dates=tuple(ret_dates),

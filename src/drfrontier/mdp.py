@@ -44,7 +44,6 @@ from .errors import (
     NegativeVarianceError,
     NotPSDError,
     NotSPDError,
-    ParseError,
     SingularCovarianceError,
     ZeroVarianceError,
 )
@@ -299,9 +298,9 @@ def d_max_bounds(d_eta, *, seed: int = 0) -> DmaxBounds:
     """Bracket max over the simplex of 0.5 * w' D w for a Euclidean distance matrix D.
 
     D_eta and the distance matrix of every covariance are distance matrices
-    by theorem.  :func:`assert_edm` certifies D: its ParseError,
-    DimensionMismatchError, NonZeroDiagonalError and AsymmetricError
-    propagate, and a failing certificate raises NotPSDError.
+    by theorem.  :func:`assert_edm` certifies D: its ParseError (an entry
+    not a finite number), DimensionMismatchError, NonZeroDiagonalError and
+    AsymmetricError propagate, and a failing certificate raises NotPSDError.
     One pairwise Frank-Wolfe ascent of at most MAX_ITER O(n) steps then
     closes the bracket [f(w), max_j (D w)_j - f(w)] to GAP_RTOL * max D
     unless the step cap is hit.  `seed` is unused; it is kept because
@@ -441,7 +440,7 @@ def _walk(V, mu, free):
             continue
         refreshed = False
         gain = mu_F @ W
-        segments.append([free.copy(), W.copy(), -Y[0, 0], gain[0], max(gain[1], 0.0)])
+        segments.append([free.astype(np.int32), W.copy(), -Y[0, 0], gain[0], max(gain[1], 0.0)])
         slope, level = mu - A[:, 1], A[:, 0]
         level[free], slope[free] = W[:, 0], -W[:, 1]
         cand.fill(-np.inf)
@@ -519,15 +518,11 @@ def sandwich_check(
     See :class:`SandwichReport`.  Both maxima are closed forms on one
     segment of the universe's eta_line and root_eta_line, built once per
     universe; an empty level reads only w_lo.  `samples` and `seed` are kept
-    for callers; nothing is drawn.  samples that is not a number raises
-    ParseError and below 1 DimensionMismatchError, and a sigma that is not
-    a finite number raises ParseError.
+    for callers; nothing is drawn.  A sigma or samples that is not a finite
+    number raises ParseError, and samples below 1 DimensionMismatchError.
     """
     sigma = _finite_float(sigma, "sigma")
-    try:
-        requested = int(samples)
-    except (TypeError, ValueError, OverflowError):
-        raise ParseError(f"samples {samples!r} is not a finite number") from None
+    requested = int(_finite_float(samples, "samples"))
     if requested < 1:
         raise DimensionMismatchError(f"samples must be at least 1, got {samples}")
     d_upper = _d_max_of_d_eta(universe)

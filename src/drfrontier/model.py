@@ -85,6 +85,8 @@ def _root_gap(a, b):
 def _float_array(values, what: str) -> np.ndarray:
     try:
         return np.asarray(values, dtype=float)
+    except OverflowError:  # an integer past the float range
+        raise ParseError(f"{what} contains non-finite entries") from None
     except (TypeError, ValueError):
         raise ParseError(f"{what} is not a numeric array") from None
 
@@ -93,7 +95,7 @@ def _finite_float(value, what: str) -> float:
     """float(value); a value that is not a finite number raises ParseError."""
     try:
         x = float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         x = math.nan
     if not math.isfinite(x):
         raise ParseError(f"{what} {value!r} is not a finite number")
@@ -446,15 +448,14 @@ class Portfolio:
 def check_budget(weights: np.ndarray, n: Optional[int] = None) -> np.ndarray:
     """Coerce weights to a float vector and enforce sum(w) == 1 within
     max(BUDGET_ATOL, 4 n eps sum|w_i|), a float sum's rounding bound (Higham
-    2002, sec. 4.2); a non-finite weight fails.  With n, a vector of another
-    length then raises DimensionMismatchError."""
-    w = _float_array(weights, "weights")
+    2002, sec. 4.2); a weight that is not a finite number raises ParseError.
+    With n, a vector of another length then raises DimensionMismatchError."""
+    w = _finite_array(weights, "weights")
     if w.ndim != 1:
         raise DimensionMismatchError(f"weights must be 1-D, got shape {w.shape}")
-    with np.errstate(invalid="ignore"):  # inf - inf: the test below fails it
-        total = float(w.sum())
+    total = float(w.sum())
     tol = max(BUDGET_ATOL, 4 * len(w) * np.finfo(float).eps * float(np.abs(w).sum()))
-    if not abs(total - 1.0) <= tol < math.inf:  # an infinite weight fails
+    if not abs(total - 1.0) <= tol < math.inf:  # finite weights whose sum overflows fail
         raise BudgetViolationError(f"weights sum to {total!r}, outside 1 +/- {tol:.3g}")
     if n is not None and len(w) != n:
         raise DimensionMismatchError(f"{len(w)} weights for {n} assets")
@@ -511,9 +512,9 @@ def validate_universe(
     Checks, in order: squareness, n >= 2, symmetry within a relative
     tolerance (then exact symmetrization), positive semidefiniteness with a
     small negative eigenvalue allowance (offenders are clamped to zero), and
-    dimension agreement of optional expected returns.  Non-numeric cov,
-    expected returns or a risk-free rate that are not all finite numbers, and
-    names that are a string, not a sequence or hold a carriage return raise
+    dimension agreement of optional expected returns.  A cov, expected
+    returns or a risk-free rate that are not all finite numbers, and names
+    that are a string, not a sequence or hold a carriage return raise
     ParseError.
 
     Definiteness is decided by one shifted Cholesky factorization when it
@@ -537,7 +538,7 @@ def validate_universe(
     # max|V| from max and min, NaN or inf when any entry is
     scale = max(float(V.max()), -float(V.min()), np.finfo(float).tiny) if n else 0.0
     if not math.isfinite(scale):
-        raise NotPSDError("covariance contains non-finite entries")
+        raise ParseError("covariance contains non-finite entries")
     if n < 2:
         raise DimensionMismatchError("universe needs at least 2 assets")
 
@@ -578,17 +579,13 @@ def validate_universe(
         if any("\r" in s for s in names):  # csv.writer leaves "\r" unquoted
             raise ParseError("an asset name holds a carriage return")
         if len(names) != n:
-            raise DimensionMismatchError(
-                f"{len(names)} names for {n} assets"
-            )
+            raise DimensionMismatchError(f"{len(names)} names for {n} assets")
 
     rbar = None
     if expected_returns is not None:
         rbar = _finite_array(expected_returns, "expected_returns")
         if rbar.shape != (n,):
-            raise DimensionMismatchError(
-                f"expected_returns shape {rbar.shape}, need ({n},)"
-            )
+            raise DimensionMismatchError(f"expected_returns shape {rbar.shape}, need ({n},)")
         rbar = _frozen(rbar)
 
     V.setflags(write=False)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import drfrontier as drf
 from drfrontier.embedding import EDM_RTOL
-from drfrontier.errors import AsymmetricError, NotPSDError
+from drfrontier.errors import AsymmetricError, NotPSDError, ParseError
 from drfrontier.model import PSD_RTOL, SYMMETRY_RTOL
 
 from .oracles import (
@@ -156,12 +156,12 @@ def test_one_pass_symmetry_checks_decide_and_store_as_two_passes(
 @pytest.mark.parametrize("where", [(0, 2), (1, 1)])
 def test_non_finite_distance_matrix_is_not_certified(bad, where):
     # numpy's Cholesky returns a NaN factor instead of failing, and every
-    # comparison with NaN is False: finiteness is tested first
+    # comparison with NaN is False: finiteness is tested first, and a number
+    # that is not finite is a ParseError wherever it is read
     D = np.array([[0.0, 1.0, 4.0], [1.0, 0.0, 1.0], [4.0, 1.0, 0.0]])
     D[where] = D[where[::-1]] = bad
-    cert = drf.assert_edm(D)
-    assert not cert.is_edm and cert.reason == "non-finite entries"
-    assert np.isnan(cert.min_eigenvalue)
+    with pytest.raises(ParseError, match="distance matrix contains non-finite entries"):
+        drf.assert_edm(D)
 
 
 def test_psd_clamp_accepts_a_small_negative_eigenvalue():

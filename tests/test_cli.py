@@ -203,6 +203,12 @@ def test_non_finite_riskfree_exits_2(fixture_dir, tmp_path, capsys, fixture, fla
         ({"rbar": ["x", 0.1, 0.1]}, "expected_returns"),
         ({"V": [["a", 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]}, "covariance"),
         ({"rbar": [float("nan"), 0.1, 0.1]}, "expected_returns"),
+        (
+            {"V": [[1.0, float("nan"), 0.0], [float("nan"), 1.0, 0.0], [0.0, 0.0, 1.0]]},
+            "covariance",
+        ),
+        ({"V": [[float("inf"), 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]}, "covariance"),
+        ({"V": [[10**400, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]}, "covariance"),
     ],
 )
 def test_bad_json_fields_exit_2(tmp_path, capsys, fields, named):
@@ -216,6 +222,27 @@ def test_bad_json_fields_exit_2(tmp_path, capsys, fields, named):
     assert len(lines) == 1
     err = json.loads(lines[0])
     assert err["error"] == "ParseError" and named in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # json refuses an integer literal of more than 4300 digits, and the
+        # reader bytes that are not UTF-8, with ValueErrors that are not
+        # JSONDecodeErrors
+        b'{"V": [[1' + b"0" * 5000 + b", 0], [0, 1]]}",
+        b'{"V": [[1, 0], [0, 1]], "names": ["\xff", "b"]}',
+    ],
+    ids=["integer-past-the-digit-limit", "not-utf-8"],
+)
+def test_json_the_reader_refuses_exits_2(tmp_path, capsys, text):
+    src = tmp_path / "u.json"
+    src.write_bytes(text)
+    out = tmp_path / "out"
+    assert main(["portfolios", "--input", str(src), "--out", str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "ParseError"
     assert not out.exists()
 
 

@@ -10,8 +10,9 @@ to 1e12, scales 1e-8 to 1e8, rank-deficient V, constant returns, r0 above
 and below the minimum-variance return, asset names holding commas, quotes,
 spaces and newlines, which a CSV row must quote to keep its header's field
 count, and carriage returns, with which no command succeeds) and CSV
-panels (ragged rows, blank and NaN cells, nonpositive prices, unsorted
-dates, no more rows than assets).
+panels (ragged rows, blank cells, NaN and infinite cells, which every
+command refuses by ParseError naming their line and column, nonpositive
+prices, unsorted dates, no more rows than assets).
 
 ``frontier --grid`` runs on drawn grid specs as well: valid ones of at
 most 200 points, malformed ones and ones over ``MAX_GRID_POINTS``, which
@@ -116,8 +117,9 @@ def _hung(signum, frame):
     raise AssertionError(f"a run went past the {WATCHDOG_SECONDS} s watchdog")
 
 
-def _run(args, out: Path):
-    """Run the CLI on args into out; None on exit 0, else the error's name."""
+def _outcome(args, out: Path):
+    """Run the CLI on args into out; None on exit 0, else its error, the
+    JSON object of its one stderr line."""
     stdout, stderr = io.StringIO(), io.StringIO()
     start = time.perf_counter()
     previous = signal.signal(signal.SIGALRM, _hung)
@@ -135,10 +137,16 @@ def _run(args, out: Path):
         return None
     assert rc == 2, (args, rc)
     (line,) = stderr.getvalue().splitlines()
-    name = json.loads(line)["error"]
-    assert name in ERROR_NAMES, (args, line)
+    error = json.loads(line)
+    assert error["error"] in ERROR_NAMES, (args, line)
     assert not out.exists(), args
-    return name
+    return error
+
+
+def _run(args, out: Path):
+    """Run the CLI on args into out; None on exit 0, else the error's name."""
+    error = _outcome(args, out)
+    return None if error is None else error["error"]
 
 
 @st.composite
@@ -239,7 +247,9 @@ def csv_panels(draw):
     cells = [[f"{x:.6g}" for x in row] for row in rng.uniform(50.0, 150.0, (rows, n))]
     for _ in range(draw(st.integers(0, 2))):
         i, j = draw(st.integers(0, rows - 1)), draw(st.integers(0, n - 1))
-        cells[i][j] = draw(st.sampled_from(["", "nan", "NaN", "0", "-3", "x"]))
+        cells[i][j] = draw(
+            st.sampled_from(["", "nan", "NaN", "inf", "-inf", "1e999", "0", "-3", "x"])
+        )
     if rows > 1 and draw(st.booleans()):
         i = draw(st.integers(0, rows - 2))
         dates[i], dates[i + 1] = dates[i + 1], dates[i]
@@ -251,15 +261,46 @@ def csv_panels(draw):
     return "\n".join(lines) + "\n"
 
 
+def _non_finite_cell(text):
+    """(line, column) of the cell the panel reader refuses first where that
+    cell holds a number that is not finite, else None.  Rows are read in
+    file order: a ragged row or a text cell is refused first, and a row with
+    a blank cell is dropped unread."""
+    header, *rows = csv.reader(io.StringIO(text))
+    for line, row in enumerate(rows, start=2):
+        if len(row) != len(header):
+            return None
+        if any(not cell.strip() for cell in row):
+            continue
+        for column, cell in zip(header[1:], row[1:]):
+            try:
+                x = float(cell)
+            except ValueError:
+                return None
+            if not math.isfinite(x):
+                return line, column
+    return None
+
+
 @SETTINGS
 @given(csv_panels(), st.sampled_from([[], ["--format", "returns"], ["--log-returns"]]))
+@example("date,A0,A1\n2020-01-01,1,2\n2020-01-02,3,inf\n2020-01-03,4,5\n", [])
+@example("date,A0\n2020-01-01,1e999\n2020-01-02,2\n2020-01-03,3\n", ["--format", "returns"])
 def test_cli_is_total_on_csv_panels(text, flags):
+    # a non-finite cell is a ParseError naming its line and column on every
+    # command, ingest-check included
+    cell = _non_finite_cell(text)
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         src = tmp / "panel.csv"
         src.write_text(text)
         for cmd in (["ingest-check"],) + COMMANDS:
-            _run(cmd + flags + ["--input", str(src)], tmp / cmd[0])
+            error = _outcome(cmd + flags + ["--input", str(src)], tmp / cmd[0])
+            if cell is not None:
+                line, column = cell
+                assert error and error["error"] == "ParseError", (cmd, error)
+                where = f"panel.csv:{line}: column '{column}': not a finite number: "
+                assert where in error["message"], (cmd, error)
 
 
 # specs the grid parser refuses: a wrong field count, non-numeric fields,

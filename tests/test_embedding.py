@@ -335,9 +335,9 @@ def test_norm_bound_input_errors(ex3):
     for bad in (float("nan"), float("inf")):
         A = np.eye(3)
         A[0, 1] = A[1, 0] = bad
-        with pytest.raises(NotSPDError, match="non-finite"):
+        with pytest.raises(drf.errors.ParseError, match="non-finite"):
             drf.norm_dr_bound(emb, A, 0.5)
     nan_diagonal = np.eye(3)
     nan_diagonal[1, 1] = float("nan")
-    with pytest.raises(NotSPDError, match="non-finite"):
+    with pytest.raises(drf.errors.ParseError, match="non-finite"):
         drf.norm_dr_bound(emb, nan_diagonal, 0.5)

@@ -179,8 +179,8 @@ def test_parse_error_nonpositive_price(tmp_path):
 
 @pytest.mark.parametrize("first", ["5", "nan"])
 def test_nonpositive_price_after_a_nan_cell_is_found(tmp_path, first):
-    # NaN is not <= 0, and must not hide the negative price after it,
-    # whether it is the first cell or not
+    # a NaN cell is refused where it is read, before the negative price
+    # after it, whether it is the first cell or not
     p = _write(
         tmp_path,
         f"date,X,Y\n2020-01-01,{first},2\n2020-01-02,nan,3\n"
@@ -188,7 +188,8 @@ def test_nonpositive_price_after_a_nan_cell_is_found(tmp_path, first):
     )
     with pytest.raises(ParseError) as err:
         drf.load_panel(p, format="prices")
-    assert "nonpositive price for Y on 2020-01-03" in str(err.value)
+    line = 2 if first == "nan" else 3
+    assert f"panel.csv:{line}: column 'X': not a finite number: 'nan'" in str(err.value)
 
 
 def test_too_few_rows(tmp_path):

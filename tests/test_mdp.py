@@ -298,7 +298,7 @@ def test_d_max_bounds_rejects_a_non_edm():
         for i, j in ((0, 2), (1, 1)):
             line = np.array([[0.0, 1.0, 4.0], [1.0, 0.0, 1.0], [4.0, 1.0, 0.0]])
             line[i, j] = line[j, i] = bad
-            with pytest.raises(NotPSDError, match="non-finite entries"):
+            with pytest.raises(ParseError, match="non-finite entries"):
                 drf.d_max_bounds(line)
 
 

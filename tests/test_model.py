@@ -226,8 +226,15 @@ def test_validate_universe_reads_expected_returns_as_finite(bad):
 
 @pytest.mark.parametrize("weights", [[np.nan, 1.0], [np.inf, -np.inf], [np.inf, 1.0]])
 def test_check_budget_rejects_a_non_finite_sum(weights):
-    with pytest.raises(BudgetViolationError):
+    # a weight that is not a finite number is refused where it is read
+    with pytest.raises(ParseError, match="weights contains non-finite entries"):
         drf.check_budget(np.array(weights))
+
+
+def test_check_budget_rejects_finite_weights_whose_sum_overflows():
+    # sum(w) and sum|w| both overflow to inf, and inf - 1 <= inf would pass
+    with np.errstate(over="ignore"), pytest.raises(BudgetViolationError):
+        drf.check_budget(np.array([1e308, 1e308, -1e308, -1e308]))
 
 
 @pytest.mark.parametrize("r0", [np.nan, np.inf, -np.inf, "abc", [0.01]])
@@ -262,9 +269,38 @@ def _cash(u):
     return drf.validate_universe(u.cov, expected_returns=RBAR3, risk_free_rate=R0_3)
 
 
+def _entry(matrix, value):
+    """matrix as a float array with its (0, 1) and (1, 0) entries set to value."""
+    a = np.array(matrix, dtype=float)
+    a[0, 1] = a[1, 0] = value
+    return a
+
+
+# three points on a line: a Euclidean distance matrix
+LINE3 = [[0.0, 1.0, 4.0], [1.0, 0.0, 1.0], [4.0, 1.0, 0.0]]
+NON_FINITE = {"nan": np.nan, "inf": np.inf, "minus-inf": -np.inf}
+# every entry point that reads an array of numbers, called with one entry
+# not finite: each raises ParseError where it reads it
+NON_FINITE_READERS = {
+    "validate_universe": lambda u, x: drf.validate_universe(_entry(u.cov, x)),
+    "check_budget": lambda u, x: drf.check_budget([0.5, x, 0.5]),
+    "portfolio_stats": lambda u, x: drf.portfolio_stats(u, [0.5, x, 0.5]),
+    "diversification_return": lambda u, x: drf.diversification_return(u, [x, 0.5, 0.5]),
+    "max_linear_over_ellipsoid": lambda u, x: drf.max_linear_over_ellipsoid(u, [1.0, x, 3.0], 1.2),
+    "norm_dr_bound": lambda u, x: drf.norm_dr_bound(drf.embed(u), _entry(np.eye(3), x), 1.0),
+    "assert_edm": lambda u, x: drf.assert_edm(_entry(LINE3, x)),
+    "d_max_bounds": lambda u, x: drf.d_max_bounds(_entry(LINE3, x)),
+}
+
+
 @pytest.mark.parametrize(
     "call, error",
     [
+        (lambda u, read=read, x=x: read(u, x), ParseError)
+        for read in NON_FINITE_READERS.values()
+        for x in NON_FINITE.values()
+    ]
+    + [
         (lambda u: drf.assert_edm(np.zeros((0, 0))), DimensionMismatchError),
         (lambda u: drf.d_max_bounds(np.zeros((0, 0))), DimensionMismatchError),
         (lambda u: drf.assert_edm([["a"]]), ParseError),
@@ -307,8 +343,17 @@ def _cash(u):
         (lambda u: drf.norm_dr_bound(drf.embed(u), np.eye(3), np.inf), ParseError),
         (lambda u: drf.portfolio_stats(u, [0.5, 0.5]), DimensionMismatchError),
         (lambda u: drf.diversification_return(u, [0.25] * 4), DimensionMismatchError),
+        (lambda u: drf.sweep(u, "bogus"), ParseError),
+        (lambda u: drf.sweep(u, None), ParseError),
+        (lambda u: drf.point(u, "bogus", 1.2), ParseError),
+        (lambda u: drf.point(u, None, 1.2), ParseError),
+        (lambda u: drf.validate_universe([[10**400, 0], [0, 1]]), ParseError),
+        (lambda u: drf.check_budget([10**400, 1.0]), ParseError),
+        (lambda u: drf.point(u, "efficient_dr", 10**400), ParseError),
+        (lambda u: drf.sandwich_check(u, 1.2, samples=10**400), ParseError),
     ],
-    ids=[
+    ids=[f"{read}-{x}" for read in NON_FINITE_READERS for x in NON_FINITE]
+    + [
         "assert_edm-empty", "d_max_bounds-empty", "assert_edm-text",
         "d_max_bounds-text", "check_budget", "portfolio_stats",
         "diversification_return", "norm_dr_bound",
@@ -323,6 +368,10 @@ def _cash(u):
         "mix-none", "mix-text", "mix-nan", "mix-minus-inf", "norm_dr_bound-tau-none",
         "norm_dr_bound-tau-array", "norm_dr_bound-tau-text", "norm_dr_bound-tau-inf",
         "portfolio_stats-length", "diversification_return-length",
+        "sweep-kind-bogus", "sweep-kind-none", "point-kind-bogus", "point-kind-none",
+        # an integer past the float range is not a finite number either
+        "validate_universe-huge-int", "check_budget-huge-int", "point-huge-int",
+        "sandwich_check-samples-huge-int",
     ],
 )
 def test_library_entry_points_type_empty_and_non_numeric_arrays(ex3, call, error):
