@@ -29,9 +29,9 @@ Scored, each cell as printed:
   reference is the two-fund maximum on the free set F of the line's segment
   at the level's float risk tau (`CriticalLine.at`), mu_F' w_mvp,F +
   k_F sqrt(tau^2 - sigma_mvp,F^2), from `DigitKernel` of V_F; sigma_lo's is
-  sigma_mvp,F on the free set of the eta line's last segment.  Each counts
-  only where its weights on F are nonnegative, and the gap only where both
-  maxima count.
+  sigma_mvp,F on the free set of w_lo (`AssetUniverse.long_only_mvp`).
+  Each counts only where its weights on F are nonnegative, and the gap only
+  where both maxima count.
 
 Counted as unscored: the `sigma` column (each row's input), the coordinates
 of `embedding.csv`, each sandwich level's `sigma`, `requested` and
@@ -288,7 +288,7 @@ def _two_fund_max(kf, tau, root):
 
 def score_sandwich(led, key, printed, reports, k, d_max, u, kernels):
     """Score each sandwich level; reports are the levels' unrounded fields."""
-    lo = _segment_kernel(u, u.eta_line.free[-1], kernels)
+    lo = _segment_kernel(u, u.long_only_mvp.free, kernels)
     with mp.workdps(DPS):
         sigma_hi = mp.sqrt(max(k.eta))
         sigma_lo = mp.sqrt(lo.sigma2_mvp) if min(lo.w_mvp) >= 0 else None

@@ -49,9 +49,9 @@ return, and with a NaN in V.  The script writes those covariance JSON
 inputs, and the CSV panels `ingest-check` reads to show each parse error (a
 non-numeric cell, a nonpositive price, a NaN cell before a negative price,
 an inf cell in a returns panel, dates out of order, a ragged row, fewer than
-two rows) and the warning for a row with a blank cell, into the run's
-directory, and runs the command there, so a message names the input by its
-file name only.
+two rows, a byte that is not UTF-8) and the warning for a row with a blank
+cell, into the run's directory, and runs the command there, so a message
+names the input by its file name only.
 
 Whether two checkouts produce byte-identical artifacts is then one command:
 
@@ -223,6 +223,7 @@ WRITTEN = {
         "date,X,Y\n2020-01-01,1,2\n2020-01-02,,2\n2020-01-03,3,4\n2020-01-06,4,5\n",
     ),
     "csv-one-row": (CSV_RUN, "date,X\n2020-01-01,1\n"),
+    "csv-not-utf8": (CSV_RUN, b"date,X,Y\n2020-01-01,1,2\n2020-01-02,\xff3,4\n2020-01-03,4,5\n"),
     "json-rbar-near-constant-portfolios": (JSON_RUN, NEAR_CONSTANT_RETURNS),
     "json-rbar-near-constant-frontier": (
         ["frontier", "--svg", "--input", "input.json"],
@@ -257,8 +258,8 @@ WRITTEN = {
 def runs() -> dict:
     """Run name -> (CLI arguments, --out left out; text of the input file or None).
 
-    With a text, the --input argument names a file written into the run's
-    directory, where the command runs.
+    With a text (or bytes), the --input argument names a file written into
+    the run's directory, where the command runs.
     """
     table = {"help": (["--help"], None)}
     for cmd in HELP:
@@ -286,7 +287,8 @@ def main(argv) -> int:
         run_dir = out_root / name
         run_dir.mkdir(parents=True, exist_ok=True)
         if text is not None:
-            (run_dir / args[args.index("--input") + 1]).write_text(text)
+            path = run_dir / args[args.index("--input") + 1]
+            path.write_bytes(text) if isinstance(text, bytes) else path.write_text(text)
         proc = subprocess.run(
             [sys.executable, "-m", "drfrontier.cli", *args, "--out", str(run_dir / "out")],
             cwd=ROOT if text is None else run_dir,

@@ -78,34 +78,49 @@ class ReturnPanel:
 
 
 def _parse_rows(path: str):
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        if not header or header[0].lower() != "date":
-            raise ParseError(f"{path}: first column must be 'date', got {header[:1]}")
-        assets = tuple(header[1:])
-        if not assets:
-            raise ParseError(f"{path}: no asset columns")
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            return _parse_csv(path, csv.reader(fh))
+    except UnicodeDecodeError:
+        raise ParseError(f"{path}: not UTF-8 text") from None
 
-        dates, values, dropped = [], array("d"), 0
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(header):
-                raise ParseError(
-                    f"{path}:{lineno}: {len(row)} cells, expected {len(header)}"
-                )
+
+def _parse_csv(path: str, reader):
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ParseError(f"{path}: empty file") from None
+    header = [h.strip() for h in header]
+    if not header or header[0].lower() != "date":
+        raise ParseError(f"{path}: first column must be 'date', got {header[:1]}")
+    assets = tuple(header[1:])
+    if not assets:
+        raise ParseError(f"{path}: no asset columns")
+
+    dates, values, dropped = [], array("d"), 0
+    for lineno, row in enumerate(reader, start=2):
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) != len(header):
+            raise ParseError(f"{path}:{lineno}: {len(row)} cells, expected {len(header)}")
+        # a row of finite numbers and a date cell parses in one pass; any
+        # other row takes the cell by cell path, which drops it or names
+        # its first bad cell
+        try:
+            cells = array("d", map(float, row[1:]))
+        except ValueError:
+            cells = None
+        if cells is None or not row[0].strip() or not math.isfinite(sum(cells)):
+            cells = None
             if any(not c.strip() for c in row):
                 dropped += 1
                 continue
-            try:
-                day = datetime.date.fromisoformat(row[0].strip())
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: column 'date': {exc}") from None
+        try:
+            day = datetime.date.fromisoformat(row[0].strip())
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: column 'date': {exc}") from None
+        if cells is None:
+            cells = array("d")
             for j, cell in enumerate(row[1:], start=1):
                 try:
                     x = float(cell)
@@ -116,8 +131,9 @@ def _parse_rows(path: str):
                         f"{path}:{lineno}: column '{header[j]}': not a "
                         f"{'number' if x is None else 'finite number'}: {cell.strip()!r}"
                     )
-                values.append(x)
-            dates.append(day)
+                cells.append(x)
+        values.extend(cells)
+        dates.append(day)
     return assets, dates, values, dropped
 
 

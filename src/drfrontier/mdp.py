@@ -25,15 +25,19 @@ ratio-maximizing portfolio track the DR-efficient frontier.
 :func:`sandwich_check` tests the sandwich 0 <= max eta' w - max
 (sqrt(eta)' w)^2 <= 2 d_max on long-only portfolios of a given risk with
 the exact maxima: each lies on Markowitz's long-only frontier for the
-return vector eta or sqrt(eta), which :func:`critical_line` computes as a
-finite list of corners (Markowitz 1956; Niedermayer and Niedermayer 2010;
-Bailey and Lopez de Prado 2013).  The module stands on model alone; the
-ratio maximizer at a given risk is the mdp_at_sigma kind's
-:func:`~drfrontier.frontiers.point`.
+return vector eta or sqrt(eta), a :class:`CriticalLine` of finitely many
+corners (Markowitz 1956; Niedermayer and Niedermayer 2010; Bailey and
+Lopez de Prado 2013).  Both lines end at the long-only minimum-variance
+portfolio w_lo, which :func:`_active_set` solves once per universe; each
+line is walked up from there only as far as a level reads it.  The module
+stands on model alone; the ratio maximizer at a given risk is the
+mdp_at_sigma kind's :func:`~drfrontier.frontiers.point`.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -52,6 +56,7 @@ from .model import (
 )
 
 MAX_ITER = 10_000
+EPS, TINY = np.finfo(float).eps, np.finfo(float).tiny
 # Frank-Wolfe ascent stops when its duality gap is below this times max D
 GAP_RTOL = 1e-12
 # a sandwich level is empty this fraction of sigma outside the long-only risks
@@ -67,6 +72,12 @@ SCHUR_RTOL = 1e-13
 # an asset that changed at a corner changes back only below (1 - TIE_RTOL)
 # times that corner's lambda
 TIE_RTOL = 1e-9
+# a corner of a weight below -NEGATIVE_ATOL (of the budget 1), which only a
+# walk that rounding broke could reach, raises SingularCovarianceError
+NEGATIVE_ATOL = 1e-6
+# a swap at lambda = 0 reads only the entries of its mix c above this times
+# 1 + |c|_1 (see _walk)
+PIVOT_RTOL = 1e-9
 # from FOLD_FROM slots the inverse's corrections are folded in FOLD_EVERY at
 # a time: one rank-FOLD_EVERY product reads M once instead of FOLD_EVERY times
 FOLD_FROM, FOLD_EVERY = 128, 32
@@ -101,7 +112,6 @@ class MdpAnalysis:
     d_max: float
 
 
-@dataclass(frozen=True, eq=False)
 class CriticalLine:
     """Markowitz's long-only frontier for return vector mu, by its corners.
 
@@ -110,54 +120,105 @@ class CriticalLine:
     an asset enters or leaves.  Between corners k and k + 1, free[k] holds
     w_F = pairs[k] @ [1, lambda] (zero elsewhere), of risk^2 var0[k] +
     lambda^2 k2[k] and mu' w = top + mean[k] + lambda k2[k] with top = max mu.
+
+    The line is walked up from lambda = 0, where it starts at the free set
+    `start` of w_lo (:func:`_walk`), and only as far as it is read: :meth:`at`
+    and :meth:`max_at` extend the walk to the segment that holds their
+    risk, and the first read of lambdas, free, pairs, var0, mean or k2
+    finishes it.
     """
 
-    top: float
-    lambdas: np.ndarray
-    free: tuple
-    pairs: tuple
-    var0: np.ndarray
-    mean: np.ndarray
-    k2: np.ndarray
+    def __init__(self, V, mu, start):
+        mu = np.asarray(mu, dtype=float)
+        self.top = float(mu.max())
+        # an asset within the rounding of max mu ties at the top: a corner
+        # between such near-ties lies at a lambda of the order of 1 / rounding
+        mu = mu - self.top
+        mu[mu > -len(mu) * EPS * abs(self.top)] = 0.0
+        self._walk = _walk(np.asarray(V, dtype=float), mu, start)
+        # the walked segments from lambda = 0 up, the corners that bound
+        # them and each one's risk^2 at its upper corner
+        self._segments, self._corners, self._upper = [], [0.0], []
+
+    def _extend(self) -> bool:
+        """Walk one more segment; False once the line is complete."""
+        if self._walk is None:
+            return False
+        try:
+            segment, lam = next(self._walk)
+        except StopIteration:  # the walk raised on an earlier read
+            raise SingularCovarianceError("critical line: its walk failed before") from None
+        self._segments.append(segment)
+        self._corners.append(lam)
+        self._upper.append(np.inf if lam == np.inf else segment[2] + lam * lam * segment[4])
+        if lam == np.inf:
+            self._walk = None  # the walk's arrays go with it
+        return True
+
+    def _find(self, tau: float) -> tuple:
+        """(k, lambda): segment k from the lambda = 0 end holds risk tau."""
+        tau_sq = tau * tau
+        while (not self._upper or self._upper[-1] <= tau_sq) and self._extend():
+            pass
+        k = min(bisect.bisect_right(self._upper, tau_sq), len(self._upper) - 1)
+        _, _, var0, _, k2 = self._segments[k]
+        lo, hi = self._corners[k], self._corners[k + 1]
+        if k2 > 0.0:
+            lo = min(max(np.sqrt(max(tau_sq - var0, 0.0) / k2), lo), hi)
+        return k, lo
 
     def at(self, tau: float) -> tuple:
         """(k, lambda) of the line's point of risk tau, on segment k (its
-        nearer end outside the line's risk range)."""
-        lam, tau_sq = self.lambdas, tau * tau
-        low = self.var0 + lam[1:] ** 2 * self.k2  # each segment's lowest risk^2
-        k = min(int(np.searchsorted(-low, -tau_sq)), len(low) - 1)
-        t = 0.0
-        if self.k2[k] > 0.0:
-            t = min(max(np.sqrt(max(tau_sq - self.var0[k], 0.0) / self.k2[k]), lam[k + 1]), lam[k])
-        return k, t
+        nearer end outside the line's risk range).  k counts from the end,
+        as a negative index into free, pairs and the other fields."""
+        k, lam = self._find(tau)
+        return -1 - k, lam
 
     def max_at(self, tau: float) -> float:
         """max mu' w over long-only budget portfolios of risk tau, at :meth:`at`."""
-        k, t = self.at(tau)
-        return float(self.top + self.mean[k] + t * self.k2[k])
+        k, lam = self._find(tau)
+        _, _, _, mean, k2 = self._segments[k]
+        return float(self.top + mean + lam * k2)
+
+    @functools.cached_property
+    def _fields(self) -> tuple:
+        while self._extend():
+            pass
+        held, pairs, *scalars = zip(*reversed(self._segments))
+        return (np.array(self._corners[::-1]), held, pairs, *map(np.array, scalars))
+
+    lambdas = property(lambda self: self._fields[0])
+    free = property(lambda self: self._fields[1])
+    pairs = property(lambda self: self._fields[2])
+    var0 = property(lambda self: self._fields[3])
+    mean = property(lambda self: self._fields[4])
+    k2 = property(lambda self: self._fields[5])
 
 
 @dataclass(frozen=True, eq=False)
 class LongOnlyMvp:
     """Long-only minimum-variance portfolio w_lo with its certificate.
 
-    weights is the last corner (lambda = 0) of the universe's eta line,
-    clipped at zero and renormalized, and variance is w' V w.
+    weights is the active-set minimum (:func:`_active_set`) on its free set
+    `free`, clipped at zero and renormalized, and variance is w' V w.
     variance_lower = 2 min_j (V w)_j - w' V w, that is variance - 2 * gap
     with the Frank-Wolfe gap w' V w - min_j (V w)_j, bounds the long-only
-    minimum from below by convexity.
+    minimum from below by convexity.  Both critical lines of the universe
+    start at `free`.
     """
 
     weights: np.ndarray
     variance: float
     variance_lower: float
+    free: np.ndarray
 
 
 def long_only_mvp(universe: AssetUniverse) -> LongOnlyMvp:
     """The :class:`LongOnlyMvp` of a universe, which keeps it; a gap above
     MVP_GAP_RTOL * max eta raises SingularCovarianceError."""
-    line, w = universe.eta_line, np.zeros(universe.n)
-    w[line.free[-1]] = np.clip(line.pairs[-1][:, 0], 0.0, None)
+    free, x = _active_set(universe.cov)
+    w = np.zeros(universe.n)
+    w[free] = np.clip(x, 0.0, None)
     w /= w.sum()
     g = universe.cov @ w
     # a riskless mix of a singular V can round below zero, as in Portfolio.sigma
@@ -165,7 +226,7 @@ def long_only_mvp(universe: AssetUniverse) -> LongOnlyMvp:
     lower = max(2.0 * float(g.min()) - variance, 0.0)
     if variance - lower > MVP_GAP_RTOL * float(universe.variances.max()):
         raise SingularCovarianceError(f"w_lo variance {variance:.3e} certified to {lower:.3e}")
-    return LongOnlyMvp(w, variance, lower)
+    return LongOnlyMvp(w, variance, lower, free)
 
 
 @dataclass(frozen=True)
@@ -174,7 +235,8 @@ class SandwichReport:
 
     gap = max eta' w - max (sqrt(eta)' w)^2 over long-only budget portfolios
     of risk tau = clip(sigma, sigma_lo, sigma_hi), both maxima read from
-    the universe's critical lines.  eta' w - (sqrt(eta)' w)^2 = w' D_eta w,
+    the universe's critical lines (at sigma_lo, at their lambda = 0 end, the
+    point of w_lo's free set).  eta' w - (sqrt(eta)' w)^2 = w' D_eta w,
     the w-weighted variance of the volatilities, is at most 2 * d_max, so
     holds, 0 <= gap <= 2 * d_max_upper up to 1e-12 * max(1, max eta' w),
     tests the theorem.
@@ -349,9 +411,94 @@ def analyze_mdp(universe: AssetUniverse) -> MdpAnalysis:
     )
 
 
+def _active_set(V) -> tuple:
+    """(F, w_F): the free set and weights of the long-only minimum-variance
+    portfolio w_lo, by a primal active-set method on the budget KKT system.
+
+    It starts at the least volatile asset alone, whose 2 x 2 KKT matrix is
+    never singular.  At the minimum w_F of w' V w over budget portfolios on
+    F, an asset j outside F lowers the variance when its multiplier
+    (V w)_j - w' V w is below the rounding of V w; those that are not
+    collinear with F (the Schur test of :func:`_walk`) are the candidates.
+    When the candidates' block Schur complement passes that test too, all of
+    them enter at once, the assets of negative weight leave until the
+    minimum on F is positive, and the move is kept if it lowers the
+    variance.  Otherwise the first candidate by index enters alone, and
+    while a solve gives a negative weight the portfolio steps to the first
+    weight that reaches zero, whose asset leaves (Bland's rule on ties).
+    Each kept move lowers the variance and ends at the minimum of its free
+    set, so no free set returns; MAX_ITER solves raise
+    SingularCovarianceError.
+    """
+    n, vmax = len(V), float(np.abs(V).max())
+    F = np.array([int(np.argmin(np.diag(V)))])
+    x, solves = np.ones(1), 0
+
+    def kkt(S, rhs):  # [[0, 1'], [1, V_S]]^-1 rhs
+        nonlocal solves
+        if solves == MAX_ITER:
+            raise SingularCovarianceError(f"w_lo: no end after {MAX_ITER} solves")
+        solves += 1
+        K = np.ones((len(S) + 1, len(S) + 1))
+        K[0, 0], K[1:, 1:] = 0.0, V[np.ix_(S, S)]
+        return np.linalg.solve(K, rhs)
+
+    def minimum(S):  # (w_S, w_S' V_S w_S) of the least variance on S
+        z = kkt(S, np.eye(len(S) + 1, 1)[:, 0])
+        return z[1:], -z[0]
+
+    while True:
+        VF = V[:, F]
+        g = VF @ x
+        variance = float(x @ g[F])
+        multiplier = g - variance
+        multiplier[F] = 0.0
+        N = np.flatnonzero(multiplier < -n * EPS * float((np.abs(VF) @ x).max()))
+        if not N.size:
+            return F, x
+        # the borders [1, V_Fj] of the candidates, and M times them
+        U = np.ones((len(F) + 1, N.size))
+        U[1:] = V[np.ix_(F, N)]
+        MU = kkt(F, U)
+        scale = SCHUR_RTOL * vmax * (1.0 + np.abs(MU[1:]).sum(axis=0)) ** 2
+        fits = V[N, N] - (U * MU).sum(axis=0) > scale
+        N, U, MU, scale = N[fits], U[:, fits], MU[:, fits], scale[fits]
+        if not N.size:
+            return F, x
+        if N.size > 1:
+            try:
+                pivots = np.diag(np.linalg.cholesky(V[np.ix_(N, N)] - U.T @ MU)) ** 2
+            except np.linalg.LinAlgError:
+                pivots = np.zeros(N.size)
+            if (pivots > scale).all():
+                S = np.concatenate([F, N])
+                y, least = minimum(S)
+                while not (y > 0.0).all():
+                    S = S[y > 0.0]
+                    y, least = minimum(S)
+                if least < variance:
+                    F, x = S, y
+                    continue
+        S, w = np.append(F, N[0]), np.append(x, 0.0)
+        y = minimum(S)[0]
+        if not y[-1] > 0.0:  # its multiplier was rounding
+            return F, x
+        while not (y > 0.0).all():
+            # step from w towards y to the first weight that reaches zero
+            falls = np.flatnonzero(y <= 0.0)
+            room = w[falls]
+            t = np.divide(room, room - y[falls], out=np.zeros(falls.size), where=room > 0.0)
+            first = falls[t == t.min()]
+            out = first[np.argmin(S[first])]
+            w = np.clip(w + t.min() * (y - w), 0.0, None)
+            S, w = np.delete(S, out), np.delete(w, out)
+            y = minimum(S)[0]
+        F, x = S, y
+
+
 def _walk(V, mu, free):
-    """Corners of the critical line of mu (max mu = 0) from lambda = inf,
-    where the free set is `free`, down to lambda = 0.
+    """The segments of the critical line of mu (max mu = 0) from lambda = 0,
+    where the free set is `free`, up to lambda = inf.
 
     M inverts F's KKT matrix [[0, 1'], [1, V_F]] (slot 0 the budget, slot
     i + 1 the i-th free asset, and slot[j] = i, or -1 for j outside F) and
@@ -361,25 +508,36 @@ def _walk(V, mu, free):
     free asset stays in while its weight is nonnegative.  Both conditions
     read lambda slope_j - level_j <= 0, with level_F = Y[1:, 0] and
     slope_F = -Y[1:, 1] for the weights, so one rule gives the next corner:
-    the largest lambda = level_j / slope_j below this one over the j where
-    both are negative.
+    the smallest lambda = level_j / slope_j above this one over the j with
+    a positive slope.  A lone free asset holds the budget and never leaves,
+    and where every free asset ties at max mu, Y[:, 1] is zero: no slope is
+    positive and the segment reaches lambda = inf.
     There j enters by bordering, M += (M u - e) (M u - e)' / s with
     u = [1, V_Fj], e its new slot and s = V_jj - u' M u, or the asset in slot
     q leaves by M -= M e_q e_q' M / M_qq and the last slot moves into q.  From
     FOLD_FROM slots the corrections wait aside and are folded in FOLD_EVERY
     at a time, so a corner costs O(n |F|).  M is solved for at the start and
-    when a KKT residual fails; one refinement step polishes the last corner.
-    Each segment is returned as (F, [w_F(0), dw_F/dlambda], var0, mean, k2).
+    when a KKT residual exceeds RESIDUAL_RTOL of its scale; a residual above
+    the rounding of its own sums takes one refinement step of Y, as the
+    leaving assets of an upward walk downdate M from ill-conditioned free
+    sets.  Each segment is yielded as [F, [w_F(0), dw_F/dlambda], var0,
+    mean, k2] with the lambda of its upper corner.
 
-    s is the variance of e_j - c, c = (M u)[1:] the budget mix of F that
-    matches j's covariances.  Below its rounding scale j is collinear with
-    F (a singular V): its slack is then lambda (mu_j - c' mu_F) exactly,
-    nonpositive at the corner where F came to span j, so it never enters.
-    A singular KKT matrix, a nonpositive pivot M_qq or MAX_ITER corners
-    raise SingularCovarianceError.
+    At lambda = 0 a level within its rounding of zero is a tie, and ties are
+    taken there in the order of the assets.  s is the variance of e_j - c,
+    c = (M u)[1:] the budget mix of F that matches j's covariances.  Below
+    its rounding scale j is collinear with F (a singular V), and its slack
+    is lambda (mu_j - c' mu_F) exactly.  Where F came to span j at a corner
+    above lambda = 0, that slack was nonpositive there, so j never enters.
+    At lambda = 0 it may rise: j then enters in place of the free asset
+    whose weight reaches zero first along e_j - c (the least asset index on
+    ties), a move that keeps the variance (another w_lo).  A singular KKT
+    matrix, a nonpositive pivot M_qq, a free set that returns at lambda = 0,
+    a corner weight below -NEGATIVE_ATOL or MAX_ITER corners raise
+    SingularCovarianceError.
     """
     n, f, k = len(mu), 0, 0
-    M, Y, R = np.zeros((n + 1, n + 1)), np.zeros((n + 1, 2)), np.zeros((n + 1, 2))
+    M, Y, R, fix = (np.zeros((n + 1, n + 1)), *np.zeros((3, n + 1, 2)))
     aside, weights = np.zeros((n + 1, FOLD_EVERY)), np.zeros(FOLD_EVERY)
     rows, F = np.empty((n, n)), np.zeros(n, dtype=int)  # rows[i] = V[F[i]]
     # u holds the border [1, V_Fj] (u[0] stays 1) and col the product M x
@@ -399,16 +557,17 @@ def _walk(V, mu, free):
         slot[F[:f]] = np.arange(f)
         Y[: f + 1] = M[: f + 1, : f + 1] @ R[: f + 1]
 
-    def times(x):  # M x into col; an int x is the unit vector of that slot
+    def times(x):  # M x, into col for a vector x; an int x is the unit vector of that slot
         unit = isinstance(x, int)
         if unit:
             col[: f + 1] = M[: f + 1, x]
+            out = col[: f + 1]
         else:
-            np.matmul(M[: f + 1, : f + 1], x, out=col[: f + 1])
+            out = np.matmul(M[: f + 1, : f + 1], x, out=col[: f + 1] if x.ndim == 1 else None)
         if k:
             A = aside[: f + 1, :k]
-            col[: f + 1] += (A * weights[:k]) @ (A[x] if unit else A.T @ x)
-        return col[: f + 1]
+            out += (A * weights[:k]) @ (A[x] if unit else A.T @ x)
+        return out
 
     def correct(c, weight):  # M += weight c c', and Y with it
         nonlocal k
@@ -422,89 +581,119 @@ def _walk(V, mu, free):
             aside[: f + 1], k = 0.0, 0
         aside[: f + 1, k], weights[k], k = c, weight, k + 1
 
+    def leave(i):  # the asset in slot i leaves F
+        nonlocal f
+        c = times(i + 1)
+        if not c[i + 1] > 0.0:
+            raise SingularCovarianceError("critical line: nonpositive pivot")
+        correct(c, -1.0 / c[i + 1])
+        for a in (M, aside, Y, R):
+            a[i + 1] = a[f]
+        j, F[i] = F[i], F[f - 1]
+        M[:, i + 1], rows[i], slot[F[i]], slot[j] = M[:, f], rows[f - 1], i, -1
+        for a in (M, M.T, aside, Y, R):
+            a[f] = 0.0
+        f -= 1
+
+    def schur(j):  # s of asset j outside F, M u (in col), 1 + |c|_1 and whether j borders
+        u[1 : f + 1] = rows[:f, j]
+        Mu = times(u[: f + 1])
+        s, spread = V[j, j] - u[: f + 1] @ Mu, 1.0 + np.abs(Mu[1:]).sum()
+        return s, Mu, spread, s > SCHUR_RTOL * vmax * spread**2
+
+    def enter(j, s):  # asset j borders F, with M u in col
+        nonlocal f
+        rows[f], F[f], R[f + 1, 1], col[f + 1], slot[j] = V[j], j, mu[j], -1.0, f
+        f += 1
+        correct(col[: f + 1], 1.0 / s)
+
     solve(free)
     vmax = float(np.abs(V).max())
-    lam, last, refreshed, cand = np.inf, -1, False, np.empty(n)
-    lambdas, segments = [np.inf], []
+    lam, last, refreshed, cand, walked, seen = 0.0, -1, True, np.empty(n), 0, set()
     while True:
         free, W = F[:f], Y[1 : f + 1]
-        A = rows[:f].T @ W + Y[0]
+        mu_F = mu[free]
+        low = float(mu_F.min())
+        if low == 0.0:  # every free asset ties at max mu: Y[:, 1] = M 0
+            Y[: f + 1, 1] = 0.0
+        A = (W.T @ rows[:f]).T + Y[0]
         # the KKT rows of F and the budget row, against their terms' size
-        E, mu_F = A[free] - R[1 : f + 1], mu[free]
-        residual = np.abs(E).max(axis=0) + np.abs(W.sum(axis=0) - R[0])
-        size = vmax * np.abs(W).sum(axis=0) + np.abs(Y[0])
-        size[1] -= mu_F.min()  # max |R_F| = (0, -min mu_F), as mu <= 0
-        if not refreshed and any(residual > RESIDUAL_RTOL * size):
+        # (max |R_F| = (0, -min mu_F), as mu <= 0; a size of 0 has no residual)
+        fix[0], fix[1 : f + 1] = W.sum(axis=0) - R[0], A[free] - R[1 : f + 1]
+        size = vmax * np.abs(W).sum(axis=0) + np.abs(Y[0]) - [0.0, low]
+        worst = float((np.abs(fix[: f + 1]).max(axis=0) / np.maximum(size, TINY)).max())
+        if not refreshed and worst > RESIDUAL_RTOL:
             solve(free)
             refreshed = True
             continue
         refreshed = False
+        if worst > (f + 1) * EPS:  # above the rounding of its sums
+            Y[: f + 1] -= times(fix[: f + 1])
+            A = (W.T @ rows[:f]).T + Y[0]
         gain = mu_F @ W
-        segments.append([free.astype(np.int32), W.copy(), -Y[0, 0], gain[0], max(gain[1], 0.0)])
+        segment = [free.astype(np.int32), W.copy(), -Y[0, 0], gain[0], max(gain[1], 0.0)]
+        walked += 1
+        if float((W @ (1.0, lam)).min()) < -NEGATIVE_ATOL:
+            raise SingularCovarianceError(f"critical line: a weight below 0 at lambda = {lam:.6g}")
         slope, level = mu - A[:, 1], A[:, 0]
         level[free], slope[free] = W[:, 0], -W[:, 1]
-        cand.fill(-np.inf)
-        np.divide(level, slope, out=cand, where=np.maximum(slope, level) < 0.0)
-        # the asset that changed at this corner does not change back at it
-        if last >= 0 and cand[last] >= lam * (1.0 - TIE_RTOL):
-            cand[last] = -np.inf
+        if lam == 0.0:  # ties
+            level[np.abs(level) <= n * EPS * size[0]] = 0.0
+            held = frozenset(free.tolist())
+            if held in seen:
+                raise SingularCovarianceError("critical line: its ties at lambda = 0 cycle")
+            seen.add(held)
+        cand.fill(np.inf)
+        np.divide(level, slope, out=cand, where=slope > 0.0)
+        if f == 1:
+            cand[free] = np.inf
+        # the asset that changed at this corner does not change back at it,
+        # but for ties at lambda = 0
+        if lam > 0.0 and cand[last] <= lam * (1.0 + TIE_RTOL):
+            cand[last] = np.inf
         while True:
-            j = int(cand.argmax())
-            if not cand[j] > 0.0:
-                # E[:, 0] is A[free, 0] (R[:, 0] = e_0), which level overwrote
-                u[0], u[1 : f + 1] = W[:, 0].sum() - 1.0, E[:, 0]
-                d = times(u[: f + 1])
-                segments[-1][1][:, 0] = w = W[:, 0] - d[1:]
-                segments[-1][2:4] = d[0] - Y[0, 0], mu_F @ w
-                return lambdas + [0.0], segments
-            if len(segments) >= MAX_ITER:
+            j = int(cand.argmin())
+            if not cand[j] < np.inf:
+                yield segment, np.inf
+                return
+            if walked >= MAX_ITER:
                 raise SingularCovarianceError(f"critical line: no end after {MAX_ITER} corners")
-            i = int(slot[j])
-            if i >= 0:
-                c = times(i + 1)
-                if not c[i + 1] > 0.0:
-                    raise SingularCovarianceError("critical line: nonpositive pivot")
-                correct(c, -1.0 / c[i + 1])
-                for a in (M, aside, Y, R):
-                    a[i + 1] = a[f]
-                M[:, i + 1], rows[i], F[i] = M[:, f], rows[f - 1], F[f - 1]
-                slot[F[i]], slot[j] = i, -1
-                for a in (M, M.T, aside, Y, R):
-                    a[f] = 0.0
-                f -= 1
+            out, into = int(slot[j]), j
+            if out >= 0:
+                into = -1
                 break
-            u[1 : f + 1] = rows[:f, j]
-            Mu = times(u[: f + 1])
-            s = V[j, j] - u[: f + 1] @ Mu
-            if s > SCHUR_RTOL * vmax * (1.0 + np.abs(Mu[1:]).sum()) ** 2:
-                rows[f], F[f], R[f + 1, 1], col[f + 1], slot[j] = V[j], j, mu[j], -1.0, f
-                f += 1
-                correct(col[: f + 1], 1.0 / s)
+            s, Mu, spread, borders = schur(j)
+            if borders:
                 break
-            cand[j] = -np.inf  # collinear with F on budget portfolios
-        lam, last = min(float(cand[j]), lam), j
-        lambdas.append(lam)
+            # collinear with F on budget portfolios; at lambda = 0 its slack
+            # slope[j] lambda may rise (above its rounding), and j swaps in
+            pivots = Mu[1:] > PIVOT_RTOL * spread
+            if lam == 0.0 and slope[j] > SCHUR_RTOL * spread * size[1] and pivots.any():
+                # the ratio test of e_j - c on the weights at lambda = 0, ties
+                # to the least asset index
+                ratio = np.where(pivots, level[free] / np.where(pivots, Mu[1:], 1.0), np.inf)
+                out, cand[j] = int(np.argmin(np.where(ratio == ratio.min(), free, n))), lam
+                break
+            cand[j] = np.inf
+        lam, last = max(float(cand[j]), lam), j
+        yield segment, lam
+        if out >= 0:
+            leave(out)
+            if into >= 0:
+                s, _, _, borders = schur(into)
+                if not borders:
+                    raise SingularCovarianceError(
+                        "critical line: a swap at lambda = 0 stays collinear"
+                    )
+        if into >= 0:
+            enter(into, s)
 
 
 def critical_line(V, mu) -> CriticalLine:
-    """The long-only critical line of return vector mu over covariance V.
-
-    At lambda = inf it starts at the long-only minimum-variance portfolio of
-    the assets tied at max mu: the least volatile of them alone, or, when
-    several tie (mu proportional to ones included), the end of their own
-    line for a return vector that singles that one out.  Tied assets outside
-    the start then have a zero slack slope and never enter, as Bailey and
-    Lopez de Prado skip a candidate whose denominator is zero.
-    """
-    V, mu = np.asarray(V, dtype=float), np.asarray(mu, dtype=float)
-    top = np.flatnonzero(mu == mu.max())
-    free = [int(top[np.argmin(np.diag(V)[top])])]
-    if len(top) > 1:
-        single = np.where(top == free[0], 0.0, -1.0)
-        free = top[_walk(V[np.ix_(top, top)], single, [int(np.argmax(single))])[1][-1][0]]
-    lambdas, segments = _walk(V, mu - mu.max(), free)
-    held, pairs, *scalars = zip(*segments)
-    return CriticalLine(float(mu.max()), np.array(lambdas), held, pairs, *map(np.array, scalars))
+    """The long-only critical line of return vector mu over covariance V,
+    walked up from the free set of w_lo (:func:`_active_set`) as it is read."""
+    V = np.asarray(V, dtype=float)
+    return CriticalLine(V, mu, _active_set(V)[0])
 
 
 def sandwich_check(
@@ -516,10 +705,11 @@ def sandwich_check(
     """Test the sandwich at risk sigma with the exact long-only maxima.
 
     See :class:`SandwichReport`.  Both maxima are closed forms on one
-    segment of the universe's eta_line and root_eta_line, built once per
-    universe; an empty level reads only w_lo.  `samples` and `seed` are kept
-    for callers; nothing is drawn.  A sigma or samples that is not a finite
-    number raises ParseError, and samples below 1 DimensionMismatchError.
+    segment of the universe's eta_line and root_eta_line, each walked up
+    from w_lo to that segment; an empty level reads only w_lo.  `samples`
+    and `seed` are kept for callers; nothing is drawn.  A sigma or samples
+    that is not a finite number raises ParseError, and samples below 1
+    DimensionMismatchError.
     """
     sigma = _finite_float(sigma, "sigma")
     requested = int(_finite_float(samples, "samples"))
@@ -531,7 +721,8 @@ def sandwich_check(
     sigma_hi = float(universe.volatilities.max())
     below = np.sqrt(lo.variance_lower) > (1.0 + SHELL_BAND) * sigma
     empty = bool(below or sigma_hi < (1.0 - SHELL_BAND) * sigma)
-    tau = min(max(sigma, sigma_lo), sigma_hi)
+    # at or below sigma_lo both lines are read at w_lo, their lambda = 0 end
+    tau = 0.0 if sigma <= sigma_lo else min(sigma, sigma_hi)
     max_var = max_vol_sq = gap = holds = None
     if not empty:
         max_var = universe.eta_line.max_at(tau)

@@ -92,13 +92,18 @@ def _float_array(values, what: str) -> np.ndarray:
 
 
 def _finite_float(value, what: str) -> float:
-    """float(value); a value that is not a finite number raises ParseError."""
+    """float(value); a value that is not a finite number raises ParseError,
+    whose message shows the value (an integer too long to print by its bits)."""
     try:
         x = float(value)
     except (TypeError, ValueError, OverflowError):
         x = math.nan
     if not math.isfinite(x):
-        raise ParseError(f"{what} {value!r} is not a finite number")
+        try:
+            shown = repr(value)
+        except ValueError:  # an integer past Python's digit limit for str
+            shown = f"<an integer of {value.bit_length()} bits>"
+        raise ParseError(f"{what} {shown} is not a finite number")
     return x
 
 
@@ -192,25 +197,27 @@ class AssetUniverse:
 
     @functools.cached_property
     def long_only_mvp(self):
-        """w_lo with its certificate (:func:`~drfrontier.mdp.long_only_mvp`), kept likewise."""
+        """w_lo with its certificate (:func:`~drfrontier.mdp.long_only_mvp`),
+        solved once and kept with the universe."""
         from .mdp import long_only_mvp
 
         return long_only_mvp(self)
 
     @functools.cached_property
     def eta_line(self):
-        """The long-only critical line (:func:`~drfrontier.mdp.critical_line`)
-        of mu = eta, built on first access and kept with the universe."""
-        from .mdp import critical_line
+        """The long-only critical line (:class:`~drfrontier.mdp.CriticalLine`)
+        of mu = eta, kept with the universe and walked up from the free set
+        of its w_lo only as far as it is read."""
+        from .mdp import CriticalLine
 
-        return critical_line(self.cov, np.clip(self.variances, 0.0, None))
+        return CriticalLine(self.cov, np.clip(self.variances, 0.0, None), self.long_only_mvp.free)
 
     @functools.cached_property
     def root_eta_line(self):
         """The long-only critical line of mu = sqrt(eta), kept likewise."""
-        from .mdp import critical_line
+        from .mdp import CriticalLine
 
-        return critical_line(self.cov, self.volatilities)
+        return CriticalLine(self.cov, self.volatilities, self.long_only_mvp.free)
 
     @functools.cached_property
     def sigma_grid(self) -> np.ndarray:

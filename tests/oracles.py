@@ -281,6 +281,7 @@ def long_only_min_variance(universe) -> LongOnlyMvp:
         weights=w,
         variance=variance,
         variance_lower=max(2.0 * float(g.min()) - variance, 0.0),
+        free=np.flatnonzero(w),
     )
 
 

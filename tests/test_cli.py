@@ -649,7 +649,8 @@ def test_every_shipped_json_artifact_isstrict_json(tmp_path, capsys):
         run.mkdir()
         at = args.index("--input") + 1
         if text is not None:
-            (run / args[at]).write_text(text)
+            path = run / args[at]
+            path.write_bytes(text) if isinstance(text, bytes) else path.write_text(text)
         args[at] = str((root if text is None else run) / args[at])
         if main(args + ["--out", str(run / "out")]) == 0:
             for path in (run / "out").glob("*.json"):

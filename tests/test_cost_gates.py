@@ -20,14 +20,15 @@ eigendecomposition unless the factorization fails, and an embedding
 decomposes its Gram matrix only when its coordinates are read; d_max of a distance matrix is one ascent, and a
 matrix that is not one is refused before any; d_max of D_eta is a closed
 form; a bad norm budget tau is refused before any eigendecomposition of
-the norm matrix; the sandwich check draws nothing, and each universe builds its two
-critical lines once across levels (an empty level builds only the eta
-line, for w_lo), each with one solve for its first KKT inverse and no
-other np.linalg call when no residual asks for a refresh; a walk of a
-critical line allocates a fixed number of arrays with np.zeros, whatever its
-number of corners, and calls no np.flatnonzero, np.eye, np.append or
-np.outer.  A CLI run validates its universe once, --riskfree or not, and
-executes only the library modules its command uses: `mdp` runs `model` and
+the norm matrix; the sandwich check draws nothing, each universe solves its
+w_lo once, builds its two critical lines once across levels from w_lo's free
+set (an empty level builds none) and walks each only up to the segment that
+holds the level, each with one inverse for its first KKT matrix and no other
+when no residual asks for a refresh; a walk of a critical line allocates a
+fixed number of arrays with np.zeros, whatever its number of corners, and
+calls no np.flatnonzero, np.eye, np.append or np.outer.  A CLI run
+validates its universe once, --riskfree or not, and executes only the
+library modules its command uses: `mdp` runs `model` and
 `mdp` (and `ingest` on a panel), never `frontiers`, `portfolios` or
 `embedding`, `portfolios` runs `model` and `portfolios`, never `frontiers`,
 and a universe's kernel and default grid execute `model` alone.  The
@@ -426,36 +427,58 @@ def draws(monkeypatch):
 
 
 def test_sandwich_draws_nothing_and_builds_each_line_once_per_universe(
-    calls, draws, monkeypatch, ex3, universe30
+    draws, monkeypatch, ex3, universe30
 ):
-    linalg = _count_linalg(monkeypatch, *LINALG)
+    starts, walks = [], []
+    active_set, walk = mdp._active_set, mdp._walk
+    monkeypatch.setattr(mdp, "_active_set", lambda V: starts.append(1) or active_set(V))
+    monkeypatch.setattr(mdp, "_walk", lambda V, mu, free: walks.append(free) or walk(V, mu, free))
+    linalg = _count_linalg(monkeypatch, "inv")
     big = random_universe(np.random.default_rng(7), 60)
     for u in _fresh_universes() + [ex3, universe30, big]:
+        panel = u is universe30
         u = drf.validate_universe(u.cov)  # no line cached yet
-        built, before = calls["critical_line"], Counter(linalg)
+        starts.clear()
+        walks.clear()
+        linalg.clear()
         w = np.full(u.n, 1.0 / u.n)
         sigma_eq = float(np.sqrt(w @ u.cov @ w))
         rep = drf.sandwich_check(u, 1e-3 * sigma_eq, samples=500)
-        # an empty level reads w_lo, the last corner of the eta line, only
-        assert rep.empty and calls["critical_line"] - built == 1
-        for factor in (1.0, 1.1, 1.2):
+        # an empty level reads w_lo, solved once, and builds no line
+        assert rep.empty and len(starts) == 1 and walks == []
+        rep = drf.sandwich_check(u, sigma_eq, samples=500, seed=3)
+        assert not rep.empty and rep.accepted == rep.requested == 500
+        # each line walks up from w_lo to the segment that holds tau, no further
+        tau = min(max(rep.sigma, rep.sigma_lo), rep.sigma_hi)
+        lines = (u.eta_line, u.root_eta_line)
+        walked = [len(line._segments) for line in lines]
+        assert walked == [-line.at(tau)[0] for line in lines]
+        if panel:
+            # panel-30's level lies on segment 12 of each line's 30
+            assert walked == [12, 12]
+            assert [len(line.lambdas) - 1 for line in lines] == [30, 30]
+        for factor in (1.1, 1.2):
             rep = drf.sandwich_check(u, factor * sigma_eq, samples=500, seed=3)
             assert not rep.empty and rep.accepted == rep.requested == 500
         for sigma in (0.5 * rep.sigma_lo, 2.0 * rep.sigma_hi):
             rep = drf.sandwich_check(u, sigma, samples=500, seed=3)
             assert rep.empty and rep.accepted == 0
-        # the levels share the universe's two lines; each line solves for
-        # its first inverse (a tied top once more, for its start) and, with
-        # no residual asking for a refresh, makes no other np.linalg call
-        assert calls["critical_line"] - built == 2
-        tied = sum(np.count_nonzero(v == v.max()) > 1 for v in (u.variances, np.sqrt(u.variances)))
-        assert linalg - before == Counter(inv=2 + tied)
+        # the levels share w_lo and the universe's two lines: both lines
+        # start at w_lo's free set, and each is extended, never rebuilt,
+        # with one solve for its first inverse and, when no residual asks
+        # for a refresh, no other
+        assert len(starts) == 1 and (u.eta_line, u.root_eta_line) == lines
+        assert len(walks) == 2
+        assert all(np.array_equal(free, u.long_only_mvp.free) for free in walks)
+        for line in lines:
+            line.lambdas
+        assert linalg == Counter(inv=2)
     assert draws == []
 
 
 def test_a_walk_of_the_critical_line_allocates_nothing_per_corner(monkeypatch, ex3, universe30):
-    # ex3's eta line (2 corners, after a 2-corner walk of its tied assets) and
-    # panel-30's (30 corners) make the same calls in each walk
+    # ex3's eta line (2 segments) and panel-30's (30 segments) make the same
+    # calls in each walk
     counts = _count_linalg(monkeypatch, "inv")
     for name in ("zeros", "flatnonzero", "eye", "append", "outer"):
         inner = getattr(np, name)
@@ -466,14 +489,14 @@ def test_a_walk_of_the_critical_line_allocates_nothing_per_corner(monkeypatch, e
 
     def counting_walk(*args):
         before = Counter(counts)
-        out = walk(*args)
-        walks.append((len(out[1]), counts - before))
-        return out
+        out = list(walk(*args))
+        walks.append((len(out), counts - before))
+        yield from out
 
     monkeypatch.setattr(mdp, "_walk", counting_walk)
     for u in (ex3, universe30):
-        mdp.critical_line(u.cov, u.variances)
-    assert [corners for corners, _ in walks] == [2, 2, 30]
+        mdp.critical_line(u.cov, u.variances).lambdas
+    assert [segments for segments, _ in walks] == [2, 30]
     for _, made in walks:
         assert made == Counter(zeros=walks[0][1]["zeros"], inv=1)
 

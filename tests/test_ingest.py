@@ -147,6 +147,31 @@ def test_parse_error_locates_bad_number(tmp_path):
     assert "oops" in msg
 
 
+def test_a_panel_that_is_not_utf8_is_a_parse_error(tmp_path):
+    p = tmp_path / "latin1.csv"
+    p.write_bytes(b"date,X,Y\n2020-01-01,1,2\n2020-01-02,\xff3,4\n2020-01-03,4,5\n")
+    with pytest.raises(ParseError, match=f"^{p}: not UTF-8 text$"):
+        drf.load_panel(str(p))
+
+
+def test_rows_off_the_one_pass_path_parse_cell_by_cell(tmp_path, caplog):
+    # padded cells parse in one pass; finite cells whose sum overflows, a
+    # blank date cell and a blank number cell take the cell by cell path,
+    # which keeps the first, drops the other two and counts them
+    p = _write(
+        tmp_path,
+        "date,X,Y\n2020-01-01, 1.5 ,2\n2020-01-02,1e308,1e308\n ,3,4\n"
+        "2020-01-03,,4\n2020-01-06,-1e308,-1e308\n",
+    )
+    with caplog.at_level(logging.WARNING, logger="drfrontier.ingest"):
+        panel = drf.load_panel(p, format="returns")
+    assert panel.dates == (
+        datetime.date(2020, 1, 1), datetime.date(2020, 1, 2), datetime.date(2020, 1, 6)
+    )
+    np.testing.assert_array_equal(panel.returns, [[1.5, 2.0], [1e308, 1e308], [-1e308, -1e308]])
+    assert panel.dropped_rows == 2 and "dropped 2 rows" in caplog.text
+
+
 def test_parse_error_bad_date(tmp_path):
     p = _write(tmp_path, "date,X\n2020-13-01,1\n2020-01-02,2\n")
     with pytest.raises(ParseError) as err:

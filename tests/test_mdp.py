@@ -1,4 +1,3 @@
-import dataclasses
 import json
 
 import numpy as np
@@ -497,6 +496,33 @@ def test_the_point_at_tau_is_a_long_only_portfolio_of_risk_tau(n, seed, log_cond
         assert float(mu @ w) == pytest.approx(line.max_at(tau), rel=1e-12), name
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(2, 8),
+    st.integers(0, 10**6),
+    st.floats(0.0, 9.0),
+    st.lists(st.floats(0.0, 1.2), min_size=1, max_size=4),
+)
+def test_a_line_read_at_rising_tau_then_in_full_is_the_whole_line(n, seed, log_cond, wheres):
+    # the universe's lines walk only as far as each read needs; read at
+    # rising risks (past sigma_hi too) and then in full, each is bit for bit
+    # the line critical_line walks in full first
+    u = conditioned_universe(n, seed, log_cond)
+    var_lo = u.long_only_mvp.variance
+    eta = np.clip(u.variances, 0.0, None)
+    for line, mu in ((u.eta_line, eta), (u.root_eta_line, u.volatilities)):
+        whole = mdp.critical_line(u.cov, mu)
+        whole.lambdas  # walked in full before any read
+        for where in sorted(wheres):
+            tau = float(np.sqrt(var_lo + where * (u.variances.max() - var_lo)))
+            assert line.max_at(tau) == whole.max_at(tau)
+        for field in ("lambdas", "var0", "mean", "k2"):
+            np.testing.assert_array_equal(getattr(line, field), getattr(whole, field))
+        assert len(line.free) == len(whole.free) == len(line.pairs) == len(whole.pairs)
+        for a, b in zip(line.free + line.pairs, whole.free + whole.pairs):
+            np.testing.assert_array_equal(a, b)
+
+
 def _assert_continuous(u, line, mu, name):
     lam, (alpha, beta) = line.lambdas, _tables(line, u.n)
     assert lam[0] == np.inf and lam[-1] == 0.0
@@ -649,6 +675,7 @@ def test_a_refreshed_line_matches_the_updated_one(monkeypatch, universe30):
         for name, value in constants.items():
             monkeypatch.setattr(mdp, name, value)
         out = mdp.critical_line(universe30.cov, universe30.variances)
+        out.lambdas  # the walk runs when the line is read
         monkeypatch.undo()
         return out
 
@@ -658,6 +685,7 @@ def test_a_refreshed_line_matches_the_updated_one(monkeypatch, universe30):
     monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(1) or inv(a))
     monkeypatch.setattr(mdp, "RESIDUAL_RTOL", 0.0)
     refreshed = mdp.critical_line(universe30.cov, universe30.variances)
+    refreshed.lambdas
     monkeypatch.undo()
     # a solve at the start, then one at nearly every corner
     assert len(calls) >= len(refreshed.lambdas) // 2
@@ -740,23 +768,24 @@ def test_a_singular_kkt_matrix_is_a_typed_error(universe30):
     dup = np.concatenate([np.arange(30), [7]])
     V = universe30.cov[np.ix_(dup, dup)]
     with pytest.raises(SingularCovarianceError, match="singular KKT"):
-        mdp._walk(V, np.diag(V) - np.diag(V).max(), [7, 30])
+        next(mdp._walk(V, np.diag(V) - np.diag(V).max(), [7, 30]))
 
 
 def test_a_line_past_the_corner_cap_is_a_typed_error(monkeypatch, universe30):
+    line = mdp.critical_line(universe30.cov, universe30.variances)
     monkeypatch.setattr(mdp, "MAX_ITER", 3)
     with pytest.raises(SingularCovarianceError, match="corners"):
-        mdp.critical_line(universe30.cov, universe30.variances)
+        line.lambdas
+    # the walk does not restart: a later read is the same typed error
+    with pytest.raises(SingularCovarianceError, match="failed before"):
+        line.max_at(0.3)
 
 
-def test_an_uncertified_w_lo_is_a_typed_error(universe30):
-    # the most volatile asset alone as the last corner fails the certificate
+def test_an_uncertified_w_lo_is_a_typed_error(monkeypatch, universe30):
+    # the most volatile asset alone as the active set's answer fails the certificate
     u = drf.validate_universe(universe30.cov)
-    line = u.eta_line
     top = np.array([int(np.argmax(u.variances))])
-    u.__dict__["eta_line"] = dataclasses.replace(
-        line, free=line.free[:-1] + (top,), pairs=line.pairs[:-1] + (np.array([[1.0, 0.0]]),)
-    )
+    monkeypatch.setattr(mdp, "_active_set", lambda V: (top, np.ones(1)))
     with pytest.raises(SingularCovarianceError, match="certified to"):
         u.long_only_mvp
 

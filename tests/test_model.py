@@ -231,6 +231,15 @@ def test_check_budget_rejects_a_non_finite_sum(weights):
         drf.check_budget(np.array(weights))
 
 
+def test_an_integer_too_long_to_print_is_a_parse_error(ex3):
+    # float() overflows on 10**5000 and repr() refuses its 5001 digits: the
+    # message names the integer by its bits instead
+    with pytest.raises(ParseError, match="sigma <an integer of 16610 bits> is not a finite"):
+        drf.point(ex3, "efficient_dr", 10**5000)
+    with pytest.raises(ParseError, match="sigma <an integer of 16610 bits> is not a finite"):
+        drf.sandwich_check(ex3, 10**5000)
+
+
 def test_check_budget_rejects_finite_weights_whose_sum_overflows():
     # sum(w) and sum|w| both overflow to inf, and inf - 1 <= inf would pass
     with np.errstate(over="ignore"), pytest.raises(BudgetViolationError):
