@@ -70,7 +70,8 @@ RESIDUAL_RTOL = 1e-10
 # max |V| (1 + |c|_1)^2, the rounding scale of the complement (see _walk)
 SCHUR_RTOL = 1e-13
 # an asset that changed at a corner changes back only below (1 - TIE_RTOL)
-# times that corner's lambda
+# times that corner's lambda; at lambda = 0 a level or slope within its
+# rounding, at most TIE_RTOL of its scale, is a tie (see _walk)
 TIE_RTOL = 1e-9
 # a corner of a weight below -NEGATIVE_ATOL (of the budget 1), which only a
 # walk that rounding broke could reach, raises SingularCovarianceError
@@ -122,20 +123,21 @@ class CriticalLine:
     lambda^2 k2[k] and mu' w = top + mean[k] + lambda k2[k] with top = max mu.
 
     The line is walked up from lambda = 0, where it starts at the free set
-    `start` of w_lo (:func:`_walk`), and only as far as it is read: :meth:`at`
-    and :meth:`max_at` extend the walk to the segment that holds their
-    risk, and the first read of lambdas, free, pairs, var0, mean or k2
-    finishes it.
+    `free` of w_lo with the inverse of its KKT matrix (:func:`_walk`), and
+    only as far as it is read: :meth:`at` and :meth:`max_at` extend the walk
+    to the segment that holds their risk (past the segments that end at
+    lambda = 0, where ties change the free set), and the first read of
+    lambdas, free, pairs, var0, mean or k2 finishes it.
     """
 
-    def __init__(self, V, mu, start):
+    def __init__(self, V, mu, free, inverse):
         mu = np.asarray(mu, dtype=float)
         self.top = float(mu.max())
         # an asset within the rounding of max mu ties at the top: a corner
         # between such near-ties lies at a lambda of the order of 1 / rounding
         mu = mu - self.top
         mu[mu > -len(mu) * EPS * abs(self.top)] = 0.0
-        self._walk = _walk(np.asarray(V, dtype=float), mu, start)
+        self._walk = _walk(np.asarray(V, dtype=float), mu, free, inverse)
         # the walked segments from lambda = 0 up, the corners that bound
         # them and each one's risk^2 at its upper corner
         self._segments, self._corners, self._upper = [], [0.0], []
@@ -158,13 +160,18 @@ class CriticalLine:
     def _find(self, tau: float) -> tuple:
         """(k, lambda): segment k from the lambda = 0 end holds risk tau."""
         tau_sq = tau * tau
-        while (not self._upper or self._upper[-1] <= tau_sq) and self._extend():
-            pass
+        while self._corners[-1] == 0.0 or self._upper[-1] <= tau_sq:
+            if not self._extend():
+                break
         k = min(bisect.bisect_right(self._upper, tau_sq), len(self._upper) - 1)
+        # a segment that ends at lambda = 0 has no length: its point there
+        # is read on the first segment past the ties
+        while self._corners[k + 1] == 0.0:
+            k += 1
         _, _, var0, _, k2 = self._segments[k]
         lo, hi = self._corners[k], self._corners[k + 1]
-        if k2 > 0.0:
-            lo = min(max(np.sqrt(max(tau_sq - var0, 0.0) / k2), lo), hi)
+        if k2 > 0.0:  # var0 of a riskless mix may round below zero
+            lo = min(max(np.sqrt(max(tau_sq - max(var0, 0.0), 0.0) / k2), lo), hi)
         return k, lo
 
     def at(self, tau: float) -> tuple:
@@ -204,13 +211,15 @@ class LongOnlyMvp:
     variance_lower = 2 min_j (V w)_j - w' V w, that is variance - 2 * gap
     with the Frank-Wolfe gap w' V w - min_j (V w)_j, bounds the long-only
     minimum from below by convexity.  Both critical lines of the universe
-    start at `free`.
+    start at `free`, from kkt_inverse, the inverse of its KKT matrix
+    [[0, 1'], [1, V_free]].
     """
 
     weights: np.ndarray
     variance: float
     variance_lower: float
     free: np.ndarray
+    kkt_inverse: np.ndarray
 
 
 def long_only_mvp(universe: AssetUniverse) -> LongOnlyMvp:
@@ -226,7 +235,7 @@ def long_only_mvp(universe: AssetUniverse) -> LongOnlyMvp:
     lower = max(2.0 * float(g.min()) - variance, 0.0)
     if variance - lower > MVP_GAP_RTOL * float(universe.variances.max()):
         raise SingularCovarianceError(f"w_lo variance {variance:.3e} certified to {lower:.3e}")
-    return LongOnlyMvp(w, variance, lower, free)
+    return LongOnlyMvp(w, variance, lower, free, _kkt_inverse(universe.cov, free))
 
 
 @dataclass(frozen=True)
@@ -411,6 +420,35 @@ def analyze_mdp(universe: AssetUniverse) -> MdpAnalysis:
     )
 
 
+def _kkt(V, free) -> np.ndarray:
+    """The KKT matrix [[0, 1'], [1, V_FF]] of free set F."""
+    K = np.ones((len(free) + 1, len(free) + 1))
+    K[0, 0], K[1:, 1:] = 0.0, V[np.ix_(free, free)]
+    return K
+
+
+def _kkt_inverse(V, free) -> np.ndarray:
+    """The inverse of the KKT matrix of free set F; a singular one raises
+    SingularCovarianceError."""
+    try:
+        return np.linalg.inv(_kkt(V, free))
+    except np.linalg.LinAlgError:
+        raise SingularCovarianceError("critical line: singular KKT matrix") from None
+
+
+def _schur(v, U, MU, vmax) -> tuple:
+    """(s, spread, borders) of assets outside a free set F, one per column
+    of their borders U = [1, V_Fj] (or of the one border U), with MU the
+    inverse of F's KKT matrix times U.  s = V_jj - u' M u (v holds V_jj) is
+    the variance of e_j - c, c = (M u)[1:] the budget mix of F that matches
+    j's covariances, and spread = 1 + |c|_1.  j borders F when s exceeds
+    SCHUR_RTOL vmax spread^2, its rounding scale; below it j is collinear
+    with F on budget portfolios."""
+    s = v - (U * MU).sum(axis=0)
+    spread = 1.0 + np.abs(MU[1:]).sum(axis=0)
+    return s, spread, s > SCHUR_RTOL * vmax * spread * spread
+
+
 def _active_set(V) -> tuple:
     """(F, w_F): the free set and weights of the long-only minimum-variance
     portfolio w_lo, by a primal active-set method on the budget KKT system.
@@ -418,30 +456,27 @@ def _active_set(V) -> tuple:
     It starts at the least volatile asset alone, whose 2 x 2 KKT matrix is
     never singular.  At the minimum w_F of w' V w over budget portfolios on
     F, an asset j outside F lowers the variance when its multiplier
-    (V w)_j - w' V w is below the rounding of V w; those that are not
-    collinear with F (the Schur test of :func:`_walk`) are the candidates.
-    When the candidates' block Schur complement passes that test too, all of
-    them enter at once, the assets of negative weight leave until the
-    minimum on F is positive, and the move is kept if it lowers the
-    variance.  Otherwise the first candidate by index enters alone, and
-    while a solve gives a negative weight the portfolio steps to the first
-    weight that reaches zero, whose asset leaves (Bland's rule on ties).
-    Each kept move lowers the variance and ends at the minimum of its free
-    set, so no free set returns; MAX_ITER solves raise
-    SingularCovarianceError.
+    (V w)_j - w' V w is below the rounding of V w; those that border F
+    (:func:`_schur`) are the candidates.  When the candidates' block Schur
+    complement passes that test too, all of them enter at once, the assets
+    of negative weight leave until the minimum on F is positive, and the
+    move is kept if it lowers the variance.  Otherwise the first candidate
+    by index enters alone, and while a solve gives a negative weight the
+    portfolio steps to the first weight that reaches zero, whose asset
+    leaves (Bland's rule on ties).  Each kept move lowers the variance and
+    ends at the minimum of its free set, so no free set returns; MAX_ITER
+    solves raise SingularCovarianceError.
     """
     n, vmax = len(V), float(np.abs(V).max())
     F = np.array([int(np.argmin(np.diag(V)))])
     x, solves = np.ones(1), 0
 
-    def kkt(S, rhs):  # [[0, 1'], [1, V_S]]^-1 rhs
+    def kkt(S, rhs):  # the KKT matrix of S, solved against rhs
         nonlocal solves
         if solves == MAX_ITER:
             raise SingularCovarianceError(f"w_lo: no end after {MAX_ITER} solves")
         solves += 1
-        K = np.ones((len(S) + 1, len(S) + 1))
-        K[0, 0], K[1:, 1:] = 0.0, V[np.ix_(S, S)]
-        return np.linalg.solve(K, rhs)
+        return np.linalg.solve(_kkt(V, S), rhs)
 
     def minimum(S):  # (w_S, w_S' V_S w_S) of the least variance on S
         z = kkt(S, np.eye(len(S) + 1, 1)[:, 0])
@@ -460,9 +495,8 @@ def _active_set(V) -> tuple:
         U = np.ones((len(F) + 1, N.size))
         U[1:] = V[np.ix_(F, N)]
         MU = kkt(F, U)
-        scale = SCHUR_RTOL * vmax * (1.0 + np.abs(MU[1:]).sum(axis=0)) ** 2
-        fits = V[N, N] - (U * MU).sum(axis=0) > scale
-        N, U, MU, scale = N[fits], U[:, fits], MU[:, fits], scale[fits]
+        _, spread, fits = _schur(V[N, N], U, MU, vmax)
+        N, U, MU, spread = N[fits], U[:, fits], MU[:, fits], spread[fits]
         if not N.size:
             return F, x
         if N.size > 1:
@@ -470,7 +504,7 @@ def _active_set(V) -> tuple:
                 pivots = np.diag(np.linalg.cholesky(V[np.ix_(N, N)] - U.T @ MU)) ** 2
             except np.linalg.LinAlgError:
                 pivots = np.zeros(N.size)
-            if (pivots > scale).all():
+            if (pivots > SCHUR_RTOL * vmax * spread * spread).all():
                 S = np.concatenate([F, N])
                 y, least = minimum(S)
                 while not (y > 0.0).all():
@@ -496,9 +530,10 @@ def _active_set(V) -> tuple:
         F, x = S, y
 
 
-def _walk(V, mu, free):
+def _walk(V, mu, free, inverse):
     """The segments of the critical line of mu (max mu = 0) from lambda = 0,
-    where the free set is `free`, up to lambda = inf.
+    where the free set is `free` and its KKT matrix has inverse `inverse`,
+    up to lambda = inf.
 
     M inverts F's KKT matrix [[0, 1'], [1, V_F]] (slot 0 the budget, slot
     i + 1 the i-th free asset, and slot[j] = i, or -1 for j outside F) and
@@ -509,32 +544,35 @@ def _walk(V, mu, free):
     read lambda slope_j - level_j <= 0, with level_F = Y[1:, 0] and
     slope_F = -Y[1:, 1] for the weights, so one rule gives the next corner:
     the smallest lambda = level_j / slope_j above this one over the j with
-    a positive slope.  A lone free asset holds the budget and never leaves,
-    and where every free asset ties at max mu, Y[:, 1] is zero: no slope is
-    positive and the segment reaches lambda = inf.
+    a positive slope.  A lone free asset holds the budget and never leaves
+    (a swap below may replace it), and where every free asset ties at max
+    mu, Y[:, 1] is zero: no slope is positive and the segment reaches
+    lambda = inf.
     There j enters by bordering, M += (M u - e) (M u - e)' / s with
-    u = [1, V_Fj], e its new slot and s = V_jj - u' M u, or the asset in slot
-    q leaves by M -= M e_q e_q' M / M_qq and the last slot moves into q.  From
-    FOLD_FROM slots the corrections wait aside and are folded in FOLD_EVERY
-    at a time, so a corner costs O(n |F|).  M is solved for at the start and
-    when a KKT residual exceeds RESIDUAL_RTOL of its scale; a residual above
-    the rounding of its own sums takes one refinement step of Y, as the
-    leaving assets of an upward walk downdate M from ill-conditioned free
-    sets.  Each segment is yielded as [F, [w_F(0), dw_F/dlambda], var0,
-    mean, k2] with the lambda of its upper corner.
+    u = [1, V_Fj], e its new slot and s its Schur complement (:func:`_schur`),
+    or the asset in slot q leaves by M -= M e_q e_q' M / M_qq and the last
+    slot moves into q.  From FOLD_FROM slots the corrections wait aside and
+    are folded in FOLD_EVERY at a time, so a corner costs O(n |F|).  M
+    starts as `inverse` and is solved for again (:func:`_kkt_inverse`) when
+    a KKT residual exceeds RESIDUAL_RTOL of its scale; a residual above the
+    rounding of its own sums takes one refinement step of Y, as the leaving
+    assets of an upward walk downdate M from ill-conditioned free sets.
+    Each segment is yielded as [F, [w_F(0), dw_F/dlambda], var0, mean, k2]
+    with the lambda of its upper corner.
 
-    At lambda = 0 a level within its rounding of zero is a tie, and ties are
-    taken there in the order of the assets.  s is the variance of e_j - c,
-    c = (M u)[1:] the budget mix of F that matches j's covariances.  Below
-    its rounding scale j is collinear with F (a singular V), and its slack
-    is lambda (mu_j - c' mu_F) exactly.  Where F came to span j at a corner
-    above lambda = 0, that slack was nonpositive there, so j never enters.
-    At lambda = 0 it may rise: j then enters in place of the free asset
-    whose weight reaches zero first along e_j - c (the least asset index on
-    ties), a move that keeps the variance (another w_lo).  A singular KKT
-    matrix, a nonpositive pivot M_qq, a free set that returns at lambda = 0,
-    a corner weight below -NEGATIVE_ATOL or MAX_ITER corners raise
-    SingularCovarianceError.
+    At lambda = 0 a level or slope within its rounding of zero is zero: n
+    ulps of its scale times vmax max |M_FF|, by which M amplifies the
+    rounding of the KKT rows (the weights that the swaps below leave at zero
+    carry it), and at most TIE_RTOL of that scale.  Ties are taken there in
+    the order of the assets.  An asset j collinear with F (a singular V) has
+    the slack lambda (mu_j - c' mu_F) exactly, c the mix of :func:`_schur`.
+    Where F came to span j at a corner above lambda = 0, that slack was
+    nonpositive there, so j never enters.  At lambda = 0 it may rise: j then
+    enters in place of the free asset whose weight reaches zero first along
+    e_j - c (the least asset index on ties), a move that keeps the variance
+    (another w_lo) and raises mu' w.  A singular KKT matrix, a nonpositive
+    pivot M_qq, a free set that returns at lambda = 0, a corner weight below
+    -NEGATIVE_ATOL or MAX_ITER corners raise SingularCovarianceError.
     """
     n, f, k = len(mu), 0, 0
     M, Y, R, fix = (np.zeros((n + 1, n + 1)), *np.zeros((3, n + 1, 2)))
@@ -544,15 +582,10 @@ def _walk(V, mu, free):
     slot, u, col = np.full(n, -1), np.ones(n + 1), np.zeros(n + 1)
     R[0, 0] = 1.0
 
-    def solve(free):
+    def solve(free, inverse):
         nonlocal f, k
         f, k, aside[:] = len(free), 0, 0.0
-        K = np.ones((f + 1, f + 1))
-        K[0, 0], K[1:, 1:] = 0.0, V[np.ix_(free, free)]
-        try:
-            M[: f + 1, : f + 1] = np.linalg.inv(K)
-        except np.linalg.LinAlgError:
-            raise SingularCovarianceError("critical line: singular KKT matrix") from None
+        M[: f + 1, : f + 1] = inverse
         F[:f], rows[:f], R[1 : f + 1, 1] = free, V[free], mu[free]
         slot[F[:f]] = np.arange(f)
         Y[: f + 1] = M[: f + 1, : f + 1] @ R[: f + 1]
@@ -595,11 +628,10 @@ def _walk(V, mu, free):
             a[f] = 0.0
         f -= 1
 
-    def schur(j):  # s of asset j outside F, M u (in col), 1 + |c|_1 and whether j borders
+    def schur(j):  # M u (in col), then s, 1 + |c|_1 and whether j borders, of j outside F
         u[1 : f + 1] = rows[:f, j]
         Mu = times(u[: f + 1])
-        s, spread = V[j, j] - u[: f + 1] @ Mu, 1.0 + np.abs(Mu[1:]).sum()
-        return s, Mu, spread, s > SCHUR_RTOL * vmax * spread**2
+        return (Mu, *_schur(V[j, j], u[: f + 1], Mu, vmax))
 
     def enter(j, s):  # asset j borders F, with M u in col
         nonlocal f
@@ -607,7 +639,7 @@ def _walk(V, mu, free):
         f += 1
         correct(col[: f + 1], 1.0 / s)
 
-    solve(free)
+    solve(free, inverse)
     vmax = float(np.abs(V).max())
     lam, last, refreshed, cand, walked, seen = 0.0, -1, True, np.empty(n), 0, set()
     while True:
@@ -623,7 +655,7 @@ def _walk(V, mu, free):
         size = vmax * np.abs(W).sum(axis=0) + np.abs(Y[0]) - [0.0, low]
         worst = float((np.abs(fix[: f + 1]).max(axis=0) / np.maximum(size, TINY)).max())
         if not refreshed and worst > RESIDUAL_RTOL:
-            solve(free)
+            solve(free, _kkt_inverse(V, free))
             refreshed = True
             continue
         refreshed = False
@@ -638,7 +670,10 @@ def _walk(V, mu, free):
         slope, level = mu - A[:, 1], A[:, 0]
         level[free], slope[free] = W[:, 0], -W[:, 1]
         if lam == 0.0:  # ties
-            level[np.abs(level) <= n * EPS * size[0]] = 0.0
+            amplified = vmax * float(np.abs(M[1 : f + 1, 1 : f + 1]).max())
+            rounding = min(n * EPS * max(1.0, amplified), TIE_RTOL)
+            level[np.abs(level) <= rounding * size[0]] = 0.0
+            slope[np.abs(slope) <= rounding * size[1]] = 0.0
             held = frozenset(free.tolist())
             if held in seen:
                 raise SingularCovarianceError("critical line: its ties at lambda = 0 cycle")
@@ -662,7 +697,7 @@ def _walk(V, mu, free):
             if out >= 0:
                 into = -1
                 break
-            s, Mu, spread, borders = schur(j)
+            Mu, s, spread, borders = schur(j)
             if borders:
                 break
             # collinear with F on budget portfolios; at lambda = 0 its slack
@@ -677,10 +712,16 @@ def _walk(V, mu, free):
             cand[j] = np.inf
         lam, last = max(float(cand[j]), lam), j
         yield segment, lam
+        if out >= 0 and into >= 0 and f == 1:
+            # j takes the place of a lone free asset, which cannot leave
+            # first: the KKT inverse of {j} is [[-V_jj, 1], [1, 0]]
+            slot[F[0]] = -1
+            solve([into], ((-V[into, into], 1.0), (1.0, 0.0)))
+            continue
         if out >= 0:
             leave(out)
             if into >= 0:
-                s, _, _, borders = schur(into)
+                _, s, _, borders = schur(into)
                 if not borders:
                     raise SingularCovarianceError(
                         "critical line: a swap at lambda = 0 stays collinear"
@@ -693,7 +734,8 @@ def critical_line(V, mu) -> CriticalLine:
     """The long-only critical line of return vector mu over covariance V,
     walked up from the free set of w_lo (:func:`_active_set`) as it is read."""
     V = np.asarray(V, dtype=float)
-    return CriticalLine(V, mu, _active_set(V)[0])
+    free = _active_set(V)[0]
+    return CriticalLine(V, mu, free, _kkt_inverse(V, free))
 
 
 def sandwich_check(

@@ -207,17 +207,22 @@ class AssetUniverse:
     def eta_line(self):
         """The long-only critical line (:class:`~drfrontier.mdp.CriticalLine`)
         of mu = eta, kept with the universe and walked up from the free set
-        of its w_lo only as far as it is read."""
+        of its w_lo, from that set's kept KKT inverse, only as far as it is
+        read."""
         from .mdp import CriticalLine
 
-        return CriticalLine(self.cov, np.clip(self.variances, 0.0, None), self.long_only_mvp.free)
+        lo = self.long_only_mvp
+        return CriticalLine(
+            self.cov, np.clip(self.variances, 0.0, None), lo.free, lo.kkt_inverse
+        )
 
     @functools.cached_property
     def root_eta_line(self):
         """The long-only critical line of mu = sqrt(eta), kept likewise."""
         from .mdp import CriticalLine
 
-        return CriticalLine(self.cov, self.volatilities, self.long_only_mvp.free)
+        lo = self.long_only_mvp
+        return CriticalLine(self.cov, self.volatilities, lo.free, lo.kkt_inverse)
 
     @functools.cached_property
     def sigma_grid(self) -> np.ndarray:

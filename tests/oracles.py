@@ -282,6 +282,7 @@ def long_only_min_variance(universe) -> LongOnlyMvp:
         variance=variance,
         variance_lower=max(2.0 * float(g.min()) - variance, 0.0),
         free=np.flatnonzero(w),
+        kkt_inverse=None,  # the oracle starts no critical line
     )
 
 

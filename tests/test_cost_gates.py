@@ -21,10 +21,11 @@ decomposes its Gram matrix only when its coordinates are read; d_max of a distan
 matrix that is not one is refused before any; d_max of D_eta is a closed
 form; a bad norm budget tau is refused before any eigendecomposition of
 the norm matrix; the sandwich check draws nothing, each universe solves its
-w_lo once, builds its two critical lines once across levels from w_lo's free
-set (an empty level builds none) and walks each only up to the segment that
-holds the level, each with one inverse for its first KKT matrix and no other
-when no residual asks for a refresh; a walk of a critical line allocates a
+w_lo once, with one inverse of its KKT matrix, builds its two critical lines
+once across levels from w_lo's free set and that inverse (an empty level
+builds none) and walks each only up to the segment that holds the level,
+and the whole check makes no other np.linalg call, beyond the active set's
+solves, when no residual asks for a refresh; a walk of a critical line allocates a
 fixed number of arrays with np.zeros, whatever its number of corners, and
 calls no np.flatnonzero, np.eye, np.append or np.outer.  A CLI run
 validates its universe once, --riskfree or not, and executes only the
@@ -429,11 +430,23 @@ def draws(monkeypatch):
 def test_sandwich_draws_nothing_and_builds_each_line_once_per_universe(
     draws, monkeypatch, ex3, universe30
 ):
-    starts, walks = [], []
+    starts, walks, solving = [], [], Counter()
     active_set, walk = mdp._active_set, mdp._walk
-    monkeypatch.setattr(mdp, "_active_set", lambda V: starts.append(1) or active_set(V))
-    monkeypatch.setattr(mdp, "_walk", lambda V, mu, free: walks.append(free) or walk(V, mu, free))
-    linalg = _count_linalg(monkeypatch, "inv")
+
+    def counting_active_set(V):  # its own np.linalg calls go to solving
+        before = Counter(linalg)
+        out = active_set(V)
+        made = linalg - before
+        starts.append(1)
+        solving.update(made)
+        linalg.subtract(made)
+        return out
+
+    monkeypatch.setattr(mdp, "_active_set", counting_active_set)
+    monkeypatch.setattr(
+        mdp, "_walk", lambda V, mu, *start: walks.append(start) or walk(V, mu, *start)
+    )
+    linalg = _count_linalg(monkeypatch, *LINALG)
     big = random_universe(np.random.default_rng(7), 60)
     for u in _fresh_universes() + [ex3, universe30, big]:
         panel = u is universe30
@@ -441,11 +454,14 @@ def test_sandwich_draws_nothing_and_builds_each_line_once_per_universe(
         starts.clear()
         walks.clear()
         linalg.clear()
+        solving.clear()
         w = np.full(u.n, 1.0 / u.n)
         sigma_eq = float(np.sqrt(w @ u.cov @ w))
         rep = drf.sandwich_check(u, 1e-3 * sigma_eq, samples=500)
-        # an empty level reads w_lo, solved once, and builds no line
+        # an empty level reads w_lo, solved once with the inverse of its KKT
+        # matrix, and builds no line
         assert rep.empty and len(starts) == 1 and walks == []
+        assert +linalg == Counter(inv=1)
         rep = drf.sandwich_check(u, sigma_eq, samples=500, seed=3)
         assert not rep.empty and rep.accepted == rep.requested == 500
         # each line walks up from w_lo to the segment that holds tau, no further
@@ -464,15 +480,18 @@ def test_sandwich_draws_nothing_and_builds_each_line_once_per_universe(
             rep = drf.sandwich_check(u, sigma, samples=500, seed=3)
             assert rep.empty and rep.accepted == 0
         # the levels share w_lo and the universe's two lines: both lines
-        # start at w_lo's free set, and each is extended, never rebuilt,
-        # with one solve for its first inverse and, when no residual asks
-        # for a refresh, no other
+        # start at w_lo's free set from its one KKT inverse, and each is
+        # extended, never rebuilt, with no np.linalg call when no residual
+        # asks for a refresh; the active set makes only its solves and
+        # Cholesky tests
         assert len(starts) == 1 and (u.eta_line, u.root_eta_line) == lines
+        lo = u.long_only_mvp
         assert len(walks) == 2
-        assert all(np.array_equal(free, u.long_only_mvp.free) for free in walks)
+        assert all(free is lo.free and inverse is lo.kkt_inverse for free, inverse in walks)
         for line in lines:
             line.lambdas
-        assert linalg == Counter(inv=2)
+        assert +linalg == Counter(inv=1)
+        assert solving["solve"] >= 2 and set(+solving) <= {"solve", "cholesky"}
     assert draws == []
 
 
@@ -498,7 +517,7 @@ def test_a_walk_of_the_critical_line_allocates_nothing_per_corner(monkeypatch, e
         mdp.critical_line(u.cov, u.variances).lambdas
     assert [segments for segments, _ in walks] == [2, 30]
     for _, made in walks:
-        assert made == Counter(zeros=walks[0][1]["zeros"], inv=1)
+        assert made == Counter(zeros=walks[0][1]["zeros"])
 
 
 def test_non_edm_is_refused_before_any_ascent(calls):

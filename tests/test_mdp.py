@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -756,6 +757,71 @@ def test_collinear_assets_of_integer_loadings(seed):
     assert np.isfinite(rep.sigma_lo) and rep.holds is not False
 
 
+@pytest.mark.parametrize("seed", [52, 331, 428])
+def test_lines_of_integer_loadings_answer_through_their_ties_at_lambda_0(seed):
+    # the eta line of each ties at lambda = 0 with rounding slopes (52, 331)
+    # or with weights that its swaps leave at a rounding of zero (428): each
+    # was once a cycle or a negative corner weight, and is now an answer
+    u = drf.validate_universe(_singular_cov("integer", seed))
+    scale = float(u.variances.max())
+    lo = u.long_only_mvp
+    assert abs(lo.variance - long_only_min_variance(u).variance) <= MVP_GAP_RTOL * scale
+    for f in (0.0, 0.3, 0.7, 1.0):
+        rep = drf.sandwich_check(u, f * np.sqrt(scale))
+        assert rep.holds is True
+    for line, _ in _lines(u).values():
+        assert line.lambdas[0] == np.inf and line.lambdas[-1] == 0.0
+
+
+def _face_max(B, mu, w_lo):
+    """max mu' w over the long-only budget portfolios w with B' w = B' w_lo,
+    the minimum-variance face of V = B B', by the supports of its vertices."""
+    n, k = B.shape
+    A = np.vstack([np.ones(n), B.T])
+    b = A @ w_lo
+    best = -np.inf
+    for size in range(1, k + 2):
+        for S in itertools.combinations(range(n), size):
+            w_S = np.linalg.lstsq(A[:, S], b, rcond=None)[0]
+            if np.abs(A[:, S] @ w_S - b).max() <= 1e-12 and w_S.min() >= -1e-12:
+                best = max(best, float(mu[list(S)] @ w_S))
+    return best
+
+
+@pytest.mark.parametrize(
+    "B",
+    [
+        [[1], [-1], [2], [-2]],
+        [[0, -1], [-1, -2], [-2, -2], [-2, 2], [1, 2], [0, 1]],
+        [[2, 0], [2, 2], [2, -2], [0, 1], [-1, -1]],
+        [[-1, -2], [0, -1], [-1, 1], [-2, 2], [2, -2]],
+        [[-2, 1], [0, -2], [1, 0], [-1, 0], [-2, -2]],
+        [[-1], [-1], [-1]],
+    ],
+)
+@pytest.mark.parametrize("common", [0.0, 1.0])
+def test_a_level_at_sigma_lo_reads_the_lines_past_their_swaps_at_lambda_0(B, common):
+    # V = B B' + common 1 1' of fewer factors than assets: w_lo is not the
+    # only portfolio of least risk, and at lambda = 0 each line swaps
+    # collinear assets in, which keeps the risk and raises mu' w, before its
+    # first segment of positive length; a level at or below sigma_lo reads
+    # the maximum of mu' w over that face (copies of one asset: a lone free
+    # asset swaps).  The common variance puts sigma_lo at 1 or more
+    B = np.array(B, dtype=float)
+    u = drf.validate_universe(B @ B.T + common)
+    lo = u.long_only_mvp
+    sigma_lo = float(np.sqrt(lo.variance))
+    for line, _ in _lines(u).values():
+        line.max_at(0.0)
+        assert line._corners[1] == 0.0  # a segment that ends at lambda = 0
+    exact = [_face_max(B, mu, lo.weights) for mu in (u.variances, u.volatilities)]
+    for sigma in (sigma_lo / (1.0 + 0.5 * SHELL_BAND), sigma_lo):
+        rep = drf.sandwich_check(u, sigma)
+        assert not rep.empty and rep.holds is True
+        assert rep.max_avg_variance == pytest.approx(exact[0], rel=1e-12)
+        assert rep.max_avg_volatility_sq == pytest.approx(exact[1] ** 2, rel=1e-12)
+
+
 def test_sigma_lo_of_a_riskless_long_only_mix_is_finite():
     # rank 2: w' V w of the riskless mix rounds to about -1e-16
     B = np.random.default_rng(0).normal(size=(10, 2))
@@ -768,7 +834,7 @@ def test_a_singular_kkt_matrix_is_a_typed_error(universe30):
     dup = np.concatenate([np.arange(30), [7]])
     V = universe30.cov[np.ix_(dup, dup)]
     with pytest.raises(SingularCovarianceError, match="singular KKT"):
-        next(mdp._walk(V, np.diag(V) - np.diag(V).max(), [7, 30]))
+        mdp._kkt_inverse(V, [7, 30])
 
 
 def test_a_line_past_the_corner_cap_is_a_typed_error(monkeypatch, universe30):
