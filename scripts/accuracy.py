@@ -27,7 +27,8 @@ Scored, each cell as printed:
   `d_max_upper`, `sigma_lo` and, on a level that is not empty,
   `max_avg_variance`, `max_avg_volatility_sq` and `gap`.  A maximum's
   reference is the two-fund maximum on the free set F of the line's segment
-  at the level's float risk tau (`CriticalLine.at`), mu_F' w_mvp,F +
+  at the level's float risk tau (`CriticalLine.at`'s k, counted from the
+  lambda = 0 end; the line is walked no further), mu_F' w_mvp,F +
   k_F sqrt(tau^2 - sigma_mvp,F^2), from `DigitKernel` of V_F; sigma_lo's is
   sigma_mvp,F on the free set of w_lo (`AssetUniverse.long_only_mvp`).
   Each counts only where its weights on F are nonnegative, and the gap only

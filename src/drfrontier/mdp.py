@@ -17,27 +17,26 @@ half the weight on each extreme volatility, which :func:`analyze_mdp` and
 :func:`sandwich_check` report.  For a general Euclidean distance matrix the
 objective is concave on the simplex (its maximum is the squared radius of
 the minimum enclosing ball of the embedded points), so :func:`d_max_bounds`
-reaches the global maximum with one pairwise Frank-Wolfe ascent whose
-duality gap certifies the bracket; it refuses a matrix that is not a
-distance matrix.  That bound is what makes the
-ratio-maximizing portfolio track the DR-efficient frontier.
+brackets it by one pairwise Frank-Wolfe ascent whose duality gap certifies
+the bracket, also where MAX_ITER steps leave the gap open (converged is
+False); it refuses a matrix that is not a distance matrix.  That bound is
+what makes the ratio-maximizing portfolio track the DR-efficient frontier.
 
 :func:`sandwich_check` tests the sandwich 0 <= max eta' w - max
 (sqrt(eta)' w)^2 <= 2 d_max on long-only portfolios of a given risk with
 the exact maxima: each lies on Markowitz's long-only frontier for the
 return vector eta or sqrt(eta), a :class:`CriticalLine` of finitely many
 corners (Markowitz 1956; Niedermayer and Niedermayer 2010; Bailey and
-Lopez de Prado 2013).  Both lines end at the long-only minimum-variance
-portfolio w_lo, which :func:`_active_set` solves once per universe; each
-line is walked up from there only as far as a level reads it.  The module
-stands on model alone; the ratio maximizer at a given risk is the
-mdp_at_sigma kind's :func:`~drfrontier.frontiers.point`.
+Lopez de Prado 2013).  Both lines start at the long-only minimum-variance
+portfolio w_lo, which :func:`_active_set` solves once per universe; each is
+walked up from there, and kept in walk order, only as far as a level reads
+it.  The module stands on model alone; the ratio maximizer at a given risk
+is the mdp_at_sigma kind's :func:`~drfrontier.frontiers.point`.
 """
 
 from __future__ import annotations
 
 import bisect
-import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -117,89 +116,70 @@ class CriticalLine:
     """Markowitz's long-only frontier for return vector mu, by its corners.
 
     The maximizer of lambda mu' w - 0.5 w' V w over budget portfolios w >= 0
-    for lambda from lambdas[0] = inf down to lambdas[-1] = 0; at each corner
+    for lambda from corners[0] = 0 up to corners[-1] = inf; at each corner
     an asset enters or leaves.  Between corners k and k + 1, free[k] holds
     w_F = pairs[k] @ [1, lambda] (zero elsewhere), of risk^2 var0[k] +
     lambda^2 k2[k] and mu' w = top + mean[k] + lambda k2[k] with top = max mu.
 
-    The line is walked up from lambda = 0, where it starts at the free set
-    `free` of w_lo with the inverse of its KKT matrix (:func:`_walk`), and
-    only as far as it is read: :meth:`at` and :meth:`max_at` extend the walk
-    to the segment that holds their risk (past the segments that end at
-    lambda = 0, where ties change the free set), and the first read of
-    lambdas, free, pairs, var0, mean or k2 finishes it.
+    The lists hold the segments walked so far, in walk order: up from the
+    free set of the universe's w_lo and its KKT inverse (:func:`_walk`).
+    :meth:`at` and :meth:`max_at` walk on to the segment that holds their
+    risk (past the segments that end at lambda = 0, where ties change the
+    free set), and at(inf) walks the whole line.
     """
 
-    def __init__(self, V, mu, free, inverse):
+    def __init__(self, universe: AssetUniverse, mu):
         mu = np.asarray(mu, dtype=float)
         self.top = float(mu.max())
         # an asset within the rounding of max mu ties at the top: a corner
         # between such near-ties lies at a lambda of the order of 1 / rounding
         mu = mu - self.top
         mu[mu > -len(mu) * EPS * abs(self.top)] = 0.0
-        self._walk = _walk(np.asarray(V, dtype=float), mu, free, inverse)
-        # the walked segments from lambda = 0 up, the corners that bound
-        # them and each one's risk^2 at its upper corner
-        self._segments, self._corners, self._upper = [], [0.0], []
+        lo = universe.long_only_mvp
+        self._walk = _walk(universe.cov, mu, lo.free, lo.kkt_inverse)
+        self.free, self.pairs, self.var0, self.mean, self.k2 = [], [], [], [], []
+        self.corners, self._upper = [0.0], []  # _upper: each segment's risk^2 at its top
 
     def _extend(self) -> bool:
         """Walk one more segment; False once the line is complete."""
         if self._walk is None:
             return False
         try:
-            segment, lam = next(self._walk)
+            *segment, lam = next(self._walk)
         except StopIteration:  # the walk raised on an earlier read
             raise SingularCovarianceError("critical line: its walk failed before") from None
-        self._segments.append(segment)
-        self._corners.append(lam)
-        self._upper.append(np.inf if lam == np.inf else segment[2] + lam * lam * segment[4])
+        for field, value in zip((self.free, self.pairs, self.var0, self.mean, self.k2), segment):
+            field.append(value)
+        self.corners.append(lam)
+        self._upper.append(np.inf if lam == np.inf else self.var0[-1] + lam * lam * self.k2[-1])
         if lam == np.inf:
             self._walk = None  # the walk's arrays go with it
         return True
 
-    def _find(self, tau: float) -> tuple:
-        """(k, lambda): segment k from the lambda = 0 end holds risk tau."""
+    def at(self, tau: float) -> tuple:
+        """(k, lambda): segment k holds the point of risk tau (or the nearer end)."""
         tau_sq = tau * tau
-        while self._corners[-1] == 0.0 or self._upper[-1] <= tau_sq:
-            if not self._extend():
-                break
+        while (self.corners[-1] == 0.0 or self._upper[-1] <= tau_sq) and self._extend():
+            pass
         k = min(bisect.bisect_right(self._upper, tau_sq), len(self._upper) - 1)
         # a segment that ends at lambda = 0 has no length: its point there
         # is read on the first segment past the ties
-        while self._corners[k + 1] == 0.0:
+        while self.corners[k + 1] == 0.0:
             k += 1
-        _, _, var0, _, k2 = self._segments[k]
-        lo, hi = self._corners[k], self._corners[k + 1]
-        if k2 > 0.0:  # var0 of a riskless mix may round below zero
-            lo = min(max(np.sqrt(max(tau_sq - max(var0, 0.0), 0.0) / k2), lo), hi)
+        lo, hi = self.corners[k], self.corners[k + 1]
+        if self.k2[k] > 0.0:  # var0 of a riskless mix may round below zero
+            lo = min(max(np.sqrt(max(tau_sq - max(self.var0[k], 0.0), 0.0) / self.k2[k]), lo), hi)
+        # at a corner, read the side without the asset that changes there (weight 0)
+        if lo == hi < np.inf and (k + 1 < len(self.free) or self._extend()):
+            k += len(self.free[k + 1]) < len(self.free[k])
+        elif lo == self.corners[k] > 0.0:
+            k -= len(self.free[k - 1]) < len(self.free[k])
         return k, lo
-
-    def at(self, tau: float) -> tuple:
-        """(k, lambda) of the line's point of risk tau, on segment k (its
-        nearer end outside the line's risk range).  k counts from the end,
-        as a negative index into free, pairs and the other fields."""
-        k, lam = self._find(tau)
-        return -1 - k, lam
 
     def max_at(self, tau: float) -> float:
         """max mu' w over long-only budget portfolios of risk tau, at :meth:`at`."""
-        k, lam = self._find(tau)
-        _, _, _, mean, k2 = self._segments[k]
-        return float(self.top + mean + lam * k2)
-
-    @functools.cached_property
-    def _fields(self) -> tuple:
-        while self._extend():
-            pass
-        held, pairs, *scalars = zip(*reversed(self._segments))
-        return (np.array(self._corners[::-1]), held, pairs, *map(np.array, scalars))
-
-    lambdas = property(lambda self: self._fields[0])
-    free = property(lambda self: self._fields[1])
-    pairs = property(lambda self: self._fields[2])
-    var0 = property(lambda self: self._fields[3])
-    mean = property(lambda self: self._fields[4])
-    k2 = property(lambda self: self._fields[5])
+        k, lam = self.at(tau)
+        return float(self.top + self.mean[k] + lam * self.k2[k])
 
 
 @dataclass(frozen=True, eq=False)
@@ -373,9 +353,9 @@ def d_max_bounds(d_eta, *, seed: int = 0) -> DmaxBounds:
     not a finite number), DimensionMismatchError, NonZeroDiagonalError and
     AsymmetricError propagate, and a failing certificate raises NotPSDError.
     One pairwise Frank-Wolfe ascent of at most MAX_ITER O(n) steps then
-    closes the bracket [f(w), max_j (D w)_j - f(w)] to GAP_RTOL * max D
-    unless the step cap is hit.  `seed` is unused; it is kept because
-    existing callers pass it.
+    closes the bracket [f(w), max_j (D w)_j - f(w)] to GAP_RTOL * max D; at
+    the step cap it stops short of the maximum, and the bracket still holds
+    (converged False).  `seed` is unused; existing callers pass it.
     """
     from .embedding import assert_edm
 
@@ -557,8 +537,8 @@ def _walk(V, mu, free, inverse):
     a KKT residual exceeds RESIDUAL_RTOL of its scale; a residual above the
     rounding of its own sums takes one refinement step of Y, as the leaving
     assets of an upward walk downdate M from ill-conditioned free sets.
-    Each segment is yielded as [F, [w_F(0), dw_F/dlambda], var0, mean, k2]
-    with the lambda of its upper corner.
+    Each segment is yielded as (F, [w_F(0), dw_F/dlambda], var0, mean, k2,
+    lambda of its upper corner).
 
     At lambda = 0 a level or slope within its rounding of zero is zero: n
     ulps of its scale times vmax max |M_FF|, by which M amplifies the
@@ -663,7 +643,7 @@ def _walk(V, mu, free, inverse):
             Y[: f + 1] -= times(fix[: f + 1])
             A = (W.T @ rows[:f]).T + Y[0]
         gain = mu_F @ W
-        segment = [free.astype(np.int32), W.copy(), -Y[0, 0], gain[0], max(gain[1], 0.0)]
+        segment = (free.astype(np.int32), W.copy(), -Y[0, 0], gain[0], max(gain[1], 0.0))
         walked += 1
         if float((W @ (1.0, lam)).min()) < -NEGATIVE_ATOL:
             raise SingularCovarianceError(f"critical line: a weight below 0 at lambda = {lam:.6g}")
@@ -689,7 +669,7 @@ def _walk(V, mu, free, inverse):
         while True:
             j = int(cand.argmin())
             if not cand[j] < np.inf:
-                yield segment, np.inf
+                yield *segment, np.inf
                 return
             if walked >= MAX_ITER:
                 raise SingularCovarianceError(f"critical line: no end after {MAX_ITER} corners")
@@ -711,7 +691,7 @@ def _walk(V, mu, free, inverse):
                 break
             cand[j] = np.inf
         lam, last = max(float(cand[j]), lam), j
-        yield segment, lam
+        yield *segment, lam
         if out >= 0 and into >= 0 and f == 1:
             # j takes the place of a lone free asset, which cannot leave
             # first: the KKT inverse of {j} is [[-V_jj, 1], [1, 0]]
@@ -728,14 +708,6 @@ def _walk(V, mu, free, inverse):
                     )
         if into >= 0:
             enter(into, s)
-
-
-def critical_line(V, mu) -> CriticalLine:
-    """The long-only critical line of return vector mu over covariance V,
-    walked up from the free set of w_lo (:func:`_active_set`) as it is read."""
-    V = np.asarray(V, dtype=float)
-    free = _active_set(V)[0]
-    return CriticalLine(V, mu, free, _kkt_inverse(V, free))
 
 
 def sandwich_check(

@@ -82,6 +82,12 @@ def _root_gap(a, b):
     return np.divide(a - b, total, out=np.zeros(np.shape(total)), where=total > 0.0)
 
 
+def _scaled(x) -> tuple:
+    """(x / 2^e, e), 2^e near max |x|: an exact scaling whose squares cannot overflow."""
+    e = math.frexp(float(np.abs(x).max()))[1]
+    return np.ldexp(x, -e), e
+
+
 def _float_array(values, what: str) -> np.ndarray:
     try:
         return np.asarray(values, dtype=float)
@@ -206,23 +212,17 @@ class AssetUniverse:
     @functools.cached_property
     def eta_line(self):
         """The long-only critical line (:class:`~drfrontier.mdp.CriticalLine`)
-        of mu = eta, kept with the universe and walked up from the free set
-        of its w_lo, from that set's kept KKT inverse, only as far as it is
-        read."""
+        of mu = eta, kept with the universe and walked as far as it is read."""
         from .mdp import CriticalLine
 
-        lo = self.long_only_mvp
-        return CriticalLine(
-            self.cov, np.clip(self.variances, 0.0, None), lo.free, lo.kkt_inverse
-        )
+        return CriticalLine(self, np.clip(self.variances, 0.0, None))
 
     @functools.cached_property
     def root_eta_line(self):
         """The long-only critical line of mu = sqrt(eta), kept likewise."""
         from .mdp import CriticalLine
 
-        lo = self.long_only_mvp
-        return CriticalLine(self.cov, self.volatilities, lo.free, lo.kkt_inverse)
+        return CriticalLine(self, self.volatilities)
 
     @functools.cached_property
     def sigma_grid(self) -> np.ndarray:
@@ -289,21 +289,24 @@ class CovarianceSolver:
         near = _root_gap(eta, eta[0])  # sqrt(eta_i) - sqrt(eta_1), exact to rounding
         rhs = [ones] + [_frozen(c - c.mean()) for c in (eta, near, rbar) if c is not None]
         self.eta0, self.rbar0 = rhs[1], None if rbar is None else rhs[3]
-        inv = np.ascontiguousarray(self.solve(np.column_stack(rhs)).T)
+        x, e = zip((ones, 0), *map(_scaled, rhs[1:]))
+        inv = np.ascontiguousarray(self.solve(np.column_stack(x)).T)
         inv.setflags(write=False)
         self.inv_ones = inv[0]
         self.a = float(ones @ self.inv_ones)
         self.sigma2_mvp = 1.0 / self.a
         self.sigma_mvp = float(np.sqrt(self.sigma2_mvp))
         self.w_mvp = _frozen(self.inv_ones * self.sigma2_mvp)
-        self.d_eta, self.rho = self.direction(eta, rhs[1], inv[1])
+        self.d_eta, self.rho = self.direction(eta, x[1], inv[1], e[1])
         self.eta_mvp = float(eta @ self.w_mvp)
         self.ret_mvp = None if rbar is None else float(rbar @ self.w_mvp)
         self.q_mvp = 0.5 * (self.eta_mvp - self.sigma2_mvp)
         self.sigma2_mdrp = self.sigma2_mvp + 0.25 * self.rho * self.rho
         self.sigma_mdrp = float(np.sqrt(self.sigma2_mdrp))
-        self.d_root, self.k_root = self.direction(root, rhs[2], inv[2])
-        self.w_o, self.k_r = (None, 0.0) if rbar is None else self.direction(rbar, rhs[3], inv[3])
+        self.d_root, self.k_root = self.direction(root, x[2], inv[2], e[2])
+        self.w_o, self.k_r = (
+            (None, 0.0) if rbar is None else self.direction(rbar, x[3], inv[3], e[3])
+        )
         self.eta_wo = None if self.w_o is None else float(self.eta0 @ self.w_o)
         if self.eta_wo is not None and abs(self.eta_wo) <= ZERO_BAND_RTOL * self.rho:
             self.eta_wo = 0.0
@@ -345,26 +348,27 @@ class CovarianceSolver:
         except LinAlgError as exc:
             raise SingularCovarianceError(f"covariance solve failed: {exc}") from exc
 
-    def direction(self, c: np.ndarray, c0: Optional[np.ndarray] = None, inv_c=None):
-        """(d, k) with d = (V^-1 c0 - (1' V^-1 c0 / a) V^-1 1) / k and
-        k^2 = c0' V^-1 c0 - (1' V^-1 c0)^2 / a, c0 = c - mean(c) 1 unless given
-        (any c + t 1 centred: t 1 changes neither d nor k) and inv_c = V^-1 c0,
-        solved when None; 1' d = 0, d' V d = 1.  (None, 0.0) when k^2 <= 0 or
-        c is proportional to ones.  Centring keeps k^2 from cancelling when c
-        is close to a multiple of ones (near-equal vols or returns).  Returning
-        d - (1' d) w_mvp puts each w_mvp + t d on budget up to rounding, and
-        adds no V-norm error: w_mvp' V z = 1' z / a = 0 for zero-budget z."""
+    def direction(self, c: np.ndarray, c0: Optional[np.ndarray] = None, inv_c=None, e=0):
+        """(d, 2^e k) with d = (V^-1 c0 - (1' V^-1 c0 / a) V^-1 1) / k and k^2 =
+        c0' V^-1 c0 - (1' V^-1 c0)^2 / a, c0 = (c - mean(c) 1) / 2^e by :func:`_scaled`
+        unless given (any c + t 1 centred: t 1 changes neither d nor k) and inv_c =
+        V^-1 c0, solved when None; 1' d = 0, d' V d = 1.  (None, 0.0) when k^2 <= 0
+        or c is proportional to ones.  Centring keeps k^2 from cancelling when c is
+        close to a multiple of ones (near-equal vols or returns), and the scaling
+        from overflowing.  Returning d - (1' d) w_mvp puts each w_mvp + t d on budget
+        up to rounding, and adds no V-norm error: w_mvp' V z = 1' z / a = 0 if 1' z = 0."""
         if proportional_to_ones(c):
             return None, 0.0
-        c = c - c.mean() if c0 is None else c0
-        inv_c = self.solve(c) if inv_c is None else inv_c
-        g = float(np.ones(len(c)) @ inv_c)
-        k_sq = float(c @ inv_c) - g * g / self.a
+        if c0 is None:
+            c0, e = _scaled(c - c.mean())
+        inv_c = self.solve(c0) if inv_c is None else inv_c
+        g = float(np.ones(len(c0)) @ inv_c)
+        k_sq = float(c0 @ inv_c) - g * g / self.a
         if k_sq <= 0.0:
             return None, 0.0
         k = float(np.sqrt(k_sq))
         d = (inv_c - (g / self.a) * self.inv_ones) / k
-        return _frozen(d - float(d.sum()) * self.w_mvp), k
+        return _frozen(d - float(d.sum()) * self.w_mvp), math.ldexp(k, e)
 
 
 def _bordered_centre(universe: AssetUniverse):

@@ -40,6 +40,7 @@ dependency: a CLI run loads no scipy, and importing the CLI or running
 
 import argparse
 import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -80,7 +81,6 @@ def calls(monkeypatch):
     counting(model, "lu_solve")
     counting(embedding, "embed")
     counting(mdp, "_pairwise_frank_wolfe")
-    counting(mdp, "critical_line")
     counting(embedding, "assert_edm")
     counting(mdp, "d_max_bounds")
     counting(mdp, "build_d_eta")
@@ -464,15 +464,22 @@ def test_sandwich_draws_nothing_and_builds_each_line_once_per_universe(
         assert +linalg == Counter(inv=1)
         rep = drf.sandwich_check(u, sigma_eq, samples=500, seed=3)
         assert not rep.empty and rep.accepted == rep.requested == 500
-        # each line walks up from w_lo to the segment that holds tau, no further
+        # each line walks up from w_lo to the segment that holds tau, no
+        # further, and reading that segment's free set and pair walks nothing
         tau = min(max(rep.sigma, rep.sigma_lo), rep.sigma_hi)
         lines = (u.eta_line, u.root_eta_line)
-        walked = [len(line._segments) for line in lines]
-        assert walked == [-line.at(tau)[0] for line in lines]
+        walked = [len(line.free) for line in lines]
+        at = [line.at(tau)[0] for line in lines]
+        assert walked == [k + 1 for k in at]
+        for line, k in zip(lines, at):
+            line.free[k], line.pairs[k]
+        assert [len(line.free) for line in lines] == walked
         if panel:
-            # panel-30's level lies on segment 12 of each line's 30
-            assert walked == [12, 12]
-            assert [len(line.lambdas) - 1 for line in lines] == [30, 30]
+            # panel-30's level lies on segment 11 of each line's 30
+            assert at == [11, 11]
+            for line in lines:
+                line.at(math.inf)
+            assert [len(line.free) for line in lines] == [30, 30]
         for factor in (1.1, 1.2):
             rep = drf.sandwich_check(u, factor * sigma_eq, samples=500, seed=3)
             assert not rep.empty and rep.accepted == rep.requested == 500
@@ -489,7 +496,7 @@ def test_sandwich_draws_nothing_and_builds_each_line_once_per_universe(
         assert len(walks) == 2
         assert all(free is lo.free and inverse is lo.kkt_inverse for free, inverse in walks)
         for line in lines:
-            line.lambdas
+            line.at(math.inf)
         assert +linalg == Counter(inv=1)
         assert solving["solve"] >= 2 and set(+solving) <= {"solve", "cholesky"}
     assert draws == []
@@ -514,7 +521,7 @@ def test_a_walk_of_the_critical_line_allocates_nothing_per_corner(monkeypatch, e
 
     monkeypatch.setattr(mdp, "_walk", counting_walk)
     for u in (ex3, universe30):
-        mdp.critical_line(u.cov, u.variances).lambdas
+        mdp.CriticalLine(u, u.variances).at(math.inf)
     assert [segments for segments, _ in walks] == [2, 30]
     for _, made in walks:
         assert made == Counter(zeros=walks[0][1]["zeros"])

@@ -1,9 +1,10 @@
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import drfrontier as drf
@@ -476,11 +477,19 @@ def _assert_meets_enumeration(u, line, mu, tau, name):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    st.integers(2, 6),
-    st.integers(0, 10**6),
-    st.floats(0.0, 9.0),
-    st.floats(1e-3, 1.0),
+    n=st.integers(2, 6),
+    seed=st.integers(0, 10**6),
+    log_cond=st.floats(0.0, 9.0),
+    where=st.floats(1e-3, 1.0),
 )
+# tau^2 is max eta - 1.4e-17: the root line's point is clipped to the top
+# corner of segment {1, 0}, where asset 1 leaves, and read there it had a
+# weight of -7.1e-15
+@example(n=2, seed=4276, log_cond=5.681640625, where=1.0)
+# tau is sigma_lo, where w_lo holds one asset: each line's point is clipped
+# to the lower corner of the next segment, where an asset enters, and read
+# there it had a weight of -5.6e-17
+@example(n=2, seed=480501, log_cond=3.0, where=0.0)
 def test_the_point_at_tau_is_a_long_only_portfolio_of_risk_tau(n, seed, log_cond, where):
     # at(tau)'s segment and lambda rebuild, from that segment's free set and
     # pair, the long-only budget portfolio of risk tau whose return max_at reads
@@ -507,17 +516,18 @@ def test_the_point_at_tau_is_a_long_only_portfolio_of_risk_tau(n, seed, log_cond
 def test_a_line_read_at_rising_tau_then_in_full_is_the_whole_line(n, seed, log_cond, wheres):
     # the universe's lines walk only as far as each read needs; read at
     # rising risks (past sigma_hi too) and then in full, each is bit for bit
-    # the line critical_line walks in full first
+    # a line of the same universe walked in full first
     u = conditioned_universe(n, seed, log_cond)
     var_lo = u.long_only_mvp.variance
     eta = np.clip(u.variances, 0.0, None)
     for line, mu in ((u.eta_line, eta), (u.root_eta_line, u.volatilities)):
-        whole = mdp.critical_line(u.cov, mu)
-        whole.lambdas  # walked in full before any read
+        whole = mdp.CriticalLine(u, mu)
+        whole.at(math.inf)  # walked in full before any read
         for where in sorted(wheres):
             tau = float(np.sqrt(var_lo + where * (u.variances.max() - var_lo)))
             assert line.max_at(tau) == whole.max_at(tau)
-        for field in ("lambdas", "var0", "mean", "k2"):
+        line.at(math.inf)
+        for field in ("corners", "var0", "mean", "k2"):
             np.testing.assert_array_equal(getattr(line, field), getattr(whole, field))
         assert len(line.free) == len(whole.free) == len(line.pairs) == len(whole.pairs)
         for a, b in zip(line.free + line.pairs, whole.free + whole.pairs):
@@ -525,9 +535,10 @@ def test_a_line_read_at_rising_tau_then_in_full_is_the_whole_line(n, seed, log_c
 
 
 def _assert_continuous(u, line, mu, name):
-    lam, (alpha, beta) = line.lambdas, _tables(line, u.n)
-    assert lam[0] == np.inf and lam[-1] == 0.0
-    assert np.all(np.diff(lam) <= 0.0)
+    line.at(math.inf)
+    lam, (alpha, beta) = line.corners, _tables(line, u.n)
+    assert lam[0] == 0.0 and lam[-1] == np.inf
+    assert np.all(np.diff(lam) >= 0.0)
     for k in range(1, len(lam) - 1):
         before = alpha[k - 1] + lam[k] * beta[k - 1]
         after = alpha[k] + lam[k] * beta[k]
@@ -550,18 +561,14 @@ def test_lines_are_continuous_at_every_corner(universe30):
             _assert_continuous(u, line, mu, name)
 
 
-def _exit_slots(line, n):
+def _exit_slots(line):
     """(slot, |F|) of each asset that leaves the line, replaying the walk's
-    slot order: an entering asset takes the next slot, and the asset in the
-    last slot moves into a leaving one's."""
-    alpha, beta = _tables(line, n)
-
-    def held(k):
-        return set(np.flatnonzero((alpha[k] != 0.0) | (beta[k] != 0.0)).tolist())
-
-    F, exits = sorted(held(0)), []
-    for k in range(1, len(alpha)):
-        (j,) = held(k) ^ set(F)
+    slot order up from its first free set: an entering asset takes the next
+    slot, and the asset in the last slot moves into a leaving one's.  Each
+    free set of the line is kept in that order."""
+    F, exits = list(line.free[0]), []
+    for free in line.free[1:]:
+        (j,) = set(free) ^ set(F)
         if j in F:
             i = F.index(j)
             exits.append((i, len(F)))
@@ -569,22 +576,24 @@ def _exit_slots(line, n):
             F.pop()
         else:
             F.append(j)
+        assert F == list(free)
     return exits
 
 
 @pytest.mark.parametrize(
     "args, constants, exits",
     [
-        # on the root line the asset in the last slot leaves (its slot is
-        # also the one the last slot moves into) and later enters again
-        ((5, 284, 4.5), {}, {"eta": [(1, 4), (1, 3), (0, 2)],
-                             "root": [(1, 4), (2, 3), (1, 4), (1, 3), (0, 2)]}),
+        # on the root line asset 1 leaves, enters again and then leaves from
+        # the last slot (its slot is also the one the last slot moves into)
+        ((5, 284, 4.5), {}, {"eta": [(2, 4), (0, 3), (0, 2)],
+                             "root": [(2, 4), (0, 3), (0, 4), (2, 3), (0, 2)]}),
         # every corner solves for M again and rebuilds the slot map first
-        ((6, 33, 3.0), {"RESIDUAL_RTOL": 0.0}, dict.fromkeys(("eta", "root"), [(1, 4), (2, 3)])),
-        # two or three corrections wait aside at each exit; at three the
+        ((6, 33, 3.0), {"RESIDUAL_RTOL": 0.0},
+         dict.fromkeys(("eta", "root"), [(0, 4), (2, 3), (0, 2)])),
+        # one to three corrections wait aside at each exit; at three the
         # leaving asset's correction follows a fold
         ((6, 6, 6.0), {"FOLD_FROM": 1, "FOLD_EVERY": 3},
-         dict.fromkeys(("eta", "root"), [(0, 3), (1, 4), (1, 3), (1, 4)])),
+         dict.fromkeys(("eta", "root"), [(1, 4), (0, 3), (2, 4), (1, 3), (0, 3), (1, 2)])),
     ],
     ids=["last-slot", "after-refresh", "aside"],
 )
@@ -596,15 +605,16 @@ def test_lines_through_exits_meet_enumeration(monkeypatch, args, constants, exit
     for name, value in constants.items():
         monkeypatch.setattr(mdp, name, value)
     for name, mu in (("eta", u.variances), ("root", np.sqrt(u.variances))):
+        fresh = drf.validate_universe(u.cov)
         calls.clear()
-        line = mdp.critical_line(u.cov, mu)
-        assert _exit_slots(line, u.n) == exits[name]
-        # a solve at the start, and one after each corner when refreshing
-        corners = len(line.lambdas) - 2
-        assert len(calls) == (1 + corners if constants.get("RESIDUAL_RTOL") == 0.0 else 1)
+        line = mdp.CriticalLine(fresh, mu)
         _assert_continuous(u, line, mu, name)
-        lam = line.lambdas[1:-1]
-        at_corners = line.var0[1:] + lam**2 * line.k2[1:]
+        assert _exit_slots(line) == exits[name]
+        # a solve at the start, and one after each corner when refreshing
+        corners = len(line.corners) - 2
+        assert len(calls) == (1 + corners if constants.get("RESIDUAL_RTOL") == 0.0 else 1)
+        lam = np.array(line.corners[1:-1])
+        at_corners = np.array(line.var0[1:]) + lam**2 * np.array(line.k2[1:])
         spread = var_lo + np.linspace(1e-3, 1.0, 7) * (u.variances.max() - var_lo)
         for tau in np.sqrt(np.concatenate([at_corners, spread])):
             _assert_meets_enumeration(u, line, mu, float(tau), name)
@@ -617,23 +627,26 @@ def test_both_lines_end_at_the_active_set_w_lo(n, seed, log_cond):
     ref = long_only_min_variance(u)
     floor = 4 * n * EPS * float(ref.weights @ np.abs(u.cov) @ ref.weights)
     for line, _ in _lines(u).values():
-        w = _tables(line, n)[0][-1]
+        line.at(0.0)
+        w = _tables(line, n)[0][0]
         assert abs(float(w @ u.cov @ w) - ref.variance) <= GAP_RTOL * ref.variance + floor
     assert u.long_only_mvp.weights.min() >= 0.0
     assert u.long_only_mvp.variance == pytest.approx(ref.variance, rel=GAP_RTOL, abs=floor)
 
 
 def test_lines_on_tied_top_variances(ex3):
-    # eta_b = eta_c = 23/9 tie at the top: both lines start at their
-    # long-only minimum variance (1/2, 1/2), of risk sqrt(19/18), and stay
-    # at the top value up to sigma_hi, so the sandwich gap is 0 there
+    # eta_b = eta_c = 23/9 tie at the top: both lines end, at lambda = inf,
+    # at the least-variance mix (1/2, 1/2) of the two, of risk sqrt(19/18),
+    # and stay at the top value from there to sigma_hi, so the sandwich gap
+    # is 0 there
     u = drf.validate_universe(ex3.cov)
     start = np.sqrt(19.0 / 18.0)
     for name, (line, mu) in _lines(u).items():
+        line.at(math.inf)
         alpha, beta = _tables(line, u.n)
-        np.testing.assert_allclose(alpha[0], [0.0, 0.5, 0.5], atol=1e-15)
-        np.testing.assert_array_equal(beta[0], 0.0)
-        np.testing.assert_allclose(alpha[-1], 1.0 / 3.0, rtol=1e-15)
+        np.testing.assert_allclose(alpha[-1], [0.0, 0.5, 0.5], atol=1e-15)
+        np.testing.assert_array_equal(beta[-1], 0.0)
+        np.testing.assert_allclose(alpha[0], 1.0 / 3.0, rtol=1e-15)
         assert line.max_at(start) == line.top == mu.max()
         assert line.max_at(1.5) == line.top
         for tau in (1.001, 1.01, 1.02, 1.027):
@@ -661,7 +674,8 @@ def test_sandwich_holds_at_every_variance_scale(scale):
 def test_lines_of_equal_variances_are_flat(identity3):
     # mu proportional to ones: one segment, the equal-weight portfolio
     for line, mu in _lines(identity3).values():
-        assert list(line.lambdas) == [np.inf, 0.0]
+        line.at(math.inf)
+        assert line.corners == [0.0, np.inf]
         np.testing.assert_allclose(_tables(line, 3)[0][0], 1.0 / 3.0, rtol=1e-15)
         assert line.k2[0] == 0.0
         for tau in (0.5, 0.7, 1.0, 2.0):
@@ -675,8 +689,8 @@ def test_a_refreshed_line_matches_the_updated_one(monkeypatch, universe30):
     def line_with(**constants):
         for name, value in constants.items():
             monkeypatch.setattr(mdp, name, value)
-        out = mdp.critical_line(universe30.cov, universe30.variances)
-        out.lambdas  # the walk runs when the line is read
+        out = mdp.CriticalLine(universe30, universe30.variances)
+        out.at(math.inf)  # the walk runs when the line is read
         monkeypatch.undo()
         return out
 
@@ -685,16 +699,16 @@ def test_a_refreshed_line_matches_the_updated_one(monkeypatch, universe30):
     calls = []
     monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(1) or inv(a))
     monkeypatch.setattr(mdp, "RESIDUAL_RTOL", 0.0)
-    refreshed = mdp.critical_line(universe30.cov, universe30.variances)
-    refreshed.lambdas
+    refreshed = mdp.CriticalLine(universe30, universe30.variances)
+    refreshed.at(math.inf)
     monkeypatch.undo()
-    # a solve at the start, then one at nearly every corner
-    assert len(calls) >= len(refreshed.lambdas) // 2
+    # a solve at nearly every corner
+    assert len(calls) >= len(refreshed.corners) // 2
     alpha = _tables(base, 30)[0]
     for other in (refreshed, line_with(FOLD_FROM=1, FOLD_EVERY=3)):
         other_alpha = _tables(other, 30)[0]
         np.testing.assert_array_equal(other_alpha != 0.0, alpha != 0.0)
-        np.testing.assert_allclose(other.lambdas, base.lambdas, rtol=1e-9)
+        np.testing.assert_allclose(other.corners, base.corners, rtol=1e-9)
         np.testing.assert_allclose(other_alpha, alpha, rtol=0, atol=1e-10)
         for tau in np.linspace(0.146, 0.42, 9):
             assert other.max_at(tau) == pytest.approx(base.max_at(tau), rel=1e-12)
@@ -770,7 +784,8 @@ def test_lines_of_integer_loadings_answer_through_their_ties_at_lambda_0(seed):
         rep = drf.sandwich_check(u, f * np.sqrt(scale))
         assert rep.holds is True
     for line, _ in _lines(u).values():
-        assert line.lambdas[0] == np.inf and line.lambdas[-1] == 0.0
+        line.at(math.inf)
+        assert line.corners[0] == 0.0 and line.corners[-1] == np.inf
 
 
 def _face_max(B, mu, w_lo):
@@ -813,7 +828,7 @@ def test_a_level_at_sigma_lo_reads_the_lines_past_their_swaps_at_lambda_0(B, com
     sigma_lo = float(np.sqrt(lo.variance))
     for line, _ in _lines(u).values():
         line.max_at(0.0)
-        assert line._corners[1] == 0.0  # a segment that ends at lambda = 0
+        assert line.corners[1] == 0.0  # a segment that ends at lambda = 0
     exact = [_face_max(B, mu, lo.weights) for mu in (u.variances, u.volatilities)]
     for sigma in (sigma_lo / (1.0 + 0.5 * SHELL_BAND), sigma_lo):
         rep = drf.sandwich_check(u, sigma)
@@ -838,10 +853,10 @@ def test_a_singular_kkt_matrix_is_a_typed_error(universe30):
 
 
 def test_a_line_past_the_corner_cap_is_a_typed_error(monkeypatch, universe30):
-    line = mdp.critical_line(universe30.cov, universe30.variances)
+    line = mdp.CriticalLine(universe30, universe30.variances)
     monkeypatch.setattr(mdp, "MAX_ITER", 3)
     with pytest.raises(SingularCovarianceError, match="corners"):
-        line.lambdas
+        line.at(math.inf)
     # the walk does not restart: a later read is the same typed error
     with pytest.raises(SingularCovarianceError, match="failed before"):
         line.max_at(0.3)

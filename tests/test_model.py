@@ -618,6 +618,23 @@ def _assert_backward_stable(V, x, c):
     assert float(np.abs(V @ x - c).max()) <= bound
 
 
+def test_returns_near_the_float_range_keep_the_kernel_finite():
+    # r0' V^-1 r0 is 1.5e600 here: unscaled, k_r overflowed to NaN and every
+    # mv_mean_return row read NaN with status ok.  The kernel solves each
+    # centred column scaled by a power of two, which is exact: returns
+    # scaled by 2^-900 give the same direction bit for bit and k_r / 2^900
+    V = np.diag([1.0, 2.0, 3.0])
+    u = drf.validate_universe(V, expected_returns=[1e300, -1e300, 0.0])
+    assert u.solver.k_r == pytest.approx(1e300 * math.sqrt(30.0 / 22.0), rel=1e-14)
+    small = drf.validate_universe(V, expected_returns=np.ldexp([1e300, -1e300, 0.0], -900))
+    np.testing.assert_array_equal(small.solver.w_o, u.solver.w_o)
+    assert small.solver.k_r == math.ldexp(u.solver.k_r, -900)
+    rows = drf.sweep(u, "mv_mean_return", [1.0, 2.0, 10.0]).rows
+    for row in rows:
+        assert row.status == "ok" and np.isfinite([row.q, row.ret, row.centrality]).all()
+    assert [row.q for row in rows] == pytest.approx([0.08199, -1.8329, -52.675], rel=1e-4)
+
+
 def _kernel_lu_solves(monkeypatch, u):
     """Number of LU solves that building u's kernel takes."""
     count = []
