@@ -73,7 +73,6 @@ import statistics
 import subprocess
 import sys
 import tempfile
-import types
 from pathlib import Path
 
 import numpy as np
@@ -263,28 +262,10 @@ def score_frontier(led, key, text, sigmas, k, kind):
 def _segment_kernel(u, free, kernels) -> DigitKernel:
     """DigitKernel of V_F, F the free set of a line's segment, kept in
     kernels by V_F."""
-    V_F = u.cov[np.ix_(free, free)]
-    ident = (len(free), V_F.tobytes())
+    ident = (len(free), u.cov[np.ix_(free, free)].tobytes())
     if ident not in kernels:
-        sub = types.SimpleNamespace(
-            n=len(free), cov=V_F, expected_returns=None, risk_free_rate=None
-        )
-        kernels[ident] = DigitKernel(sub, DPS)
+        kernels[ident] = DigitKernel.of_free_set(u.cov, free, DPS)
     return kernels[ident]
-
-
-def _two_fund_max(kf, tau, root):
-    """(max mu_F' w over budget w on F of risk tau, whether that w >= 0), mu
-    = sqrt(eta) with root, else eta: mu_F' w_mvp,F + k_F sqrt(tau^2 -
-    sigma_mvp,F^2)."""
-    with mp.workdps(DPS):
-        x = mp.sqrt(max(mp.mpf(tau) ** 2 - kf.sigma2_mvp, 0))
-        if root:
-            base, gain, d = mp.fdot(kf.root, kf.w_mvp), kf.k_root, kf.d_root
-        else:
-            base, gain, d = kf.eta_mvp, kf.rho, kf.d_eta
-        w = kf.w_mvp if d is None else [a + x * b for a, b in zip(kf.w_mvp, d)]
-        return base + gain * x, min(w) >= 0
 
 
 def score_sandwich(led, key, printed, reports, k, d_max, u, kernels):
@@ -300,7 +281,7 @@ def score_sandwich(led, key, printed, reports, k, d_max, u, kernels):
             maxima = []
             for line, root in ((u.eta_line, False), (u.root_eta_line, True)):
                 kf = _segment_kernel(u, line.free[line.at(tau)[0]], kernels)
-                value, counts = _two_fund_max(kf, tau, root)
+                value, counts = kf.two_fund_max(tau, root)
                 maxima.append(value if counts else None)
             var, vol = maxima
             with mp.workdps(DPS):

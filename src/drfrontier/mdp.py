@@ -30,8 +30,9 @@ corners (Markowitz 1956; Niedermayer and Niedermayer 2010; Bailey and
 Lopez de Prado 2013).  Both lines start at the long-only minimum-variance
 portfolio w_lo, which :func:`_active_set` solves once per universe; each is
 walked up from there, and kept in walk order, only as far as a level reads
-it.  The module stands on model alone; the ratio maximizer at a given risk
-is the mdp_at_sigma kind's :func:`~drfrontier.frontiers.point`.
+it, or from the segment of its first level, where block pivots jump.  The
+module stands on model alone; the ratio maximizer at a given risk is the
+mdp_at_sigma kind's :func:`~drfrontier.frontiers.point`.
 """
 
 from __future__ import annotations
@@ -81,6 +82,9 @@ PIVOT_RTOL = 1e-9
 # from FOLD_FROM slots the inverse's corrections are folded in FOLD_EVERY at
 # a time: one rank-FOLD_EVERY product reads M once instead of FOLD_EVERY times
 FOLD_FROM, FOLD_EVERY = 128, 32
+# a jump that leaves as many violations as its fewest for STALLS block steps
+# in a row exchanges one asset at a time (Murty's rule, see _walk)
+STALLS = 3
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,16 +120,20 @@ class CriticalLine:
     """Markowitz's long-only frontier for return vector mu, by its corners.
 
     The maximizer of lambda mu' w - 0.5 w' V w over budget portfolios w >= 0
-    for lambda from corners[0] = 0 up to corners[-1] = inf; at each corner
-    an asset enters or leaves.  Between corners k and k + 1, free[k] holds
+    for lambda from 0 up to corners[-1] = inf; at each corner an asset
+    enters or leaves.  Between corners k and k + 1, free[k] holds
     w_F = pairs[k] @ [1, lambda] (zero elsewhere), of risk^2 var0[k] +
     lambda^2 k2[k] and mu' w = top + mean[k] + lambda k2[k] with top = max mu.
 
-    The lists hold the segments walked so far, in walk order: up from the
-    free set of the universe's w_lo and its KKT inverse (:func:`_walk`).
+    The lists hold the segments walked so far, in walk order (:func:`_walk`),
+    from the free set of the universe's w_lo and its KKT inverse: from
+    corners[0] = 0, or, on a universe certified nonsingular whose max mu is
+    one asset's, from the segment that holds the first risk read strictly
+    inside (sigma_lo, sigma_hi), corners[0] its lambda (no corner).
     :meth:`at` and :meth:`max_at` walk on to the segment that holds their
     risk (past the segments that end at lambda = 0, where ties change the
-    free set), and at(inf) walks the whole line.
+    free set); a read below a jump's risk, or at(inf), which walks the
+    whole line, starts the line again from w_lo.
     """
 
     def __init__(self, universe: AssetUniverse, mu):
@@ -136,18 +144,35 @@ class CriticalLine:
         mu = mu - self.top
         mu[mu > -len(mu) * EPS * abs(self.top)] = 0.0
         lo = universe.long_only_mvp
-        self._walk = _walk(universe.cov, mu, lo.free, lo.kkt_inverse)
+        self._from = (universe.cov, mu, lo.free, lo.kkt_inverse)
+        # the rounding scale of a risk^2 (see _near)
+        self._ulps = len(mu) * EPS * float(np.abs(universe.cov).max())
+        # the risks strictly between which a first read jumps
+        jumps = universe.nonsingular and np.count_nonzero(mu == 0.0) == 1
+        self._inside = (np.sqrt(lo.variance), universe.volatilities.max()) if jumps else (0.0, 0.0)
+        self._floor = self._walk = None  # _floor: the risk^2 of a jump, 0 without one
         self.free, self.pairs, self.var0, self.mean, self.k2 = [], [], [], [], []
         self.corners, self._upper = [0.0], []  # _upper: each segment's risk^2 at its top
+
+    def _start(self, tau: float) -> None:
+        """Walk from w_lo again, or jump on a first read inside the risks."""
+        jump = self._floor is None and self._inside[0] < tau < self._inside[1]
+        self._floor = tau * tau if jump else 0.0
+        self._walk = _walk(*self._from, tau if jump else None)
+        for field in (self.free, self.pairs, self.var0, self.mean, self.k2, self._upper):
+            field.clear()  # in place: a reader may hold the lists
+        self.corners[:] = [0.0]
 
     def _extend(self) -> bool:
         """Walk one more segment; False once the line is complete."""
         if self._walk is None:
             return False
         try:
-            *segment, lam = next(self._walk)
+            *segment, low, lam = next(self._walk)
         except StopIteration:  # the walk raised on an earlier read
             raise SingularCovarianceError("critical line: its walk failed before") from None
+        if not self.free:
+            self.corners[0] = low
         for field, value in zip((self.free, self.pairs, self.var0, self.mean, self.k2), segment):
             field.append(value)
         self.corners.append(lam)
@@ -156,9 +181,18 @@ class CriticalLine:
             self._walk = None  # the walk's arrays go with it
         return True
 
+    def _near(self, k: int, lam: float, tau_sq: float, around: list) -> bool:
+        """Whether tau_sq is within the rounding of segment k's risk^2 at its
+        corner lam: n ulps of max |V| times |w|_1^2 there on each segment around it."""
+        spread = sum(float((np.abs(pair) @ (1.0, lam)).sum()) ** 2 for pair in around)
+        return abs(tau_sq - self.var0[k] - lam * lam * self.k2[k]) <= self._ulps * spread
+
     def at(self, tau: float) -> tuple:
         """(k, lambda): segment k holds the point of risk tau (or the nearer end)."""
         tau_sq = tau * tau
+        # a first read starts the line; one below a jump's risk or at inf restarts it
+        if self._floor is None or self.corners[0] > 0.0 and not self._floor <= tau_sq < np.inf:
+            self._start(tau)
         while (self.corners[-1] == 0.0 or self._upper[-1] <= tau_sq) and self._extend():
             pass
         k = min(bisect.bisect_right(self._upper, tau_sq), len(self._upper) - 1)
@@ -168,11 +202,18 @@ class CriticalLine:
             k += 1
         lo, hi = self.corners[k], self.corners[k + 1]
         if self.k2[k] > 0.0:  # var0 of a riskless mix may round below zero
-            lo = min(max(np.sqrt(max(tau_sq - max(self.var0[k], 0.0), 0.0) / self.k2[k]), lo), hi)
-        # at a corner, read the side without the asset that changes there (weight 0)
+            lam = np.sqrt(max(tau_sq - max(self.var0[k], 0.0), 0.0) / self.k2[k])
+            # a point within the rounding of a corner is that corner
+            if k and lo > 0.0 and self._near(k, lo, tau_sq, self.pairs[k - 1 : k + 1]):
+                lam = lo
+            elif hi < np.inf and self._near(k, hi, tau_sq, self.pairs[k : k + 2]):
+                lam = hi
+            lo = min(max(lam, lo), hi)
+        # at a corner, read the side without the asset that changes there (weight 0);
+        # a jump's corners[0] is no corner
         if lo == hi < np.inf and (k + 1 < len(self.free) or self._extend()):
             k += len(self.free[k + 1]) < len(self.free[k])
-        elif lo == self.corners[k] > 0.0:
+        elif k and lo == self.corners[k] > 0.0:
             k -= len(self.free[k - 1]) < len(self.free[k])
         return k, lo
 
@@ -429,6 +470,16 @@ def _schur(v, U, MU, vmax) -> tuple:
     return s, spread, s > SCHUR_RTOL * vmax * spread * spread
 
 
+def _block_factor(S, floor) -> Optional[np.ndarray]:
+    """The Cholesky factor L of S, or None where an L_ii^2 is not above floor
+    (for a Schur block, :func:`_schur`'s SCHUR_RTOL vmax spread^2)."""
+    try:
+        L = np.linalg.cholesky(S)
+    except np.linalg.LinAlgError:
+        return None
+    return L if (np.diag(L) ** 2 > floor).all() else None
+
+
 def _active_set(V) -> tuple:
     """(F, w_F): the free set and weights of the long-only minimum-variance
     portfolio w_lo, by a primal active-set method on the budget KKT system.
@@ -479,20 +530,16 @@ def _active_set(V) -> tuple:
         N, U, MU, spread = N[fits], U[:, fits], MU[:, fits], spread[fits]
         if not N.size:
             return F, x
-        if N.size > 1:
-            try:
-                pivots = np.diag(np.linalg.cholesky(V[np.ix_(N, N)] - U.T @ MU)) ** 2
-            except np.linalg.LinAlgError:
-                pivots = np.zeros(N.size)
-            if (pivots > SCHUR_RTOL * vmax * spread * spread).all():
-                S = np.concatenate([F, N])
+        floor = SCHUR_RTOL * vmax * spread * spread
+        if N.size > 1 and _block_factor(V[np.ix_(N, N)] - U.T @ MU, floor) is not None:
+            S = np.concatenate([F, N])
+            y, least = minimum(S)
+            while not (y > 0.0).all():
+                S = S[y > 0.0]
                 y, least = minimum(S)
-                while not (y > 0.0).all():
-                    S = S[y > 0.0]
-                    y, least = minimum(S)
-                if least < variance:
-                    F, x = S, y
-                    continue
+            if least < variance:
+                F, x = S, y
+                continue
         S, w = np.append(F, N[0]), np.append(x, 0.0)
         y = minimum(S)[0]
         if not y[-1] > 0.0:  # its multiplier was rounding
@@ -510,10 +557,10 @@ def _active_set(V) -> tuple:
         F, x = S, y
 
 
-def _walk(V, mu, free, inverse):
+def _walk(V, mu, free, inverse, tau=None):
     """The segments of the critical line of mu (max mu = 0) from lambda = 0,
     where the free set is `free` and its KKT matrix has inverse `inverse`,
-    up to lambda = inf.
+    up to lambda = inf; given a risk tau, from the segment that holds tau.
 
     M inverts F's KKT matrix [[0, 1'], [1, V_F]] (slot 0 the budget, slot
     i + 1 the i-th free asset, and slot[j] = i, or -1 for j outside F) and
@@ -538,7 +585,20 @@ def _walk(V, mu, free, inverse):
     rounding of its own sums takes one refinement step of Y, as the leaving
     assets of an upward walk downdate M from ill-conditioned free sets.
     Each segment is yielded as (F, [w_F(0), dw_F/dlambda], var0, mean, k2,
-    lambda of its upper corner).
+    lambda of its lower corner, lambda of its upper corner).
+
+    Given tau, block principal pivots (Judice and Pires 1994; Kim and Park
+    2011) first jump to tau's segment.  At lambda_tau, where var0 + lambda^2
+    k2 = tau^2 on F, the free assets of negative weight leave, M -= M_:L
+    M_LL^-1 M_L:, and the outside ones of positive slack enter, M += C S^-1
+    C' with C = [M U; -I] (S their Schur block), each set at once and in
+    place, until none does (beyond n ulps of the columns' scale).  After
+    STALLS steps without fewer of them, one changes at a time, the least
+    index first (Murty's rule).  Each later step runs the corner's residual
+    test; Y is refined while its residual halves.  A k2 <= 0, tau^2 < var0,
+    a residual above RESIDUAL_RTOL, a block that fails :func:`_block_factor`,
+    a free set that returns under Murty's rule or MAX_ITER steps decline the
+    jump: the walk then starts from `free` as without tau.
 
     At lambda = 0 a level or slope within its rounding of zero is zero: n
     ulps of its scale times vmax max |M_FF|, by which M amplifies the
@@ -562,8 +622,9 @@ def _walk(V, mu, free, inverse):
     slot, u, col = np.full(n, -1), np.ones(n + 1), np.zeros(n + 1)
     R[0, 0] = 1.0
 
-    def solve(free, inverse):
+    def solve(free, inverse):  # M, Y and the slots of free set `free` afresh
         nonlocal f, k
+        slot[F[:f]], M[: f + 1, : f + 1], Y[: f + 1], R[1 : f + 1] = -1, 0.0, 0.0, 0.0
         f, k, aside[:] = len(free), 0, 0.0
         M[: f + 1, : f + 1] = inverse
         F[:f], rows[:f], R[1 : f + 1, 1] = free, V[free], mu[free]
@@ -582,6 +643,11 @@ def _walk(V, mu, free, inverse):
             out += (A * weights[:k]) @ (A[x] if unit else A.T @ x)
         return out
 
+    def fold():  # M takes in the k corrections waiting aside
+        nonlocal k
+        M[: f + 1, : f + 1] += (aside[: f + 1, :k] * weights[:k]) @ aside[: f + 1, :k].T
+        aside[: f + 1, :k], k = 0.0, 0
+
     def correct(c, weight):  # M += weight c c', and Y with it
         nonlocal k
         Y_F, M_F = Y[: f + 1], M[: f + 1, : f + 1]  # views, updated in place
@@ -590,16 +656,16 @@ def _walk(V, mu, free, inverse):
             M_F += (weight * c)[:, None] * c
             return
         if k == FOLD_EVERY:
-            M_F += (aside[: f + 1] * weights) @ aside[: f + 1].T
-            aside[: f + 1], k = 0.0, 0
+            fold()
         aside[: f + 1, k], weights[k], k = c, weight, k + 1
 
-    def leave(i):  # the asset in slot i leaves F
+    def block(C, L, sign):  # M += sign C (L L')^-1 C', and Y with it, in place
+        G = np.linalg.solve(L, C.T)
+        M[: f + 1, : f + 1] += G.T @ (sign * G)
+        Y[: f + 1] += G.T @ (sign * (G @ R[: f + 1]))
+
+    def drop(i):  # the last slot moves into slot i, whose asset leaves F
         nonlocal f
-        c = times(i + 1)
-        if not c[i + 1] > 0.0:
-            raise SingularCovarianceError("critical line: nonpositive pivot")
-        correct(c, -1.0 / c[i + 1])
         for a in (M, aside, Y, R):
             a[i + 1] = a[f]
         j, F[i] = F[i], F[f - 1]
@@ -607,6 +673,13 @@ def _walk(V, mu, free, inverse):
         for a in (M, M.T, aside, Y, R):
             a[f] = 0.0
         f -= 1
+
+    def leave(i):  # the asset in slot i leaves F
+        c = times(i + 1)
+        if not c[i + 1] > 0.0:
+            raise SingularCovarianceError("critical line: nonpositive pivot")
+        correct(c, -1.0 / c[i + 1])
+        drop(i)
 
     def schur(j):  # M u (in col), then s, 1 + |c|_1 and whether j borders, of j outside F
         u[1 : f + 1] = rows[:f, j]
@@ -619,13 +692,10 @@ def _walk(V, mu, free, inverse):
         f += 1
         correct(col[: f + 1], 1.0 / s)
 
-    solve(free, inverse)
-    vmax = float(np.abs(V).max())
-    lam, last, refreshed, cand, walked, seen = 0.0, -1, True, np.empty(n), 0, set()
-    while True:
+    def rows_and_residual():  # (A, size, worst): A = [1, V_jF] Y of each asset j,
+        # the scale of Y's columns and the worst KKT residual against it (in fix)
         free, W = F[:f], Y[1 : f + 1]
-        mu_F = mu[free]
-        low = float(mu_F.min())
+        low = float(mu[free].min())
         if low == 0.0:  # every free asset ties at max mu: Y[:, 1] = M 0
             Y[: f + 1, 1] = 0.0
         A = (W.T @ rows[:f]).T + Y[0]
@@ -633,7 +703,75 @@ def _walk(V, mu, free, inverse):
         # (max |R_F| = (0, -min mu_F), as mu <= 0; a size of 0 has no residual)
         fix[0], fix[1 : f + 1] = W.sum(axis=0) - R[0], A[free] - R[1 : f + 1]
         size = vmax * np.abs(W).sum(axis=0) + np.abs(Y[0]) - [0.0, low]
-        worst = float((np.abs(fix[: f + 1]).max(axis=0) / np.maximum(size, TINY)).max())
+        return A, size, float((np.abs(fix[: f + 1]).max(axis=0) / np.maximum(size, TINY)).max())
+
+    def exchange(E, out):  # assets E enter F, then those in slots `out` leave,
+        # each set by one update of M; False where E's Schur block fails its
+        # pivot test or the leavers' pivot block is not positive definite
+        nonlocal f
+        if k:
+            fold()
+        if E.size:
+            U = np.vstack((np.ones(E.size), rows[:f, E]))
+            MU = M[: f + 1, : f + 1] @ U
+            spread = 1.0 + np.abs(MU[1:]).sum(axis=0)
+            L = _block_factor(V[E[:, None], E] - U.T @ MU, SCHUR_RTOL * vmax * spread * spread)
+            if L is None:
+                return False
+            rows[f : f + E.size], F[f : f + E.size], R[f + 1 : f + E.size + 1, 1] = V[E], E, mu[E]
+            slot[E], f = np.arange(f, f + E.size), f + E.size
+            block(np.concatenate((MU, -np.eye(E.size))), L, 1.0)
+        if out.size:
+            C = M[: f + 1, out + 1]
+            L = _block_factor(C[out + 1], 0.0) if out.size < f else None
+            if L is None:
+                return False
+            block(C, L, -1.0)
+            for i in np.sort(out)[::-1]:
+                drop(int(i))
+        return True
+
+    def jump(tau_sq, *start):  # (lambda_tau, rows_and_residual()) on the free set
+        fewest, stalls, seen = n + 1, 0, set()  # the pivots reach, or (0, None) from `start`
+        for step in range(MAX_ITER):
+            A, size, worst = rows_and_residual()
+            if step and worst > RESIDUAL_RTOL:
+                break
+            while worst > (f + 1) * EPS:  # refined while it halves
+                Y[: f + 1] -= times(fix[: f + 1])
+                A, size, worst, before = *rows_and_residual(), worst
+                if not worst <= 0.5 * before:
+                    break
+            free, W = F[:f], Y[1 : f + 1]
+            var0, k2 = -Y[0, 0], float(mu[free] @ W[:, 1])
+            if not (k2 > 0.0 and tau_sq >= var0):
+                break
+            lam = float(np.sqrt((tau_sq - var0) / k2))
+            slope, level = mu - A[:, 1], A[:, 0]
+            level[free], slope[free] = W[:, 0], -W[:, 1]
+            (bad,) = np.nonzero(lam * slope - level > n * EPS * (size[0] + lam * size[1]))
+            if not bad.size:
+                return lam, (A, size, worst)
+            fewest, stalls = (bad.size, 0) if bad.size < fewest else (fewest, stalls + 1)
+            if stalls >= STALLS:  # one at a time, the least index first, and no F twice
+                bad, held = bad[:1], frozenset(free.tolist())
+                if held in seen:
+                    break
+                seen.add(held)
+            out = slot[bad]
+            if not exchange(bad[out < 0], out[out >= 0]):
+                break
+        solve(*start)
+        return 0.0, None
+
+    solve(free, inverse)
+    vmax = float(np.abs(V).max())
+    lam, landed = (0.0, None) if tau is None else jump(tau * tau, free, inverse)
+    last, refreshed, cand, walked, seen = -1, True, np.empty(n), 0, set()
+    while True:
+        (A, size, worst), landed = landed or rows_and_residual(), None
+        free, W = F[:f], Y[1 : f + 1]
+        mu_F = mu[free]
         if not refreshed and worst > RESIDUAL_RTOL:
             solve(free, _kkt_inverse(V, free))
             refreshed = True
@@ -641,7 +779,7 @@ def _walk(V, mu, free, inverse):
         refreshed = False
         if worst > (f + 1) * EPS:  # above the rounding of its sums
             Y[: f + 1] -= times(fix[: f + 1])
-            A = (W.T @ rows[:f]).T + Y[0]
+            A = rows_and_residual()[0]
         gain = mu_F @ W
         segment = (free.astype(np.int32), W.copy(), -Y[0, 0], gain[0], max(gain[1], 0.0))
         walked += 1
@@ -664,12 +802,13 @@ def _walk(V, mu, free, inverse):
             cand[free] = np.inf
         # the asset that changed at this corner does not change back at it,
         # but for ties at lambda = 0
-        if lam > 0.0 and cand[last] <= lam * (1.0 + TIE_RTOL):
+        if last >= 0 and lam > 0.0 and cand[last] <= lam * (1.0 + TIE_RTOL):
             cand[last] = np.inf
+        low = lam
         while True:
             j = int(cand.argmin())
             if not cand[j] < np.inf:
-                yield *segment, np.inf
+                yield *segment, low, np.inf
                 return
             if walked >= MAX_ITER:
                 raise SingularCovarianceError(f"critical line: no end after {MAX_ITER} corners")
@@ -691,11 +830,10 @@ def _walk(V, mu, free, inverse):
                 break
             cand[j] = np.inf
         lam, last = max(float(cand[j]), lam), j
-        yield *segment, lam
+        yield *segment, low, lam
         if out >= 0 and into >= 0 and f == 1:
             # j takes the place of a lone free asset, which cannot leave
             # first: the KKT inverse of {j} is [[-V_jj, 1], [1, 0]]
-            slot[F[0]] = -1
             solve([into], ((-V[into, into], 1.0), (1.0, 0.0)))
             continue
         if out >= 0:
@@ -720,7 +858,9 @@ def sandwich_check(
 
     See :class:`SandwichReport`.  Both maxima are closed forms on one
     segment of the universe's eta_line and root_eta_line, each walked up
-    from w_lo to that segment; an empty level reads only w_lo.  `samples`
+    from w_lo to that segment, or, for a line's first level inside
+    (sigma_lo, sigma_hi), jumped to it from w_lo (:class:`CriticalLine`);
+    an empty level reads only w_lo.  `samples`
     and `seed` are kept for callers; nothing is drawn.  A sigma or samples
     that is not a finite number raises ParseError, and samples below 1
     DimensionMismatchError.

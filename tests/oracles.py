@@ -934,6 +934,29 @@ class DigitKernel:
             self.sigma2_mdrp = self.sigma2_mvp + self.rho**2 / 4
         self.s, self.q_max = centre_at_digits(universe.cov, dps)
 
+    @classmethod
+    def of_free_set(cls, cov, free, dps=50):
+        """The kernel of V_F, F a free set of a critical line (no returns)."""
+        import types
+
+        V_F = np.asarray(cov)[np.ix_(free, free)]
+        sub = types.SimpleNamespace(n=len(free), cov=V_F, expected_returns=None, risk_free_rate=None)
+        return cls(sub, dps)
+
+    def two_fund_max(self, tau, root) -> tuple:
+        """(max mu' w over budget portfolios w of risk tau, whether that w >= 0),
+        mu = sqrt(eta) with root, else eta: mu' w_mvp + k sqrt(tau^2 -
+        sigma2_mvp), the closed form on a critical line's free set."""
+        mp = self.mp
+        with mp.workdps(self.dps):
+            x = mp.sqrt(max(mp.mpf(tau) ** 2 - self.sigma2_mvp, 0))
+            if root:
+                base, gain, d = mp.fdot(self.root, self.w_mvp), self.k_root, self.d_root
+            else:
+                base, gain, d = self.eta_mvp, self.rho, self.d_eta
+            w = self.w_mvp if d is None else [a + x * b for a, b in zip(self.w_mvp, d)]
+            return base + gain * x, min(w) >= 0
+
     def solve(self, c) -> list:
         """V^-1 c."""
         mp = self.mp

@@ -23,9 +23,11 @@ form; a bad norm budget tau is refused before any eigendecomposition of
 the norm matrix; the sandwich check draws nothing, each universe solves its
 w_lo once, with one inverse of its KKT matrix, builds its two critical lines
 once across levels from w_lo's free set and that inverse (an empty level
-builds none) and walks each only up to the segment that holds the level,
-and the whole check makes no other np.linalg call, beyond the active set's
-solves, when no residual asks for a refresh; a walk of a critical line allocates a
+builds none), jumps each to the segment that holds the first level (on
+panel-30 walking that one segment) and walks each only up to the segment
+that holds a higher level, starts a line again only for a level below its
+first, and the whole check makes no other np.linalg inverse when no
+residual asks for a refresh; a walk of a critical line allocates a
 fixed number of arrays with np.zeros, whatever its number of corners, and
 calls no np.flatnonzero, np.eye, np.append or np.outer.  A CLI run
 validates its universe once, --riskfree or not, and executes only the
@@ -464,8 +466,9 @@ def test_sandwich_draws_nothing_and_builds_each_line_once_per_universe(
         assert +linalg == Counter(inv=1)
         rep = drf.sandwich_check(u, sigma_eq, samples=500, seed=3)
         assert not rep.empty and rep.accepted == rep.requested == 500
-        # each line walks up from w_lo to the segment that holds tau, no
-        # further, and reading that segment's free set and pair walks nothing
+        # each line walks (or jumps) from w_lo to the segment that holds
+        # tau, no further, and reading that segment's free set and pair
+        # walks nothing; no step forms an inverse
         tau = min(max(rep.sigma, rep.sigma_lo), rep.sigma_hi)
         lines = (u.eta_line, u.root_eta_line)
         walked = [len(line.free) for line in lines]
@@ -474,30 +477,48 @@ def test_sandwich_draws_nothing_and_builds_each_line_once_per_universe(
         for line, k in zip(lines, at):
             line.free[k], line.pairs[k]
         assert [len(line.free) for line in lines] == walked
+        assert linalg["inv"] == 1
+        jumped = [line.corners[0] > 0.0 for line in lines]
+        landings = [(line.corners[0], sorted(line.free[0])) for line in lines]
         if panel:
-            # panel-30's level lies on segment 11 of each line's 30
-            assert at == [11, 11]
+            # panel-30's level lies on segment 11 of each line's 30: each
+            # line lands there, at corners[0] = lambda(tau) > 0, and walks
+            # that one segment
+            assert jumped == [True, True] and walked == [1, 1]
             for line in lines:
-                line.at(math.inf)
-            assert [len(line.free) for line in lines] == [30, 30]
+                risk_sq = line.var0[0] + line.corners[0] ** 2 * line.k2[0]
+                assert risk_sq == pytest.approx(tau * tau, rel=1e-12)
         for factor in (1.1, 1.2):
             rep = drf.sandwich_check(u, factor * sigma_eq, samples=500, seed=3)
             assert not rep.empty and rep.accepted == rep.requested == 500
+        # higher levels extend the lines from where they are
+        assert len(walks) == 2 and [line.corners[0] for line in lines] == [c for c, _ in landings]
+        # a level at sigma_lo reads below each landing: a line that jumped
+        # starts again from w_lo, once
+        rep = drf.sandwich_check(u, rep.sigma_lo, samples=500, seed=3)
+        assert not rep.empty and rep.holds is True
+        assert len(walks) == 2 + sum(jumped)
+        assert all(tau is None for _, _, tau in walks[2:])
         for sigma in (0.5 * rep.sigma_lo, 2.0 * rep.sigma_hi):
             rep = drf.sandwich_check(u, sigma, samples=500, seed=3)
             assert rep.empty and rep.accepted == 0
-        # the levels share w_lo and the universe's two lines: both lines
-        # start at w_lo's free set from its one KKT inverse, and each is
-        # extended, never rebuilt, with no np.linalg call when no residual
-        # asks for a refresh; the active set makes only its solves and
-        # Cholesky tests
+        # the levels share w_lo and the universe's two lines: each walk
+        # starts at w_lo's free set from its one KKT inverse, and each line
+        # is extended, never rebuilt, with no np.linalg call when no
+        # residual asks for a refresh but a jump's triangular solves and
+        # Cholesky tests; the active set makes only its solves and Cholesky
+        # tests
         assert len(starts) == 1 and (u.eta_line, u.root_eta_line) == lines
         lo = u.long_only_mvp
-        assert len(walks) == 2
-        assert all(free is lo.free and inverse is lo.kkt_inverse for free, inverse in walks)
+        assert all(free is lo.free and inverse is lo.kkt_inverse for free, inverse, _ in walks)
         for line in lines:
             line.at(math.inf)
-        assert +linalg == Counter(inv=1)
+            assert line.corners[0] == 0.0
+        if panel:  # on the free set of segment 11 of the whole line
+            assert [len(line.free) for line in lines] == [30, 30]
+            assert [sorted(line.free[11]) for line in lines] == [free for _, free in landings]
+        assert len(walks) == 2 + sum(jumped)
+        assert linalg["inv"] == 1 and set(+linalg) <= {"inv", "solve", "cholesky"}
         assert solving["solve"] >= 2 and set(+solving) <= {"solve", "cholesky"}
     assert draws == []
 

@@ -25,6 +25,7 @@ from drfrontier.mdp import GAP_RTOL, MVP_GAP_RTOL, SHELL_BAND, _d_max_of_d_eta, 
 
 from .conftest import V3
 from .oracles import (
+    DigitKernel,
     circle_scan,
     conditioned_universe,
     exact_d_max,
@@ -490,6 +491,10 @@ def _assert_meets_enumeration(u, line, mu, tau, name):
 # to the lower corner of the next segment, where an asset enters, and read
 # there it had a weight of -5.6e-17
 @example(n=2, seed=480501, log_cond=3.0, where=0.0)
+# tau is sigma_lo, where w_lo holds one asset: the root line's point was
+# read 5e-16 above the corner where asset 0 enters, and had a weight of
+# -1.9e-14; within the rounding of that corner it is now read at it
+@example(n=2, seed=824001, log_cond=3.625, where=0.0)
 def test_the_point_at_tau_is_a_long_only_portfolio_of_risk_tau(n, seed, log_cond, where):
     # at(tau)'s segment and lambda rebuild, from that segment's free set and
     # pair, the long-only budget portfolio of risk tau whose return max_at reads
@@ -513,10 +518,18 @@ def test_the_point_at_tau_is_a_long_only_portfolio_of_risk_tau(n, seed, log_cond
     st.floats(0.0, 9.0),
     st.lists(st.floats(0.0, 1.2), min_size=1, max_size=4),
 )
+# at sigma_lo the whole line, walked from w_lo, reads the eta line's maximum
+# 1.5e-13 below the 50-digit one on w_lo's free set (condition 2.4e7), so
+# the 50-digit bound is on a jumped read's error beyond the whole line's
+@example(n=6, seed=590, log_cond=7.375, wheres=[0.0])
 def test_a_line_read_at_rising_tau_then_in_full_is_the_whole_line(n, seed, log_cond, wheres):
     # the universe's lines walk only as far as each read needs; read at
-    # rising risks (past sigma_hi too) and then in full, each is bit for bit
-    # a line of the same universe walked in full first
+    # rising risks (past sigma_hi too) each reads the free set of a line of
+    # the same universe walked in full first, and its maximum is off the
+    # 50-digit two-fund maximum on that set by at most 1e-13 more than the
+    # whole line's (the first read jumps to its segment by its own block
+    # updates, so the last bits may differ); read in full, the line is bit
+    # for bit the whole line
     u = conditioned_universe(n, seed, log_cond)
     var_lo = u.long_only_mvp.variance
     eta = np.clip(u.variances, 0.0, None)
@@ -525,13 +538,90 @@ def test_a_line_read_at_rising_tau_then_in_full_is_the_whole_line(n, seed, log_c
         whole.at(math.inf)  # walked in full before any read
         for where in sorted(wheres):
             tau = float(np.sqrt(var_lo + where * (u.variances.max() - var_lo)))
-            assert line.max_at(tau) == whole.max_at(tau)
+            k, lam = line.at(tau)
+            np.testing.assert_array_equal(np.sort(line.free[k]), np.sort(whole.free[whole.at(tau)[0]]))
+            low, high = _two_fund_bracket(u, line, k, lam, tau, mu is not eta)
+            off = [max(low - v, v - high, 0.0) for v in (line.max_at(tau), whole.max_at(tau))]
+            assert off[0] <= off[1] + 1e-13 * low, (off, low, high)
         line.at(math.inf)
         for field in ("corners", "var0", "mean", "k2"):
             np.testing.assert_array_equal(getattr(line, field), getattr(whole, field))
         assert len(line.free) == len(whole.free) == len(line.pairs) == len(whole.pairs)
         for a, b in zip(line.free + line.pairs, whole.free + whole.pairs):
             np.testing.assert_array_equal(a, b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(2, 8),
+    seed=st.integers(0, 10**6),
+    log_cond=st.floats(0.0, 9.0),
+    where=st.floats(1e-3, 1.0, exclude_max=True),
+)
+def test_a_first_read_jumps_to_the_segment_of_the_line_walked_from_w_lo(n, seed, log_cond, where):
+    # a line first read at tau inside (sigma_lo, sigma_hi) jumps to its
+    # segment by block pivots: the free set of the line walked up from w_lo
+    # at tau, and its maximum to 1e-13; where the jump declines, the line
+    # starts at w_lo and reads bit for bit as the walked one
+    u = conditioned_universe(n, seed, log_cond)
+    var_lo = u.long_only_mvp.variance
+    tau = float(np.sqrt(var_lo + where * (u.variances.max() - var_lo)))
+    for line, mu in _lines(u).values():
+        walked = mdp.CriticalLine(u, mu)
+        walked.at(0.0)  # the first read at sigma_lo starts from w_lo
+        j = walked.at(tau)[0]
+        k = line.at(tau)[0]
+        assert walked.corners[0] == 0.0 and line.corners[0] >= 0.0
+        np.testing.assert_array_equal(np.sort(line.free[k]), np.sort(walked.free[j]))
+        if line.corners[0] == 0.0:
+            assert line.max_at(tau) == walked.max_at(tau)
+        else:
+            assert line.max_at(tau) == pytest.approx(walked.max_at(tau), rel=1e-13)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(["integer", "copies", "sample"]),
+    st.integers(0, 10**6),
+    st.floats(0.0, 1.0),
+)
+def test_no_line_of_a_singular_universe_jumps(kind, seed, where):
+    # a first read inside (sigma_lo, sigma_hi) of a singular universe walks
+    # up from w_lo, bit for bit as a line first read at sigma_lo
+    u = drf.validate_universe(_singular_cov(kind, seed))
+    try:
+        lo = u.long_only_mvp
+    except DrFrontierError:
+        return
+    tau = float(np.sqrt(lo.variance + where * (u.variances.max() - lo.variance)))
+    for line, mu in _lines(u).values():
+        walked = mdp.CriticalLine(u, mu)
+        try:
+            walked.at(0.0)
+            k, lam = walked.at(tau)
+        except DrFrontierError as err:
+            with pytest.raises(type(err)):
+                line.at(tau)
+            continue
+        assert line.at(tau) == (k, lam) and line.corners[0] == 0.0
+        assert line.max_at(tau) == walked.max_at(tau)
+        np.testing.assert_array_equal(line.free[k], walked.free[k])
+        np.testing.assert_array_equal(line.pairs[k], walked.pairs[k])
+
+
+def _two_fund_bracket(u, line, k, lam, tau, root):
+    """The 50-digit two-fund maxima on segment k's free set at the ends of
+    tau^2 +- its rounding: n ulps of max |V| times |w|_1^2 at lambda (a bound
+    on the rounding of w' V w), which the maximum, rising like the square
+    root of tau^2 - sigma_mvp^2 on that set, amplifies near sigma_lo."""
+    pair = line.pairs[k]
+    spread = float(np.abs(pair[:, 0]).sum() + lam * np.abs(pair[:, 1]).sum())
+    rounding = u.n * EPS * float(np.abs(u.cov).max()) * spread * spread
+    kernel = DigitKernel.of_free_set(u.cov, line.free[k])
+    return [
+        float(kernel.two_fund_max(math.sqrt(max(tau * tau + sign * rounding, 0.0)), root)[0])
+        for sign in (-1.0, 1.0)
+    ]
 
 
 def _assert_continuous(u, line, mu, name):
