@@ -30,9 +30,10 @@ corners (Markowitz 1956; Niedermayer and Niedermayer 2010; Bailey and
 Lopez de Prado 2013).  Both lines start at the long-only minimum-variance
 portfolio w_lo, which :func:`_active_set` solves once per universe; each is
 walked up from there, and kept in walk order, only as far as a level reads
-it, or from the segment of its first level, where block pivots jump.  The
-module stands on model alone; the ratio maximizer at a given risk is the
-mdp_at_sigma kind's :func:`~drfrontier.frontiers.point`.
+it, or jumped by block pivots to the segment of a level inside the
+long-only risks that starts it.  The module stands on model alone; the
+ratio maximizer at a given risk is the mdp_at_sigma kind's
+:func:`~drfrontier.frontiers.point`.
 """
 
 from __future__ import annotations
@@ -128,12 +129,12 @@ class CriticalLine:
     The lists hold the segments walked so far, in walk order (:func:`_walk`),
     from the free set of the universe's w_lo and its KKT inverse: from
     corners[0] = 0, or, on a universe certified nonsingular whose max mu is
-    one asset's, from the segment that holds the first risk read strictly
-    inside (sigma_lo, sigma_hi), corners[0] its lambda (no corner).
-    :meth:`at` and :meth:`max_at` walk on to the segment that holds their
-    risk (past the segments that end at lambda = 0, where ties change the
-    free set); a read below a jump's risk, or at(inf), which walks the
-    whole line, starts the line again from w_lo.
+    one asset's, from the segment that holds a risk read strictly inside
+    (sigma_lo, sigma_hi) that starts the line, corners[0] its lambda (no
+    corner).  :meth:`at` and :meth:`max_at` walk on to the segment that
+    holds their risk (past the segments that end at lambda = 0, where ties
+    change the free set); a read below a jump's risk, or at(inf), which
+    walks the whole line, starts the line again as a first read does.
     """
 
     def __init__(self, universe: AssetUniverse, mu):
@@ -147,7 +148,7 @@ class CriticalLine:
         self._from = (universe.cov, mu, lo.free, lo.kkt_inverse)
         # the rounding scale of a risk^2 (see _near)
         self._ulps = len(mu) * EPS * float(np.abs(universe.cov).max())
-        # the risks strictly between which a first read jumps
+        # the risks strictly between which a start jumps
         jumps = universe.nonsingular and np.count_nonzero(mu == 0.0) == 1
         self._inside = (np.sqrt(lo.variance), universe.volatilities.max()) if jumps else (0.0, 0.0)
         self._floor = self._walk = None  # _floor: the risk^2 of a jump, 0 without one
@@ -155,8 +156,8 @@ class CriticalLine:
         self.corners, self._upper = [0.0], []  # _upper: each segment's risk^2 at its top
 
     def _start(self, tau: float) -> None:
-        """Walk from w_lo again, or jump on a first read inside the risks."""
-        jump = self._floor is None and self._inside[0] < tau < self._inside[1]
+        """Walk from w_lo again, or jump where tau is inside the risks."""
+        jump = self._inside[0] < tau < self._inside[1]
         self._floor = tau * tau if jump else 0.0
         self._walk = _walk(*self._from, tau if jump else None)
         for field in (self.free, self.pairs, self.var0, self.mean, self.k2, self._upper):
@@ -350,20 +351,26 @@ def _pairwise_frank_wolfe(D: np.ndarray, tol: float):
     the candidates, so the linear convergence of pairwise Frank-Wolfe holds;
     the gain rule also hands a vertex's weight to a near-duplicate of it in
     one step, where the classic rule zig-zags through a third vertex.  Each
-    step updates g with one row of D, so it costs O(n).  Returns the final
-    point, its gradient recomputed in full, and the number of steps.
+    step updates g with one row of D, so it costs O(n); a gap within tol on
+    that g is tested again on D w, which drops the updates' rounding drift
+    and is the gradient the certificate reads.  Returns the final point, its
+    gradient recomputed in full, and the number of steps.
     """
     n = D.shape[0]
     i, j = divmod(int(np.argmax(D)), n)
     w = np.zeros(n)
     w[i] += 0.5
     w[j] += 0.5
-    g = 0.5 * (D[i] + D[j])
+    g, full = 0.5 * (D[i] + D[j]), False
     steps = 0
     while steps < MAX_ITER:
         s = int(np.argmax(g))
         if float(g[s]) - float(w @ g) <= tol:
-            break
+            if full:
+                return w, g, steps
+            g, full = D @ w, True
+            continue
+        full = False
         # only support vertices below g_s give an ascent direction; the gap
         # test guarantees one (min g_v <= w' g < g_s)
         support = np.flatnonzero(w)
@@ -382,7 +389,6 @@ def _pairwise_frank_wolfe(D: np.ndarray, tol: float):
         w[v] = 0.0 if step[k] == room[k] else room[k] - step[k]
         g += step[k] * (D[s] - D[v])
         steps += 1
-    # drop the rounding drift of the O(n) updates before certifying
     return w, D @ w, steps
 
 
@@ -580,25 +586,25 @@ def _walk(V, mu, free, inverse, tau=None):
     or the asset in slot q leaves by M -= M e_q e_q' M / M_qq and the last
     slot moves into q.  From FOLD_FROM slots the corrections wait aside and
     are folded in FOLD_EVERY at a time, so a corner costs O(n |F|).  M
-    starts as `inverse` and is solved for again (:func:`_kkt_inverse`) when
-    a KKT residual exceeds RESIDUAL_RTOL of its scale; a residual above the
-    rounding of its own sums takes one refinement step of Y, as the leaving
-    assets of an upward walk downdate M from ill-conditioned free sets.
+    starts as `inverse`; a step solves for it again (:func:`_kkt_inverse`,
+    at most once) where a KKT residual exceeds RESIDUAL_RTOL of its scale,
+    and refines Y once on a residual above the rounding of its own sums, as
+    the leaving assets of an upward walk downdate M from ill-conditioned
+    free sets.
     Each segment is yielded as (F, [w_F(0), dw_F/dlambda], var0, mean, k2,
     lambda of its lower corner, lambda of its upper corner).
 
-    Given tau, block principal pivots (Judice and Pires 1994; Kim and Park
-    2011) first jump to tau's segment.  At lambda_tau, where var0 + lambda^2
-    k2 = tau^2 on F, the free assets of negative weight leave, M -= M_:L
-    M_LL^-1 M_L:, and the outside ones of positive slack enter, M += C S^-1
-    C' with C = [M U; -I] (S their Schur block), each set at once and in
-    place, until none does (beyond n ulps of the columns' scale).  After
-    STALLS steps without fewer of them, one changes at a time, the least
-    index first (Murty's rule).  Each later step runs the corner's residual
-    test; Y is refined while its residual halves.  A k2 <= 0, tau^2 < var0,
-    a residual above RESIDUAL_RTOL, a block that fails :func:`_block_factor`,
-    a free set that returns under Murty's rule or MAX_ITER steps decline the
-    jump: the walk then starts from `free` as without tau.
+    Given tau, the first steps are block principal pivots (Judice and Pires
+    1994; Kim and Park 2011) to tau's segment, and the corners go on from
+    its lambda_tau, where var0 + lambda^2 k2 = tau^2 on F.  At lambda_tau
+    the free assets of negative weight leave, M -= M_:L M_LL^-1 M_L:, and
+    the outside ones of positive slack enter, M += C S^-1 C' with C =
+    [M U; -I] (S their Schur block), each set at once and in place, until
+    none does (beyond n ulps of the columns' scale).  After STALLS steps
+    without fewer of them, one changes at a time, the least index first
+    (Murty's rule).  A k2 <= 0, tau^2 < var0, a block that fails
+    :func:`_block_factor`, a free set seen again or MAX_ITER steps decline
+    the jump: the walk then starts from `free` as without tau.
 
     At lambda = 0 a level or slope within its rounding of zero is zero: n
     ulps of its scale times vmax max |M_FF|, by which M amplifies the
@@ -705,12 +711,12 @@ def _walk(V, mu, free, inverse, tau=None):
         size = vmax * np.abs(W).sum(axis=0) + np.abs(Y[0]) - [0.0, low]
         return A, size, float((np.abs(fix[: f + 1]).max(axis=0) / np.maximum(size, TINY)).max())
 
-    def exchange(E, out):  # assets E enter F, then those in slots `out` leave,
-        # each set by one update of M; False where E's Schur block fails its
-        # pivot test or the leavers' pivot block is not positive definite
+    def exchange(bad):  # the assets of `bad` outside F enter, then those in F
+        # leave, each set by one update of M; False where the entering Schur
+        # block fails its pivot test or the leaving pivot block is not definite
         nonlocal f
-        if k:
-            fold()
+        out = slot[bad]
+        E, out = bad[out < 0], out[out >= 0]
         if E.size:
             U = np.vstack((np.ones(E.size), rows[:f, E]))
             MU = M[: f + 1, : f + 1] @ U
@@ -731,47 +737,13 @@ def _walk(V, mu, free, inverse, tau=None):
                 drop(int(i))
         return True
 
-    def jump(tau_sq, *start):  # (lambda_tau, rows_and_residual()) on the free set
-        fewest, stalls, seen = n + 1, 0, set()  # the pivots reach, or (0, None) from `start`
-        for step in range(MAX_ITER):
-            A, size, worst = rows_and_residual()
-            if step and worst > RESIDUAL_RTOL:
-                break
-            while worst > (f + 1) * EPS:  # refined while it halves
-                Y[: f + 1] -= times(fix[: f + 1])
-                A, size, worst, before = *rows_and_residual(), worst
-                if not worst <= 0.5 * before:
-                    break
-            free, W = F[:f], Y[1 : f + 1]
-            var0, k2 = -Y[0, 0], float(mu[free] @ W[:, 1])
-            if not (k2 > 0.0 and tau_sq >= var0):
-                break
-            lam = float(np.sqrt((tau_sq - var0) / k2))
-            slope, level = mu - A[:, 1], A[:, 0]
-            level[free], slope[free] = W[:, 0], -W[:, 1]
-            (bad,) = np.nonzero(lam * slope - level > n * EPS * (size[0] + lam * size[1]))
-            if not bad.size:
-                return lam, (A, size, worst)
-            fewest, stalls = (bad.size, 0) if bad.size < fewest else (fewest, stalls + 1)
-            if stalls >= STALLS:  # one at a time, the least index first, and no F twice
-                bad, held = bad[:1], frozenset(free.tolist())
-                if held in seen:
-                    break
-                seen.add(held)
-            out = slot[bad]
-            if not exchange(bad[out < 0], out[out >= 0]):
-                break
-        solve(*start)
-        return 0.0, None
-
     solve(free, inverse)
     vmax = float(np.abs(V).max())
-    lam, landed = (0.0, None) if tau is None else jump(tau * tau, free, inverse)
-    last, refreshed, cand, walked, seen = -1, True, np.empty(n), 0, set()
+    start, tau_sq, fewest, stalls = (free, inverse), None if tau is None else tau * tau, n + 1, 0
+    lam, last, refreshed, cand, walked, seen = 0.0, -1, True, np.empty(n), 0, set()
     while True:
-        (A, size, worst), landed = landed or rows_and_residual(), None
+        A, size, worst = rows_and_residual()
         free, W = F[:f], Y[1 : f + 1]
-        mu_F = mu[free]
         if not refreshed and worst > RESIDUAL_RTOL:
             solve(free, _kkt_inverse(V, free))
             refreshed = True
@@ -780,13 +752,32 @@ def _walk(V, mu, free, inverse, tau=None):
         if worst > (f + 1) * EPS:  # above the rounding of its sums
             Y[: f + 1] -= times(fix[: f + 1])
             A = rows_and_residual()[0]
-        gain = mu_F @ W
-        segment = (free.astype(np.int32), W.copy(), -Y[0, 0], gain[0], max(gain[1], 0.0))
+        gain = mu[free] @ W
         walked += 1
-        if float((W @ (1.0, lam)).min()) < -NEGATIVE_ATOL:
-            raise SingularCovarianceError(f"critical line: a weight below 0 at lambda = {lam:.6g}")
         slope, level = mu - A[:, 1], A[:, 0]
         level[free], slope[free] = W[:, 0], -W[:, 1]
+        if tau_sq is not None:  # first, block pivots towards lambda(tau)
+            var0 = -Y[0, 0]
+            jumps = gain[1] > 0.0 and tau_sq >= var0 and walked <= MAX_ITER
+            if jumps:
+                lam = float(np.sqrt((tau_sq - var0) / gain[1]))
+                (bad,) = np.nonzero(lam * slope - level > n * EPS * (size[0] + lam * size[1]))
+                fewest, stalls = (bad.size, 0) if bad.size < fewest else (fewest, stalls + 1)
+                if stalls >= STALLS:  # one at a time, the least index first, and no F twice
+                    held = frozenset(free.tolist())
+                    jumps, bad = held not in seen, bad[:1]
+                    seen.add(held)
+            if jumps and not bad.size:
+                tau_sq = None  # no asset violates at lambda(tau): the walk goes on from it
+            elif jumps and exchange(bad):
+                continue
+            else:  # the jump declines: the walk starts again from `free`, as without tau
+                solve(*start)
+                tau_sq, lam, refreshed, walked, seen = None, 0.0, True, 0, set()
+                continue
+        segment = (free.astype(np.int32), W.copy(), -Y[0, 0], gain[0], max(gain[1], 0.0))
+        if float((W @ (1.0, lam)).min()) < -NEGATIVE_ATOL:
+            raise SingularCovarianceError(f"critical line: a weight below 0 at lambda = {lam:.6g}")
         if lam == 0.0:  # ties
             amplified = vmax * float(np.abs(M[1 : f + 1, 1 : f + 1]).max())
             rounding = min(n * EPS * max(1.0, amplified), TIE_RTOL)
@@ -858,9 +849,9 @@ def sandwich_check(
 
     See :class:`SandwichReport`.  Both maxima are closed forms on one
     segment of the universe's eta_line and root_eta_line, each walked up
-    from w_lo to that segment, or, for a line's first level inside
-    (sigma_lo, sigma_hi), jumped to it from w_lo (:class:`CriticalLine`);
-    an empty level reads only w_lo.  `samples`
+    from w_lo to that segment, or, for a level inside (sigma_lo, sigma_hi)
+    that starts a line or lies below its start, jumped to it from w_lo
+    (:class:`CriticalLine`); an empty level reads only w_lo.  `samples`
     and `seed` are kept for callers; nothing is drawn.  A sigma or samples
     that is not a finite number raises ParseError, and samples below 1
     DimensionMismatchError.

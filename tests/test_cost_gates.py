@@ -26,8 +26,9 @@ once across levels from w_lo's free set and that inverse (an empty level
 builds none), jumps each to the segment that holds the first level (on
 panel-30 walking that one segment) and walks each only up to the segment
 that holds a higher level, starts a line again only for a level below its
-first, and the whole check makes no other np.linalg inverse when no
-residual asks for a refresh; a walk of a critical line allocates a
+landing (jumping again to one inside the long-only risks), and the whole
+check makes no other np.linalg inverse when no residual asks for a
+refresh; a walk of a critical line allocates a
 fixed number of arrays with np.zeros, whatever its number of corners, and
 calls no np.flatnonzero, np.eye, np.append or np.outer.  A CLI run
 validates its universe once, --riskfree or not, and executes only the
@@ -493,12 +494,22 @@ def test_sandwich_draws_nothing_and_builds_each_line_once_per_universe(
             assert not rep.empty and rep.accepted == rep.requested == 500
         # higher levels extend the lines from where they are
         assert len(walks) == 2 and [line.corners[0] for line in lines] == [c for c, _ in landings]
+        # a level strictly between sigma_lo and sigma_eq reads below each
+        # landing: a line that jumped starts again, once, and jumps to it
+        inside = 0.5 * (rep.sigma_lo + sigma_eq)
+        rep = drf.sandwich_check(u, inside, samples=500, seed=3)
+        assert not rep.empty and rep.holds is True
+        assert [tau for _, _, tau in walks[2:]] == [inside] * sum(jumped)
+        again = [line.corners[0] > 0.0 for line in lines]
+        restarts = sum(jumped) + sum(again)
+        if panel:
+            assert again == [True, True]
         # a level at sigma_lo reads below each landing: a line that jumped
-        # starts again from w_lo, once
+        # again starts again from w_lo, once
         rep = drf.sandwich_check(u, rep.sigma_lo, samples=500, seed=3)
         assert not rep.empty and rep.holds is True
-        assert len(walks) == 2 + sum(jumped)
-        assert all(tau is None for _, _, tau in walks[2:])
+        assert len(walks) == 2 + restarts
+        assert all(tau is None for _, _, tau in walks[2 + sum(jumped) :])
         for sigma in (0.5 * rep.sigma_lo, 2.0 * rep.sigma_hi):
             rep = drf.sandwich_check(u, sigma, samples=500, seed=3)
             assert rep.empty and rep.accepted == 0
@@ -517,7 +528,7 @@ def test_sandwich_draws_nothing_and_builds_each_line_once_per_universe(
         if panel:  # on the free set of segment 11 of the whole line
             assert [len(line.free) for line in lines] == [30, 30]
             assert [sorted(line.free[11]) for line in lines] == [free for _, free in landings]
-        assert len(walks) == 2 + sum(jumped)
+        assert len(walks) == 2 + restarts
         assert linalg["inv"] == 1 and set(+linalg) <= {"inv", "solve", "cholesky"}
         assert solving["solve"] >= 2 and set(+solving) <= {"solve", "cholesky"}
     assert draws == []
