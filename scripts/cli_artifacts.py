@@ -10,7 +10,10 @@ and its exit code.  The runs cover, on each of the four fixtures,
 `frontier --svg --riskfree 0.01` and `embed`; `ingest-check` on the two
 price panels; `mdp` on ex3 (default, two seeded sigmas, and the sigmas
 0.1 and 100, both levels empty), ex3 with returns, mini and panel-30 (one
-seeded sigma, and the default sigmas); the README's
+seeded sigma, and the default sigmas), and panel-30 at the seven sigmas
+0.15, 0.2, ..., 0.4 and 0.425, rising from just above sigma_lo to just
+below sigma_hi, whose first level jumps to its segment and whose later
+levels walk each line on from that landing; the README's
 `frontier --grid 1.0:2.0:50 --kind efficient_dr`;
 `frontier --svg` on ex3 with returns on the grid 1.5:1.5000000000000002:2,
 one ulp wide, and on ex3 on the grid 0.1:1e17:2, whose sigma_c.svg has one
@@ -100,6 +103,11 @@ EXTRA = {
         ["mdp", "--sigma", "0.177032476371", "--samples", "20000", "--seed", "5"],
     ),
     "panel-mdp": ("panel", ["mdp"]),
+    "panel-mdp-levels": (
+        "panel",
+        ["mdp", "--sigma", "0.15", "--sigma", "0.2", "--sigma", "0.25", "--sigma", "0.3",
+         "--sigma", "0.35", "--sigma", "0.4", "--sigma", "0.425"],
+    ),
     "ex3-mdp-empty-levels": ("ex3", ["mdp", "--sigma", "0.1", "--sigma", "100"]),
     "ex3-frontier-grid-kind": (
         "ex3",

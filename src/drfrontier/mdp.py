@@ -80,9 +80,9 @@ NEGATIVE_ATOL = 1e-6
 # a swap at lambda = 0 reads only the entries of its mix c above this times
 # 1 + |c|_1 (see _walk)
 PIVOT_RTOL = 1e-9
-# from FOLD_FROM slots the inverse's corrections are folded in FOLD_EVERY at
+# a critical line's corrections to its KKT inverse are folded in FOLD_EVERY at
 # a time: one rank-FOLD_EVERY product reads M once instead of FOLD_EVERY times
-FOLD_FROM, FOLD_EVERY = 128, 32
+FOLD_EVERY = 32
 # a jump that leaves as many violations as its fewest for STALLS block steps
 # in a row exchanges one asset at a time (Murty's rule, see _walk)
 STALLS = 3
@@ -584,13 +584,13 @@ def _walk(V, mu, free, inverse, tau=None):
     There j enters by bordering, M += (M u - e) (M u - e)' / s with
     u = [1, V_Fj], e its new slot and s its Schur complement (:func:`_schur`),
     or the asset in slot q leaves by M -= M e_q e_q' M / M_qq and the last
-    slot moves into q.  From FOLD_FROM slots the corrections wait aside and
-    are folded in FOLD_EVERY at a time, so a corner costs O(n |F|).  M
-    starts as `inverse`; a step solves for it again (:func:`_kkt_inverse`,
-    at most once) where a KKT residual exceeds RESIDUAL_RTOL of its scale,
-    and refines Y once on a residual above the rounding of its own sums, as
-    the leaving assets of an upward walk downdate M from ill-conditioned
-    free sets.
+    slot moves into q.  These corrections wait aside and are folded in
+    FOLD_EVERY at a time, so a corner costs O(n |F|).  M starts as
+    `inverse`; a step solves for it again (:func:`_kkt_inverse`, at most
+    once) where a KKT residual exceeds RESIDUAL_RTOL of its scale, and
+    refines Y once on a residual above the rounding of its own sums, as the
+    leaving assets of an upward walk downdate M from ill-conditioned free
+    sets.
     Each segment is yielded as (F, [w_F(0), dw_F/dlambda], var0, mean, k2,
     lambda of its lower corner, lambda of its upper corner).
 
@@ -654,17 +654,15 @@ def _walk(V, mu, free, inverse, tau=None):
         M[: f + 1, : f + 1] += (aside[: f + 1, :k] * weights[:k]) @ aside[: f + 1, :k].T
         aside[: f + 1, :k], k = 0.0, 0
 
-    def correct(c, weight):  # M += weight c c', and Y with it
+    def correct(c, weight):  # M += weight c c', set aside, and Y with it
         nonlocal k
-        Y_F, M_F = Y[: f + 1], M[: f + 1, : f + 1]  # views, updated in place
-        Y_F += c[:, None] * (weight * (c @ R[: f + 1]))
-        if f + 1 < FOLD_FROM:
-            M_F += (weight * c)[:, None] * c
-            return
+        Y[: f + 1] += c[:, None] * (weight * (c @ R[: f + 1]))
         if k == FOLD_EVERY:
             fold()
         aside[: f + 1, k], weights[k], k = c, weight, k + 1
 
+    # block and exchange read and write M itself: the jump's pivots run before
+    # the first correction is set aside, and solve empties the aside
     def block(C, L, sign):  # M += sign C (L L')^-1 C', and Y with it, in place
         G = np.linalg.solve(L, C.T)
         M[: f + 1, : f + 1] += G.T @ (sign * G)
@@ -779,6 +777,7 @@ def _walk(V, mu, free, inverse, tau=None):
         if float((W @ (1.0, lam)).min()) < -NEGATIVE_ATOL:
             raise SingularCovarianceError(f"critical line: a weight below 0 at lambda = {lam:.6g}")
         if lam == 0.0:  # ties
+            fold()  # the scale reads M whole
             amplified = vmax * float(np.abs(M[1 : f + 1, 1 : f + 1]).max())
             rounding = min(n * EPS * max(1.0, amplified), TIE_RTOL)
             level[np.abs(level) <= rounding * size[0]] = 0.0

@@ -535,8 +535,10 @@ def test_sandwich_draws_nothing_and_builds_each_line_once_per_universe(
 
 
 def test_a_walk_of_the_critical_line_allocates_nothing_per_corner(monkeypatch, ex3, universe30):
-    # ex3's eta line (2 segments) and panel-30's (30 segments) make the same
-    # calls in each walk
+    # ex3's eta line (2 segments), panel-30's (30 segments) and that of a
+    # 60-asset universe (68 segments, more corrections than FOLD_EVERY, so
+    # the walk folds) make the same calls in each walk
+    big = random_universe(np.random.default_rng(7), 60)
     counts = _count_linalg(monkeypatch, "inv")
     for name in ("zeros", "flatnonzero", "eye", "append", "outer"):
         inner = getattr(np, name)
@@ -552,9 +554,9 @@ def test_a_walk_of_the_critical_line_allocates_nothing_per_corner(monkeypatch, e
         yield from out
 
     monkeypatch.setattr(mdp, "_walk", counting_walk)
-    for u in (ex3, universe30):
+    for u in (ex3, universe30, big):
         mdp.CriticalLine(u, u.variances).at(math.inf)
-    assert [segments for segments, _ in walks] == [2, 30]
+    assert [segments for segments, _ in walks] == [2, 30, 68]
     for _, made in walks:
         assert made == Counter(zeros=walks[0][1]["zeros"])
 

@@ -599,8 +599,9 @@ def _assert_a_jump_meets_the_walk(u, where):
         {"_block_factor": lambda S, floor: None},
         # every step solves for M again, where a residual declined the jump
         {"RESIDUAL_RTOL": 0.0},
-        # the corners go on from a block-updated M, with corrections aside
-        {"FOLD_FROM": 1, "FOLD_EVERY": 3},
+        # the corners go on from a block-updated M, with corrections folded
+        # three at a time
+        {"FOLD_EVERY": 3},
     ],
     ids=["blocks-refused", "refreshed", "aside"],
 )
@@ -751,10 +752,13 @@ def _exit_slots(line):
          dict.fromkeys(("eta", "root"), [(0, 4), (2, 3), (0, 2)])),
         # one to three corrections wait aside at each exit; at three the
         # leaving asset's correction follows a fold
-        ((6, 6, 6.0), {"FOLD_FROM": 1, "FOLD_EVERY": 3},
+        ((6, 6, 6.0), {"FOLD_EVERY": 3},
+         dict.fromkeys(("eta", "root"), [(1, 4), (0, 3), (2, 4), (1, 3), (0, 3), (1, 2)])),
+        # each correction is folded as the next arrives
+        ((6, 6, 6.0), {"FOLD_EVERY": 1},
          dict.fromkeys(("eta", "root"), [(1, 4), (0, 3), (2, 4), (1, 3), (0, 3), (1, 2)])),
     ],
-    ids=["last-slot", "after-refresh", "aside"],
+    ids=["last-slot", "after-refresh", "aside", "fold-each"],
 )
 def test_lines_through_exits_meet_enumeration(monkeypatch, args, constants, exits):
     u = conditioned_universe(*args)
@@ -843,8 +847,8 @@ def test_lines_of_equal_variances_are_flat(identity3):
 
 def test_a_refreshed_line_matches_the_updated_one(monkeypatch, universe30):
     # a residual above zero refreshes the inverse by a solve at every corner
-    # (inv calls are counted); folding corrections aside from one slot
-    # exercises the large-|F| route on a small universe
+    # (inv calls are counted); folding the corrections three at a time or
+    # each as the next arrives moves where their rounding falls
     def line_with(**constants):
         for name, value in constants.items():
             monkeypatch.setattr(mdp, name, value)
@@ -864,7 +868,7 @@ def test_a_refreshed_line_matches_the_updated_one(monkeypatch, universe30):
     # a solve at nearly every corner
     assert len(calls) >= len(refreshed.corners) // 2
     alpha = _tables(base, 30)[0]
-    for other in (refreshed, line_with(FOLD_FROM=1, FOLD_EVERY=3)):
+    for other in (refreshed, line_with(FOLD_EVERY=3), line_with(FOLD_EVERY=1)):
         other_alpha = _tables(other, 30)[0]
         np.testing.assert_array_equal(other_alpha != 0.0, alpha != 0.0)
         np.testing.assert_allclose(other.corners, base.corners, rtol=1e-9)
@@ -930,11 +934,23 @@ def test_collinear_assets_of_integer_loadings(seed):
     assert np.isfinite(rep.sigma_lo) and rep.holds is not False
 
 
-@pytest.mark.parametrize("seed", [52, 331, 428])
-def test_lines_of_integer_loadings_answer_through_their_ties_at_lambda_0(seed):
+@pytest.mark.parametrize(
+    "seed, fold_every",
+    [
+        pytest.param(seed, every, id=str(seed) if every == 32 else f"{seed}-fold{every}")
+        for seed in (52, 331, 428)
+        for every in (32, 3, 1)
+    ],
+)
+def test_lines_of_integer_loadings_answer_through_their_ties_at_lambda_0(
+    monkeypatch, seed, fold_every
+):
     # the eta line of each ties at lambda = 0 with rounding slopes (52, 331)
     # or with weights that its swaps leave at a rounding of zero (428): each
-    # was once a cycle or a negative corner weight, and is now an answer
+    # was once a cycle or a negative corner weight, and is now an answer.
+    # The tie scale reads M with every correction aside folded in, whenever
+    # the corrections are folded
+    monkeypatch.setattr(mdp, "FOLD_EVERY", fold_every)
     u = drf.validate_universe(_singular_cov("integer", seed))
     scale = float(u.variances.max())
     lo = u.long_only_mvp
