@@ -191,7 +191,7 @@ QUOTED_NAMES = (
 )
 
 # singular covariances, each refused by the kernel, on which embed reads the
-# universe's centre from the bordered KKT solve
+# universe's centre from the eigendecomposition that validated it
 EMBED_RUN = ["embed", "--input", "input.json"]
 RISKLESS_ASSET = '{"V": [[0, 0, 0], [0, 1, 0], [0, 0, 1]]}\n'
 CLONES_AND_ONE = '{"V": [[1, 1, 0], [1, 1, 0], [0, 0, 2]]}\n'

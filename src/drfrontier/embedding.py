@@ -24,9 +24,9 @@ this geometry.
 
 The centre s and q_max are the universe's own
 (:attr:`~drfrontier.model.AssetUniverse.centre`): the covariance kernel's
-maximum-DR portfolio and its DR on a nonsingular universe, one bordered KKT
-solve on a singular one, so :func:`embed` solves nothing, and the library
-reads centrality from the same centre
+maximum-DR portfolio and its DR on a nonsingular universe, read from the
+eigendecomposition that validated a singular one, so :func:`embed` solves
+nothing, and the library reads centrality from the same centre
 (:func:`~drfrontier.model.portfolio_stats`) without building an embedding.
 The embedding serves the asset coordinates (column i of ``coords`` is asset
 i, which the ``embed`` command writes beside its name) and

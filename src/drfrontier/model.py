@@ -14,8 +14,8 @@ portfolio, c(w)^2 = q_max - q(w), is its V-distance from the maximum-DR
 portfolio s, 0.5 (w - s)' V (w - s), so no embedding is needed for it.
 The identity needs only the KKT point of q on the budget hyperplane, not
 V^-1, so every universe owns its centre (s, q_max = q(s)): s from the kernel
-on a nonsingular V, one bordered KKT solve on a singular one, and none
-where q has no maximum there.
+on a nonsingular V, from the eigendecomposition that validated a singular
+one, and none where q has no maximum there.
 
 Note that q depends on the asset decomposition, not just on the final return
 stream: merging several assets into one composite asset and re-weighting
@@ -54,8 +54,8 @@ BUDGET_ATOL = 1e-10
 # Absolute tolerance of the identity centrality^2 + q = q_max, checked against
 # the distance matrix's route to s and q_max by tests/oracles.py::pythagoras_gaps.
 PYTHAGORAS_ATOL = 1e-8
-# Singular values of the bordered KKT matrix [[V, t 1], [t 1', 0]], t = max|V|,
-# below CENTRE_RCOND times the largest are dropped (_bordered_centre).
+# Eigenvalues of a singular V up to CENTRE_RCOND max(lam_max, max|V|) are null to _eigen_centre:
+# cut at PSD_RTOL, 9 of 6795 seeded draws of cond 1e10 to 1e12 would answer or refuse otherwise.
 CENTRE_RCOND = 1e-12
 # Relative residual below which a vector counts as proportional to ones.
 PROPORTIONALITY_RTOL = 1e-12
@@ -147,7 +147,8 @@ class AssetUniverse:
         nonsingular: True when cov is numerically strictly positive definite.
         factor: the read-only Cholesky factor of cov - delta I that
             certified it (:func:`_certified_nonsingular`), None where the
-            eigenvalues decided; ``dataclasses.replace`` keeps it.
+            eigenvalues decided; ``dataclasses.replace`` keeps it, and eigen.
+        eigen: the read-only (Q, lam) of cov = Q diag(lam) Q', lam >= 0, where they decided.
     """
 
     names: tuple
@@ -157,6 +158,7 @@ class AssetUniverse:
     risk_free_rate: Optional[float]
     nonsingular: bool
     factor: Optional[np.ndarray] = field(default=None, repr=False)
+    eigen: Optional[tuple] = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.risk_free_rate is None:
@@ -181,7 +183,7 @@ class AssetUniverse:
     def _centre(self) -> tuple:
         """(centre, reason): the centre below, or None with the reason why, formed once."""
         if not self.nonsingular:
-            return _bordered_centre(self)
+            return _eigen_centre(self)
         k = self.solver
         s = _frozen(k.w_mvp + (0.0 if k.d_eta is None else 0.5 * k.rho * k.d_eta))
         return (s, _variance_and_dr(self, s)[1]), ""
@@ -190,7 +192,7 @@ class AssetUniverse:
     def centre(self) -> Optional[tuple]:
         """(s, q_max), the maximum-DR portfolio and its DR q(s), as
         :func:`portfolio_stats` evaluates it: s from the kernel on a
-        nonsingular universe, :func:`_bordered_centre`'s on a singular one,
+        nonsingular universe, :func:`_eigen_centre`'s on a singular one,
         None where that refuses it (DR unbounded, or ill-conditioned)."""
         return self._centre[0]
 
@@ -371,56 +373,55 @@ class CovarianceSolver:
         return _frozen(d - float(d.sum()) * self.w_mvp), math.ldexp(k, e)
 
 
-def _bordered_centre(universe: AssetUniverse):
+def _eigen_centre(universe: AssetUniverse):
     """((s, q_max), "") of a singular universe from the stationarity of q on
     the budget hyperplane, V s + mu 1 = eta / 2 with 1' s = 1, or (None,
     reason) when it refuses them.
 
-    The border is scaled by t = max|V|, K = [[V, t 1], [t 1', 0]] against
-    b = [eta / 2; t] for [s; mu / t], so that K's singular values, and every
-    test below, scale with V.  One SVD of K solves it: singular values below
-    CENTRE_RCOND times the largest are dropped, and two refinement steps
-    x <- x + K^+ (b - K x) follow.  K's null space is Z = null(V) with
-    1' z = 0 (and a zero multiplier), so the least-norm solution is the
-    maximizer orthogonal to Z: duplicated assets share their weight equally.
-    s is put on budget and q_max = q(s).  Refused:
+    In validation's eigenbasis V = Q diag(lam) Q', g = Q' 1, t = max|V|:
+    Q' s = (Q' eta / 2 - mu g) / lam on eigenvalues above CENTRE_RCOND
+    max(lam_max, t), alpha g on the rest, N, with mu fitted to N's rows, or
+    alpha = 0 and mu from the budget where t ||g_N|| is below that cut (1 is
+    orthogonal to null(V)); two refinement steps against V follow.  s, the
+    maximizer orthogonal to Z = null(V) with 1' z = 0 (clones share their
+    weight equally), is put on budget and q_max = q(s).  Refused:
 
-    - a KKT residual above 1e-8 (max|V| max|s| + |mu| + max eta + t): DR is
-      unbounded on the budget hyperplane when the part of b along singular
-      values at rounding level, up to (n + 1) eps times the largest, exceeds
-      that bound (some z in Z has eta' z != 0: q(w + t z) = q(w) + t eta' z
-      / 2); otherwise V is near singular and the centre ill conditioned;
+    - a KKT residual above 1e-8 (t max|s| + |mu| + max eta + t): DR is
+      unbounded on the budget hyperplane when eta / 2 - mu 1 has a part
+      beyond that bound on eigenvalues at rounding level, up to (n + 1) eps
+      max(lam_max, t) (some z in Z has eta' z != 0: q(w + t z) = q(w) + t
+      eta' z / 2); otherwise V is near singular and the centre ill conditioned;
     - a rounding bound of q(s), n eps (eta' |s| + |s|' |V| |s|), above
       PYTHAGORAS_ATOL * max(1, q_max): the centre lies too far out for any
       evaluation of q to resolve q_max.  A q_max within it of 0 reads 0.
     """
     n, V, eta = universe.n, universe.cov, universe.variances
+    Q, lam = universe.eigen or np.linalg.eigh(V)[::-1]  # None where flagged singular by hand
     t = float(np.abs(V).max()) or 1.0
-    K = np.full((n + 1, n + 1), t)
-    K[:n, :n], K[n, n] = V, 0.0
-    b = np.append(0.5 * eta, t)
-    U, sv, Wt = np.linalg.svd(K)
-    keep = sv > CENTRE_RCOND * sv[0]
-    W, Ut = Wt[keep].T / sv[keep], U[:, keep].T  # K^+ = W Ut
-    x = W @ (Ut @ b)
-    for _ in range(2):
-        x += W @ (Ut @ (b - K @ x))
-    s, mu = x[:n], t * float(x[n])
-    resid = float(np.abs(b - K @ x).max())
+    top = max(float(lam[-1]), t)
+    keep, g = lam > CENTRE_RCOND * top, np.ones(n) @ Q
+    g_k, g_n, inv_g = g[keep], g[~keep], g[keep] / lam[keep]  # inv_g: Q' V^+ 1, kept rows
+    coupled = t * math.sqrt(g_n @ g_n) > CENTRE_RCOND * top
+    s, mu = np.zeros(n), 0.0
+    for _ in range(3):  # the solve, then two refinement steps: c, b the KKT and budget residuals
+        c, y, b = Q.T @ (0.5 * eta - V @ s - mu), np.zeros(n), 1.0 - float(s.sum())
+        step = g_n @ c[~keep] / (g_n @ g_n) if coupled else (inv_g @ c[keep] - b) / (inv_g @ g_k)
+        y[keep] = (c[keep] - step * g_k) / lam[keep]
+        y[~keep] = g_n * (b - g_k @ y[keep]) / (g_n @ g_n) if coupled else 0.0
+        s, mu = s + Q @ y, mu + float(step)
+    resid = max(float(np.abs(0.5 * eta - V @ s - mu).max()), t * abs(1.0 - float(s.sum())))
     tol = 1e-8 * (t * float(np.abs(s).max()) + abs(mu) + float(eta.max()) + t)
-    rounding = sv <= (n + 1) * np.finfo(float).eps * sv[0]
-    if not resid <= tol and float(np.linalg.norm(U[:, rounding].T @ b)) > tol:
+    rounding = lam <= (n + 1) * np.finfo(float).eps * top
+    if not resid <= tol and float(np.linalg.norm(Q[:, rounding].T @ (0.5 * eta - mu))) > tol:
         return None, f"DR unbounded on the budget hyperplane: KKT residual {resid:.3e} > {tol:.3e}"
     s = _frozen(s + (1.0 - float(s.sum())) / n)
     size = np.abs(s)
     q_max = _variance_and_dr(universe, s)[1]
     noise = n * np.finfo(float).eps * float(eta @ size + size @ np.abs(V) @ size)
     if not resid <= tol or noise > PYTHAGORAS_ATOL * max(1.0, q_max):
-        return None, (
-            f"maximum-DR centre ill-conditioned: KKT residual {resid:.3e} (bound {tol:.3e}), "
-            f"q = {q_max:.6e} at the centre, max|s| = {float(size.max()):.3e}, "
-            f"rounding bound {noise:.3e}"
-        )
+        return None, (f"maximum-DR centre ill-conditioned: KKT residual {resid:.3e} (bound "
+                      f"{tol:.3e}), q = {q_max:.6e} at the centre, max|s| = "
+                      f"{float(size.max()):.3e}, rounding bound {noise:.3e}")
     return (s, 0.0 if abs(q_max) <= noise else q_max), ""
 
 
@@ -537,11 +538,11 @@ def validate_universe(
     succeeds (see :func:`_certified_nonsingular`): V is then strictly
     positive definite beyond PSD_RTOL * lambda_max and is stored as given,
     with the factor that certified it.
-    Otherwise the eigenvalues decide: below -PSD_RTOL * lambda_max raises
-    NotPSDError, a negative one within that allowance clamps V through its
-    eigendecomposition, and one at or below PSD_RTOL * lambda_max leaves
-    ``nonsingular`` False.  The certificate answers only where the
-    eigenvalue test gives the same answer.
+    Otherwise one eigendecomposition decides, and is kept (``eigen``): an
+    eigenvalue below -PSD_RTOL * lambda_max raises NotPSDError, a negative
+    one within that allowance clamps V through it, and one at or below
+    PSD_RTOL * lambda_max leaves ``nonsingular`` False.  The certificate
+    answers only where the eigenvalue test gives the same answer.
 
     Returns a frozen universe whose ``cov`` is one private copy of V (or its
     symmetrization), which the certificate factors in place and restores, and
@@ -567,22 +568,20 @@ def validate_universe(
     # the one private copy: the certificate factors it, and cov keeps it
     V = 0.5 * (V + V.T) if asym else np.array(V)
 
-    factor = _certified_nonsingular(V)
+    factor, eigen = _certified_nonsingular(V), None
     if factor is not None:
         nonsingular = True
         factor.setflags(write=False)
     else:
-        evals = np.linalg.eigvalsh(V)
-        lam_max = max(float(evals[-1]), 0.0)
-        lam_min = float(evals[0])
+        evals, evecs = np.linalg.eigh(V)
+        lam_max, lam_min = max(float(evals[-1]), 0.0), float(evals[0])
         if lam_min < -PSD_RTOL * lam_max:
             raise NotPSDError(
                 f"smallest eigenvalue {lam_min:.3e} below -{PSD_RTOL:.0e} * {lam_max:.3e}"
             )
-        if lam_min < 0.0:
-            # within tolerance: clamp the offending eigenvalues to zero
-            evals, evecs = np.linalg.eigh(V)
-            V = (evecs * np.clip(evals, 0.0, None)) @ evecs.T
+        eigen = (_frozen(evecs), _frozen(np.clip(evals, 0.0, None)))
+        if lam_min < 0.0:  # within tolerance: clamp the offending eigenvalues to zero
+            V = (evecs * eigen[1]) @ evecs.T
             V = 0.5 * (V + V.T)
         nonsingular = lam_min > PSD_RTOL * lam_max
 
@@ -613,6 +612,7 @@ def validate_universe(
         risk_free_rate=risk_free_rate,
         nonsingular=nonsingular,
         factor=factor,
+        eigen=eigen,
     )
 
 

@@ -867,7 +867,7 @@ def centre_at_digits(cov, dps=60):
     where its matrix is singular (V has a null direction z with 1' z = 0,
     as clones do), its least-norm solution is read from the eigenvalues of
     the symmetric bordered matrix, which shares the clones' weight equally,
-    as the library's bordered centre does.  q_max = (eta' s - s' V s) / 2.
+    as the library's centre does.  q_max = (eta' s - s' V s) / 2.
     Returns a list of mpf and an mpf; arithmetic on them belongs under
     ``mpmath.workdps(dps)``.
     """
@@ -880,7 +880,7 @@ def centre_at_digits(cov, dps=60):
         b = mp.matrix([K[i, i] / 2 for i in range(n)] + [1])
         try:
             x = mp.lu_solve(K, b)
-        except ZeroDivisionError:
+        except (ZeroDivisionError, TypeError):  # a zero pivot column: TypeError
             E, Q = mp.eigsy(K)
             cut = mp.mpf(10) ** (-dps // 2) * max(abs(e) for e in E)
             x = mp.matrix(n + 1, 1)

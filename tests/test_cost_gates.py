@@ -16,7 +16,8 @@ centre and build no embedding, and an embedding of a nonsingular universe
 reads its centre from the kernel and q_max as q there, solving nothing, and
 forms no distance matrix unless its D is read; validating a universe
 and certifying a distance matrix take one Cholesky factorization and no
-eigendecomposition unless the factorization fails, and an embedding
+eigendecomposition unless the factorization fails, where a universe's one
+eigendecomposition of V decides, clamps and serves its centre, and an embedding
 decomposes its Gram matrix only when its coordinates are read; d_max of a distance matrix is one ascent, and a
 matrix that is not one is refused before any; d_max of D_eta is a closed
 form; a bad norm budget tau is refused before any eigendecomposition of
@@ -233,24 +234,25 @@ def test_embed_reads_s_and_q_max_from_the_kernel(calls, d_solves, degenerate3):
         drf.mdp_global(u)
         assert calls["lu_solve"] - before == 1
     assert sum(d_solves.values()) == 0
-    # singular V (a riskless asset): one SVD of the bordered KKT matrix per
-    # universe, kept with it, and the eigendecomposition only for coords
+    # singular V (a riskless asset): the centre reads the eigendecomposition
+    # that validation kept, solves nothing and is kept with the universe; the
+    # Gram matrix's eigendecomposition runs only for coords
     riskless = drf.validate_universe(degenerate3.cov)
     unbounded = drf.validate_universe(with_spectrum([1.0, 0.5, 0.0, 0.0]))
     d_solves.clear()
     emb = drf.embed(riskless)
     drf.embed(riskless)
     drf.portfolio_stats(riskless, np.full(3, 1.0 / 3.0))
-    assert d_solves == Counter(svd=1) and calls["lu_solve"] == 2
+    assert d_solves == Counter() and calls["lu_solve"] == 2
     assert emb.q_max == pytest.approx(0.25, abs=1e-12)
     emb.coords
-    assert d_solves == Counter(svd=1, eigh=1)
+    assert d_solves == Counter(eigh=1)
     # a refused centre is kept too
     for _ in range(2):
         with pytest.raises(SingularDistanceError):
             drf.embed(unbounded)
     assert drf.portfolio_stats(unbounded, np.full(4, 0.25)).centrality_sq is None
-    assert d_solves == Counter(svd=2, eigh=1)
+    assert d_solves == Counter(eigh=1)
 
 
 @pytest.fixture
@@ -636,19 +638,46 @@ def test_embedding_decomposes_once_on_first_read(eigen, first):
 
 
 def test_eigenvalues_only_where_cholesky_cannot_certify(eigen):
-    # an indefinite V: one eigenvalue test, then the refusal
+    # an indefinite V: one eigendecomposition, then the refusal
     with pytest.raises(NotPSDError):
         drf.validate_universe(with_spectrum([1.0, 0.5, -0.5]))
-    assert (eigen["eigvalsh"], eigen["eigh"]) == (1, 0)
-    # an eigenvalue of -1e-12 lambda_max: the test, then the clamp's eigh
+    assert (eigen["eigvalsh"], eigen["eigh"]) == (0, 1)
+    # an eigenvalue of -1e-12 lambda_max: the same eigendecomposition clamps
     u = drf.validate_universe(with_spectrum([1.0, 0.5, -1e-12]))
     assert not u.nonsingular
-    assert (eigen["eigvalsh"], eigen["eigh"]) == (2, 1)
+    assert (eigen["eigvalsh"], eigen["eigh"]) == (0, 2)
     # a nonnegative matrix that is not an EDM: one eigenvalue test
     A = np.ones((5, 5)) - np.eye(5)
     A[0, 1] = A[1, 0] = 100.0
     assert not drf.assert_edm(A).is_edm
-    assert (eigen["eigvalsh"], eigen["eigh"]) == (3, 1)
+    assert (eigen["eigvalsh"], eigen["eigh"]) == (1, 2)
+
+
+@pytest.mark.parametrize(
+    "evals, answered",
+    [([1.0, 0.5, 0.25, 0.0], True), ([1.0, 0.5, 0.25, -1e-12], True), ([1.0, 0.5, 0.0, 0.0], False)],
+    ids=["riskless", "clamped", "unbounded"],
+)
+def test_one_eigendecomposition_per_singular_universe(monkeypatch, evals, answered):
+    # where the certificate fails, validation's one eigh of V decides, clamps
+    # and is kept: the centre, portfolio_stats and embed read it, and no SVD
+    # or second eigendecomposition of V runs, whether the centre is answered
+    # or refused
+    V = with_spectrum(evals)
+    linalg = _count_linalg(monkeypatch, *LINALG)
+    u = drf.validate_universe(V)
+    assert not u.nonsingular
+    w = np.full(u.n, 1.0 / u.n)
+    for _ in range(2):
+        assert (drf.portfolio_stats(u, w).centrality_sq is None) == (u.centre is None)
+        if u.centre is None:
+            with pytest.raises(SingularDistanceError, match="DR unbounded"):
+                drf.embed(u)
+        else:
+            assert drf.embed(u).mdrp_weights is u.centre[0]
+    assert (u.centre is not None) == answered
+    # the certificate's Cholesky and one eigh; np.linalg.norm is O(n^2)
+    assert {k: c for k, c in linalg.items() if k != "norm"} == {"cholesky": 1, "eigh": 1}
 
 
 def _fresh_interpreter(*lines) -> list:

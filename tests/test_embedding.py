@@ -129,7 +129,7 @@ def test_embed_three_asset_canonical_basis(ex3):
         ["0.5", "-0.866025403784"],
     ]
     # the same cells whichever route built s: the kernel's, or the
-    # bordered KKT solve that a universe flagged singular takes
+    # eigendecomposition that a universe flagged singular takes
     k = ex3.solver
     assert np.array_equal(emb.mdrp_weights, k.w_mvp + 0.5 * k.rho * k.d_eta)
     pinv_emb = drf.embed(dataclasses.replace(ex3, nonsingular=False))

@@ -455,7 +455,7 @@ def test_portfolio_stats_with_embedding(ex3, universe30, degenerate3):
             )
             if x is e.mdrp_weights:
                 assert c == 0.0
-    # a singular universe has its centre too, from the bordered KKT solve
+    # a singular universe has its centre too, from its eigendecomposition
     p = drf.portfolio_stats(degenerate3, w)
     emb = drf.embed(degenerate3)
     c = math.sqrt(p.centrality_sq)
@@ -468,10 +468,11 @@ def test_portfolio_stats_with_embedding(ex3, universe30, degenerate3):
 def test_centre_of_a_singular_universe(kind, n, seed):
     # u.centre where V is singular: none exactly where DR is unbounded, and
     # where it answers, the distance matrix's route, the deduplicated
-    # universe's kernel and Pythagoras agree with it
+    # universe's kernel, 40 digits and Pythagoras agree with it
     assume(kind != "unbounded" or n >= 3)
     rng = np.random.default_rng(seed)
-    u = drf.validate_universe(singular_cov(rng, kind, n))
+    V = singular_cov(rng, kind, n)
+    u = drf.validate_universe(V)
     assume(not u.nonsingular)  # a conditioned draw near cond 1e10 may certify
     if u.centre is None:
         # refused: unbounded DR, or a centre that rounding cannot resolve
@@ -494,9 +495,30 @@ def test_centre_of_a_singular_universe(kind, n, seed):
         assert abs(s[0] - s[-1]) <= MDRP_AGREEMENT_ATOL * max(1.0, float(np.abs(s).max()))
         deduplicated = 0.0 if n == 2 else drf.validate_universe(u.cov[:-1, :-1]).centre[1]
         assert abs(q_max - deduplicated) <= 1e-12 * max(1.0, q_max)
+    if kind in ("riskless", "duplicate"):
+        # the draw as given, whose clones are exact: a clamp leaves them
+        # equal only to rounding, which the digits would resolve
+        s_ref, q_ref = (np.array(x, dtype=float) for x in centre_at_digits(V, 40))
+        assert float(np.abs(s_ref - s).max()) <= MDRP_AGREEMENT_ATOL * max(1.0, float(np.abs(s).max()))
+        assert abs(float(q_ref) - q_max) <= tol
     for w in [s, np.full(n, 1.0 / n), *(rng.dirichlet(np.ones(n)) * 3.0 - 2.0 / n for _ in range(10))]:
         p = drf.portfolio_stats(u, w)
         assert abs(p.centrality_sq + p.dr - q_max) <= tol
+
+
+@pytest.mark.parametrize("seed", [11, 23, 27, 29, 30])
+def test_digits_centre_of_exact_clones(seed):
+    # the bordered matrix of exact clones is singular at any precision: its
+    # LU finds a zero pivot column (mpmath raises TypeError there), and the
+    # eigenvalue route answers with the clones' weight shared equally
+    pytest.importorskip("mpmath")
+    rng = np.random.default_rng(seed)
+    V = singular_cov(rng, "duplicate", int(rng.integers(2, 9)))
+    s, q_max = centre_at_digits(V, 40)
+    assert abs(s[0] - s[-1]) <= 1e-30 * max(abs(x) for x in s)
+    s_lib, q_lib = drf.validate_universe(V).centre
+    assert float(np.abs(np.array(s, dtype=float) - s_lib).max()) <= 1e-12 * max(1.0, float(np.abs(s_lib).max()))
+    assert abs(float(q_max) - q_lib) <= 1e-12 * max(1.0, q_lib)
 
 
 @settings(max_examples=60, deadline=None)
@@ -535,7 +557,7 @@ def test_centre_of_a_small_eigenvalue_is_scale_free(c):
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(SINGULAR_KINDS), st.integers(2, 8), st.integers(0, 2**32 - 1))
 def test_centre_is_scale_equivariant(kind, n, seed):
-    # u.centre of c V is (s, c q_max) for c from 1e-9 to 1e6: the SVD's cut
+    # u.centre of c V is (s, c q_max) for c from 1e-9 to 1e6: the eigenvalue cut
     # and the KKT residual's bound scale with V, so unbounded DR is refused
     # at every scale and a bounded one never reads as unbounded.  Only the
     # rounding rule, PYTHAGORAS_ATOL * max(1, q_max), is absolute below
