@@ -28,12 +28,14 @@ the exact maxima: each lies on Markowitz's long-only frontier for the
 return vector eta or sqrt(eta), a :class:`CriticalLine` of finitely many
 corners (Markowitz 1956; Niedermayer and Niedermayer 2010; Bailey and
 Lopez de Prado 2013).  Both lines start at the long-only minimum-variance
-portfolio w_lo, which :func:`_active_set` solves once per universe; each is
+portfolio w_lo, which :func:`_active_set` solves once per universe, started
+from the positive support of the kernel's unconstrained w_mvp; each is
 walked up from there, and kept in walk order, only as far as a level reads
 it, or jumped by block pivots to the segment of a level inside the
-long-only risks that starts it.  The module stands on model alone; the
-ratio maximizer at a given risk is the mdp_at_sigma kind's
-:func:`~drfrontier.frontiers.point`.
+long-only risks that starts it: the eta line from w_lo, the sqrt(eta) line
+from the free set where the eta line landed at that risk, whose KKT inverse
+it takes over.  The module stands on model alone; the ratio maximizer at a
+given risk is the mdp_at_sigma kind's :func:`~drfrontier.frontiers.point`.
 """
 
 from __future__ import annotations
@@ -131,10 +133,14 @@ class CriticalLine:
     corners[0] = 0, or, on a universe certified nonsingular whose max mu is
     one asset's, from the segment that holds a risk read strictly inside
     (sigma_lo, sigma_hi) that starts the line, corners[0] its lambda (no
-    corner).  :meth:`at` and :meth:`max_at` walk on to the segment that
-    holds their risk (past the segments that end at lambda = 0, where ties
-    change the free set); a read below a jump's risk, or at(inf), which
-    walks the whole line, starts the line again as a first read does.
+    corner).  Such a jump starts from the free set of w_lo, or, given a
+    line `near` of the same universe whose walk rests on the segment that
+    holds that risk, from near's free set there and a copy of its KKT
+    inverse (a declined jump walks from w_lo all the same).  :meth:`at` and
+    :meth:`max_at` walk on to the segment that holds their risk (past the
+    segments that end at lambda = 0, where ties change the free set); a
+    read below a jump's risk, or at(inf), which walks the whole line,
+    starts the line again as a first read does.
     """
 
     def __init__(self, universe: AssetUniverse, mu):
@@ -155,11 +161,13 @@ class CriticalLine:
         self.free, self.pairs, self.var0, self.mean, self.k2 = [], [], [], [], []
         self.corners, self._upper = [0.0], []  # _upper: each segment's risk^2 at its top
 
-    def _start(self, tau: float) -> None:
-        """Walk from w_lo again, or jump where tau is inside the risks."""
+    def _start(self, tau: float, near: Optional[CriticalLine]) -> None:
+        """Walk from w_lo again, or jump where tau is inside the risks, from
+        the landing of the line `near` at tau where it has one."""
         jump = self._inside[0] < tau < self._inside[1]
         self._floor = tau * tau if jump else 0.0
-        self._walk = _walk(*self._from, tau if jump else None)
+        landing = near._landing(tau) if jump and near is not None else None
+        self._walk = _walk(*self._from, tau if jump else None, landing)
         for field in (self.free, self.pairs, self.var0, self.mean, self.k2, self._upper):
             field.clear()  # in place: a reader may hold the lists
         self.corners[:] = [0.0]
@@ -188,12 +196,20 @@ class CriticalLine:
         spread = sum(float((np.abs(pair) @ (1.0, lam)).sum()) ** 2 for pair in around)
         return abs(tau_sq - self.var0[k] - lam * lam * self.k2[k]) <= self._ulps * spread
 
-    def at(self, tau: float) -> tuple:
-        """(k, lambda): segment k holds the point of risk tau (or the nearer end)."""
+    def _landing(self, tau: float) -> Optional[tuple]:
+        """(F, M): the free set of the segment that holds tau and the inverse
+        of its KKT matrix, where the walk rests on that segment; else None."""
+        if self._walk is None or self.at(tau)[0] < len(self.free) - 1:
+            return None
+        return self._walk.send(True)
+
+    def at(self, tau: float, near: Optional[CriticalLine] = None) -> tuple:
+        """(k, lambda): segment k holds the point of risk tau (or the nearer
+        end); a jump to it starts from the landing of `near` where it has one."""
         tau_sq = tau * tau
         # a first read starts the line; one below a jump's risk or at inf restarts it
         if self._floor is None or self.corners[0] > 0.0 and not self._floor <= tau_sq < np.inf:
-            self._start(tau)
+            self._start(tau, near)
         while (self.corners[-1] == 0.0 or self._upper[-1] <= tau_sq) and self._extend():
             pass
         k = min(bisect.bisect_right(self._upper, tau_sq), len(self._upper) - 1)
@@ -218,9 +234,9 @@ class CriticalLine:
             k -= len(self.free[k - 1]) < len(self.free[k])
         return k, lo
 
-    def max_at(self, tau: float) -> float:
+    def max_at(self, tau: float, near: Optional[CriticalLine] = None) -> float:
         """max mu' w over long-only budget portfolios of risk tau, at :meth:`at`."""
-        k, lam = self.at(tau)
+        k, lam = self.at(tau, near)
         return float(self.top + self.mean[k] + lam * self.k2[k])
 
 
@@ -246,18 +262,29 @@ class LongOnlyMvp:
 
 def long_only_mvp(universe: AssetUniverse) -> LongOnlyMvp:
     """The :class:`LongOnlyMvp` of a universe, which keeps it; a gap above
-    MVP_GAP_RTOL * max eta raises SingularCovarianceError."""
-    free, x = _active_set(universe.cov)
+    MVP_GAP_RTOL * max eta raises SingularCovarianceError.
+
+    :func:`_active_set` starts from the positive support of the kernel's
+    w_mvp, the budget minimum without the bounds, built here where it is not
+    yet (so w_lo does not depend on which read came first); a singular
+    universe has no kernel and starts from its least volatile asset.
+    """
+    V = universe.cov
+    if universe.nonsingular:
+        start = np.flatnonzero(universe.solver.w_mvp > 0.0)
+    else:
+        start = np.array([int(np.argmin(np.diag(V)))])
+    free, x = _active_set(V, start)
     w = np.zeros(universe.n)
     w[free] = np.clip(x, 0.0, None)
     w /= w.sum()
-    g = universe.cov @ w
+    g = V @ w
     # a riskless mix of a singular V can round below zero, as in Portfolio.sigma
     variance = max(float(w @ g), 0.0)
     lower = max(2.0 * float(g.min()) - variance, 0.0)
     if variance - lower > MVP_GAP_RTOL * float(universe.variances.max()):
         raise SingularCovarianceError(f"w_lo variance {variance:.3e} certified to {lower:.3e}")
-    return LongOnlyMvp(w, variance, lower, free, _kkt_inverse(universe.cov, free))
+    return LongOnlyMvp(w, variance, lower, free, _kkt_inverse(V, free))
 
 
 @dataclass(frozen=True)
@@ -486,15 +513,35 @@ def _block_factor(S, floor) -> Optional[np.ndarray]:
     return L if (np.diag(L) ** 2 > floor).all() else None
 
 
-def _active_set(V) -> tuple:
+def _pin(pair, ends, low, high) -> None:
+    """Start a segment at the weights `ends` where the segment before it
+    ended, at the corner `low` where the asset in pair's last row entered F
+    (the rows before it hold F's other assets in that segment's order): in
+    place, the entering weight is exactly 0 there, and the change to the
+    pair [w_F(0), dw_F/dlambda], the rounding of the two segments at their
+    shared corner, fades linearly to 0 at the upper corner `high` (or holds
+    at every lambda, where high is inf or low)."""
+    change = -(pair @ (1.0, low))
+    change[:-1] += ends
+    if low < high < np.inf:
+        pair[:, 0] += change * (high / (high - low))
+        pair[:, 1] -= change / (high - low)
+    else:
+        pair[:, 0] += change
+    pair[-1, 0] = -(low * pair[-1, 1])
+
+
+def _active_set(V, start) -> tuple:
     """(F, w_F): the free set and weights of the long-only minimum-variance
     portfolio w_lo, by a primal active-set method on the budget KKT system.
 
-    It starts at the least volatile asset alone, whose 2 x 2 KKT matrix is
-    never singular.  At the minimum w_F of w' V w over budget portfolios on
-    F, an asset j outside F lowers the variance when its multiplier
-    (V w)_j - w' V w is below the rounding of V w; those that border F
-    (:func:`_schur`) are the candidates.  When the candidates' block Schur
+    It starts from the assets of `start`: the minimum of w' V w over budget
+    portfolios on them drops its nonpositive weights until every weight is
+    positive (a lone asset is its own minimum, and its 2 x 2 KKT matrix is
+    never singular).  At the minimum w_F on F, an asset j outside F lowers
+    the variance when its multiplier (V w)_j - w' V w is below the
+    rounding of V w; those that border F (:func:`_schur`) are the
+    candidates.  When the candidates' block Schur
     complement passes that test too, all of them enter at once, the assets
     of negative weight leave until the minimum on F is positive, and the
     move is kept if it lowers the variance.  Otherwise the first candidate
@@ -505,8 +552,7 @@ def _active_set(V) -> tuple:
     solves raise SingularCovarianceError.
     """
     n, vmax = len(V), float(np.abs(V).max())
-    F = np.array([int(np.argmin(np.diag(V)))])
-    x, solves = np.ones(1), 0
+    F, x, solves = np.asarray(start), np.ones(1), 0
 
     def kkt(S, rhs):  # the KKT matrix of S, solved against rhs
         nonlocal solves
@@ -519,6 +565,11 @@ def _active_set(V) -> tuple:
         z = kkt(S, np.eye(len(S) + 1, 1)[:, 0])
         return z[1:], -z[0]
 
+    if F.size > 1:
+        x = minimum(F)[0]
+        while not (x > 0.0).all():
+            F = F[x > 0.0]
+            x = minimum(F)[0]
     while True:
         VF = V[:, F]
         g = VF @ x
@@ -563,7 +614,7 @@ def _active_set(V) -> tuple:
         F, x = S, y
 
 
-def _walk(V, mu, free, inverse, tau=None):
+def _walk(V, mu, free, inverse, tau=None, landing=None):
     """The segments of the critical line of mu (max mu = 0) from lambda = 0,
     where the free set is `free` and its KKT matrix has inverse `inverse`,
     up to lambda = inf; given a risk tau, from the segment that holds tau.
@@ -592,11 +643,17 @@ def _walk(V, mu, free, inverse, tau=None):
     leaving assets of an upward walk downdate M from ill-conditioned free
     sets.
     Each segment is yielded as (F, [w_F(0), dw_F/dlambda], var0, mean, k2,
-    lambda of its lower corner, lambda of its upper corner).
+    lambda of its lower corner, lambda of its upper corner); a segment
+    that starts where an asset entered starts at the weights where the one
+    before it ended, its entering weight exactly 0 (:func:`_pin`).  Sent
+    True where it rests after a segment, the walk yields (F, M), a copy of
+    F and of M with the corrections aside folded in, and rests there still.
 
     Given tau, the first steps are block principal pivots (Judice and Pires
-    1994; Kim and Park 2011) to tau's segment, and the corners go on from
-    its lambda_tau, where var0 + lambda^2 k2 = tau^2 on F.  At lambda_tau
+    1994; Kim and Park 2011) to tau's segment, from `landing`, a free set
+    and the inverse of its KKT matrix (another line's at tau), where given,
+    else from `free`, and the corners go on from its lambda_tau, where
+    var0 + lambda^2 k2 = tau^2 on F.  At lambda_tau
     the free assets of negative weight leave, M -= M_:L M_LL^-1 M_L:, and
     the outside ones of positive slack enter, M += C S^-1 C' with C =
     [M U; -I] (S their Schur block), each set at once and in place, until
@@ -604,7 +661,8 @@ def _walk(V, mu, free, inverse, tau=None):
     without fewer of them, one changes at a time, the least index first
     (Murty's rule).  A k2 <= 0, tau^2 < var0, a block that fails
     :func:`_block_factor`, a free set seen again or MAX_ITER steps decline
-    the jump: the walk then starts from `free` as without tau.
+    the jump: the walk then starts from `free` as without tau, whatever the
+    jump started from.
 
     At lambda = 0 a level or slope within its rounding of zero is zero: n
     ulps of its scale times vmax max |M_FF|, by which M amplifies the
@@ -735,10 +793,11 @@ def _walk(V, mu, free, inverse, tau=None):
                 drop(int(i))
         return True
 
-    solve(free, inverse)
+    start, tau_sq = (free, inverse), None if tau is None else tau * tau
+    solve(*(start if landing is None else landing))
     vmax = float(np.abs(V).max())
-    start, tau_sq, fewest, stalls = (free, inverse), None if tau is None else tau * tau, n + 1, 0
-    lam, last, refreshed, cand, walked, seen = 0.0, -1, True, np.empty(n), 0, set()
+    lam, last, entered, refreshed, fewest, stalls = 0.0, -1, False, True, n + 1, 0
+    cand, walked, seen = np.empty(n), 0, set()
     while True:
         A, size, worst = rows_and_residual()
         free, W = F[:f], Y[1 : f + 1]
@@ -773,6 +832,9 @@ def _walk(V, mu, free, inverse, tau=None):
                 solve(*start)
                 tau_sq, lam, refreshed, walked, seen = None, 0.0, True, 0, set()
                 continue
+        # where an asset entered F at this corner, the weights there of the
+        # segment before, which this one starts at (see _pin)
+        ends, entered = segment[1] @ (1.0, lam) if entered else None, False
         segment = (free.astype(np.int32), W.copy(), -Y[0, 0], gain[0], max(gain[1], 0.0))
         if float((W @ (1.0, lam)).min()) < -NEGATIVE_ATOL:
             raise SingularCovarianceError(f"critical line: a weight below 0 at lambda = {lam:.6g}")
@@ -798,6 +860,8 @@ def _walk(V, mu, free, inverse, tau=None):
         while True:
             j = int(cand.argmin())
             if not cand[j] < np.inf:
+                if ends is not None:
+                    _pin(segment[1], ends, low, np.inf)
                 yield *segment, low, np.inf
                 return
             if walked >= MAX_ITER:
@@ -819,8 +883,13 @@ def _walk(V, mu, free, inverse, tau=None):
                 out, cand[j] = int(np.argmin(np.where(ratio == ratio.min(), free, n))), lam
                 break
             cand[j] = np.inf
-        lam, last = max(float(cand[j]), lam), j
-        yield *segment, low, lam
+        lam, last, entered = max(float(cand[j]), lam), j, out < 0
+        if ends is not None:
+            _pin(segment[1], ends, low, lam)
+        asked = yield *segment, low, lam
+        while asked:  # sent True: F and its KKT inverse, the corrections aside folded in
+            C = aside[: f + 1, :k]
+            asked = yield F[:f].copy(), M[: f + 1, : f + 1] + (C * weights[:k]) @ C.T
         if out >= 0 and into >= 0 and f == 1:
             # j takes the place of a lone free asset, which cannot leave
             # first: the KKT inverse of {j} is [[-V_jj, 1], [1, 0]]
@@ -849,11 +918,12 @@ def sandwich_check(
     See :class:`SandwichReport`.  Both maxima are closed forms on one
     segment of the universe's eta_line and root_eta_line, each walked up
     from w_lo to that segment, or, for a level inside (sigma_lo, sigma_hi)
-    that starts a line or lies below its start, jumped to it from w_lo
-    (:class:`CriticalLine`); an empty level reads only w_lo.  `samples`
-    and `seed` are kept for callers; nothing is drawn.  A sigma or samples
-    that is not a finite number raises ParseError, and samples below 1
-    DimensionMismatchError.
+    that starts a line or lies below its start, jumped to it
+    (:class:`CriticalLine`): the eta line, read first, from w_lo, and the
+    root line from the eta line's landing there; an empty level reads only
+    w_lo.  `samples` and `seed` are kept for callers; nothing is drawn.  A
+    sigma or samples that is not a finite number raises ParseError, and
+    samples below 1 DimensionMismatchError.
     """
     sigma = _finite_float(sigma, "sigma")
     requested = int(_finite_float(samples, "samples"))
@@ -870,7 +940,7 @@ def sandwich_check(
     max_var = max_vol_sq = gap = holds = None
     if not empty:
         max_var = universe.eta_line.max_at(tau)
-        max_vol_sq = universe.root_eta_line.max_at(tau) ** 2
+        max_vol_sq = universe.root_eta_line.max_at(tau, universe.eta_line) ** 2
         gap = max_var - max_vol_sq
         # the rounding of the two maxima, which cancel exactly where the most
         # volatile assets tie

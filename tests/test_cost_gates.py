@@ -438,9 +438,9 @@ def test_sandwich_draws_nothing_and_builds_each_line_once_per_universe(
     starts, walks, solving = [], [], Counter()
     active_set, walk = mdp._active_set, mdp._walk
 
-    def counting_active_set(V):  # its own np.linalg calls go to solving
+    def counting_active_set(V, start):  # its own np.linalg calls go to solving
         before = Counter(linalg)
-        out = active_set(V)
+        out = active_set(V, start)
         made = linalg - before
         starts.append(1)
         solving.update(made)
@@ -453,7 +453,11 @@ def test_sandwich_draws_nothing_and_builds_each_line_once_per_universe(
     )
     linalg = _count_linalg(monkeypatch, *LINALG)
     big = random_universe(np.random.default_rng(7), 60)
-    for u in _fresh_universes() + [ex3, universe30, big]:
+    # the active set's solves: one for the minimum on w_mvp's positive
+    # support, one more after each drop of its nonpositive weights, and those
+    # of its moves (2, 6, 2, 5 and 6 from the least volatile asset alone)
+    solves = (1, 1, 1, 3, 2)
+    for u, solved in zip(_fresh_universes() + [ex3, universe30, big], solves):
         panel = u is universe30
         u = drf.validate_universe(u.cov)  # no line cached yet
         starts.clear()
@@ -463,9 +467,10 @@ def test_sandwich_draws_nothing_and_builds_each_line_once_per_universe(
         w = np.full(u.n, 1.0 / u.n)
         sigma_eq = float(np.sqrt(w @ u.cov @ w))
         rep = drf.sandwich_check(u, 1e-3 * sigma_eq, samples=500)
-        # an empty level reads w_lo, solved once with the inverse of its KKT
-        # matrix, and builds no line
-        assert rep.empty and len(starts) == 1 and walks == []
+        # an empty level reads w_lo, started from the kernel's w_mvp (the
+        # kernel is built, by model.lu_solve, which np.linalg does not count)
+        # and solved once with the inverse of its KKT matrix, and builds no line
+        assert rep.empty and len(starts) == 1 and walks == [] and "solver" in vars(u)
         assert +linalg == Counter(inv=1)
         rep = drf.sandwich_check(u, sigma_eq, samples=500, seed=3)
         assert not rep.empty and rep.accepted == rep.requested == 500
@@ -482,6 +487,18 @@ def test_sandwich_draws_nothing_and_builds_each_line_once_per_universe(
         assert [len(line.free) for line in lines] == walked
         assert linalg["inv"] == 1
         jumped = [line.corners[0] > 0.0 for line in lines]
+        # the root line's jump starts from the eta line's landing at tau, the
+        # free set of its last segment and that set's KKT inverse, handed
+        # over without forming one
+        (*_, eta_tau, handed), (*_, root_tau, landing) = walks
+        assert handed is None and eta_tau == root_tau
+        if root_tau is not None and at[0] == walked[0] - 1:
+            free, inverse = landing
+            np.testing.assert_array_equal(free, u.eta_line.free[at[0]])
+            K = mdp._kkt(u.cov, free)
+            assert np.abs(K @ inverse - np.eye(len(free) + 1)).max() < 1e-9
+        else:
+            assert landing is None
         landings = [(line.corners[0], sorted(line.free[0])) for line in lines]
         if panel:
             # panel-30's level lies on segment 11 of each line's 30: each
@@ -501,7 +518,7 @@ def test_sandwich_draws_nothing_and_builds_each_line_once_per_universe(
         inside = 0.5 * (rep.sigma_lo + sigma_eq)
         rep = drf.sandwich_check(u, inside, samples=500, seed=3)
         assert not rep.empty and rep.holds is True
-        assert [tau for _, _, tau in walks[2:]] == [inside] * sum(jumped)
+        assert [tau for _, _, tau, _ in walks[2:]] == [inside] * sum(jumped)
         again = [line.corners[0] > 0.0 for line in lines]
         restarts = sum(jumped) + sum(again)
         if panel:
@@ -511,19 +528,20 @@ def test_sandwich_draws_nothing_and_builds_each_line_once_per_universe(
         rep = drf.sandwich_check(u, rep.sigma_lo, samples=500, seed=3)
         assert not rep.empty and rep.holds is True
         assert len(walks) == 2 + restarts
-        assert all(tau is None for _, _, tau in walks[2 + sum(jumped) :])
+        assert all(tau is None for _, _, tau, _ in walks[2 + sum(jumped) :])
         for sigma in (0.5 * rep.sigma_lo, 2.0 * rep.sigma_hi):
             rep = drf.sandwich_check(u, sigma, samples=500, seed=3)
             assert rep.empty and rep.accepted == 0
         # the levels share w_lo and the universe's two lines: each walk
-        # starts at w_lo's free set from its one KKT inverse, and each line
-        # is extended, never rebuilt, with no np.linalg call when no
-        # residual asks for a refresh but a jump's triangular solves and
-        # Cholesky tests; the active set makes only its solves and Cholesky
-        # tests
+        # starts at w_lo's free set from its one KKT inverse (a root line's
+        # jump from the eta line's landing, and from w_lo again if it
+        # declines), and each line is extended, never rebuilt, with no
+        # np.linalg call when no residual asks for a refresh but a jump's
+        # triangular solves and Cholesky tests; the active set makes only its
+        # solves and Cholesky tests
         assert len(starts) == 1 and (u.eta_line, u.root_eta_line) == lines
         lo = u.long_only_mvp
-        assert all(free is lo.free and inverse is lo.kkt_inverse for free, inverse, _ in walks)
+        assert all(free is lo.free and inverse is lo.kkt_inverse for free, inverse, *_ in walks)
         for line in lines:
             line.at(math.inf)
             assert line.corners[0] == 0.0
@@ -532,7 +550,7 @@ def test_sandwich_draws_nothing_and_builds_each_line_once_per_universe(
             assert [sorted(line.free[11]) for line in lines] == [free for _, free in landings]
         assert len(walks) == 2 + restarts
         assert linalg["inv"] == 1 and set(+linalg) <= {"inv", "solve", "cholesky"}
-        assert solving["solve"] >= 2 and set(+solving) <= {"solve", "cholesky"}
+        assert solving["solve"] == solved and set(+solving) <= {"solve", "cholesky"}
     assert draws == []
 
 
