@@ -73,15 +73,12 @@ RESIDUAL_RTOL = 1e-10
 # max |V| (1 + |c|_1)^2, the rounding scale of the complement (see _walk)
 SCHUR_RTOL = 1e-13
 # an asset that changed at a corner changes back only below (1 - TIE_RTOL)
-# times that corner's lambda; at lambda = 0 a level or slope within its
-# rounding, at most TIE_RTOL of its scale, is a tie (see _walk)
+# times that corner's lambda; it caps every rounding at lambda = 0, of ties
+# and of a swap's pivots (see _walk)
 TIE_RTOL = 1e-9
 # a corner of a weight below -NEGATIVE_ATOL (of the budget 1), which only a
 # walk that rounding broke could reach, raises SingularCovarianceError
 NEGATIVE_ATOL = 1e-6
-# a swap at lambda = 0 reads only the entries of its mix c above this times
-# 1 + |c|_1 (see _walk)
-PIVOT_RTOL = 1e-9
 # a critical line's corrections to its KKT inverse are folded in FOLD_EVERY at
 # a time: one rank-FOLD_EVERY product reads M once instead of FOLD_EVERY times
 FOLD_EVERY = 32
@@ -133,14 +130,15 @@ class CriticalLine:
     corners[0] = 0, or, on a universe certified nonsingular whose max mu is
     one asset's, from the segment that holds a risk read strictly inside
     (sigma_lo, sigma_hi) that starts the line, corners[0] its lambda (no
-    corner).  Such a jump starts from the free set of w_lo, or, given a
-    line `near` of the same universe whose walk rests on the segment that
-    holds that risk, from near's free set there and a copy of its KKT
-    inverse (a declined jump walks from w_lo all the same).  :meth:`at` and
-    :meth:`max_at` walk on to the segment that holds their risk (past the
-    segments that end at lambda = 0, where ties change the free set); a
-    read below a jump's risk, or at(inf), which walks the whole line,
-    starts the line again as a first read does.
+    corner).  Such a jump starts from the free set of w_lo, or, given a line
+    `near` of the same universe whose walk rests on the segment that holds
+    that risk, from near's free set there and a copy of its KKT inverse (a
+    declined jump walks from w_lo all the same); at a corner, to its
+    rounding, it lands without the asset that changes there, as a walked read
+    does.  :meth:`at` and :meth:`max_at` walk on to the segment that holds
+    their risk (past the segments that end at lambda = 0, where ties change
+    the free set); a read below a jump's risk, or at(inf), which walks the
+    whole line, starts the line again as a first read does.
     """
 
     def __init__(self, universe: AssetUniverse, mu):
@@ -245,12 +243,11 @@ class LongOnlyMvp:
     """Long-only minimum-variance portfolio w_lo with its certificate.
 
     weights is the active-set minimum (:func:`_active_set`) on its free set
-    `free`, clipped at zero and renormalized, and variance is w' V w.
-    variance_lower = 2 min_j (V w)_j - w' V w, that is variance - 2 * gap
-    with the Frank-Wolfe gap w' V w - min_j (V w)_j, bounds the long-only
-    minimum from below by convexity.  Both critical lines of the universe
-    start at `free`, from kkt_inverse, the inverse of its KKT matrix
-    [[0, 1'], [1, V_free]].
+    `free`, renormalized, and variance is w' V w.  variance_lower = 2 min_j
+    (V w)_j - w' V w, that is variance - 2 * gap with the Frank-Wolfe gap
+    w' V w - min_j (V w)_j, bounds the long-only minimum from below by
+    convexity.  Both critical lines of the universe start at `free`, from
+    kkt_inverse, the inverse of its KKT matrix [[0, 1'], [1, V_free]].
     """
 
     weights: np.ndarray
@@ -276,7 +273,7 @@ def long_only_mvp(universe: AssetUniverse) -> LongOnlyMvp:
         start = np.array([int(np.argmin(np.diag(V)))])
     free, x = _active_set(V, start)
     w = np.zeros(universe.n)
-    w[free] = np.clip(x, 0.0, None)
+    w[free] = x
     w /= w.sum()
     g = V @ w
     # a riskless mix of a singular V can round below zero, as in Portfolio.sigma
@@ -535,24 +532,21 @@ def _active_set(V, start) -> tuple:
     """(F, w_F): the free set and weights of the long-only minimum-variance
     portfolio w_lo, by a primal active-set method on the budget KKT system.
 
-    It starts from the assets of `start`: the minimum of w' V w over budget
-    portfolios on them drops its nonpositive weights until every weight is
-    positive (a lone asset is its own minimum, and its 2 x 2 KKT matrix is
-    never singular).  At the minimum w_F on F, an asset j outside F lowers
-    the variance when its multiplier (V w)_j - w' V w is below the
-    rounding of V w; those that border F (:func:`_schur`) are the
-    candidates.  When the candidates' block Schur
-    complement passes that test too, all of them enter at once, the assets
-    of negative weight leave until the minimum on F is positive, and the
-    move is kept if it lowers the variance.  Otherwise the first candidate
-    by index enters alone, and while a solve gives a negative weight the
-    portfolio steps to the first weight that reaches zero, whose asset
-    leaves (Bland's rule on ties).  Each kept move lowers the variance and
-    ends at the minimum of its free set, so no free set returns; MAX_ITER
-    solves raise SingularCovarianceError.
+    The minimum of w' V w over budget portfolios on a set drops its
+    nonpositive weights until all are positive (on a lone asset it is
+    exactly 1); the method starts there, on `start`.  At the minimum w_F
+    on F, an asset j outside F lowers the variance when its multiplier
+    (V w)_j - w' V w is below the rounding of V w; those that border F
+    (:func:`_schur`) are the candidates.  When their block Schur complement
+    passes that test too, all of them enter at once, the minimum drops its
+    nonpositive weights again, and the move is kept if it lowers the
+    variance.  Otherwise the first candidate by index enters alone, and
+    while a solve gives a negative weight the portfolio steps to the first
+    weight that reaches zero, whose asset leaves (Bland's rule on ties).
+    Each kept move lowers the variance and ends at the minimum of its free
+    set, so no free set returns; MAX_ITER solves raise SingularCovarianceError.
     """
-    n, vmax = len(V), float(np.abs(V).max())
-    F, x, solves = np.asarray(start), np.ones(1), 0
+    n, vmax, solves = len(V), float(np.abs(V).max()), 0
 
     def kkt(S, rhs):  # the KKT matrix of S, solved against rhs
         nonlocal solves
@@ -565,11 +559,14 @@ def _active_set(V, start) -> tuple:
         z = kkt(S, np.eye(len(S) + 1, 1)[:, 0])
         return z[1:], -z[0]
 
-    if F.size > 1:
-        x = minimum(F)[0]
-        while not (x > 0.0).all():
-            F = F[x > 0.0]
-            x = minimum(F)[0]
+    def positive(S):  # (S, w_S, variance): the minimum on S, less its nonpositive weights
+        y, least = minimum(S)
+        while not (y > 0.0).all():
+            S = S[y > 0.0]
+            y, least = minimum(S)
+        return S, y, least
+
+    F, x, _ = positive(np.asarray(start))
     while True:
         VF = V[:, F]
         g = VF @ x
@@ -589,11 +586,7 @@ def _active_set(V, start) -> tuple:
             return F, x
         floor = SCHUR_RTOL * vmax * spread * spread
         if N.size > 1 and _block_factor(V[np.ix_(N, N)] - U.T @ MU, floor) is not None:
-            S = np.concatenate([F, N])
-            y, least = minimum(S)
-            while not (y > 0.0).all():
-                S = S[y > 0.0]
-                y, least = minimum(S)
+            S, y, least = positive(np.concatenate([F, N]))
             if least < variance:
                 F, x = S, y
                 continue
@@ -650,19 +643,21 @@ def _walk(V, mu, free, inverse, tau=None, landing=None):
     F and of M with the corrections aside folded in, and rests there still.
 
     Given tau, the first steps are block principal pivots (Judice and Pires
-    1994; Kim and Park 2011) to tau's segment, from `landing`, a free set
-    and the inverse of its KKT matrix (another line's at tau), where given,
-    else from `free`, and the corners go on from its lambda_tau, where
-    var0 + lambda^2 k2 = tau^2 on F.  At lambda_tau
-    the free assets of negative weight leave, M -= M_:L M_LL^-1 M_L:, and
-    the outside ones of positive slack enter, M += C S^-1 C' with C =
-    [M U; -I] (S their Schur block), each set at once and in place, until
-    none does (beyond n ulps of the columns' scale).  After STALLS steps
-    without fewer of them, one changes at a time, the least index first
-    (Murty's rule).  A k2 <= 0, tau^2 < var0, a block that fails
-    :func:`_block_factor`, a free set seen again or MAX_ITER steps decline
-    the jump: the walk then starts from `free` as without tau, whatever the
-    jump started from.
+    1994; Kim and Park 2011) to tau's segment, from `landing`, a free set and
+    the inverse of its KKT matrix (another line's at tau), where given, else
+    from `free`; the corners go on from lambda_tau, where var0 + lambda^2 k2 =
+    tau^2 on F.  At lambda_tau the free assets of negative weight leave,
+    M -= M_:L M_LL^-1 M_L:, and the outside ones of positive slack enter,
+    M += C S^-1 C' with C = [M U; -I] (S their Schur block), each set at once
+    and in place, until none does beyond tol, n ulps of the columns' scale.
+    The free assets of weight at most tol then leave in one last exchange,
+    so at a corner the landing takes the side a walked read takes
+    (:meth:`CriticalLine.at`), and an asset that enters there enters again.
+    After STALLS steps without fewer of them, one changes at a time, the
+    least index first (Murty's rule).  A k2 <= 0, tau^2 < var0, a block that
+    fails :func:`_block_factor`, a free set seen again or MAX_ITER steps
+    decline the jump: the walk then starts from `free` as without tau,
+    whatever the jump started from.
 
     At lambda = 0 a level or slope within its rounding of zero is zero: n
     ulps of its scale times vmax max |M_FF|, by which M amplifies the
@@ -673,10 +668,12 @@ def _walk(V, mu, free, inverse, tau=None, landing=None):
     Where F came to span j at a corner above lambda = 0, that slack was
     nonpositive there, so j never enters.  At lambda = 0 it may rise: j then
     enters in place of the free asset whose weight reaches zero first along
-    e_j - c (the least asset index on ties), a move that keeps the variance
-    (another w_lo) and raises mu' w.  A singular KKT matrix, a nonpositive
-    pivot M_qq, a free set that returns at lambda = 0, a corner weight below
-    -NEGATIVE_ATOL or MAX_ITER corners raise SingularCovarianceError.
+    e_j - c on c's entries above TIE_RTOL (1 + |c|_1), the least asset index
+    on ties (M restarts from {j}'s :func:`_kkt_inverse` in place of a lone
+    asset), a move that keeps the variance (another w_lo) and raises mu' w.
+    A singular KKT matrix, a nonpositive pivot M_qq, a free set that
+    returns at lambda = 0, a corner weight below -NEGATIVE_ATOL or MAX_ITER
+    corners raise SingularCovarianceError.
     """
     n, f, k = len(mu), 0, 0
     M, Y, R, fix = (np.zeros((n + 1, n + 1)), *np.zeros((3, n + 1, 2)))
@@ -818,14 +815,18 @@ def _walk(V, mu, free, inverse, tau=None, landing=None):
             jumps = gain[1] > 0.0 and tau_sq >= var0 and walked <= MAX_ITER
             if jumps:
                 lam = float(np.sqrt((tau_sq - var0) / gain[1]))
-                (bad,) = np.nonzero(lam * slope - level > n * EPS * (size[0] + lam * size[1]))
+                excess, tol = lam * slope - level, n * EPS * (size[0] + lam * size[1])
+                (bad,) = np.nonzero(excess > tol)
                 fewest, stalls = (bad.size, 0) if bad.size < fewest else (fewest, stalls + 1)
                 if stalls >= STALLS:  # one at a time, the least index first, and no F twice
                     held = frozenset(free.tolist())
                     jumps, bad = held not in seen, bad[:1]
                     seen.add(held)
             if jumps and not bad.size:
-                tau_sq = None  # no asset violates at lambda(tau): the walk goes on from it
+                # none violates: the walk goes on from here, once weights of at most tol leave
+                tau_sq, zero = None, free[excess[free] >= -tol]
+                if zero.size and exchange(zero):
+                    continue
             elif jumps and exchange(bad):
                 continue
             else:  # the jump declines: the walk starts again from `free`, as without tau
@@ -875,7 +876,7 @@ def _walk(V, mu, free, inverse, tau=None, landing=None):
                 break
             # collinear with F on budget portfolios; at lambda = 0 its slack
             # slope[j] lambda may rise (above its rounding), and j swaps in
-            pivots = Mu[1:] > PIVOT_RTOL * spread
+            pivots = Mu[1:] > TIE_RTOL * spread
             if lam == 0.0 and slope[j] > SCHUR_RTOL * spread * size[1] and pivots.any():
                 # the ratio test of e_j - c on the weights at lambda = 0, ties
                 # to the least asset index
@@ -890,10 +891,8 @@ def _walk(V, mu, free, inverse, tau=None, landing=None):
         while asked:  # sent True: F and its KKT inverse, the corrections aside folded in
             C = aside[: f + 1, :k]
             asked = yield F[:f].copy(), M[: f + 1, : f + 1] + (C * weights[:k]) @ C.T
-        if out >= 0 and into >= 0 and f == 1:
-            # j takes the place of a lone free asset, which cannot leave
-            # first: the KKT inverse of {j} is [[-V_jj, 1], [1, 0]]
-            solve([into], ((-V[into, into], 1.0), (1.0, 0.0)))
+        if out >= 0 and into >= 0 and f == 1:  # j replaces a lone free asset, which cannot leave
+            solve([into], _kkt_inverse(V, [into]))
             continue
         if out >= 0:
             leave(out)

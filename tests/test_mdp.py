@@ -677,6 +677,94 @@ def test_a_root_line_jump_declined_from_the_eta_landing_walks_from_w_lo(n, seed,
         _assert_meets_enumeration(u, line, u.volatilities, tau, "root")
 
 
+@pytest.mark.parametrize("walked", [True, False], ids=["walked-whole", "walked-past-tau"])
+def test_a_root_line_jumps_from_w_lo_where_the_eta_line_has_no_landing(universe30, walked):
+    # the eta line was walked whole, or read below tau and then past it: its
+    # walk does not rest on tau's segment, so it hands out no landing, and
+    # the root line read at tau beside it jumps from w_lo, bit for bit as a
+    # fresh root line does
+    u = universe30
+    sigma_lo, sigma_hi = np.sqrt(u.long_only_mvp.variance), u.volatilities.max()
+    tau = sigma_lo + 0.4 * (sigma_hi - sigma_lo)
+    eta = mdp.CriticalLine(u, np.clip(u.variances, 0.0, None))
+    for where in [math.inf] if walked else [0.2, 0.7]:
+        eta.at(sigma_lo + where * (sigma_hi - sigma_lo))
+    assert eta._landing(tau) is None
+    line, fresh = mdp.CriticalLine(u, u.volatilities), mdp.CriticalLine(u, u.volatilities)
+    k, j = line.at(tau, eta)[0], fresh.at(tau)[0]
+    assert line.corners[0] > 0.0
+    np.testing.assert_array_equal(line.free[k], fresh.free[j])
+    assert line.max_at(tau) == fresh.max_at(tau)
+
+
+def _corner_reads(u, mu):
+    """(tau, [(line, k, lambda) of a fresh line read at tau, and of the whole
+    line]) at each corner risk tau of the whole line inside (sigma_lo,
+    sigma_hi)."""
+    whole = mdp.CriticalLine(u, mu)
+    whole.at(math.inf)
+    sigma_lo, sigma_hi = np.sqrt(u.long_only_mvp.variance), u.volatilities.max()
+    for upper in whole._upper[:-1]:
+        tau = float(np.sqrt(upper))
+        if sigma_lo < tau < sigma_hi:
+            yield tau, [(line, *line.at(tau)) for line in (mdp.CriticalLine(u, mu), whole)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(3, 8), seed=st.integers(0, 10**6), log_cond=st.floats(0.0, 9.0))
+# a fresh eta line read at a corner risk held the asset that changes there
+# at a weight of -1.4e-17, on the side a walked read does not take
+@example(n=6, seed=739246, log_cond=1.7608754695078885)
+# the fresh eta line holds an asset at 1.3e-12 that the whole line does not
+@example(n=7, seed=999999, log_cond=8.0)
+def test_fresh_lines_read_at_the_corners_of_whole_lines_hold_no_negative_weight(n, seed, log_cond):
+    # a jump to a corner risk lands on the side that a walked read takes,
+    # without the asset that changes there, and holds no negative weight.
+    # Where the two free sets differ, the routes place a corner within
+    # rounding of each other: the asset that differs reaches 0, on the
+    # segment that holds it, at a risk^2 within 10 roundings of tau^2 (n ulps
+    # of max |V| times |w|_1^2, as CriticalLine._near; at most 2.4 of them
+    # on 2400 scratch draws)
+    u = conditioned_universe(n, seed, log_cond)
+    rounding = n * EPS * float(np.abs(u.cov).max())
+    for _, mu in _lines(u).values():
+        for tau, reads in _corner_reads(u, mu):
+            (line, k, lam), whole = reads
+            assert (line.pairs[k] @ (1.0, lam)).min() >= 0.0, line.pairs[k]
+            free = [set(read.free[i].tolist()) for read, i, _ in reads]
+            for j in free[0] ^ free[1]:
+                read, i, at = reads[0] if j in free[0] else whole
+                pair = read.pairs[i]
+                a, b = pair[list(read.free[i]).index(j)]
+                corner_sq = read.var0[i] + (a / b) ** 2 * read.k2[i]
+                spread = float((np.abs(pair) @ (1.0, at)).sum()) ** 2
+                assert abs(corner_sq - tau * tau) <= 10.0 * rounding * spread, (j, tau)
+
+
+@pytest.mark.parametrize(
+    "n, seed, log_cond, tau",
+    [
+        (6, 739246, 1.7608754695078885, 0.07225936467621208),
+        (7, 744678, 5.036381230531439, 0.06735376795005786),
+        (8, 541513, 2.5916395695392658, 0.04347815791907352),
+    ],
+)
+def test_a_jump_that_lands_at_a_corner_reads_the_walked_side(n, seed, log_cond, tau):
+    # tau is an eta corner's risk: the jump's pivots stop with the asset that
+    # changes there free at a weight within rounding of 0 (as low as
+    # -1.7e-16), on the side that a line walked to tau does not read, so
+    # that asset leaves the landing
+    u = conditioned_universe(n, seed, log_cond)
+    eta = np.clip(u.variances, 0.0, None)
+    line, walked = mdp.CriticalLine(u, eta), mdp.CriticalLine(u, eta)
+    walked.at(0.0)
+    (k, lam), j = line.at(tau), walked.at(tau)[0]
+    assert line.corners[0] > 0.0
+    np.testing.assert_array_equal(np.sort(line.free[k]), np.sort(walked.free[j]))
+    assert (line.pairs[k] @ (1.0, lam)).min() >= 0.0
+    assert line.max_at(tau) == pytest.approx(walked.max_at(tau), rel=1e-15)
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     n=st.integers(2, 8),
