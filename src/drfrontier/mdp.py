@@ -29,13 +29,13 @@ return vector eta or sqrt(eta), a :class:`CriticalLine` of finitely many
 corners (Markowitz 1956; Niedermayer and Niedermayer 2010; Bailey and
 Lopez de Prado 2013).  Both lines start at the long-only minimum-variance
 portfolio w_lo, which :func:`_active_set` solves once per universe, started
-from the positive support of the kernel's unconstrained w_mvp; each is
-walked up from there, and kept in walk order, only as far as a level reads
-it, or jumped by block pivots to the segment of a level inside the
-long-only risks that starts it: the eta line from w_lo, the sqrt(eta) line
-from the free set where the eta line landed at that risk, whose KKT inverse
-it takes over.  The module stands on model alone; the ratio maximizer at a
-given risk is the mdp_at_sigma kind's :func:`~drfrontier.frontiers.point`.
+from the positive support of the kernel's unconstrained w_mvp; each is walked
+up from there, and kept in walk order, only as far as a level reads it, or
+jumped by block pivots to the segment of a level inside the long-only risks
+that starts it: the eta line from w_lo, the sqrt(eta) line, which the
+universe pairs with it, from the free set and KKT inverse where the eta line
+landed.  The module stands on model alone; the ratio maximizer at a given
+risk is the mdp_at_sigma kind's :func:`~drfrontier.frontiers.point`.
 """
 
 from __future__ import annotations
@@ -130,8 +130,8 @@ class CriticalLine:
     corners[0] = 0, or, on a universe certified nonsingular whose max mu is
     one asset's, from the segment that holds a risk read strictly inside
     (sigma_lo, sigma_hi) that starts the line, corners[0] its lambda (no
-    corner).  Such a jump starts from the free set of w_lo, or, given a line
-    `near` of the same universe whose walk rests on the segment that holds
+    corner).  Such a jump starts from the free set of w_lo, or, where the
+    line `near` it was built with rests its walk on the segment that holds
     that risk, from near's free set there and a copy of its KKT inverse (a
     declined jump walks from w_lo all the same); at a corner, to its
     rounding, it lands without the asset that changes there, as a walked read
@@ -141,7 +141,7 @@ class CriticalLine:
     whole line, starts the line again as a first read does.
     """
 
-    def __init__(self, universe: AssetUniverse, mu):
+    def __init__(self, universe: AssetUniverse, mu, near: Optional[CriticalLine] = None):
         mu = np.asarray(mu, dtype=float)
         self.top = float(mu.max())
         # an asset within the rounding of max mu ties at the top: a corner
@@ -156,15 +156,16 @@ class CriticalLine:
         jumps = universe.nonsingular and np.count_nonzero(mu == 0.0) == 1
         self._inside = (np.sqrt(lo.variance), universe.volatilities.max()) if jumps else (0.0, 0.0)
         self._floor = self._walk = None  # _floor: the risk^2 of a jump, 0 without one
+        self._lead = near  # the line whose landing a jump starts from
         self.free, self.pairs, self.var0, self.mean, self.k2 = [], [], [], [], []
         self.corners, self._upper = [0.0], []  # _upper: each segment's risk^2 at its top
 
-    def _start(self, tau: float, near: Optional[CriticalLine]) -> None:
+    def _start(self, tau: float) -> None:
         """Walk from w_lo again, or jump where tau is inside the risks, from
-        the landing of the line `near` at tau where it has one."""
+        the landing at tau of the line `near` built with it where it has one."""
         jump = self._inside[0] < tau < self._inside[1]
         self._floor = tau * tau if jump else 0.0
-        landing = near._landing(tau) if jump and near is not None else None
+        landing = self._lead._landing(tau) if jump and self._lead is not None else None
         self._walk = _walk(*self._from, tau if jump else None, landing)
         for field in (self.free, self.pairs, self.var0, self.mean, self.k2, self._upper):
             field.clear()  # in place: a reader may hold the lists
@@ -201,13 +202,12 @@ class CriticalLine:
             return None
         return self._walk.send(True)
 
-    def at(self, tau: float, near: Optional[CriticalLine] = None) -> tuple:
-        """(k, lambda): segment k holds the point of risk tau (or the nearer
-        end); a jump to it starts from the landing of `near` where it has one."""
+    def at(self, tau: float) -> tuple:
+        """(k, lambda): segment k holds the point of risk tau (or the nearer end)."""
         tau_sq = tau * tau
         # a first read starts the line; one below a jump's risk or at inf restarts it
         if self._floor is None or self.corners[0] > 0.0 and not self._floor <= tau_sq < np.inf:
-            self._start(tau, near)
+            self._start(tau)
         while (self.corners[-1] == 0.0 or self._upper[-1] <= tau_sq) and self._extend():
             pass
         k = min(bisect.bisect_right(self._upper, tau_sq), len(self._upper) - 1)
@@ -232,9 +232,9 @@ class CriticalLine:
             k -= len(self.free[k - 1]) < len(self.free[k])
         return k, lo
 
-    def max_at(self, tau: float, near: Optional[CriticalLine] = None) -> float:
+    def max_at(self, tau: float) -> float:
         """max mu' w over long-only budget portfolios of risk tau, at :meth:`at`."""
-        k, lam = self.at(tau, near)
+        k, lam = self.at(tau)
         return float(self.top + self.mean[k] + lam * self.k2[k])
 
 
@@ -919,10 +919,10 @@ def sandwich_check(
     from w_lo to that segment, or, for a level inside (sigma_lo, sigma_hi)
     that starts a line or lies below its start, jumped to it
     (:class:`CriticalLine`): the eta line, read first, from w_lo, and the
-    root line from the eta line's landing there; an empty level reads only
-    w_lo.  `samples` and `seed` are kept for callers; nothing is drawn.  A
-    sigma or samples that is not a finite number raises ParseError, and
-    samples below 1 DimensionMismatchError.
+    root line, which the universe built with it, from the eta line's landing
+    there; an empty level reads only w_lo.  `samples` and `seed` are kept for
+    callers; nothing is drawn.  A sigma or samples that is not a finite
+    number raises ParseError, and samples below 1 DimensionMismatchError.
     """
     sigma = _finite_float(sigma, "sigma")
     requested = int(_finite_float(samples, "samples"))
@@ -939,7 +939,7 @@ def sandwich_check(
     max_var = max_vol_sq = gap = holds = None
     if not empty:
         max_var = universe.eta_line.max_at(tau)
-        max_vol_sq = universe.root_eta_line.max_at(tau, universe.eta_line) ** 2
+        max_vol_sq = universe.root_eta_line.max_at(tau) ** 2
         gap = max_var - max_vol_sq
         # the rounding of the two maxima, which cancel exactly where the most
         # volatile assets tie

@@ -221,10 +221,10 @@ class AssetUniverse:
 
     @functools.cached_property
     def root_eta_line(self):
-        """The long-only critical line of mu = sqrt(eta), kept likewise."""
+        """The long-only critical line of mu = sqrt(eta), kept likewise and paired with eta_line."""
         from .mdp import CriticalLine
 
-        return CriticalLine(self, self.volatilities)
+        return CriticalLine(self, self.volatilities, self.eta_line)
 
     @functools.cached_property
     def sigma_grid(self) -> np.ndarray:

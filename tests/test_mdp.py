@@ -630,19 +630,24 @@ def test_a_jump_meets_the_walk_on_each_route(monkeypatch, constants, n, seed, lo
 )
 def test_a_root_line_jumps_from_the_eta_line_landing(n, seed, log_cond, where):
     # as sandwich_check reads them: the eta line at tau first, then the root
-    # line, whose first read jumps from the eta line's free set at tau and its
-    # KKT inverse; it meets the enumerated maximum, and the free set and the
-    # maximum of a root line read from w_lo to 1e-13
+    # line built with it, whose first read jumps from the eta line's free set
+    # at tau and its KKT inverse; it meets the enumerated maximum, and the
+    # free set and the maximum of a root line read from w_lo to 1e-13.  The
+    # universe's own pair reads bit for bit as a pair built here
     u = conditioned_universe(n, seed, log_cond)
     var_lo = u.long_only_mvp.variance
     tau = float(np.sqrt(var_lo + where * (u.variances.max() - var_lo)))
     eta = mdp.CriticalLine(u, np.clip(u.variances, 0.0, None))
     eta.max_at(tau)
-    line, fresh = mdp.CriticalLine(u, u.volatilities), mdp.CriticalLine(u, u.volatilities)
-    k, j = line.at(tau, eta)[0], fresh.at(tau)[0]
+    line, fresh = mdp.CriticalLine(u, u.volatilities, eta), mdp.CriticalLine(u, u.volatilities)
+    k, j = line.at(tau)[0], fresh.at(tau)[0]
     np.testing.assert_array_equal(np.sort(line.free[k]), np.sort(fresh.free[j]))
     assert line.max_at(tau) == pytest.approx(fresh.max_at(tau), rel=1e-13)
     _assert_meets_enumeration(u, line, u.volatilities, tau, "root")
+    assert u.eta_line.max_at(tau) == eta.max_at(tau)
+    assert u.root_eta_line.at(tau) == line.at(tau)
+    np.testing.assert_array_equal(u.root_eta_line.free[k], line.free[k])
+    assert u.root_eta_line.max_at(tau) == line.max_at(tau)
 
 
 @pytest.mark.parametrize(
@@ -666,8 +671,8 @@ def test_a_root_line_jump_declined_from_the_eta_landing_walks_from_w_lo(n, seed,
     eta = mdp.CriticalLine(u, np.clip(u.variances, 0.0, None))
     eta.max_at(tau)
     assert eta._landing(tau) is not None
-    line, walked = mdp.CriticalLine(u, u.volatilities), mdp.CriticalLine(u, u.volatilities)
-    k, lam = line.at(tau, eta)
+    line, walked = mdp.CriticalLine(u, u.volatilities, eta), mdp.CriticalLine(u, u.volatilities)
+    k, lam = line.at(tau)
     walked.at(0.0)
     assert line.corners[0] == 0.0 and walked.at(tau) == (k, lam)
     assert line.max_at(tau) == walked.max_at(tau)
@@ -690,11 +695,35 @@ def test_a_root_line_jumps_from_w_lo_where_the_eta_line_has_no_landing(universe3
     for where in [math.inf] if walked else [0.2, 0.7]:
         eta.at(sigma_lo + where * (sigma_hi - sigma_lo))
     assert eta._landing(tau) is None
-    line, fresh = mdp.CriticalLine(u, u.volatilities), mdp.CriticalLine(u, u.volatilities)
-    k, j = line.at(tau, eta)[0], fresh.at(tau)[0]
+    line, fresh = mdp.CriticalLine(u, u.volatilities, eta), mdp.CriticalLine(u, u.volatilities)
+    k, j = line.at(tau)[0], fresh.at(tau)[0]
     assert line.corners[0] > 0.0
     np.testing.assert_array_equal(line.free[k], fresh.free[j])
     assert line.max_at(tau) == fresh.max_at(tau)
+
+
+def test_a_root_line_read_first_leaves_the_eta_line_unstarted(panel30):
+    # the universe's root line, read before its eta line, finds no landing:
+    # it starts no walk of the eta line and reads bit for bit as a root line
+    # built alone
+    u = drf.annualize(panel30)
+    sigma_lo, sigma_hi = np.sqrt(u.long_only_mvp.variance), u.volatilities.max()
+    tau = sigma_lo + 0.4 * (sigma_hi - sigma_lo)
+    value = u.root_eta_line.max_at(tau)
+    assert u.eta_line.free == []
+    assert value == mdp.CriticalLine(u, u.volatilities).max_at(tau)
+
+
+def test_a_root_line_read_after_the_eta_line_reads_as_sandwich_check(panel30):
+    # read after its eta line, the universe's root line jumps from the eta
+    # line's landing, and its square is sandwich_check's, bit for bit
+    u, checked = drf.annualize(panel30), drf.annualize(panel30)
+    sigma_lo, sigma_hi = np.sqrt(u.long_only_mvp.variance), u.volatilities.max()
+    tau = sigma_lo + 0.4 * (sigma_hi - sigma_lo)
+    u.eta_line.max_at(tau)
+    value = u.root_eta_line.max_at(tau)
+    assert u.root_eta_line.corners[0] > 0.0
+    assert value**2 == drf.sandwich_check(checked, tau).max_avg_volatility_sq
 
 
 def _corner_reads(u, mu):
